@@ -8,7 +8,7 @@ reports:
   the fused engine's speedup over the batched autograd engine,
 * the fused engine's machine-relative ratios for the chain fast path vs
   the untiled reference, prefix-level batching vs per-group application,
-  2 fork lanes vs 1 (the bit-safe intra-sweep parallelism knob), the
+  2 lane threads vs 1 (the bit-safe intra-sweep parallelism knob), the
   stuck-at sweep vs the same sweep under transient (SEU) schedules, and
   the compiled cffi kernel backend vs the numpy oracle backend,
 * that all engines produce **identical** records (same accuracies, same
@@ -208,7 +208,7 @@ def test_bench_campaign_engines(campaign_setup):
     summary = (f"fused vs batched (this run): {fused_vs_batched:.2f}x; "
                f"chain fast path vs untiled reference: {fastpath_speedup:.2f}x; "
                f"prefix batching vs per-group: {prefix_speedup:.2f}x; "
-               f"2 fork lanes vs 1: {lane_speedup:.2f}x; "
+               f"2 lane threads vs 1: {lane_speedup:.2f}x; "
                f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
                + backend_note +
                f"fused vs PR 1 recorded batched ({PR1_BATCHED_SECONDS:.3f}s): "
@@ -234,14 +234,14 @@ def test_bench_campaign_engines(campaign_setup):
            if backend_speedup is not None else {}),
         "note": "identical_records pins float64 bit-identity across all "
                 "engines, both chain paths, prefix batching on/off, "
-                "1 vs 2 fork lanes, the compiled cffi kernel backend, and "
+                "1 vs 2 lane threads, the compiled cffi kernel backend, and "
                 "the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); the "
                 "*_speedup entries are cold Fig. 5b sweep cost ratios "
                 "measured within this run (machine-relative): untiled "
                 "reference chain path over the uniform-tile fast path, "
                 "per-group application over prefix-level batching, one "
-                "fork lane over two, and the numpy oracle backend over the "
+                "lane thread over two, and the numpy oracle backend over the "
                 "compiled cffi backend (backend_speedup, present only when "
                 "the cffi backend is available); transient_overhead is the "
                 "stuck-at fused sweep cost over the transient-schedule "
@@ -250,8 +250,8 @@ def test_bench_campaign_engines(campaign_setup):
     }], RESULTS_DIR / "campaign_engine.json")
 
     # The acceptance property: identical records across all three engines,
-    # both chain-application paths, prefix batching on/off and 1 vs 2 fork
-    # lanes (same accuracies, same seeds -- float64 bit-identity).
+    # both chain-application paths, prefix batching on/off and 1 vs 2 lane
+    # threads (same accuracies, same seeds -- float64 bit-identity).
     assert identical, "engine records diverged"
     # The fault-free point reports the software baseline.
     assert records["fused"][0]["num_faulty_pes"] == 0
@@ -269,7 +269,7 @@ def test_bench_campaign_engines(campaign_setup):
     assert prefix_speedup >= 0.9, \
         f"prefix batching slowed the sweep: {prefix_speedup:.2f}x"
     assert lane_speedup >= 0.5, \
-        f"2 fork lanes cost {1 / lane_speedup:.2f}x over serial lanes"
+        f"2 lane threads cost {1 / lane_speedup:.2f}x over one"
     # The transient path re-prepares per *phase*, not per step; even with
     # every step in its own phase the fused sweep must stay within a small
     # multiple of the stuck-at sweep.  The recorded ratio is gated
@@ -415,11 +415,11 @@ def test_bench_campaign_chaos_recovery(campaign_setup, tmp_path):
 
 
 def test_bench_campaign_lane_scaling(campaign_setup):
-    """Lane-thread scaling: byte-identical records at 1/2/4 fork lanes.
+    """Lane-thread scaling: byte-identical records at 1/2/4 lane threads.
 
     The identity assertion is the acceptance property; wall-clock per lane
     count is reported for multi-core boxes (numpy releases the GIL inside
-    the divergent-lane GEMMs) but only sanity-bounded, since a single-core
+    the fork-lane GEMMs) but only sanity-bounded, since a single-core
     CI runner cannot win from threading.
     """
 
@@ -437,7 +437,7 @@ def test_bench_campaign_lane_scaling(campaign_setup):
                 dataset="mnist", engine="fused", lane_threads=threads)
             times[threads] = min(times[threads], time.perf_counter() - start)
 
-    report = ", ".join(f"{threads} lane(s) {times[threads]:.2f}s"
+    report = ", ".join(f"{threads} thread(s) {times[threads]:.2f}s"
                        for threads in lane_counts)
     print(f"\nlane scaling (cold fused sweep): {report}")
     for threads in lane_counts[1:]:
@@ -446,7 +446,7 @@ def test_bench_campaign_lane_scaling(campaign_setup):
         # Identity is the guarantee; overhead must stay bounded even where
         # a single core means threads cannot pay for themselves.
         assert times[1] / times[threads] >= 0.5, \
-            f"{threads} lanes cost {times[threads] / times[1]:.2f}x over serial"
+            f"{threads} lane threads cost {times[threads] / times[1]:.2f}x over one"
 
 
 def test_bench_campaign_scaling_with_trials(campaign_setup):

@@ -17,7 +17,7 @@ Rules (the documented gate policy):
   and the ``meta`` ratios ``chain_fastpath_speedup`` (untiled reference
   chain path over the uniform-tile fast path), ``prefix_batch_speedup``
   (per-group chain application over prefix-level batching),
-  ``lane_speedup`` (one fork lane over two) and ``backend_speedup`` (the
+  ``lane_speedup`` (one lane thread over two) and ``backend_speedup`` (the
   numpy oracle backend over the compiled cffi backend) -- each gated only
   when both the fresh and the recorded run report it.  Each fresh ratio must be at
   least ``(1 - tolerance)`` times the recorded one; the default tolerance

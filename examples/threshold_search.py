@@ -47,7 +47,7 @@ def main() -> int:
 
     print(f"\n== exhaustive grid search over thresholds {PAPER_THRESHOLD_GRID} ==")
     grid = threshold_grid_search(baseline.model_factory, fault_map,
-                                 baseline.train_loader, baseline.test_loader,
+                                 baseline.fresh_train_loader(), baseline.test_loader,
                                  num_classes=baseline.num_classes,
                                  thresholds=PAPER_THRESHOLD_GRID,
                                  retraining_epochs=epochs,
@@ -62,7 +62,8 @@ def main() -> int:
     print("\n== single FalVolt run (thresholds optimized during retraining) ==")
     model = baseline.model_factory()
     falvolt = FalVolt(retraining_epochs=epochs, learning_rate=config.retrain_lr)
-    result = falvolt.run(model, fault_map, baseline.train_loader, baseline.test_loader,
+    result = falvolt.run(model, fault_map, baseline.fresh_train_loader(),
+                         baseline.test_loader,
                          num_classes=baseline.num_classes,
                          baseline_accuracy=baseline.baseline_accuracy)
     print(f"FalVolt accuracy: {result.accuracy:.3f} using {epochs} retraining epochs "

@@ -145,8 +145,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes pulling sweep units from the "
                              "orchestrator's work-stealing queue (1 = serial)")
     parser.add_argument("--lane-threads", type=int, default=None, metavar="N",
-                        help="fused-engine fork-lane threads per evaluation "
-                             "(default: $REPRO_LANE_THREADS or 1; inside a "
+                        help="threads sharing the fused engine's fork "
+                             "lanes (one lane per forked map at campaign "
+                             "batch sizes; default: $REPRO_LANE_THREADS or "
+                             "1; inside a "
                              "--workers pool an unset value stays 1 so the "
                              "pools compose; 0 auto-sizes from the forked-"
                              "map count and the CPU count).  Records are "

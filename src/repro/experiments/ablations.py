@@ -71,7 +71,7 @@ def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
         mitigation = FalVolt(retraining_epochs=epochs, learning_rate=config.retrain_lr,
                              initial_threshold=initial)
         model = baseline.model_factory()
-        result = mitigation.run(model, fault_map, baseline.train_loader,
+        result = mitigation.run(model, fault_map, baseline.fresh_train_loader(),
                                 baseline.test_loader, num_classes=baseline.num_classes,
                                 baseline_accuracy=baseline.baseline_accuracy)
         records.append({

@@ -28,7 +28,8 @@ class PreparedBaseline:
     """A trained baseline model plus everything needed to rerun experiments on it.
 
     ``model_factory()`` returns a *fresh* model loaded with the trained
-    baseline weights, so each mitigation run starts from identical state.
+    baseline weights, and ``fresh_train_loader()`` a fresh train loader, so
+    each mitigation run starts from identical state and shuffle order.
     """
 
     config: ExperimentConfig
@@ -45,6 +46,16 @@ class PreparedBaseline:
             seed=self.config.seed)
         model.load_state_dict(self.state)
         return model
+
+    def fresh_train_loader(self) -> DataLoader:
+        """A new train loader over the same data, seeded like the original.
+
+        ``train_loader`` advances its shuffle RNG on every epoch it serves,
+        so a retraining run handed the shared loader would depend on every
+        run before it; each run takes a fresh loader instead.
+        """
+
+        return _train_loader(self.config, self.train_loader.dataset)
 
 
 _CACHE: Dict[ExperimentConfig, PreparedBaseline] = {}
@@ -63,10 +74,13 @@ def build_loaders(config: ExperimentConfig):
         config.dataset, num_train=config.num_train, num_test=config.num_test,
         image_size=config.image_size, seed=derive_seed(config.seed, "data"),
         **config.dataset_options())
-    train_loader = DataLoader(train, batch_size=config.batch_size, shuffle=True,
-                              seed=derive_seed(config.seed, "loader"))
     test_loader = DataLoader(test, batch_size=min(config.num_test, 4 * config.batch_size))
-    return train_loader, test_loader
+    return _train_loader(config, train), test_loader
+
+
+def _train_loader(config: ExperimentConfig, train) -> DataLoader:
+    return DataLoader(train, batch_size=config.batch_size, shuffle=True,
+                      seed=derive_seed(config.seed, "loader"))
 
 
 def prepare_baseline(config: ExperimentConfig, use_cache: bool = True,

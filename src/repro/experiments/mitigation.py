@@ -48,12 +48,17 @@ def _mitigation_kwargs(method: str, config: ExperimentConfig,
 
 def run_mitigation(method: str, baseline: PreparedBaseline, fault_map,
                    retraining_epochs: Optional[int] = None):
-    """Run one mitigation method on a fresh copy of the baseline model."""
+    """Run one mitigation method on a fresh copy of the baseline model.
+
+    The run also gets a fresh train loader, so its result depends on the
+    cell alone -- not on which cells ran before it in this process.
+    """
 
     config = baseline.config
     mitigation = get_mitigation(method, **_mitigation_kwargs(method, config, retraining_epochs))
     model = baseline.model_factory()
-    return mitigation.run(model, fault_map, baseline.train_loader, baseline.test_loader,
+    return mitigation.run(model, fault_map, baseline.fresh_train_loader(),
+                          baseline.test_loader,
                           num_classes=baseline.num_classes,
                           baseline_accuracy=baseline.baseline_accuracy)
 
@@ -94,6 +99,9 @@ def _fig7_cell(cell, *, config: ExperimentConfig, baseline: PreparedBaseline,
         "retraining_epochs": (config.retrain_epochs if retraining_epochs is None
                               else retraining_epochs),
         "retrain_lr": config.retrain_lr,
+        # Cells retrain on a fresh train loader; records cached before that
+        # depended on the cell order.
+        "train_loader": "per-cell",
     }
     return cached_record(cache_dir, payload, compute)
 
@@ -152,6 +160,9 @@ def _fig6_rate(rate: float, *, config: ExperimentConfig, baseline: PreparedBasel
         "retraining_epochs": (config.retrain_epochs if retraining_epochs is None
                               else retraining_epochs),
         "retrain_lr": config.retrain_lr,
+        # Cells retrain on a fresh train loader; records cached before that
+        # depended on the cell order.
+        "train_loader": "per-cell",
     }
     return cached_record(cache_dir, payload, compute)
 

@@ -14,35 +14,47 @@ Two engines execute an :class:`~repro.snn.inference.plan.InferencePlan`:
   one of its faulty PE columns actually holds output features of that
   layer, or a bypassed PE zeroes one of its weights), so each fault map's
   execution is bit-identical to the clean one up to the first affine layer
-  its faults touch.  The engine runs a single shared *clean lane* plus a
-  growing *fork lane*: a map is forked out of the clean lane exactly at its
-  first corrupted layer, and all forked maps advance together with their
-  fault-map axis folded into the batch axis.  Corrupted GEMMs are delegated
-  to :class:`~repro.systolic.array.BatchedSystolicArray`, whose per-map
-  arithmetic is bit-identical to the sequential oracle, so float64 results
-  match the autograd fault-injection paths bit for bit.
+  its faults touch.  The engine runs a single shared *clean lane* plus
+  *fork lanes*: a map is forked out of the clean lane exactly at its first
+  corrupted layer.  Corrupted GEMMs run the prepared chain plans of
+  :class:`~repro.systolic.array.BatchedSystolicArray`, whose per-map
+  arithmetic is bit-identical to the sequential oracle, so float64
+  results match the autograd fault-injection paths bit for bit.
 
 Both engines additionally cache the *static prefix* (the stateless ops
 before the first spiking layer) per batch: for static inputs those
 activations are identical at every time step, so e.g. the spike-encoder
 convolution runs once instead of ``T`` times.
 
-**Lane parallelism.**  :class:`FusedFaultEngine` can split the forked maps
-into ``lane_threads`` contiguous *lanes* of the fork order and execute the
-per-step fork work of the lanes on a thread pool (numpy releases the GIL
-inside its GEMMs, so lanes genuinely overlap).  This is bit-safe where
-internal re-batching is not: a stacked ``(F, batch, k) @ (k, n)`` matmul
-evaluates each leading slice as an independent 2D GEMM, every non-affine
-kernel is elementwise over the leading axes, and fault chains scatter to
-disjoint (map, column) slices -- so partitioning the fault-map axis into
-lanes can never change any map's bits, whereas folding maps into the BLAS
-row dimension would.  Each lane owns its kernels (and therefore its
-preallocated neuron-state/scratch buffers -- no sharing, no false sharing)
-and accumulates into its own rate buffer; the final reduction writes each
-lane's rates into the map slots preassigned at construction, so thread
+**Fork lanes sized for the batch.**  A fork lane stacks consecutive maps
+of the fork order that fork at the same op, as many as fit
+:data:`LANE_SAMPLES` samples of the evaluation batch.  At the batch sizes
+campaigns evaluate that is one map per lane, so a lane's im2col patches,
+GEMM output and chain scratch cover one map's batch -- the working set no
+longer grows with the number of maps a sweep point evaluates -- while
+tiny streaming batches keep enough maps per call to amortise numpy's
+per-call overhead.  Any split is bit-safe where internal re-batching is
+not: a stacked ``(F, batch, k) @ (k, n)`` matmul evaluates each leading
+slice as an independent 2D GEMM, every non-affine kernel is elementwise
+over the leading axes, and fault chains scatter to disjoint (map, column)
+slices -- so splitting the fault-map axis into lanes can never change any
+map's bits, whereas folding maps into the BLAS row dimension would.  The
+work the lanes would otherwise repeat is shared instead: the fork-entry
+im2col and dense product are computed once per (time step, fork op) and
+each entering lane corrects its own copy, and prepared runners are keyed
+by the maps' live-fault signatures (restricted to the columns holding
+the layer's outputs), so live sets that agree there -- across phases or
+maps -- prepare each layer once.
+
+**Lane threads.**  ``lane_threads`` only decides how many threads share
+the lanes: thread ``g`` takes the ``g``-th contiguous group of the fork
+order, group 0 runs on the calling thread, and numpy releases the GIL
+inside its GEMMs, so groups genuinely overlap.  Each lane owns its
+kernels (and therefore its preallocated neuron-state buffers -- nothing
+is written by two threads) and accumulates into its own rate buffer; the
+final reduction writes each lane's rates into its maps' slots, so thread
 scheduling cannot reorder results.  ``lane_threads`` defaults to the
-``REPRO_LANE_THREADS`` environment variable (falling back to 1 -- the
-single-lane structure is exactly the serial engine).
+``REPRO_LANE_THREADS`` environment variable (falling back to 1).
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from ...systolic.array import BatchedSystolicArray, SystolicArray
 from ...systolic.mapping import faulty_weight_mask
 from .backends import get_backend
 from .backends.ops_numpy import NeuronKernel
-from .faulty_gemm import FaultyAffineRunner
+from .faulty_gemm import FaultyAffineRunner, ForkEntry
 from .plan import SUPPORTED_DTYPES, AffineSpec, InferencePlan, lower_plan
 
 __all__ = ["FusedInferenceEngine", "FusedFaultEngine", "resolve_lane_threads"]
@@ -198,34 +210,47 @@ class FusedInferenceEngine:
         return correct / total if total else 0.0
 
 
-class _AffineExec:
-    """Precomputed per-affine-layer execution state of one fork lane."""
-
-    __slots__ = ("spec", "runner", "num_prev", "num_active")
-
-    def __init__(self, spec, runner, num_prev, num_active) -> None:
-        self.spec = spec
-        self.runner = runner
-        self.num_prev = num_prev
-        self.num_active = num_active
+#: Samples a fork lane is sized for.  A lane stacks as many consecutive
+#: maps of the fork order as fit ``LANE_SAMPLES`` samples of the evaluation
+#: batch (at least one, all forking at the same op).  At the batch sizes
+#: campaigns evaluate that is one map per lane, so a lane's im2col patches,
+#: GEMM output and chain scratch cover one map's batch; tiny streaming
+#: batches stack maps instead, so per-call overhead stays amortised.
+LANE_SAMPLES = 64
 
 
 class _Lane:
-    """One contiguous slice of the fork order, executed independently.
+    """A block of maps forking at the same op, executed independently.
 
-    A lane owns its affine runners (built on subset arrays holding only
-    its maps), its fork-lane kernels (and therefore its preallocated
-    neuron-state buffers -- per-lane scratch, nothing shared between
-    threads) and the ``fork_order`` positions its rates are written to.
+    A lane owns its fork kernels (and therefore its preallocated
+    neuron-state buffers -- nothing written by two threads).  Its affine
+    runners are read-only and may be shared with other lanes whose maps
+    have the same live faults.
     """
 
-    __slots__ = ("maps", "start", "layers", "kernels")
+    __slots__ = ("maps", "start", "runners", "kernels")
 
-    def __init__(self, maps, start, layers, kernels) -> None:
+    def __init__(self, maps, start, runners, kernels) -> None:
         self.maps = maps          # global map indices, fork order
-        self.start = start        # first op index with a fork in this lane
-        self.layers = layers      # [phase][affine ordinal]: Optional[_AffineExec]
+        self.start = start        # op index of the maps' fork op
+        self.runners = runners    # [phase][affine ordinal]: runner or None
         self.kernels = kernels    # per op index: fork kernel or None
+
+
+class _Layout:
+    """The fork lanes for one block size, their thread groups and fork ops.
+
+    ``entries`` maps each fork op's index to the runner that builds its
+    shared :class:`ForkEntry` and whether the dense product is needed.
+    """
+
+    __slots__ = ("block", "lanes", "groups", "entries")
+
+    def __init__(self, block, lanes, groups, entries) -> None:
+        self.block = block
+        self.lanes = lanes
+        self.groups = groups
+        self.entries = entries
 
 
 class FusedFaultEngine:
@@ -251,12 +276,13 @@ class FusedFaultEngine:
         Optional precomputed model token for the cache lookup.
     lane_threads:
         Fork-lane thread count; ``None`` (default) resolves
-        ``REPRO_LANE_THREADS`` (falling back to 1).  With ``n > 1`` the
-        forked maps are split into ``min(n, forked)`` contiguous lanes of
-        the fork order and each time step's lane work runs on a thread
-        pool.  ``0`` auto-sizes: ``min(forked, os.cpu_count())`` lanes.
-        Results are bit-identical for every thread count (see the
-        module docstring); 1 keeps the engine single-threaded.
+        ``REPRO_LANE_THREADS`` (falling back to 1).  The lane layout does
+        not depend on it; with ``n > 1`` the lanes are split into at most
+        ``n`` contiguous groups of the fork order and each time step's
+        groups run on a thread pool.  ``0`` auto-sizes:
+        ``min(forked, os.cpu_count())`` threads.  Results are
+        bit-identical for every thread count (see the module docstring);
+        1 keeps the engine single-threaded.
     schedules:
         One :class:`~repro.faults.fault_map.FaultSchedule` per map for
         *transient* faults, instead of ``arrays`` (exactly one of the two
@@ -313,105 +339,74 @@ class FusedFaultEngine:
                 resolved_fmt = DEFAULT_ACCUMULATOR_FORMAT
             step_phase, phase_maps = schedule_phases(schedules)
             self._step_phase: Optional[List[int]] = step_phase
-            phase_arrays = [
-                [self._array_from_map(fault_map, resolved_fmt)
-                 for fault_map in maps]
-                for maps in phase_maps]
+            first_step: Dict[int, int] = {}
+            for step, phase in enumerate(step_phase):
+                first_step.setdefault(phase, step)
+            # Runners are keyed by each map's own live-fault signature, not
+            # by the joint phase (see _layer_key).
+            phase_keys = [
+                [schedule.signature(first_step[phase])
+                 for phase in range(len(phase_maps))]
+                for schedule in schedules]
             structure_arrays = [
                 self._array_from_map(schedule.union_map(), resolved_fmt)
                 for schedule in schedules]
+            self._phase_maps: Optional[List[List[object]]] = phase_maps
+            self._fmt = resolved_fmt
         else:
             arrays = list(arrays)
             if not arrays:
                 raise ValueError("FusedFaultEngine needs at least one array")
             self._step_phase = None
-            phase_arrays = [arrays]
+            phase_keys = [[("map", f)] for f in range(len(arrays))]
             structure_arrays = arrays
+            self._phase_maps = None
         self.num_maps = len(structure_arrays)
-        num_phases = len(phase_arrays)
+        self._arrays = structure_arrays
+        self._phase_keys = phase_keys
 
         # First affine ordinal whose GEMM each map's faults corrupt.  Each
         # map is probed through a single-map BatchedSystolicArray so the
-        # chain-population rule is the simulator's own, not a re-derivation.
+        # chain-population rule is the simulator's own, not a re-derivation
+        # (a permanent map's probe then backs its single-map runners too).
+        probes = [BatchedSystolicArray([array]) for array in structure_arrays]
         self._divergence: List[Optional[int]] = [
-            self._first_affected(array, BatchedSystolicArray([array]),
-                                 affine_specs)
-            for array in structure_arrays]
+            self._first_affected(array, probe, affine_specs)
+            for array, probe in zip(structure_arrays, probes)]
         #: Forked maps in fork-lane order (divergence layer, then map index).
         self.fork_order: List[int] = sorted(
             (f for f in range(self.num_maps) if self._divergence[f] is not None),
             key=lambda f: (self._divergence[f], f))
 
         # Clean-lane bookkeeping: which affine ordinals still need the clean
-        # output afterwards, and at which op positions the clean input must
-        # be stashed because some map forks exactly there.
+        # output afterwards.
         self._clean_out_needed: List[bool] = [
             any(d is None or d > spec.index for d in self._divergence)
             for spec in affine_specs]
-        fork_ordinals = {d for d in self._divergence if d is not None}
-        op_of_affine: Dict[int, int] = {
+        self._op_of_affine: Dict[int, int] = {
             op.index: i for i, op in enumerate(ops) if isinstance(op, AffineSpec)}
-        self._stash_ops = {op_of_affine[k] for k in fork_ordinals}
 
-        # Contiguous lane partition of the fork order.  One lane reproduces
-        # the serial engine exactly; more lanes split the per-step fork work
-        # into independent threads (per-slice GEMMs, elementwise kernels and
-        # disjoint chain scatters make any partition bit-identical).  The
-        # auto sentinel (0) sizes from the work actually available.
-        requested = self.lane_threads
-        if requested == 0:
-            requested = max(1, min(len(self.fork_order), os.cpu_count() or 1))
-            self.lane_threads = requested
-        n_lanes = min(requested, len(self.fork_order))
-        bounds = np.linspace(0, len(self.fork_order), n_lanes + 1).astype(int)
-        subset_cache = {}
-        self._lanes: List[_Lane] = []
-        for lane_index in range(n_lanes):
-            maps = self.fork_order[bounds[lane_index]:bounds[lane_index + 1]]
-            # layers[phase][ordinal]: the fork structure (active maps and
-            # their order) is phase-independent -- only the arrays backing
-            # the runners change with the live-fault phase.
-            layers: List[List[Optional[_AffineExec]]] = [
-                [] for _ in range(num_phases)]
-            for spec in affine_specs:
-                k = spec.index
-                active = [f for f in maps if self._divergence[f] <= k]
-                if not active:
-                    for phase in range(num_phases):
-                        layers[phase].append(None)
-                    continue
-                prev = sum(1 for f in maps if self._divergence[f] < k)
-                key = tuple(active)
-                for phase in range(num_phases):
-                    subset = subset_cache.get((phase, key))
-                    if subset is None:
-                        subset = BatchedSystolicArray(
-                            [phase_arrays[phase][f] for f in active])
-                        subset_cache[(phase, key)] = subset
-                    runner = FaultyAffineRunner(
-                        subset, subset.prepare_weight(spec.weight), spec,
-                        backend=self.backend)
-                    layers[phase].append(
-                        _AffineExec(spec, runner, prev, len(active)))
-            start = op_of_affine[min(self._divergence[f] for f in maps)]
-            # Fork-lane activations keep an explicit leading fault-map axis
-            # ((F_lane, batch, ...)); elementwise arithmetic is unchanged but
-            # the batched conv outputs never need a (costly) re-fold copy.
-            # Each lane gets its own kernels, so neuron state and scratch
-            # buffers are lane-private -- threads never share a buffer.
-            kernels = [None if isinstance(op, AffineSpec) or i < start
-                       else self.backend.make_kernel(op, self.dtype,
-                                                     batch_ndim=2)
-                       for i, op in enumerate(ops)]
-            self._lanes.append(_Lane(maps, start, layers, kernels))
+        # Prepared runners and the subset arrays behind them, shared by every
+        # layout; lanes are laid out on the first run (their block size
+        # depends on the batch).
+        self._subsets: Dict[tuple, BatchedSystolicArray] = {}
+        if schedules is None:
+            for map_index, probe in enumerate(probes):
+                self._subsets[(phase_keys[map_index][0],)] = probe
+        self._runners: Dict[tuple, FaultyAffineRunner] = {}
+        self._layout: Optional[_Layout] = None
+        if self.lane_threads == 0:
+            # The auto sentinel sizes from the work actually available.
+            self.lane_threads = max(1, min(len(self.fork_order),
+                                           os.cpu_count() or 1))
 
         self._clean = [self.backend.make_kernel(op, self.dtype,
                                                 affine_mode="array")
                        for op in ops]
         self._prefix = self.plan.static_prefix
-        # Lane pool: lane 0 always runs on the calling thread, so the pool
-        # only needs n_lanes - 1 workers.  Created lazily on the first
-        # multi-lane run; close() (or garbage collection) reaps it.
+        # Lane pool: group 0 always runs on the calling thread, so the pool
+        # needs at most lane_threads - 1 workers.  Created lazily on the
+        # first multi-group run; close() (or garbage collection) reaps it.
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -433,25 +428,128 @@ class FusedFaultEngine:
         if executor is not None:
             executor.shutdown(wait=False)
 
-    def _map_lanes(self, fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn`` over lane indices, threaded when more than one lane.
+    def _map_lanes(self, layout: _Layout,
+                   fn: Callable[[int], object]) -> List[object]:
+        """Run ``fn`` over lane indices, one thread per lane group.
 
         Results come back indexed by lane, so callers' reductions are
         deterministic regardless of thread scheduling.
         """
 
-        n_lanes = len(self._lanes)
-        if n_lanes <= 1:
-            return [fn(index) for index in range(n_lanes)]
+        groups = layout.groups
+        if len(groups) <= 1:
+            return [fn(index) for index in range(len(layout.lanes))]
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
-                max_workers=n_lanes - 1, thread_name_prefix="repro-lane")
-        futures = [self._executor.submit(fn, index)
-                   for index in range(1, n_lanes)]
-        results = [fn(0)]
+                max_workers=self.lane_threads - 1,
+                thread_name_prefix="repro-lane")
+        futures = [self._executor.submit(lambda group=group: [fn(i) for i in group])
+                   for group in groups[1:]]
+        results = [fn(index) for index in groups[0]]
         for future in futures:
-            results.append(future.result())
+            results.extend(future.result())
         return results
+
+    # ------------------------------------------------------------------
+    def _layer_key(self, map_index: int, phase: int, spec: AffineSpec):
+        """What a map's runner for ``spec`` in ``phase`` depends on.
+
+        A permanent map's runner is its own.  A transient map's depends on
+        its live faults in the columns that hold the layer's outputs only
+        (the simulator builds no chain for the others), so live sets that
+        agree there -- across phases or across maps -- share one runner.
+        """
+
+        key = self._phase_keys[map_index][phase]
+        if self._phase_maps is None:
+            return key
+        out_features = spec.weight_matrix_shape[0]
+        return frozenset(site for site in key if site[0][1] < out_features)
+
+    def _runner(self, maps: Sequence[int], phase: int,
+                spec: AffineSpec) -> FaultyAffineRunner:
+        """The (cached) prepared runner of ``maps`` for ``spec`` in ``phase``."""
+
+        key = (spec.index,) + tuple(self._layer_key(f, phase, spec) for f in maps)
+        runner = self._runners.get(key)
+        if runner is None:
+            subset_key = tuple(self._phase_keys[f][phase] for f in maps)
+            subset = self._subsets.get(subset_key)
+            if subset is None:
+                subset = self._subsets[subset_key] = BatchedSystolicArray([
+                    self._arrays[f] if self._phase_maps is None
+                    else self._array_from_map(self._phase_maps[phase][f],
+                                              self._fmt)
+                    for f in maps])
+            runner = self._runners[key] = FaultyAffineRunner(
+                subset, subset.prepare_weight(spec.weight), spec,
+                backend=self.backend)
+        return runner
+
+    def _layout_for(self, batch: int) -> _Layout:
+        """The lane layout for ``batch``-sample inputs.
+
+        The layout is kept while its blocks are no larger than ``batch``
+        wants (a short final batch reuses it) and rebuilt when they are.
+        """
+
+        block = max(1, LANE_SAMPLES // max(1, batch))
+        if self._layout is None or self._layout.block > block:
+            self._layout = self._build_layout(block)
+        return self._layout
+
+    def _build_layout(self, block: int) -> _Layout:
+        """Cut the fork order into lanes of up to ``block`` same-fork maps."""
+
+        ops = self.plan.ops
+        order = self.fork_order
+        num_phases = len(self._phase_keys[0])
+        lanes: List[_Lane] = []
+        begin = 0
+        while begin < len(order):
+            fork = self._divergence[order[begin]]
+            end = begin + 1
+            while (end < len(order) and end - begin < block
+                   and self._divergence[order[end]] == fork):
+                end += 1
+            maps = order[begin:end]
+            # runners[phase][ordinal] is None before the fork op; the fork
+            # structure is phase-independent, only the faults behind the
+            # runners change.
+            runners = [[None if spec.index < fork
+                        else self._runner(maps, phase, spec)
+                        for spec in self.plan.affine_specs]
+                       for phase in range(num_phases)]
+            start = self._op_of_affine[fork]
+            # Fork-lane activations keep an explicit leading fault-map axis
+            # ((maps, batch, ...)), so the conv outputs never need a re-fold
+            # copy.  Each lane gets its own kernels, so neuron state is
+            # lane-private -- threads never write a shared buffer.
+            kernels = [None if isinstance(op, AffineSpec) or i < start
+                       else self.backend.make_kernel(op, self.dtype,
+                                                     batch_ndim=2)
+                       for i, op in enumerate(ops)]
+            lanes.append(_Lane(maps, start, runners, kernels))
+            begin = end
+
+        # Fork ops: the clean pass builds each one's shared entry operands
+        # once per step (any entering runner can: they share the weight and
+        # the backend), with the dense product whenever some entering map
+        # multiplies the shared weight rather than its own.
+        entries: Dict[int, Tuple[FaultyAffineRunner, bool]] = {}
+        for lane in lanes:
+            ordinal = ops[lane.start].index
+            entering = [row[ordinal] for row in lane.runners]
+            runner, dense = entries.get(lane.start, (entering[0], False))
+            entries[lane.start] = (
+                runner,
+                dense or any(r.stacked_weights is None for r in entering))
+
+        # Lane threads: contiguous groups of the fork order.
+        n_groups = min(self.lane_threads, len(lanes))
+        bounds = np.linspace(0, len(lanes), n_groups + 1).astype(int)
+        groups = [range(bounds[g], bounds[g + 1]) for g in range(n_groups)]
+        return _Layout(block, lanes, groups, entries)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -506,63 +604,34 @@ class FusedFaultEngine:
                         return spec.index
         return None
 
-    def _reset_state(self) -> None:
+    def _reset_state(self, layout: _Layout) -> None:
         for kernel in self._clean:
             if isinstance(kernel, NeuronKernel):
                 kernel.reset()
-        for lane in self._lanes:
+        for lane in layout.lanes:
             for kernel in lane.kernels:
                 if isinstance(kernel, NeuronKernel):
                     kernel.reset()
 
     # ------------------------------------------------------------------
-    def _fork_affine(self, layer: _AffineExec, x_c: Optional[np.ndarray],
-                     x_v: Optional[np.ndarray]) -> np.ndarray:
-        """Run one corrupted affine layer for a lane's maps forked so far.
-
-        Maps forking *at* this layer enter with the clean activations; maps
-        forked earlier carry their own slice of the fork lane.  The result
-        keeps the leading ``(F_lane, batch, ...)`` fault-map axis.
-        """
-
-        spec = layer.spec
-        num_new = layer.num_active - layer.num_prev
-        shared = layer.num_prev == 0
-        if shared:
-            # Everyone forks here: hand the runner the shared clean
-            # activations so the dense product is computed once (the exact
-            # fan-out semantics of the autograd batched injector).
-            x_in = x_c
-        else:
-            x_in = x_v
-            if num_new:
-                x_in = np.concatenate(
-                    [x_in, np.broadcast_to(x_c, (num_new,) + x_c.shape)])
-        if spec.kind == "conv":
-            out = layer.runner.conv2d(x_in, shared)
-        else:
-            out = layer.runner.matmul(x_in, shared)
-        if out.dtype != self.dtype:
-            out = out.astype(self.dtype)
-        return out
-
     def _run_clean(self, x_c: Optional[np.ndarray], start: int, stop: int,
-                   stash: Dict[int, np.ndarray]) -> Optional[np.ndarray]:
-        """Advance the clean lane, stashing fork-entry activations.
+                   stash: Dict[int, ForkEntry], entries: Dict[int, Tuple]
+                   ) -> Optional[np.ndarray]:
+        """Advance the clean lane, building the fork-entry operands.
 
-        ``stash[i]`` receives the clean *input* of every affine op ``i``
-        some map forks at; the lanes read those activations afterwards.
-        The references stay valid for the whole step: a clean kernel's
-        output buffer is only overwritten the next time that kernel runs,
-        and lanes are joined before the next step's clean pass starts.
+        ``stash[i]`` receives the shared :class:`ForkEntry` of every affine
+        op ``i`` some map forks at, built from the clean *input* of that
+        op; the lanes read it afterwards, never write it.
         """
 
         ops = self.plan.ops
         for i in range(start, stop):
             op = ops[i]
             if isinstance(op, AffineSpec):
-                if i in self._stash_ops:
-                    stash[i] = x_c
+                entry = entries.get(i)
+                if entry is not None:
+                    runner, dense = entry
+                    stash[i] = runner.entry(x_c, dense)
                 x_c = (self._clean[i].run(x_c)
                        if self._clean_out_needed[op.index] else None)
             elif x_c is not None:
@@ -570,20 +639,26 @@ class FusedFaultEngine:
         return x_c
 
     def _run_lane(self, lane: _Lane, x_v: Optional[np.ndarray], start: int,
-                  stop: int, stash: Dict[int, np.ndarray], phase: int
+                  stop: int, stash: Dict[int, ForkEntry], phase: int
                   ) -> Optional[np.ndarray]:
-        """Advance one lane's fork activations over ops ``[start, stop)``."""
+        """Advance one lane's fork activations over ops ``[start, stop)``.
+
+        The lane enters at its fork op with the shared entry operands and
+        afterwards carries its own ``(maps, batch, ...)`` activations.
+        """
 
         ops = self.plan.ops
-        layers = lane.layers[phase]
+        runners = lane.runners[phase]
         for i in range(max(start, lane.start), stop):
             op = ops[i]
-            if isinstance(op, AffineSpec):
-                layer = layers[op.index]
-                if layer is not None:
-                    x_v = self._fork_affine(layer, stash.get(i), x_v)
-            elif x_v is not None:
+            if not isinstance(op, AffineSpec):
                 x_v = lane.kernels[i].run(x_v)
+                continue
+            runner = runners[op.index]
+            x_v = (runner.run_entry(stash[i]) if i == lane.start
+                   else runner.run(x_v))
+            if x_v.dtype != self.dtype:
+                x_v = x_v.astype(self.dtype)
         return x_v
 
     def run(self, inputs) -> np.ndarray:
@@ -598,9 +673,11 @@ class FusedFaultEngine:
         static = x0.ndim in (4, 2)
         batch = x0.shape[0] if static else x0.shape[1]
         n_ops = len(self.plan.ops)
-        self._reset_state()
+        layout = self._layout_for(batch)
+        lanes = layout.lanes
+        self._reset_state(layout)
         acc_c: Optional[np.ndarray] = None
-        lane_accs: List[Optional[np.ndarray]] = [None] * len(self._lanes)
+        lane_accs: List[Optional[np.ndarray]] = [None] * len(lanes)
         cached_clean: Optional[Tuple] = None
         cached_lane: Dict[int, List] = {}
         steps = 0
@@ -612,29 +689,32 @@ class FusedFaultEngine:
                 # The prefix is stateless, so for static inputs it runs
                 # once (the clean prefix is phase-independent; lane prefix
                 # outputs are cached per live-fault phase below).
-                prefix_stash: Dict[int, np.ndarray] = {}
-                x_c0 = self._run_clean(frame, 0, self._prefix, prefix_stash)
+                prefix_stash: Dict[int, ForkEntry] = {}
+                x_c0 = self._run_clean(frame, 0, self._prefix, prefix_stash,
+                                       layout.entries)
                 if static:
                     cached_clean = (x_c0, prefix_stash)
             lane_x0 = cached_lane.get(phase) if static else None
             if lane_x0 is None:
                 lane_x0 = self._map_lanes(
-                    lambda index: self._run_lane(self._lanes[index], None, 0,
+                    layout,
+                    lambda index: self._run_lane(lanes[index], None, 0,
                                                  self._prefix, prefix_stash,
                                                  phase))
                 if static:
                     cached_lane[phase] = lane_x0
-            # Serial clean pass first (it produces the fork-entry
-            # activations), then every lane's tail in parallel.  Each lane
+            # Serial clean pass first (it builds the fork-entry operands),
+            # then every lane's tail, one thread per lane group.  Each lane
             # accumulates into its own slot, so the reduction order is
-            # fixed at construction, not by thread scheduling.
-            stash: Dict[int, np.ndarray] = {}
-            x_c = self._run_clean(x_c0, self._prefix, n_ops, stash)
+            # fixed by the layout, not by thread scheduling.
+            stash: Dict[int, ForkEntry] = {}
+            x_c = self._run_clean(x_c0, self._prefix, n_ops, stash,
+                                  layout.entries)
             step = steps
             lane_inputs = lane_x0
 
             def lane_tail(index: int) -> None:
-                x_v = self._run_lane(self._lanes[index], lane_inputs[index],
+                x_v = self._run_lane(lanes[index], lane_inputs[index],
                                      self._prefix, n_ops, stash, phase)
                 acc = lane_accs[index]
                 if step == 0 or acc is None:
@@ -642,7 +722,7 @@ class FusedFaultEngine:
                 else:
                     np.add(acc, x_v, out=acc)
 
-            self._map_lanes(lane_tail)
+            self._map_lanes(layout, lane_tail)
             if x_c is not None:
                 if steps == 0 or acc_c is None:
                     acc_c = x_c.astype(self.dtype, copy=True)
@@ -657,7 +737,7 @@ class FusedFaultEngine:
                                    dtype=self.dtype)
         if acc_c is not None:
             np.multiply(acc_c, scale, out=acc_c)
-        for lane, acc in zip(self._lanes, lane_accs):
+        for lane, acc in zip(lanes, lane_accs):
             np.multiply(acc, scale, out=acc)
             for position, map_index in enumerate(lane.maps):
                 rates[map_index] = acc[position]

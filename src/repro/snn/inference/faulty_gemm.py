@@ -23,9 +23,19 @@ and fused stuck-at passes.
 When ``chain_kernel.FASTPATH_ENABLED`` is off the runner routes chain
 application through the untiled reference implementation on the subset
 array instead, keeping the two paths comparable end to end.
+
+A layer runs in one of two modes.  At a map's *fork op* the input is the
+clean lane's activations, identical for every map forking there, so the
+im2col gather and the dense product are built once per time step as a
+:class:`ForkEntry` (:meth:`FaultyAffineRunner.entry`) and each entering
+runner corrects its own copy (:meth:`FaultyAffineRunner.run_entry`).
+After the fork every map carries its own activations
+(:meth:`FaultyAffineRunner.run`).
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +45,27 @@ from ...systolic import chain_kernel
 from ...systolic.array import BatchedSystolicArray
 from ...systolic.chain_kernel import apply_chain_plan
 
-__all__ = ["FaultyAffineRunner"]
+__all__ = ["FaultyAffineRunner", "ForkEntry"]
+
+
+class ForkEntry:
+    """Shared operands of one fork op for one time step.
+
+    ``inputs`` is the float64 GEMM operand (the flattened im2col patches
+    of a convolution, the activations of a linear layer) and ``dense`` its
+    clean product ``inputs @ W.T`` -- ``None`` when every entering map
+    multiplies its own effective (bypass- or weight-fault-masked) weights.
+    ``shape`` is the convolution's ``(batch, out_h, out_w)``, else ``None``.
+    All three are read-only: runners copy ``dense`` before correcting it.
+    """
+
+    __slots__ = ("inputs", "dense", "shape")
+
+    def __init__(self, inputs: np.ndarray, dense: Optional[np.ndarray],
+                 shape: Optional[Tuple[int, int, int]]) -> None:
+        self.inputs = inputs
+        self.dense = dense
+        self.shape = shape
 
 
 class FaultyAffineRunner:
@@ -96,53 +126,79 @@ class FaultyAffineRunner:
                 self.subset._apply_chain_plan_reference(plan, ref_inputs,
                                                         output, shared)
 
-    # ------------------------------------------------------------------
-    def matmul(self, x: np.ndarray, shared: bool) -> np.ndarray:
-        """Per-map ``x @ W.T + bias`` under the subset's faults.
+    def _im2col_flat(self, x: np.ndarray):
+        """``(out_h, out_w)`` and the 2D im2col patches of 4D ``x``."""
 
-        ``x`` is ``(batch, in)`` when ``shared`` (identical activations for
-        every map -- the fork layer) or ``(F, batch, in)`` otherwise.
-        Returns ``(F, batch, out)``.
-        """
+        spec = self.spec
+        kh, kw = spec.weight.shape[2], spec.weight.shape[3]
+        cols = self._im2col(x, (kh, kw), spec.stride, spec.padding)
+        rows, out_h, out_w, k = cols.shape
+        return (out_h, out_w), cols.reshape(rows * out_h * out_w, k)
 
-        if x.dtype != np.float64:
-            x = x.astype(np.float64)
-        if self.stacked_weights is not None:
-            stacked_in = (np.broadcast_to(x, (self.num_maps,) + x.shape)
-                          if shared else x)
-            output = np.matmul(stacked_in, self.stacked_weights)
-        elif shared:
-            shared_prod = x @ self.weight_t
-            output = np.repeat(shared_prod[np.newaxis], self.num_maps, axis=0)
-        else:
-            output = np.matmul(x, self.weight_t)
+    def _finish(self, x: np.ndarray, output: np.ndarray, shared: bool,
+                shape: Optional[Tuple[int, int, int]]) -> np.ndarray:
+        """Correct the faulty columns, add the bias, restore the layout."""
+
         self._apply_chains(x, output, shared)
         if self.bias is not None:
             output = output + self.bias
-        return output
+        if shape is None:
+            return output
+        batch, out_h, out_w = shape
+        out_channels = self.weight_matrix.shape[0]
+        return (output.reshape(self.num_maps, batch, out_h, out_w, out_channels)
+                .transpose(0, 1, 4, 2, 3))
 
-    def conv2d(self, x: np.ndarray, shared: bool) -> np.ndarray:
-        """Per-map convolution; ``x`` is 4D when ``shared``, else 5D.
+    # ------------------------------------------------------------------
+    def entry(self, x: np.ndarray, dense: bool) -> ForkEntry:
+        """Shared fork-entry operands of the clean activations ``x``.
 
-        Returns ``(F, batch, out_channels, H_out, W_out)``.
+        ``dense`` asks for the clean product too; it is the one every
+        sequential run of a map without effective weights performs, so
+        computing it once and copying it per map is bit-identical.
         """
 
-        spec = self.spec
         if x.dtype != np.float64:
             x = x.astype(np.float64)
-        kh, kw = spec.weight.shape[2], spec.weight.shape[3]
-        if shared:
+        shape = None
+        if self.spec.kind == "conv":
             batch = x.shape[0]
-            cols = self._im2col(x, (kh, kw), spec.stride, spec.padding)
-            _, out_h, out_w, k = cols.shape
-            flat = cols.reshape(batch * out_h * out_w, k)
+            out_hw, x = self._im2col_flat(x)
+            shape = (batch,) + out_hw
+        return ForkEntry(x, x @ self.weight_t if dense else None, shape)
+
+    def run_entry(self, entry: ForkEntry) -> np.ndarray:
+        """The layer's per-map output at the maps' fork op.
+
+        Returns ``(F, batch, out)`` (linear) or ``(F, batch, out_channels,
+        H_out, W_out)`` (conv).
+        """
+
+        x = entry.inputs
+        if self.stacked_weights is not None:
+            output = np.matmul(np.broadcast_to(x, (self.num_maps,) + x.shape),
+                               self.stacked_weights)
         else:
+            # A private copy: the chains correct it in place.
+            output = np.repeat(entry.dense[np.newaxis], self.num_maps, axis=0)
+        return self._finish(x, output, True, entry.shape)
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """The layer's per-map output for forked activations ``x``.
+
+        ``x`` keeps its leading ``(F, batch, ...)`` fault-map axis; the
+        result has the same layout as :meth:`run_entry`'s.
+        """
+
+        if x.dtype != np.float64:
+            x = x.astype(np.float64)
+        shape = None
+        if self.spec.kind == "conv":
             batch = x.shape[1]
-            cols = self._im2col(x.reshape((self.num_maps * batch,) + x.shape[2:]),
-                                (kh, kw), spec.stride, spec.padding)
-            _, out_h, out_w, k = cols.shape
-            flat = cols.reshape(self.num_maps, batch * out_h * out_w, k)
-        flat_out = self.matmul(flat, shared)
-        out_channels = self.weight_matrix.shape[0]
-        return (flat_out.reshape(self.num_maps, batch, out_h, out_w, out_channels)
-                .transpose(0, 1, 4, 2, 3))
+            out_hw, flat = self._im2col_flat(
+                x.reshape((self.num_maps * batch,) + x.shape[2:]))
+            shape = (batch,) + out_hw
+            x = flat.reshape(self.num_maps, -1, flat.shape[1])
+        output = np.matmul(x, self.weight_t if self.stacked_weights is None
+                           else self.stacked_weights)
+        return self._finish(x, output, False, shape)

@@ -457,7 +457,6 @@ class BatchedSystolicArray:
         self._any_weight_faults = any(self._weight_faults)
         self._any_faults = any(self._faults_by_col)
         # Shape-keyed caches of the static chain structure.
-        self._out_idx_cache: Dict[int, List[np.ndarray]] = {}
         self._chain_cache: Dict[int, Optional[_ChainTable]] = {}
         self._site_count_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._bypass_mask_cache: Dict[Tuple[int, Tuple[int, int]], Optional[np.ndarray]] = {}
@@ -484,26 +483,16 @@ class BatchedSystolicArray:
     # ------------------------------------------------------------------
     # Static structure caches
     # ------------------------------------------------------------------
-    def _out_indices_by_column(self, out_features: int) -> List[np.ndarray]:
-        """Output feature indices per array column (cached per out_features)."""
-
-        cached = self._out_idx_cache.get(out_features)
-        if cached is None:
-            out_cols = np.arange(out_features) % self.cols
-            cached = [np.nonzero(out_cols == col)[0] for col in range(self.cols)]
-            self._out_idx_cache[out_features] = cached
-        return cached
-
     def _chain_tables(self, out_features: int) -> List[_ChainTable]:
         """All maps' fault chains for a layer, grouped by outputs-per-column."""
 
         if out_features in self._chain_cache:
             return self._chain_cache[out_features]
-        out_idx_by_col = self._out_indices_by_column(out_features)
         chains: List[_FaultChain] = []
         for map_index, faults_by_col in enumerate(self._faults_by_col):
             for col in sorted(faults_by_col):
-                out_idx = out_idx_by_col[col]
+                # Output features living in this column.
+                out_idx = np.arange(col, out_features, self.cols)
                 if out_idx.size == 0:
                     continue
                 sites = faults_by_col[col]
@@ -553,7 +542,7 @@ class BatchedSystolicArray:
             for table in self._chain_tables(out_features):
                 full = np.array([chain.rows.size for chain in table.chains],
                                 dtype=np.int64)
-                last = np.array([int(np.sum(chain.rows < last_rows))
+                last = np.array([np.count_nonzero(chain.rows < last_rows)
                                  for chain in table.chains], dtype=np.int64)
                 cached.append((full, last))
             self._site_count_cache[key] = cached
@@ -621,19 +610,23 @@ class BatchedSystolicArray:
                     for chain in table.chains
                 ]
                 n_chains = len(table.chains)
+                # Plain-int bookkeeping: the loops below are scalar Python.
+                fault_rows = table.rows2d.tolist()
                 tiles = []
                 for tile in range(tiles_in):
                     lo = tile * self.rows
                     hi = min(lo + self.rows, in_features)
                     tile_rows = hi - lo
                     n_sites = full_counts if tile < tiles_in - 1 else last_counts
-                    max_sites = int(n_sites.max(initial=0))
-                    starts = np.zeros(n_chains, dtype=np.int64)
+                    sites = n_sites.tolist()
+                    starts = [0] * n_chains
                     level_stacks = []
-                    for level in range(max_sites):
+                    for level in range(max(sites, default=0)):
                         w_stack = np.zeros((n_chains, tile_rows, table.n_out))
-                        for c in np.flatnonzero(level < n_sites):
-                            stop = int(table.rows2d[c, level]) + 1
+                        for c in range(n_chains):
+                            if sites[c] <= level:
+                                continue
+                            stop = fault_rows[c][level] + 1
                             w_stack[c, starts[c]:stop] = \
                                 w_rows[c][:, lo + starts[c]:lo + stop].T
                             starts[c] = stop

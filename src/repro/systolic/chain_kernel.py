@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -243,12 +244,22 @@ class UniformChainPlan:
     out_sel: np.ndarray             # (chains, 1, n_out) scatter index
     n_out: int
     tile_bounds: List[Tuple[int, int]]  # (lo, hi) input rows per weight tile
-    groups: List[GroupBlock]
+    group_bounds: List[Tuple[int, int, tuple]]  # (start, end, signature)
     has_levels: bool
     prefix_tiles: List[PrefixTile]
     run_starts: np.ndarray          # (map_runs,) whole-axis same-map runs
     run_ends: np.ndarray            # (map_runs,)
     run_maps: np.ndarray            # (map_runs,) fault-map index per run
+
+    @functools.cached_property
+    def groups(self) -> List[GroupBlock]:
+        """Per-group blocks, built on first use.
+
+        Only the per-group application path (:data:`PREFIX_BATCH_ENABLED`
+        off) reads them, so preparation does not pay for them.
+        """
+
+        return _group_blocks(self)
 
 
 def build_uniform_plan(table, tiles) -> UniformChainPlan:
@@ -262,19 +273,21 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
     active chains form contiguous runs spanning group boundaries (a single
     prefix on full tiles).  The prefix-level run stacks own the contiguous
     segment copies and precomputed bit/polarity masks; the per-group blocks
-    alias slices of them, so the per-call path does no mask derivation and
-    carrying both layouts costs no extra memory.  The sort is deterministic,
-    and chains scatter to disjoint output columns, so neither the
-    permutation nor the application order can affect results.
+    (built on first use) alias slices of them, so the per-call path does no
+    mask derivation and carrying both layouts costs no extra memory.  The
+    sort is deterministic, and chains scatter to disjoint output columns,
+    so neither the permutation nor the application order can affect
+    results.
     """
 
     n_chains = len(table.map_ids)
+    # Plain-int lists: the per-chain bookkeeping below is scalar Python.
     signatures = np.stack(
-        [np.asarray(tile.n_sites, dtype=np.int64) for tile in tiles], axis=1)
+        [np.asarray(tile.n_sites, dtype=np.int64) for tile in tiles],
+        axis=1).tolist()
     by_signature: Dict[tuple, List[int]] = {}
-    for chain in range(n_chains):
-        by_signature.setdefault(
-            tuple(int(s) for s in signatures[chain]), []).append(chain)
+    for chain, signature in enumerate(signatures):
+        by_signature.setdefault(tuple(signature), []).append(chain)
 
     # Descending signature order.  Non-last tiles all carry the chain's
     # full-tile site count, so signatures are (full, ..., full, last) and
@@ -293,13 +306,20 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
     # Prefix-level run stacks: the owning storage for segment/tail copies
     # and masks.  Runs are maximal contiguous spans of chains active at one
     # level; a run's uniformity flags cover the whole run, group views
-    # recompute their own below.
+    # recompute their own.  The masks are per level over the permuted chain
+    # axis, shared by every tile's runs (slices of a contiguous axis stay
+    # contiguous).
+    stuck_levels = np.ascontiguousarray((table.stuck2d[perm] == 1).T)
+    stuck_lists = stuck_levels.tolist()
+    bit_levels = np.ascontiguousarray(
+        np.left_shift(np.int64(1), table.bits2d[perm]).T)[:, :, None, None]
+    inv_levels = np.bitwise_not(bit_levels)
     prefix_tiles: List[PrefixTile] = []
     has_levels = False
     for tile in tiles:
-        sites = np.asarray(tile.n_sites, dtype=np.int64)[perm]
+        sites = np.asarray(tile.n_sites, dtype=np.int64)[perm].tolist()
         level_runs: List[List[LevelRun]] = []
-        for level in range(int(sites.max(initial=0))):
+        for level in range(max(sites, default=0)):
             has_levels = True
             runs: List[LevelRun] = []
             run_start = None
@@ -308,19 +328,16 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
                 if active and run_start is None:
                     run_start = position
                 elif not active and run_start is not None:
-                    idx = perm[run_start:position]
-                    stuck_one = (table.stuck2d[idx, level] == 1)
-                    bit_mask = np.left_shift(
-                        np.int64(1), table.bits2d[idx, level])[:, None, None]
-                    all_sa1 = bool(stuck_one.all())
-                    all_sa0 = not stuck_one.any()
+                    span = slice(run_start, position)
+                    stuck = stuck_lists[level][span]
+                    all_sa1 = all(stuck)
+                    all_sa0 = not any(stuck)
                     runs.append(LevelRun(
-                        w_stack=np.ascontiguousarray(
-                            tile.level_stacks[level][idx]),
-                        bit_mask=bit_mask,
-                        inv_mask=np.bitwise_not(bit_mask),
+                        w_stack=tile.level_stacks[level][perm[span]],
+                        bit_mask=bit_levels[level, span],
+                        inv_mask=inv_levels[level, span],
                         stuck_one=(None if all_sa1 or all_sa0
-                                   else stuck_one[:, None, None]),
+                                   else stuck_levels[level, span, None, None]),
                         all_sa1=all_sa1,
                         all_sa0=all_sa0,
                         start=run_start,
@@ -331,15 +348,41 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
             levels=level_runs,
             tail_stack=np.ascontiguousarray(tile.tail_stack[perm])))
 
-    # Per-group blocks: views into the run stacks (a uniform group is
-    # entirely inside one run at every level it participates in).
+    # Whole-axis same-map runs for the prefix path's broadcast-GEMM strategy.
+    if n_chains:
+        edges = np.flatnonzero(np.diff(map_ids)) + 1
+        run_starts = np.concatenate(([0], edges)).astype(np.int64)
+        run_ends = np.concatenate((edges, [n_chains])).astype(np.int64)
+        run_maps = map_ids[run_starts]
+    else:
+        run_starts = run_ends = run_maps = np.zeros(0, dtype=np.int64)
+
+    return UniformChainPlan(
+        map_ids=map_ids,
+        map_sel=map_ids[:, None, None],
+        out_sel=table.out_idx2d[perm][:, None, :],
+        n_out=table.n_out,
+        tile_bounds=[(tile.lo, tile.hi) for tile in tiles],
+        group_bounds=group_bounds,
+        has_levels=has_levels,
+        prefix_tiles=prefix_tiles,
+        run_starts=run_starts,
+        run_ends=run_ends,
+        run_maps=run_maps)
+
+
+def _group_blocks(plan: UniformChainPlan) -> List[GroupBlock]:
+    """The per-group layout of ``plan``: views into its run stacks."""
+
+    # A uniform group is entirely inside one run at every level it
+    # participates in.
     groups: List[GroupBlock] = []
-    for start, end, signature in group_bounds:
+    for start, end, signature in plan.group_bounds:
         tile_blocks: List[TileBlock] = []
-        for tile_index in range(len(tiles)):
+        for tile_index in range(len(plan.tile_bounds)):
             levels: List[LevelBlock] = []
             for level in range(int(signature[tile_index])):
-                runs = prefix_tiles[tile_index].levels[level]
+                runs = plan.prefix_tiles[tile_index].levels[level]
                 run = runs[bisect.bisect_right(
                     [r.start for r in runs], start) - 1]
                 member = slice(start - run.start, end - run.start)
@@ -361,12 +404,12 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
                     all_sa0=all_sa0))
             tile_blocks.append(TileBlock(
                 levels=levels,
-                tail_stack=prefix_tiles[tile_index].tail_stack[start:end]))
+                tail_stack=plan.prefix_tiles[tile_index].tail_stack[start:end]))
         # Chains arrive map-ascending from the chain tables, so a signature
         # subset keeps consecutive same-map chains adjacent: record the
         # maximal runs for the broadcast-GEMM path.
         map_runs: List[Tuple[int, int, int]] = []
-        group_maps = map_ids[start:end].tolist()
+        group_maps = plan.map_ids[start:end].tolist()
         run_start = 0
         for position in range(1, len(group_maps) + 1):
             if (position == len(group_maps)
@@ -376,27 +419,7 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
         groups.append(GroupBlock(start=start, end=end,
                                  tiles=tile_blocks, map_runs=map_runs))
 
-    # Whole-axis same-map runs for the prefix path's broadcast-GEMM strategy.
-    if n_chains:
-        edges = np.flatnonzero(np.diff(map_ids)) + 1
-        run_starts = np.concatenate(([0], edges)).astype(np.int64)
-        run_ends = np.concatenate((edges, [n_chains])).astype(np.int64)
-        run_maps = map_ids[run_starts]
-    else:
-        run_starts = run_ends = run_maps = np.zeros(0, dtype=np.int64)
-
-    return UniformChainPlan(
-        map_ids=map_ids,
-        map_sel=map_ids[:, None, None],
-        out_sel=table.out_idx2d[perm][:, None, :],
-        n_out=table.n_out,
-        tile_bounds=[(tile.lo, tile.hi) for tile in tiles],
-        groups=groups,
-        has_levels=has_levels,
-        prefix_tiles=prefix_tiles,
-        run_starts=run_starts,
-        run_ends=run_ends,
-        run_maps=run_maps)
+    return groups
 
 
 #: Batch size from which the non-shared path switches from one gathered

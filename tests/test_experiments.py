@@ -218,6 +218,38 @@ class TestExperimentDrivers:
         assert {r["threshold"] for r in records} == {0.55, 1.0}
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in records)
 
+    def test_mitigation_cells_do_not_depend_on_earlier_cells(self, micro_baseline):
+        """Repeated FalVolt cells agree, and match a cell on a fresh loader.
+
+        Every cell used to share the baseline's train loader, whose shuffle
+        RNG carried over from cell to cell.
+        """
+
+        from repro.core import get_mitigation
+        from repro.experiments.mitigation import (
+            _fault_map_for_rate,
+            _mitigation_kwargs,
+            run_mitigation,
+        )
+
+        fault_map = _fault_map_for_rate(MICRO, 0.30)
+        results = [run_mitigation("falvolt", micro_baseline, fault_map,
+                                  retraining_epochs=1)
+                   for _ in range(3)]
+        for result in results[1:]:
+            assert result.accuracy == results[0].accuracy
+            assert result.thresholds == results[0].thresholds
+
+        train_loader, _ = build_loaders(MICRO)
+        mitigation = get_mitigation("falvolt",
+                                    **_mitigation_kwargs("falvolt", MICRO, 1))
+        fresh = mitigation.run(micro_baseline.model_factory(), fault_map,
+                               train_loader, micro_baseline.test_loader,
+                               num_classes=micro_baseline.num_classes,
+                               baseline_accuracy=micro_baseline.baseline_accuracy)
+        assert fresh.accuracy == results[0].accuracy
+        assert fresh.thresholds == results[0].thresholds
+
     def test_unknown_mitigation_rejected(self, micro_baseline):
         from repro.experiments import run_fig7_mitigation_comparison
 

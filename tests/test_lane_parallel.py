@@ -1,28 +1,38 @@
-"""Lane-parallel fused engine: bit-identity, knob plumbing, pool composition.
+"""Fork lanes of the fused engine: layout, bit-identity, threads, pools.
 
-The fused engine's fork lanes partition ``fork_order`` into contiguous
-slices executed on a thread pool; per-slice results of the stacked GEMMs
-are independent, so every ``lane_threads`` setting must produce
-``tobytes()``-identical firing rates and therefore identical accuracy
-records.  The knob must also compose with the fork-based worker pool: an
-unset value inside a multi-worker runner stays at one lane per worker.
+The fused engine cuts the fork order into lanes sized for the evaluation
+batch -- one map per lane at campaign batch sizes, several same-fork maps
+at tiny ones -- and ``lane_threads`` only groups those lanes onto threads;
+per-slice results of the stacked GEMMs are independent, so every layout
+and ``lane_threads`` setting must produce ``tobytes()``-identical firing
+rates and therefore identical accuracy records.  The knob must also compose with the fork-based worker
+pool: an unset value inside a multi-worker runner stays at one thread per
+worker.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.autograd import Tensor, no_grad
 from repro.datasets import DataLoader
 from repro.faults import (
     CampaignPoint,
     CampaignRunner,
+    FaultInjector,
+    StuckAtFault,
     build_faulty_array,
     evaluate_with_faults,
     evaluate_with_faults_batched,
     random_fault_map,
+    schedule_from_process,
 )
+from repro.faults.injection import TransientFaultInjector
 from repro.snn.inference import FusedFaultEngine, resolve_lane_threads
+from repro.snn.inference.engine import LANE_SAMPLES
+from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+from repro.utils.rng import derive_seed
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -102,6 +112,153 @@ class TestLaneBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# Lane layout: one map per lane at campaign batches
+# ----------------------------------------------------------------------
+def _map_forking_at(column, rows):
+    """A 16x16 map whose MSB stuck-at-1 faults sit in ``column``."""
+
+    fault_map = random_fault_map(16, 16, 0, seed=0)
+    for row in rows:
+        fault_map.add(row, column, StuckAtFault(FMT.magnitude_msb, "sa1"))
+    return fault_map
+
+
+def _runners(layout):
+    """Every distinct affine runner of a layout's fork lanes."""
+
+    unique = {}
+    for lane in layout.lanes:
+        for row in lane.runners:
+            for runner in row:
+                if runner is not None:
+                    unique[id(runner)] = runner
+    return list(unique.values())
+
+
+def _sequential_rates(model, inputs, arrays=None, schedules=None):
+    """Per-map rates from the sequential autograd oracle, stacked."""
+
+    model.eval()
+    rates = []
+    for index in range(len(arrays if arrays is not None else schedules)):
+        injector = (FaultInjector(model, arrays[index]) if arrays is not None
+                    else TransientFaultInjector(model, schedules[index], fmt=FMT))
+        with injector, no_grad():
+            rates.append(model(Tensor(inputs)).data)
+    return np.stack(rates)
+
+
+def _spy_im2col(layout, monkeypatch):
+    """Record the leading (sample) extent of every fork-lane im2col call."""
+
+    rows_seen = []
+    for runner in _runners(layout):
+        def spy(x, *args, _inner=runner._im2col):
+            rows_seen.append(x.shape[0])
+            return _inner(x, *args)
+        monkeypatch.setattr(runner, "_im2col", spy)
+    return rows_seen
+
+
+class TestLaneLayout:
+    def test_one_lane_per_forked_map_at_campaign_batches(self, trained_tiny_model):
+        arrays = _arrays(5, counts=[0, 1, 3, 5, 2])
+        with FusedFaultEngine(trained_tiny_model, arrays,
+                              lane_threads=2) as engine:
+            layout = engine._layout_for(LANE_SAMPLES)
+            assert [lane.maps for lane in layout.lanes] == \
+                [[f] for f in engine.fork_order]
+            assert len(layout.groups) == min(2, len(engine.fork_order))
+
+    def test_fork_lane_im2col_sees_one_map_batch(self, trained_tiny_model,
+                                                 test_loader, monkeypatch):
+        """The memory bound: no fork-lane im2col gathers several maps."""
+
+        frame, _ = next(iter(test_loader))
+        batch = frame.shape[0]
+        maps = [_map_forking_at(2, rows) for rows in ((1,), (5,), (3, 9))]
+        arrays = [build_faulty_array(fault_map) for fault_map in maps]
+        with FusedFaultEngine(trained_tiny_model, arrays) as engine:
+            assert engine.fork_order == [0, 1, 2]
+            rows_seen = _spy_im2col(engine._layout_for(batch), monkeypatch)
+            engine.run(frame)
+        assert rows_seen, "no fork-lane convolution ran"
+        assert max(rows_seen) == batch
+
+    def test_tiny_batches_stack_same_fork_maps(self, trained_tiny_model,
+                                               test_loader, monkeypatch):
+        """Streaming batches block maps per fork op, within LANE_SAMPLES."""
+
+        frame, _ = next(iter(test_loader))
+        frame = frame[:4]
+        maps = ([_map_forking_at(2, rows) for rows in ((1,), (5,), (3, 9))]
+                + [_map_forking_at(12, rows) for rows in ((3,), (8,))])
+        arrays = [build_faulty_array(fault_map) for fault_map in maps]
+        with FusedFaultEngine(trained_tiny_model, arrays) as engine:
+            layout = engine._layout_for(frame.shape[0])
+            assert [lane.maps for lane in layout.lanes] == [[0, 1, 2], [3, 4]]
+            rows_seen = _spy_im2col(layout, monkeypatch)
+            rates = engine.run(frame)
+            # A short final batch reuses the layout; a wide one rebuilds it.
+            assert engine._layout_for(2) is layout
+            assert engine._layout_for(LANE_SAMPLES).block == 1
+        assert rows_seen and max(rows_seen) <= LANE_SAMPLES
+        assert rates.tobytes() == _sequential_rates(
+            trained_tiny_model, frame, arrays=arrays).tobytes()
+
+    def test_fork_entry_built_once_per_step_and_fork_op(self, trained_tiny_model,
+                                                        rng, monkeypatch):
+        # Two maps fork at the encoder conv (column 2 holds a conv output
+        # channel), three at the first FC layer (column 12 holds none).
+        maps = ([_map_forking_at(2, rows) for rows in ((1,), (7,))]
+                + [_map_forking_at(12, rows) for rows in ((3,), (4,), (8,))])
+        arrays = [build_faulty_array(fault_map) for fault_map in maps]
+        entries, entered = [], []
+        entry, run_entry = FaultyAffineRunner.entry, FaultyAffineRunner.run_entry
+        monkeypatch.setattr(
+            FaultyAffineRunner, "entry",
+            lambda self, *args: entries.append(self.spec.index) or entry(self, *args))
+        monkeypatch.setattr(
+            FaultyAffineRunner, "run_entry",
+            lambda self, *args: entered.append(self.spec.index) or run_entry(self, *args))
+        steps = 4
+        x = (rng.random((steps, LANE_SAMPLES, 1, 16, 16)) > 0.6).astype(np.float64)
+        with FusedFaultEngine(trained_tiny_model, arrays) as engine:
+            forks = sorted({engine._divergence[f] for f in engine.fork_order})
+            assert len(forks) == 2
+            rates = engine.run(x)
+        assert sorted(entries) == sorted(forks * steps)
+        assert entered.count(forks[0]) == 2 * steps
+        assert entered.count(forks[1]) == 3 * steps
+        assert rates.tobytes() == _sequential_rates(
+            trained_tiny_model, x, arrays=arrays).tobytes()
+
+    @pytest.mark.parametrize("lane_threads", [1, 2, 0])
+    @pytest.mark.parametrize("fault_model", ["stuck_at", "burst", "bernoulli"])
+    def test_rates_match_sequential_oracle(self, trained_tiny_model, test_loader,
+                                           fault_model, lane_threads):
+        frame, _ = next(iter(test_loader))
+        frame = frame[:10]
+        if fault_model == "stuck_at":
+            arrays = _arrays(4, counts=[1, 3, 6, 2], seed=21)
+            options = {"arrays": arrays}
+            expected = _sequential_rates(trained_tiny_model, frame, arrays=arrays)
+        else:
+            schedules = [
+                schedule_from_process(fault_model, 8, 8, 5, 3, fmt=FMT,
+                                      seed=derive_seed(5, fault_model, trial))
+                for trial in range(4)]
+            options = {"schedules": schedules}
+            expected = _sequential_rates(trained_tiny_model, frame,
+                                         schedules=schedules)
+        with FusedFaultEngine(trained_tiny_model, lane_threads=lane_threads,
+                              **options) as engine:
+            assert engine.fork_order, "no map forked"
+            rates = engine.run(frame)
+        assert rates.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Knob resolution and validation
 # ----------------------------------------------------------------------
 class TestLaneKnob:
@@ -125,7 +282,11 @@ class TestLaneKnob:
 
     def test_auto_sizes_from_forked_maps_and_cpus(self, trained_tiny_model,
                                                   test_loader, monkeypatch):
-        """lane_threads=0 resolves to min(forked, cpu_count) at construction."""
+        """lane_threads=0 resolves to min(forked, cpu_count) at construction.
+
+        The thread count only groups the lanes: at this batch size there is
+        one lane per forked map whatever the thread count.
+        """
 
         import os
 
@@ -135,7 +296,9 @@ class TestLaneKnob:
         with FusedFaultEngine(trained_tiny_model, arrays,
                               lane_threads=0) as engine:
             assert engine.lane_threads == 2          # min(3 forked, 2 cpus)
-            assert len(engine._lanes) == 2
+            layout = engine._layout_for(frame.shape[0])
+            assert len(layout.lanes) == len(engine.fork_order) == 3
+            assert len(layout.groups) == 2
             auto = engine.run(frame)
         serial = _rates(trained_tiny_model, arrays, frame, 1)
         assert auto.tobytes() == serial.tobytes()
