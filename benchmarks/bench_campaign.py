@@ -1,16 +1,15 @@
-"""Campaign engine micro-benchmark: sequential vs batched vs fused sweep cost.
+"""Campaign engine micro-benchmark: sequential vs fused sweep cost.
 
 Runs the same Fig. 5b-style vulnerability sweep (faulty-PE counts x trials)
-through all three campaign engines against one trained micro-model and
+through both campaign engines against one trained micro-model and
 reports:
 
-* per-engine wall-clock cost, the speedup over the sequential oracle and
-  the fused engine's speedup over the batched autograd engine,
+* per-engine wall-clock cost and the speedup over the sequential oracle,
 * the fused engine's machine-relative ratios for the chain fast path vs
-  the untiled reference, prefix-level batching vs per-group application,
-  2 lane threads vs 1 (the bit-safe intra-sweep parallelism knob), the
-  stuck-at sweep vs the same sweep under transient (SEU) schedules, and
-  the compiled cffi kernel backend vs the numpy oracle backend,
+  the untiled reference, 2 lane threads vs 1 (the bit-safe intra-sweep
+  parallelism knob), the stuck-at sweep vs the same sweep under transient
+  (SEU) schedules, and the compiled cffi kernel backend vs the numpy
+  oracle backend,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -20,14 +19,9 @@ reports:
 
 The sweep is evaluated in the streaming regime (small evaluation batches),
 which is where re-running a full inference per fault map pays the most
-per-operation overhead.  The batched engine (PR 1) folds a point's fault
-maps into the batch axis of one autograd pass; the fused engine (PR 2)
-additionally drops the autograd graph entirely -- lowered plan, in-place
-membrane updates, static-prefix caching and clean-prefix sharing across
-fault maps that have not yet diverged.  On the box that produced
-``results/campaign_engine.json``, PR 1 recorded the batched engine at
-2.43x over sequential; the fused engine's target is a further >= 2x over
-that recorded batched cost.
+per-operation overhead.  The fused engine drops the autograd graph
+entirely -- lowered plan, in-place membrane updates, static-prefix caching
+and clean-prefix sharing across fault maps that have not yet diverged.
 """
 
 import time
@@ -52,18 +46,6 @@ CAMPAIGN_CONFIG = ExperimentConfig(
 COUNTS = (0, 2, 4, 8, 16)
 TRIALS = 8
 EVAL_BATCH = 2  # streaming regime: many small batches per fault map
-
-#: Cold batched-engine cost on the reference box as recorded by PR 1's
-#: version of this benchmark.  PR 1 kept results/ untracked, so that file
-#: is gone; the figure is carried forward here, in the CHANGES.md PR 2
-#: entry, and as a reference row in the JSON this benchmark writes -- and
-#: PR 2 now tracks the result files in git precisely so future recorded
-#: baselines survive.  The fused engine's acceptance target is >= 2x over
-#: this cost on the same box.  Note the batched engine itself got faster
-#: in PR 2 (shared im2col/chain-scatter optimizations), so the in-run
-#: "vs_batched" ratio is measured against a stronger baseline.
-PR1_BATCHED_SECONDS = 1.884
-
 
 @pytest.fixture(scope="module")
 def campaign_setup():
@@ -103,8 +85,8 @@ TRANSIENT_PARAMS = {"process": "bernoulli", "num_steps": 3, "rate": 0.5}
 def run_sweep_interleaved(model, loader, configs, rounds=3):
     """Best-of-``rounds`` sweep cost per config, measured round-robin.
 
-    ``configs`` maps label -> (engine, chain_fastpath, prefix_batch, dtype,
-    lane_threads, fault_model, backend).  Interleaving the configurations
+    ``configs`` maps label -> (engine, chain_fastpath, dtype, lane_threads,
+    fault_model, backend).  Interleaving the configurations
     (instead of timing each one back to back) keeps a load spike on a
     shared CI box from billing one configuration only.
     """
@@ -113,13 +95,12 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
 
     times = {label: float("inf") for label in configs}
     records = {}
-    saved = (chain_kernel.FASTPATH_ENABLED, chain_kernel.PREFIX_BATCH_ENABLED)
+    saved = chain_kernel.FASTPATH_ENABLED
     try:
         for _ in range(rounds):
-            for label, (engine, fastpath, prefix, dtype, lane_threads,
+            for label, (engine, fastpath, dtype, lane_threads,
                         fault_model, backend) in configs.items():
                 chain_kernel.FASTPATH_ENABLED = fastpath
-                chain_kernel.PREFIX_BATCH_ENABLED = prefix
                 params = TRANSIENT_PARAMS if fault_model == "transient" else None
                 start = time.perf_counter()
                 records[label] = sweep_faulty_pe_count(
@@ -132,7 +113,7 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
                     backend=backend)
                 times[label] = min(times[label], time.perf_counter() - start)
     finally:
-        chain_kernel.FASTPATH_ENABLED, chain_kernel.PREFIX_BATCH_ENABLED = saved
+        chain_kernel.FASTPATH_ENABLED = saved
     return records, times
 
 
@@ -153,32 +134,27 @@ def test_bench_campaign_engines(campaign_setup):
             dataset="mnist", engine="fused", backend="cffi")
 
     configs = {
-        "sequential": ("sequential", True, True, "float64", None, "stuck_at", None),
-        "batched": ("batched", True, True, "float64", None, "stuck_at", None),
-        "fused": ("fused", True, True, "float64", None, "stuck_at", None),
-        "fused-chainref": ("fused", False, True, "float64", None, "stuck_at", None),
-        "fused-noprefix": ("fused", True, False, "float64", None, "stuck_at", None),
-        "fused-lane2": ("fused", True, True, "float64", 2, "stuck_at", None),
-        "fused-f32": ("fused", True, True, "float32", None, "stuck_at", None),
-        "sequential-seu": ("sequential", True, True, "float64", None, "transient", None),
-        "fused-seu": ("fused", True, True, "float64", None, "transient", None),
+        "sequential": ("sequential", True, "float64", None, "stuck_at", None),
+        "fused": ("fused", True, "float64", None, "stuck_at", None),
+        "fused-chainref": ("fused", False, "float64", None, "stuck_at", None),
+        "fused-lane2": ("fused", True, "float64", 2, "stuck_at", None),
+        "fused-f32": ("fused", True, "float32", None, "stuck_at", None),
+        "sequential-seu": ("sequential", True, "float64", None, "transient", None),
+        "fused-seu": ("fused", True, "float64", None, "transient", None),
     }
     if have_cffi:
         configs["fused-cffi"] = (
-            "fused", True, True, "float64", None, "stuck_at", "cffi")
+            "fused", True, "float64", None, "stuck_at", "cffi")
     records, times = run_sweep_interleaved(model, loader, configs, rounds=5)
 
-    fused_vs_batched = times["batched"] / times["fused"]
     fastpath_speedup = times["fused-chainref"] / times["fused"]
-    prefix_speedup = times["fused-noprefix"] / times["fused"]
     lane_speedup = times["fused"] / times["fused-lane2"]
     transient_ratio = times["fused"] / times["fused-seu"]
     backend_speedup = (times["fused"] / times["fused-cffi"]
                        if have_cffi else None)
     rows = []
-    for engine in ("sequential", "batched", "fused", "fused-cffi",
-                   "fused-chainref", "fused-noprefix", "fused-lane2",
-                   "fused-f32", "sequential-seu", "fused-seu"):
+    for engine in ("sequential", "fused", "fused-cffi", "fused-chainref",
+                   "fused-lane2", "fused-f32", "sequential-seu", "fused-seu"):
         if engine not in times:
             continue
         rows.append({
@@ -186,12 +162,9 @@ def test_bench_campaign_engines(campaign_setup):
             "fault_maps": (len(COUNTS) - 1) * TRIALS,
             "seconds": times[engine],
             "speedup": times["sequential"] / times[engine],
-            "vs_batched": times["batched"] / times[engine],
         })
-    identical = (records["batched"] == records["sequential"]
-                 and records["fused"] == records["sequential"]
+    identical = (records["fused"] == records["sequential"]
                  and records["fused-chainref"] == records["sequential"]
-                 and records["fused-noprefix"] == records["sequential"]
                  and records["fused-lane2"] == records["sequential"]
                  # The compiled backend must reproduce the oracle's records.
                  and ("fused-cffi" not in records
@@ -200,47 +173,34 @@ def test_bench_campaign_engines(campaign_setup):
                  # engine must match the per-schedule sequential oracle.
                  and records["fused-seu"] == records["sequential-seu"])
     table = format_table(rows, columns=["engine", "points", "trials", "fault_maps",
-                                        "seconds", "speedup", "vs_batched"],
+                                        "seconds", "speedup"],
                          title="Campaign engines: Fig. 5b sweep cost")
-    backend_note = (f"cffi backend vs numpy: {backend_speedup:.2f}x; "
+    backend_note = (f"cffi backend vs numpy: {backend_speedup:.2f}x"
                     if backend_speedup is not None else
-                    "cffi backend vs numpy: n/a (backend unavailable); ")
-    summary = (f"fused vs batched (this run): {fused_vs_batched:.2f}x; "
-               f"chain fast path vs untiled reference: {fastpath_speedup:.2f}x; "
-               f"prefix batching vs per-group: {prefix_speedup:.2f}x; "
+                    "cffi backend vs numpy: n/a (backend unavailable)")
+    summary = (f"chain fast path vs untiled reference: {fastpath_speedup:.2f}x; "
                f"2 lane threads vs 1: {lane_speedup:.2f}x; "
                f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
-               + backend_note +
-               f"fused vs PR 1 recorded batched ({PR1_BATCHED_SECONDS:.3f}s): "
-               f"{PR1_BATCHED_SECONDS / times['fused']:.2f}x")
+               + backend_note)
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "campaign_engine.txt").write_text(table + "\n" + summary + "\n",
                                                     encoding="utf-8")
     save_records(rows + [{
-        "engine": "batched-pr1-reference",
-        "seconds": PR1_BATCHED_SECONDS,
-        "note": "cold batched cost recorded by PR 1's benchmark on the "
-                "reference box, before PR 2's shared-path optimizations; "
-                "the fused acceptance target is >= 2x over this figure",
-    }, {
         "engine": "meta",
         "identical_records": bool(identical),
         "chain_fastpath_speedup": fastpath_speedup,
-        "prefix_batch_speedup": prefix_speedup,
         "lane_speedup": lane_speedup,
         "transient_overhead": transient_ratio,
         **({"backend_speedup": backend_speedup}
            if backend_speedup is not None else {}),
-        "note": "identical_records pins float64 bit-identity across all "
-                "engines, both chain paths, prefix batching on/off, "
-                "1 vs 2 lane threads, the compiled cffi kernel backend, and "
+        "note": "identical_records pins float64 bit-identity across both "
+                "engines, both chain paths, 1 vs 2 lane threads, the compiled cffi kernel backend, and "
                 "the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); the "
                 "*_speedup entries are cold Fig. 5b sweep cost ratios "
                 "measured within this run (machine-relative): untiled "
-                "reference chain path over the uniform-tile fast path, "
-                "per-group application over prefix-level batching, one "
+                "reference chain path over the prefix-run fast path, one "
                 "lane thread over two, and the numpy oracle backend over the "
                 "compiled cffi backend (backend_speedup, present only when "
                 "the cffi backend is available); transient_overhead is the "
@@ -249,25 +209,19 @@ def test_bench_campaign_engines(campaign_setup):
                 "relatively slower)",
     }], RESULTS_DIR / "campaign_engine.json")
 
-    # The acceptance property: identical records across all three engines,
-    # both chain-application paths, prefix batching on/off and 1 vs 2 lane
-    # threads (same accuracies, same seeds -- float64 bit-identity).
+    # The acceptance property: identical records across both engines, both
+    # chain-application paths and 1 vs 2 lane threads (same accuracies, same
+    # seeds -- float64 bit-identity).
     assert identical, "engine records diverged"
     # The fault-free point reports the software baseline.
     assert records["fused"][0]["num_faulty_pes"] == 0
     # Wall-clock: conservative bounds that hold across CI machines; the
     # recorded results document the precise ratios on the reference box.
-    assert times["sequential"] / times["batched"] >= 1.5, \
-        f"batched speedup only {times['sequential'] / times['batched']:.2f}x"
-    assert fused_vs_batched >= 1.25, \
-        f"fused only {fused_vs_batched:.2f}x over batched"
     assert fastpath_speedup >= 1.1, \
         f"chain fast path only {fastpath_speedup:.2f}x over the reference path"
-    # Prefix batching must never cost wall-clock; lane threads may not win
-    # on single-core boxes but must stay within thread-overhead noise.  The
-    # recorded ratios are gated machine-relative by check_regression.py.
-    assert prefix_speedup >= 0.9, \
-        f"prefix batching slowed the sweep: {prefix_speedup:.2f}x"
+    # Lane threads may not win on single-core boxes but must stay within
+    # thread-overhead noise.  The recorded ratios are gated machine-relative
+    # by check_regression.py.
     assert lane_speedup >= 0.5, \
         f"2 lane threads cost {1 / lane_speedup:.2f}x over one"
     # The transient path re-prepares per *phase*, not per step; even with

@@ -47,7 +47,7 @@ def main() -> int:
 
     print(f"\n== exhaustive grid search over thresholds {PAPER_THRESHOLD_GRID} ==")
     grid = threshold_grid_search(baseline.model_factory, fault_map,
-                                 baseline.fresh_train_loader(), baseline.test_loader,
+                                 baseline.fresh_train_loader, baseline.test_loader,
                                  num_classes=baseline.num_classes,
                                  thresholds=PAPER_THRESHOLD_GRID,
                                  retraining_epochs=epochs,

@@ -133,7 +133,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("fused", "batched", "sequential"),
+    parser.add_argument("--engine", choices=("fused", "sequential"),
                         default="fused",
                         help="campaign execution engine (float64 records are "
                              "identical across engines; 'fused' is the "

@@ -10,8 +10,7 @@ single FalVolt run.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
+from typing import Callable, List, Sequence
 
 from ..datasets.base import DataLoader
 from ..faults.fault_map import FaultMap
@@ -20,7 +19,8 @@ from .fapit import FaultAwarePruningWithRetraining
 
 
 def threshold_grid_search(model_factory, fault_map: FaultMap,
-                          train_loader: DataLoader, test_loader: DataLoader,
+                          train_loader_factory: Callable[[], DataLoader],
+                          test_loader: DataLoader,
                           num_classes: int,
                           thresholds: Sequence[float] = (0.45, 0.5, 0.55, 0.7),
                           retraining_epochs: int = 5,
@@ -36,6 +36,10 @@ def threshold_grid_search(model_factory, fault_map: FaultMap,
         weights, as in the paper's parallel retraining simulations).
     fault_map:
         The chip's fault map (same map for every candidate).
+    train_loader_factory:
+        Zero-argument callable returning a *fresh* train loader.  Each
+        candidate retrains on its own loader, so its shuffle order -- and
+        its record -- does not depend on which candidates ran before it.
     thresholds:
         Candidate threshold voltages; the paper sweeps {0.45, 0.5, 0.55, 0.7}.
 
@@ -50,8 +54,8 @@ def threshold_grid_search(model_factory, fault_map: FaultMap,
         mitigation = FaultAwarePruningWithRetraining(
             retraining_epochs=retraining_epochs, fixed_threshold=float(threshold),
             learning_rate=learning_rate)
-        result = mitigation.run(model, fault_map, train_loader, test_loader,
-                                num_classes=num_classes)
+        result = mitigation.run(model, fault_map, train_loader_factory(),
+                                test_loader, num_classes=num_classes)
         records.append({
             "dataset": dataset,
             "threshold": float(threshold),

@@ -41,7 +41,7 @@ def run_fig2_threshold_grid(config: Optional[ExperimentConfig] = None,
             seed=derive_seed(config.seed, "fig2", int(rate * 1000)))
         rate_records = threshold_grid_search(
             baseline.model_factory, fault_map,
-            baseline.fresh_train_loader(), baseline.test_loader,
+            baseline.fresh_train_loader, baseline.test_loader,
             num_classes=baseline.num_classes,
             thresholds=thresholds, retraining_epochs=retraining_epochs,
             learning_rate=config.retrain_lr, dataset=config.dataset)

@@ -3,7 +3,7 @@
 Fault models (permanent datapath stuck-at, weight-SRAM stuck-at, transient
 per-time-step schedules), per-chip fault maps, injectors that attach a
 faulty systolic array to a trained SNN, the vulnerability sweep drivers
-that regenerate the paper's Fig. 5, the batched campaign engine, and the
+that regenerate the paper's Fig. 5, the campaign engine, and the
 sharded orchestrator that scales whole sweeps across worker processes and
 machines (see ``docs/ARCHITECTURE.md``).
 """
@@ -33,8 +33,6 @@ from .fault_map import (
     single_bit_fault_map,
 )
 from .injection import (
-    BatchedFaultInjector,
-    BatchedTransientFaultInjector,
     FaultInjector,
     TransientFaultInjector,
     build_faulty_array,
@@ -99,8 +97,6 @@ __all__ = [
     "schedule_from_process",
     "schedule_phases",
     "single_bit_fault_map",
-    "BatchedFaultInjector",
-    "BatchedTransientFaultInjector",
     "FaultInjector",
     "TransientFaultInjector",
     "build_faulty_array",

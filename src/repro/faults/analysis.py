@@ -18,11 +18,11 @@ All three sweeps are thin wrappers over the
 :class:`~repro.faults.campaign.CampaignPoint` objects (with the same
 deterministic seed derivation the sweeps have always used) and executed by
 the selected engine.  The default ``"fused"`` engine simulates all of a
-point's fault maps in one no-autograd pass with clean-prefix sharing; it
-and the ``"batched"`` autograd pass produce records bit-identical to the
-``"sequential"`` reference (``dtype="float32"`` relaxes that to a
-tolerance for speed).  ``workers``, ``shard``, ``trial_chunk`` and
-``progress`` route the sweep through the sharded orchestrator
+point's fault maps in one no-autograd pass with clean-prefix sharing and
+produces records bit-identical to the ``"sequential"`` reference
+(``dtype="float32"`` relaxes that to a tolerance for speed).  ``workers``,
+``shard``, ``trial_chunk`` and ``progress`` route the sweep through the
+sharded orchestrator
 (:mod:`repro.faults.orchestrator`) for parallel, resumable and
 multi-machine execution with unchanged records.
 """

@@ -1,4 +1,4 @@
-"""Batched fault-injection campaign engine.
+"""Fault-injection campaign engine.
 
 The paper's headline results (Fig. 5 vulnerability sweeps, Fig. 7 mitigation
 comparison) are *campaigns*: the same trained SNN evaluated under dozens of
@@ -14,10 +14,9 @@ explicit object model:
   plan (:class:`repro.snn.inference.FusedFaultEngine`): all of a point's
   fault maps run in one vectorised pass with fused elementwise kernels and
   clean-prefix sharing across maps that have not yet diverged, plus an
-  optional ``dtype="float32"`` fast mode.  The ``"batched"`` engine is the
-  autograd multi-map pass of PR 1 and the ``"sequential"`` engine the
-  one-map-per-inference reference; all three produce bit-identical float64
-  records.
+  optional ``dtype="float32"`` fast mode.  The ``"sequential"`` engine is
+  the one-autograd-inference-per-map oracle; both produce bit-identical
+  float64 records.
   Results are cached on disk as JSON keyed by (model hash, data hash, grid
   point); a cache hit skips the simulation entirely.
 
@@ -50,8 +49,7 @@ from ..utils.serialization import load_records, save_records
 from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
                         random_weight_fault_map, schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import (evaluate_with_faults, evaluate_with_faults_batched,
-                        evaluate_with_transient_faults)
+from .injection import evaluate_with_faults_batched, evaluate_with_transient_faults
 
 __all__ = [
     "CampaignPoint",
@@ -71,7 +69,7 @@ __all__ = [
 logger = get_logger("faults.campaign")
 
 #: Execution engines understood by :class:`CampaignRunner`.
-ENGINES = ("fused", "batched", "sequential")
+ENGINES = ("fused", "sequential")
 
 #: Evaluation dtypes understood by the fused engine.
 DTYPES = ("float64", "float32")
@@ -89,6 +87,10 @@ _TRANSIENT_PARAM_KEYS = ("process", "num_steps", "rate", "burst_length",
 
 #: Cache layout version; bump when record contents change incompatibly.
 _CACHE_VERSION = 1
+
+#: Upper bound on how many fault maps one merged fused pass carries (memory
+#: bound of the serial path; points are never split).
+MAX_MAPS_PER_PASS = 128
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +445,8 @@ class CampaignRunner:
     engine:
         ``"fused"`` (default) lowers the model to the no-autograd inference
         plan and simulates all of a point's fault maps in one pass with
-        clean-prefix sharing; ``"batched"`` is the autograd multi-map pass;
-        ``"sequential"`` runs one autograd inference per map.  All three
-        produce bit-identical float64 records.
+        clean-prefix sharing; ``"sequential"`` runs one autograd inference
+        per map.  Both produce bit-identical float64 records.
     dtype:
         ``"float64"`` (default) or ``"float32"``; the latter requires the
         fused engine and trades bit-identity for speed (records then carry
@@ -462,9 +463,6 @@ class CampaignRunner:
         :class:`~repro.faults.orchestrator.CampaignOrchestrator` pool:
         a work-stealing queue of (point, trial-chunk) units with crash
         retry and cache-key resume.
-    max_batched_maps:
-        Upper bound on how many fault maps one merged batched pass may fold
-        into the batch axis (memory knob; points are never split).
     shard:
         Optional ``"i/N"`` string or
         :class:`~repro.faults.orchestrator.ShardSpec`: run only this
@@ -520,7 +518,6 @@ class CampaignRunner:
                  bypass: bool = False,
                  cache_dir: Optional[Union[str, Path]] = None,
                  workers: int = 1,
-                 max_batched_maps: int = 128,
                  dtype: str = "float64",
                  shard=None,
                  trial_chunk: Optional[int] = None,
@@ -562,7 +559,6 @@ class CampaignRunner:
         self.bypass = bool(bypass)
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.workers = int(workers)
-        self.max_batched_maps = int(max_batched_maps)
         if shard is not None:
             from .orchestrator import ShardSpec
 
@@ -607,7 +603,7 @@ class CampaignRunner:
 
         The fused engine evaluates through the lowered inference plan (in
         ``self.dtype``); float64 results are bit-identical to the autograd
-        software forward used by the other engines.
+        software forward the sequential engine uses.
         """
 
         if self._baseline is None:
@@ -664,38 +660,32 @@ class CampaignRunner:
             lane_threads=self._effective_lane_threads,
             backend=self.backend)
 
+    def _evaluate_maps(self, maps: Sequence[FaultMap]) -> List[float]:
+        return evaluate_with_faults_batched(
+            self.model, self.loader, fault_maps=maps,
+            bypass=self.bypass, fmt=self.fmt,
+            engine="fused" if self.engine == "fused" else "autograd",
+            dtype=self.dtype, plan_cache=self.plan_cache,
+            plan_token=self._model_token,
+            lane_threads=self._effective_lane_threads,
+            backend=self.backend)
+
     def _evaluate_point(self, point: CampaignPoint) -> dict:
         """Simulate one grid point (no cache) and return its record."""
 
         self._check_transient_point(point)
         if point.fault_model == "transient":
             accuracies = self._evaluate_transient(point.build_schedules(self.fmt))
-        elif self.engine in ("fused", "batched"):
-            maps = point.build_fault_maps(self.fmt)
-            accuracies = evaluate_with_faults_batched(
-                self.model, self.loader, fault_maps=maps,
-                bypass=self.bypass, fmt=self.fmt,
-                engine="fused" if self.engine == "fused" else "autograd",
-                dtype=self.dtype, plan_cache=self.plan_cache,
-                plan_token=self._model_token,
-                lane_threads=self._effective_lane_threads,
-                backend=self.backend)
         else:
-            maps = point.build_fault_maps(self.fmt)
-            accuracies = [
-                evaluate_with_faults(self.model, self.loader, fault_map=fault_map,
-                                     bypass=self.bypass, fmt=self.fmt,
-                                     engine="autograd")
-                for fault_map in maps
-            ]
+            accuracies = self._evaluate_maps(point.build_fault_maps(self.fmt))
         return self._record_for(point, accuracies)
 
     def _evaluate_points_merged(self, points: Sequence[CampaignPoint]) -> List[dict]:
-        """Batched evaluation of several points in as few passes as possible.
+        """Fused evaluation of several points in as few passes as possible.
 
-        Points sharing an array geometry are merged: all their fault maps are
-        folded into one multi-map pass (up to ``max_batched_maps`` at a
-        time), so an entire sweep costs a handful of inferences.  Each map's
+        Points sharing an array geometry are merged: all their fault maps run
+        in one multi-map pass (up to :data:`MAX_MAPS_PER_PASS` at a time), so
+        an entire sweep costs a handful of inferences.  Each map's
         result is independent of its fold neighbours, so the per-point
         records equal the point-at-a-time ones.
         """
@@ -721,17 +711,8 @@ class CampaignRunner:
                 if not chunk:
                     return
                 merged = [item for _, items in chunk for item in items]
-                if transient:
-                    accuracies = self._evaluate_transient(merged)
-                else:
-                    accuracies = evaluate_with_faults_batched(
-                        self.model, self.loader, fault_maps=merged,
-                        bypass=self.bypass, fmt=self.fmt,
-                        engine="fused" if self.engine == "fused" else "autograd",
-                        dtype=self.dtype, plan_cache=self.plan_cache,
-                        plan_token=self._model_token,
-                        lane_threads=self._effective_lane_threads,
-                        backend=self.backend)
+                accuracies = (self._evaluate_transient(merged) if transient
+                              else self._evaluate_maps(merged))
                 offset = 0
                 for index, items in chunk:
                     results[index] = self._record_for(
@@ -743,7 +724,7 @@ class CampaignRunner:
             for index in indices:
                 items = (points[index].build_schedules(self.fmt) if transient
                          else points[index].build_fault_maps(self.fmt))
-                if chunk_maps and chunk_maps + len(items) > self.max_batched_maps:
+                if chunk_maps and chunk_maps + len(items) > MAX_MAPS_PER_PASS:
                     flush()
                 chunk.append((index, items))
                 chunk_maps += len(items)
@@ -790,7 +771,7 @@ class CampaignRunner:
 
         if missing:
             missing_points = [points[i] for i in missing]
-            if self.engine in ("fused", "batched"):
+            if self.engine == "fused":
                 computed = self._evaluate_points_merged(missing_points)
             else:
                 computed = [self._evaluate_point(point) for point in missing_points]

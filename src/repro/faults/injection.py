@@ -7,26 +7,18 @@ that the accuracy measured afterwards reflects the accelerator's stuck-at
 faults -- the tool-flow of the paper's Fig. 4 ("fault injection" followed by
 "fault mapping to systolic array").
 
-Three execution modes are provided:
+Two execution modes are provided:
 
-* The **fused engine** (default for both evaluation helpers): the model is
+* The **fused engine** (default for every evaluation helper): the model is
   lowered to a :class:`~repro.snn.inference.FusedFaultEngine` -- a flat
   plan of fused pure-numpy kernels with no autograd graph, clean-prefix
   sharing across fault maps that have not yet diverged, and an optional
-  float32 mode.  Float64 results are bit-identical to the autograd paths
-  below.
-* :class:`FaultInjector` / ``engine="autograd"`` on
-  :func:`evaluate_with_faults` -- the sequential autograd reference: one
-  fault map per forward pass.
-* :class:`BatchedFaultInjector` / ``engine="autograd"`` on
-  :func:`evaluate_with_faults_batched` -- the batched autograd reference:
-  the input batch is tiled ``F`` times and ONE forward pass is routed
-  through all ``F`` arrays of a
-  :class:`~repro.systolic.array.BatchedSystolicArray` at once (the fault-map
-  axis is folded into the batch axis between layers).  Every non-affine
-  layer is elementwise over the batch, so per-map accuracies are
-  bit-identical to ``F`` sequential passes while amortising the Python and
-  dispatch overhead of the whole network across the fault maps.
+  float32 mode.  Float64 results are bit-identical to the oracle below.
+* The **sequential oracle** -- :class:`FaultInjector` (``engine="autograd"``
+  on :func:`evaluate_with_faults` and :func:`evaluate_with_faults_batched`)
+  and :class:`TransientFaultInjector` (``engine="sequential"`` on
+  :func:`evaluate_with_transient_faults`): one autograd forward pass per
+  fault map, with no fast-path assumptions.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..snn.layers import Conv2d, Linear
 from ..snn.network import SpikingClassifier
-from ..systolic.array import BatchedSystolicArray, SystolicArray
+from ..systolic.array import SystolicArray
 from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .fault_map import FaultMap, FaultSchedule, schedule_phases
 
@@ -48,16 +40,16 @@ from .fault_map import FaultMap, FaultSchedule, schedule_phases
 EVAL_ENGINES = ("fused", "autograd")
 
 #: Execution engines accepted by :func:`evaluate_with_transient_faults`:
-#: the phase-aware fused plan (default), the batched autograd injector, or
-#: the per-schedule sequential oracle.
-TRANSIENT_EVAL_ENGINES = ("fused", "batched", "sequential")
+#: the phase-aware fused plan (default) or the per-schedule sequential
+#: oracle.
+TRANSIENT_EVAL_ENGINES = ("fused", "sequential")
 
 
 def _check_eval_engine(engine: str, dtype: str,
                        lane_threads: Optional[int] = None,
-                       backend=None) -> None:
-    if engine not in EVAL_ENGINES:
-        raise ValueError(f"unknown engine '{engine}'; options: {EVAL_ENGINES}")
+                       backend=None, engines=EVAL_ENGINES) -> None:
+    if engine not in engines:
+        raise ValueError(f"unknown engine '{engine}'; options: {engines}")
     if engine != "fused" and dtype != "float64":
         raise ValueError("dtype overrides require the fused engine")
     if engine != "fused" and lane_threads is not None and int(lane_threads) != 1:
@@ -125,82 +117,6 @@ class FaultInjector(contextlib.AbstractContextManager):
         self._original_forwards = []
 
 
-class BatchedFaultInjector(contextlib.AbstractContextManager):
-    """Run a model's affine layers on ``F`` fault maps in one forward pass.
-
-    The model is driven with ordinary (untiled) batches.  The first
-    re-routed layer is the *fan-out* point: its inputs are identical for
-    every fault map, so the clean product is computed once and replicated
-    before the per-map fault corruption, and its output carries the fault
-    maps folded into the batch axis (map-major: slice ``f * B:(f + 1) * B``
-    belongs to map ``f``).  Every later re-routed layer unfolds that axis,
-    executes the batched array path, and folds it back, so the layers in
-    between never notice the extra axis.
-
-    Use only in evaluation mode: batch normalisation in training mode would
-    compute statistics across the folded fault-map axis and break the
-    per-map equivalence with the sequential path.
-    """
-
-    def __init__(self, model: SpikingClassifier, array: BatchedSystolicArray,
-                 layer_filter=None) -> None:
-        self.model = model
-        self.array = array
-        self.layer_filter = layer_filter or (lambda layer: True)
-        self._original_forwards: List[Tuple[object, callable]] = []
-
-    def _target_layers(self) -> List[object]:
-        layers = [m for m in self.model.modules() if isinstance(m, (Conv2d, Linear))]
-        return [layer for layer in layers if self.layer_filter(layer)]
-
-    def _make_batched_forward(self, layer, fan_out: bool):
-        array = self.array
-        num_maps = array.num_maps
-        # The masked chain weight stacks depend only on the weights and the
-        # fault structure, so they are built once per layer for the whole
-        # evaluation (all batches and time steps).
-        prepared = array.prepare_weight(layer.weight.data)
-
-        def unfold(data: np.ndarray) -> np.ndarray:
-            if fan_out:
-                # Shared activations: matmul_batched/conv2d_batched replicate
-                # the clean product across the maps themselves.
-                return data
-            if data.shape[0] % num_maps:
-                raise ValueError(
-                    f"batch size {data.shape[0]} is not divisible by the "
-                    f"{num_maps} fault maps; was the fan-out layer skipped?")
-            return data.reshape((num_maps, data.shape[0] // num_maps) + data.shape[1:])
-
-        if isinstance(layer, Conv2d):
-            def forward(x: Tensor) -> Tensor:
-                bias = layer.bias.data if layer.bias is not None else None
-                result = array.conv2d_batched(layer.weight.data, unfold(x.data), bias=bias,
-                                              stride=layer.stride, padding=layer.padding,
-                                              prepared=prepared)
-                return Tensor(result.reshape((-1,) + result.shape[2:]))
-        else:
-            def forward(x: Tensor) -> Tensor:
-                bias = layer.bias.data if layer.bias is not None else None
-                result = array.matmul_batched(layer.weight.data, unfold(x.data), bias=bias,
-                                              prepared=prepared)
-                return Tensor(result.reshape((-1,) + result.shape[2:]))
-        return forward
-
-    def __enter__(self) -> "BatchedFaultInjector":
-        for index, layer in enumerate(self._target_layers()):
-            self._original_forwards.append((layer, layer.forward))
-            object.__setattr__(layer, "forward",
-                               self._make_batched_forward(layer, fan_out=index == 0))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for layer, _original in self._original_forwards:
-            if "forward" in layer.__dict__:
-                object.__delattr__(layer, "forward")
-        self._original_forwards = []
-
-
 class TransientFaultInjector(contextlib.AbstractContextManager):
     """Sequential oracle for one transient fault schedule.
 
@@ -213,7 +129,7 @@ class TransientFaultInjector(contextlib.AbstractContextManager):
 
     This path makes no fast-path assumptions -- each step runs the full
     per-map array simulation -- which is what makes it the oracle the
-    batched and fused transient paths are pinned against.
+    fused transient path is pinned against.
     """
 
     def __init__(self, model: SpikingClassifier, schedule: FaultSchedule,
@@ -261,104 +177,6 @@ class TransientFaultInjector(contextlib.AbstractContextManager):
         for layer in self._target_layers():
             self._original_forwards.append((layer, layer.forward))
             object.__setattr__(layer, "forward", self._make_transient_forward(layer))
-        counters = self._counters
-        original_forward = self.model.forward
-
-        def reset_forward(*args, **kwargs):
-            counters.clear()
-            return original_forward(*args, **kwargs)
-
-        object.__setattr__(self.model, "forward", reset_forward)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for layer, _original in self._original_forwards:
-            if "forward" in layer.__dict__:
-                object.__delattr__(layer, "forward")
-        self._original_forwards = []
-        if "forward" in self.model.__dict__:
-            object.__delattr__(self.model, "forward")
-        self._counters.clear()
-
-
-class BatchedTransientFaultInjector(contextlib.AbstractContextManager):
-    """Run ``F`` transient fault schedules in one batched forward pass.
-
-    Fan-out works exactly as in :class:`BatchedFaultInjector` -- the first
-    re-routed layer's inputs come from the (untiled) encoding path at
-    *every* time step, so they are identical across maps at every step and
-    the clean product can always be computed once and replicated.  The only
-    additions are a per-layer step counter (each affine layer runs once per
-    time step) selecting the live-fault phase, and per-(layer, phase)
-    prepared weights.
-    """
-
-    def __init__(self, model: SpikingClassifier,
-                 schedules: Sequence[FaultSchedule],
-                 fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
-                 layer_filter=None) -> None:
-        schedules = list(schedules)
-        if not schedules:
-            raise ValueError("at least one schedule is required")
-        self.model = model
-        self.layer_filter = layer_filter or (lambda layer: True)
-        step_phase, phase_maps = schedule_phases(schedules)
-        self._step_phase = step_phase
-        self._phase_arrays = [BatchedSystolicArray.from_fault_maps(maps, fmt=fmt)
-                              for maps in phase_maps]
-        self.num_maps = len(schedules)
-        self._counters: dict = {}
-        self._original_forwards: List[Tuple[object, callable]] = []
-
-    def _target_layers(self) -> List[object]:
-        layers = [m for m in self.model.modules() if isinstance(m, (Conv2d, Linear))]
-        return [layer for layer in layers if self.layer_filter(layer)]
-
-    def _make_batched_forward(self, layer, fan_out: bool):
-        phase_arrays = self._phase_arrays
-        prepared = [array.prepare_weight(layer.weight.data)
-                    for array in phase_arrays]
-        num_maps = self.num_maps
-        step_phase = self._step_phase
-        counters = self._counters
-        key = id(layer)
-        is_conv = isinstance(layer, Conv2d)
-
-        def unfold(data: np.ndarray) -> np.ndarray:
-            if fan_out:
-                return data
-            if data.shape[0] % num_maps:
-                raise ValueError(
-                    f"batch size {data.shape[0]} is not divisible by the "
-                    f"{num_maps} fault maps; was the fan-out layer skipped?")
-            return data.reshape((num_maps, data.shape[0] // num_maps) + data.shape[1:])
-
-        def forward(x: Tensor) -> Tensor:
-            step = counters.get(key, 0)
-            counters[key] = step + 1
-            if step >= len(step_phase):
-                raise ValueError(
-                    f"layer ran more than {len(step_phase)} time steps but "
-                    f"the fault schedules only cover {len(step_phase)}")
-            phase = step_phase[step]
-            array = phase_arrays[phase]
-            bias = layer.bias.data if layer.bias is not None else None
-            if is_conv:
-                result = array.conv2d_batched(layer.weight.data, unfold(x.data),
-                                              bias=bias, stride=layer.stride,
-                                              padding=layer.padding,
-                                              prepared=prepared[phase])
-            else:
-                result = array.matmul_batched(layer.weight.data, unfold(x.data),
-                                              bias=bias, prepared=prepared[phase])
-            return Tensor(result.reshape((-1,) + result.shape[2:]))
-        return forward
-
-    def __enter__(self) -> "BatchedTransientFaultInjector":
-        for index, layer in enumerate(self._target_layers()):
-            self._original_forwards.append((layer, layer.forward))
-            object.__setattr__(layer, "forward",
-                               self._make_batched_forward(layer, fan_out=index == 0))
         counters = self._counters
         original_forward = self.model.forward
 
@@ -488,7 +306,6 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
 
 def evaluate_with_faults_batched(model: SpikingClassifier, loader,
                                  fault_maps: Optional[Sequence[FaultMap]] = None,
-                                 array: Optional[BatchedSystolicArray] = None,
                                  bypass: bool = False,
                                  fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
                                  engine: str = "fused",
@@ -500,8 +317,9 @@ def evaluate_with_faults_batched(model: SpikingClassifier, loader,
                                  ) -> List[float]:
     """Measure per-fault-map accuracies of ``model`` in one multi-map pass.
 
-    The whole sweep point -- all ``F`` fault maps -- costs roughly one
-    (``F``-times wider) inference instead of ``F`` full inferences.
+    On the fused engine the whole sweep point -- all ``F`` fault maps --
+    costs roughly one (``F``-times wider) inference instead of ``F`` full
+    inferences.
 
     Parameters
     ----------
@@ -510,10 +328,7 @@ def evaluate_with_faults_batched(model: SpikingClassifier, loader,
     loader:
         Evaluation data loader; accuracy is measured over all its batches.
     fault_maps:
-        Fault maps to evaluate; ignored when a prepared ``array`` is given
-        (exactly one of the two is required).
-    array:
-        Prepared :class:`~repro.systolic.array.BatchedSystolicArray`.
+        Fault maps to evaluate (at least one).
     bypass:
         Enable the bypass multiplexer of faulty PEs (mitigated hardware).
     fmt:
@@ -522,7 +337,8 @@ def evaluate_with_faults_batched(model: SpikingClassifier, loader,
         ``"fused"`` (default) additionally shares the clean activation
         prefix across fault maps that have not yet diverged (see
         :class:`~repro.snn.inference.FusedFaultEngine`); ``"autograd"``
-        folds the maps into the batch axis of the software forward.
+        is the sequential oracle, one :func:`evaluate_with_faults`
+        software forward per map.
     dtype:
         ``"float64"`` (default) or ``"float32"`` (fused engine only).
     plan_cache:
@@ -553,52 +369,23 @@ def evaluate_with_faults_batched(model: SpikingClassifier, loader,
     """
 
     _check_eval_engine(engine, dtype, lane_threads, backend)
-    if engine == "fused":
-        from ..snn.inference import FusedFaultEngine
+    if not fault_maps:
+        raise ValueError("at least one fault map is required")
+    if engine == "autograd":
+        return [evaluate_with_faults(model, loader, fault_map=fault_map,
+                                     bypass=bypass, fmt=fmt, engine="autograd")
+                for fault_map in fault_maps]
 
-        if array is not None:
-            arrays = array.arrays
-        else:
-            if not fault_maps:
-                raise ValueError("either fault_maps or array must be provided")
-            arrays = [build_faulty_array(fault_map, fmt=fmt, bypass=bypass)
-                      for fault_map in fault_maps]
-        with FusedFaultEngine(model, arrays, dtype=dtype,
-                              plan_cache=plan_cache,
-                              plan_token=plan_token,
-                              lane_threads=lane_threads,
-                              backend=backend) as fused:
-            return fused.evaluate(loader)
+    from ..snn.inference import FusedFaultEngine
 
-    if array is None:
-        if not fault_maps:
-            raise ValueError("either fault_maps or array must be provided")
-        array = BatchedSystolicArray.from_fault_maps(fault_maps, fmt=fmt, bypass=bypass)
-    num_maps = array.num_maps
-
-    was_training = model.training
-    model.eval()
-    correct = np.zeros(num_maps, dtype=np.int64)
-    total = 0
-    try:
-        with BatchedFaultInjector(model, array) as injector, no_grad():
-            fans_out = bool(injector._original_forwards)
-            for inputs, labels in loader:
-                rates = model(Tensor(inputs))
-                batch = labels.shape[0]
-                if fans_out:
-                    predictions = np.argmax(rates.data.reshape(num_maps, batch, -1), axis=2)
-                    correct += np.sum(predictions == labels[None, :], axis=1)
-                else:
-                    # No layer was re-routed: every map sees the software path.
-                    predictions = np.argmax(rates.data, axis=1)
-                    correct += int(np.sum(predictions == labels))
-                total += batch
-    finally:
-        model.train(was_training)
-    if not total:
-        return [0.0] * num_maps
-    return [int(c) / total for c in correct]
+    arrays = [build_faulty_array(fault_map, fmt=fmt, bypass=bypass)
+              for fault_map in fault_maps]
+    with FusedFaultEngine(model, arrays, dtype=dtype,
+                          plan_cache=plan_cache,
+                          plan_token=plan_token,
+                          lane_threads=lane_threads,
+                          backend=backend) as fused:
+        return fused.evaluate(loader)
 
 
 def evaluate_with_transient_faults(model: SpikingClassifier, loader,
@@ -628,10 +415,9 @@ def evaluate_with_transient_faults(model: SpikingClassifier, loader,
         Accumulator fixed-point format of the simulated arrays.
     engine:
         ``"fused"`` (default) runs the phase-aware
-        :class:`~repro.snn.inference.FusedFaultEngine`; ``"batched"`` the
-        autograd :class:`BatchedTransientFaultInjector`; ``"sequential"``
+        :class:`~repro.snn.inference.FusedFaultEngine`; ``"sequential"``
         the per-schedule :class:`TransientFaultInjector` oracle.  float64
-        results are bit-identical across all three.
+        results are bit-identical across both.
     dtype:
         ``"float64"`` (default) or ``"float32"`` (fused engine only).
     plan_cache / plan_token / lane_threads / backend:
@@ -652,15 +438,8 @@ def evaluate_with_transient_faults(model: SpikingClassifier, loader,
     schedules = list(schedules)
     if not schedules:
         raise ValueError("at least one schedule is required")
-    if engine not in TRANSIENT_EVAL_ENGINES:
-        raise ValueError(
-            f"unknown engine '{engine}'; options: {TRANSIENT_EVAL_ENGINES}")
-    if engine != "fused" and dtype != "float64":
-        raise ValueError("dtype overrides require the fused engine")
-    if engine != "fused" and lane_threads is not None and int(lane_threads) != 1:
-        raise ValueError("lane_threads overrides require the fused engine")
-    if engine != "fused" and backend is not None:
-        raise ValueError("backend overrides require the fused engine")
+    _check_eval_engine(engine, dtype, lane_threads, backend,
+                       engines=TRANSIENT_EVAL_ENGINES)
 
     if engine == "fused":
         from ..snn.inference import FusedFaultEngine
@@ -675,28 +454,6 @@ def evaluate_with_transient_faults(model: SpikingClassifier, loader,
     was_training = model.training
     model.eval()
     try:
-        if engine == "batched":
-            num_maps = len(schedules)
-            correct = np.zeros(num_maps, dtype=np.int64)
-            total = 0
-            with BatchedTransientFaultInjector(model, schedules, fmt=fmt) \
-                    as injector, no_grad():
-                fans_out = bool(injector._original_forwards)
-                for inputs, labels in loader:
-                    rates = model(Tensor(inputs))
-                    batch = labels.shape[0]
-                    if fans_out:
-                        predictions = np.argmax(
-                            rates.data.reshape(num_maps, batch, -1), axis=2)
-                        correct += np.sum(predictions == labels[None, :], axis=1)
-                    else:
-                        predictions = np.argmax(rates.data, axis=1)
-                        correct += int(np.sum(predictions == labels))
-                    total += batch
-            if not total:
-                return [0.0] * num_maps
-            return [int(c) / total for c in correct]
-
         accuracies = []
         for schedule in schedules:
             correct = 0

@@ -1,22 +1,19 @@
 """Faulty affine execution for the fused fault engine.
 
 :class:`FaultyAffineRunner` executes one prepared (conv or linear) layer
-under a subset array's faults.  Since the fault-chain fast path moved into
-:mod:`repro.systolic.chain_kernel`, the runner is a thin wrapper: the dense
-per-map product is computed exactly as
-:meth:`repro.systolic.array.BatchedSystolicArray.matmul_batched` /
-``conv2d_batched`` would, and chain application is delegated to the shared
-uniform-tile kernel (:func:`~repro.systolic.chain_kernel
-.apply_chain_plan`) over the weight's prepared
-:class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks -- the same
-code path the batched simulator runs, so results are bit-identical to the
-:class:`~repro.systolic.array.BatchedSystolicArray` path (and therefore to
-the sequential oracle), as the equivalence tests assert.
+under a subset array's faults.  The dense per-map product is computed with
+the exact GEMM geometry of the sequential :meth:`repro.systolic.array
+.SystolicArray.matmul` oracle, and chain application is delegated to the
+shared fast path (:func:`~repro.systolic.chain_kernel.apply_chain_plan`)
+over the weight's prepared
+:class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks, so results
+are bit-identical to the sequential oracle, as the equivalence tests
+assert.
 
-This matters because fault campaigns run in a streaming regime: tiny
-batches, many time steps, hundreds of chain applications per evaluation.
-Everything input-independent -- chain grouping, per-level bit/polarity
-masks, scatter index arrays, fixed-point constants -- is precomputed at
+Fault campaigns run in a streaming regime: tiny batches, many time
+steps, hundreds of chain applications per evaluation.  Everything
+input-independent -- chain ordering, per-level bit/polarity masks, scatter
+index arrays, fixed-point constants -- is precomputed at
 ``prepare_weight`` time, so the per-call work is exactly the segment GEMMs
 and fused stuck-at passes.
 

@@ -15,7 +15,7 @@ from .mapping import (
     pe_coordinates,
     tile_counts,
 )
-from .array import BatchedSystolicArray, FaultSite, SystolicArray, matmul_batched
+from .array import BatchedSystolicArray, FaultSite, SystolicArray
 from . import chain_kernel
 from .chain_kernel import StuckAtKernel
 from .scheduler import (
@@ -42,7 +42,6 @@ __all__ = [
     "StuckAtKernel",
     "SystolicArray",
     "chain_kernel",
-    "matmul_batched",
     "LayerSchedule",
     "LayerWorkload",
     "reexecution_overhead",

@@ -17,14 +17,15 @@ weight-stationary systolic array performs when a spiking layer is executed:
 * A *bypassed* PE (mitigated design, Fig. 3b) forwards the incoming partial
   sum unchanged: its weight contribution is skipped and its fault is masked.
 
-Two execution paths are provided:
+Two pieces are provided:
 
 * :meth:`SystolicArray.matmul` -- the sequential reference oracle: one array,
   one fault map, one matmul.
-* :class:`BatchedSystolicArray` / :func:`matmul_batched` -- the campaign
-  path: ``F`` fault maps are simulated in a single vectorised pass by
-  stacking the prefix-sum fault chains of every (map, column) pair along a
-  leading axis instead of re-running the tile loop once per map.  The
+* :class:`BatchedSystolicArray` -- the fault-structure snapshot of ``F``
+  arrays and the weight preparation behind the fused engine's
+  :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner`: the
+  prefix-sum fault chains of every (map, column) pair are stacked along a
+  leading axis, so ``F`` maps are simulated in one vectorised pass.  The
   arithmetic is ordered exactly as in the sequential path, so per-map
   results are **bit-identical** to ``F`` separate :meth:`SystolicArray.matmul`
   calls (a property the equivalence tests assert).
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..autograd.functional import im2col
 from . import chain_kernel
-from .chain_kernel import StuckAtKernel, apply_chain_plan, build_uniform_plan
+from .chain_kernel import StuckAtKernel, build_uniform_plan
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .mapping import as_weight_matrix, tile_counts
 from .pe import ProcessingElement
@@ -66,8 +67,7 @@ def apply_weight_faults(weight_matrix: np.ndarray, sites: Sequence[FaultSite],
     element masks are disjoint (one PE per site), so the order cannot
     change the result, but pinning it keeps every execution path
     byte-identical by construction.  This single function is the one
-    implementation shared by the sequential oracle and the batched /
-    fused engines.
+    implementation shared by the sequential oracle and the fused engine.
     """
 
     if not sites:
@@ -294,7 +294,7 @@ class SystolicArray:
                     stop = site.row + 1
                     # Segment selected by zeroing the complement: every
                     # segment product keeps the full (batch, tile_rows) GEMM
-                    # geometry, so the batched engine can evaluate stacked
+                    # geometry, so the fused engine can evaluate stacked
                     # chains with one matmul and stay bit-identical.
                     w_segment = np.zeros((tile_rows, out_idx.size))
                     w_segment[start:stop] = w_sel[:, start:stop].T
@@ -309,7 +309,7 @@ class SystolicArray:
                 else:
                     # No fault fell inside this tile: the tail covers the
                     # whole tile.  A contiguous copy (not a transposed view)
-                    # keeps the GEMM layout identical to the batched stacks.
+                    # keeps the GEMM layout identical to the stacked chains.
                     col_out += x_tile @ w_segment
             output[:, out_idx] = col_out
         return output
@@ -341,7 +341,7 @@ class SystolicArray:
 
 
 # ----------------------------------------------------------------------
-# Batched multi-fault-map simulation
+# Multi-fault-map chain structure (the fused engine's faulty GEMMs)
 # ----------------------------------------------------------------------
 #: Soft cap on the number of float64 elements a single stacked chain block may
 #: allocate (products tensor of shape (chains, batch, n_out, tile_rows)).
@@ -412,17 +412,20 @@ class _PreparedWeight:
 
 
 class BatchedSystolicArray:
-    """``F`` same-sized systolic arrays executed in one vectorised pass.
+    """Fault-structure snapshot and weight preparation for ``F`` arrays.
 
-    The batched pass reproduces, per fault map, the exact arithmetic of the
-    sequential :meth:`SystolicArray.matmul` path: the dense product of every
-    map is computed by one stacked matmul (numpy performs the same 2D GEMM
-    per slice, so each slice is bit-identical to the standalone product), and
-    the fault chains of all maps -- one per (map, faulty column) pair -- are
-    stacked along a leading chain axis and corrupted together.  Per-map
-    results therefore match ``F`` separate :meth:`SystolicArray.matmul` calls
-    exactly, which is the property the campaign engine relies on when it
-    swaps one execution path for the other.
+    This is what the fused engine's
+    :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner` executes
+    against.  :meth:`prepare_weight` turns a layer weight into the per-map
+    effective weights (weight-SRAM corruption, bypass zeroing) and the
+    masked segment/tail stacks of every fault chain -- one per (map, faulty
+    column) pair, stacked along a leading chain axis -- so the runner can
+    corrupt all maps' chains together.  Each step keeps the exact
+    arithmetic of the sequential :meth:`SystolicArray.matmul` path, so
+    per-map results match ``F`` separate :meth:`SystolicArray.matmul` calls
+    bit for bit.  :meth:`_apply_chain_plan_reference` is the untiled chain
+    application the fast path in :mod:`repro.systolic.chain_kernel` is
+    pinned against.
 
     Fault and bypass state is *snapshotted at construction*: later mutations
     of the underlying :class:`SystolicArray` objects are not reflected.
@@ -460,21 +463,6 @@ class BatchedSystolicArray:
         self._chain_cache: Dict[int, Optional[_ChainTable]] = {}
         self._site_count_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._bypass_mask_cache: Dict[Tuple[int, Tuple[int, int]], Optional[np.ndarray]] = {}
-
-    @classmethod
-    def from_fault_maps(cls, fault_maps: Sequence[object],
-                        fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
-                        bypass: bool = False) -> "BatchedSystolicArray":
-        """Build one array per fault map (optionally with bypass enabled)."""
-
-        arrays = []
-        for fault_map in fault_maps:
-            array = SystolicArray(fault_map.rows, fault_map.cols, fmt=fmt)
-            array.load_fault_map(fault_map)
-            if bypass:
-                array.bypass_faulty_pes()
-            arrays.append(array)
-        return cls(arrays)
 
     @property
     def num_maps(self) -> int:
@@ -567,13 +555,13 @@ class BatchedSystolicArray:
     # Weight preparation
     # ------------------------------------------------------------------
     def prepare_weight(self, weight: np.ndarray) -> "_PreparedWeight":
-        """Precompute everything about ``weight`` the batched pass reuses.
+        """Precompute everything about ``weight`` the multi-map pass reuses.
 
         The masked segment/tail weight stacks of every chain are functions of
         the weight and the fault structure only -- not of the activations --
         so an evaluation that calls the same layer repeatedly (time steps x
-        batches) can build them once.  Returns an opaque handle accepted by
-        :meth:`matmul_batched` / :meth:`conv2d_batched`.
+        batches) can build them once.  Returns the handle a
+        :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner` runs.
         """
 
         weight_matrix = as_weight_matrix(weight).astype(np.float64)
@@ -639,126 +627,6 @@ class BatchedSystolicArray:
                                               build_uniform_plan(table, tiles)))
 
         return _PreparedWeight(weight_matrix, stacked_weights, chain_plans)
-
-    # ------------------------------------------------------------------
-    # Batched linear algebra
-    # ------------------------------------------------------------------
-    def matmul_batched(self, weight: np.ndarray, inputs: np.ndarray,
-                       bias: Optional[np.ndarray] = None,
-                       prepared: Optional["_PreparedWeight"] = None) -> np.ndarray:
-        """Per-map ``inputs[f] @ weight.T + bias`` under each map's faults.
-
-        Parameters
-        ----------
-        weight:
-            Shared layer weight, shape ``(out_features, in_features)`` (or 4D
-            convolutional, reshaped internally).
-        inputs:
-            Either ``(batch, in_features)`` (the same activations presented
-            to every map) or ``(F, batch, in_features)`` with one activation
-            set per map (the usual case after the first faulty layer).
-        prepared:
-            Optional handle from :meth:`prepare_weight` for ``weight``; built
-            on the fly when omitted.
-
-        Returns
-        -------
-        ``(F, batch, out_features)`` with ``result[f]`` bit-identical to
-        ``self.arrays[f].matmul(weight, inputs[f], bias)``.
-        """
-
-        if prepared is None:
-            prepared = self.prepare_weight(weight)
-        weight_matrix = prepared.weight_matrix
-        inputs = np.asarray(inputs, dtype=np.float64)
-        num_maps = self.num_maps
-        shared_inputs = inputs.ndim == 2
-        if shared_inputs:
-            inputs = np.broadcast_to(inputs, (num_maps,) + inputs.shape)
-        if inputs.ndim != 3 or inputs.shape[0] != num_maps:
-            raise ValueError(
-                f"inputs must be (batch, in) or ({num_maps}, batch, in), got {inputs.shape}")
-        out_features, in_features = weight_matrix.shape
-        if inputs.shape[2] != in_features:
-            raise ValueError(
-                f"input feature mismatch: weight expects {in_features}, got {inputs.shape[2]}")
-
-        if prepared.stacked_weights is not None:
-            # Per-map effective weights (bypassed PEs contribute zero).
-            output = np.matmul(inputs, prepared.stacked_weights)
-        elif shared_inputs:
-            # Identical activations for every map (the fan-out layer of an
-            # evaluation): every sequential run performs this exact 2D GEMM,
-            # so computing it once and replicating is bit-identical.
-            shared = inputs[0] @ weight_matrix.T
-            output = np.repeat(shared[np.newaxis], num_maps, axis=0)
-        else:
-            output = np.matmul(inputs, weight_matrix.T)
-
-        for plan in prepared.chain_plans:
-            self._apply_chain_plan(plan, inputs, output, shared_inputs)
-
-        if bias is not None:
-            output = output + np.asarray(bias, dtype=np.float64)
-        return output
-
-    def conv2d_batched(self, weight: np.ndarray, x: np.ndarray,
-                       bias: Optional[np.ndarray] = None,
-                       stride: int = 1, padding: int = 0,
-                       prepared: Optional["_PreparedWeight"] = None) -> np.ndarray:
-        """Per-map convolution; ``x`` is ``(batch, C, H, W)`` or ``(F, batch, C, H, W)``.
-
-        Returns ``(F, batch, out_channels, H_out, W_out)`` with each map's
-        slice bit-identical to the sequential :meth:`SystolicArray.conv2d`.
-        """
-
-        weight = np.asarray(weight, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        num_maps = self.num_maps
-        out_channels, in_channels, kh, kw = weight.shape
-        if x.ndim == 4:
-            # Shared activations: one im2col, and matmul_batched's shared-input
-            # path computes the clean product once for all maps.
-            batch = x.shape[0]
-            cols = im2col(x, (kh, kw), stride, padding)
-            _, out_h, out_w, k = cols.shape
-            flat_inputs = cols.reshape(batch * out_h * out_w, k)
-        elif x.ndim == 5 and x.shape[0] == num_maps:
-            batch = x.shape[1]
-            # One im2col over the folded (F * batch) axis; the transform is a
-            # pure gather, so each map's slice equals its standalone im2col.
-            cols = im2col(x.reshape((num_maps * batch,) + x.shape[2:]),
-                          (kh, kw), stride, padding)
-            _, out_h, out_w, k = cols.shape
-            flat_inputs = cols.reshape(num_maps, batch * out_h * out_w, k)
-        else:
-            raise ValueError(
-                f"x must be (batch, C, H, W) or ({num_maps}, batch, C, H, W), got {x.shape}")
-        flat_out = self.matmul_batched(weight.reshape(out_channels, -1), flat_inputs,
-                                       bias=bias, prepared=prepared)
-        return (flat_out.reshape(num_maps, batch, out_h, out_w, out_channels)
-                .transpose(0, 1, 4, 2, 3))
-
-    # ------------------------------------------------------------------
-    def _apply_chain_plan(self, plan: "_ChainPlan", inputs: np.ndarray,
-                          output: np.ndarray, shared_inputs: bool) -> None:
-        """Replace the faulty columns of ``output`` with their chain values.
-
-        Dispatches to the shared uniform-tile fast path
-        (:func:`repro.systolic.chain_kernel.apply_chain_plan`) unless
-        ``chain_kernel.FASTPATH_ENABLED`` is off, in which case the untiled
-        chunked reference below runs.  Both are bit-identical to
-        :meth:`SystolicArray._faulty_matmul` (pinned by the equivalence and
-        hypothesis tests).
-        """
-
-        if chain_kernel.FASTPATH_ENABLED:
-            apply_chain_plan(plan.uniform,
-                             inputs[0] if shared_inputs else inputs,
-                             output, shared_inputs, self._stuck_kernel,
-                             self.rows, _CHAIN_BLOCK_ELEMENTS)
-        else:
-            self._apply_chain_plan_reference(plan, inputs, output, shared_inputs)
 
     def _apply_chain_plan_reference(self, plan: "_ChainPlan", inputs: np.ndarray,
                                     output: np.ndarray,
@@ -845,10 +713,3 @@ class BatchedSystolicArray:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BatchedSystolicArray({self.num_maps} maps, "
                 f"{self.rows}x{self.cols})")
-
-
-def matmul_batched(arrays: Sequence[SystolicArray], weight: np.ndarray,
-                   inputs: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convenience wrapper: one vectorised matmul over ``len(arrays)`` fault maps."""
-
-    return BatchedSystolicArray(arrays).matmul_batched(weight, inputs, bias=bias)

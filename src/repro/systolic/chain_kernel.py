@@ -1,40 +1,27 @@
-"""Bit-safe fault-chain fast path shared by every campaign engine.
+"""Bit-safe fault-chain fast path of the fused fault engine.
 
 Fault-chain application -- the per-level segment GEMMs plus stuck-at
-quantisation of :meth:`repro.systolic.array.BatchedSystolicArray
-._apply_chain_plan` -- is the dominant cold cost of campaign sweeps (see
-ROADMAP "next perf frontier").  This module hoists the two bit-safe levers
-identified there into one implementation that both the batched simulator
-and the fused inference engine's :class:`~repro.snn.inference.faulty_gemm
-.FaultyAffineRunner` import:
+quantisation that replace a faulty column's dense product with its
+corrupted accumulation chain -- is the dominant cold cost of campaign
+sweeps.  This module holds the one fast implementation, which the fused
+inference engine's :class:`~repro.snn.inference.faulty_gemm
+.FaultyAffineRunner` drives (through its kernel backend):
 
-* **Uniform tiles.**  Chains are regrouped at *prepare time* by their
+* **Prefix-level runs.**  At *prepare time* chains are sorted by their
   per-tile active-site signature (the number of stuck-at breakpoint levels
-  a chain has in each weight tile) and *permuted so every group is a
-  contiguous slice* of the chain axis.  Inside one group every chain has
-  the same level count and the same tail layout, so the per-level segment
-  GEMM and bit forcing run once per group with **no** per-level ``active``
-  masks, no ``np.where`` selects and no zero-filled accumulators for
-  not-yet-applied chains -- the ragged bookkeeping the chunked reference
-  path pays on every call.  Because groups are contiguous, the per-call
-  memory behaviour is identical to the reference path (one activation
-  gather per chunk and tile, one scatter per chunk); all per-group work
-  happens on views.
-
-* **Prefix-level batching.**  A chain's non-last tiles all share one site
-  count (the same physical PE-row faults repeat in every full weight tile),
-  so uniform-tile signatures have the form ``(full, ..., full, last)``.
-  Sorting the groups by *descending* signature therefore makes the chains
-  active at any breakpoint level a **prefix** of the permuted chain axis on
-  full tiles -- and a handful of contiguous runs on the (possibly partial)
-  last tile.  The per-call path issues one stacked segment GEMM and one
-  fused force per *(level, run)* instead of one per *(group, level)*, and a
-  single whole-chunk tail GEMM per tile instead of one per group: with many
-  small groups sharing a full-tile site count this collapses the dispatch
-  count by the group count.  The run stacks are the primary storage; the
-  per-group blocks below alias them as views, so carrying both layouts
-  costs no extra memory.  Set ``REPRO_CHAIN_PREFIX_BATCH=0`` (or flip
-  :data:`PREFIX_BATCH_ENABLED`) to fall back to per-group application.
+  a chain has in each weight tile), in *descending* order.  A chain's
+  non-last tiles all share one site count (the same physical PE-row faults
+  repeat in every full weight tile), so signatures have the form
+  ``(full, ..., full, last)`` and the chains active at any breakpoint
+  level form a **prefix** of the permuted chain axis on full tiles -- and
+  a handful of contiguous runs on the (possibly partial) last tile.  The
+  per-call path issues one stacked segment GEMM and one fused force per
+  *(level, run)* and a single whole-chunk tail GEMM per tile, with **no**
+  per-level ``active`` masks, no ``np.where`` selects and no zero-filled
+  accumulators for not-yet-applied chains -- the ragged bookkeeping the
+  chunked reference path pays on every call.  The per-call memory
+  behaviour matches the reference path (one activation gather per chunk
+  and tile, one scatter per chunk); all per-run work happens on views.
 
 * **Fused stuck-at kernel.**  :class:`StuckAtKernel` performs the
   quantise -> force-bit -> dequantise sequence as one in-place pass over
@@ -59,13 +46,12 @@ Bit-identity rules (why this is safe):
   ``+0.0`` exactly as they do when the oracle accumulates into a
   zero-initialised buffer).  Skipping the ``0 +`` before the *first
   quantised* level is safe because quantisation maps ``-0.0`` and ``+0.0``
-  to the same code -- the documented property the fused runner has pinned
-  since PR 2.
+  to the same code.
 * The in-place sign extension ``raw ^= S; raw -= S`` (with ``S`` the sign
   bit) equals ``where(raw & S, raw - 2S, raw)`` for every value in
   ``[0, 2S)`` -- exact int64 arithmetic, no rounding anywhere.
 * Chains scatter to disjoint (map, column) output slices, so neither the
-  permutation nor the group processing order can affect the result.
+  permutation nor the run processing order can affect the result.
 
 Set ``REPRO_CHAIN_FASTPATH=0`` (or flip :data:`FASTPATH_ENABLED`) to route
 chain application through the untiled reference implementation
@@ -76,9 +62,7 @@ benchmark drive both paths and assert ``tobytes()`` equality.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import functools
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -86,13 +70,10 @@ import numpy as np
 
 __all__ = [
     "FASTPATH_ENABLED",
-    "PREFIX_BATCH_ENABLED",
-    "GroupBlock",
     "LevelBlock",
     "LevelRun",
     "PrefixTile",
     "StuckAtKernel",
-    "TileBlock",
     "UniformChainPlan",
     "apply_chain_plan",
     "build_uniform_plan",
@@ -103,13 +84,6 @@ __all__ = [
 #: benchmark flip it to compare against the untiled reference path.
 FASTPATH_ENABLED = os.environ.get("REPRO_CHAIN_FASTPATH", "1").lower() not in (
     "0", "false", "off")
-
-#: Apply chains per (level, contiguous run) across group boundaries instead
-#: of per (group, level).  Initialised from ``REPRO_CHAIN_PREFIX_BATCH``
-#: (default on); only consulted when :data:`FASTPATH_ENABLED` is on.  The
-#: identity suites drive both settings and assert ``tobytes()`` equality.
-PREFIX_BATCH_ENABLED = os.environ.get(
-    "REPRO_CHAIN_PREFIX_BATCH", "1").lower() not in ("0", "false", "off")
 
 
 class StuckAtKernel:
@@ -140,7 +114,7 @@ class StuckAtKernel:
         ``values`` must be an owned float64 buffer of shape
         ``(size, batch, n_out)``; ``raw`` an int64 scratch of the same
         shape, reused across levels and tiles of one chunk.  ``chunk``
-        selects the group-local chain range of the per-chain masks.
+        selects the run-local chain range of the per-chain masks.
         """
 
         np.divide(values, self.scale, out=values)
@@ -169,41 +143,14 @@ class StuckAtKernel:
 
 @dataclasses.dataclass
 class LevelBlock:
-    """One stuck-at breakpoint level of a uniform group, with fused masks."""
+    """One stuck-at breakpoint level of a chain block, with fused masks."""
 
-    w_stack: np.ndarray             # (group, tile_rows, n_out) segment weights
-    bit_mask: np.ndarray            # (group, 1, 1) int64
-    inv_mask: np.ndarray            # (group, 1, 1) int64, ~bit_mask
-    stuck_one: Optional[np.ndarray]  # (group, 1, 1) bool; None when uniform
+    w_stack: np.ndarray             # (chains, tile_rows, n_out) segment weights
+    bit_mask: np.ndarray            # (chains, 1, 1) int64
+    inv_mask: np.ndarray            # (chains, 1, 1) int64, ~bit_mask
+    stuck_one: Optional[np.ndarray]  # (chains, 1, 1) bool; None when uniform
     all_sa1: bool
     all_sa0: bool
-
-
-@dataclasses.dataclass
-class TileBlock:
-    """One weight tile of a uniform group: its levels plus the tail segment."""
-
-    levels: List[LevelBlock]        # exactly the group's site count here
-    tail_stack: np.ndarray          # (group, tile_rows, n_out)
-
-
-@dataclasses.dataclass
-class GroupBlock:
-    """Chains sharing one per-tile site-count signature (the tiling rule).
-
-    ``start``/``end`` locate the group on the *permuted* chain axis of its
-    :class:`UniformChainPlan`; within the group every chain applies the
-    same number of breakpoint levels in every tile, so application needs
-    no activity masks at all.  ``map_runs`` lists the group's maximal runs
-    of consecutive chains sharing one fault map (group-relative
-    ``(start, end, map_index)``): the wide-batch path issues one broadcast
-    GEMM per run instead of gathering activations per chain.
-    """
-
-    start: int
-    end: int
-    tiles: List[TileBlock]          # one entry per weight tile
-    map_runs: List[Tuple[int, int, int]]
 
 
 @dataclasses.dataclass
@@ -213,8 +160,7 @@ class LevelRun(LevelBlock):
     ``start``/``end`` locate the run on the permuted chain axis.  With the
     descending-signature sort a full tile has exactly one run per level (a
     prefix of the axis); the last, possibly partial, tile may split into a
-    few runs.  The run's stacks and masks are the *owning* storage -- the
-    per-group :class:`LevelBlock` views alias slices of them.
+    few runs.
     """
 
     start: int = 0
@@ -228,7 +174,7 @@ class PrefixTile:
     ``levels[k]`` lists the contiguous runs of chains whose site count in
     this tile exceeds ``k``; ``tail_stack`` covers the *whole* permuted
     chain axis (every chain has a tail segment in every tile), so the tail
-    GEMM runs once per (chunk, tile) regardless of the group count.
+    GEMM runs once per (chunk, tile).
     """
 
     levels: List[List[LevelRun]]
@@ -237,47 +183,33 @@ class PrefixTile:
 
 @dataclasses.dataclass
 class UniformChainPlan:
-    """One chain table regrouped into contiguous uniform-tile groups."""
+    """One chain table permuted into prefix-level runs."""
 
     map_ids: np.ndarray             # (chains,) fault-map index, permuted
     map_sel: np.ndarray             # (chains, 1, 1) scatter index
     out_sel: np.ndarray             # (chains, 1, n_out) scatter index
     n_out: int
     tile_bounds: List[Tuple[int, int]]  # (lo, hi) input rows per weight tile
-    group_bounds: List[Tuple[int, int, tuple]]  # (start, end, signature)
     has_levels: bool
     prefix_tiles: List[PrefixTile]
     run_starts: np.ndarray          # (map_runs,) whole-axis same-map runs
     run_ends: np.ndarray            # (map_runs,)
     run_maps: np.ndarray            # (map_runs,) fault-map index per run
 
-    @functools.cached_property
-    def groups(self) -> List[GroupBlock]:
-        """Per-group blocks, built on first use.
-
-        Only the per-group application path (:data:`PREFIX_BATCH_ENABLED`
-        off) reads them, so preparation does not pay for them.
-        """
-
-        return _group_blocks(self)
-
 
 def build_uniform_plan(table, tiles) -> UniformChainPlan:
-    """Regroup a chain table into uniform-tile blocks (prepare time).
+    """Permute a chain table into prefix-level runs (prepare time).
 
     ``table`` / ``tiles`` are the ragged
     :class:`~repro.systolic.array._ChainTable` /
     :class:`~repro.systolic.array._ChainTilePlan` structures; the returned
-    plan holds the chains permuted so that every signature group is a
-    contiguous slice, ordered by *descending* signature so each level's
-    active chains form contiguous runs spanning group boundaries (a single
-    prefix on full tiles).  The prefix-level run stacks own the contiguous
-    segment copies and precomputed bit/polarity masks; the per-group blocks
-    (built on first use) alias slices of them, so the per-call path does no
-    mask derivation and carrying both layouts costs no extra memory.  The
-    sort is deterministic, and chains scatter to disjoint output columns,
-    so neither the permutation nor the application order can affect
-    results.
+    plan holds the chains sorted by *descending* per-tile site-count
+    signature, so each level's active chains form contiguous runs (a single
+    prefix on full tiles).  The run stacks hold contiguous segment copies
+    and precomputed bit/polarity masks, so the per-call path does no mask
+    derivation.  The sort is deterministic, and chains scatter to disjoint
+    output columns, so neither the permutation nor the application order
+    can affect results.
     """
 
     n_chains = len(table.map_ids)
@@ -285,30 +217,20 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
     signatures = np.stack(
         [np.asarray(tile.n_sites, dtype=np.int64) for tile in tiles],
         axis=1).tolist()
-    by_signature: Dict[tuple, List[int]] = {}
-    for chain, signature in enumerate(signatures):
-        by_signature.setdefault(tuple(signature), []).append(chain)
 
-    # Descending signature order.  Non-last tiles all carry the chain's
-    # full-tile site count, so signatures are (full, ..., full, last) and
-    # the lexicographic sort orders by full count first: every full tile's
-    # level-k active set becomes the prefix of chains with full > k.
-    ordered = sorted(by_signature.items(), key=lambda kv: kv[0], reverse=True)
-    permutation: List[int] = []
-    group_bounds: List[Tuple[int, int, tuple]] = []
-    for signature, members in ordered:
-        start = len(permutation)
-        permutation.extend(members)
-        group_bounds.append((start, len(permutation), signature))
-    perm = np.asarray(permutation, dtype=np.int64)
+    # Descending signature order (stable, so equal signatures keep chain
+    # order).  Non-last tiles all carry the chain's full-tile site count, so
+    # signatures are (full, ..., full, last) and the lexicographic sort
+    # orders by full count first: every full tile's level-k active set
+    # becomes the prefix of chains with full > k.
+    perm = np.asarray(sorted(range(n_chains), key=signatures.__getitem__,
+                             reverse=True), dtype=np.int64)
     map_ids = table.map_ids[perm]
 
-    # Prefix-level run stacks: the owning storage for segment/tail copies
-    # and masks.  Runs are maximal contiguous spans of chains active at one
-    # level; a run's uniformity flags cover the whole run, group views
-    # recompute their own.  The masks are per level over the permuted chain
-    # axis, shared by every tile's runs (slices of a contiguous axis stay
-    # contiguous).
+    # Run stacks: contiguous segment/tail copies and masks.  Runs are
+    # maximal contiguous spans of chains active at one level.  The masks
+    # are per level over the permuted chain axis, shared by every tile's
+    # runs (slices of a contiguous axis stay contiguous).
     stuck_levels = np.ascontiguousarray((table.stuck2d[perm] == 1).T)
     stuck_lists = stuck_levels.tolist()
     bit_levels = np.ascontiguousarray(
@@ -348,7 +270,7 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
             levels=level_runs,
             tail_stack=np.ascontiguousarray(tile.tail_stack[perm])))
 
-    # Whole-axis same-map runs for the prefix path's broadcast-GEMM strategy.
+    # Whole-axis same-map runs for the broadcast-GEMM strategy.
     if n_chains:
         edges = np.flatnonzero(np.diff(map_ids)) + 1
         run_starts = np.concatenate(([0], edges)).astype(np.int64)
@@ -363,63 +285,11 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
         out_sel=table.out_idx2d[perm][:, None, :],
         n_out=table.n_out,
         tile_bounds=[(tile.lo, tile.hi) for tile in tiles],
-        group_bounds=group_bounds,
         has_levels=has_levels,
         prefix_tiles=prefix_tiles,
         run_starts=run_starts,
         run_ends=run_ends,
         run_maps=run_maps)
-
-
-def _group_blocks(plan: UniformChainPlan) -> List[GroupBlock]:
-    """The per-group layout of ``plan``: views into its run stacks."""
-
-    # A uniform group is entirely inside one run at every level it
-    # participates in.
-    groups: List[GroupBlock] = []
-    for start, end, signature in plan.group_bounds:
-        tile_blocks: List[TileBlock] = []
-        for tile_index in range(len(plan.tile_bounds)):
-            levels: List[LevelBlock] = []
-            for level in range(int(signature[tile_index])):
-                runs = plan.prefix_tiles[tile_index].levels[level]
-                run = runs[bisect.bisect_right(
-                    [r.start for r in runs], start) - 1]
-                member = slice(start - run.start, end - run.start)
-                stuck_one = run.stuck_one
-                if stuck_one is None:
-                    all_sa1, all_sa0 = run.all_sa1, run.all_sa0
-                else:
-                    stuck_one = stuck_one[member]
-                    all_sa1 = bool(stuck_one.all())
-                    all_sa0 = not stuck_one.any()
-                    if all_sa1 or all_sa0:
-                        stuck_one = None
-                levels.append(LevelBlock(
-                    w_stack=run.w_stack[member],
-                    bit_mask=run.bit_mask[member],
-                    inv_mask=run.inv_mask[member],
-                    stuck_one=stuck_one,
-                    all_sa1=all_sa1,
-                    all_sa0=all_sa0))
-            tile_blocks.append(TileBlock(
-                levels=levels,
-                tail_stack=plan.prefix_tiles[tile_index].tail_stack[start:end]))
-        # Chains arrive map-ascending from the chain tables, so a signature
-        # subset keeps consecutive same-map chains adjacent: record the
-        # maximal runs for the broadcast-GEMM path.
-        map_runs: List[Tuple[int, int, int]] = []
-        group_maps = plan.map_ids[start:end].tolist()
-        run_start = 0
-        for position in range(1, len(group_maps) + 1):
-            if (position == len(group_maps)
-                    or group_maps[position] != group_maps[run_start]):
-                map_runs.append((run_start, position, group_maps[run_start]))
-                run_start = position
-        groups.append(GroupBlock(start=start, end=end,
-                                 tiles=tile_blocks, map_runs=map_runs))
-
-    return groups
 
 
 #: Batch size from which the non-shared path switches from one gathered
@@ -455,34 +325,15 @@ def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
     ``output`` is the dense ``(F, batch, out_features)`` product, corrected
     in place.  Chain chunks are bounded by ``block_elements`` exactly as in
     the reference path so wide (folded convolution) batches stay within the
-    memory envelope.  Dispatches to the prefix-level run layout unless
-    :data:`PREFIX_BATCH_ENABLED` is off, in which case chains apply one
-    uniform group at a time; both walk the same arithmetic per chain, so the
-    choice cannot affect results.
-    """
+    memory envelope.
 
-    if PREFIX_BATCH_ENABLED:
-        _apply_prefix_batched(plan, inputs, output, shared, kernel, rows,
-                              block_elements)
-    else:
-        _apply_grouped(plan, inputs, output, shared, kernel, rows,
-                       block_elements)
-
-
-def _apply_prefix_batched(plan: UniformChainPlan, inputs: np.ndarray,
-                          output: np.ndarray, shared: bool,
-                          kernel: StuckAtKernel, rows: int,
-                          block_elements: int) -> None:
-    """Prefix-level application: one GEMM + force per (level, run).
-
-    Per chain the arithmetic is step-for-step the grouped path's: the
-    level-0 segment GEMM writes straight into the chunk accumulator (the
-    grouped path's fresh ``segment`` buffer, relocated), level ``k >= 1``
-    adds ``acc + segment`` in the same operand order, every level forces in
-    place, and the tail adds ``acc + tails``.  Only the *stacking* of
-    independent per-chain GEMMs changes -- per-slice results of a stacked
-    matmul are independent 2D products, so crossing group boundaries cannot
-    change bits.
+    Per chain the arithmetic is step-for-step the sequential oracle's: the
+    level-0 segment GEMM writes straight into the chunk accumulator, level
+    ``k >= 1`` adds ``acc + segment`` in the oracle's operand order, every
+    level forces in place, and the tail adds ``acc + tails``.  Only the
+    *stacking* of independent per-chain GEMMs into one product per
+    (level, run) differs -- per-slice results of a stacked matmul are
+    independent 2D products, so it cannot change bits.
     """
 
     batch = inputs.shape[-2]
@@ -578,89 +429,5 @@ def _apply_prefix_batched(plan: UniformChainPlan, inputs: np.ndarray,
                 np.add(tails, 0.0, out=col_out)
             else:
                 np.add(col_out, tails, out=col_out)
-        output[plan.map_sel[start:stop], batch_idx,
-               plan.out_sel[start:stop]] = col_out
-
-
-def _apply_grouped(plan: UniformChainPlan, inputs: np.ndarray,
-                   output: np.ndarray, shared: bool, kernel: StuckAtKernel,
-                   rows: int, block_elements: int) -> None:
-    """Per-group application (the :data:`PREFIX_BATCH_ENABLED` = off path)."""
-
-    batch = inputs.shape[-2]
-    batch_idx = _batch_idx(batch)
-    n_chains = plan.map_ids.shape[0]
-    n_out = plan.n_out
-    map_ids = plan.map_ids
-    by_view = not shared and batch >= PER_CHAIN_GEMM_BATCH
-    if by_view:
-        # One slice view per (map, tile), hoisted out of the chain loops.
-        tile_views = [
-            [inputs[m, :, lo:hi] for m in range(inputs.shape[0])]
-            for lo, hi in plan.tile_bounds
-        ]
-    block = max(1, block_elements // max(1, batch * max(rows, n_out)))
-    for start in range(0, n_chains, block):
-        stop = min(start + block, n_chains)
-        size = stop - start
-        col_out = np.empty((size, batch, n_out))
-        raw = (np.empty((size, batch, n_out), dtype=np.int64)
-               if plan.has_levels else None)
-        for tile_index, (lo, hi) in enumerate(plan.tile_bounds):
-            if shared:
-                x_chunk = inputs[:, lo:hi]
-            elif by_view:
-                x_chunk = None     # per-chain views below, no gather
-            else:
-                # One gather per (chunk, tile); groups below take views.
-                x_chunk = inputs[map_ids[start:stop], :, lo:hi]
-            for group in plan.groups:
-                lo_c = max(group.start, start)
-                hi_c = min(group.end, stop)
-                if lo_c >= hi_c:
-                    continue
-                local = slice(lo_c - start, hi_c - start)   # chunk-relative
-                member = slice(lo_c - group.start, hi_c - group.start)
-                tile = group.tiles[tile_index]
-
-                def product(w_stack):
-                    if shared:
-                        return np.matmul(x_chunk, w_stack[member])
-                    if not by_view:
-                        return np.matmul(x_chunk[local], w_stack[member])
-                    # One broadcast GEMM per same-map chain run: the 2D
-                    # activation view broadcasts across the run's weight
-                    # stack (per-slice 2D GEMMs, exactly the sequential
-                    # oracle's operands) -- no gathered activation copy.
-                    out = np.empty((hi_c - lo_c, batch, n_out))
-                    views = tile_views[tile_index]
-                    for run_lo, run_hi, map_index in group.map_runs:
-                        s = max(run_lo, member.start)
-                        e = min(run_hi, member.stop)
-                        if s < e:
-                            np.matmul(views[map_index], w_stack[s:e],
-                                      out=out[s - member.start:e - member.start])
-                    return out
-
-                acc: Optional[np.ndarray] = None
-                for level in tile.levels:
-                    segment = product(level.w_stack)
-                    if acc is not None:
-                        # In-place accumulate; 0 + segment is skipped at the
-                        # first level because quantisation maps the zero
-                        # signs to the same codes.
-                        np.add(acc, segment, out=segment)
-                    acc = kernel.force(segment, level, member, raw[local])
-                tails = product(tile.tail_stack)
-                tile_out = tails if acc is None else np.add(acc, tails,
-                                                            out=tails)
-                dest = col_out[local]
-                if tile_index == 0:
-                    # 0 + tile_out: collapse any -0.0 the (unquantised) tail
-                    # GEMM produced, exactly as the oracle's zero-initialised
-                    # accumulator does.
-                    np.add(tile_out, 0.0, out=dest)
-                else:
-                    np.add(dest, tile_out, out=dest)
         output[plan.map_sel[start:stop], batch_idx,
                plan.out_sel[start:stop]] = col_out

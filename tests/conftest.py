@@ -11,6 +11,9 @@ import pytest
 
 from repro.datasets import DataLoader, load_dataset
 from repro.snn import Adam, Trainer, build_model_for_dataset
+from repro.snn.inference.faulty_gemm import FaultyAffineRunner
+from repro.snn.inference.plan import AffineSpec
+from repro.systolic import BatchedSystolicArray
 from repro.utils.rng import get_rng
 
 
@@ -43,6 +46,22 @@ def build_tiny_mnist_model(seed: int = 5):
     model, config = build_model_for_dataset(
         "mnist", channels=6, hidden_units=32, time_steps=3, seed=seed)
     return model, config
+
+
+def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
+                      kind="linear", stride=1, padding=0):
+    """Per-map output of one layer on the fused engine's faulty runner.
+
+    ``shared`` inputs reach every map unchanged (a fork entry); otherwise
+    ``inputs`` carries a leading per-map axis.
+    """
+
+    subset = BatchedSystolicArray(arrays)
+    runner = FaultyAffineRunner(subset, subset.prepare_weight(weight),
+                                AffineSpec(kind, weight, bias, stride, padding))
+    if shared:
+        return runner.run_entry(runner.entry(inputs, runner.stacked_weights is None))
+    return runner.run(inputs)
 
 
 @pytest.fixture()

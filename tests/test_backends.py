@@ -180,14 +180,14 @@ class TestFailureModes:
         maps = [random_fault_map(8, 8, 2, seed=1)]
         with pytest.raises(ValueError, match="fused"):
             evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                         fault_maps=maps, engine="batched",
+                                         fault_maps=maps, engine="autograd",
                                          backend="numpy")
         with pytest.raises(ValueError, match="fused"):
             evaluate_with_faults(trained_tiny_model, test_loader,
                                  fault_map=maps[0], engine="sequential",
                                  backend="numpy")
         with pytest.raises(ValueError, match="fused"):
-            CampaignRunner(trained_tiny_model, test_loader, engine="batched",
+            CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
                            backend="numpy")
 
 
@@ -314,7 +314,7 @@ class TestCampaignPlumbing:
                                                test_loader, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "definitely-not-registered")
         runner = CampaignRunner(trained_tiny_model, test_loader,
-                                engine="batched")
+                                engine="sequential")
         assert runner.backend is None
 
     def test_cache_payload_is_backend_free(self, trained_tiny_model,

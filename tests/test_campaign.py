@@ -1,6 +1,6 @@
-"""Tests for the batched fault-injection campaign engine.
+"""Tests for the fault-injection campaign engine.
 
-Covers: per-map equivalence of the batched evaluation with the sequential
+Covers: per-map equivalence of the multi-map evaluation with the sequential
 reference, engine-identical sweep records, deterministic point seeding,
 on-disk caching (including cache hits that skip simulation entirely) and the
 optional worker pool.
@@ -21,8 +21,9 @@ from repro.faults import (
     sweep_faulty_pe_count,
 )
 from repro.faults.campaign import loader_token, model_token
-from repro.faults.injection import BatchedFaultInjector
-from repro.systolic import BatchedSystolicArray, DEFAULT_ACCUMULATOR_FORMAT
+from repro.faults.analysis import baseline_accuracy
+from repro.faults.injection import FaultInjector, build_faulty_array
+from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -36,11 +37,13 @@ class TestBatchedEvaluation:
     def test_matches_sequential_per_map(self, trained_tiny_model, eval_loader):
         maps = fault_maps_for_trials(16, 16, 4, 5, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=7)
-        sequential = [evaluate_with_faults(trained_tiny_model, eval_loader, fault_map=m)
+        sequential = [evaluate_with_faults(trained_tiny_model, eval_loader,
+                                           fault_map=m, engine="autograd")
                       for m in maps]
-        batched = evaluate_with_faults_batched(trained_tiny_model, eval_loader,
-                                               fault_maps=maps)
-        assert batched == sequential
+        for engine in ("fused", "autograd"):
+            batched = evaluate_with_faults_batched(trained_tiny_model, eval_loader,
+                                                   fault_maps=maps, engine=engine)
+            assert batched == sequential
 
     def test_bypass_matches_sequential(self, trained_tiny_model, eval_loader):
         maps = fault_maps_for_trials(16, 16, 6, 3, bit_position=FMT.magnitude_msb,
@@ -52,34 +55,30 @@ class TestBatchedEvaluation:
         assert batched == sequential
 
     def test_requires_maps_or_array(self, trained_tiny_model, eval_loader):
-        with pytest.raises(ValueError):
-            evaluate_with_faults_batched(trained_tiny_model, eval_loader)
+        for engine in ("fused", "autograd"):
+            with pytest.raises(ValueError):
+                evaluate_with_faults_batched(trained_tiny_model, eval_loader,
+                                             engine=engine)
 
     def test_injector_restores_forwards(self, trained_tiny_model):
-        maps = fault_maps_for_trials(8, 8, 2, 2, seed=3)
-        array = BatchedSystolicArray.from_fault_maps(maps)
+        (fault_map,) = fault_maps_for_trials(8, 8, 2, 1, seed=3)
         layers_before = [m.forward for m in trained_tiny_model.modules()]
-        with BatchedFaultInjector(trained_tiny_model, array):
+        with FaultInjector(trained_tiny_model, build_faulty_array(fault_map)):
             pass
         layers_after = [m.forward for m in trained_tiny_model.modules()]
         assert layers_before == layers_after
 
     def test_no_target_layers_returns_software_accuracy(self, trained_tiny_model,
                                                         eval_loader):
-        maps = fault_maps_for_trials(8, 8, 2, 3, seed=3)
-        from repro.faults.analysis import baseline_accuracy
-
-        accuracies = evaluate_with_faults_batched(
-            trained_tiny_model, eval_loader, fault_maps=maps)
-        # Sanity against an injector that routes nothing through the array.
-        array = BatchedSystolicArray.from_fault_maps(maps)
-        with BatchedFaultInjector(trained_tiny_model, array,
-                                  layer_filter=lambda layer: False):
-            pass
+        (fault_map,) = fault_maps_for_trials(16, 16, 40, 1,
+                                             bit_position=FMT.magnitude_msb,
+                                             stuck_type="sa1", seed=3)
         clean = baseline_accuracy(trained_tiny_model, eval_loader)
-        assert len(accuracies) == 3
-        assert all(0.0 <= value <= 1.0 for value in accuracies)
-        assert 0.0 <= clean <= 1.0
+        # An injector that routes nothing through the array leaves the
+        # software forward -- and its accuracy -- untouched.
+        with FaultInjector(trained_tiny_model, build_faulty_array(fault_map),
+                           layer_filter=lambda layer: False):
+            assert baseline_accuracy(trained_tiny_model, eval_loader) == clean
 
 
 class TestCampaignPoint:
@@ -127,9 +126,9 @@ class TestCampaignRunner:
 
     def test_engines_produce_identical_records(self, trained_tiny_model, eval_loader):
         points = self.make_points()
-        batched = CampaignRunner(trained_tiny_model, eval_loader, engine="batched")
+        fused = CampaignRunner(trained_tiny_model, eval_loader, engine="fused")
         sequential = CampaignRunner(trained_tiny_model, eval_loader, engine="sequential")
-        assert batched.run(points) == sequential.run(points)
+        assert fused.run(points) == sequential.run(points)
 
     def test_records_are_deterministic(self, trained_tiny_model, eval_loader):
         points = self.make_points()
@@ -192,21 +191,21 @@ class TestSweepEquivalence:
                       dataset="mnist")
         sequential = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
                                            engine="sequential", **kwargs)
-        batched = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
-                                        engine="batched", **kwargs)
-        assert batched == sequential
-        assert batched[0]["num_faulty_pes"] == 0
-        assert batched[0]["accuracy_std"] == 0.0
+        fused = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
+                                      engine="fused", **kwargs)
+        assert fused == sequential
+        assert fused[0]["num_faulty_pes"] == 0
+        assert fused[0]["accuracy_std"] == 0.0
 
     def test_fig5a_sweep_records_identical(self, trained_tiny_model, eval_loader):
         kwargs = dict(rows=16, cols=16, bit_positions=(0, FMT.magnitude_msb),
                       trials=2, seed=5, dataset="mnist")
         sequential = sweep_bit_locations(trained_tiny_model, eval_loader,
                                          engine="sequential", **kwargs)
-        batched = sweep_bit_locations(trained_tiny_model, eval_loader,
-                                      engine="batched", **kwargs)
-        assert batched == sequential
-        assert {record["stuck_type"] for record in batched} == {"sa0", "sa1"}
+        fused = sweep_bit_locations(trained_tiny_model, eval_loader,
+                                    engine="fused", **kwargs)
+        assert fused == sequential
+        assert {record["stuck_type"] for record in fused} == {"sa0", "sa1"}
 
 
 class TestHelpers:

@@ -25,6 +25,7 @@ from repro.systolic import (
 from repro.systolic import array as systolic_array
 from repro.systolic.chain_kernel import StuckAtKernel
 from repro.utils.rng import get_rng
+from tests.conftest import run_faulty_affine
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -33,22 +34,33 @@ FMT = DEFAULT_ACCUMULATOR_FORMAT
 def restore_chain_kernel_switches():
     fastpath = chain_kernel.FASTPATH_ENABLED
     threshold = chain_kernel.PER_CHAIN_GEMM_BATCH
-    prefix = chain_kernel.PREFIX_BATCH_ENABLED
     yield
     chain_kernel.FASTPATH_ENABLED = fastpath
     chain_kernel.PER_CHAIN_GEMM_BATCH = threshold
-    chain_kernel.PREFIX_BATCH_ENABLED = prefix
+
+
+def run_linear(arrays, weight, inputs, bias=None):
+    """Per-map linear output; 2D ``inputs`` are shared by every map."""
+
+    return run_faulty_affine(arrays, weight, inputs, bias,
+                             shared=inputs.ndim == 2)
 
 
 def run_both_paths(arrays, weight, inputs, bias=None):
-    """(fast, reference) results of one batched matmul."""
+    """(fast, reference) results of one multi-map linear layer."""
 
-    batched = BatchedSystolicArray(arrays)
     chain_kernel.FASTPATH_ENABLED = True
-    fast = batched.matmul_batched(weight, inputs, bias=bias)
+    fast = run_linear(arrays, weight, inputs, bias)
     chain_kernel.FASTPATH_ENABLED = False
-    reference = batched.matmul_batched(weight, inputs, bias=bias)
+    reference = run_linear(arrays, weight, inputs, bias)
     return fast, reference
+
+
+def run_bounds(plan):
+    """``(start, end)`` of every run, per level, per tile of ``plan``."""
+
+    return [[[(run.start, run.end) for run in runs] for runs in tile.levels]
+            for tile in plan.prefix_tiles]
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +109,7 @@ class TestChainEdgeCases:
             assert np.array_equal(fast[f], array.matmul(weight, inputs[f]))
 
     def test_all_chains_share_one_level_uniform_degenerate(self):
-        """Every chain with the same site count collapses into ONE group."""
+        """Chains sharing one site count form ONE run per level."""
 
         arrays = []
         for col in range(3):
@@ -108,10 +120,9 @@ class TestChainEdgeCases:
         weight = get_rng(2).normal(size=(4, 4))
         prepared = batched.prepare_weight(weight)
         (plan,) = prepared.chain_plans
-        assert len(plan.uniform.groups) == 1
-        (group,) = plan.uniform.groups
-        assert (group.start, group.end) == (0, 3)
-        assert [len(tile.levels) for tile in group.tiles] == [1]
+        assert run_bounds(plan.uniform) == [[[(0, 3)]]]
+        (run,) = plan.uniform.prefix_tiles[0].levels[0]
+        assert run.all_sa1 and run.stuck_one is None
 
         inputs = get_rng(3).normal(size=(3, 2, 4))
         fast, reference = run_both_paths(arrays, weight, inputs)
@@ -125,10 +136,9 @@ class TestChainEdgeCases:
         batched = BatchedSystolicArray([array])
         prepared = batched.prepare_weight(get_rng(4).normal(size=(4, 6)))
         (plan,) = prepared.chain_plans
-        signatures = sorted(
-            tuple(len(tile.levels) for tile in group.tiles)
-            for group in plan.uniform.groups)
-        assert signatures == [(1,), (2,)]
+        # Descending sort: the two-site chain first, so level 0 covers both
+        # chains and level 1 only the first.
+        assert run_bounds(plan.uniform) == [[[(0, 2)], [(0, 1)]]]
 
     def test_site_row_beyond_tile_rows_is_tail_only(self):
         """A fault row >= in_features contributes no level, only the tail."""
@@ -153,36 +163,13 @@ class TestChainEdgeCases:
         weight = rng.normal(size=(9, 14))
         inputs = rng.normal(size=(5, 3, 14))
         chain_kernel.FASTPATH_ENABLED = True
-        unchunked = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        unchunked = run_linear(arrays, weight, inputs)
         monkeypatch.setattr(systolic_array, "_CHAIN_BLOCK_ELEMENTS", 1)
-        chunked = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        chunked = run_linear(arrays, weight, inputs)
         assert unchunked.tobytes() == chunked.tobytes()
 
-    def test_prefix_batching_matches_grouped_application(self):
-        """Prefix-level runs and per-group application agree bit for bit."""
-
-        rng = get_rng(9)
-        arrays = []
-        for seed in range(5):
-            fault_map = random_fault_map(4, 6, int(rng.integers(0, 7)),
-                                         bit_position=None,
-                                         stuck_type=seed % 2, seed=seed)
-            array = SystolicArray(4, 6)
-            array.load_fault_map(fault_map)
-            arrays.append(array)
-        weight = rng.normal(size=(10, 13))      # multiple weight tiles
-        for shared in (True, False):
-            shape = (3, 13) if shared else (5, 3, 13)
-            inputs = rng.normal(size=shape)
-            chain_kernel.FASTPATH_ENABLED = True
-            chain_kernel.PREFIX_BATCH_ENABLED = True
-            prefix = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
-            chain_kernel.PREFIX_BATCH_ENABLED = False
-            grouped = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
-            assert prefix.tobytes() == grouped.tobytes()
-
     def test_descending_sort_makes_full_tile_levels_prefixes(self):
-        """Full tiles carry one run per level; groups sort by site count."""
+        """Full tiles carry one run per level; chains sort by site count."""
 
         array = SystolicArray(4, 4)
         array.inject_fault(0, 0, StuckAtFault(3, "sa1"))
@@ -192,9 +179,13 @@ class TestChainEdgeCases:
         prepared = batched.prepare_weight(get_rng(10).normal(size=(4, 9)))
         (plan,) = prepared.chain_plans
         uniform = plan.uniform
-        signatures = [tuple(len(tile.levels) for tile in group.tiles)
-                      for group in uniform.groups]
+        signatures = [
+            tuple(sum(run.start <= chain < run.end
+                      for runs in tile.levels for run in runs)
+                  for tile in uniform.prefix_tiles)
+            for chain in range(len(uniform.map_ids))]
         assert signatures == sorted(signatures, reverse=True)
+        assert signatures[0] != signatures[-1]
         # 9 input features on a 4-row array: tiles 0 and 1 are full, tile 2
         # is partial.  Full tiles must expose exactly one (prefix) run per
         # level, starting at chain 0.
@@ -202,10 +193,6 @@ class TestChainEdgeCases:
             for runs in tile.levels:
                 assert len(runs) == 1
                 assert runs[0].start == 0
-        # Group views alias the run stacks -- no duplicated segment memory.
-        group = uniform.groups[0]
-        run = uniform.prefix_tiles[0].levels[0][0]
-        assert group.tiles[0].levels[0].w_stack.base is run.w_stack
 
     def test_per_chain_view_strategy_matches_stacked(self, monkeypatch):
         """Forcing the wide-batch strategy on tiny batches changes nothing."""
@@ -222,9 +209,9 @@ class TestChainEdgeCases:
         inputs = rng.normal(size=(4, 3, 11))
         chain_kernel.FASTPATH_ENABLED = True
         monkeypatch.setattr(chain_kernel, "PER_CHAIN_GEMM_BATCH", 10**9)
-        stacked = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        stacked = run_linear(arrays, weight, inputs)
         monkeypatch.setattr(chain_kernel, "PER_CHAIN_GEMM_BATCH", 1)
-        by_view = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        by_view = run_linear(arrays, weight, inputs)
         assert stacked.tobytes() == by_view.tobytes()
 
 

@@ -109,10 +109,13 @@ class TestCampaignCommand:
         assert (tmp_path / "cache").is_dir()
 
     def test_campaign_engines_agree(self, tmp_path):
-        out_a = tmp_path / "batched.json"
+        out_a = tmp_path / "fused.json"
         out_b = tmp_path / "sequential.json"
         base = ["campaign", "counts", "--dataset", "mnist", "--seed", "13",
                 "--counts", "2", "--trials", "2"]
-        assert main(base + ["--engine", "batched", "--out", str(out_a)]) == 0
+        assert main(base + ["--engine", "fused", "--out", str(out_a)]) == 0
         assert main(base + ["--engine", "sequential", "--out", str(out_b)]) == 0
         assert json.loads(out_a.read_text()) == json.loads(out_b.read_text())
+        with pytest.raises(SystemExit) as excinfo:
+            main(base + ["--engine", "batched"])
+        assert excinfo.value.code == 2

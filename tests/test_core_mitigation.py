@@ -205,8 +205,8 @@ class TestThresholdSearch:
             model.load_state_dict(trained_tiny_model_state["state"])
             return model
 
-        records = threshold_grid_search(factory, fault_map_30, train_loader, test_loader,
-                                        num_classes=10, thresholds=(0.5, 1.0),
+        records = threshold_grid_search(factory, fault_map_30, lambda: train_loader,
+                                        test_loader, num_classes=10, thresholds=(0.5, 1.0),
                                         retraining_epochs=1, learning_rate=1e-2,
                                         dataset="mnist")
         assert len(records) == 2
@@ -218,8 +218,31 @@ class TestThresholdSearch:
     def test_grid_search_requires_thresholds(self, loaders, fault_map_30):
         train_loader, test_loader = loaders
         with pytest.raises(ValueError):
-            threshold_grid_search(lambda: None, fault_map_30, train_loader, test_loader,
-                                  num_classes=10, thresholds=())
+            threshold_grid_search(lambda: None, fault_map_30, lambda: train_loader,
+                                  test_loader, num_classes=10, thresholds=())
+
+    def test_records_do_not_depend_on_earlier_candidates(
+            self, trained_tiny_model_state, tiny_mnist_data, fault_map_30):
+        """A candidate's record is the same whichever candidates ran first."""
+
+        train, test = tiny_mnist_data
+
+        def factory():
+            model, _ = build_tiny_mnist_model()
+            model.load_state_dict(trained_tiny_model_state["state"])
+            return model
+
+        def train_loader_factory():
+            return DataLoader(train, batch_size=12, shuffle=True, seed=4)
+
+        test_loader = DataLoader(test, batch_size=50)
+        kwargs = dict(num_classes=10, retraining_epochs=1, learning_rate=1e-2,
+                      dataset="mnist")
+        pair = threshold_grid_search(factory, fault_map_30, train_loader_factory,
+                                     test_loader, thresholds=(0.45, 0.5), **kwargs)
+        alone = threshold_grid_search(factory, fault_map_30, train_loader_factory,
+                                      test_loader, thresholds=(0.5,), **kwargs)
+        assert pair[1] == alone[0]
 
     def test_best_threshold_empty(self):
         with pytest.raises(ValueError):

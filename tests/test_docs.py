@@ -109,6 +109,6 @@ class TestDocLinksResolve:
         results = REPO_ROOT / "benchmarks" / "results" / "campaign_engine.txt"
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for line in results.read_text(encoding="utf-8").splitlines():
-            if line.startswith(("sequential", "batched", "fused")):
+            if line.startswith(("sequential", "fused")):
                 assert line.rstrip() in readme, \
                     f"README bench table is stale; missing row: {line!r}"

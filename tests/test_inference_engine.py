@@ -2,8 +2,8 @@
 
 Covers: bit-identity of the fused float64 plan with the autograd forward
 across neuron types x reset modes x threshold modes, the float32 tolerance
-mode, lowering errors, fault-engine equivalence with the sequential and
-batched autograd paths (including bypass and clean-prefix sharing), and the
+mode, lowering errors, fault-engine equivalence with the sequential
+autograd oracle (including bypass and clean-prefix sharing), and the
 campaign-runner integration.
 """
 
@@ -21,7 +21,7 @@ from repro.faults import (
     fault_maps_for_trials,
     random_fault_map,
 )
-from repro.faults.injection import BatchedFaultInjector, build_faulty_array
+from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.snn import (
     AvgPool2d,
     BatchNorm2d,
@@ -44,7 +44,7 @@ from repro.snn import (
     lower_plan,
 )
 from repro.snn.inference.plan import NeuronSpec
-from repro.systolic import BatchedSystolicArray, DEFAULT_ACCUMULATOR_FORMAT
+from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -53,6 +53,17 @@ def _autograd_rates(model, x) -> np.ndarray:
     model.eval()
     with no_grad():
         return model(Tensor(x)).data
+
+
+def _sequential_rates(model, maps, x) -> np.ndarray:
+    """``(F, batch, classes)`` rates of one autograd forward per fault map."""
+
+    model.eval()
+    rates = []
+    for fault_map in maps:
+        with FaultInjector(model, build_faulty_array(fault_map)), no_grad():
+            rates.append(model(Tensor(x)).data)
+    return np.stack(rates)
 
 
 def _make_neuron(kind: str, v_reset, learnable: bool):
@@ -268,18 +279,14 @@ class TestFaultEngineEquivalence:
         fused = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
         assert fused == autograd
 
-    def test_rates_bit_identical_to_batched_injector(self, trained_tiny_model,
-                                                     tiny_mnist_loaders):
+    def test_rates_bit_identical_to_sequential_injector(self, trained_tiny_model,
+                                                        tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
         maps = fault_maps_for_trials(16, 16, 2, 6, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=11)
         arrays = [build_faulty_array(m) for m in maps]
-        batched_array = BatchedSystolicArray.from_fault_maps(maps)
         inputs, _ = next(iter(test_loader))
-        trained_tiny_model.eval()
-        with BatchedFaultInjector(trained_tiny_model, batched_array), no_grad():
-            reference = trained_tiny_model(Tensor(inputs)).data
-        reference = reference.reshape(len(maps), -1, 10)
+        reference = _sequential_rates(trained_tiny_model, maps, inputs)
         engine = FusedFaultEngine(trained_tiny_model, arrays)
         rates = engine.run(inputs)
         assert reference.tobytes() == rates.tobytes()
@@ -323,10 +330,7 @@ class TestFaultEngineEquivalence:
         maps = fault_maps_for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=6)
         x = (rng.random((4, 3, 1, 16, 16)) > 0.6).astype(np.float64)
-        batched_array = BatchedSystolicArray.from_fault_maps(maps)
-        trained_tiny_model.eval()
-        with BatchedFaultInjector(trained_tiny_model, batched_array), no_grad():
-            reference = trained_tiny_model(Tensor(x)).data.reshape(len(maps), 3, 10)
+        reference = _sequential_rates(trained_tiny_model, maps, x)
         engine = FusedFaultEngine(trained_tiny_model,
                                   [build_faulty_array(m) for m in maps])
         assert reference.tobytes() == engine.run(x).tobytes()
@@ -363,11 +367,8 @@ class TestFaultEngineEquivalence:
         arrays = [build_faulty_array(m) for m in maps]
         fused = FusedFaultEngine(model, arrays).evaluate(loader)
         assert fused == sequential
-        # Rates too, against the (equally chunked) batched injector.
-        model.eval()
-        with BatchedFaultInjector(
-                model, BatchedSystolicArray.from_fault_maps(maps)), no_grad():
-            reference = model(Tensor(data)).data.reshape(2, 6, 3)
+        # Rates too, against the sequential injector.
+        reference = _sequential_rates(model, maps, data)
         rates = FusedFaultEngine(model, arrays).run(data)
         assert reference.tobytes() == rates.tobytes()
 
@@ -400,10 +401,9 @@ class TestCampaignIntegration:
             for count in (2, 6)
         ]
         records = {}
-        for engine in ("fused", "batched", "sequential"):
+        for engine in ("fused", "sequential"):
             runner = CampaignRunner(trained_tiny_model, test_loader, engine=engine)
             records[engine] = runner.run(points)
-        assert records["fused"] == records["batched"]
         assert records["fused"] == records["sequential"]
 
     def test_fused_baseline_accuracy_matches_software(self, trained_tiny_model,
@@ -418,7 +418,7 @@ class TestCampaignIntegration:
     def test_float32_requires_fused(self, trained_tiny_model, tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
         with pytest.raises(ValueError):
-            CampaignRunner(trained_tiny_model, test_loader, engine="batched",
+            CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
                            dtype="float32")
 
     def test_float32_gets_its_own_cache_key(self, trained_tiny_model,

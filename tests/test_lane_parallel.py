@@ -319,7 +319,7 @@ class TestLaneKnob:
         maps = [random_fault_map(8, 8, 2, seed=1)]
         with pytest.raises(ValueError, match="fused"):
             evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                         fault_maps=maps, engine="batched",
+                                         fault_maps=maps, engine="autograd",
                                          lane_threads=2)
         with pytest.raises(ValueError, match="fused"):
             evaluate_with_faults(trained_tiny_model, test_loader,
@@ -331,7 +331,7 @@ class TestLaneKnob:
         with pytest.raises(ValueError):
             CampaignRunner(trained_tiny_model, test_loader, lane_threads=-1)
         with pytest.raises(ValueError):
-            CampaignRunner(trained_tiny_model, test_loader, engine="batched",
+            CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
                            lane_threads=2)
 
     def test_executor_lifecycle(self, trained_tiny_model, test_loader):

@@ -1,10 +1,11 @@
-"""Equivalence tests: batched multi-fault-map simulation vs the sequential oracle.
+"""Equivalence tests: multi-fault-map simulation vs the sequential oracle.
 
-The campaign engine relies on ``BatchedSystolicArray`` producing per-map
-results that are **bit-identical** (``np.array_equal``, not ``allclose``) to
-independent ``SystolicArray.matmul`` / ``conv2d`` calls.  These tests pin
-that property for fault-free maps, sa0/sa1 faults, bypassed PEs, linear and
-convolutional layers, shared (2D) and per-map (3D) activations, and a
+The fused engine relies on a :class:`FaultyAffineRunner` over a
+``BatchedSystolicArray`` producing per-map results that are
+**bit-identical** (``np.array_equal``, not ``allclose``) to independent
+``SystolicArray.matmul`` / ``conv2d`` calls.  These tests pin that property
+for fault-free maps, sa0/sa1 faults, bypassed PEs, linear and
+convolutional layers, shared (fork-entry) and per-map activations, and a
 randomized sweep of shapes and fault structures seeded via ``utils.rng``.
 """
 
@@ -17,9 +18,11 @@ from repro.systolic import (
     DEFAULT_ACCUMULATOR_FORMAT,
     FixedPointFormat,
     SystolicArray,
-    matmul_batched,
 )
+from repro.snn.inference.faulty_gemm import FaultyAffineRunner
+from repro.snn.inference.plan import AffineSpec
 from repro.utils.rng import get_rng
+from tests.conftest import run_faulty_affine
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -51,7 +54,7 @@ class TestMatmulBatchedEquivalence:
         arrays = [SystolicArray(8, 8) for _ in range(4)]
         weight = rng.normal(size=(10, 20))
         inputs = rng.normal(size=(4, 5, 20))
-        result = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        result = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
 
@@ -67,7 +70,7 @@ class TestMatmulBatchedEquivalence:
             arrays.append(array)
         weight = rng.normal(size=(12, 30))
         inputs = (rng.random((5, 6, 30)) > 0.5).astype(float)
-        result = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        result = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
 
@@ -85,7 +88,7 @@ class TestMatmulBatchedEquivalence:
         weight = rng.normal(size=(9, 14))
         inputs = rng.normal(size=(4, 3, 14))
         bias = rng.normal(size=9)
-        result = BatchedSystolicArray(arrays).matmul_batched(weight, inputs, bias=bias)
+        result = run_faulty_affine(arrays, weight, inputs, bias=bias)
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs[f], bias=bias))
 
@@ -94,7 +97,7 @@ class TestMatmulBatchedEquivalence:
         arrays = random_arrays(rng, 5, 7, 6)
         weight = rng.normal(size=(11, 23))
         inputs = rng.normal(size=(4, 23))
-        result = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        result = run_faulty_affine(arrays, weight, inputs, shared=True)
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs))
 
@@ -111,7 +114,7 @@ class TestMatmulBatchedEquivalence:
             inputs = rng.random((num_maps, batch, in_f)) * 3 - 1
             bias = rng.normal(size=out_f) if rng.random() < 0.5 else None
             arrays = random_arrays(rng, rows, cols, num_maps)
-            batched = BatchedSystolicArray(arrays).matmul_batched(weight, inputs, bias=bias)
+            batched = run_faulty_affine(arrays, weight, inputs, bias=bias)
             for f, array in enumerate(arrays):
                 assert np.array_equal(batched[f],
                                       array.matmul(weight, inputs[f], bias=bias))
@@ -125,29 +128,22 @@ class TestMatmulBatchedEquivalence:
         clean = SystolicArray(6, 4)
         weight = rng.normal(size=(8, 13))
         inputs = rng.normal(size=(2, 3, 13))
-        batched = BatchedSystolicArray([array, clean]).matmul_batched(weight, inputs)
+        batched = run_faulty_affine([array, clean], weight, inputs)
         assert np.array_equal(batched[0], array.matmul(weight, inputs[0]))
         assert np.array_equal(batched[1], clean.matmul(weight, inputs[1]))
-
-    def test_module_level_helper(self):
-        rng = get_rng(5)
-        arrays = random_arrays(rng, 4, 4, 3)
-        weight = rng.normal(size=(6, 10))
-        inputs = rng.normal(size=(3, 2, 10))
-        assert np.array_equal(
-            matmul_batched(arrays, weight, inputs),
-            BatchedSystolicArray(arrays).matmul_batched(weight, inputs))
 
     def test_prepared_weight_reuse_is_identical(self):
         rng = get_rng(6)
         arrays = random_arrays(rng, 5, 5, 4)
         batched = BatchedSystolicArray(arrays)
         weight = rng.normal(size=(7, 12))
-        prepared = batched.prepare_weight(weight)
-        inputs = rng.normal(size=(4, 3, 12))
-        assert np.array_equal(
-            batched.matmul_batched(weight, inputs, prepared=prepared),
-            batched.matmul_batched(weight, inputs))
+        runner = FaultyAffineRunner(batched, batched.prepare_weight(weight),
+                                    AffineSpec("linear", weight, None))
+        first = rng.normal(size=(4, 3, 12))
+        second = rng.normal(size=(4, 3, 12))
+        runner.run(first)
+        assert np.array_equal(runner.run(second),
+                              run_faulty_affine(arrays, weight, second))
 
 
 class TestConv2dBatchedEquivalence:
@@ -157,8 +153,8 @@ class TestConv2dBatchedEquivalence:
         weight = rng.normal(size=(4, 2, 3, 3))
         x = rng.normal(size=(4, 3, 2, 8, 8))
         bias = rng.normal(size=4)
-        batched = BatchedSystolicArray(arrays).conv2d_batched(
-            weight, x, bias=bias, stride=1, padding=1)
+        batched = run_faulty_affine(arrays, weight, x, bias=bias, kind="conv",
+                           stride=1, padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x[f], bias=bias, stride=1, padding=1)
             assert np.array_equal(batched[f], expected)
@@ -168,7 +164,7 @@ class TestConv2dBatchedEquivalence:
         arrays = random_arrays(rng, 6, 6, 5)
         weight = rng.normal(size=(3, 1, 3, 3))
         x = rng.normal(size=(2, 1, 6, 6))
-        batched = BatchedSystolicArray(arrays).conv2d_batched(weight, x, padding=1)
+        batched = run_faulty_affine(arrays, weight, x, shared=True, kind="conv", padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x, padding=1)
             assert np.array_equal(batched[f], expected)
@@ -178,7 +174,7 @@ class TestConv2dBatchedEquivalence:
         arrays = random_arrays(rng, 8, 8, 3)
         weight = rng.normal(size=(4, 2, 3, 3))   # 4D accepted by matmul too
         inputs = rng.normal(size=(3, 5, 18))
-        batched = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        batched = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
             assert np.array_equal(batched[f], array.matmul(weight, inputs[f]))
 
@@ -199,25 +195,9 @@ class TestBatchedArrayValidation:
                 SystolicArray(4, 4, fmt=FixedPointFormat(12, 6)),
             ])
 
-    def test_wrong_input_rank_rejected(self):
-        batched = BatchedSystolicArray([SystolicArray(4, 4)])
-        with pytest.raises(ValueError):
-            batched.matmul_batched(np.zeros((3, 4)), np.zeros(4))
-
-    def test_wrong_map_count_rejected(self):
-        batched = BatchedSystolicArray([SystolicArray(4, 4)] * 2)
-        with pytest.raises(ValueError):
-            batched.matmul_batched(np.zeros((3, 4)), np.zeros((3, 2, 4)))
-
     def test_feature_mismatch_rejected(self):
-        batched = BatchedSystolicArray([SystolicArray(4, 4)])
         with pytest.raises(ValueError):
-            batched.matmul_batched(np.zeros((3, 5)), np.zeros((1, 2, 4)))
-
-    def test_from_fault_maps_builds_bypass(self):
-        fault_map = random_fault_map(4, 4, 3, bit_position=FMT.magnitude_msb, seed=0)
-        batched = BatchedSystolicArray.from_fault_maps([fault_map], bypass=True)
-        assert batched.arrays[0].bypassed_coordinates == set(fault_map.coordinates())
+            run_faulty_affine([SystolicArray(4, 4)], np.zeros((3, 5)), np.zeros((1, 2, 4)))
 
     def test_num_maps(self):
         assert BatchedSystolicArray([SystolicArray(2, 2)] * 3).num_maps == 3

@@ -1,6 +1,6 @@
 """Differential suite for the transient / weight-SRAM fault models.
 
-Pins the batched and fused engines byte-identical (``tobytes``) to the
+Pins the fused engine byte-identical (``tobytes``) to the
 sequential per-schedule oracle under transient fault schedules, covers the
 boundary cases of the step-resolved semantics (fault live only at the
 first or last step, all steps == permanent stuck-at, empty schedule ==
@@ -72,7 +72,7 @@ def _single_site_schedule(active_steps, num_sites: int = 12) -> FaultSchedule:
 
 
 class TestEngineByteIdentity:
-    """Batched and fused engines are bit-equal to the sequential oracle."""
+    """The fused engine is bit-equal to the sequential oracle."""
 
     @pytest.mark.parametrize("process", SCHEDULE_PROCESSES)
     def test_engines_byte_identical_per_process(self, trained_tiny_model,
@@ -80,17 +80,16 @@ class TestEngineByteIdentity:
         schedules = _schedules(process)
         reference = evaluate_with_transient_faults(
             trained_tiny_model, test_loader, schedules, engine="sequential")
-        for engine in ("batched", "fused"):
-            accuracies = evaluate_with_transient_faults(
-                trained_tiny_model, test_loader, schedules, engine=engine)
-            assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference), engine
+        accuracies = evaluate_with_transient_faults(
+            trained_tiny_model, test_loader, schedules, engine="fused")
+        assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
 
     def test_unknown_engine_rejected(self, trained_tiny_model, test_loader):
         with pytest.raises(ValueError, match="sequential"):
             evaluate_with_transient_faults(
                 trained_tiny_model, test_loader, _schedules("bernoulli"),
                 engine="autograd")
-        assert TRANSIENT_EVAL_ENGINES == ("fused", "batched", "sequential")
+        assert TRANSIENT_EVAL_ENGINES == ("fused", "sequential")
 
     def test_lane_threads_do_not_change_bytes(self, trained_tiny_model,
                                               test_loader):
@@ -135,11 +134,10 @@ class TestStepSemantics:
             trained_tiny_model, test_loader, [schedule], engine="sequential")
         # The fault must actually fire on its single live step...
         assert reference[0] != clean
-        # ...and every engine must agree bit-for-bit.
-        for engine in ("batched", "fused"):
-            accuracies = evaluate_with_transient_faults(
-                trained_tiny_model, test_loader, [schedule], engine=engine)
-            assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference), engine
+        # ...and the fused engine must agree bit-for-bit.
+        accuracies = evaluate_with_transient_faults(
+            trained_tiny_model, test_loader, [schedule], engine="fused")
+        assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
 
     def test_always_active_equals_permanent_stuck_at(self, trained_tiny_model,
                                                      test_loader):
