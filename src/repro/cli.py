@@ -33,6 +33,14 @@ directory::
     python -m repro campaign counts --shard 1/2 --cache-dir sweep-cache
     python -m repro campaign counts --cache-dir sweep-cache  # merge
 
+Every sweep entry point takes the same campaign flags.  The CLI turns them
+into one options dict (:func:`runner_options`) that reaches
+:class:`~repro.faults.CampaignRunner` unchanged, and the runner validates
+it.  ``campaign bits|counts|sizes`` runs an unregistered scenario through
+:func:`~repro.experiments.run_scenario`, the same path as ``--scenario``.
+``repro run`` rejects (exit 2) any campaign flag that the chosen experiment
+cannot honour.
+
 The CLI is a thin layer over :mod:`repro.experiments` and
 :mod:`repro.faults`; anything it can do is also available programmatically.
 """
@@ -40,7 +48,6 @@ The CLI is a thin layer over :mod:`repro.experiments` and
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import List, Optional, Sequence
 
@@ -53,6 +60,8 @@ from .experiments import (
     list_experiments,
 )
 from .experiments.config import PAPER_DATASETS, SCALES
+from .experiments.scenarios import SWEEPS
+from .systolic import DEFAULT_ACCUMULATOR_FORMAT
 from .utils import configure_logging, save_records
 
 
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser = subparsers.add_parser(
         "campaign", help="run a fault-injection sweep on the campaign engine")
     campaign_parser.add_argument("sweep", nargs="?", default=None,
-                                 choices=("bits", "counts", "sizes"),
+                                 choices=SWEEPS,
                                  help="grid axis: bit positions, faulty-PE counts "
                                       "or array sizes (Fig. 5a/5b/5c); omit when "
                                       "using --scenario")
@@ -98,11 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--dataset", choices=PAPER_DATASETS, default="mnist")
     campaign_parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     campaign_parser.add_argument("--seed", type=int, default=None)
-    campaign_parser.add_argument("--bits", type=_int_list, default=None,
-                                 help="comma-separated bit positions (bits sweep)")
-    campaign_parser.add_argument("--counts", type=_int_list, default=None,
+    top = DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
+    campaign_parser.add_argument("--bits", type=_int_list,
+                                 default=sorted(set(range(0, top + 1, 2)) | {top}),
+                                 help="comma-separated bit positions (bits sweep; "
+                                      "default: the even bits up to the MSB, "
+                                      "and the MSB)")
+    campaign_parser.add_argument("--counts", type=_int_list, default=[0, 2, 4, 8, 16],
                                  help="comma-separated faulty-PE counts (counts sweep)")
-    campaign_parser.add_argument("--sizes", type=_int_list, default=None,
+    campaign_parser.add_argument("--sizes", type=_int_list, default=[4, 8, 16, 32],
                                  help="comma-separated array sizes (sizes sweep)")
     campaign_parser.add_argument("--trials", type=int, default=4,
                                  help="fault maps per grid point")
@@ -164,8 +177,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard", type=_shard_spec, default=None, metavar="i/N",
                         help="run only shard i of an N-way sweep split "
                              "(0-based); shards pointed at the same cache "
-                             "directory partition the work units exactly "
-                             "(sweep experiments only)")
+                             "directory partition the work units exactly")
     parser.add_argument("--trial-chunk", type=int, default=None, metavar="K",
                         help="split each sweep point into work units of at "
                              "most K trials (default: one unit per point); "
@@ -183,21 +195,41 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"cache results under {DEFAULT_CACHE_DIR}/ (when "
                              "no --cache-dir is given) so an interrupted "
                              "sweep continues where it stopped")
-    parser.add_argument("--no-plan-cache", action="store_true",
+    parser.add_argument("--no-plan-cache", action="store_false", dest="plan_cache",
                         help="disable the per-process lowered-plan cache "
                              "(the fused engine then re-lowers the "
                              "inference plan per evaluation; results are "
                              "unchanged either way)")
 
 
-def _resolve_cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """Cache directory implied by --cache-dir / --resume / --shard."""
+def _flag(option: str) -> str:
+    """The command-line flag that sets campaign option ``option``."""
 
-    if args.cache_dir:
-        return args.cache_dir
+    return "--no-plan-cache" if option == "plan_cache" else "--" + option.replace("_", "-")
+
+
+def runner_options(args: argparse.Namespace) -> dict:
+    """The campaign options set on the command line, as CampaignRunner keywords.
+
+    The one place the CLI builds them.  A flag left at its default is left
+    out, so CampaignRunner's own default applies and a runner that cannot
+    honour an option only meets it when it was asked for.  ``--resume`` and
+    ``--shard`` imply a cache directory; orchestrated runs get progress
+    lines.
+    """
+
+    from .faults import RUNNER_OPTIONS
+
+    parser = argparse.ArgumentParser()
+    _add_engine_arguments(parser)
+    defaults = vars(parser.parse_args([]))
+    options = {name: getattr(args, name) for name in RUNNER_OPTIONS
+               if name in defaults and getattr(args, name) != defaults[name]}
     if args.resume or args.shard is not None:
-        return DEFAULT_CACHE_DIR
-    return None
+        options.setdefault("cache_dir", DEFAULT_CACHE_DIR)
+    if args.workers > 1 or args.shard is not None:
+        options["progress"] = _print_progress
+    return options
 
 
 def _print_progress(event: dict) -> None:
@@ -260,27 +292,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_kwargs_for(runner, args: argparse.Namespace) -> dict:
-    """Engine options accepted by ``runner`` (not every experiment sweeps)."""
-
-    accepted = inspect.signature(runner).parameters
-    options = {"engine": args.engine, "workers": args.workers,
-               "cache_dir": _resolve_cache_dir(args), "dtype": args.dtype,
-               "shard": args.shard, "trial_chunk": args.trial_chunk,
-               "unit_timeout": args.unit_timeout,
-               "lane_threads": args.lane_threads,
-               "backend": args.backend,
-               "plan_cache": not args.no_plan_cache}
-    if args.workers > 1 or args.shard is not None:
-        options["progress"] = _print_progress
-    return {key: value for key, value in options.items() if key in accepted}
-
-
-def _report_pending_shard(exc, args: argparse.Namespace) -> int:
+def _report_pending_shard(exc, options: dict) -> int:
     """Explain a sharded sweep that is waiting on its sibling shards."""
 
-    cache_dir = _resolve_cache_dir(args)
-    print(f"shard {args.shard} finished its work units; "
+    cache_dir = options["cache_dir"]
+    print(f"shard {options['shard']} finished its work units; "
           f"{len(exc.pending)} sweep point(s) still need units from other "
           f"shards.")
     print(f"run the remaining shards against --cache-dir {cache_dir}, then "
@@ -293,6 +309,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .faults import PendingShardError
 
     spec = get_experiment(args.experiment)
+    options = runner_options(args)
+    if "progress" not in spec.options:
+        options.pop("progress", None)  # retraining grids print no unit lines
+    unsupported = [_flag(name) for name in options if name not in spec.options]
+    if unsupported:
+        print(f"error: {spec.experiment_id} cannot honour "
+              f"{', '.join(unsupported)}", file=sys.stderr)
+        return 2
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -300,9 +324,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {spec.experiment_id} ({spec.paper_artifact}) on {args.dataset} "
           f"[{args.scale} scale]")
     try:
-        records = spec.runner(config, **_engine_kwargs_for(spec.runner, args))
+        records = spec.runner(config, **options)
     except PendingShardError as exc:
-        return _report_pending_shard(exc, args)
+        return _report_pending_shard(exc, options)
     if records and isinstance(records, list) and isinstance(records[0], dict):
         print(format_table(records, title=f"{spec.experiment_id} records"))
     if args.out:
@@ -311,7 +335,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Record columns printed per sweep axis (shared by sweeps and scenarios).
+#: Record columns printed per sweep axis.
 _CAMPAIGN_COLUMNS = {
     "bits": ["dataset", "stuck_type", "bit_position", "accuracy", "accuracy_std"],
     "counts": ["dataset", "num_faulty_pes", "fault_rate", "accuracy", "accuracy_std"],
@@ -319,59 +343,11 @@ _CAMPAIGN_COLUMNS = {
 }
 
 
-def _cmd_campaign_scenario(args: argparse.Namespace) -> int:
-    """Resolve and run a registered scenario (``campaign --scenario NAME``)."""
-
-    from .experiments.scenarios import get_scenario, run_scenario
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .experiments.scenarios import Scenario, get_scenario, list_scenarios, run_scenario
     from .faults import PendingShardError
 
-    try:
-        scenario = get_scenario(args.scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cache_dir = _resolve_cache_dir(args)
-    engine_options = dict(engine=args.engine, workers=args.workers,
-                          cache_dir=cache_dir, dtype=args.dtype,
-                          shard=args.shard, trial_chunk=args.trial_chunk,
-                          unit_timeout=args.unit_timeout,
-                          lane_threads=args.lane_threads,
-                          backend=args.backend,
-                          plan_cache=not args.no_plan_cache)
-    if args.workers > 1 or args.shard is not None:
-        engine_options["progress"] = _print_progress
-    config_overrides = {"seed": args.seed} if args.seed is not None else None
-    cache_text = f", cache {cache_dir}" if cache_dir else ""
-    print(f"campaign scenario '{scenario.name}' -- {scenario.describe()} "
-          f"[{scenario.scale} scale, {args.engine} engine, "
-          f"dtype={args.dtype}, workers={args.workers}{cache_text}]")
-    try:
-        records = run_scenario(scenario, config_overrides=config_overrides,
-                               **engine_options)
-    except PendingShardError as exc:
-        return _report_pending_shard(exc, args)
-    print(format_table(records, columns=_CAMPAIGN_COLUMNS[scenario.sweep],
-                       title=f"scenario {scenario.name} records"))
-    if args.out:
-        save_records(records, args.out)
-        print(f"records saved to {args.out}")
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .experiments import prepare_baseline
-    from .faults import (
-        PendingShardError,
-        sweep_array_sizes,
-        sweep_bit_locations,
-        sweep_faulty_pe_count,
-    )
-    from .systolic import DEFAULT_ACCUMULATOR_FORMAT
-    from .utils.rng import derive_seed
-
     if args.list_scenarios:
-        from .experiments.scenarios import list_scenarios
-
         rows = [{
             "name": scenario.name,
             "dataset": scenario.dataset,
@@ -388,61 +364,30 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print("error: give exactly one of a sweep axis (bits/counts/sizes) "
               "or --scenario NAME", file=sys.stderr)
         return 2
-    if args.scenario is not None:
-        return _cmd_campaign_scenario(args)
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = default_config(args.dataset, scale=args.scale, **overrides)
-    baseline = prepare_baseline(config)
-    model = baseline.model_factory()
-    cache_dir = _resolve_cache_dir(args)
-    engine_options = dict(engine=args.engine, workers=args.workers,
-                          cache_dir=cache_dir, dtype=args.dtype,
-                          shard=args.shard, trial_chunk=args.trial_chunk,
-                          unit_timeout=args.unit_timeout,
-                          lane_threads=args.lane_threads,
-                          backend=args.backend,
-                          plan_cache=not args.no_plan_cache)
-    if args.workers > 1 or args.shard is not None:
-        engine_options["progress"] = _print_progress
-    shard_text = f", shard {args.shard}" if args.shard is not None else ""
-    cache_text = f", cache {cache_dir}" if cache_dir else ""
-    print(f"campaign '{args.sweep}' on {args.dataset} [{args.scale} scale, "
-          f"{args.engine} engine, dtype={args.dtype}, workers={args.workers}"
-          f"{shard_text}{cache_text}]")
-
     try:
-        if args.sweep == "bits":
-            top = DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
-            bits = args.bits if args.bits is not None else sorted(set(range(0, top + 1, 2)) | {top})
-            records = sweep_bit_locations(
-                model, baseline.test_loader,
-                rows=config.array_rows, cols=config.array_cols,
-                bit_positions=bits, trials=args.trials, stuck_types=(args.stuck,),
-                dataset=config.dataset, seed=derive_seed(config.seed, "fig5a"),
-                **engine_options)
-        elif args.sweep == "counts":
-            counts = args.counts if args.counts is not None else [0, 2, 4, 8, 16]
-            records = sweep_faulty_pe_count(
-                model, baseline.test_loader,
-                rows=config.array_rows, cols=config.array_cols,
-                counts=counts, trials=args.trials, stuck_type=args.stuck,
-                dataset=config.dataset, seed=derive_seed(config.seed, "fig5b"),
-                **engine_options)
+        if args.scenario is not None:
+            scenario = get_scenario(args.scenario)
         else:
-            sizes = args.sizes if args.sizes is not None else [4, 8, 16, 32]
-            records = sweep_array_sizes(
-                model, baseline.test_loader,
-                sizes=sizes, num_faulty=4, trials=args.trials, stuck_type=args.stuck,
-                dataset=config.dataset, seed=derive_seed(config.seed, "fig5c"),
-                **engine_options)
-    except PendingShardError as exc:
-        return _report_pending_shard(exc, args)
+            scenario = Scenario(
+                name=f"{args.dataset}-{args.sweep}", dataset=args.dataset,
+                sweep=args.sweep, values=getattr(args, args.sweep),
+                scale=args.scale, trials=args.trials, stuck_type=args.stuck)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    print(format_table(records, columns=_CAMPAIGN_COLUMNS[args.sweep],
-                       title=f"campaign {args.sweep} records"))
+    options = runner_options(args)
+    settings = "".join(f", {name}={value}" for name, value in options.items()
+                       if name != "progress")
+    print(f"campaign {scenario.describe()} [{scenario.scale} scale{settings}]")
+    config_overrides = {"seed": args.seed} if args.seed is not None else None
+    try:
+        records = run_scenario(scenario, config_overrides=config_overrides,
+                               **options)
+    except PendingShardError as exc:
+        return _report_pending_shard(exc, options)
+    print(format_table(records, columns=_CAMPAIGN_COLUMNS[scenario.sweep],
+                       title=f"campaign {scenario.name} records"))
     if args.out:
         save_records(records, args.out)
         print(f"records saved to {args.out}")

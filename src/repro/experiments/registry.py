@@ -7,8 +7,9 @@ Gives examples, benchmarks and documentation one authoritative list of
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
+from ..faults import RUNNER_OPTIONS
 from .ablations import (
     ablate_accumulator_width,
     ablate_reset_mode,
@@ -28,13 +29,23 @@ from .vulnerability import (
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One reproducible artifact of the paper."""
+    """One reproducible artifact of the paper.
+
+    ``options`` names the campaign options (:data:`repro.faults.RUNNER_OPTIONS`)
+    the runner honours; ``repro run`` rejects a flag for any other.
+    """
 
     experiment_id: str
     paper_artifact: str
     description: str
     runner: Callable[..., List[dict]]
     benchmark: str
+    options: Tuple[str, ...] = ()
+
+
+#: Options of the retraining grids: cells fan out over ``workers`` and are
+#: cached under ``cache_dir`` (:func:`repro.faults.map_grid`).
+_GRID_OPTIONS = ("workers", "cache_dir")
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
@@ -47,23 +58,28 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "fig5a", "Figure 5a",
             "Accuracy vs stuck-at fault bit location (sa0/sa1) in the PE accumulator.",
-            run_fig5a_bit_locations, "benchmarks/bench_fig5a_bit_location.py"),
+            run_fig5a_bit_locations, "benchmarks/bench_fig5a_bit_location.py",
+            RUNNER_OPTIONS),
         ExperimentSpec(
             "fig5b", "Figure 5b",
             "Accuracy vs number of faulty PEs under worst-case high-order-bit faults.",
-            run_fig5b_faulty_pe_count, "benchmarks/bench_fig5b_faulty_pes.py"),
+            run_fig5b_faulty_pe_count, "benchmarks/bench_fig5b_faulty_pes.py",
+            RUNNER_OPTIONS),
         ExperimentSpec(
             "fig5c", "Figure 5c",
             "Accuracy vs systolic array size at a fixed number of faulty PEs.",
-            run_fig5c_array_sizes, "benchmarks/bench_fig5c_array_size.py"),
+            run_fig5c_array_sizes, "benchmarks/bench_fig5c_array_size.py",
+            RUNNER_OPTIONS),
         ExperimentSpec(
             "fig6", "Figure 6",
             "Per-layer threshold voltages optimized by FalVolt at 10/30/60% fault rates.",
-            run_fig6_optimized_thresholds, "benchmarks/bench_fig6_thresholds.py"),
+            run_fig6_optimized_thresholds, "benchmarks/bench_fig6_thresholds.py",
+            _GRID_OPTIONS),
         ExperimentSpec(
             "fig7", "Figure 7",
             "Accuracy of FaP vs FaPIT vs FalVolt at 10/30/60% fault rates.",
-            run_fig7_mitigation_comparison, "benchmarks/bench_fig7_mitigation.py"),
+            run_fig7_mitigation_comparison, "benchmarks/bench_fig7_mitigation.py",
+            _GRID_OPTIONS),
         ExperimentSpec(
             "fig8", "Figure 8",
             "Accuracy vs retraining epochs for FaPIT and FalVolt at 30% faults.",

@@ -14,24 +14,27 @@ unknown keys, missing required fields and inconsistent combinations
 (e.g. bypass mitigation of transient schedules) are rejected at
 construction, not at evaluation time.
 
-The campaign *grid* of a scenario is exactly the grid of the matching
-:mod:`repro.faults.analysis` sweep driver -- built by the same functions,
-with the same deterministic seed derivations -- so scenario records share
-cache keys with hand-launched sweeps of the same shape.
+A scenario owns the sweep axes: :func:`run_scenario` is the one place that
+maps an axis to its :mod:`repro.faults.analysis` sweep driver (the
+``_SWEEP_AXES`` table).  The hand-launched ``repro campaign
+bits|counts|sizes`` sweeps are unregistered scenarios run through it, so
+they and the named scenarios build the same grids with the same seed
+derivations and share cache keys.  Campaign options (``engine``,
+``workers``, ``cache_dir``, ...) are not part of a scenario; they pass
+through ``**runner_options`` to the
+:class:`~repro.faults.campaign.CampaignRunner`, which validates them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..faults.analysis import (array_size_points, bit_sweep_points,
-                               pe_count_points, sweep_array_sizes,
-                               sweep_bit_locations, sweep_faulty_pe_count)
-from ..faults.campaign import FAULT_MODELS, CampaignPoint
+from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
+                               sweep_faulty_pe_count)
+from ..faults.campaign import FAULT_MODELS
 from ..faults.fault_model import StuckAtType
-from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT
 from ..utils.rng import derive_seed
 from .config import PAPER_DATASETS, SCALES, ExperimentConfig, default_config
 
@@ -47,19 +50,38 @@ __all__ = [
     "scenario_from_json",
 ]
 
+
+class _SweepAxis(NamedTuple):
+    tag: str                # seed-derivation tag, as in the Fig. 5 runners
+    driver: Callable        # repro.faults.analysis sweep driver
+    swept: Optional[str]    # Scenario field the axis sweeps through values
+    grid: Callable          # (scenario, config) -> the driver's grid keywords
+
+
+#: Sweep axis -> its driver.  The tags match ``repro run fig5a|b|c``, so a
+#: scenario shares cache keys with a Fig. 5 run of the same grid.
+_SWEEP_AXES: Dict[str, _SweepAxis] = {
+    "bits": _SweepAxis("fig5a", sweep_bit_locations, "bit_position",
+                       lambda scenario, config: dict(
+                           rows=config.array_rows, cols=config.array_cols,
+                           bit_positions=scenario.values,
+                           stuck_types=(scenario.stuck_type,))),
+    "counts": _SweepAxis("fig5b", sweep_faulty_pe_count, "num_faulty",
+                         lambda scenario, config: dict(
+                             rows=config.array_rows, cols=config.array_cols,
+                             counts=scenario.values,
+                             stuck_type=scenario.stuck_type)),
+    "sizes": _SweepAxis("fig5c", sweep_array_sizes, None,
+                        lambda scenario, config: dict(
+                            sizes=scenario.values,
+                            stuck_type=scenario.stuck_type)),
+}
+
 #: Sweep axes a scenario can select (the Fig. 5a/5b/5c grid shapes).
-SWEEPS = ("bits", "counts", "sizes")
+SWEEPS = tuple(_SWEEP_AXES)
 
 #: Mitigation modes a scenario can request.
 MITIGATIONS = ("none", "bypass")
-
-#: Seed-derivation tag per sweep; matches the CLI's hand-launched
-#: campaigns so identical grids share cache keys.
-_SWEEP_TAGS = {"bits": "fig5a", "counts": "fig5b", "sizes": "fig5c"}
-
-#: Default faulty-PE count for sweeps that need one (bits / sizes),
-#: matching the corresponding sweep-driver defaults.
-_DEFAULT_NUM_FAULTY = {"bits": 8, "sizes": 4}
 
 
 def _config_field_names() -> Tuple[str, ...]:
@@ -72,7 +94,8 @@ class Scenario:
 
     Required fields: ``name``, ``dataset``, ``sweep`` and ``values`` (the
     swept bit positions, faulty-PE counts or array sizes).  Everything else
-    defaults to the matching sweep driver's defaults.  ``fault_params``
+    defaults to the matching sweep driver's defaults; ``num_faulty`` and
+    ``bit_position`` apply to the axes that do not sweep them.  ``fault_params``
     configures the transient schedule process; for transient scenarios a
     missing ``num_steps`` resolves to the dataset config's ``time_steps``
     when the grid is built.  ``config_overrides`` are forwarded to
@@ -108,6 +131,12 @@ class Scenario:
                 f"unknown scale '{self.scale}'; options: {tuple(sorted(SCALES))}")
         if self.sweep not in SWEEPS:
             problems.append(f"unknown sweep '{self.sweep}'; options: {SWEEPS}")
+        else:
+            swept = _SWEEP_AXES[self.sweep].swept
+            if swept is not None and getattr(self, swept) is not None:
+                problems.append(
+                    f"'{swept}' is what a '{self.sweep}' sweep varies; "
+                    f"give its values in 'values'")
         try:
             values = (() if isinstance(self.values, (str, bytes))
                       else tuple(int(v) for v in self.values))
@@ -218,45 +247,6 @@ class Scenario:
             params.setdefault("num_steps", int(config.time_steps))
         return params
 
-    def resolved_bit_position(self) -> Optional[int]:
-        """Explicit bit position for counts/sizes grids (driver default)."""
-
-        if self.bit_position is not None or self.sweep == "bits":
-            return self.bit_position
-        return DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
-
-    def campaign_points(self, config: Optional[ExperimentConfig] = None
-                        ) -> List[CampaignPoint]:
-        """The scenario's campaign grid (without evaluating it).
-
-        Exactly the grid the matching sweep driver runs -- built by the
-        same :mod:`repro.faults.analysis` grid builders with the same seed
-        derivations -- so records produced by :func:`run_scenario` share
-        cache keys with hand-launched sweeps of the same shape.
-        """
-
-        config = self.build_config() if config is None else config
-        seed = derive_seed(config.seed, _SWEEP_TAGS[self.sweep])
-        fault_params = self.resolved_fault_params(config)
-        common = dict(trials=int(self.trials), stuck_type=self.stuck_type,
-                      dataset=config.dataset, seed=seed,
-                      fault_model=self.fault_model, fault_params=fault_params)
-        if self.sweep == "bits":
-            return bit_sweep_points(
-                rows=config.array_rows, cols=config.array_cols,
-                bit_positions=self.values, stuck_types=(self.stuck_type,),
-                num_faulty=self.num_faulty or _DEFAULT_NUM_FAULTY["bits"],
-                **{k: v for k, v in common.items() if k != "stuck_type"})
-        if self.sweep == "counts":
-            return pe_count_points(
-                rows=config.array_rows, cols=config.array_cols,
-                counts=self.values, bit_position=self.resolved_bit_position(),
-                **common)
-        return array_size_points(
-            sizes=self.values, bit_position=self.resolved_bit_position(),
-            num_faulty=self.num_faulty or _DEFAULT_NUM_FAULTY["sizes"],
-            **common)
-
     def describe(self) -> str:
         bits = [self.dataset, self.sweep, self.fault_model]
         if self.mitigation != "none":
@@ -311,14 +301,15 @@ def scenario_from_json(text: str) -> Scenario:
 # ----------------------------------------------------------------------
 def run_scenario(scenario: Union[Scenario, str], *,
                  config_overrides: Optional[dict] = None,
-                 baseline=None, **engine_options) -> List[dict]:
+                 baseline=None, **runner_options) -> List[dict]:
     """Evaluate a scenario end-to-end and return its sweep records.
 
     Prepares (or reuses, via ``baseline``) the dataset's trained baseline,
-    then dispatches to the matching :mod:`repro.faults.analysis` sweep
-    driver with the scenario's fault model, parameters and mitigation.
-    ``engine_options`` are the usual campaign knobs (``engine``, ``dtype``,
-    ``workers``, ``cache_dir``, ``shard``, ...).
+    then runs the sweep driver of the scenario's axis with the scenario's
+    grid, fault model, parameters and mitigation.  ``runner_options`` are
+    the campaign options (``engine``, ``dtype``, ``workers``,
+    ``cache_dir``, ``shard``, ...), passed unchanged to
+    :class:`~repro.faults.campaign.CampaignRunner`.
     """
 
     from .baseline import prepare_baseline
@@ -328,32 +319,18 @@ def run_scenario(scenario: Union[Scenario, str], *,
     config = scenario.build_config(**(config_overrides or {}))
     if baseline is None:
         baseline = prepare_baseline(config)
-    model = baseline.model_factory()
-    seed = derive_seed(config.seed, _SWEEP_TAGS[scenario.sweep])
-    fault_params = scenario.resolved_fault_params(config)
-    common = dict(trials=int(scenario.trials), dataset=config.dataset,
-                  seed=seed, fault_model=scenario.fault_model,
-                  fault_params=fault_params,
-                  bypass=scenario.mitigation == "bypass",
-                  **engine_options)
-    if scenario.sweep == "bits":
-        return sweep_bit_locations(
-            model, baseline.test_loader,
-            rows=config.array_rows, cols=config.array_cols,
-            bit_positions=scenario.values, stuck_types=(scenario.stuck_type,),
-            num_faulty=scenario.num_faulty or _DEFAULT_NUM_FAULTY["bits"],
-            **common)
-    if scenario.sweep == "counts":
-        return sweep_faulty_pe_count(
-            model, baseline.test_loader,
-            rows=config.array_rows, cols=config.array_cols,
-            counts=scenario.values, stuck_type=scenario.stuck_type,
-            bit_position=scenario.bit_position, **common)
-    return sweep_array_sizes(
-        model, baseline.test_loader,
-        sizes=scenario.values, stuck_type=scenario.stuck_type,
-        num_faulty=scenario.num_faulty or _DEFAULT_NUM_FAULTY["sizes"],
-        bit_position=scenario.bit_position, **common)
+    axis = _SWEEP_AXES[scenario.sweep]
+    grid = axis.grid(scenario, config)
+    for name in ("num_faulty", "bit_position"):
+        if getattr(scenario, name) is not None:
+            grid[name] = int(getattr(scenario, name))
+    return axis.driver(
+        baseline.model_factory(), baseline.test_loader,
+        trials=int(scenario.trials), dataset=config.dataset,
+        seed=derive_seed(config.seed, axis.tag),
+        fault_model=scenario.fault_model,
+        fault_params=scenario.resolved_fault_params(config),
+        bypass=scenario.mitigation == "bypass", **grid, **runner_options)
 
 
 # ----------------------------------------------------------------------

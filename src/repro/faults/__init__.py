@@ -43,6 +43,7 @@ from .injection import (
 from .campaign import (
     CampaignPoint,
     CampaignRunner,
+    RUNNER_OPTIONS,
     cached_record,
     load_cached_record,
     map_grid,
@@ -57,23 +58,10 @@ from .orchestrator import (
     WorkUnit,
 )
 from .analysis import (
-    array_size_points,
     baseline_accuracy,
-    bit_sweep_points,
-    pe_count_points,
     sweep_array_sizes,
     sweep_bit_locations,
     sweep_faulty_pe_count,
-)
-from .detection import (
-    Diagnosis,
-    TestVector,
-    detect_fault_map,
-    detection_coverage,
-    generate_test_vectors,
-    locate_faulty_columns,
-    locate_faulty_rows_in_column,
-    run_detection,
 )
 
 __all__ = [
@@ -105,6 +93,7 @@ __all__ = [
     "evaluate_with_transient_faults",
     "CampaignPoint",
     "CampaignRunner",
+    "RUNNER_OPTIONS",
     "CampaignOrchestrator",
     "OrchestratorResult",
     "PendingShardError",
@@ -115,19 +104,8 @@ __all__ = [
     "cached_record",
     "load_cached_record",
     "store_record_safe",
-    "array_size_points",
     "baseline_accuracy",
-    "bit_sweep_points",
-    "pe_count_points",
     "sweep_array_sizes",
     "sweep_bit_locations",
     "sweep_faulty_pe_count",
-    "Diagnosis",
-    "TestVector",
-    "detect_fault_map",
-    "detection_coverage",
-    "generate_test_vectors",
-    "locate_faulty_columns",
-    "locate_faulty_rows_in_column",
-    "run_detection",
 ]

@@ -27,13 +27,17 @@ work-stealing pool, with the cache keys doubling as the resume and
 multi-machine coordination protocol.
 
 The Fig. 5 sweep drivers in :mod:`repro.faults.analysis` and the experiment
-runners in :mod:`repro.experiments` are thin wrappers over this engine.
+runners in :mod:`repro.experiments` are thin wrappers over this engine: they
+forward their campaign options unchanged as ``**runner_options``, so
+:class:`CampaignRunner`'s keyword signature is the one definition of those
+options and its constructor their one validation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 from pathlib import Path
@@ -57,6 +61,7 @@ __all__ = [
     "DTYPES",
     "ENGINES",
     "FAULT_MODELS",
+    "RUNNER_OPTIONS",
     "cached_record",
     "load_cached_record",
     "loader_token",
@@ -434,6 +439,12 @@ def map_grid(fn: Callable, items: Sequence, workers: int = 1) -> list:
 class CampaignRunner:
     """Evaluate fault-injection sweep grids against one trained model.
 
+    The keywords after ``model`` and ``loader`` are the campaign options
+    (:data:`RUNNER_OPTIONS`).  Every sweep entry point -- the sweep
+    drivers, the Fig. 5 runners, :func:`repro.experiments.run_scenario`
+    and the CLI -- forwards them here unchanged, so this constructor is
+    where they are validated.
+
     Parameters
     ----------
     model:
@@ -796,3 +807,8 @@ class CampaignRunner:
         if not result.complete:
             raise PendingShardError(result.pending, result.report)
         return list(result.records)
+
+
+#: The campaign options: :class:`CampaignRunner`'s keywords after the model
+#: and loader, read off its signature (the one place they are declared).
+RUNNER_OPTIONS = tuple(inspect.signature(CampaignRunner).parameters)[2:]

@@ -83,17 +83,40 @@ class TestCampaignCommand:
         assert args.engine == "sequential" and args.workers == 2
 
     def test_unit_timeout_flag_parses_and_threads_through(self):
-        from repro.cli import _engine_kwargs_for
-        from repro.faults import sweep_faulty_pe_count
+        from repro.cli import runner_options
 
         args = build_parser().parse_args(
             ["campaign", "counts", "--unit-timeout", "15", "--workers", "2"])
         assert args.unit_timeout == 15.0
-        kwargs = _engine_kwargs_for(sweep_faulty_pe_count, args)
-        assert kwargs["unit_timeout"] == 15.0
-        # Default: no deadline override (derived from observed timings).
+        options = runner_options(args)
+        assert options["unit_timeout"] == 15.0
+        assert options["workers"] == 2
+        # Default: no deadline override (derived from observed timings), and
+        # flags left at their defaults stay out of the options.
         args = build_parser().parse_args(["campaign", "counts"])
         assert args.unit_timeout is None
+        assert runner_options(args) == {}
+
+    def test_runner_options_imply_cache_dir_and_progress(self):
+        from repro.cli import DEFAULT_CACHE_DIR, runner_options
+
+        options = runner_options(build_parser().parse_args(
+            ["campaign", "counts", "--shard", "1/2", "--no-plan-cache"]))
+        assert options["cache_dir"] == DEFAULT_CACHE_DIR
+        assert str(options["shard"]) == "1/2"
+        assert options["plan_cache"] is False
+        assert callable(options["progress"])
+
+    def test_campaign_bad_trials_rejected_before_training(self, monkeypatch, capsys):
+        import repro.experiments.baseline as baseline_module
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
+        assert main(["campaign", "counts", "--trials", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and "'trials' must be positive" in err
 
     def test_campaign_counts_end_to_end(self, tmp_path, capsys):
         out_file = tmp_path / "campaign.json"
@@ -119,3 +142,48 @@ class TestCampaignCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(base + ["--engine", "batched"])
         assert excinfo.value.code == 2
+
+
+class TestRunCampaignFlags:
+    def test_flag_a_runner_cannot_honour_exits_2(self, capsys):
+        assert main(["run", "fig7", "--shard", "0/2"]) == 2
+        err = capsys.readouterr().err
+        assert "--shard" in err and "fig7" in err
+
+    def test_every_unhonoured_flag_is_named(self, capsys):
+        assert main(["run", "fig2", "--engine", "sequential",
+                     "--lane-threads", "2", "--no-plan-cache"]) == 2
+        err = capsys.readouterr().err
+        for flag in ("--engine", "--lane-threads", "--no-plan-cache"):
+            assert flag in err
+
+    def test_fig5b_flags_reach_campaign_runner(self, monkeypatch):
+        import repro.experiments.vulnerability as vulnerability
+        import repro.faults.analysis as analysis
+
+        class Baseline:
+            test_loader = object()
+
+            @staticmethod
+            def model_factory():
+                return object()
+
+        class Captured(Exception):
+            pass
+
+        seen = {}
+
+        def fake_runner(model, loader, **options):
+            seen.update(options)
+            raise Captured
+
+        monkeypatch.setattr(vulnerability, "prepare_baseline",
+                            lambda config: Baseline())
+        monkeypatch.setattr(analysis, "CampaignRunner", fake_runner)
+        with pytest.raises(Captured):
+            main(["run", "fig5b", "--backend", "cffi", "--lane-threads", "2",
+                  "--unit-timeout", "5", "--no-plan-cache"])
+        assert seen["backend"] == "cffi"
+        assert seen["lane_threads"] == 2
+        assert seen["unit_timeout"] == 5.0
+        assert seen["plan_cache"] is False

@@ -14,7 +14,6 @@ from repro.experiments import (
     run_scenario,
     scenario_from_json,
 )
-from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 
 def make_scenario(**overrides):
@@ -108,51 +107,83 @@ class TestRegistry:
             SCENARIOS.pop("clobber-check", None)
 
 
-class TestCampaignGrid:
-    def test_grid_matches_sweep_driver(self):
-        from repro.faults import pe_count_points
-        from repro.utils.rng import derive_seed
+def seed13_baseline():
+    from repro.experiments import default_config, prepare_baseline
 
-        scenario = make_scenario(fault_model="transient",
-                                 fault_params={"process": "bernoulli"})
-        config = scenario.build_config()
-        points = scenario.campaign_points(config)
-        expected = pe_count_points(
-            rows=config.array_rows, cols=config.array_cols, counts=[2, 4],
-            bit_position=DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb,
-            trials=2, stuck_type="sa1", dataset="mnist",
-            seed=derive_seed(config.seed, "fig5b"),
-            fault_model="transient",
-            fault_params={"process": "bernoulli",
-                          "num_steps": config.time_steps})
-        assert points == expected
+    return prepare_baseline(default_config("mnist", seed=13))
+
+
+def forbid_evaluation(monkeypatch):
+    """Make every CampaignRunner evaluation path raise (cache hits only)."""
+
+    from repro.faults import CampaignRunner
+
+    def computed(*args, **kwargs):
+        raise AssertionError("record computed instead of read from cache")
+
+    for name in ("baseline_accuracy", "_evaluate_point",
+                 "_evaluate_points_merged", "_evaluate_maps",
+                 "_evaluate_transient"):
+        monkeypatch.setattr(CampaignRunner, name, computed)
+
+
+class TestCampaignGrid:
+    def test_grid_matches_sweep_driver(self, tmp_path, monkeypatch):
+        # A hand-launched CLI sweep and run_scenario on an equal Scenario
+        # share one cache: the second run computes nothing.
+        cache = tmp_path / "cache"
+        out = tmp_path / "cli.json"
+        assert main(["campaign", "counts", "--seed", "13", "--counts", "2,4",
+                     "--trials", "2", "--cache-dir", str(cache),
+                     "--out", str(out)]) == 0
+        forbid_evaluation(monkeypatch)
+        records = run_scenario(make_scenario(), config_overrides={"seed": 13},
+                               cache_dir=cache)
+        assert records == json.loads(out.read_text())
 
     def test_transient_num_steps_defaults_to_config(self):
         scenario = make_scenario(fault_model="transient",
                                  fault_params={"process": "burst"})
         config = scenario.build_config()
-        params = dict(scenario.campaign_points(config)[0].fault_params)
+        params = scenario.resolved_fault_params(config)
         assert params["num_steps"] == config.time_steps
 
     def test_explicit_num_steps_wins(self):
         scenario = make_scenario(fault_model="transient",
                                  fault_params={"process": "burst",
                                                "num_steps": 2})
-        params = dict(scenario.campaign_points()[0].fault_params)
+        params = scenario.resolved_fault_params(scenario.build_config())
         assert params["num_steps"] == 2
 
-    def test_seed_override_changes_map_seeds(self):
-        base = make_scenario().campaign_points()
-        seeded = make_scenario(seed=99).campaign_points()
-        assert base[0].map_seeds != seeded[0].map_seeds
+    def test_seed_override_changes_map_seeds(self, tmp_path):
+        # Same baseline, so only the grid seeds can tell the two runs
+        # apart: the seed override must miss the first run's cache entries.
+        baseline = seed13_baseline()
+        cache = tmp_path / "cache"
+        run_scenario(make_scenario(), baseline=baseline, cache_dir=cache)
+        first = set(cache.glob("*.json"))
+        run_scenario(make_scenario(seed=99), baseline=baseline, cache_dir=cache)
+        assert len(first) == 2
+        assert len(set(cache.glob("*.json")) - first) == 2
 
     def test_all_sweeps_build_grids(self):
-        bits = make_scenario(sweep="bits", values=[0, 14]).campaign_points()
-        counts = make_scenario().campaign_points()
-        sizes = make_scenario(sweep="sizes", values=[8, 16]).campaign_points()
-        assert [p.label for p in bits] == ["bit_sweep", "bit_sweep"]
-        assert [p.num_faulty for p in counts] == [2, 4]
-        assert [p.rows for p in sizes] == [8, 16]
+        baseline = seed13_baseline()
+        bits = run_scenario(make_scenario(sweep="bits", values=[0, 14]),
+                            baseline=baseline)
+        counts = run_scenario(make_scenario(), baseline=baseline)
+        sizes = run_scenario(make_scenario(sweep="sizes", values=[8, 16]),
+                             baseline=baseline)
+        assert [r["bit_position"] for r in bits] == [0, 14]
+        assert [r["num_faulty_pes"] for r in bits] == [8, 8]
+        assert [r["num_faulty_pes"] for r in counts] == [2, 4]
+        assert [r["array_size"] for r in sizes] == [8, 16]
+        assert [r["num_faulty_pes"] for r in sizes] == [4, 4]
+
+    @pytest.mark.parametrize("sweep,field", [("bits", "bit_position"),
+                                             ("counts", "num_faulty")])
+    def test_swept_field_rejected(self, sweep, field):
+        with pytest.raises(ValueError, match=f"'{field}' is what"):
+            make_scenario(sweep=sweep, **{field: 3})
 
 
 class TestCli:
