@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 
 class Function:
@@ -24,8 +24,10 @@ class Function:
 
     Subclasses implement :meth:`forward` returning the output array and any
     context needed by :meth:`backward`, which maps the output gradient to
-    gradients of the inputs.  This is the hook used for the spike Heaviside
-    step with a surrogate derivative.
+    gradients of the inputs.  ``ctx["needs_grad"]`` holds one flag per input
+    so a backward can skip gradients nobody will read.  This is the hook
+    used for the spike Heaviside step with a surrogate derivative and for
+    the fused training layers (batch norm, average pooling, neuron steps).
     """
 
     @staticmethod
@@ -39,7 +41,7 @@ class Function:
     @classmethod
     def apply(cls, *inputs, **kwargs) -> Tensor:
         tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
-        ctx: dict = {}
+        ctx: dict = {"needs_grad": tuple(t.requires_grad for t in tensors)}
         data = cls.forward(ctx, *[t.data for t in tensors], **kwargs)
 
         def backward(grad: np.ndarray) -> None:
@@ -164,8 +166,10 @@ class _Conv2dFunction(Function):
         grad_flat = grad.transpose(0, 2, 3, 1)  # (batch, out_h, out_w, out_channels)
         flat_weight = weight.reshape(out_channels, -1)
 
-        grad_cols = grad_flat @ flat_weight
-        grad_x = col2im(grad_cols, ctx["x_shape"], (kh, kw), ctx["stride"], ctx["padding"])
+        grad_x = None
+        if ctx["needs_grad"][0]:  # the first layer's input frames need none
+            grad_cols = grad_flat @ flat_weight
+            grad_x = col2im(grad_cols, ctx["x_shape"], (kh, kw), ctx["stride"], ctx["padding"])
 
         grad_weight = np.tensordot(grad_flat, cols, axes=([0, 1, 2], [0, 1, 2]))
         grad_weight = grad_weight.reshape(weight.shape)
@@ -186,6 +190,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+class _AvgPool2dFunction(Function):
+    """Non-overlapping average pooling as one node.
+
+    Forward and backward are the numpy ops of ``reshape -> sum -> scale``
+    in the same order, so outputs and gradients are bit-identical to that
+    composition.
+    """
+
+    @staticmethod
+    def forward(ctx: dict, x: np.ndarray, *, kernel_size: int) -> np.ndarray:
+        batch, channels, height, width = x.shape
+        windows = (batch, channels, height // kernel_size, kernel_size,
+                   width // kernel_size, kernel_size)
+        ctx.update(x_shape=x.shape, windows=windows, scale=1.0 / (kernel_size * kernel_size))
+        return x.reshape(windows).sum(axis=(3, 5)) * ctx["scale"]
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
+        spread = np.expand_dims(grad * ctx["scale"], axis=(3, 5))
+        return (np.broadcast_to(spread, ctx["windows"]).reshape(ctx["x_shape"]),)
+
+
 def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     """Non-overlapping average pooling with square windows.
 
@@ -193,14 +219,12 @@ def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     model builders in :mod:`repro.snn.models` guarantee this).
     """
 
-    batch, channels, height, width = x.shape
+    height, width = x.shape[2], x.shape[3]
     if height % kernel_size or width % kernel_size:
         raise ValueError(
             f"avg_pool2d requires spatial dims divisible by {kernel_size}, got {height}x{width}"
         )
-    out_h, out_w = height // kernel_size, width // kernel_size
-    reshaped = x.reshape(batch, channels, out_h, kernel_size, out_w, kernel_size)
-    return reshaped.mean(axis=(3, 5))
+    return _AvgPool2dFunction.apply(x, kernel_size=kernel_size)
 
 
 class _MaxPool2dFunction(Function):
@@ -243,6 +267,73 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalisation and regularisation
 # ----------------------------------------------------------------------
+class _BatchNormFunction(Function):
+    """Batch normalisation over the channel axis as one node.
+
+    Forward and backward replay, op by op, the ``Tensor`` composition
+    ``(x - mean) * (var + eps) ** -0.5 * gamma + beta``, so outputs and
+    gradients are bit-identical to it (see "Training path" in
+    docs/ARCHITECTURE.md for the rules this follows).
+    """
+
+    @staticmethod
+    def forward(ctx: dict, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, *,
+                running_mean: np.ndarray, running_var: np.ndarray, training: bool,
+                momentum: float, eps: float) -> np.ndarray:
+        if x.ndim == 4:
+            axes, view = (0, 2, 3), (1, -1, 1, 1)
+        else:
+            axes, view = (0,), (1, -1)
+        if training:
+            scale = 1.0 / int(np.prod([x.shape[a] for a in axes]))
+            mean = x.sum(axis=axes, keepdims=True) * scale
+            centered = x - mean
+            var = (centered * centered).sum(axis=axes, keepdims=True) * scale
+            running_mean *= (1.0 - momentum)
+            running_mean += momentum * mean.reshape(-1)
+            running_var *= (1.0 - momentum)
+            running_var += momentum * var.reshape(-1)
+            ctx["scale"] = scale
+        else:
+            centered = x - running_mean.reshape(view)
+            var = running_var.reshape(view)
+        shifted_var = var + eps
+        inv_std = shifted_var ** -0.5
+        gamma_view = gamma.reshape(view)
+        ctx.update(training=training, centered=centered, shifted_var=shifted_var,
+                   inv_std=inv_std, gamma_view=gamma_view)
+        normalised = centered * inv_std
+        return normalised * gamma_view + beta.reshape(view)
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
+        centered, inv_std = ctx["centered"], ctx["inv_std"]
+        stat_shape = inv_std.shape
+        grad_beta = _unbroadcast(grad, stat_shape).reshape(-1)
+        grad_out = np.ascontiguousarray(grad)
+        # Named, not a temporary: numpy writes ``a * temporary`` into the
+        # temporary's buffer, and that memory layout changes the sum's bits.
+        normalised = centered * inv_std
+        grad_gamma = _unbroadcast(grad_out * normalised, stat_shape).reshape(-1)
+        grad_normalised = grad_out * ctx["gamma_view"]
+        grad_x = grad_normalised * inv_std
+        if not ctx["training"]:
+            return grad_x, grad_gamma, grad_beta
+
+        scale, x_shape = ctx["scale"], centered.shape
+        grad_inv_std = _unbroadcast(grad_normalised * centered, stat_shape)
+        grad_var = grad_inv_std * -0.5 * ctx["shifted_var"] ** -1.5
+        # Copied C-ordered, as the graph stored it, before the sum below.
+        grad_squares = np.broadcast_to(grad_var * scale, x_shape).copy()
+        # centered * centered sends one equal term per operand: t + t == 2 * t.
+        grad_centered = 2.0 * (grad_squares * centered)
+        mean_term = np.broadcast_to(_unbroadcast(-grad_x, stat_shape) * scale, x_shape)
+        var_mean_term = np.broadcast_to(
+            _unbroadcast(-grad_centered, stat_shape) * scale, x_shape)
+        # x's four terms, added in the graph's topological order.
+        return grad_x + mean_term + grad_centered + var_mean_term, grad_gamma, grad_beta
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -252,29 +343,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     calling layer and are updated in place when ``training`` is true.
     """
 
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        view = (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        view = (1, -1)
-    else:
+    if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects 2D or 4D input, got {x.ndim}D")
-
-    if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.data.reshape(-1)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(-1)
-    else:
-        mean = Tensor(running_mean.reshape(view))
-        var = Tensor(running_var.reshape(view))
-
-    inv_std = (var + eps) ** -0.5
-    normalised = (x - mean) * inv_std
-    return normalised * gamma.reshape(view) + beta.reshape(view)
+    return _BatchNormFunction.apply(
+        x, gamma, beta, running_mean=running_mean, running_var=running_var,
+        training=training, momentum=momentum, eps=eps)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -11,9 +11,12 @@ All neurons follow the formulation of the paper (Section IV):
   reset by subtracting ``V_th``).
 
 Threshold-voltage optimization (the core of FalVolt) is realised by making
-``V_th`` a learnable per-layer parameter: because the spike condition is
-computed as ``z = v / V_th - 1`` inside the autodiff graph, backpropagation
-produces exactly the ``dz/dV = -v / V_th^2`` factor of the paper's Eq. (4).
+``V_th`` a learnable per-layer parameter: the spike step :class:`Fire`
+computes ``z = v / V_th - 1`` and its backward applies exactly the
+``dz/dV = -v / V_th^2`` factor of the paper's Eq. (4).
+
+Training runs each charge and spike step as one autograd ``Function``
+(:class:`PLIFCharge`, :class:`Fire`); the reset stays a ``where`` node.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, where
+from ..autograd import Function, Tensor, where
 from .module import Module, Parameter
 from .surrogate import SurrogateGradient, Triangle
 
@@ -31,6 +34,60 @@ from .surrogate import SurrogateGradient, Triangle
 #: condition well defined if gradient descent drives the raw parameter toward
 #: zero or below.
 MIN_THRESHOLD = 0.05
+
+
+class PLIFCharge(Function):
+    """Leaky charge step ``h = v + (x - (v - rest)) * rtau`` as one node.
+
+    ``rtau`` is ``sigmoid(w)`` for PLIF and the constant ``1 / tau`` for
+    LIF.  The forward and backward run the numpy ops of the ``Tensor``
+    composition in the same order, and the inputs are ordered
+    ``(x, v, rtau)`` so the backward sweep reaches them in the order the
+    composition's graph did: parameter gradients are bit-identical.
+    """
+
+    @staticmethod
+    def forward(ctx: dict, x: np.ndarray, v: np.ndarray, rtau: np.ndarray, *,
+                rest: float) -> np.ndarray:
+        drive = x - (v - rest)
+        ctx.update(drive=drive, rtau=rtau)
+        return v + drive * rtau
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray):
+        needs_grad = ctx["needs_grad"]
+        # C-ordered, as the composition stored it: ``rtau``'s gradient is a sum.
+        grad_stored = np.ascontiguousarray(grad)
+        grad_drive = grad_stored * ctx["rtau"]
+        grad_v = grad + -grad_drive if needs_grad[1] else None
+        grad_rtau = grad_stored * ctx["drive"] if needs_grad[2] else None
+        return grad_drive, grad_v, grad_rtau
+
+
+class Fire(Function):
+    """Spike step ``Heaviside(h / V_th - 1)`` with a surrogate derivative.
+
+    The backward is the surrogate derivative times ``dz/dh = 1 / V_th`` and
+    ``dz/dV_th = -h / V_th^2`` (the paper's Eq. 4), evaluated with the same
+    numpy ops, in the same order, as the ``Tensor`` composition
+    ``surrogate(h / V_th - 1)``.
+    """
+
+    @staticmethod
+    def forward(ctx: dict, h: np.ndarray, threshold: np.ndarray, *,
+                surrogate: SurrogateGradient) -> np.ndarray:
+        z = h / threshold - 1.0
+        ctx.update(h=h, threshold=threshold, z=z, surrogate=surrogate)
+        return (z > 0.0).astype(np.float64)
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray):
+        threshold = ctx["threshold"]
+        grad_z = np.ascontiguousarray(grad * ctx["surrogate"].derivative(ctx["z"]))
+        grad_threshold = None
+        if ctx["needs_grad"][1]:
+            grad_threshold = -grad_z * ctx["h"] / (threshold ** 2)
+        return grad_z / threshold, grad_threshold
 
 
 class BaseNode(Module):
@@ -157,9 +214,7 @@ class BaseNode(Module):
         raise NotImplementedError
 
     def _fire(self, h: Tensor) -> Tensor:
-        threshold = self.threshold_tensor()
-        z = h / threshold - 1.0
-        return self.surrogate(z)
+        return Fire.apply(h, self.threshold_tensor(), surrogate=self.surrogate)
 
     def _reset(self, h: Tensor, spike: Tensor) -> Tensor:
         if self.v_reset is None:
@@ -223,7 +278,7 @@ class LIFNode(BaseNode):
 
     def _charge(self, x: Tensor) -> Tensor:
         rest = 0.0 if self.v_reset is None else float(self.v_reset)
-        return self.v + (x - (self.v - rest)) * (1.0 / self.tau)
+        return PLIFCharge.apply(x, self.v, 1.0 / self.tau, rest=rest)
 
     def _inference_inv_tau(self) -> Optional[float]:
         return 1.0 / self.tau
@@ -257,8 +312,7 @@ class PLIFNode(BaseNode):
 
     def _charge(self, x: Tensor) -> Tensor:
         rest = 0.0 if self.v_reset is None else float(self.v_reset)
-        reciprocal_tau = self.w.sigmoid()
-        return self.v + (x - (self.v - rest)) * reciprocal_tau
+        return PLIFCharge.apply(x, self.v, self.w.sigmoid(), rest=rest)
 
     def _inference_inv_tau(self) -> Optional[float]:
         # Identical expression to Tensor.sigmoid so the fused charge step

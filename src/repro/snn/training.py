@@ -88,18 +88,24 @@ class Trainer:
         return float(loss.item()), accuracy(rates, labels)
 
     def evaluate(self, loader) -> float:
-        """Classification accuracy over a data loader (inference mode)."""
+        """Classification accuracy over a data loader (inference mode).
 
+        The model's train/eval mode is restored on return.
+        """
+
+        was_training = self.model.training
         self.model.eval()
         correct = 0
         total = 0
-        with no_grad():
-            for inputs, labels in loader:
-                rates = self.model(Tensor(inputs))
-                predictions = np.argmax(rates.data, axis=1)
-                correct += int(np.sum(predictions == labels))
-                total += labels.shape[0]
-        self.model.train()
+        try:
+            with no_grad():
+                for inputs, labels in loader:
+                    rates = self.model(Tensor(inputs))
+                    predictions = np.argmax(rates.data, axis=1)
+                    correct += int(np.sum(predictions == labels))
+                    total += labels.shape[0]
+        finally:
+            self.model.train(was_training)
         return correct / total if total else 0.0
 
     # ------------------------------------------------------------------

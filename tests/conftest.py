@@ -6,6 +6,8 @@ so the many mitigation / fault-injection tests reuse one short training run.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def build_tiny_mnist_model(seed: int = 5):
     model, config = build_model_for_dataset(
         "mnist", channels=6, hidden_units=32, time_steps=3, seed=seed)
     return model, config
+
+
+def state_digest(model) -> str:
+    """sha256 over every state-dict array's name and bytes."""
+
+    digest = hashlib.sha256()
+    for name, array in sorted(model.state_dict().items()):
+        digest.update(name.encode())
+        digest.update(np.asarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,

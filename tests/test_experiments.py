@@ -250,6 +250,24 @@ class TestExperimentDrivers:
         assert fresh.accuracy == results[0].accuracy
         assert fresh.thresholds == results[0].thresholds
 
+    def test_falvolt_cell_weights_repeat(self, micro_baseline):
+        """A FalVolt cell run twice on fresh loaders ends with identical weights."""
+
+        from repro.core import get_mitigation
+        from repro.experiments.mitigation import _fault_map_for_rate, _mitigation_kwargs
+        from tests.conftest import state_digest
+
+        fault_map = _fault_map_for_rate(MICRO, 0.30)
+        digests = []
+        for _ in range(2):
+            model = micro_baseline.model_factory()
+            get_mitigation("falvolt", **_mitigation_kwargs("falvolt", MICRO, 1)).run(
+                model, fault_map, micro_baseline.fresh_train_loader(),
+                micro_baseline.test_loader, num_classes=micro_baseline.num_classes,
+                baseline_accuracy=micro_baseline.baseline_accuracy)
+            digests.append(state_digest(model))
+        assert digests[0] == digests[1]
+
     def test_unknown_mitigation_rejected(self, micro_baseline):
         from repro.experiments import run_fig7_mitigation_comparison
 

@@ -180,6 +180,29 @@ class TestTrainer:
                     callbacks=[lambda m, epoch, logs: calls.append(epoch)])
         assert calls == [0, 1]
 
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_evaluate_restores_callers_mode(self, tiny_mnist_loaders, tiny_model, training):
+        _, test_loader = tiny_mnist_loaders
+        tiny_model.train(training)
+        trainer = Trainer(tiny_model, Adam(tiny_model.parameters(), lr=1e-2), num_classes=10)
+        trainer.evaluate(test_loader)
+        assert all(module.training == training for module in tiny_model.modules())
+
+    def test_fit_records_do_not_depend_on_starting_mode(self, tiny_mnist_data):
+        from tests.conftest import build_tiny_mnist_model, state_digest
+
+        train, test = tiny_mnist_data
+        runs = []
+        for training in (True, False):
+            model, _ = build_tiny_mnist_model()
+            model.train(training)
+            trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), num_classes=10)
+            history = trainer.fit(DataLoader(train, batch_size=12, shuffle=True, seed=3),
+                                  epochs=2, test_loader=DataLoader(test, batch_size=50))
+            assert model.training
+            runs.append((history.as_dict(), state_digest(model)))
+        assert runs[0] == runs[1]
+
     def test_zero_epochs(self, tiny_mnist_loaders, tiny_model):
         train_loader, _ = tiny_mnist_loaders
         trainer = Trainer(tiny_model, Adam(tiny_model.parameters(), lr=1e-2), num_classes=10)
@@ -191,6 +214,22 @@ class TestTrainer:
         trainer = Trainer(tiny_model, Adam(tiny_model.parameters(), lr=1e-2), num_classes=10)
         with pytest.raises(ValueError):
             trainer.fit(train_loader, epochs=-1)
+
+
+class TestTrainingDeterminism:
+    def test_micro_config_trains_to_identical_weights(self, tiny_mnist_data):
+        """Two trainings in one process give byte-identical final weights."""
+
+        from tests.conftest import build_tiny_mnist_model, state_digest
+
+        train, _ = tiny_mnist_data
+        digests = []
+        for _ in range(2):
+            model, _ = build_tiny_mnist_model(seed=4)
+            trainer = Trainer(model, Adam(model.parameters(), lr=2.5e-2), num_classes=10)
+            trainer.fit(DataLoader(train, batch_size=12, shuffle=True, seed=8), epochs=2)
+            digests.append(state_digest(model))
+        assert digests[0] == digests[1]
 
 
 class TestTrainingHistory:
