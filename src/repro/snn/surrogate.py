@@ -11,34 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Function, Tensor
-
-
-class _SpikeFunction(Function):
-    """Heaviside step forward, surrogate derivative backward."""
-
-    @staticmethod
-    def forward(ctx: dict, z: np.ndarray, *, surrogate: "SurrogateGradient") -> np.ndarray:
-        ctx["z"] = z
-        ctx["surrogate"] = surrogate
-        return (z > 0.0).astype(np.float64)
-
-    @staticmethod
-    def backward(ctx: dict, grad: np.ndarray):
-        derivative = ctx["surrogate"].derivative(ctx["z"])
-        return (grad * derivative,)
-
 
 class SurrogateGradient:
-    """Base class: callable that maps a pre-activation tensor to spikes."""
+    """Base class: the derivative that stands in for ``dHeaviside/dz``.
+
+    The spike step itself is :class:`repro.snn.neurons.Fire`, which calls
+    :meth:`derivative` in its backward pass.
+    """
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         """Return the surrogate derivative evaluated element-wise at ``z``."""
 
         raise NotImplementedError
-
-    def __call__(self, z: Tensor) -> Tensor:
-        return _SpikeFunction.apply(z, surrogate=self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         params = ", ".join(f"{k}={v}" for k, v in sorted(vars(self).items()))

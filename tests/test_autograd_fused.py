@@ -12,7 +12,7 @@ Function is also checked against finite differences.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, where
+from repro.autograd import Function, Tensor, check_gradients, where
 from repro.autograd import functional as F
 from repro.snn import layers
 from repro.snn.layers import AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, Sequential
@@ -64,8 +64,22 @@ def oracle_charge(x, v, rtau, rest):
     return v + (x - (v - rest)) * rtau
 
 
+class OracleSpike(Function):
+    """Heaviside step forward, surrogate derivative backward, on a given ``z``."""
+
+    @staticmethod
+    def forward(ctx, z, *, surrogate):
+        ctx["z"] = z
+        ctx["surrogate"] = surrogate
+        return (z > 0.0).astype(np.float64)
+
+    @staticmethod
+    def backward(ctx, grad):
+        return (grad * ctx["surrogate"].derivative(ctx["z"]),)
+
+
 def oracle_fire(h, threshold, surrogate):
-    return surrogate(h / threshold - 1.0)
+    return OracleSpike.apply(h / threshold - 1.0, surrogate=surrogate)
 
 
 def _oracle_plif_charge(self, x):

@@ -6,17 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
 from repro.snn import ATan, SigmoidSurrogate, Triangle, get_surrogate
+from repro.snn.neurons import Fire
+
+
+def spike(z, surrogate):
+    """Fire at ``V_th = 1``, so ``h = z + 1`` (exact for the values used here)."""
+
+    return Fire.apply(z + 1.0, 1.0, surrogate=surrogate)
 
 
 class TestSpikeForward:
     def test_heaviside_output_binary(self):
-        surrogate = Triangle()
-        z = Tensor(np.array([-0.5, 0.0, 0.3, 2.0]))
-        spikes = surrogate(z)
+        z = Tensor(np.array([-0.5, 0.0, 0.25, 2.0]))
+        spikes = spike(z, Triangle())
         assert np.array_equal(spikes.data, [0.0, 0.0, 1.0, 1.0])
 
     def test_spikes_at_exact_zero_do_not_fire(self):
-        spikes = Triangle()(Tensor(np.zeros(3)))
+        spikes = spike(Tensor(np.zeros(3)), Triangle())
         assert np.all(spikes.data == 0.0)
 
 
@@ -29,7 +35,7 @@ class TestTriangleSurrogate:
 
     def test_backward_uses_surrogate(self):
         z = Tensor(np.array([-0.5, 0.5, 3.0]), requires_grad=True)
-        Triangle(gamma=1.0)(z).sum().backward()
+        spike(z, Triangle(gamma=1.0)).sum().backward()
         assert np.allclose(z.grad, [0.5, 0.5, 0.0])
 
     def test_invalid_gamma(self):
