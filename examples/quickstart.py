@@ -73,7 +73,7 @@ def main() -> int:
     fault_map = fault_map_from_rate(args.array_size, args.array_size, args.fault_rate,
                                     bit_position=DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb,
                                     stuck_type="sa1", seed=args.seed)
-    faulty_accuracy = evaluate_with_faults(model, test_loader, fault_map=fault_map)
+    (faulty_accuracy,) = evaluate_with_faults(model, test_loader, [fault_map])
     print(f"{fault_map.describe()}")
     print(f"accuracy with unmitigated faults: {faulty_accuracy:.3f}")
 

@@ -61,6 +61,7 @@ from .experiments import (
 )
 from .experiments.config import PAPER_DATASETS, SCALES
 from .experiments.scenarios import SWEEPS
+from .faults.injection import DTYPES, ENGINES
 from .systolic import DEFAULT_ACCUMULATOR_FORMAT
 from .utils import configure_logging, save_records
 
@@ -146,12 +147,12 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("fused", "sequential"),
+    parser.add_argument("--engine", choices=ENGINES,
                         default="fused",
                         help="campaign execution engine (float64 records are "
                              "identical across engines; 'fused' is the "
                              "no-autograd default)")
-    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64",
+    parser.add_argument("--dtype", choices=DTYPES, default="float64",
                         help="fused-engine evaluation dtype (float32 trades "
                              "bit-identity for speed)")
     parser.add_argument("--workers", type=int, default=1,

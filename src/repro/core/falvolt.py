@@ -33,7 +33,6 @@ class FalVolt(FaultMitigation):
 
     def __init__(self, retraining_epochs: int = 10,
                  initial_threshold: Optional[float] = None,
-                 threshold_learning_rate: Optional[float] = None,
                  **kwargs) -> None:
         """Create a FalVolt mitigation.
 
@@ -43,16 +42,13 @@ class FalVolt(FaultMitigation):
             Maximum retraining epochs (Algorithm 1's ``trEpochs``).
         initial_threshold:
             Starting value for the learnable per-layer threshold voltages;
-            ``None`` keeps each layer's current threshold.
-        threshold_learning_rate:
-            Reserved for a separate threshold learning rate; the default
-            uses the same optimizer for weights and thresholds, which is the
+            ``None`` keeps each layer's current threshold.  Weights and
+            thresholds share one optimizer and learning rate, the
             formulation of Algorithm 1 (one learning rate ``eta``).
         """
 
         super().__init__(retraining_epochs=retraining_epochs, **kwargs)
         self.initial_threshold = initial_threshold
-        self.threshold_learning_rate = threshold_learning_rate
 
     def prepare_model(self, model: SpikingClassifier) -> None:
         """Make the threshold voltage of every spiking layer a learnable parameter."""

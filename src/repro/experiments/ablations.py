@@ -134,8 +134,8 @@ def ablate_accumulator_width(config: Optional[ExperimentConfig] = None,
             num_faulty / (config.array_rows * config.array_cols),
             bit_position=fmt.magnitude_msb, stuck_type="sa1", fmt=fmt,
             seed=derive_seed(config.seed, "width", width))
-        accuracy = evaluate_with_faults(model, baseline.test_loader,
-                                        fault_map=fault_map, fmt=fmt)
+        (accuracy,) = evaluate_with_faults(model, baseline.test_loader,
+                                           [fault_map], fmt=fmt)
         records.append({
             "dataset": config.dataset,
             "total_bits": width,

@@ -1,8 +1,9 @@
 """Fault-injection framework for systolicSNNs.
 
 Fault models (permanent datapath stuck-at, weight-SRAM stuck-at, transient
-per-time-step schedules), per-chip fault maps, injectors that attach a
-faulty systolic array to a trained SNN, the vulnerability sweep drivers
+per-time-step schedules), per-chip fault maps, ``evaluate_with_faults``
+(one accuracy per fault map or schedule, on the fused engine or the
+sequential ``FaultInjector`` oracle), the vulnerability sweep drivers
 that regenerate the paper's Fig. 5, the campaign engine, and the
 sharded orchestrator that scales whole sweeps across worker processes and
 machines (see ``docs/ARCHITECTURE.md``).
@@ -34,11 +35,9 @@ from .fault_map import (
 )
 from .injection import (
     FaultInjector,
-    TransientFaultInjector,
+    baseline_accuracy,
     build_faulty_array,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
-    evaluate_with_transient_faults,
 )
 from .campaign import (
     CampaignPoint,
@@ -58,7 +57,6 @@ from .orchestrator import (
     WorkUnit,
 )
 from .analysis import (
-    baseline_accuracy,
     sweep_array_sizes,
     sweep_bit_locations,
     sweep_faulty_pe_count,
@@ -86,11 +84,8 @@ __all__ = [
     "schedule_phases",
     "single_bit_fault_map",
     "FaultInjector",
-    "TransientFaultInjector",
     "build_faulty_array",
     "evaluate_with_faults",
-    "evaluate_with_faults_batched",
-    "evaluate_with_transient_faults",
     "CampaignPoint",
     "CampaignRunner",
     "RUNNER_OPTIONS",

@@ -30,32 +30,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
 from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from ..utils.rng import derive_seed
 from .campaign import CampaignPoint, CampaignRunner
 from .fault_model import StuckAtType
-
-
-def baseline_accuracy(model, loader) -> float:
-    """Fault-free accuracy of the model (uses the software forward path)."""
-
-    from ..autograd import Tensor, no_grad
-
-    was_training = model.training
-    model.eval()
-    correct = 0
-    total = 0
-    try:
-        with no_grad():
-            for inputs, labels in loader:
-                rates = model(Tensor(inputs))
-                correct += int(np.sum(np.argmax(rates.data, axis=1) == labels))
-                total += labels.shape[0]
-    finally:
-        model.train(was_training)
-    return correct / total if total else 0.0
 
 
 def sweep_bit_locations(model, loader, *,

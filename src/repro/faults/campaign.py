@@ -53,7 +53,8 @@ from ..utils.serialization import load_records, save_records
 from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
                         random_weight_fault_map, schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import evaluate_with_faults_batched, evaluate_with_transient_faults
+from .injection import (DTYPES, ENGINES, _check_eval_engine, baseline_accuracy,
+                        evaluate_with_faults)
 
 __all__ = [
     "CampaignPoint",
@@ -72,12 +73,6 @@ __all__ = [
 ]
 
 logger = get_logger("faults.campaign")
-
-#: Execution engines understood by :class:`CampaignRunner`.
-ENGINES = ("fused", "sequential")
-
-#: Evaluation dtypes understood by the fused engine.
-DTYPES = ("float64", "float32")
 
 #: Fault models a grid point can carry: permanent datapath stuck-at (the
 #: paper's model), weight-SRAM stuck-at, or per-time-step transient
@@ -537,22 +532,9 @@ class CampaignRunner:
                  lane_threads: Optional[int] = None,
                  plan_cache=True,
                  backend: Optional[str] = None) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine '{engine}'; options: {ENGINES}")
-        if dtype not in DTYPES:
-            raise ValueError(f"unknown dtype '{dtype}'; options: {DTYPES}")
-        if dtype != "float64" and engine != "fused":
-            raise ValueError("dtype='float32' requires the fused engine")
+        _check_eval_engine(engine, dtype, lane_threads, backend)
         if lane_threads is not None:
             lane_threads = int(lane_threads)
-            if lane_threads < 0:
-                raise ValueError(
-                    "lane_threads must be >= 0 (0 = auto-size)")
-            if lane_threads != 1 and engine != "fused":
-                raise ValueError(
-                    "lane_threads overrides require the fused engine")
-        if backend is not None and engine != "fused":
-            raise ValueError("backend overrides require the fused engine")
         if engine == "fused":
             # Resolve once (arg > REPRO_BACKEND > numpy) so orchestrated
             # workers inherit the parent's choice instead of re-reading
@@ -626,7 +608,6 @@ class CampaignRunner:
                     plan_token=self._model_token,
                     backend=self.backend).evaluate(self.loader)
             else:
-                from .analysis import baseline_accuracy
                 self._baseline = baseline_accuracy(self.model, self.loader)
         return self._baseline
 
@@ -655,41 +636,26 @@ class CampaignRunner:
         })
         return record
 
-    def _check_transient_point(self, point: CampaignPoint) -> None:
-        if point.fault_model == "transient" and self.bypass:
-            raise ValueError(
-                "bypass mitigation is not defined for transient fault "
-                "schedules (bypassing a PE for the whole inference would "
-                "mask its clean steps too)")
+    def _faults_of(self, point: CampaignPoint) -> list:
+        """A point's fault maps, or its schedules when it is transient."""
 
-    def _evaluate_transient(self, schedules: Sequence[FaultSchedule]
-                            ) -> List[float]:
-        return evaluate_with_transient_faults(
-            self.model, self.loader, schedules, fmt=self.fmt,
-            engine=self.engine, dtype=self.dtype,
+        if point.fault_model == "transient":
+            return point.build_schedules(self.fmt)
+        return point.build_fault_maps(self.fmt)
+
+    def _evaluate(self, faults: Sequence[Union[FaultMap, FaultSchedule]]
+                  ) -> List[float]:
+        return evaluate_with_faults(
+            self.model, self.loader, faults, bypass=self.bypass,
+            fmt=self.fmt, engine=self.engine, dtype=self.dtype,
             plan_cache=self.plan_cache, plan_token=self._model_token,
-            lane_threads=self._effective_lane_threads,
-            backend=self.backend)
-
-    def _evaluate_maps(self, maps: Sequence[FaultMap]) -> List[float]:
-        return evaluate_with_faults_batched(
-            self.model, self.loader, fault_maps=maps,
-            bypass=self.bypass, fmt=self.fmt,
-            engine="fused" if self.engine == "fused" else "autograd",
-            dtype=self.dtype, plan_cache=self.plan_cache,
-            plan_token=self._model_token,
             lane_threads=self._effective_lane_threads,
             backend=self.backend)
 
     def _evaluate_point(self, point: CampaignPoint) -> dict:
         """Simulate one grid point (no cache) and return its record."""
 
-        self._check_transient_point(point)
-        if point.fault_model == "transient":
-            accuracies = self._evaluate_transient(point.build_schedules(self.fmt))
-        else:
-            accuracies = self._evaluate_maps(point.build_fault_maps(self.fmt))
-        return self._record_for(point, accuracies)
+        return self._record_for(point, self._evaluate(self._faults_of(point)))
 
     def _evaluate_points_merged(self, points: Sequence[CampaignPoint]) -> List[dict]:
         """Fused evaluation of several points in as few passes as possible.
@@ -704,7 +670,6 @@ class CampaignRunner:
         results: List[Optional[dict]] = [None] * len(points)
         groups: Dict[Tuple, List[int]] = {}
         for index, point in enumerate(points):
-            self._check_transient_point(point)
             # Only points with identical fault semantics may share a pass:
             # transient schedules need a common num_steps (and phase
             # structure costs grow with mixed schedules), so the model and
@@ -712,8 +677,7 @@ class CampaignRunner:
             key = (point.rows, point.cols, point.fault_model, point.fault_params)
             groups.setdefault(key, []).append(index)
 
-        for key, indices in groups.items():
-            transient = key[2] == "transient"
+        for indices in groups.values():
             chunk: List[Tuple[int, list]] = []
             chunk_maps = 0
 
@@ -721,9 +685,8 @@ class CampaignRunner:
                 nonlocal chunk, chunk_maps
                 if not chunk:
                     return
-                merged = [item for _, items in chunk for item in items]
-                accuracies = (self._evaluate_transient(merged) if transient
-                              else self._evaluate_maps(merged))
+                accuracies = self._evaluate(
+                    [item for _, items in chunk for item in items])
                 offset = 0
                 for index, items in chunk:
                     results[index] = self._record_for(
@@ -733,8 +696,7 @@ class CampaignRunner:
                 chunk_maps = 0
 
             for index in indices:
-                items = (points[index].build_schedules(self.fmt) if transient
-                         else points[index].build_fault_maps(self.fmt))
+                items = self._faults_of(points[index])
                 if chunk_maps and chunk_maps + len(items) > MAX_MAPS_PER_PASS:
                     flush()
                 chunk.append((index, items))

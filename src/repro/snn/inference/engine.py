@@ -329,6 +329,7 @@ class FusedFaultEngine:
             # simulator's per-slice dense product is the sequential clean
             # GEMM, keeping bits identical to the step-by-step oracle.
             from ...faults.fault_map import schedule_phases
+            from ...faults.injection import build_faulty_array
             from ...systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT
 
             schedules = list(schedules)
@@ -349,7 +350,7 @@ class FusedFaultEngine:
                  for phase in range(len(phase_maps))]
                 for schedule in schedules]
             structure_arrays = [
-                self._array_from_map(schedule.union_map(), resolved_fmt)
+                build_faulty_array(schedule.union_map(), fmt=resolved_fmt)
                 for schedule in schedules]
             self._phase_maps: Optional[List[List[object]]] = phase_maps
             self._fmt = resolved_fmt
@@ -476,10 +477,12 @@ class FusedFaultEngine:
             subset_key = tuple(self._phase_keys[f][phase] for f in maps)
             subset = self._subsets.get(subset_key)
             if subset is None:
+                from ...faults.injection import build_faulty_array
+
                 subset = self._subsets[subset_key] = BatchedSystolicArray([
                     self._arrays[f] if self._phase_maps is None
-                    else self._array_from_map(self._phase_maps[phase][f],
-                                              self._fmt)
+                    else build_faulty_array(self._phase_maps[phase][f],
+                                            fmt=self._fmt)
                     for f in maps])
             runner = self._runners[key] = FaultyAffineRunner(
                 subset, subset.prepare_weight(spec.weight), spec,
@@ -552,14 +555,6 @@ class FusedFaultEngine:
         return _Layout(block, lanes, groups, entries)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _array_from_map(fault_map, fmt) -> SystolicArray:
-        """Build a :class:`SystolicArray` loaded with ``fault_map``."""
-
-        array = SystolicArray(fault_map.rows, fault_map.cols, fmt=fmt)
-        array.load_fault_map(fault_map)
-        return array
-
     def _phase_for_step(self, step: int) -> int:
         """Live-fault phase of SNN time step ``step`` (0 when permanent)."""
 

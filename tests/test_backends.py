@@ -25,8 +25,6 @@ from repro.faults import (
     CampaignRunner,
     build_faulty_array,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
-    evaluate_with_transient_faults,
     random_fault_map,
     schedule_from_process,
 )
@@ -179,13 +177,8 @@ class TestFailureModes:
                                            test_loader):
         maps = [random_fault_map(8, 8, 2, seed=1)]
         with pytest.raises(ValueError, match="fused"):
-            evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                         fault_maps=maps, engine="autograd",
-                                         backend="numpy")
-        with pytest.raises(ValueError, match="fused"):
-            evaluate_with_faults(trained_tiny_model, test_loader,
-                                 fault_map=maps[0], engine="sequential",
-                                 backend="numpy")
+            evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                 engine="sequential", backend="numpy")
         with pytest.raises(ValueError, match="fused"):
             CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
                            backend="numpy")
@@ -221,21 +214,20 @@ class TestCffiByteIdentity:
     def test_fig5b_accuracies_identical(self, trained_tiny_model, test_loader):
         maps = [random_fault_map(8, 8, count, seed=31 + count)
                 for count in (0, 2, 5)]
-        oracle = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                              fault_maps=maps, backend="numpy")
-        accuracies = evaluate_with_faults_batched(trained_tiny_model,
-                                                  test_loader, fault_maps=maps,
-                                                  backend="cffi")
+        oracle = evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                      backend="numpy")
+        accuracies = evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                          backend="cffi")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(oracle)
 
     @pytest.mark.parametrize("process", ["bernoulli", "burst"])
     def test_transient_schedules_identical(self, trained_tiny_model,
                                            test_loader, process):
         schedules = _transient_schedules(process)
-        oracle = evaluate_with_transient_faults(
+        oracle = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused",
             backend="numpy")
-        accuracies = evaluate_with_transient_faults(
+        accuracies = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused",
             backend="cffi")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(oracle)

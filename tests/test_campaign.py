@@ -12,16 +12,15 @@ import pytest
 from repro.faults import (
     CampaignPoint,
     CampaignRunner,
+    baseline_accuracy,
     cached_record,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
     fault_maps_for_trials,
     map_grid,
     sweep_bit_locations,
     sweep_faulty_pe_count,
 )
-from repro.faults.campaign import loader_token, model_token
-from repro.faults.analysis import baseline_accuracy
+from repro.faults.campaign import ENGINES, loader_token, model_token
 from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
@@ -38,27 +37,27 @@ class TestBatchedEvaluation:
         maps = fault_maps_for_trials(16, 16, 4, 5, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=7)
         sequential = [evaluate_with_faults(trained_tiny_model, eval_loader,
-                                           fault_map=m, engine="autograd")
+                                           [m], engine="sequential")[0]
                       for m in maps]
-        for engine in ("fused", "autograd"):
-            batched = evaluate_with_faults_batched(trained_tiny_model, eval_loader,
-                                                   fault_maps=maps, engine=engine)
+        for engine in ENGINES:
+            batched = evaluate_with_faults(trained_tiny_model, eval_loader,
+                                           maps, engine=engine)
             assert batched == sequential
 
     def test_bypass_matches_sequential(self, trained_tiny_model, eval_loader):
         maps = fault_maps_for_trials(16, 16, 6, 3, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=9)
         sequential = [evaluate_with_faults(trained_tiny_model, eval_loader,
-                                           fault_map=m, bypass=True) for m in maps]
-        batched = evaluate_with_faults_batched(trained_tiny_model, eval_loader,
-                                               fault_maps=maps, bypass=True)
+                                           [m], bypass=True)[0] for m in maps]
+        batched = evaluate_with_faults(trained_tiny_model, eval_loader, maps,
+                                       bypass=True)
         assert batched == sequential
 
     def test_requires_maps_or_array(self, trained_tiny_model, eval_loader):
-        for engine in ("fused", "autograd"):
-            with pytest.raises(ValueError):
-                evaluate_with_faults_batched(trained_tiny_model, eval_loader,
-                                             engine=engine)
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="at least one"):
+                evaluate_with_faults(trained_tiny_model, eval_loader, [],
+                                     engine=engine)
 
     def test_injector_restores_forwards(self, trained_tiny_model):
         (fault_map,) = fault_maps_for_trials(8, 8, 2, 1, seed=3)

@@ -12,10 +12,12 @@ from repro.faults import (
     build_faulty_array,
     evaluate_with_faults,
     random_fault_map,
+    schedule_from_process,
     sweep_array_sizes,
     sweep_bit_locations,
     sweep_faulty_pe_count,
 )
+from repro.faults.injection import ENGINES
 from repro.snn.layers import Conv2d, Linear
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
 
@@ -50,6 +52,32 @@ class TestFaultInjector:
                                  layer_filter=lambda layer: isinstance(layer, Linear))
         assert all(isinstance(layer, Linear) for layer in injector._target_layers())
 
+    @pytest.mark.parametrize("outer", ["array", "schedule"])
+    def test_nested_injectors_keep_outer_faults(self, trained_tiny_model,
+                                                test_loader, outer):
+        inputs, _ = next(iter(test_loader))
+        if outer == "array":
+            faults = build_faulty_array(random_fault_map(
+                16, 16, 24, bit_position=FMT.magnitude_msb, stuck_type="sa1",
+                seed=3))
+        else:
+            faults = schedule_from_process("bernoulli", 16, 16, 24, 3, rate=0.7,
+                                           bit_position=FMT.magnitude_msb,
+                                           fmt=FMT, seed=3)
+        trained_tiny_model.eval()
+        clean = trained_tiny_model(Tensor(inputs)).data
+        with FaultInjector(trained_tiny_model, faults, fmt=FMT):
+            faulty = trained_tiny_model(Tensor(inputs)).data
+            assert faulty.tobytes() != clean.tobytes()
+            with FaultInjector(trained_tiny_model, SystolicArray(16, 16)):
+                assert trained_tiny_model(Tensor(inputs)).data.tobytes() \
+                    == clean.tobytes()
+            # The outer faults are back once the inner injector exits.
+            assert trained_tiny_model(Tensor(inputs)).data.tobytes() \
+                == faulty.tobytes()
+        assert "forward" not in trained_tiny_model.__dict__
+        assert trained_tiny_model(Tensor(inputs)).data.tobytes() == clean.tobytes()
+
     def test_build_faulty_array_bypass_flag(self):
         fm = random_fault_map(8, 8, 4, seed=0)
         plain = build_faulty_array(fm)
@@ -60,35 +88,54 @@ class TestFaultInjector:
 
 class TestEvaluateWithFaults:
     def test_requires_map_or_array(self, trained_tiny_model, test_loader):
-        with pytest.raises(ValueError):
-            evaluate_with_faults(trained_tiny_model, test_loader)
+        with pytest.raises(ValueError, match="at least one"):
+            evaluate_with_faults(trained_tiny_model, test_loader, [])
+
+    def test_rejects_mixed_maps_and_schedules(self, trained_tiny_model,
+                                              test_loader):
+        fm = random_fault_map(16, 16, 2, seed=1)
+        schedule = schedule_from_process("bernoulli", 16, 16, 2, 3, fmt=FMT,
+                                         seed=1)
+        for faults in ([fm, schedule], [schedule, fm]):
+            with pytest.raises(ValueError, match="all FaultMaps or all"):
+                evaluate_with_faults(trained_tiny_model, test_loader, faults)
+
+    def test_rejects_bypass_with_schedules(self, trained_tiny_model,
+                                           test_loader):
+        schedule = schedule_from_process("bernoulli", 16, 16, 2, 3, fmt=FMT,
+                                         seed=1)
+        with pytest.raises(ValueError, match="bypass.*transient"):
+            evaluate_with_faults(trained_tiny_model, test_loader, [schedule],
+                                 bypass=True)
 
     def test_matches_baseline_without_faults(self, trained_tiny_model, test_loader,
                                              trained_tiny_model_state):
         fm = random_fault_map(16, 16, 0, seed=0)
-        acc = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
+        (acc,) = evaluate_with_faults(trained_tiny_model, test_loader, [fm])
         assert acc == pytest.approx(trained_tiny_model_state["test_accuracy"], abs=0.05)
 
     def test_msb_faults_degrade_accuracy(self, trained_tiny_model, test_loader):
         clean = baseline_accuracy(trained_tiny_model, test_loader)
         fm = random_fault_map(16, 16, 24, bit_position=FMT.magnitude_msb,
                               stuck_type="sa1", seed=3)
-        faulty = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
+        (faulty,) = evaluate_with_faults(trained_tiny_model, test_loader, [fm])
         assert faulty < clean - 0.2
 
     def test_bypass_recovers_most_accuracy(self, trained_tiny_model, test_loader):
         fm = random_fault_map(16, 16, 8, bit_position=FMT.magnitude_msb,
                               stuck_type="sa1", seed=3)
-        corrupted = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
-        bypassed = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm,
-                                        bypass=True)
+        (corrupted,) = evaluate_with_faults(trained_tiny_model, test_loader, [fm])
+        (bypassed,) = evaluate_with_faults(trained_tiny_model, test_loader, [fm],
+                                           bypass=True)
         assert bypassed >= corrupted
 
     def test_model_mode_restored(self, trained_tiny_model, test_loader):
-        trained_tiny_model.train()
         fm = random_fault_map(16, 16, 2, seed=1)
-        evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
-        assert trained_tiny_model.training
+        for engine in ENGINES:
+            trained_tiny_model.train()
+            evaluate_with_faults(trained_tiny_model, test_loader, [fm],
+                                 engine=engine)
+            assert trained_tiny_model.training, engine
 
 
 class TestVulnerabilitySweeps:

@@ -17,9 +17,10 @@ from repro.faults import (
     CampaignPoint,
     CampaignRunner,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
     fault_maps_for_trials,
     random_fault_map,
+    random_weight_fault_map,
+    schedule_from_process,
 )
 from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.snn import (
@@ -200,10 +201,9 @@ class TestFloat32Mode:
         _, test_loader = tiny_mnist_loaders
         maps = fault_maps_for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=5)
-        acc64 = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                             fault_maps=maps)
-        acc32 = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                             fault_maps=maps, dtype="float32")
+        acc64 = evaluate_with_faults(trained_tiny_model, test_loader, maps)
+        acc32 = evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                     dtype="float32")
         assert np.allclose(acc64, acc32, atol=0.1)
 
     def test_unknown_dtype_rejected(self, trained_tiny_model):
@@ -252,21 +252,36 @@ class TestLowering:
 # ----------------------------------------------------------------------
 # Fault engine equivalence
 # ----------------------------------------------------------------------
+def _fault_kind(kind: str):
+    """``(faults, bypass)`` for each kind of fault evaluate_with_faults takes."""
+
+    if kind == "bernoulli":
+        return [schedule_from_process("bernoulli", 16, 16, 6, 3,
+                                      bit_position=FMT.magnitude_msb, fmt=FMT,
+                                      seed=7 + trial)
+                for trial in range(3)], False
+    if kind == "sram":
+        return [random_weight_fault_map(16, 16, 6, bit_position=FMT.magnitude_msb,
+                                        stuck_type="sa1", fmt=FMT, seed=7 + trial)
+                for trial in range(3)], False
+    maps = fault_maps_for_trials(16, 16, 5, 5, bit_position=FMT.magnitude_msb,
+                                 stuck_type="sa1", seed=7)
+    return maps, kind == "bypassed"
+
+
 class TestFaultEngineEquivalence:
-    @pytest.mark.parametrize("bypass", [False, True], ids=["faulty", "bypassed"])
+    @pytest.mark.parametrize("kind", ["faulty", "bypassed", "sram", "bernoulli"])
     def test_matches_sequential_autograd(self, trained_tiny_model,
-                                         tiny_mnist_loaders, bypass):
+                                         tiny_mnist_loaders, kind):
         _, test_loader = tiny_mnist_loaders
-        maps = fault_maps_for_trials(16, 16, 5, 5, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=7)
+        faults, bypass = _fault_kind(kind)
         sequential = [
-            evaluate_with_faults(trained_tiny_model, test_loader, fault_map=m,
-                                 bypass=bypass, engine="autograd")
-            for m in maps
+            evaluate_with_faults(trained_tiny_model, test_loader, [item],
+                                 bypass=bypass, engine="sequential")[0]
+            for item in faults
         ]
-        fused = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                             fault_maps=maps, bypass=bypass,
-                                             engine="fused")
+        fused = evaluate_with_faults(trained_tiny_model, test_loader, faults,
+                                     bypass=bypass, engine="fused")
         assert fused == sequential
 
     def test_single_map_fused_matches_autograd(self, trained_tiny_model,
@@ -274,10 +289,10 @@ class TestFaultEngineEquivalence:
         _, test_loader = tiny_mnist_loaders
         fm = random_fault_map(16, 16, 8, bit_position=FMT.magnitude_msb,
                               stuck_type="sa1", seed=3)
-        autograd = evaluate_with_faults(trained_tiny_model, test_loader,
-                                        fault_map=fm, engine="autograd")
-        fused = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
-        assert fused == autograd
+        sequential = evaluate_with_faults(trained_tiny_model, test_loader, [fm],
+                                          engine="sequential")
+        fused = evaluate_with_faults(trained_tiny_model, test_loader, [fm])
+        assert fused == sequential
 
     def test_rates_bit_identical_to_sequential_injector(self, trained_tiny_model,
                                                         tiny_mnist_loaders):
@@ -317,11 +332,11 @@ class TestFaultEngineEquivalence:
         clean_map = random_fault_map(16, 16, 0, seed=0)
         faulty_map = random_fault_map(16, 16, 10, bit_position=FMT.magnitude_msb,
                                       stuck_type="sa1", seed=4)
-        accuracies = evaluate_with_faults_batched(
-            trained_tiny_model, test_loader, fault_maps=[clean_map, faulty_map])
+        accuracies = evaluate_with_faults(
+            trained_tiny_model, test_loader, [clean_map, faulty_map])
         sequential = [
-            evaluate_with_faults(trained_tiny_model, test_loader, fault_map=m,
-                                 engine="autograd")
+            evaluate_with_faults(trained_tiny_model, test_loader, [m],
+                                 engine="sequential")[0]
             for m in (clean_map, faulty_map)
         ]
         assert accuracies == sequential
@@ -361,8 +376,8 @@ class TestFaultEngineEquivalence:
         data = rng.random((6, 5)) * 2.0
         labels = np.zeros(6, dtype=np.int64)
         loader = [(data, labels)]
-        sequential = [evaluate_with_faults(model, loader, fault_map=m,
-                                           engine="autograd") for m in maps]
+        sequential = evaluate_with_faults(model, loader, maps,
+                                          engine="sequential")
         monkeypatch.setattr(systolic_array, "_CHAIN_BLOCK_ELEMENTS", 1)
         arrays = [build_faulty_array(m) for m in maps]
         fused = FusedFaultEngine(model, arrays).evaluate(loader)
@@ -379,12 +394,14 @@ class TestFaultEngineEquivalence:
     def test_invalid_engine_rejected(self, trained_tiny_model, tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
         fm = random_fault_map(8, 8, 2, seed=1)
+        # "autograd" and "batched" are retired engine names.
+        for engine in ("turbo", "autograd", "batched"):
+            with pytest.raises(ValueError, match="sequential"):
+                evaluate_with_faults(trained_tiny_model, test_loader, [fm],
+                                     engine=engine)
         with pytest.raises(ValueError):
-            evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm,
-                                 engine="turbo")
-        with pytest.raises(ValueError):
-            evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm,
-                                 engine="autograd", dtype="float32")
+            evaluate_with_faults(trained_tiny_model, test_loader, [fm],
+                                 engine="sequential", dtype="float32")
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,9 @@ from repro.faults import (
     StuckAtFault,
     build_faulty_array,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
     random_fault_map,
     schedule_from_process,
 )
-from repro.faults.injection import TransientFaultInjector
 from repro.snn.inference import FusedFaultEngine, resolve_lane_threads
 from repro.snn.inference.engine import LANE_SAMPLES
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
@@ -86,12 +84,11 @@ class TestLaneBitIdentity:
                                                       test_loader):
         maps = [random_fault_map(8, 8, count, seed=7 + count)
                 for count in (0, 2, 5)]
-        serial = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                              fault_maps=maps, lane_threads=1)
+        serial = evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                      lane_threads=1)
         for threads in (2, 4):
-            parallel = evaluate_with_faults_batched(
-                trained_tiny_model, test_loader, fault_maps=maps,
-                lane_threads=threads)
+            parallel = evaluate_with_faults(
+                trained_tiny_model, test_loader, maps, lane_threads=threads)
             assert parallel == serial
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=6),
@@ -135,15 +132,16 @@ def _runners(layout):
     return list(unique.values())
 
 
-def _sequential_rates(model, inputs, arrays=None, schedules=None):
-    """Per-map rates from the sequential autograd oracle, stacked."""
+def _sequential_rates(model, inputs, faults):
+    """Per-map rates from the sequential autograd oracle, stacked.
+
+    ``faults`` holds prepared arrays or transient schedules.
+    """
 
     model.eval()
     rates = []
-    for index in range(len(arrays if arrays is not None else schedules)):
-        injector = (FaultInjector(model, arrays[index]) if arrays is not None
-                    else TransientFaultInjector(model, schedules[index], fmt=FMT))
-        with injector, no_grad():
+    for item in faults:
+        with FaultInjector(model, item, fmt=FMT), no_grad():
             rates.append(model(Tensor(inputs)).data)
     return np.stack(rates)
 
@@ -204,7 +202,7 @@ class TestLaneLayout:
             assert engine._layout_for(LANE_SAMPLES).block == 1
         assert rows_seen and max(rows_seen) <= LANE_SAMPLES
         assert rates.tobytes() == _sequential_rates(
-            trained_tiny_model, frame, arrays=arrays).tobytes()
+            trained_tiny_model, frame, arrays).tobytes()
 
     def test_fork_entry_built_once_per_step_and_fork_op(self, trained_tiny_model,
                                                         rng, monkeypatch):
@@ -231,7 +229,7 @@ class TestLaneLayout:
         assert entered.count(forks[0]) == 2 * steps
         assert entered.count(forks[1]) == 3 * steps
         assert rates.tobytes() == _sequential_rates(
-            trained_tiny_model, x, arrays=arrays).tobytes()
+            trained_tiny_model, x, arrays).tobytes()
 
     @pytest.mark.parametrize("lane_threads", [1, 2, 0])
     @pytest.mark.parametrize("fault_model", ["stuck_at", "burst", "bernoulli"])
@@ -242,15 +240,14 @@ class TestLaneLayout:
         if fault_model == "stuck_at":
             arrays = _arrays(4, counts=[1, 3, 6, 2], seed=21)
             options = {"arrays": arrays}
-            expected = _sequential_rates(trained_tiny_model, frame, arrays=arrays)
+            expected = _sequential_rates(trained_tiny_model, frame, arrays)
         else:
             schedules = [
                 schedule_from_process(fault_model, 8, 8, 5, 3, fmt=FMT,
                                       seed=derive_seed(5, fault_model, trial))
                 for trial in range(4)]
             options = {"schedules": schedules}
-            expected = _sequential_rates(trained_tiny_model, frame,
-                                         schedules=schedules)
+            expected = _sequential_rates(trained_tiny_model, frame, schedules)
         with FusedFaultEngine(trained_tiny_model, lane_threads=lane_threads,
                               **options) as engine:
             assert engine.fork_order, "no map forked"
@@ -318,13 +315,8 @@ class TestLaneKnob:
                                                test_loader):
         maps = [random_fault_map(8, 8, 2, seed=1)]
         with pytest.raises(ValueError, match="fused"):
-            evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                         fault_maps=maps, engine="autograd",
-                                         lane_threads=2)
-        with pytest.raises(ValueError, match="fused"):
-            evaluate_with_faults(trained_tiny_model, test_loader,
-                                 fault_map=maps[0], engine="sequential",
-                                 lane_threads=2)
+            evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                 engine="sequential", lane_threads=2)
 
     def test_runner_rejects_bad_lane_threads(self, trained_tiny_model,
                                              test_loader):

@@ -122,8 +122,7 @@ def forbid_evaluation(monkeypatch):
         raise AssertionError("record computed instead of read from cache")
 
     for name in ("baseline_accuracy", "_evaluate_point",
-                 "_evaluate_points_merged", "_evaluate_maps",
-                 "_evaluate_transient"):
+                 "_evaluate_points_merged", "_evaluate"):
         monkeypatch.setattr(CampaignRunner, name, computed)
 
 

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import DataLoader
 from repro.faults import (
+    CampaignPoint,
+    CampaignRunner,
     FaultMap,
     FaultSchedule,
     SCHEDULE_PROCESSES,
@@ -25,14 +27,12 @@ from repro.faults import (
     burst_schedule,
     clustered_schedule,
     evaluate_with_faults,
-    evaluate_with_faults_batched,
-    evaluate_with_transient_faults,
     random_weight_fault_map,
     schedule_from_process,
     schedule_phases,
     transient_fault,
 )
-from repro.faults.injection import TRANSIENT_EVAL_ENGINES
+from repro.faults.injection import ENGINES
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
 from repro.systolic.array import apply_weight_faults
 from repro.utils.rng import derive_seed
@@ -78,25 +78,37 @@ class TestEngineByteIdentity:
     def test_engines_byte_identical_per_process(self, trained_tiny_model,
                                                 test_loader, process):
         schedules = _schedules(process)
-        reference = evaluate_with_transient_faults(
+        reference = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="sequential")
-        accuracies = evaluate_with_transient_faults(
+        accuracies = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
 
     def test_unknown_engine_rejected(self, trained_tiny_model, test_loader):
+        retired = "autograd"  # the oracle's former name on fault maps
         with pytest.raises(ValueError, match="sequential"):
-            evaluate_with_transient_faults(
+            evaluate_with_faults(
                 trained_tiny_model, test_loader, _schedules("bernoulli"),
-                engine="autograd")
-        assert TRANSIENT_EVAL_ENGINES == ("fused", "sequential")
+                engine=retired)
+        assert ENGINES == ("fused", "sequential")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_runner_rejects_bypass_of_transient_point(self, trained_tiny_model,
+                                                      test_loader, engine):
+        point = CampaignPoint.for_trials(
+            ROWS, COLS, 4, trials=2, seed=5, fault_model="transient",
+            fault_params={"process": "bernoulli", "num_steps": STEPS})
+        runner = CampaignRunner(trained_tiny_model, test_loader, engine=engine,
+                                bypass=True, plan_cache=False)
+        with pytest.raises(ValueError, match="bypass.*transient"):
+            runner.run([point])
 
     def test_lane_threads_do_not_change_bytes(self, trained_tiny_model,
                                               test_loader):
         schedules = _schedules("bernoulli", trials=3)
-        serial = evaluate_with_transient_faults(
+        serial = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused")
-        threaded = evaluate_with_transient_faults(
+        threaded = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused",
             lane_threads=2)
         assert _accuracy_bytes(serial) == _accuracy_bytes(threaded)
@@ -104,9 +116,9 @@ class TestEngineByteIdentity:
     def test_float32_runs_close_to_float64(self, trained_tiny_model,
                                            test_loader):
         schedules = _schedules("burst")
-        exact = evaluate_with_transient_faults(
+        exact = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused")
-        relaxed = evaluate_with_transient_faults(
+        relaxed = evaluate_with_faults(
             trained_tiny_model, test_loader, schedules, engine="fused",
             dtype="float32")
         assert np.allclose(exact, relaxed, atol=0.1)
@@ -119,8 +131,8 @@ class TestStepSemantics:
                                              test_loader):
         clean = baseline_accuracy(trained_tiny_model, test_loader)
         empty = FaultSchedule(ROWS, COLS, STEPS, fmt=FMT)
-        for engine in TRANSIENT_EVAL_ENGINES:
-            accuracies = evaluate_with_transient_faults(
+        for engine in ENGINES:
+            accuracies = evaluate_with_faults(
                 trained_tiny_model, test_loader, [empty], engine=engine)
             assert accuracies == [clean], engine
 
@@ -130,12 +142,12 @@ class TestStepSemantics:
                                   active_steps):
         schedule = _single_site_schedule(active_steps)
         clean = baseline_accuracy(trained_tiny_model, test_loader)
-        reference = evaluate_with_transient_faults(
+        reference = evaluate_with_faults(
             trained_tiny_model, test_loader, [schedule], engine="sequential")
         # The fault must actually fire on its single live step...
         assert reference[0] != clean
         # ...and the fused engine must agree bit-for-bit.
-        accuracies = evaluate_with_transient_faults(
+        accuracies = evaluate_with_faults(
             trained_tiny_model, test_loader, [schedule], engine="fused")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
 
@@ -144,19 +156,19 @@ class TestStepSemantics:
         schedule = _single_site_schedule(tuple(range(STEPS)))
         permanent = schedule.union_map()
         stuck_accuracy = evaluate_with_faults(
-            trained_tiny_model, test_loader, fault_map=permanent)
-        for engine in TRANSIENT_EVAL_ENGINES:
-            accuracies = evaluate_with_transient_faults(
+            trained_tiny_model, test_loader, [permanent])
+        for engine in ENGINES:
+            accuracies = evaluate_with_faults(
                 trained_tiny_model, test_loader, [schedule], engine=engine)
-            assert accuracies == [stuck_accuracy], engine
+            assert accuracies == stuck_accuracy, engine
 
     def test_model_overrunning_schedule_raises(self, trained_tiny_model,
                                                test_loader):
         short = FaultSchedule(ROWS, COLS, STEPS - 1, fmt=FMT)
         short.add(0, 0, transient_fault(FMT.magnitude_msb, "sa1", (0,)))
-        for engine in TRANSIENT_EVAL_ENGINES:
+        for engine in ENGINES:
             with pytest.raises(ValueError, match="step"):
-                evaluate_with_transient_faults(
+                evaluate_with_faults(
                     trained_tiny_model, test_loader, [short], engine=engine)
 
 
@@ -183,10 +195,10 @@ class TestWeightSRAMFaults:
                                         stuck_type="sa1", fmt=FMT, seed=s)
                 for s in (21, 22)]
         sequential = [evaluate_with_faults(trained_tiny_model, test_loader,
-                                           fault_map=fault_map)
+                                           [fault_map])[0]
                       for fault_map in maps]
-        for engine in ("fused", "autograd"):
-            accuracies = evaluate_with_faults_batched(
+        for engine in ENGINES:
+            accuracies = evaluate_with_faults(
                 trained_tiny_model, test_loader, maps, engine=engine)
             assert _accuracy_bytes(accuracies) == _accuracy_bytes(sequential), engine
 
@@ -201,9 +213,8 @@ class TestWeightSRAMFaults:
         sram = FaultMap(ROWS, COLS, {c: WeightSRAMFault(bit, "sa1") for c in coords},
                         fmt=FMT)
         acc_datapath = evaluate_with_faults(trained_tiny_model, test_loader,
-                                            fault_map=datapath)
-        acc_sram = evaluate_with_faults(trained_tiny_model, test_loader,
-                                        fault_map=sram)
+                                            [datapath])
+        acc_sram = evaluate_with_faults(trained_tiny_model, test_loader, [sram])
         assert acc_datapath != acc_sram
 
 
