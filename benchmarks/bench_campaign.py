@@ -341,9 +341,8 @@ def test_bench_campaign_chaos_recovery(campaign_setup, tmp_path):
         "state_dir": str(tmp_path / "chaos-state"),
     })
     try:
-        runner = CampaignRunner(model, loader)
-        orchestrator = CampaignOrchestrator(runner, workers=2, trial_chunk=2,
-                                            retry_backoff=0.05)
+        runner = CampaignRunner(model, loader, workers=2, trial_chunk=2)
+        orchestrator = CampaignOrchestrator(runner)
         start = time.perf_counter()
         result = orchestrator.run(points)
         chaos_time = time.perf_counter() - start

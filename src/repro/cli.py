@@ -35,8 +35,10 @@ directory::
 
 Every sweep entry point takes the same campaign flags.  The CLI turns them
 into one options dict (:func:`runner_options`) that reaches
-:class:`~repro.faults.CampaignRunner` unchanged, and the runner validates
-it.  ``campaign bits|counts|sizes`` runs an unregistered scenario through
+:class:`~repro.faults.CampaignRunner` unchanged.
+:func:`~repro.faults.check_runner_options` validates it before any baseline
+is trained: bad values exit 2 with every problem listed.
+``campaign bits|counts|sizes`` runs an unregistered scenario through
 :func:`~repro.experiments.run_scenario`, the same path as ``--scenario``.
 ``repro run`` rejects (exit 2) any campaign flag that the chosen experiment
 cannot honour.
@@ -196,17 +198,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"cache results under {DEFAULT_CACHE_DIR}/ (when "
                              "no --cache-dir is given) so an interrupted "
                              "sweep continues where it stopped")
-    parser.add_argument("--no-plan-cache", action="store_false", dest="plan_cache",
-                        help="disable the per-process lowered-plan cache "
-                             "(the fused engine then re-lowers the "
-                             "inference plan per evaluation; results are "
-                             "unchanged either way)")
-
-
-def _flag(option: str) -> str:
-    """The command-line flag that sets campaign option ``option``."""
-
-    return "--no-plan-cache" if option == "plan_cache" else "--" + option.replace("_", "-")
 
 
 def runner_options(args: argparse.Namespace) -> dict:
@@ -231,6 +222,19 @@ def runner_options(args: argparse.Namespace) -> dict:
     if args.workers > 1 or args.shard is not None:
         options["progress"] = _print_progress
     return options
+
+
+def _options_invalid(options: dict) -> bool:
+    """Print every problem with the campaign options; whether there was one."""
+
+    from .faults import check_runner_options
+
+    try:
+        check_runner_options(**options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _print_progress(event: dict) -> None:
@@ -313,10 +317,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = runner_options(args)
     if "progress" not in spec.options:
         options.pop("progress", None)  # retraining grids print no unit lines
-    unsupported = [_flag(name) for name in options if name not in spec.options]
+    unsupported = ["--" + name.replace("_", "-") for name in options
+                   if name not in spec.options]
     if unsupported:
         print(f"error: {spec.experiment_id} cannot honour "
               f"{', '.join(unsupported)}", file=sys.stderr)
+        return 2
+    if _options_invalid(options):
         return 2
     overrides = {}
     if args.seed is not None:
@@ -378,6 +385,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
     options = runner_options(args)
+    if _options_invalid(options):
+        return 2
     settings = "".join(f", {name}={value}" for name, value in options.items()
                        if name != "progress")
     print(f"campaign {scenario.describe()} [{scenario.scale} scale{settings}]")

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional
-
+from typing import Dict, Optional
 
 from ..datasets.base import DataLoader
 from ..faults.fault_map import FaultMap
-from ..snn.loss import rate_mse_loss
 from ..snn.network import SpikingClassifier
 from ..snn.optim import Adam
 from ..snn.training import Trainer, TrainingHistory
@@ -97,16 +95,12 @@ class FaultMitigation:
 
     method_name = "base"
 
-    def __init__(self, retraining_epochs: int = 10, learning_rate: float = 5e-3,
-                 loss_fn: Callable = rate_mse_loss,
-                 optimizer_factory: Optional[Callable] = None) -> None:
+    def __init__(self, retraining_epochs: int = 10,
+                 learning_rate: float = 5e-3) -> None:
         if retraining_epochs < 0:
             raise ValueError("retraining_epochs must be non-negative")
         self.retraining_epochs = retraining_epochs
         self.learning_rate = learning_rate
-        self.loss_fn = loss_fn
-        self.optimizer_factory = optimizer_factory or (
-            lambda params, lr: Adam(params, lr=lr))
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -123,8 +117,8 @@ class FaultMitigation:
             verbose: bool = False) -> MitigationResult:
         """Execute the mitigation on ``model`` (modified in place) and return the result."""
 
-        trainer_probe = Trainer(model, optimizer=_NullOptimizer(model), num_classes=num_classes,
-                                loss_fn=self.loss_fn)
+        trainer_probe = Trainer(model, optimizer=_NullOptimizer(model),
+                                num_classes=num_classes)
         if baseline_accuracy is None:
             baseline_accuracy = trainer_probe.evaluate(test_loader)
 
@@ -134,8 +128,8 @@ class FaultMitigation:
 
         history = TrainingHistory()
         if self.retraining_epochs > 0:
-            optimizer = self.optimizer_factory(model.parameters(), self.learning_rate)
-            trainer = Trainer(model, optimizer, num_classes=num_classes, loss_fn=self.loss_fn)
+            optimizer = Adam(model.parameters(), lr=self.learning_rate)
+            trainer = Trainer(model, optimizer, num_classes=num_classes)
             history = trainer.fit(train_loader, epochs=self.retraining_epochs,
                                   test_loader=test_loader,
                                   callbacks=[PruningMaskCallback(masks)],

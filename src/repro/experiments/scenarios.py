@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
                                sweep_faulty_pe_count)
-from ..faults.campaign import FAULT_MODELS
+from ..faults.campaign import FAULT_MODELS, check_runner_options
 from ..faults.fault_model import StuckAtType
 from ..utils.rng import derive_seed
 from .config import PAPER_DATASETS, SCALES, ExperimentConfig, default_config
@@ -309,11 +309,13 @@ def run_scenario(scenario: Union[Scenario, str], *,
     grid, fault model, parameters and mitigation.  ``runner_options`` are
     the campaign options (``engine``, ``dtype``, ``workers``,
     ``cache_dir``, ``shard``, ...), passed unchanged to
-    :class:`~repro.faults.campaign.CampaignRunner`.
+    :class:`~repro.faults.campaign.CampaignRunner`; they are validated
+    first, so a bad option raises ``ValueError`` before any training.
     """
 
     from .baseline import prepare_baseline
 
+    check_runner_options(**runner_options)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     config = scenario.build_config(**(config_overrides or {}))

@@ -44,6 +44,7 @@ from .campaign import (
     CampaignRunner,
     RUNNER_OPTIONS,
     cached_record,
+    check_runner_options,
     load_cached_record,
     map_grid,
     store_record_safe,
@@ -89,6 +90,7 @@ __all__ = [
     "CampaignPoint",
     "CampaignRunner",
     "RUNNER_OPTIONS",
+    "check_runner_options",
     "CampaignOrchestrator",
     "OrchestratorResult",
     "PendingShardError",

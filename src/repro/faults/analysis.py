@@ -18,7 +18,7 @@ deterministic seed derivation the sweeps have always used, expressed as
 :class:`~repro.faults.campaign.CampaignPoint` objects.  Everything else --
 ``engine``, ``dtype``, ``workers``, ``cache_dir``, ``shard``,
 ``trial_chunk``, ``unit_timeout``, ``progress``, ``lane_threads``,
-``plan_cache``, ``backend`` and ``bypass`` -- is a campaign option passed
+``backend`` and ``bypass`` -- is a campaign option passed
 straight through ``**runner_options`` to
 :class:`~repro.faults.campaign.CampaignRunner`, which defines and
 validates them.  Records are therefore the same whichever entry point

@@ -30,7 +30,11 @@ The Fig. 5 sweep drivers in :mod:`repro.faults.analysis` and the experiment
 runners in :mod:`repro.experiments` are thin wrappers over this engine: they
 forward their campaign options unchanged as ``**runner_options``, so
 :class:`CampaignRunner`'s keyword signature is the one definition of those
-options and its constructor their one validation.
+options (the orchestrator reads its options off the runner).
+:func:`check_runner_options` is their one validation: the runner calls it
+first, and the CLI and :func:`repro.experiments.run_scenario` call it
+before they train a baseline, so bad options fail fast with every problem
+listed.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from ..utils.serialization import load_records, save_records
 from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
                         random_weight_fault_map, schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import (DTYPES, ENGINES, _check_eval_engine, baseline_accuracy,
+from .injection import (DTYPES, ENGINES, _engine_problems, baseline_accuracy,
                         evaluate_with_faults)
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "FAULT_MODELS",
     "RUNNER_OPTIONS",
     "cached_record",
+    "check_runner_options",
     "load_cached_record",
     "loader_token",
     "map_grid",
@@ -431,14 +436,64 @@ def map_grid(fn: Callable, items: Sequence, workers: int = 1) -> list:
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
+def check_runner_options(**options) -> dict:
+    """Validate campaign options; return all of them, resolved.
+
+    ``options`` are any :class:`CampaignRunner` keywords; the rest take the
+    runner's defaults.  Every problem (an unknown option, an engine, dtype,
+    ``lane_threads`` or ``backend`` mismatch, an unavailable backend,
+    ``workers``, ``trial_chunk`` or ``unit_timeout`` out of range, a
+    malformed ``shard``, a shard without a ``cache_dir``) is collected into
+    one ``ValueError``.  The result holds ``shard`` as a ``ShardSpec`` and,
+    on the fused engine, ``backend`` resolved (argument > ``REPRO_BACKEND``
+    > numpy) so forked workers inherit the parent's choice.
+    """
+
+    from ..snn.inference.backends import BackendUnavailableError, resolve_backend_name
+    from .orchestrator import ShardSpec
+
+    try:
+        bound = inspect.signature(CampaignRunner).bind_partial(**options)
+    except TypeError as exc:
+        raise ValueError(f"invalid campaign options: {exc}") from None
+    bound.apply_defaults()
+    values = {name: bound.arguments[name] for name in RUNNER_OPTIONS}
+    engine = values["engine"]
+    problems = _engine_problems(engine, values["dtype"],
+                                values["lane_threads"], values["backend"])
+    if engine == "fused":
+        try:
+            values["backend"] = resolve_backend_name(values["backend"])
+        except (ValueError, BackendUnavailableError) as exc:
+            problems.append(str(exc))
+    if values["workers"] < 1:
+        problems.append("workers must be at least 1")
+    if values["trial_chunk"] is not None and values["trial_chunk"] < 1:
+        problems.append("trial_chunk must be at least 1")
+    if values["unit_timeout"] is not None and values["unit_timeout"] <= 0:
+        problems.append("unit_timeout must be positive")
+    if values["shard"] is not None:
+        try:
+            values["shard"] = ShardSpec.parse(values["shard"])
+        except ValueError as exc:
+            problems.append(f"shard: {exc}")
+        if values["cache_dir"] is None:
+            problems.append(
+                "sharded sweeps need a shared cache_dir: the on-disk unit "
+                "records are the only channel between shards")
+    if problems:
+        raise ValueError("invalid campaign options: " + "; ".join(problems))
+    return values
+
+
 class CampaignRunner:
     """Evaluate fault-injection sweep grids against one trained model.
 
     The keywords after ``model`` and ``loader`` are the campaign options
     (:data:`RUNNER_OPTIONS`).  Every sweep entry point -- the sweep
     drivers, the Fig. 5 runners, :func:`repro.experiments.run_scenario`
-    and the CLI -- forwards them here unchanged, so this constructor is
-    where they are validated.
+    and the CLI -- forwards them here unchanged, and the constructor
+    validates them first, through :func:`check_runner_options`.
 
     Parameters
     ----------
@@ -475,12 +530,14 @@ class CampaignRunner:
         shard's round-robin share of the work units (requires
         ``cache_dir`` -- the shared filesystem coordinates the shards).
     trial_chunk:
-        Maximum trials per orchestrated work unit (``None`` keeps one unit
-        per point, whose cache keys equal the plain per-point keys).
+        Maximum trials per orchestrated work unit, at least 1 (``None``
+        keeps one unit per point, whose cache keys equal the plain
+        per-point keys).
     unit_timeout:
-        Optional per-unit soft deadline in seconds for orchestrated sweeps
-        (CLI: ``--unit-timeout``): a worker whose unit exceeds it is killed
-        by the watchdog and the unit retried elsewhere.  ``None`` (default)
+        Optional positive per-unit soft deadline in seconds for
+        orchestrated sweeps (CLI: ``--unit-timeout``): a worker whose unit
+        exceeds it is killed by the watchdog and the unit retried
+        elsewhere.  ``None`` (default)
         derives the deadline from observed unit timings.  Timings only --
         it cannot change records.
     progress:
@@ -505,17 +562,10 @@ class CampaignRunner:
         byte-identical across backends (the numpy path is the oracle), so
         the backend never enters cache keys -- exactly the
         ``lane_threads`` rule.  Requires the fused engine.
-    plan_cache:
-        Per-process cache of the lowered inference plan, keyed by the
-        model token.  ``True`` (default) uses the process-wide
-        :func:`repro.snn.inference.default_plan_cache`; pass a
-        :class:`~repro.snn.inference.PlanCache` to isolate, or
-        ``False``/``None`` to re-lower per evaluation.  Orchestrated
-        sweeps warm the cache before forking, so workers -- including
-        replacements spawned after a crash -- inherit the lowered plan
-        through copy-on-write memory instead of re-lowering per work
-        unit.  The cache only affects *when* lowering happens, never the
-        records.
+
+    The fused engine reads the lowered inference plan from the
+    process-wide :func:`repro.snn.inference.default_plan_cache` under the
+    model token (see :meth:`warm_plan_cache` for orchestrated sweeps).
     """
 
     def __init__(self, model, loader, *,
@@ -530,20 +580,14 @@ class CampaignRunner:
                  unit_timeout: Optional[float] = None,
                  progress: Optional[Callable[[dict], None]] = None,
                  lane_threads: Optional[int] = None,
-                 plan_cache=True,
                  backend: Optional[str] = None) -> None:
-        _check_eval_engine(engine, dtype, lane_threads, backend)
+        resolved = check_runner_options(
+            engine=engine, dtype=dtype, workers=workers, cache_dir=cache_dir,
+            shard=shard, trial_chunk=trial_chunk, unit_timeout=unit_timeout,
+            lane_threads=lane_threads, backend=backend)
         if lane_threads is not None:
             lane_threads = int(lane_threads)
-        if engine == "fused":
-            # Resolve once (arg > REPRO_BACKEND > numpy) so orchestrated
-            # workers inherit the parent's choice instead of re-reading
-            # the environment; an unavailable explicit backend fails here,
-            # before any work is scheduled.
-            from ..snn.inference import resolve_backend_name
-
-            backend = resolve_backend_name(backend)
-        self.backend = backend
+        self.backend = resolved["backend"]
         self.model = model
         self.loader = loader
         self.fmt = fmt
@@ -552,11 +596,7 @@ class CampaignRunner:
         self.bypass = bool(bypass)
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.workers = int(workers)
-        if shard is not None:
-            from .orchestrator import ShardSpec
-
-            shard = ShardSpec.parse(shard)
-        self.shard = shard
+        self.shard = resolved["shard"]
         self.trial_chunk = None if trial_chunk is None else int(trial_chunk)
         self.unit_timeout = None if unit_timeout is None else float(unit_timeout)
         self.progress = progress
@@ -567,28 +607,24 @@ class CampaignRunner:
         # pass through (workers x lane_threads is the user's call).
         self._effective_lane_threads = (
             1 if lane_threads is None and self.workers > 1 else lane_threads)
-        if plan_cache is True:
-            from ..snn.inference import default_plan_cache
-
-            plan_cache = default_plan_cache()
-        # Identity checks, not truthiness: an empty PlanCache has len() == 0
-        # and must still count as "enabled".
-        self.plan_cache = (None if plan_cache is None or plan_cache is False
-                           else plan_cache)
         self._model_token = model_token(model)
         self._data_token = loader_token(loader)
         self._baseline: Optional[float] = None
 
     # ------------------------------------------------------------------
     def warm_plan_cache(self) -> None:
-        """Lower the model into the plan cache now (no-op when disabled).
+        """Lower the model into the process-wide plan cache now (fused only).
 
         Called by the orchestrator before forking its worker pool so every
-        worker inherits the already-lowered plan via copy-on-write.
+        worker -- including replacements spawned after a crash -- inherits
+        the already-lowered plan via copy-on-write instead of re-lowering
+        per work unit.
         """
 
-        if self.plan_cache is not None and self.engine == "fused":
-            self.plan_cache.get_plan(self.model, token=self._model_token)
+        if self.engine == "fused":
+            from ..snn.inference import default_plan_cache
+
+            default_plan_cache().get_plan(self.model, token=self._model_token)
 
     # ------------------------------------------------------------------
     def baseline_accuracy(self) -> float:
@@ -604,8 +640,7 @@ class CampaignRunner:
                 from ..snn.inference import FusedInferenceEngine
 
                 self._baseline = FusedInferenceEngine(
-                    self.model, dtype=self.dtype, plan_cache=self.plan_cache,
-                    plan_token=self._model_token,
+                    self.model, dtype=self.dtype, plan_token=self._model_token,
                     backend=self.backend).evaluate(self.loader)
             else:
                 self._baseline = baseline_accuracy(self.model, self.loader)
@@ -625,6 +660,24 @@ class CampaignRunner:
             # cache keys; only the tolerance-mode dtype changes the result.
             payload["dtype"] = self.dtype
         return payload
+
+    def _cache_path(self, point: CampaignPoint) -> Optional[Path]:
+        """Where ``point``'s record is cached (``None`` without a cache_dir)."""
+
+        if self.cache_dir is None:
+            return None
+        return self.cache_dir / f"{_digest_payload(self._cache_payload(point))}.json"
+
+    def _load_cached(self, point: CampaignPoint,
+                     on_event: Optional[Callable[[dict], None]] = None
+                     ) -> Optional[dict]:
+        """``point``'s cached record; a damaged entry quarantines to ``None``."""
+
+        path = self._cache_path(point)
+        if path is None:
+            return None
+        return load_cached_record(path, required_keys=_REQUIRED_RECORD_KEYS,
+                                  on_event=on_event)
 
     def _record_for(self, point: CampaignPoint, accuracies: Sequence[float]) -> dict:
         record = point.as_payload()
@@ -648,7 +701,7 @@ class CampaignRunner:
         return evaluate_with_faults(
             self.model, self.loader, faults, bypass=self.bypass,
             fmt=self.fmt, engine=self.engine, dtype=self.dtype,
-            plan_cache=self.plan_cache, plan_token=self._model_token,
+            plan_token=self._model_token,
             lane_threads=self._effective_lane_threads,
             backend=self.backend)
 
@@ -726,22 +779,14 @@ class CampaignRunner:
 
         points = list(points)
         if self.workers > 1 or self.shard is not None or self.trial_chunk is not None:
-            return self._run_orchestrated(points)
-        records: List[Optional[dict]] = [None] * len(points)
-        missing: List[int] = []
-        if self.cache_dir is not None:
-            for index, point in enumerate(points):
-                payload = self._cache_payload(point)
-                path = self.cache_dir / f"{_digest_payload(payload)}.json"
-                record = load_cached_record(
-                    path, required_keys=_REQUIRED_RECORD_KEYS)
-                if record is not None:
-                    records[index] = record
-                else:
-                    missing.append(index)
-        else:
-            missing = list(range(len(points)))
+            from .orchestrator import CampaignOrchestrator, PendingShardError
 
+            result = CampaignOrchestrator(self).run(points)
+            if not result.complete:
+                raise PendingShardError(result.pending, result.report)
+            return list(result.records)
+        records = [self._load_cached(point) for point in points]
+        missing = [index for index, record in enumerate(records) if record is None]
         if missing:
             missing_points = [points[i] for i in missing]
             if self.engine == "fused":
@@ -750,25 +795,10 @@ class CampaignRunner:
                 computed = [self._evaluate_point(point) for point in missing_points]
             for index, record in zip(missing, computed):
                 records[index] = record
-                if self.cache_dir is not None:
-                    payload = self._cache_payload(points[index])
-                    store_record_safe(
-                        record,
-                        self.cache_dir / f"{_digest_payload(payload)}.json")
-        return [record for record in records if record is not None]
-
-    def _run_orchestrated(self, points: Sequence[CampaignPoint]) -> List[dict]:
-        """Sharded/parallel sweep via the campaign orchestrator."""
-
-        from .orchestrator import CampaignOrchestrator, PendingShardError
-
-        result = CampaignOrchestrator(
-            self, workers=self.workers, shard=self.shard,
-            trial_chunk=self.trial_chunk, unit_timeout=self.unit_timeout,
-            progress=self.progress).run(points)
-        if not result.complete:
-            raise PendingShardError(result.pending, result.report)
-        return list(result.records)
+                path = self._cache_path(points[index])
+                if path is not None:
+                    store_record_safe(record, path)
+        return records
 
 
 #: The campaign options: :class:`CampaignRunner`'s keywords after the model

@@ -42,21 +42,25 @@ DTYPES = ("float64", "float32")
 _UNSHADOWED = object()
 
 
-def _check_eval_engine(engine: str, dtype: str,
-                       lane_threads: Optional[int] = None,
-                       backend=None) -> None:
+def _engine_problems(engine: str, dtype: str,
+                     lane_threads: Optional[int] = None,
+                     backend=None) -> List[str]:
+    """Every problem with an engine, dtype, lane count and backend choice."""
+
+    problems = []
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine '{engine}'; options: {ENGINES}")
+        problems.append(f"unknown engine '{engine}'; options: {ENGINES}")
     if dtype not in DTYPES:
-        raise ValueError(f"unknown dtype '{dtype}'; options: {DTYPES}")
+        problems.append(f"unknown dtype '{dtype}'; options: {DTYPES}")
     if engine != "fused" and dtype != "float64":
-        raise ValueError("dtype overrides require the fused engine")
+        problems.append("dtype overrides require the fused engine")
     if lane_threads is not None and int(lane_threads) < 0:
-        raise ValueError("lane_threads must be >= 0 (0 = auto-size)")
+        problems.append("lane_threads must be >= 0 (0 = auto-size)")
     if engine != "fused" and lane_threads is not None and int(lane_threads) != 1:
-        raise ValueError("lane_threads overrides require the fused engine")
+        problems.append("lane_threads overrides require the fused engine")
     if engine != "fused" and backend is not None:
-        raise ValueError("backend overrides require the fused engine")
+        problems.append("backend overrides require the fused engine")
+    return problems
 
 
 def _is_transient(faults: Sequence[Union[FaultMap, FaultSchedule]],
@@ -233,7 +237,6 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
                          fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
                          engine: str = "fused",
                          dtype: str = "float64",
-                         plan_cache=None,
                          plan_token: Optional[str] = None,
                          lane_threads: Optional[int] = None,
                          backend: Optional[str] = None) -> List[float]:
@@ -269,13 +272,9 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
     dtype:
         ``"float64"`` (default) or ``"float32"``; the latter requires the
         fused engine and trades bit-identity for speed.
-    plan_cache:
-        Optional :class:`~repro.snn.inference.PlanCache` the fused engine
-        fetches the lowered inference plan from instead of re-lowering
-        (content-keyed, so it cannot go stale across different models).
     plan_token:
-        Optional precomputed model token for the cache lookup, skipping
-        the per-call state hashing (ignored without ``plan_cache``).
+        Optional model token: the fused engine then fetches the lowered
+        plan from the process-wide plan cache instead of lowering anew.
     lane_threads:
         Fork-lane thread count of the fused engine (``None`` resolves
         ``REPRO_LANE_THREADS``, default 1; 0 auto-sizes).  Results are
@@ -297,7 +296,9 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
 
     faults = list(faults)
     transient = _is_transient(faults, bypass)
-    _check_eval_engine(engine, dtype, lane_threads, backend)
+    problems = _engine_problems(engine, dtype, lane_threads, backend)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     if engine == "fused":
         from ..snn.inference import FusedFaultEngine
@@ -307,8 +308,7 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
         else:
             targets = dict(arrays=[build_faulty_array(m, fmt=fmt, bypass=bypass)
                                    for m in faults])
-        with FusedFaultEngine(model, dtype=dtype, plan_cache=plan_cache,
-                              plan_token=plan_token,
+        with FusedFaultEngine(model, dtype=dtype, plan_token=plan_token,
                               lane_threads=lane_threads,
                               backend=backend, **targets) as fused:
             return fused.evaluate(loader)

@@ -30,25 +30,28 @@ itself), and, when interrupted, resumed for free:
   chunk records reconstructs byte-identical output to a single-process
   :meth:`CampaignRunner.run`.
 * **Failures are contained.**  A unit that raises is retried (on any
-  worker) up to ``max_attempts`` times; a worker process that dies is
+  worker) up to :data:`UNIT_ATTEMPTS` times; a worker process that dies is
   detected, its unit re-queued and a replacement forked.  Workers emit
   heartbeats on the results channel while a unit runs, and a watchdog
   enforces a per-unit soft deadline (``unit_timeout``, or derived from
   observed unit timings): a *wedged* worker is killed (``SIGTERM``
   escalating to ``SIGKILL``) and replaced exactly like a crashed one, with
-  exponential backoff between re-attempts of the same unit.  Units that
-  exhaust ``max_attempts`` land on a quarantine list, so the rest of the
-  sweep always completes, and :class:`SweepReport` attributes every
+  exponential backoff between re-attempts of the same unit.  A unit that
+  exhausts its attempts is listed in :attr:`SweepReport.quarantined` and
+  the sweep raises -- after every healthy unit has finished and been
+  cached, so a re-run resumes.  :class:`SweepReport` attributes every
   failure to a taxonomy class (``crashed`` / ``hung`` / ``poisoned`` /
   ``cache-corrupt``).  Damaged cache entries are quarantined and recomputed
   by the campaign layer (:mod:`repro.faults.campaign`) instead of raising.
   All of these paths are testable deterministically through the chaos
   harness (:mod:`repro.testing.chaos`).
 
-:class:`CampaignOrchestrator` is not usually constructed by hand:
+:class:`CampaignOrchestrator` takes only its runner, which declares and
+validates the sweep options (``workers``, ``shard``, ``trial_chunk``,
+``unit_timeout``, ``progress``).  It is not usually constructed by hand:
 ``CampaignRunner(..., workers=K, shard=..., trial_chunk=...)`` routes
 :meth:`~repro.faults.campaign.CampaignRunner.run` through it, and the CLI
-exposes the same knobs (``python -m repro campaign --workers K
+exposes the same options (``python -m repro campaign --workers K
 --shard i/N --resume``).
 """
 
@@ -61,17 +64,10 @@ import multiprocessing
 import os
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..utils.logging import get_logger
-from .campaign import (
-    _REQUIRED_RECORD_KEYS,
-    CampaignPoint,
-    _digest_payload,
-    load_cached_record,
-    store_record_safe,
-)
+from .campaign import CampaignPoint, store_record_safe
 
 __all__ = [
     "CampaignOrchestrator",
@@ -85,6 +81,26 @@ __all__ = [
 ]
 
 logger = get_logger("faults.orchestrator")
+
+#: Attempts per sweep work unit; exceptions, worker deaths and watchdog
+#: kills all consume one.
+UNIT_ATTEMPTS = 3
+
+#: Attempts per item of :func:`pool_map` (a retraining-grid cell).
+GRID_ATTEMPTS = 2
+
+#: A retry of one task waits ``RETRY_BACKOFF x 2^(attempt-1)`` seconds.
+RETRY_BACKOFF = 0.25
+
+#: Without an explicit task timeout, the soft deadline is ``TIMEOUT_FACTOR``
+#: times the longest completed task, and at least ``MIN_TIMEOUT`` seconds.
+TIMEOUT_FACTOR = 10.0
+MIN_TIMEOUT = 5.0
+
+#: A busy worker sends a heartbeat every ``HEARTBEAT_INTERVAL`` seconds; one
+#: whose heartbeats stall for ``STALL_TIMEOUT`` seconds counts as hung.
+HEARTBEAT_INTERVAL = 0.2
+STALL_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -163,8 +179,6 @@ def plan_work_units(points: Sequence[CampaignPoint],
     so every shard of a split sweep enumerates identical ordinals.
     """
 
-    if trial_chunk is not None and trial_chunk < 1:
-        raise ValueError("trial_chunk must be at least 1")
     units: List[WorkUnit] = []
     for point_index, point in enumerate(points):
         seeds = point.map_seeds
@@ -207,7 +221,8 @@ class TaskResult:
         return self.error is None
 
 
-class _SafeProgress:
+def _safe_progress(progress: Optional[Callable[[dict], None]]
+                   ) -> Optional[Callable[[dict], None]]:
     """Guard around a user progress callback.
 
     A raising callback must never take down the sweep it is observing: the
@@ -215,26 +230,22 @@ class _SafeProgress:
     disabled for the remainder of the run.
     """
 
-    def __init__(self, callback: Callable[[dict], None]) -> None:
-        self._callback = callback
-        self._disabled = False
+    if progress is None:
+        return None
+    disabled = False
 
-    def __call__(self, event: dict) -> None:
-        if self._disabled:
+    def guarded(event: dict) -> None:
+        nonlocal disabled
+        if disabled:
             return
         try:
-            self._callback(event)
+            progress(event)
         except Exception:
-            self._disabled = True
+            disabled = True
             logger.exception(
                 "progress callback raised; disabling further progress events")
 
-
-def _safe_progress(progress: Optional[Callable[[dict], None]]
-                   ) -> Optional[Callable[[dict], None]]:
-    if progress is None or isinstance(progress, _SafeProgress):
-        return progress
-    return _SafeProgress(progress)
+    return guarded
 
 
 #: Task callable handed to forked workers via copy-on-write memory (set
@@ -277,8 +288,7 @@ class _WorkerChannel:
             pass
 
 
-def _heartbeat_loop(result_queue, index: int, stop: threading.Event,
-                    interval: float) -> None:
+def _heartbeat_loop(result_queue, index: int, stop: threading.Event) -> None:
     """Emit ``("heartbeat", pid, index, elapsed)`` until ``stop`` is set.
 
     Runs on a daemon side-thread inside the worker so the parent can tell
@@ -287,7 +297,7 @@ def _heartbeat_loop(result_queue, index: int, stop: threading.Event,
     """
 
     start = time.monotonic()
-    while not stop.wait(interval):
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
             result_queue.put(("heartbeat", os.getpid(), index,
                               time.monotonic() - start))
@@ -295,8 +305,7 @@ def _heartbeat_loop(result_queue, index: int, stop: threading.Event,
             return
 
 
-def _pool_worker(task_queue, channel: _WorkerChannel,
-                 heartbeat_interval: float) -> None:
+def _pool_worker(task_queue, channel: _WorkerChannel) -> None:
     """Worker loop: steal task indices until the ``None`` sentinel arrives."""
 
     result_queue = channel
@@ -308,7 +317,7 @@ def _pool_worker(task_queue, channel: _WorkerChannel,
         stop = threading.Event()
         beat = threading.Thread(
             target=_heartbeat_loop,
-            args=(result_queue, index, stop, heartbeat_interval), daemon=True)
+            args=(result_queue, index, stop), daemon=True)
         beat.start()
         start = time.perf_counter()
         try:
@@ -333,20 +342,19 @@ def _pool_worker(task_queue, channel: _WorkerChannel,
             result_queue.put(("done", os.getpid(), index, value, elapsed))
 
 
-def _stop_process(process, *, term_timeout: float = 1.0,
-                  kill_timeout: float = 5.0) -> None:
+def _stop_process(process) -> None:
     """Stop ``process`` for sure: SIGTERM, then escalate to SIGKILL.
 
     A worker that ignores (or is too wedged to service) SIGTERM must not be
-    able to stall teardown or the watchdog: after ``term_timeout`` the kill
-    is escalated to an uncatchable SIGKILL with its own bounded join.
+    able to stall teardown or the watchdog: after one second the kill is
+    escalated to an uncatchable SIGKILL with its own bounded join.
     """
 
     process.terminate()
-    process.join(timeout=term_timeout)
+    process.join(timeout=1.0)
     if process.is_alive():
         process.kill()
-        process.join(timeout=kill_timeout)
+        process.join(timeout=5.0)
 
 
 @dataclasses.dataclass
@@ -359,7 +367,6 @@ class _PoolState:
     max_attempts: int
     progress: Optional[Callable[[dict], None]]
     num_tasks: int
-    retry_backoff: float
     in_flight: Dict[int, int] = dataclasses.field(default_factory=dict)
     task_started: Dict[int, float] = dataclasses.field(default_factory=dict)
     last_beat: Dict[int, float] = dataclasses.field(default_factory=dict)
@@ -375,15 +382,15 @@ class _PoolState:
         """Schedule a retry of ``index`` with exponential backoff.
 
         Returns the backoff delay, or ``None`` when attempts are exhausted
-        (the task is then retired as failed -- quarantine is the caller's
-        policy).
+        (the task is then retired as failed; the caller decides what a
+        failure means).
         """
 
         result = self.results[index]
         if result.attempts >= self.max_attempts:
             self.pending.discard(index)
             return None
-        delay = self.retry_backoff * (2 ** max(0, result.attempts - 1))
+        delay = RETRY_BACKOFF * (2 ** max(0, result.attempts - 1))
         heapq.heappush(self.deferred, (time.monotonic() + delay, index))
         return delay
 
@@ -396,15 +403,9 @@ class _PoolState:
 
 
 def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
-              workers: int = 1, max_attempts: int = 3,
+              workers: int = 1, max_attempts: int = UNIT_ATTEMPTS,
               progress: Optional[Callable[[dict], None]] = None,
-              task_timeout: Optional[float] = None,
-              timeout_factor: float = 10.0,
-              min_timeout: float = 5.0,
-              retry_backoff: float = 0.25,
-              heartbeat_interval: float = 0.2,
-              stall_timeout: float = 30.0,
-              ) -> List[TaskResult]:
+              task_timeout: Optional[float] = None) -> List[TaskResult]:
     """Run ``fn(0..num_tasks-1)`` on a crash- and hang-tolerant pool.
 
     Task indices are placed on a shared queue; ``workers`` forked processes
@@ -416,17 +417,18 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
     recorded per task, never raised -- callers decide the policy.
 
     **Hang tolerance.**  While a task runs its worker emits heartbeats on
-    the results channel every ``heartbeat_interval`` seconds.  A watchdog
-    kills (SIGTERM escalating to SIGKILL) and replaces a worker whose task
-    exceeds the per-task soft deadline -- ``task_timeout`` when given,
-    otherwise ``max(min_timeout, timeout_factor x`` the longest completed
-    task ``)`` once at least one task has finished -- or whose heartbeats
-    stall for ``stall_timeout`` seconds (a process wedged beyond even its
-    heartbeat thread).  The killed task is re-queued like a crashed one.
-    Every retry (exception, crash or hang) waits ``retry_backoff x
-    2^(attempt-1)`` seconds before re-entering the queue, so a unit that
-    keeps wedging cannot monopolise the pool.  Timings, not arithmetic:
-    none of these knobs can change task results.
+    the results channel every :data:`HEARTBEAT_INTERVAL` seconds.  A
+    watchdog kills (SIGTERM escalating to SIGKILL) and replaces a worker
+    whose task exceeds the per-task soft deadline -- ``task_timeout`` when
+    given, otherwise ``max(MIN_TIMEOUT, TIMEOUT_FACTOR x`` the longest
+    completed task ``)`` once at least one task has finished -- or whose
+    heartbeats stall for :data:`STALL_TIMEOUT` seconds (a process wedged
+    beyond even its heartbeat thread).  The killed task is re-queued like a
+    crashed one.  Every retry (exception, crash or hang) waits
+    ``RETRY_BACKOFF x 2^(attempt-1)`` seconds before re-entering the
+    queue, so a unit that keeps wedging cannot monopolise the pool.
+    Timings, not arithmetic: none of these constants can change task
+    results.
 
     ``fn`` is installed in a module global before the fork, so workers
     inherit it (and anything it closes over, e.g. a trained model) through
@@ -445,7 +447,6 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
     results = [TaskResult() for _ in range(num_tasks)]
     if num_tasks <= 0:
         return results
-    workers = max(1, int(workers))
     progress = _safe_progress(progress)
     context = None
     if workers > 1 and num_tasks > 1:
@@ -455,7 +456,7 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
             context = None
     if context is None:
         _run_tasks_inline(results, fn, max_attempts=max_attempts,
-                          progress=progress, retry_backoff=retry_backoff)
+                          progress=progress)
         return results
 
     global _TASK_FN
@@ -470,15 +471,14 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
         channel = _WorkerChannel(context)
         process = context.Process(
             target=_pool_worker,
-            args=(task_queue, channel, heartbeat_interval), daemon=True)
+            args=(task_queue, channel), daemon=True)
         process.start()
         channel.close_parent_end()
         return process, channel
 
     state = _PoolState(results=results, pending=pending, task_queue=task_queue,
                        max_attempts=max_attempts, progress=progress,
-                       num_tasks=num_tasks, retry_backoff=retry_backoff)
-    stall_limit = max(float(stall_timeout), 10.0 * heartbeat_interval)
+                       num_tasks=num_tasks)
     processes: List[Optional[object]] = []
     channels: List[Optional[_WorkerChannel]] = []
     for _ in range(pool_size):
@@ -510,8 +510,7 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
             if now - last_check < 0.1:
                 continue
             last_check = now
-            deadline = _effective_deadline(task_timeout, timeout_factor,
-                                           min_timeout, state.observed)
+            deadline = _effective_deadline(task_timeout, state.observed)
             for slot, process in enumerate(processes):
                 if process is None:
                     continue
@@ -523,14 +522,13 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
                     _handle_worker_crash(process, state)
                     retire(slot)
                     continue
-                reason = _hang_reason(state, process.pid, now, deadline,
-                                      stall_limit)
+                reason = _hang_reason(state, process.pid, now, deadline)
                 if reason is not None:
                     # Drain and re-check: a completion racing the deadline
                     # wins -- never kill a worker over delivered work.
                     _drain_reader(channels[slot].reader, state)
                     reason = _hang_reason(state, process.pid, time.monotonic(),
-                                          deadline, stall_limit)
+                                          deadline)
                 if reason is not None:
                     _handle_worker_hang(process, state, reason)
                     retire(slot)
@@ -571,28 +569,26 @@ def _drain_reader(reader, state: _PoolState) -> None:
         _handle_pool_message(message, state)
 
 
-def _effective_deadline(task_timeout: Optional[float], timeout_factor: float,
-                        min_timeout: float,
+def _effective_deadline(task_timeout: Optional[float],
                         observed: Sequence[float]) -> Optional[float]:
     """The per-task soft deadline currently in force.
 
     An explicit ``task_timeout`` always wins.  Otherwise the deadline is
-    derived from observed behaviour -- ``timeout_factor`` times the longest
-    completed task, floored at ``min_timeout`` -- and is ``None`` (no
-    enforcement) until the first task completes, since there is nothing to
-    derive it from yet.
+    derived from observed behaviour -- :data:`TIMEOUT_FACTOR` times the
+    longest completed task, floored at :data:`MIN_TIMEOUT` -- and is
+    ``None`` (no enforcement) until the first task completes, since there
+    is nothing to derive it from yet.
     """
 
     if task_timeout is not None:
         return float(task_timeout)
     if not observed:
         return None
-    return max(float(min_timeout), float(timeout_factor) * max(observed))
+    return max(MIN_TIMEOUT, TIMEOUT_FACTOR * max(observed))
 
 
 def _hang_reason(state: _PoolState, pid: int, now: float,
-                 deadline: Optional[float],
-                 stall_limit: float) -> Optional[str]:
+                 deadline: Optional[float]) -> Optional[str]:
     """Why worker ``pid`` should be treated as hung (None = healthy)."""
 
     index = state.in_flight.get(pid)
@@ -604,16 +600,15 @@ def _hang_reason(state: _PoolState, pid: int, now: float,
         return (f"task {index} exceeded the {deadline:.2f}s soft deadline "
                 f"(ran {elapsed:.2f}s)")
     beat_age = now - max(state.last_beat.get(pid, started), started)
-    if beat_age > stall_limit:
+    if beat_age > STALL_TIMEOUT:
         return (f"task {index} heartbeats stalled for {beat_age:.2f}s "
-                f"(limit {stall_limit:.2f}s)")
+                f"(limit {STALL_TIMEOUT:.2f}s)")
     return None
 
 
 def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
                       max_attempts: int,
-                      progress: Optional[Callable[[dict], None]],
-                      retry_backoff: float = 0.25) -> None:
+                      progress: Optional[Callable[[dict], None]]) -> None:
     """Serial fallback with the pool's retry-and-continue semantics.
 
     Timeouts cannot be enforced in-process (there is no worker to kill), but
@@ -621,12 +616,11 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
     comparable across both paths.
     """
 
-    progress = _safe_progress(progress)
     for index in range(len(results)):
         result = results[index]
         while result.attempts < max_attempts:
             if result.attempts:
-                time.sleep(retry_backoff * (2 ** (result.attempts - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (result.attempts - 1)))
             result.attempts += 1
             start = time.perf_counter()
             try:
@@ -745,13 +739,12 @@ def _handle_worker_hang(process, state: _PoolState, reason: str) -> None:
           attempt=attempt, error=reason, reason="hung", retry_delay=delay)
 
 
-def pool_map(fn: Callable, items: Sequence, *, workers: int = 1,
-             max_attempts: int = 2) -> list:
+def pool_map(fn: Callable, items: Sequence, *, workers: int = 1) -> list:
     """Map ``fn`` over ``items`` on the crash-tolerant pool; raise on failure.
 
     Drop-in pool backend for grid helpers such as
     :func:`repro.faults.campaign.map_grid`: results come back in item order,
-    and if any task still fails after ``max_attempts`` the first failed
+    and if any task still fails after :data:`GRID_ATTEMPTS` the first failed
     item's original exception is re-raised (matching the serial path's
     exception types; worker tracebacks are lost to the process boundary).
     Failures surface only after the surviving items have finished, so no
@@ -760,7 +753,7 @@ def pool_map(fn: Callable, items: Sequence, *, workers: int = 1,
 
     items = list(items)
     results = run_tasks(len(items), lambda index: fn(items[index]),
-                        workers=workers, max_attempts=max_attempts)
+                        workers=workers, max_attempts=GRID_ATTEMPTS)
     failures = [(index, result) for index, result in enumerate(results)
                 if not result.ok]
     if failures:
@@ -801,7 +794,7 @@ class SweepReport:
     e.g. ``ENOSPC`` -- and the sweep continued uncached).  ``events``
     preserves the individual occurrences (dicts with at least ``kind`` and,
     where known, ``ordinal``); ``quarantined`` lists unit ordinals retired
-    after exhausting ``max_attempts``.
+    after exhausting :data:`UNIT_ATTEMPTS`.
     """
 
     total_units: int = 0
@@ -900,105 +893,24 @@ class OrchestratorResult:
 class CampaignOrchestrator:
     """Schedule a campaign grid as sharded, resumable work units.
 
-    Parameters
-    ----------
-    runner:
-        The :class:`~repro.faults.campaign.CampaignRunner` that evaluates
-        units and defines the cache keys.  Its model/loader are inherited
-        by forked workers through copy-on-write memory.
-    workers:
-        Worker processes pulling from the shared unit queue (default: the
-        runner's ``workers``; 1 executes in-process).
-    trial_chunk:
-        Maximum trials per work unit.  ``None`` (default) keeps one unit
-        per grid point, making unit cache keys identical to the plain
-        per-point campaign keys.
-    shard:
-        Optional :class:`ShardSpec` or ``"i/N"`` string restricting this
-        orchestrator to its round-robin share of the units.  Requires a
-        cache directory on the runner (the shared filesystem is the only
-        channel between shards).
-    max_attempts:
-        Attempts per unit before it is reported as failed (exceptions,
-        worker deaths and watchdog kills all consume attempts).
-    unit_timeout:
-        Optional per-unit soft deadline in seconds enforced by the pool
-        watchdog (CLI: ``--unit-timeout``).  ``None`` (default) derives the
-        deadline from observed unit timings instead.
-    retry_backoff:
-        Base of the exponential backoff (``retry_backoff x 2^(attempt-1)``
-        seconds) between re-attempts of the same unit.
-    on_exhausted:
-        Policy for units that exhaust ``max_attempts``: ``"raise"``
-        (default) raises ``RuntimeError`` after every other unit has
-        finished; ``"quarantine"`` retires them onto
-        :attr:`SweepReport.quarantined` and completes the sweep without
-        their records (affected points stay ``None`` / pending).
-    progress:
-        Optional callable receiving structured event dicts
-        (``unit-done`` / ``unit-failed`` / ``worker-crash`` /
-        ``worker-hung`` / ``cache-corrupt`` / ``store-degraded``) with
-        per-unit timing and an ETA estimate; called in the parent process
-        only.  A raising callback is reported once and disabled.
-    unit_hook:
-        Test/diagnostic callable invoked with each :class:`WorkUnit` inside
-        the worker immediately before evaluation.
+    ``runner`` is the :class:`~repro.faults.campaign.CampaignRunner` that
+    evaluates units and defines the cache keys.  It also carries the
+    sweep's options, already validated: ``workers`` (worker processes
+    pulling from the shared unit queue; 1 executes in-process),
+    ``trial_chunk`` (maximum trials per unit), ``shard`` (this
+    orchestrator's round-robin share of the units), ``unit_timeout`` (the
+    watchdog's per-unit soft deadline) and ``progress`` (a callable
+    receiving structured event dicts -- ``unit-done`` / ``unit-failed`` /
+    ``worker-crash`` / ``worker-hung`` / ``cache-corrupt`` /
+    ``store-degraded`` -- with per-unit timing and an ETA estimate, in the
+    parent process only; a raising callback is reported once and
+    disabled).  The runner's model and loader are inherited by forked
+    workers through copy-on-write memory.
     """
 
-    def __init__(self, runner, *, workers: Optional[int] = None,
-                 trial_chunk: Optional[int] = None,
-                 shard: Optional[Union[str, ShardSpec]] = None,
-                 max_attempts: int = 3,
-                 unit_timeout: Optional[float] = None,
-                 retry_backoff: float = 0.25,
-                 on_exhausted: str = "raise",
-                 progress: Optional[Callable[[dict], None]] = None,
-                 unit_hook: Optional[Callable[[WorkUnit], None]] = None) -> None:
+    def __init__(self, runner) -> None:
         self.runner = runner
-        self.workers = int(runner.workers if workers is None else workers)
-        self.trial_chunk = trial_chunk
-        self.shard = None if shard is None else ShardSpec.parse(shard)
-        self.max_attempts = int(max_attempts)
-        self.unit_timeout = None if unit_timeout is None else float(unit_timeout)
-        self.retry_backoff = float(retry_backoff)
-        self.on_exhausted = str(on_exhausted)
-        self.progress = _safe_progress(progress)
-        self.unit_hook = unit_hook
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
-            raise ValueError("unit_timeout must be positive")
-        if self.on_exhausted not in ("raise", "quarantine"):
-            raise ValueError(
-                f"on_exhausted must be 'raise' or 'quarantine'; "
-                f"got {self.on_exhausted!r}")
-        if self.shard is not None and runner.cache_dir is None:
-            raise ValueError(
-                "sharded sweeps need a shared cache_dir: the on-disk unit "
-                "records are the only channel between shards")
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def plan_units(self, points: Sequence[CampaignPoint]) -> List[WorkUnit]:
-        """All work units of ``points`` (every shard sees the same list)."""
-
-        return plan_work_units(points, self.trial_chunk)
-
-    def _unit_path(self, unit: WorkUnit) -> Optional[Path]:
-        # A unit's key IS the plain campaign key of its (sub-)point -- this
-        # identity is the whole resume/coordination protocol.
-        return self._point_path(unit.point)
-
-    def _load_cached(self, path: Optional[Path],
-                     on_event: Optional[Callable[[dict], None]] = None
-                     ) -> Optional[dict]:
-        """Validated cache read; damaged entries quarantine to ``None``."""
-
-        if path is None:
-            return None
-        return load_cached_record(path, required_keys=_REQUIRED_RECORD_KEYS,
-                                  on_event=on_event)
+        self.progress = _safe_progress(runner.progress)
 
     # ------------------------------------------------------------------
     # Unit evaluation (runs inside workers)
@@ -1013,7 +925,9 @@ class CampaignOrchestrator:
         failed store degrades to an uncached result.  Either incident is
         returned as a picklable event dict (third element) so the parent
         can attribute it in the :class:`SweepReport` -- this method runs
-        inside workers, where the report does not live.
+        inside workers, where the report does not live.  A unit's cache key
+        is the plain campaign key of its (sub-)point: that identity is the
+        whole resume/coordination protocol.
         """
 
         from ..testing.chaos import active_plan
@@ -1024,16 +938,14 @@ class CampaignOrchestrator:
             events.append(dict(event, ordinal=unit.ordinal,
                                point_index=unit.point_index))
 
-        if self.unit_hook is not None:
-            self.unit_hook(unit)
         plan = active_plan()
         if plan is not None:
             plan.consult("unit", key=unit.ordinal)
-        path = self._unit_path(unit)
-        record = self._load_cached(path, on_event=note)
+        record = self.runner._load_cached(unit.point, on_event=note)
         if record is not None:
             return "cached", record, events
         record = self.runner._evaluate_point(unit.point)
+        path = self.runner._cache_path(unit.point)
         if path is not None:
             store_record_safe(record, path, on_event=note)
         return "computed", record, events
@@ -1053,16 +965,15 @@ class CampaignOrchestrator:
 
         Returns records aligned with ``points``; entries owned by other,
         unfinished shards are ``None`` and listed in ``pending``.  Units
-        that fail after ``max_attempts`` raise a ``RuntimeError`` -- after
-        every other unit has finished and been cached, so no work is lost
-        -- unless ``on_exhausted="quarantine"``, in which case they are
-        retired onto ``report.quarantined`` and the sweep completes with
-        their points pending.
+        that fail after :data:`UNIT_ATTEMPTS` raise a ``RuntimeError`` --
+        after every other unit has finished and been cached, so no work is
+        lost.
         """
 
         start = time.monotonic()
         points = list(points)
-        units = self.plan_units(points)
+        shard = self.runner.shard
+        units = plan_work_units(points, self.runner.trial_chunk)
         report = SweepReport(total_units=len(units))
         records: List[Optional[dict]] = [None] * len(points)
         note = lambda event: self._note_event(report, event)  # noqa: E731
@@ -1071,65 +982,57 @@ class CampaignOrchestrator:
         # all -- this is what makes plain CampaignRunner caches prime the
         # orchestrator.
         done_points = set()
-        if self.runner.cache_dir is not None:
-            for index, point in enumerate(points):
-                cached = self._load_cached(self._point_path(point), on_event=note)
-                if cached is not None:
-                    records[index] = cached
-                    done_points.add(index)
+        for index, point in enumerate(points):
+            records[index] = self.runner._load_cached(point, on_event=note)
+            if records[index] is not None:
+                done_points.add(index)
 
         report.cached_units += sum(
             1 for unit in units if unit.point_index in done_points)
         owned = [unit for unit in units
                  if unit.point_index not in done_points
-                 and (self.shard is None or self.shard.owns(unit.ordinal))]
+                 and (shard is None or shard.owns(unit.ordinal))]
         report.owned_units = len(owned)
 
         unit_records: Dict[int, dict] = {}
         to_compute: List[WorkUnit] = []
         for unit in owned:
-            cached = self._load_cached(self._unit_path(unit), on_event=note)
+            cached = self.runner._load_cached(unit.point, on_event=note)
             if cached is not None:
                 unit_records[unit.ordinal] = cached
                 report.cached_units += 1
             else:
                 to_compute.append(unit)
 
-        failures = self._execute(to_compute, unit_records, report)
+        self._execute(to_compute, unit_records, report)
         self._assemble(points, units, done_points, unit_records, records,
                        report)
+        failures = report.failed_units
         report.quarantined = sorted(ordinal for ordinal, _ in failures)
         report.elapsed_seconds = time.monotonic() - start
         logger.info("orchestrated sweep: %s", report.summary())
-        if failures and self.on_exhausted == "raise":
+        if failures:
             detail = "; ".join(f"unit {ordinal} (point {units[ordinal].point_index}"
                                f", chunk {units[ordinal].chunk_index}): {error}"
                                for ordinal, error in failures)
             raise RuntimeError(
                 f"{len(failures)} work unit(s) failed after "
-                f"{self.max_attempts} attempt(s): {detail}")
-        if failures:
-            logger.warning(
-                "quarantined %d work unit(s) after %d attempt(s): %s",
-                len(failures), self.max_attempts, report.quarantined)
+                f"{UNIT_ATTEMPTS} attempt(s): {detail}")
         pending = [index for index in range(len(points))
                    if records[index] is None]
         return OrchestratorResult(records=records, pending=pending, report=report)
 
     def _execute(self, to_compute: List[WorkUnit],
-                 unit_records: Dict[int, dict],
-                 report: SweepReport) -> List[Tuple[int, str]]:
+                 unit_records: Dict[int, dict], report: SweepReport) -> None:
         """Run the missing units on the pool; fill ``unit_records``."""
 
         if not to_compute:
-            return []
+            return
         # Lower the inference plan into the runner's per-process plan cache
         # *before* the pool forks: workers (and crash replacements, which
         # fork from this same parent) inherit the lowered plan through
         # copy-on-write memory instead of re-lowering once per work unit.
-        warm = getattr(self.runner, "warm_plan_cache", None)
-        if warm is not None:
-            warm()
+        self.runner.warm_plan_cache()
         seconds_seen: List[float] = []
 
         def forward_progress(event: dict) -> None:
@@ -1151,7 +1054,7 @@ class CampaignOrchestrator:
                     remaining = len(to_compute) - len(seconds_seen)
                     average = sum(seconds_seen) / len(seconds_seen)
                     event["eta_seconds"] = (remaining * average
-                                            / max(1, min(self.workers,
+                                            / max(1, min(self.runner.workers,
                                                          len(to_compute))))
             if event.get("reason") in ("poisoned", "crashed", "hung"):
                 report.record_event(event)
@@ -1160,15 +1063,12 @@ class CampaignOrchestrator:
 
         results = run_tasks(
             len(to_compute), lambda index: self._compute_unit(to_compute[index]),
-            workers=self.workers, max_attempts=self.max_attempts,
-            progress=forward_progress, task_timeout=self.unit_timeout,
-            retry_backoff=self.retry_backoff)
+            workers=self.runner.workers, progress=forward_progress,
+            task_timeout=self.runner.unit_timeout)
 
-        failures: List[Tuple[int, str]] = []
         for unit, result in zip(to_compute, results):
             report.retries += max(0, result.attempts - 1)
             if not result.ok:
-                failures.append((unit.ordinal, result.error))
                 report.failed_units.append((unit.ordinal, result.error))
                 continue
             status, record, events = result.value
@@ -1180,37 +1080,21 @@ class CampaignOrchestrator:
             else:
                 report.computed_units += 1
                 report.unit_seconds[unit.ordinal] = result.seconds
-        return failures
 
     # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------
-    def _point_path(self, point: CampaignPoint) -> Optional[Path]:
-        if self.runner.cache_dir is None:
-            return None
-        payload = self.runner._cache_payload(point)
-        return Path(self.runner.cache_dir) / f"{_digest_payload(payload)}.json"
-
-    def merge_unit_records(self, point: CampaignPoint,
-                           chunk_records: Sequence[dict]) -> dict:
-        """Reconstruct the single-process record of ``point`` from its chunks.
-
-        Concatenates the per-chunk accuracies in chunk order and recomputes
-        the aggregate statistics exactly as
-        :meth:`CampaignRunner._record_for` does; per-map independence of
-        the engines makes the result byte-identical to an unsplit run.
-        """
-
-        accuracies: List[float] = []
-        for record in chunk_records:
-            accuracies.extend(record["accuracies"])
-        return self.runner._record_for(point, accuracies)
-
     def _assemble(self, points: Sequence[CampaignPoint],
                   units: Sequence[WorkUnit], done_points: set,
                   unit_records: Dict[int, dict],
                   records: List[Optional[dict]], report: SweepReport) -> None:
-        """Merge unit records (own, cached, or other shards') per point."""
+        """Merge unit records (own, cached, or other shards') per point.
+
+        A chunked point's record concatenates the per-chunk accuracies in
+        chunk order and recomputes the aggregate statistics exactly as
+        :meth:`CampaignRunner._record_for` does; per-map independence of
+        the engines makes it byte-identical to an unsplit run.
+        """
 
         units_by_point: Dict[int, List[WorkUnit]] = {}
         for unit in units:
@@ -1222,8 +1106,8 @@ class CampaignOrchestrator:
             for unit in units_by_point[index]:
                 record = unit_records.get(unit.ordinal)
                 if record is None:  # not owned: look for another shard's work
-                    record = self._load_cached(
-                        self._unit_path(unit),
+                    record = self.runner._load_cached(
+                        unit.point,
                         on_event=lambda event: self._note_event(report, event))
                 if record is None:
                     chunk_records = []
@@ -1234,10 +1118,12 @@ class CampaignOrchestrator:
             if len(chunk_records) == 1:
                 records[index] = chunk_records[0]
             else:
-                records[index] = self.merge_unit_records(point, chunk_records)
+                records[index] = self.runner._record_for(
+                    point, [accuracy for record in chunk_records
+                            for accuracy in record["accuracies"]])
                 # Materialise the merged full-point record so future plain
                 # runners (and full-point lookups) hit the cache directly.
-                path = self._point_path(point)
+                path = self.runner._cache_path(point)
                 if path is not None and not path.exists():
                     store_record_safe(
                         records[index], path,

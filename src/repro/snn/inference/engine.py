@@ -71,6 +71,7 @@ from .backends import get_backend
 from .backends.ops_numpy import NeuronKernel
 from .faulty_gemm import FaultyAffineRunner, ForkEntry
 from .plan import SUPPORTED_DTYPES, AffineSpec, InferencePlan, lower_plan
+from .plan_cache import default_plan_cache
 
 __all__ = ["FusedInferenceEngine", "FusedFaultEngine", "resolve_lane_threads"]
 
@@ -120,6 +121,20 @@ def _iter_frames(x: np.ndarray, time_steps: int):
             f"got shape {x.shape}")
 
 
+def _plan_for(model, plan_token: Optional[str]) -> InferencePlan:
+    """``model``'s plan: cached under ``plan_token``, else lowered afresh.
+
+    Campaign runners pass the token they hold, so a sweep lowers its model
+    once per process.  A token digests parameters and buffers only -- it
+    cannot see a fixed threshold or the reset mode -- and hashing a small
+    model costs more than lowering it, so untokened engines never cache.
+    """
+
+    if plan_token is None:
+        return lower_plan(model)
+    return default_plan_cache().get_plan(model, token=plan_token)
+
+
 class FusedInferenceEngine:
     """Fault-free fused evaluation of a lowered spiking classifier.
 
@@ -133,13 +148,9 @@ class FusedInferenceEngine:
     dtype:
         ``"float64"`` (bit-identical to the autograd forward) or
         ``"float32"`` (documented-tolerance fast mode).
-    plan_cache:
-        Optional :class:`~repro.snn.inference.plan_cache.PlanCache`: the
-        lowered plan is fetched from (and stored into) the cache instead
-        of re-lowering, keyed by the model's content token.
     plan_token:
-        Optional precomputed model token, skipping the state hashing on a
-        cache lookup (ignored without ``plan_cache``).
+        Optional model token (:func:`repro.utils.hashing.model_token`);
+        see :func:`_plan_for`.
     backend:
         Kernel backend name (or :class:`~repro.snn.inference.backends
         .Backend` instance); ``None`` resolves ``REPRO_BACKEND`` falling
@@ -148,11 +159,9 @@ class FusedInferenceEngine:
         result semantics (or cache keys) -- only speed.
     """
 
-    def __init__(self, model, dtype: str = "float64", plan_cache=None,
+    def __init__(self, model, dtype: str = "float64",
                  plan_token: Optional[str] = None, backend=None) -> None:
-        self.plan: InferencePlan = (
-            plan_cache.get_plan(model, token=plan_token)
-            if plan_cache is not None else lower_plan(model))
+        self.plan = _plan_for(model, plan_token)
         self.dtype = _check_dtype(dtype)
         self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
         self._kernels = [
@@ -269,11 +278,8 @@ class FusedFaultEngine:
         bit; ``"float32"`` keeps the (fixed-point) fault arithmetic in
         float64 inside the array simulator but runs all elementwise SNN
         state in single precision.
-    plan_cache:
-        Optional :class:`~repro.snn.inference.plan_cache.PlanCache`; see
-        :class:`FusedInferenceEngine`.
     plan_token:
-        Optional precomputed model token for the cache lookup.
+        Optional model token; see :func:`_plan_for`.
     lane_threads:
         Fork-lane thread count; ``None`` (default) resolves
         ``REPRO_LANE_THREADS`` (falling back to 1).  The lane layout does
@@ -303,7 +309,7 @@ class FusedFaultEngine:
     """
 
     def __init__(self, model, arrays: Optional[Sequence[SystolicArray]] = None,
-                 dtype: str = "float64", plan_cache=None,
+                 dtype: str = "float64",
                  plan_token: Optional[str] = None,
                  lane_threads: Optional[int] = None,
                  schedules=None, fmt=None, backend=None) -> None:
@@ -311,9 +317,7 @@ class FusedFaultEngine:
             raise ValueError(
                 "FusedFaultEngine needs exactly one of arrays (permanent "
                 "faults) or schedules (transient faults)")
-        self.plan: InferencePlan = (
-            plan_cache.get_plan(model, token=plan_token)
-            if plan_cache is not None else lower_plan(model))
+        self.plan = _plan_for(model, plan_token)
         self.dtype = _check_dtype(dtype)
         self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
         self.lane_threads = resolve_lane_threads(lane_threads)

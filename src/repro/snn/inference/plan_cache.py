@@ -1,11 +1,10 @@
 """Per-process cache of lowered inference plans, keyed by model token.
 
-Lowering a model into an :class:`~repro.snn.inference.plan.InferencePlan`
-is cheap once, but the campaign orchestrator evaluates *many* work units
-per process -- and every :class:`~repro.snn.inference.engine
-.FusedFaultEngine` / :class:`~repro.snn.inference.engine
-.FusedInferenceEngine` construction used to re-lower the same trained
-model from scratch.  A :class:`PlanCache` removes that repetition:
+A :class:`~repro.snn.inference.engine.FusedFaultEngine` or
+:class:`~repro.snn.inference.engine.FusedInferenceEngine` given a model
+token fetches its :class:`~repro.snn.inference.plan.InferencePlan` from
+the process-wide :func:`default_plan_cache`, so a campaign that evaluates
+many work units per process lowers its trained model once:
 
 * **Keyed by content, not identity.**  The cache key is the model token
   (:func:`repro.utils.hashing.model_token` -- a digest of every parameter
@@ -23,10 +22,6 @@ model from scratch.  A :class:`PlanCache` removes that repetition:
   plan references the lowering-time weight arrays.  If parameters are
   mutated *in place* (not replaced), drop the cache (:meth:`clear`)
   exactly as you would rebuild an engine.
-
-The module-level :func:`default_plan_cache` is the process-wide instance
-used by :class:`~repro.faults.campaign.CampaignRunner` unless an explicit
-cache (or ``plan_cache=False``) is configured.
 """
 
 from __future__ import annotations
@@ -102,6 +97,6 @@ _DEFAULT_CACHE = PlanCache()
 
 
 def default_plan_cache() -> PlanCache:
-    """The process-wide :class:`PlanCache` shared by campaign runners."""
+    """The process-wide :class:`PlanCache` fused engines read under a token."""
 
     return _DEFAULT_CACHE

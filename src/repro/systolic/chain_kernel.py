@@ -53,8 +53,7 @@ Bit-identity rules (why this is safe):
 * Chains scatter to disjoint (map, column) output slices, so neither the
   permutation nor the run processing order can affect the result.
 
-Set ``REPRO_CHAIN_FASTPATH=0`` (or flip :data:`FASTPATH_ENABLED`) to route
-chain application through the untiled reference implementation
+Flip :data:`FASTPATH_ENABLED` to route chain application through the untiled reference implementation
 (:meth:`~repro.systolic.array.BatchedSystolicArray
 ._apply_chain_plan_reference`); the property tests and the recorded
 benchmark drive both paths and assert ``tobytes()`` equality.
@@ -63,7 +62,6 @@ benchmark drive both paths and assert ``tobytes()`` equality.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,11 +77,10 @@ __all__ = [
     "build_uniform_plan",
 ]
 
-#: Route chain application through the uniform-tile fast path.  Initialised
-#: from ``REPRO_CHAIN_FASTPATH`` (default on); tests and the recorded
-#: benchmark flip it to compare against the untiled reference path.
-FASTPATH_ENABLED = os.environ.get("REPRO_CHAIN_FASTPATH", "1").lower() not in (
-    "0", "false", "off")
+#: Route chain application through the uniform-tile fast path.  Tests and
+#: the recorded benchmark flip it to compare against the untiled reference
+#: path.
+FASTPATH_ENABLED = True
 
 
 class StuckAtKernel:

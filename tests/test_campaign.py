@@ -145,6 +145,17 @@ class TestCampaignRunner:
         with pytest.raises(ValueError):
             CampaignRunner(trained_tiny_model, eval_loader, engine="quantum")
 
+    def test_every_bad_option_named_in_one_error(self):
+        # Validation runs before the runner touches its model or loader.
+        with pytest.raises(ValueError) as excinfo:
+            CampaignRunner(None, None, trial_chunk=0, unit_timeout=0,
+                           workers=0, shard="0/2")
+        message = str(excinfo.value)
+        for problem in ("trial_chunk must be at least 1",
+                        "unit_timeout must be positive",
+                        "workers must be at least 1", "need a shared cache_dir"):
+            assert problem in message
+
     def test_cache_roundtrip_and_hit(self, trained_tiny_model, eval_loader, tmp_path):
         points = self.make_points()
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)

@@ -6,8 +6,8 @@ The uniform-tile chain kernel (:mod:`repro.systolic.chain_kernel`) must be
 the sequential :meth:`SystolicArray.matmul` oracle, for every chain
 structure: empty tables, single-site chains, the all-chains-one-level
 degenerate case, ragged multi-level mixes, both gather strategies and the
-chunked path.  The per-process :class:`PlanCache` must change *when* a
-model is lowered, never the records.
+chunked path.  The process-wide :class:`PlanCache` campaign runners read
+must change *when* a model is lowered, never the records.
 """
 
 import numpy as np
@@ -354,62 +354,75 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
 
+    @pytest.fixture()
+    def process_cache(self, monkeypatch):
+        """A fresh process-wide plan cache (what campaign runners read)."""
+
+        from repro.snn.inference import plan_cache
+
+        cache = PlanCache()
+        monkeypatch.setattr(plan_cache, "_DEFAULT_CACHE", cache)
+        return cache
+
     def test_runner_records_identical_with_and_without_cache(
-            self, trained_tiny_model, tiny_mnist_loaders):
+            self, trained_tiny_model, tiny_mnist_loaders, process_cache):
         from repro.faults import CampaignPoint, CampaignRunner
 
         _, test_loader = tiny_mnist_loaders
         points = [CampaignPoint.for_trials(8, 8, count, trials=2, seed=31 + count)
                   for count in (1, 3)]
-        cache = PlanCache()
-        with_cache = CampaignRunner(trained_tiny_model, test_loader,
-                                    plan_cache=cache).run(points)
-        without = CampaignRunner(trained_tiny_model, test_loader,
-                                 plan_cache=False).run(points)
-        assert with_cache == without
-        # The merged serial pass lowers exactly once; a later evaluation
-        # (the fault-free baseline) hits the same entry.
-        assert (cache.misses, cache.hits) == (1, 0)
-        CampaignRunner(trained_tiny_model, test_loader,
-                       plan_cache=cache).baseline_accuracy()
-        assert (cache.misses, cache.hits) == (1, 1)
+        lowered = CampaignRunner(trained_tiny_model, test_loader).run(points)
+        # The merged serial pass lowers exactly once.
+        assert (process_cache.misses, process_cache.hits) == (1, 0)
+        cached = CampaignRunner(trained_tiny_model, test_loader).run(points)
+        assert cached == lowered
+        assert (process_cache.misses, process_cache.hits) == (1, 1)
+        # A later evaluation (the fault-free baseline) hits the same entry.
+        CampaignRunner(trained_tiny_model, test_loader).baseline_accuracy()
+        assert (process_cache.misses, process_cache.hits) == (1, 2)
 
     def test_runner_defaults_to_process_cache(self, trained_tiny_model,
-                                              tiny_mnist_loaders):
+                                              tiny_mnist_loaders,
+                                              process_cache):
         from repro.faults import CampaignRunner
-        from repro.snn.inference import default_plan_cache
+        from repro.snn.inference import FusedInferenceEngine
+
+        _, test_loader = tiny_mnist_loaders
+        CampaignRunner(trained_tiny_model, test_loader).baseline_accuracy()
+        assert (len(process_cache), process_cache.misses) == (1, 1)
+        # An engine given the model token reads the same cache; one without
+        # a token lowers directly.
+        token = process_cache.token_for(trained_tiny_model)
+        FusedInferenceEngine(trained_tiny_model, plan_token=token)
+        assert (process_cache.misses, process_cache.hits) == (1, 1)
+        FusedInferenceEngine(trained_tiny_model)
+        assert (process_cache.misses, process_cache.hits) == (1, 1)
+
+    def test_warm_plan_cache_lowers_before_fork(self, trained_tiny_model,
+                                                tiny_mnist_loaders,
+                                                process_cache):
+        from repro.faults import CampaignRunner
 
         _, test_loader = tiny_mnist_loaders
         runner = CampaignRunner(trained_tiny_model, test_loader)
-        assert runner.plan_cache is default_plan_cache()
-
-    def test_warm_plan_cache_lowers_before_fork(self, trained_tiny_model,
-                                                tiny_mnist_loaders):
-        from repro.faults import CampaignRunner
-
-        _, test_loader = tiny_mnist_loaders
-        cache = PlanCache()
-        runner = CampaignRunner(trained_tiny_model, test_loader,
-                                plan_cache=cache)
         runner.warm_plan_cache()
-        assert (len(cache), cache.misses) == (1, 1)
+        assert (len(process_cache), process_cache.misses) == (1, 1)
         runner.warm_plan_cache()
-        assert cache.misses == 1
+        assert process_cache.misses == 1
 
     def test_orchestrated_units_reuse_warmed_plan(self, trained_tiny_model,
-                                                  tiny_mnist_loaders, tmp_path):
+                                                  tiny_mnist_loaders, tmp_path,
+                                                  process_cache):
         """Chunked units hit the plan warmed before the pool starts."""
 
         from repro.faults import CampaignPoint, CampaignRunner
 
         _, test_loader = tiny_mnist_loaders
         points = [CampaignPoint.for_trials(8, 8, 2, trials=4, seed=77)]
-        cache = PlanCache()
         records = CampaignRunner(trained_tiny_model, test_loader,
-                                 plan_cache=cache, trial_chunk=2,
+                                 trial_chunk=2,
                                  cache_dir=tmp_path).run(points)
-        assert cache.misses == 1          # warmed once, never re-lowered
-        assert cache.hits >= 2            # one hit per trial-chunk unit
-        plain = CampaignRunner(trained_tiny_model, test_loader,
-                               plan_cache=False).run(points)
+        assert process_cache.misses == 1  # warmed once, never re-lowered
+        assert process_cache.hits >= 2    # one hit per trial-chunk unit
+        plain = CampaignRunner(trained_tiny_model, test_loader).run(points)
         assert records == plain

@@ -59,6 +59,13 @@ def eval_loader(tiny_mnist_loaders):
     return tiny_mnist_loaders[1]
 
 
+@pytest.fixture()
+def fast_backoff(monkeypatch):
+    """Shorten the pool's retry backoff to 0.05 s (doubling per attempt)."""
+
+    monkeypatch.setattr("repro.faults.orchestrator.RETRY_BACKOFF", 0.05)
+
+
 @pytest.fixture(scope="module")
 def serial_records(trained_tiny_model_state, tiny_mnist_loaders):
     """Clean single-process records of ``make_points()`` (the oracle)."""
@@ -271,7 +278,8 @@ class TestCacheStoreChaos:
 
 class TestChaosSweepIdentity:
     def test_hang_crash_and_corrupt_cache_sweep_is_byte_identical(
-            self, trained_tiny_model, eval_loader, serial_records, tmp_path):
+            self, trained_tiny_model, eval_loader, serial_records, tmp_path,
+            fast_backoff):
         """The ISSUE's acceptance sweep.
 
         One cache entry is pre-corrupted on disk; the unit that recomputes
@@ -290,11 +298,11 @@ class TestChaosSweepIdentity:
         # pre-scan quarantines both, leaving unit ordinals 1 and 2 to
         # recompute (two units keep the sweep on the real process pool --
         # the inline fallback could not survive an injected crash).
-        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=cache)
-        orchestrator = CampaignOrchestrator(runner, workers=2, unit_timeout=8.0,
-                                            retry_backoff=0.05)
+        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=cache,
+                                workers=2, unit_timeout=8.0)
+        orchestrator = CampaignOrchestrator(runner)
         for victim_point in (points[1], points[2]):
-            victim = orchestrator._point_path(victim_point)
+            victim = runner._cache_path(victim_point)
             victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
 
         install_plan({
@@ -323,16 +331,15 @@ class TestChaosSweepIdentity:
             == (1, 1, 2)
 
     def test_seeded_raise_plan_only_adds_retries(
-            self, trained_tiny_model, eval_loader, serial_records, tmp_path):
+            self, trained_tiny_model, eval_loader, serial_records, tmp_path,
+            fast_backoff):
         """A sampled poison mix perturbs scheduling, never the records."""
 
         plan = ChaosPlan.sample(11, [0, 1, 2], raises=2, seconds=0.0,
                                 state_dir=tmp_path / "chaos-state")
         install_plan(plan)
-        runner = CampaignRunner(trained_tiny_model, eval_loader)
-        orchestrator = CampaignOrchestrator(runner, workers=2,
-                                            retry_backoff=0.05)
-        result = orchestrator.run(make_points())
+        runner = CampaignRunner(trained_tiny_model, eval_loader, workers=2)
+        result = CampaignOrchestrator(runner).run(make_points())
         assert canonical(result.records) == canonical(serial_records)
         assert result.report.poisoned == 2
         assert result.report.retries == 2

@@ -101,10 +101,10 @@ class TestCampaignCommand:
         from repro.cli import DEFAULT_CACHE_DIR, runner_options
 
         options = runner_options(build_parser().parse_args(
-            ["campaign", "counts", "--shard", "1/2", "--no-plan-cache"]))
+            ["campaign", "counts", "--shard", "1/2", "--lane-threads", "2"]))
         assert options["cache_dir"] == DEFAULT_CACHE_DIR
         assert str(options["shard"]) == "1/2"
-        assert options["plan_cache"] is False
+        assert options["lane_threads"] == 2
         assert callable(options["progress"])
 
     def test_campaign_bad_trials_rejected_before_training(self, monkeypatch, capsys):
@@ -117,6 +117,23 @@ class TestCampaignCommand:
         assert main(["campaign", "counts", "--trials", "0"]) == 2
         err = capsys.readouterr().err
         assert "invalid scenario" in err and "'trials' must be positive" in err
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--trial-chunk", "0"], "trial_chunk must be at least 1"),
+        (["--unit-timeout", "0"], "unit_timeout must be positive"),
+        (["--backend", "nosuch"], "unknown backend 'nosuch'"),
+    ])
+    def test_bad_campaign_flags_rejected_before_training(
+            self, monkeypatch, capsys, flags, problem):
+        import repro.experiments.baseline as baseline_module
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
+        assert main(["campaign", "counts"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
 
     def test_campaign_counts_end_to_end(self, tmp_path, capsys):
         out_file = tmp_path / "campaign.json"
@@ -152,9 +169,9 @@ class TestRunCampaignFlags:
 
     def test_every_unhonoured_flag_is_named(self, capsys):
         assert main(["run", "fig2", "--engine", "sequential",
-                     "--lane-threads", "2", "--no-plan-cache"]) == 2
+                     "--lane-threads", "2", "--unit-timeout", "5"]) == 2
         err = capsys.readouterr().err
-        for flag in ("--engine", "--lane-threads", "--no-plan-cache"):
+        for flag in ("--engine", "--lane-threads", "--unit-timeout"):
             assert flag in err
 
     def test_fig5b_flags_reach_campaign_runner(self, monkeypatch):
@@ -181,9 +198,21 @@ class TestRunCampaignFlags:
                             lambda config: Baseline())
         monkeypatch.setattr(analysis, "CampaignRunner", fake_runner)
         with pytest.raises(Captured):
-            main(["run", "fig5b", "--backend", "cffi", "--lane-threads", "2",
-                  "--unit-timeout", "5", "--no-plan-cache"])
-        assert seen["backend"] == "cffi"
+            main(["run", "fig5b", "--backend", "numpy", "--lane-threads", "2",
+                  "--unit-timeout", "5", "--trial-chunk", "2"])
+        assert seen["backend"] == "numpy"
         assert seen["lane_threads"] == 2
         assert seen["unit_timeout"] == 5.0
-        assert seen["plan_cache"] is False
+        assert seen["trial_chunk"] == 2
+
+    def test_bad_flags_exit_2_before_training(self, monkeypatch, capsys):
+        import repro.experiments.vulnerability as vulnerability
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setattr(vulnerability, "prepare_baseline", no_training)
+        assert main(["run", "fig5b", "--trial-chunk", "0", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "trial_chunk must be at least 1" in err
+        assert "workers must be at least 1" in err

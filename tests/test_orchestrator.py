@@ -4,7 +4,8 @@ Covers: shard-spec parsing and exact grid partitioning, trial-chunk work
 unit planning, the crash-tolerant work-stealing pool, byte-identity of
 orchestrated/sharded/merged records with the single-process
 ``CampaignRunner``, killed-then-resumed sweeps that skip cached units, and
-failure containment (retries, exhausted attempts).
+failure containment (retries, exhausted attempts).  Failures are injected
+through the chaos harness and units observed through progress events.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.faults import (
 )
 from repro.faults.orchestrator import plan_work_units, pool_map, run_tasks
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+from repro.testing import clear_plan, install_plan
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -47,6 +49,32 @@ def make_points(trials=2, counts=(2, 4, 6)):
 @pytest.fixture()
 def eval_loader(tiny_mnist_loaders):
     return tiny_mnist_loaders[1]
+
+
+@pytest.fixture()
+def fast_backoff(monkeypatch):
+    """Shorten the pool's retry backoff to 0.05 s (doubling per attempt)."""
+
+    monkeypatch.setattr("repro.faults.orchestrator.RETRY_BACKOFF", 0.05)
+
+
+@pytest.fixture()
+def chaos(tmp_path):
+    """Install chaos rules for one test; the plan is cleared afterwards."""
+
+    def install(*rules):
+        return install_plan({"rules": list(rules),
+                             "state_dir": str(tmp_path / "chaos-state")})
+
+    clear_plan()
+    yield install
+    clear_plan()
+
+
+def done_units(events, field="ordinal"):
+    """``field`` of every ``unit-done`` progress event, in arrival order."""
+
+    return [event[field] for event in events if event["kind"] == "unit-done"]
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +142,9 @@ class TestPlanUnits:
         assert not (shard_sets[0] & shard_sets[1])
 
     def test_invalid_trial_chunk(self):
-        with pytest.raises(ValueError):
-            plan_work_units(make_points(), trial_chunk=0)
+        # The runner rejects the option before it touches its model.
+        with pytest.raises(ValueError, match="trial_chunk"):
+            CampaignRunner(None, None, trial_chunk=0)
 
 
 class TestWorkStealingPool:
@@ -209,37 +238,36 @@ class TestOrchestratedRecords:
         assert canonical(merge.run(points)) == canonical(serial_records)
 
     def test_shard_requires_cache_dir(self, trained_tiny_model, eval_loader):
-        runner = CampaignRunner(trained_tiny_model, eval_loader, shard="0/2")
         with pytest.raises(ValueError, match="cache_dir"):
-            runner.run(make_points())
+            CampaignRunner(trained_tiny_model, eval_loader, shard="0/2")
 
     def test_killed_sweep_resumes_without_recompute(
             self, trained_tiny_model, eval_loader, serial_records, tmp_path):
         points = make_points()
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
+        evaluate = runner._evaluate_point
+        evaluated = []
 
-        killed_after = []
-
-        def kill_after_two(unit):
-            if len(killed_after) >= 2:
+        def kill_after_two(point):
+            if len(evaluated) >= 2:
                 raise KeyboardInterrupt  # simulate ^C mid-sweep
-            killed_after.append(unit.ordinal)
+            evaluated.append(point)
+            return evaluate(point)
 
-        interrupted = CampaignOrchestrator(runner, workers=1,
-                                           unit_hook=kill_after_two)
+        runner._evaluate_point = kill_after_two
         with pytest.raises(KeyboardInterrupt):
-            interrupted.run(points)
+            CampaignOrchestrator(runner).run(points)
         cached_units = len(list(tmp_path.glob("*.json")))
         assert cached_units == 2  # finished units survived the kill
 
-        computed = []
-        resumed = CampaignOrchestrator(runner, workers=1,
-                                       unit_hook=lambda unit: computed.append(unit.ordinal))
-        result = resumed.run(points)
+        events = []
+        resumed = CampaignRunner(trained_tiny_model, eval_loader,
+                                 cache_dir=tmp_path, progress=events.append)
+        result = CampaignOrchestrator(resumed).run(points)
         assert result.complete
         assert canonical(result.records) == canonical(serial_records)
         # Only the unit lost to the kill was recomputed.
-        assert computed == [2]
+        assert done_units(events) == [2]
         assert result.report.cached_units == 2
         assert result.report.computed_units == 1
 
@@ -250,43 +278,31 @@ class TestOrchestratedRecords:
         CampaignRunner(trained_tiny_model, eval_loader,
                        cache_dir=tmp_path).run(points[:1])
 
-        seen = []
-        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
-        orchestrator = CampaignOrchestrator(
-            runner, workers=1, unit_hook=lambda unit: seen.append(unit.point_index))
-        result = orchestrator.run(points)
-        assert sorted(seen) == [1, 2]  # point 0 answered from the cache
+        events = []
+        runner = CampaignRunner(trained_tiny_model, eval_loader,
+                                cache_dir=tmp_path, progress=events.append)
+        result = CampaignOrchestrator(runner).run(points)
+        # Point 0 is answered from the cache.
+        assert sorted(done_units(events, "point_index")) == [1, 2]
         assert canonical(result.records) == canonical(serial_records)
 
     def test_worker_crash_mid_sweep_is_retried(self, trained_tiny_model,
                                                eval_loader, serial_records,
-                                               tmp_path):
-        latch = tmp_path / "crash-once"
-
-        def crash_once(unit):
-            if unit.ordinal == 0 and not latch.exists():
-                latch.touch()
-                os._exit(23)
-
-        runner = CampaignRunner(trained_tiny_model, eval_loader)
-        orchestrator = CampaignOrchestrator(runner, workers=2,
-                                            unit_hook=crash_once)
-        result = orchestrator.run(make_points())
+                                               chaos):
+        chaos({"site": "unit", "action": "crash", "key": 0})
+        runner = CampaignRunner(trained_tiny_model, eval_loader, workers=2)
+        result = CampaignOrchestrator(runner).run(make_points())
         assert result.complete
         assert result.report.retries >= 1
         assert canonical(result.records) == canonical(serial_records)
 
     def test_unit_failure_exhausts_attempts_but_keeps_other_work(
-            self, trained_tiny_model, eval_loader, tmp_path):
-        def poison(unit):
-            if unit.ordinal == 1:
-                raise ValueError("poisoned unit")
-
+            self, trained_tiny_model, eval_loader, tmp_path, chaos,
+            fast_backoff):
+        chaos({"site": "unit", "action": "raise", "key": 1, "once": False})
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
-        orchestrator = CampaignOrchestrator(runner, workers=1, max_attempts=2,
-                                            unit_hook=poison)
-        with pytest.raises(RuntimeError, match="poisoned unit"):
-            orchestrator.run(make_points())
+        with pytest.raises(RuntimeError, match="chaos-injected unit failure"):
+            CampaignOrchestrator(runner).run(make_points())
         # The two healthy units finished and were cached before the raise.
         assert len(list(tmp_path.glob("*.json"))) == 2
 
@@ -304,7 +320,7 @@ class TestOrchestratedRecords:
 
     def test_report_summary_counts(self, trained_tiny_model, eval_loader, tmp_path):
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
-        orchestrator = CampaignOrchestrator(runner, workers=1)
+        orchestrator = CampaignOrchestrator(runner)
         first = orchestrator.run(make_points()).report
         assert (first.total_units, first.computed_units, first.cached_units) == (3, 3, 0)
         second = orchestrator.run(make_points()).report
@@ -328,7 +344,7 @@ class TestSweepIntegration:
 
 
 class TestHangTolerance:
-    def test_watchdog_kills_sleeping_task(self):
+    def test_watchdog_kills_sleeping_task(self, fast_backoff):
         import time
 
         def fn(index):
@@ -338,8 +354,7 @@ class TestHangTolerance:
 
         events = []
         results = run_tasks(3, fn, workers=3, task_timeout=1.0,
-                            max_attempts=2, retry_backoff=0.05,
-                            progress=events.append)
+                            max_attempts=2, progress=events.append)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert results[1].failure_kind == "hung"
@@ -348,7 +363,7 @@ class TestHangTolerance:
         assert hangs and hangs[0]["index"] == 1
         assert hangs[0]["reason"] == "hung"
 
-    def test_hung_task_recovers_on_retry(self, tmp_path):
+    def test_hung_task_recovers_on_retry(self, tmp_path, fast_backoff):
         import time
 
         latch = tmp_path / "hung-once"
@@ -360,7 +375,7 @@ class TestHangTolerance:
             return index * 10
 
         results = run_tasks(3, fn, workers=2, task_timeout=1.5,
-                            max_attempts=3, retry_backoff=0.05)
+                            max_attempts=3)
         assert [result.value for result in results] == [0, 10, 20]
         assert results[1].attempts == 2
         assert results[1].ok and results[1].failure_kind is None
@@ -382,13 +397,12 @@ class TestHangTolerance:
         assert results[0].ok
         assert results[1].failure_kind == "hung"
 
-    def test_retry_backoff_grows_exponentially(self):
+    def test_retry_backoff_grows_exponentially(self, fast_backoff):
         def fn(index):
             raise ValueError("always broken")
 
         events = []
-        run_tasks(2, fn, workers=2, max_attempts=3, retry_backoff=0.05,
-                  progress=events.append)
+        run_tasks(2, fn, workers=2, max_attempts=3, progress=events.append)
         delays = [event["retry_delay"] for event in events
                   if event["kind"] == "task-failed" and event.get("index") == 0
                   and event.get("retry_delay") is not None]
@@ -406,59 +420,36 @@ class TestHangTolerance:
         assert all(result.ok for result in results)
         assert len(calls) == 1  # reported once, then disabled
 
-    def test_pool_map_attributes_index_and_attempts(self):
+    def test_pool_map_attributes_index_and_attempts(self, fast_backoff):
         def fn(item):
             if item == "bad":
                 raise ValueError("broken cell")
             return item
 
         with pytest.raises(ValueError) as excinfo:
-            pool_map(fn, ["ok", "bad"], workers=2, max_attempts=2)
+            pool_map(fn, ["ok", "bad"], workers=2)
         message = str(excinfo.value)
         assert "grid task 1/2 failed after 2 attempt(s)" in message
         assert "broken cell" in message
         # Serial fallback carries the same attribution.
         with pytest.raises(ValueError, match=r"grid task 1/2 failed after"):
-            pool_map(fn, ["ok", "bad"], workers=1, max_attempts=2)
+            pool_map(fn, ["ok", "bad"], workers=1)
 
 
 class TestQuarantine:
-    def test_quarantine_mode_completes_sweep_without_raising(
-            self, trained_tiny_model, eval_loader, tmp_path):
-        def poison(unit):
-            if unit.ordinal == 1:
-                raise ValueError("poisoned unit")
-
-        runner = CampaignRunner(trained_tiny_model, eval_loader,
-                                cache_dir=tmp_path)
-        orchestrator = CampaignOrchestrator(
-            runner, workers=1, max_attempts=2, retry_backoff=0.05,
-            on_exhausted="quarantine", unit_hook=poison)
-        result = orchestrator.run(make_points())
-        assert not result.complete
-        assert result.pending == [1]
-        assert result.records[0] is not None and result.records[2] is not None
-        assert result.records[1] is None
-        assert result.report.quarantined == [1]
-        assert result.report.poisoned == 2  # both attempts attributed
-        assert len(list(tmp_path.glob("*.json"))) == 2
-
     def test_raise_mode_still_reports_quarantined_ordinals(
-            self, trained_tiny_model, eval_loader):
-        def poison(unit):
-            if unit.ordinal == 0:
-                raise ValueError("poisoned unit")
-
+            self, trained_tiny_model, eval_loader, chaos, fast_backoff):
+        chaos({"site": "unit", "action": "raise", "key": 0, "once": False})
         runner = CampaignRunner(trained_tiny_model, eval_loader)
-        orchestrator = CampaignOrchestrator(runner, workers=1, max_attempts=2,
-                                            retry_backoff=0.05,
-                                            unit_hook=poison)
-        with pytest.raises(RuntimeError, match="poisoned unit"):
-            orchestrator.run(make_points())
+        with pytest.raises(RuntimeError,
+                           match=r"1 work unit\(s\) failed after 3 attempt\(s\): "
+                                 r"unit 0 \(point 0, chunk 0\)"):
+            CampaignOrchestrator(runner).run(make_points())
 
     def test_invalid_policies_rejected(self, trained_tiny_model, eval_loader):
+        # The orchestrator takes only its runner, which owns the options.
         runner = CampaignRunner(trained_tiny_model, eval_loader)
-        with pytest.raises(ValueError, match="on_exhausted"):
-            CampaignOrchestrator(runner, on_exhausted="retry-forever")
+        with pytest.raises(TypeError):
+            CampaignOrchestrator(runner, workers=2)
         with pytest.raises(ValueError, match="unit_timeout"):
-            CampaignOrchestrator(runner, unit_timeout=0.0)
+            CampaignRunner(trained_tiny_model, eval_loader, unit_timeout=0.0)

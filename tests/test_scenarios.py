@@ -242,3 +242,15 @@ class TestRunScenario:
         fused = run_scenario(scenario, engine="fused")
         sequential = run_scenario(scenario, engine="sequential")
         assert fused == sequential
+
+    def test_run_scenario_validates_options_before_training(self, monkeypatch):
+        import repro.experiments.baseline as baseline_module
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
+        with pytest.raises(ValueError, match="trial_chunk must be at least 1"):
+            run_scenario("mnist-stuck-at-counts", trial_chunk=0)
+        with pytest.raises(ValueError, match="unexpected keyword.*bogus"):
+            run_scenario("mnist-stuck-at-counts", bogus=1)

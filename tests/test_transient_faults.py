@@ -99,7 +99,7 @@ class TestEngineByteIdentity:
             ROWS, COLS, 4, trials=2, seed=5, fault_model="transient",
             fault_params={"process": "bernoulli", "num_steps": STEPS})
         runner = CampaignRunner(trained_tiny_model, test_loader, engine=engine,
-                                bypass=True, plan_cache=False)
+                                bypass=True)
         with pytest.raises(ValueError, match="bypass.*transient"):
             runner.run([point])
 
