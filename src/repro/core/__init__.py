@@ -12,8 +12,7 @@ from .pruning import (
 from .base import FaultMitigation, MitigationResult
 from .fap import FaultAwarePruning
 from .fapit import FaultAwarePruningWithRetraining
-from .falvolt import FalVolt, run_falvolt
-from .threshold_search import best_threshold, search_cost_epochs, threshold_grid_search
+from .falvolt import FalVolt
 
 #: Registry of mitigation strategies by their paper names.
 MITIGATIONS: Dict[str, Type[FaultMitigation]] = {
@@ -43,10 +42,6 @@ __all__ = [
     "FaultAwarePruning",
     "FaultAwarePruningWithRetraining",
     "FalVolt",
-    "run_falvolt",
-    "best_threshold",
-    "search_cost_epochs",
-    "threshold_grid_search",
     "MITIGATIONS",
     "get_mitigation",
 ]

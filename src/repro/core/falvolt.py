@@ -56,17 +56,3 @@ class FalVolt(FaultMitigation):
         for node in model.spiking_layers():
             node.make_threshold_learnable(initial=self.initial_threshold)
 
-
-def run_falvolt(model: SpikingClassifier, fault_map, train_loader, test_loader,
-                num_classes: int, retraining_epochs: int = 10,
-                learning_rate: float = 5e-3, **kwargs):
-    """Convenience wrapper: build a :class:`FalVolt` and run it on ``model``.
-
-    Returns the :class:`~repro.core.base.MitigationResult` with the retrained
-    weights left in ``model`` (Algorithm 1 returns ``nWts``, ``nVth`` and the
-    accuracy; here the weights and thresholds live in the model object).
-    """
-
-    mitigation = FalVolt(retraining_epochs=retraining_epochs, learning_rate=learning_rate,
-                         **kwargs)
-    return mitigation.run(model, fault_map, train_loader, test_loader, num_classes=num_classes)

@@ -15,7 +15,12 @@ from .vulnerability import (
     run_fig5c_array_sizes,
 )
 from .motivational import run_fig2_threshold_grid
-from .mitigation import run_fig6_optimized_thresholds, run_fig7_mitigation_comparison, run_mitigation
+from .mitigation import (
+    RetrainCell,
+    retrain_cells,
+    run_fig6_optimized_thresholds,
+    run_fig7_mitigation_comparison,
+)
 from .convergence import convergence_speedup, run_fig8_convergence
 from .headline import run_headline_claims
 from .ablations import (
@@ -56,7 +61,8 @@ __all__ = [
     "run_fig2_threshold_grid",
     "run_fig6_optimized_thresholds",
     "run_fig7_mitigation_comparison",
-    "run_mitigation",
+    "RetrainCell",
+    "retrain_cells",
     "convergence_speedup",
     "run_fig8_convergence",
     "run_headline_claims",

@@ -7,20 +7,22 @@ had to choose and quantify how much each one matters:
 * per-layer vs a single global learnable threshold in FalVolt,
 * hard vs soft membrane reset,
 * fixed-point accumulator width of the systolic array.
+
+The threshold ablation retrains through the mitigation experiments' one
+cell runner (:func:`repro.experiments.mitigation.retrain_cells`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core import FalVolt
 from ..faults import fault_map_from_rate, evaluate_with_faults
 from ..snn import Adam, Trainer, build_model_for_dataset, get_surrogate
 from ..systolic import FixedPointFormat
 from ..utils.rng import derive_seed
 from .baseline import build_loaders, prepare_baseline
 from .config import ExperimentConfig, default_config
-from .mitigation import _fault_map_for_rate
+from .mitigation import RetrainCell, retrain_cells
 
 
 def ablate_surrogate_gradient(config: Optional[ExperimentConfig] = None,
@@ -59,29 +61,23 @@ def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
     The "global" variant still learns one threshold per layer structurally,
     but every layer starts from the same value and the comparison measures
     whether the per-layer freedom (the paper's choice) is what recovers
-    accuracy, versus simply lowering all thresholds together.
+    accuracy, versus simply lowering all thresholds together.  Both variants
+    are FalVolt retraining cells on the same fault map, starting from the
+    trained thresholds and from 0.7.
     """
 
     config = config or default_config(dataset)
-    baseline = prepare_baseline(config)
-    fault_map = _fault_map_for_rate(config, fault_rate)
-    epochs = retraining_epochs if retraining_epochs is not None else config.retrain_epochs
-    records: List[dict] = []
-    for granularity, initial in (("per-layer", None), ("shared-start-0.7", 0.7)):
-        mitigation = FalVolt(retraining_epochs=epochs, learning_rate=config.retrain_lr,
-                             initial_threshold=initial)
-        model = baseline.model_factory()
-        result = mitigation.run(model, fault_map, baseline.fresh_train_loader(),
-                                baseline.test_loader, num_classes=baseline.num_classes,
-                                baseline_accuracy=baseline.baseline_accuracy)
-        records.append({
-            "dataset": config.dataset,
-            "granularity": granularity,
-            "fault_rate": fault_rate,
-            "accuracy": result.accuracy,
-            "thresholds": result.thresholds,
-        })
-    return records
+    variants = (("per-layer", None), ("shared-start-0.7", 0.7))
+    cells = [RetrainCell(fault_rate, "falvolt", threshold=initial) for _, initial in variants]
+    results = retrain_cells(prepare_baseline(config), cells,
+                            retraining_epochs=retraining_epochs)
+    return [{
+        "dataset": config.dataset,
+        "granularity": granularity,
+        "fault_rate": fault_rate,
+        "accuracy": result["accuracy"],
+        "thresholds": result["thresholds"],
+    } for (granularity, _), result in zip(variants, results)]
 
 
 def ablate_reset_mode(config: Optional[ExperimentConfig] = None,

@@ -1,18 +1,21 @@
 """Retraining-convergence experiment (paper Fig. 8).
 
-FaPIT and FalVolt are run with the same fault map and the same retraining
-budget; the per-epoch test accuracy traces are recorded so the number of
-epochs each method needs to come back within a tolerance of the baseline can
-be compared (the paper's "FalVolt is 2x faster" claim).
+FaPIT and FalVolt run as retraining cells
+(:func:`repro.experiments.mitigation.retrain_cells`) with the same fault map
+and the same retraining budget.  Each cell's per-epoch test accuracy trace
+is expanded into records, so the number of epochs each method needs to come
+back within a tolerance of the baseline can be compared (the paper's
+"FalVolt is 2x faster" claim).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..snn import TrainingHistory
 from .baseline import prepare_baseline
 from .config import ExperimentConfig, default_config
-from .mitigation import _fault_map_for_rate, run_mitigation
+from .mitigation import RetrainCell, retrain_cells
 
 
 def run_fig8_convergence(config: Optional[ExperimentConfig] = None,
@@ -29,24 +32,22 @@ def run_fig8_convergence(config: Optional[ExperimentConfig] = None,
     """
 
     config = config or default_config(dataset)
-    baseline = prepare_baseline(config)
-    fault_map = _fault_map_for_rate(config, fault_rate)
+    cells = [RetrainCell(fault_rate, method) for method in methods]
+    results = retrain_cells(prepare_baseline(config), cells,
+                            retraining_epochs=retraining_epochs)
     records: List[dict] = []
-    for method in methods:
-        result = run_mitigation(method, baseline, fault_map,
-                                retraining_epochs=retraining_epochs)
-        epochs_needed = result.history.epochs_to_reach(
-            result.baseline_accuracy - baseline_tolerance)
-        for epoch, accuracy in enumerate(result.history.test_accuracy, start=1):
-            records.append({
-                "dataset": config.dataset,
-                "fault_rate": float(fault_rate),
-                "method": result.method,
-                "epoch": epoch,
-                "accuracy": float(accuracy),
-                "baseline_accuracy": result.baseline_accuracy,
-                "epochs_to_baseline": epochs_needed,
-            })
+    for result in results:
+        history = TrainingHistory(**result["history"])
+        epochs_needed = history.epochs_to_reach(result["baseline_accuracy"] - baseline_tolerance)
+        records.extend({
+            "dataset": config.dataset,
+            "fault_rate": float(fault_rate),
+            "method": result["method"],
+            "epoch": epoch,
+            "accuracy": float(accuracy),
+            "baseline_accuracy": result["baseline_accuracy"],
+            "epochs_to_baseline": epochs_needed,
+        } for epoch, accuracy in enumerate(history.test_accuracy, start=1))
     return records
 
 

@@ -1,22 +1,19 @@
-"""Fault-mitigation experiments (paper Fig. 6 and Fig. 7).
+"""Retraining cells and the mitigation experiments (paper Fig. 6 and Fig. 7).
 
-``run_fig7_mitigation_comparison`` applies FaP, FaPIT and FalVolt to the
-same fault maps at the paper's fault rates (10 %, 30 %, 60 %) and records
-the recovered accuracy.  ``run_fig6_optimized_thresholds`` extracts the
-per-layer threshold voltages that FalVolt converged to, which is exactly
-what the paper's Fig. 6 reports.
-
-Every (fault rate, method) cell is an independent retraining run, so both
-drivers execute their grids through the campaign engine's helpers:
-:func:`repro.faults.campaign.map_grid` fans cells out over the
-orchestrator's crash-tolerant work-stealing pool (a cell that raises or
-loses its worker is retried once on another worker), and
-:func:`repro.faults.campaign.cached_record` provides on-disk caching keyed
-by the baseline weights and the grid cell, so interrupted grids resume.
+Every mitigation result -- Figs. 2, 6, 7 and 8 and the threshold ablation --
+is one operation repeated: prune a fresh copy of the baseline for one fault
+map, retrain it with one method, record the result.  A :class:`RetrainCell`
+names that operation, :func:`retrain_cells` is the one place that runs it,
+and the figure drivers project its records.  Cells fan out over the
+orchestrator's crash-tolerant pool (:func:`repro.faults.campaign.map_grid`)
+and are cached on disk keyed by the baseline weights and the cell
+(:func:`repro.faults.campaign.cached_record`), so interrupted grids resume
+and figures share cells: Fig. 6's FalVolt cells are Fig. 7's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import List, Optional, Sequence
 
@@ -29,81 +26,94 @@ from .baseline import PreparedBaseline, prepare_baseline
 from .config import ExperimentConfig, PAPER_FAULT_RATES, default_config
 
 
-def _fault_map_for_rate(config: ExperimentConfig, rate: float):
-    """Worst-case (high-order-bit stuck-at-1) fault map covering ``rate`` of the PEs."""
+@dataclasses.dataclass(frozen=True)
+class RetrainCell:
+    """One retraining run: a fault rate, a method and its threshold.
+
+    ``threshold`` is FaPIT's fixed V_th or FalVolt's starting V_th (``None``
+    keeps the method's default); FaP retrains nothing and takes none.
+    ``map_tag`` seeds the worst-case fault map, so cells with the same rate
+    and tag prune the same PEs.
+    """
+
+    rate: float
+    method: str
+    threshold: Optional[float] = None
+    map_tag: str = "mitigation_map"
+
+    def __post_init__(self) -> None:
+        if self.method not in MITIGATIONS:
+            raise KeyError(f"unknown mitigation '{self.method}'; "
+                           f"options: {sorted(MITIGATIONS)}")
+        if self.method == "fap" and self.threshold is not None:
+            raise ValueError("fap retrains nothing, so it takes no threshold")
+
+
+def _fault_map(config: ExperimentConfig, cell: RetrainCell):
+    """Worst-case (high-order-bit stuck-at-1) fault map covering the cell's rate."""
 
     return fault_map_from_rate(
-        config.array_rows, config.array_cols, rate,
+        config.array_rows, config.array_cols, cell.rate,
         bit_position=DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb, stuck_type="sa1",
-        seed=derive_seed(config.seed, "mitigation_map", int(rate * 1000)))
+        seed=derive_seed(config.seed, cell.map_tag, int(cell.rate * 1000)))
 
 
-def _mitigation_kwargs(method: str, config: ExperimentConfig,
-                       retraining_epochs: Optional[int]) -> dict:
-    epochs = config.retrain_epochs if retraining_epochs is None else retraining_epochs
-    if method == "fap":
-        return {}
-    return {"retraining_epochs": epochs, "learning_rate": config.retrain_lr}
+def _run_cell(cell: RetrainCell, *, baseline: PreparedBaseline, epochs: int,
+              baseline_token: str, cache_dir) -> dict:
+    """Retrain a fresh baseline copy for one cell, through the cache.
 
-
-def run_mitigation(method: str, baseline: PreparedBaseline, fault_map,
-                   retraining_epochs: Optional[int] = None):
-    """Run one mitigation method on a fresh copy of the baseline model.
-
-    The run also gets a fresh train loader, so its result depends on the
-    cell alone -- not on which cells ran before it in this process.
+    The run gets a fresh model and a fresh train loader, so its record
+    depends on the cell alone -- not on which cells ran before it.
     """
 
     config = baseline.config
-    mitigation = get_mitigation(method, **_mitigation_kwargs(method, config, retraining_epochs))
-    model = baseline.model_factory()
-    return mitigation.run(model, fault_map, baseline.fresh_train_loader(),
-                          baseline.test_loader,
-                          num_classes=baseline.num_classes,
-                          baseline_accuracy=baseline.baseline_accuracy)
-
-
-def _fig7_cell(cell, *, config: ExperimentConfig, baseline: PreparedBaseline,
-               retraining_epochs: Optional[int], baseline_token: str,
-               cache_dir) -> dict:
-    """One (fault rate, method) cell of the Fig. 7 grid, through the cache."""
-
-    rate, method = cell
 
     def compute() -> dict:
-        fault_map = _fault_map_for_rate(config, rate)
-        result = run_mitigation(method, baseline, fault_map,
-                                retraining_epochs=retraining_epochs)
-        return {
-            "dataset": config.dataset,
-            "fault_rate": float(rate),
-            "method": result.method,
-            "accuracy": result.accuracy,
-            "baseline_accuracy": result.baseline_accuracy,
-            "accuracy_drop": result.accuracy_drop,
-            "pruned_fraction": result.pruned_fraction,
-            "retraining_epochs": result.retraining_epochs,
-        }
+        kwargs = {}
+        if cell.method != "fap":
+            kwargs = {"retraining_epochs": epochs, "learning_rate": config.retrain_lr}
+        if cell.threshold is not None:
+            key = "fixed_threshold" if cell.method == "fapit" else "initial_threshold"
+            kwargs[key] = float(cell.threshold)
+        result = get_mitigation(cell.method, **kwargs).run(
+            baseline.model_factory(), _fault_map(config, cell),
+            baseline.fresh_train_loader(), baseline.test_loader,
+            num_classes=baseline.num_classes,
+            baseline_accuracy=baseline.baseline_accuracy)
+        return {**result.as_dict(), "dataset": config.dataset, "rate": float(cell.rate)}
 
     payload = {
-        "experiment": "fig7",
         "baseline": baseline_token,
         "dataset": config.dataset,
         "seed": config.seed,
-        "fault_rate": float(rate),
-        "method": method,
-        # Everything below also determines the result: the fault map covers
-        # the configured array, and a None override falls back to the
-        # config's retraining schedule.
+        "cell": dataclasses.asdict(cell),
+        # The fault map covers the configured array.
         "array": [config.array_rows, config.array_cols],
-        "retraining_epochs": (config.retrain_epochs if retraining_epochs is None
-                              else retraining_epochs),
+        "retraining_epochs": epochs,
         "retrain_lr": config.retrain_lr,
-        # Cells retrain on a fresh train loader; records cached before that
-        # depended on the cell order.
-        "train_loader": "per-cell",
     }
-    return cached_record(cache_dir, payload, compute)
+    return cached_record(cache_dir, payload, compute,
+                         required_keys=("accuracy", "thresholds", "history"))
+
+
+def retrain_cells(baseline: PreparedBaseline, cells: Sequence[RetrainCell], *,
+                  retraining_epochs: Optional[int] = None, workers: int = 1,
+                  cache_dir=None) -> List[dict]:
+    """Run every cell on ``baseline``; one record per cell, in cell order.
+
+    A record is :meth:`repro.core.MitigationResult.as_dict` (accuracies,
+    final thresholds, per-epoch history, map fault rate) plus the dataset
+    and the cell's nominal ``rate``.  ``retraining_epochs`` defaults to the
+    config's schedule; ``workers`` forks one process per cell and
+    ``cache_dir`` caches finished cells keyed by the baseline weights.
+    """
+
+    epochs = (baseline.config.retrain_epochs if retraining_epochs is None
+              else retraining_epochs)
+    run = functools.partial(_run_cell, baseline=baseline, epochs=epochs,
+                            baseline_token=state_token(baseline.state),
+                            cache_dir=cache_dir)
+    return map_grid(run, list(cells), workers=workers)
 
 
 def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,
@@ -115,56 +125,19 @@ def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,
                                    cache_dir=None) -> List[dict]:
     """Accuracy of each mitigation method at each fault rate (Fig. 7).
 
-    Each (rate, method) cell retrains independently, so the grid maps onto
-    the campaign helpers: ``workers`` forks one process per cell and
-    ``cache_dir`` caches finished cells keyed by the baseline weights.
+    One retraining cell per (rate, method); ``workers`` and ``cache_dir``
+    go to :func:`retrain_cells`.
     """
 
     config = config or default_config(dataset)
-    for method in methods:
-        if method not in MITIGATIONS:
-            raise KeyError(f"unknown mitigation '{method}'")
-    baseline = prepare_baseline(config)
-    cells = [(rate, method) for rate in fault_rates for method in methods]
-    evaluate = functools.partial(
-        _fig7_cell, config=config, baseline=baseline,
-        retraining_epochs=retraining_epochs,
-        baseline_token=state_token(baseline.state), cache_dir=cache_dir)
-    return map_grid(evaluate, cells, workers=workers)
-
-
-def _fig6_rate(rate: float, *, config: ExperimentConfig, baseline: PreparedBaseline,
-               retraining_epochs: Optional[int], baseline_token: str,
-               cache_dir) -> List[dict]:
-    """FalVolt threshold records for one fault rate, through the cache."""
-
-    def compute() -> List[dict]:
-        fault_map = _fault_map_for_rate(config, rate)
-        result = run_mitigation("falvolt", baseline, fault_map,
-                                retraining_epochs=retraining_epochs)
-        return [{
-            "dataset": config.dataset,
-            "fault_rate": float(rate),
-            "layer": layer,
-            "threshold_voltage": float(threshold),
-            "accuracy": result.accuracy,
-        } for layer, threshold in result.thresholds.items()]
-
-    payload = {
-        "experiment": "fig6",
-        "baseline": baseline_token,
-        "dataset": config.dataset,
-        "seed": config.seed,
-        "fault_rate": float(rate),
-        "array": [config.array_rows, config.array_cols],
-        "retraining_epochs": (config.retrain_epochs if retraining_epochs is None
-                              else retraining_epochs),
-        "retrain_lr": config.retrain_lr,
-        # Cells retrain on a fresh train loader; records cached before that
-        # depended on the cell order.
-        "train_loader": "per-cell",
-    }
-    return cached_record(cache_dir, payload, compute)
+    cells = [RetrainCell(rate, method) for rate in fault_rates for method in methods]
+    records = retrain_cells(prepare_baseline(config), cells,
+                            retraining_epochs=retraining_epochs,
+                            workers=workers, cache_dir=cache_dir)
+    columns = ("method", "accuracy", "baseline_accuracy", "accuracy_drop",
+               "pruned_fraction", "retraining_epochs")
+    return [{"dataset": record["dataset"], "fault_rate": record["rate"],
+             **{key: record[key] for key in columns}} for record in records]
 
 
 def run_fig6_optimized_thresholds(config: Optional[ExperimentConfig] = None,
@@ -176,13 +149,18 @@ def run_fig6_optimized_thresholds(config: Optional[ExperimentConfig] = None,
     """Per-layer threshold voltages returned by FalVolt (Fig. 6).
 
     One record per (fault rate, layer) with the optimized threshold voltage.
+    The FalVolt cells are Fig. 7's, so a shared ``cache_dir`` serves them.
     """
 
     config = config or default_config(dataset)
-    baseline = prepare_baseline(config)
-    evaluate = functools.partial(
-        _fig6_rate, config=config, baseline=baseline,
-        retraining_epochs=retraining_epochs,
-        baseline_token=state_token(baseline.state), cache_dir=cache_dir)
-    groups = map_grid(evaluate, list(fault_rates), workers=workers)
-    return [record for group in groups for record in group]
+    cells = [RetrainCell(rate, "falvolt") for rate in fault_rates]
+    records = retrain_cells(prepare_baseline(config), cells,
+                            retraining_epochs=retraining_epochs,
+                            workers=workers, cache_dir=cache_dir)
+    return [{
+        "dataset": record["dataset"],
+        "fault_rate": record["rate"],
+        "layer": layer,
+        "threshold_voltage": float(threshold),
+        "accuracy": record["accuracy"],
+    } for record in records for layer, threshold in record["thresholds"].items()]

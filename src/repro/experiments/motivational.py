@@ -3,19 +3,18 @@
 The paper retrains a faulty systolicSNN with several hand-picked threshold
 voltages and shows that accuracy varies wildly with the choice -- motivating
 the automatic per-layer threshold optimization of FalVolt.  This driver runs
-that grid search for one dataset and a set of fault rates.
+that grid for one dataset and a set of fault rates: one FaPIT retraining
+cell (:func:`repro.experiments.mitigation.retrain_cells`) per (fault rate,
+threshold), every threshold of a rate on the same fault map.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core import threshold_grid_search
-from ..faults import fault_map_from_rate
-from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
-from ..utils.rng import derive_seed
 from .baseline import prepare_baseline
 from .config import ExperimentConfig, PAPER_THRESHOLD_GRID, default_config
+from .mitigation import RetrainCell, retrain_cells
 
 
 def run_fig2_threshold_grid(config: Optional[ExperimentConfig] = None,
@@ -29,21 +28,18 @@ def run_fig2_threshold_grid(config: Optional[ExperimentConfig] = None,
     MNIST and DVS128 Gesture with 30 % and 60 % faulty PEs.
     """
 
+    if not thresholds:
+        raise ValueError("at least one candidate threshold is required")
     config = config or default_config(dataset)
-    if retraining_epochs is None:
-        retraining_epochs = config.retrain_epochs
-    baseline = prepare_baseline(config)
-    records: List[dict] = []
-    for rate in fault_rates:
-        fault_map = fault_map_from_rate(
-            config.array_rows, config.array_cols, rate,
-            bit_position=DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb, stuck_type="sa1",
-            seed=derive_seed(config.seed, "fig2", int(rate * 1000)))
-        rate_records = threshold_grid_search(
-            baseline.model_factory, fault_map,
-            baseline.fresh_train_loader, baseline.test_loader,
-            num_classes=baseline.num_classes,
-            thresholds=thresholds, retraining_epochs=retraining_epochs,
-            learning_rate=config.retrain_lr, dataset=config.dataset)
-        records.extend(rate_records)
-    return records
+    cells = [RetrainCell(rate, "fapit", threshold=float(threshold), map_tag="fig2")
+             for rate in fault_rates for threshold in thresholds]
+    records = retrain_cells(prepare_baseline(config), cells,
+                            retraining_epochs=retraining_epochs)
+    return [{
+        "dataset": record["dataset"],
+        "threshold": cell.threshold,
+        "fault_rate": record["fault_rate"],
+        "accuracy": record["accuracy"],
+        "baseline_accuracy": record["baseline_accuracy"],
+        "retraining_epochs": record["retraining_epochs"],
+    } for cell, record in zip(cells, records)]

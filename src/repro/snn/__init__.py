@@ -29,7 +29,6 @@ from .models import (
     ModelConfig,
     build_model_for_dataset,
     build_plif_snn,
-    compile_for_inference,
     dvs_gesture_config,
     mnist_config,
     nmnist_config,
@@ -86,7 +85,6 @@ __all__ = [
     "ModelConfig",
     "build_model_for_dataset",
     "build_plif_snn",
-    "compile_for_inference",
     "FusedFaultEngine",
     "FusedInferenceEngine",
     "InferencePlan",

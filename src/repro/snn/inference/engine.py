@@ -125,9 +125,8 @@ def _plan_for(model, plan_token: Optional[str]) -> InferencePlan:
     """``model``'s plan: cached under ``plan_token``, else lowered afresh.
 
     Campaign runners pass the token they hold, so a sweep lowers its model
-    once per process.  A token digests parameters and buffers only -- it
-    cannot see a fixed threshold or the reset mode -- and hashing a small
-    model costs more than lowering it, so untokened engines never cache.
+    once per process.  Hashing a small model costs more than lowering it,
+    so untokened engines never cache.
     """
 
     if plan_token is None:

@@ -8,11 +8,11 @@ many work units per process lowers its trained model once:
 
 * **Keyed by content, not identity.**  The cache key is the model token
   (:func:`repro.utils.hashing.model_token` -- a digest of every parameter
-  and buffer) plus the wrapper's ``time_steps``, so a stale hit would
-  require two different module trees with byte-identical state; mutating
-  any weight changes the token and misses.  Callers that already hold the
-  token (e.g. :class:`~repro.faults.campaign.CampaignRunner`) pass it to
-  skip re-hashing.
+  and buffer), the wrapper's ``time_steps`` and the plain attributes the
+  lowering reads (neuron kind, a frozen threshold, the reset mode, layer
+  geometry), so changing any weight or threshold misses.  Callers that
+  already hold the token (e.g. :class:`~repro.faults.campaign.CampaignRunner`)
+  pass it to skip re-hashing.
 * **Per process, fork-friendly.**  Entries are plain Python objects whose
   weight arrays are captured *by reference*, so a cache warmed in the
   orchestrator parent is inherited by every forked worker -- including
@@ -33,6 +33,13 @@ from .plan import InferencePlan, lower_plan
 
 __all__ = ["PlanCache", "default_plan_cache"]
 
+def _lowering_scalars(model) -> tuple:
+    """Per module: its class and the scalars lowering reads outside the state dict."""
+
+    names = ("stride", "padding", "kernel_size", "eps", "v_threshold", "v_reset", "tau")
+    return tuple((type(module).__name__, *(getattr(module, name, None) for name in names))
+                 for module in model.modules())
+
 
 class PlanCache:
     """Bounded per-process cache of :class:`InferencePlan` objects.
@@ -49,7 +56,7 @@ class PlanCache:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = int(max_entries)
-        self._plans: Dict[Tuple[str, int], InferencePlan] = {}
+        self._plans: Dict[Tuple[str, int, tuple], InferencePlan] = {}
         self.hits = 0
         self.misses = 0
 
@@ -75,7 +82,7 @@ class PlanCache:
 
         if token is None:
             token = model_token(model)
-        key = (token, int(getattr(model, "time_steps", 0) or 0))
+        key = (token, int(getattr(model, "time_steps", 0) or 0), _lowering_scalars(model))
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1

@@ -166,15 +166,3 @@ def build_model_for_dataset(dataset: str, surrogate: Optional[SurrogateGradient]
     config = DATASET_CONFIGS[key](**overrides)
     return build_plif_snn(config, surrogate=surrogate), config
 
-
-def compile_for_inference(model: SpikingClassifier, dtype: str = "float64"):
-    """Lower a built classifier into a fused no-autograd inference engine.
-
-    Every layer the builders above emit (Conv2d / BatchNorm2d / PLIF /
-    pooling / dropout / Linear) has a ``lower_inference`` hook, so any model
-    from this module lowers cleanly.  ``dtype="float64"`` evaluates
-    bit-identically to ``model(x)``; ``dtype="float32"`` is the fast mode
-    with a documented tolerance (see the README).
-    """
-
-    return model.compile_inference(dtype=dtype)

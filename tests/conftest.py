@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DataLoader, load_dataset
+from repro.experiments import ExperimentConfig
 from repro.snn import Adam, Trainer, build_model_for_dataset
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.snn.inference.plan import AffineSpec
@@ -20,6 +21,16 @@ from repro.utils.rng import get_rng
 
 
 TINY_MNIST_KWARGS = dict(num_train=120, num_test=50, seed=11, max_shift=1, noise_std=0.04)
+
+#: Micro experiment configuration for the driver integration tests: small
+#: enough to train in a couple of seconds, large enough to be well above chance.
+MICRO = ExperimentConfig(
+    dataset="mnist", num_train=120, num_test=50,
+    dataset_kwargs=(("max_shift", 1), ("noise_std", 0.04)),
+    channels=6, hidden_units=24, time_steps=3,
+    batch_size=12, baseline_epochs=10, baseline_lr=2.5e-2,
+    retrain_epochs=2, retrain_lr=1.5e-2,
+    array_rows=16, array_cols=16, seed=13)
 
 
 @pytest.fixture(scope="session")

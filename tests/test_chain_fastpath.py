@@ -410,6 +410,34 @@ class TestPlanCache:
         runner.warm_plan_cache()
         assert process_cache.misses == 1
 
+    @pytest.mark.parametrize("thresholds", [(1.0, 0.3), (0.3, 1.0)])
+    def test_frozen_thresholds_get_their_own_plans(self, trained_tiny_model_state,
+                                                   tiny_mnist_loaders, process_cache,
+                                                   thresholds):
+        """Two copies that differ only in a frozen threshold never share a plan.
+
+        The model token digests parameters and buffers only; a frozen
+        threshold is a plain attribute the lowering reads.
+        """
+
+        from repro.faults import CampaignRunner
+        from tests.conftest import build_tiny_mnist_model
+
+        _, test_loader = tiny_mnist_loaders
+        accuracies = []
+        for threshold in thresholds:
+            model, _ = build_tiny_mnist_model()
+            model.load_state_dict(trained_tiny_model_state["state"])
+            for node in model.spiking_layers():
+                node.set_threshold(threshold)
+            fused = CampaignRunner(model, test_loader).baseline_accuracy()
+            sequential = CampaignRunner(model, test_loader,
+                                        engine="sequential").baseline_accuracy()
+            assert fused == sequential, threshold
+            accuracies.append(fused)
+        assert accuracies[0] != accuracies[1]
+        assert process_cache.misses == 2
+
     def test_orchestrated_units_reuse_warmed_plan(self, trained_tiny_model,
                                                   tiny_mnist_loaders, tmp_path,
                                                   process_cache):

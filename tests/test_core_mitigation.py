@@ -14,9 +14,6 @@ from repro.core import (
     get_mitigation,
     pruned_fraction,
     set_pruned_weights_to_zero,
-    threshold_grid_search,
-    best_threshold,
-    search_cost_epochs,
 )
 from repro.core.base import MitigationResult
 from repro.datasets import DataLoader
@@ -24,7 +21,7 @@ from repro.faults import FaultMap, StuckAtFault, random_fault_map
 from repro.snn import TrainingHistory
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
-from tests.conftest import build_tiny_mnist_model
+from tests.conftest import MICRO, build_tiny_mnist_model
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 ARRAY = (16, 16)
@@ -197,53 +194,35 @@ class TestMitigationRuns:
 
 
 class TestThresholdSearch:
-    def test_grid_search_records(self, trained_tiny_model_state, loaders, fault_map_30):
-        train_loader, test_loader = loaders
+    """The fixed-threshold grid (Fig. 2) as FaPIT retraining cells."""
 
-        def factory():
-            model, _ = build_tiny_mnist_model()
-            model.load_state_dict(trained_tiny_model_state["state"])
-            return model
+    def test_grid_search_records(self):
+        from repro.experiments import run_fig2_threshold_grid
 
-        records = threshold_grid_search(factory, fault_map_30, lambda: train_loader,
-                                        test_loader, num_classes=10, thresholds=(0.5, 1.0),
-                                        retraining_epochs=1, learning_rate=1e-2,
-                                        dataset="mnist")
+        records = run_fig2_threshold_grid(MICRO, fault_rates=(0.30,), thresholds=(0.5, 1.0),
+                                          retraining_epochs=1)
         assert len(records) == 2
         assert {r["threshold"] for r in records} == {0.5, 1.0}
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in records)
-        assert search_cost_epochs(records) == 2
-        assert best_threshold(records)["accuracy"] == max(r["accuracy"] for r in records)
+        assert sum(r["retraining_epochs"] for r in records) == 2
+        assert all(r["dataset"] == "mnist" and r["fault_rate"] > 0 for r in records)
 
-    def test_grid_search_requires_thresholds(self, loaders, fault_map_30):
-        train_loader, test_loader = loaders
+    def test_grid_search_requires_thresholds(self, monkeypatch):
+        from repro.experiments import motivational, run_fig2_threshold_grid
+
+        def no_training(config):
+            raise AssertionError("prepare_baseline ran")
+
+        monkeypatch.setattr(motivational, "prepare_baseline", no_training)
         with pytest.raises(ValueError):
-            threshold_grid_search(lambda: None, fault_map_30, lambda: train_loader,
-                                  test_loader, num_classes=10, thresholds=())
+            run_fig2_threshold_grid(MICRO, thresholds=())
 
-    def test_records_do_not_depend_on_earlier_candidates(
-            self, trained_tiny_model_state, tiny_mnist_data, fault_map_30):
+    def test_records_do_not_depend_on_earlier_candidates(self):
         """A candidate's record is the same whichever candidates ran first."""
 
-        train, test = tiny_mnist_data
+        from repro.experiments import run_fig2_threshold_grid
 
-        def factory():
-            model, _ = build_tiny_mnist_model()
-            model.load_state_dict(trained_tiny_model_state["state"])
-            return model
-
-        def train_loader_factory():
-            return DataLoader(train, batch_size=12, shuffle=True, seed=4)
-
-        test_loader = DataLoader(test, batch_size=50)
-        kwargs = dict(num_classes=10, retraining_epochs=1, learning_rate=1e-2,
-                      dataset="mnist")
-        pair = threshold_grid_search(factory, fault_map_30, train_loader_factory,
-                                     test_loader, thresholds=(0.45, 0.5), **kwargs)
-        alone = threshold_grid_search(factory, fault_map_30, train_loader_factory,
-                                      test_loader, thresholds=(0.5,), **kwargs)
+        kwargs = dict(fault_rates=(0.30,), retraining_epochs=1)
+        pair = run_fig2_threshold_grid(MICRO, thresholds=(0.45, 0.5), **kwargs)
+        alone = run_fig2_threshold_grid(MICRO, thresholds=(0.5,), **kwargs)
         assert pair[1] == alone[0]
-
-    def test_best_threshold_empty(self):
-        with pytest.raises(ValueError):
-            best_threshold([])

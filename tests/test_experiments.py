@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments import (
     EXPERIMENTS,
-    ExperimentConfig,
     PAPER_DATASETS,
     PAPER_FAULT_RATES,
     PAPER_THRESHOLD_GRID,
@@ -19,17 +18,9 @@ from repro.experiments import (
     summarize,
 )
 from repro.experiments.baseline import build_loaders
+from tests.conftest import MICRO
 
 
-#: Micro configuration used by the integration tests below: small enough to
-#: train in a couple of seconds, large enough to be well above chance.
-MICRO = ExperimentConfig(
-    dataset="mnist", num_train=120, num_test=50,
-    dataset_kwargs=(("max_shift", 1), ("noise_std", 0.04)),
-    channels=6, hidden_units=24, time_steps=3,
-    batch_size=12, baseline_epochs=10, baseline_lr=2.5e-2,
-    retrain_epochs=2, retrain_lr=1.5e-2,
-    array_rows=16, array_cols=16, seed=13)
 
 
 @pytest.fixture(scope="module")
@@ -219,54 +210,88 @@ class TestExperimentDrivers:
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in records)
 
     def test_mitigation_cells_do_not_depend_on_earlier_cells(self, micro_baseline):
-        """Repeated FalVolt cells agree, and match a cell on a fresh loader.
+        """Repeated FalVolt cells agree, and match a run on a fresh loader.
 
         Every cell used to share the baseline's train loader, whose shuffle
         RNG carried over from cell to cell.
         """
 
         from repro.core import get_mitigation
-        from repro.experiments.mitigation import (
-            _fault_map_for_rate,
-            _mitigation_kwargs,
-            run_mitigation,
-        )
+        from repro.experiments import RetrainCell, retrain_cells
+        from repro.experiments.mitigation import _fault_map
 
-        fault_map = _fault_map_for_rate(MICRO, 0.30)
-        results = [run_mitigation("falvolt", micro_baseline, fault_map,
-                                  retraining_epochs=1)
-                   for _ in range(3)]
-        for result in results[1:]:
-            assert result.accuracy == results[0].accuracy
-            assert result.thresholds == results[0].thresholds
+        cell = RetrainCell(0.30, "falvolt")
+        records = retrain_cells(micro_baseline,
+                                [cell, RetrainCell(0.30, "fapit"), cell],
+                                retraining_epochs=1)
+        assert records[2] == records[0]
 
         train_loader, _ = build_loaders(MICRO)
-        mitigation = get_mitigation("falvolt",
-                                    **_mitigation_kwargs("falvolt", MICRO, 1))
-        fresh = mitigation.run(micro_baseline.model_factory(), fault_map,
+        mitigation = get_mitigation("falvolt", retraining_epochs=1,
+                                    learning_rate=MICRO.retrain_lr)
+        fresh = mitigation.run(micro_baseline.model_factory(), _fault_map(MICRO, cell),
                                train_loader, micro_baseline.test_loader,
                                num_classes=micro_baseline.num_classes,
                                baseline_accuracy=micro_baseline.baseline_accuracy)
-        assert fresh.accuracy == results[0].accuracy
-        assert fresh.thresholds == results[0].thresholds
+        assert records[0] == {**fresh.as_dict(), "dataset": "mnist", "rate": 0.30}
 
-    def test_falvolt_cell_weights_repeat(self, micro_baseline):
+    def test_falvolt_cell_weights_repeat(self, micro_baseline, monkeypatch):
         """A FalVolt cell run twice on fresh loaders ends with identical weights."""
 
-        from repro.core import get_mitigation
-        from repro.experiments.mitigation import _fault_map_for_rate, _mitigation_kwargs
+        from repro.experiments import RetrainCell, retrain_cells
         from tests.conftest import state_digest
 
-        fault_map = _fault_map_for_rate(MICRO, 0.30)
-        digests = []
-        for _ in range(2):
-            model = micro_baseline.model_factory()
-            get_mitigation("falvolt", **_mitigation_kwargs("falvolt", MICRO, 1)).run(
-                model, fault_map, micro_baseline.fresh_train_loader(),
-                micro_baseline.test_loader, num_classes=micro_baseline.num_classes,
-                baseline_accuracy=micro_baseline.baseline_accuracy)
-            digests.append(state_digest(model))
-        assert digests[0] == digests[1]
+        models = []
+        factory = micro_baseline.model_factory
+
+        def recording_factory():
+            models.append(factory())
+            return models[-1]
+
+        monkeypatch.setattr(micro_baseline, "model_factory", recording_factory)
+        retrain_cells(micro_baseline, [RetrainCell(0.30, "falvolt")] * 2,
+                      retraining_epochs=1)
+        assert len(models) == 2
+        assert state_digest(models[0]) == state_digest(models[1])
+
+    def test_fig6_after_fig7_retrains_nothing(self, micro_baseline, tmp_path, monkeypatch):
+        """Fig. 6 after Fig. 7 on one cache dir retrains nothing and matches a cold run."""
+
+        from repro.experiments import (
+            mitigation,
+            run_fig6_optimized_thresholds,
+            run_fig7_mitigation_comparison,
+        )
+
+        run_fig7_mitigation_comparison(MICRO, fault_rates=(0.30,), methods=("fap", "falvolt"),
+                                       retraining_epochs=1, cache_dir=tmp_path)
+        cold = run_fig6_optimized_thresholds(MICRO, fault_rates=(0.30,), retraining_epochs=1)
+        built = []
+        real = mitigation.get_mitigation
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mitigation, "get_mitigation", counting)
+        warm = run_fig6_optimized_thresholds(MICRO, fault_rates=(0.30,), retraining_epochs=1,
+                                             cache_dir=tmp_path)
+        assert built == []
+        assert warm == cold
+
+    def test_bad_cells_rejected_before_training(self, monkeypatch):
+        from repro.experiments import RetrainCell, mitigation, run_fig7_mitigation_comparison
+
+        def no_training(config):
+            raise AssertionError("prepare_baseline ran")
+
+        monkeypatch.setattr(mitigation, "prepare_baseline", no_training)
+        with pytest.raises(KeyError, match="pruning"):
+            RetrainCell(0.30, "pruning")
+        with pytest.raises(ValueError, match="threshold"):
+            RetrainCell(0.30, "fap", threshold=0.5)
+        with pytest.raises(KeyError, match="pruning"):
+            run_fig7_mitigation_comparison(MICRO, methods=("fap", "pruning"))
 
     def test_unknown_mitigation_rejected(self, micro_baseline):
         from repro.experiments import run_fig7_mitigation_comparison

@@ -41,7 +41,6 @@ from repro.snn import (
     Sequential,
     SpikingClassifier,
     build_model_for_dataset,
-    compile_for_inference,
     lower_plan,
 )
 from repro.snn.inference.plan import NeuronSpec
@@ -101,7 +100,7 @@ class TestCleanEngineBitIdentity:
                                            time_steps=3, seed=5)
         x = rng.random((4, 1, 16, 16))
         reference = _autograd_rates(model, x)
-        fused = compile_for_inference(model).run(x)
+        fused = model.compile_inference().run(x)
         assert reference.tobytes() == fused.tobytes()
 
     def test_max_pool_and_dropout_eval(self, rng):
@@ -127,7 +126,7 @@ class TestCleanEngineBitIdentity:
         # 5D event input (T, batch, C, H, W) overrides the model's T.
         x = (rng.random((6, 2, 2, 16, 16)) > 0.7).astype(np.float64)
         reference = _autograd_rates(model, x)
-        fused = compile_for_inference(model).run(x)
+        fused = model.compile_inference().run(x)
         assert reference.tobytes() == fused.tobytes()
 
     def test_batch_norm_running_stats_respected(self, rng):
@@ -149,7 +148,7 @@ class TestCleanEngineBitIdentity:
     def test_predict_and_evaluate_match_model(self, trained_tiny_model,
                                               tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
-        engine = compile_for_inference(trained_tiny_model)
+        engine = trained_tiny_model.compile_inference()
         inputs, labels = next(iter(test_loader))
         assert np.array_equal(engine.predict(inputs),
                               trained_tiny_model.predict(inputs))
@@ -185,8 +184,8 @@ class TestFloat32Mode:
                                                       tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
         inputs, _ = next(iter(test_loader))
-        rates64 = compile_for_inference(trained_tiny_model).run(inputs)
-        rates32 = compile_for_inference(trained_tiny_model, dtype="float32").run(inputs)
+        rates64 = trained_tiny_model.compile_inference().run(inputs)
+        rates32 = trained_tiny_model.compile_inference(dtype="float32").run(inputs)
         assert rates32.dtype == np.float32
         # Away from spike-threshold flips the two dtypes agree to rounding;
         # a flip changes a rate by 1/T, so compare distributionally.
@@ -208,7 +207,7 @@ class TestFloat32Mode:
 
     def test_unknown_dtype_rejected(self, trained_tiny_model):
         with pytest.raises(ValueError):
-            compile_for_inference(trained_tiny_model, dtype="float16")
+            trained_tiny_model.compile_inference(dtype="float16")
 
 
 # ----------------------------------------------------------------------
