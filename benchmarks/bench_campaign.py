@@ -5,11 +5,10 @@ through both campaign engines against one trained micro-model and
 reports:
 
 * per-engine wall-clock cost and the speedup over the sequential oracle,
-* the fused engine's machine-relative ratios for the chain fast path vs
-  the untiled reference, 2 lane threads vs 1 (the bit-safe intra-sweep
-  parallelism knob), the stuck-at sweep vs the same sweep under transient
-  (SEU) schedules, and the compiled cffi kernel backend vs the numpy
-  oracle backend,
+* the fused engine's machine-relative ratios for 2 lane threads vs 1 (the
+  bit-safe intra-sweep parallelism knob), the stuck-at sweep vs the same
+  sweep under transient (SEU) schedules, and the compiled cffi kernel
+  backend vs the numpy oracle backend,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -85,35 +84,28 @@ TRANSIENT_PARAMS = {"process": "bernoulli", "num_steps": 3, "rate": 0.5}
 def run_sweep_interleaved(model, loader, configs, rounds=3):
     """Best-of-``rounds`` sweep cost per config, measured round-robin.
 
-    ``configs`` maps label -> (engine, chain_fastpath, dtype, lane_threads,
-    fault_model, backend).  Interleaving the configurations
+    ``configs`` maps label -> (engine, dtype, lane_threads, fault_model,
+    backend).  Interleaving the configurations
     (instead of timing each one back to back) keeps a load spike on a
     shared CI box from billing one configuration only.
     """
 
-    from repro.systolic import chain_kernel
-
     times = {label: float("inf") for label in configs}
     records = {}
-    saved = chain_kernel.FASTPATH_ENABLED
-    try:
-        for _ in range(rounds):
-            for label, (engine, fastpath, dtype, lane_threads,
-                        fault_model, backend) in configs.items():
-                chain_kernel.FASTPATH_ENABLED = fastpath
-                params = TRANSIENT_PARAMS if fault_model == "transient" else None
-                start = time.perf_counter()
-                records[label] = sweep_faulty_pe_count(
-                    model, loader,
-                    rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
-                    counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
-                    dataset="mnist", engine=engine, dtype=dtype,
-                    lane_threads=lane_threads,
-                    fault_model=fault_model, fault_params=params,
-                    backend=backend)
-                times[label] = min(times[label], time.perf_counter() - start)
-    finally:
-        chain_kernel.FASTPATH_ENABLED = saved
+    for _ in range(rounds):
+        for label, (engine, dtype, lane_threads,
+                    fault_model, backend) in configs.items():
+            params = TRANSIENT_PARAMS if fault_model == "transient" else None
+            start = time.perf_counter()
+            records[label] = sweep_faulty_pe_count(
+                model, loader,
+                rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
+                counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
+                dataset="mnist", engine=engine, dtype=dtype,
+                lane_threads=lane_threads,
+                fault_model=fault_model, fault_params=params,
+                backend=backend)
+            times[label] = min(times[label], time.perf_counter() - start)
     return records, times
 
 
@@ -134,27 +126,24 @@ def test_bench_campaign_engines(campaign_setup):
             dataset="mnist", engine="fused", backend="cffi")
 
     configs = {
-        "sequential": ("sequential", True, "float64", None, "stuck_at", None),
-        "fused": ("fused", True, "float64", None, "stuck_at", None),
-        "fused-chainref": ("fused", False, "float64", None, "stuck_at", None),
-        "fused-lane2": ("fused", True, "float64", 2, "stuck_at", None),
-        "fused-f32": ("fused", True, "float32", None, "stuck_at", None),
-        "sequential-seu": ("sequential", True, "float64", None, "transient", None),
-        "fused-seu": ("fused", True, "float64", None, "transient", None),
+        "sequential": ("sequential", "float64", None, "stuck_at", None),
+        "fused": ("fused", "float64", None, "stuck_at", None),
+        "fused-lane2": ("fused", "float64", 2, "stuck_at", None),
+        "fused-f32": ("fused", "float32", None, "stuck_at", None),
+        "sequential-seu": ("sequential", "float64", None, "transient", None),
+        "fused-seu": ("fused", "float64", None, "transient", None),
     }
     if have_cffi:
-        configs["fused-cffi"] = (
-            "fused", True, "float64", None, "stuck_at", "cffi")
+        configs["fused-cffi"] = ("fused", "float64", None, "stuck_at", "cffi")
     records, times = run_sweep_interleaved(model, loader, configs, rounds=5)
 
-    fastpath_speedup = times["fused-chainref"] / times["fused"]
     lane_speedup = times["fused"] / times["fused-lane2"]
     transient_ratio = times["fused"] / times["fused-seu"]
     backend_speedup = (times["fused"] / times["fused-cffi"]
                        if have_cffi else None)
     rows = []
-    for engine in ("sequential", "fused", "fused-cffi", "fused-chainref",
-                   "fused-lane2", "fused-f32", "sequential-seu", "fused-seu"):
+    for engine in ("sequential", "fused", "fused-cffi", "fused-lane2",
+                   "fused-f32", "sequential-seu", "fused-seu"):
         if engine not in times:
             continue
         rows.append({
@@ -164,7 +153,6 @@ def test_bench_campaign_engines(campaign_setup):
             "speedup": times["sequential"] / times[engine],
         })
     identical = (records["fused"] == records["sequential"]
-                 and records["fused-chainref"] == records["sequential"]
                  and records["fused-lane2"] == records["sequential"]
                  # The compiled backend must reproduce the oracle's records.
                  and ("fused-cffi" not in records
@@ -178,8 +166,7 @@ def test_bench_campaign_engines(campaign_setup):
     backend_note = (f"cffi backend vs numpy: {backend_speedup:.2f}x"
                     if backend_speedup is not None else
                     "cffi backend vs numpy: n/a (backend unavailable)")
-    summary = (f"chain fast path vs untiled reference: {fastpath_speedup:.2f}x; "
-               f"2 lane threads vs 1: {lane_speedup:.2f}x; "
+    summary = (f"2 lane threads vs 1: {lane_speedup:.2f}x; "
                f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
                + backend_note)
     print("\n" + table + "\n" + summary)
@@ -189,18 +176,16 @@ def test_bench_campaign_engines(campaign_setup):
     save_records(rows + [{
         "engine": "meta",
         "identical_records": bool(identical),
-        "chain_fastpath_speedup": fastpath_speedup,
         "lane_speedup": lane_speedup,
         "transient_overhead": transient_ratio,
         **({"backend_speedup": backend_speedup}
            if backend_speedup is not None else {}),
         "note": "identical_records pins float64 bit-identity across both "
-                "engines, both chain paths, 1 vs 2 lane threads, the compiled cffi kernel backend, and "
+                "engines, 1 vs 2 lane threads, the compiled cffi kernel backend, and "
                 "the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); the "
                 "*_speedup entries are cold Fig. 5b sweep cost ratios "
-                "measured within this run (machine-relative): untiled "
-                "reference chain path over the prefix-run fast path, one "
+                "measured within this run (machine-relative): one "
                 "lane thread over two, and the numpy oracle backend over the "
                 "compiled cffi backend (backend_speedup, present only when "
                 "the cffi backend is available); transient_overhead is the "
@@ -209,16 +194,14 @@ def test_bench_campaign_engines(campaign_setup):
                 "relatively slower)",
     }], RESULTS_DIR / "campaign_engine.json")
 
-    # The acceptance property: identical records across both engines, both
-    # chain-application paths and 1 vs 2 lane threads (same accuracies, same
-    # seeds -- float64 bit-identity).
+    # The acceptance property: identical records across both engines and
+    # 1 vs 2 lane threads (same accuracies, same seeds -- float64
+    # bit-identity).
     assert identical, "engine records diverged"
     # The fault-free point reports the software baseline.
     assert records["fused"][0]["num_faulty_pes"] == 0
     # Wall-clock: conservative bounds that hold across CI machines; the
     # recorded results document the precise ratios on the reference box.
-    assert fastpath_speedup >= 1.1, \
-        f"chain fast path only {fastpath_speedup:.2f}x over the reference path"
     # Lane threads may not win on single-core boxes but must stay within
     # thread-overhead noise.  The recorded ratios are gated machine-relative
     # by check_regression.py.

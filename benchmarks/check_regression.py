@@ -8,15 +8,13 @@ Rules (the documented gate policy):
 
 * **Identity mismatch always fails.**  The fresh run's ``meta`` row must
   report ``identical_records: true`` -- float64 records bit-identical
-  across the sequential / fused engines and both chain paths.
-  No tolerance applies.
+  across the sequential / fused engines.  No tolerance applies.
 * **Only machine-relative ratios are gated.**  Absolute seconds are not
   comparable between the recording box and a CI runner, but ratios
   measured *within one run* are: the ``speedup`` column (cost relative to
   the same run's sequential oracle) for the fused engine, and the
-  ``meta`` ratios ``chain_fastpath_speedup`` (untiled reference chain
-  path over the prefix-run fast path), ``lane_speedup`` (one lane thread
-  over two), ``transient_overhead`` (the stuck-at sweep over the
+  ``meta`` ratios ``lane_speedup`` (one lane thread over two),
+  ``transient_overhead`` (the stuck-at sweep over the
   transient-schedule sweep) and ``backend_speedup`` (the
   numpy oracle backend over the compiled cffi backend) -- each gated only
   when both the fresh and the recorded run report it.  Each fresh ratio must be at
@@ -112,7 +110,6 @@ def main(argv=None) -> int:
 
     recorded_meta = baseline.get("meta", {})
     gated_ratios = (
-        ("chain_fastpath_speedup", "chain fast path"),
         ("lane_speedup", "lane threads"),
         ("transient_overhead", "transient path"),
         ("backend_speedup", "cffi backend"),

@@ -4,11 +4,11 @@
 under a subset array's faults.  The dense per-map product is computed with
 the exact GEMM geometry of the sequential :meth:`repro.systolic.array
 .SystolicArray.matmul` oracle, and chain application is delegated to the
-shared fast path (:func:`~repro.systolic.chain_kernel.apply_chain_plan`)
-over the weight's prepared
-:class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks, so results
-are bit-identical to the sequential oracle, as the equivalence tests
-assert.
+backend's chain driver (by default
+:func:`~repro.systolic.chain_kernel.apply_chain_plan`) over the weight's
+prepared :class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks.
+Results are bit-identical to that oracle, which is the one reference the
+equivalence tests compare them against by ``tobytes()``.
 
 Fault campaigns run in a streaming regime: tiny batches, many time
 steps, hundreds of chain applications per evaluation.  Everything
@@ -16,10 +16,6 @@ input-independent -- chain ordering, per-level bit/polarity masks, scatter
 index arrays, fixed-point constants -- is precomputed at
 ``prepare_weight`` time, so the per-call work is exactly the segment GEMMs
 and fused stuck-at passes.
-
-When ``chain_kernel.FASTPATH_ENABLED`` is off the runner routes chain
-application through the untiled reference implementation on the subset
-array instead, keeping the two paths comparable end to end.
 
 A layer runs in one of two modes.  At a map's *fork op* the input is the
 clean lane's activations, identical for every map forking there, so the
@@ -36,11 +32,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ...autograd.functional import im2col
 from ...systolic import array as systolic_array
-from ...systolic import chain_kernel
 from ...systolic.array import BatchedSystolicArray
-from ...systolic.chain_kernel import apply_chain_plan
 
 __all__ = ["FaultyAffineRunner", "ForkEntry"]
 
@@ -77,17 +70,13 @@ class FaultyAffineRunner:
     spec:
         The layer's :class:`~repro.snn.inference.plan.AffineSpec`.
     backend:
-        Optional :class:`~repro.snn.inference.backends.Backend` supplying
-        the stuck-at forcing kernel, the im2col gather and the chain
-        driver; ``None`` keeps the shared numpy/chain-kernel paths.  The
-        subset's own :class:`~repro.systolic.chain_kernel.StuckAtKernel`
-        is replaced by ``backend.stuck_at_kernel`` over the same format,
-        which must be (and for the in-tree backends is) bit-identical.
+        The resolved :class:`~repro.snn.inference.backends.Backend`
+        supplying the stuck-at forcing kernel (over the subset's
+        accumulator format), the im2col gather and the chain driver.
     """
 
     def __init__(self, subset: BatchedSystolicArray, prepared, spec,
-                 backend=None) -> None:
-        self.subset = subset
+                 backend) -> None:
         self.prepared = prepared
         self.num_maps = subset.num_maps
         self.spec = spec
@@ -97,31 +86,18 @@ class FaultyAffineRunner:
         self.bias = None if spec.bias is None else np.asarray(spec.bias,
                                                               dtype=np.float64)
         self.rows = subset.rows
-        if backend is None:
-            self.kernel = subset._stuck_kernel
-            self._im2col = im2col
-            self._apply_plan = apply_chain_plan
-        else:
-            self.kernel = backend.stuck_at_kernel(subset.fmt)
-            self._im2col = backend.im2col
-            self._apply_plan = backend.apply_chain_plan
+        self.kernel = backend.stuck_at_kernel(subset.fmt)
+        self._im2col = backend.im2col
+        self._apply_plan = backend.apply_chain_plan
 
     # ------------------------------------------------------------------
     def _apply_chains(self, x: np.ndarray, output: np.ndarray,
                       shared: bool) -> None:
-        if chain_kernel.FASTPATH_ENABLED:
-            for plan in self.prepared.chain_plans:
-                # Read the block cap through the module so tests can shrink
-                # it to force the multi-chunk path.
-                self._apply_plan(plan.uniform, x, output, shared, self.kernel,
-                                 self.rows,
-                                 systolic_array._CHAIN_BLOCK_ELEMENTS)
-        else:
-            ref_inputs = (np.broadcast_to(x, (self.num_maps,) + x.shape)
-                          if shared else x)
-            for plan in self.prepared.chain_plans:
-                self.subset._apply_chain_plan_reference(plan, ref_inputs,
-                                                        output, shared)
+        for plan in self.prepared.chain_plans:
+            # Read the block cap through the module so tests can shrink it
+            # to force the multi-chunk path.
+            self._apply_plan(plan, x, output, shared, self.kernel, self.rows,
+                             systolic_array._CHAIN_BLOCK_ELEMENTS)
 
     def _im2col_flat(self, x: np.ndarray):
         """``(out_h, out_w)`` and the 2D im2col patches of 4D ``x``."""

@@ -6,7 +6,6 @@ mapping and a first-order latency model.
 """
 
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
-from .pe import ProcessingElement
 from .mapping import (
     as_weight_matrix,
     count_mapped_weights,
@@ -30,7 +29,6 @@ from .energy import BYPASS_AREA_OVERHEAD, EnergyModel, compare_snn_vs_ann
 __all__ = [
     "DEFAULT_ACCUMULATOR_FORMAT",
     "FixedPointFormat",
-    "ProcessingElement",
     "as_weight_matrix",
     "count_mapped_weights",
     "faulty_mask_for_layer_weight",

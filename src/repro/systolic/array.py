@@ -24,11 +24,14 @@ Two pieces are provided:
 * :class:`BatchedSystolicArray` -- the fault-structure snapshot of ``F``
   arrays and the weight preparation behind the fused engine's
   :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner`: the
-  prefix-sum fault chains of every (map, column) pair are stacked along a
-  leading axis, so ``F`` maps are simulated in one vectorised pass.  The
-  arithmetic is ordered exactly as in the sequential path, so per-map
-  results are **bit-identical** to ``F`` separate :meth:`SystolicArray.matmul`
-  calls (a property the equivalence tests assert).
+  prefix-sum fault chains of every (map, column) pair are laid out as
+  prefix-level chain plans
+  (:class:`~repro.systolic.chain_kernel.UniformChainPlan`), so ``F`` maps
+  are simulated in one vectorised pass by
+  :func:`~repro.systolic.chain_kernel.apply_chain_plan`.  The arithmetic is
+  ordered exactly as in the sequential path, so per-map results are
+  **bit-identical** to ``F`` separate :meth:`SystolicArray.matmul` calls,
+  the one reference the equivalence tests compare against by ``tobytes()``.
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd.functional import im2col
-from . import chain_kernel
-from .chain_kernel import StuckAtKernel, build_uniform_plan
+from .chain_kernel import UniformChainPlan, build_uniform_plan
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .mapping import as_weight_matrix, tile_counts
-from .pe import ProcessingElement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,21 +155,6 @@ class SystolicArray:
     @property
     def bypassed_coordinates(self) -> set:
         return set(self._bypassed)
-
-    def build_pe_grid(self) -> List[List[ProcessingElement]]:
-        """Materialise :class:`ProcessingElement` objects (used by the cycle model)."""
-
-        fault_lookup = {(s.row, s.col): s.fault for s in self._fault_sites}
-        grid = []
-        for r in range(self.rows):
-            row_list = []
-            for c in range(self.cols):
-                row_list.append(ProcessingElement(
-                    row=r, col=c, fmt=self.fmt,
-                    fault=fault_lookup.get((r, c)),
-                    bypassed=(r, c) in self._bypassed))
-            grid.append(row_list)
-        return grid
 
     # ------------------------------------------------------------------
     # Faulty linear algebra
@@ -343,9 +329,9 @@ class SystolicArray:
 # ----------------------------------------------------------------------
 # Multi-fault-map chain structure (the fused engine's faulty GEMMs)
 # ----------------------------------------------------------------------
-#: Soft cap on the number of float64 elements a single stacked chain block may
-#: allocate (products tensor of shape (chains, batch, n_out, tile_rows)).
-#: Blocks larger than this are processed in chunks.
+#: Soft cap on the float64 elements of each ``(chains, batch, max(rows,
+#: n_out))`` buffer :func:`~repro.systolic.chain_kernel.apply_chain_plan`
+#: allocates; chain blocks larger than this run in chunks.
 _CHAIN_BLOCK_ELEMENTS = 4_000_000
 
 
@@ -378,37 +364,12 @@ class _ChainTable:
 
 
 @dataclasses.dataclass
-class _ChainTilePlan:
-    """Input-independent per-tile chain data: masked segment/tail weights."""
-
-    lo: int
-    hi: int
-    n_sites: np.ndarray             # (chains,) active sites in this tile
-    level_stacks: List[np.ndarray]  # per level: (chains, tile_rows, n_out)
-    tail_stack: np.ndarray          # (chains, tile_rows, n_out)
-
-
-@dataclasses.dataclass
-class _ChainPlan:
-    """One chain group's precomputed weight stacks across all tiles.
-
-    ``tiles`` is the ragged (chunked-reference) layout; ``uniform`` is the
-    uniform-tile regrouping of the same chains consumed by the shared fast
-    path in :mod:`repro.systolic.chain_kernel`.
-    """
-
-    table: _ChainTable
-    tiles: List[_ChainTilePlan]
-    uniform: chain_kernel.UniformChainPlan
-
-
-@dataclasses.dataclass
 class _PreparedWeight:
     """Output of :meth:`BatchedSystolicArray.prepare_weight`."""
 
     weight_matrix: np.ndarray               # float64 (out, in)
     stacked_weights: Optional[np.ndarray]   # (F, in, out) when bypass differs per map
-    chain_plans: List[_ChainPlan]
+    chain_plans: List[UniformChainPlan]
 
 
 class BatchedSystolicArray:
@@ -423,9 +384,7 @@ class BatchedSystolicArray:
     corrupt all maps' chains together.  Each step keeps the exact
     arithmetic of the sequential :meth:`SystolicArray.matmul` path, so
     per-map results match ``F`` separate :meth:`SystolicArray.matmul` calls
-    bit for bit.  :meth:`_apply_chain_plan_reference` is the untiled chain
-    application the fast path in :mod:`repro.systolic.chain_kernel` is
-    pinned against.
+    bit for bit.
 
     Fault and bypass state is *snapshotted at construction*: later mutations
     of the underlying :class:`SystolicArray` objects are not reflected.
@@ -451,7 +410,6 @@ class BatchedSystolicArray:
         self.rows = first.rows
         self.cols = first.cols
         self.fmt = first.fmt
-        self._stuck_kernel = StuckAtKernel(first.fmt)
         # Immutable snapshot of each map's active (non-bypassed) faults.
         self._faults_by_col = [array._active_faults_by_column() for array in arrays]
         self._bypassed = [array.bypassed_coordinates for array in arrays]
@@ -586,10 +544,11 @@ class BatchedSystolicArray:
             effective_weights = None
             stacked_weights = None
 
-        chain_plans: List[_ChainPlan] = []
+        chain_plans: List[UniformChainPlan] = []
         if self._any_faults:
             counts = self._site_counts(out_features, in_features)
-            tiles_in = int(np.ceil(in_features / self.rows))
+            tile_bounds = [(lo, min(lo + self.rows, in_features))
+                           for lo in range(0, in_features, self.rows)]
             for table, (full_counts, last_counts) in zip(self._chain_tables(out_features),
                                                          counts):
                 w_rows = [
@@ -597,118 +556,11 @@ class BatchedSystolicArray:
                      else effective_weights[chain.map_index])[chain.out_idx]
                     for chain in table.chains
                 ]
-                n_chains = len(table.chains)
-                # Plain-int bookkeeping: the loops below are scalar Python.
-                fault_rows = table.rows2d.tolist()
-                tiles = []
-                for tile in range(tiles_in):
-                    lo = tile * self.rows
-                    hi = min(lo + self.rows, in_features)
-                    tile_rows = hi - lo
-                    n_sites = full_counts if tile < tiles_in - 1 else last_counts
-                    sites = n_sites.tolist()
-                    starts = [0] * n_chains
-                    level_stacks = []
-                    for level in range(max(sites, default=0)):
-                        w_stack = np.zeros((n_chains, tile_rows, table.n_out))
-                        for c in range(n_chains):
-                            if sites[c] <= level:
-                                continue
-                            stop = fault_rows[c][level] + 1
-                            w_stack[c, starts[c]:stop] = \
-                                w_rows[c][:, lo + starts[c]:lo + stop].T
-                            starts[c] = stop
-                        level_stacks.append(w_stack)
-                    tail_stack = np.zeros((n_chains, tile_rows, table.n_out))
-                    for c in range(n_chains):
-                        tail_stack[c, starts[c]:] = w_rows[c][:, lo + starts[c]:hi].T
-                    tiles.append(_ChainTilePlan(lo, hi, n_sites, level_stacks, tail_stack))
-                chain_plans.append(_ChainPlan(table, tiles,
-                                              build_uniform_plan(table, tiles)))
+                tile_sites = [full_counts] * (len(tile_bounds) - 1) + [last_counts]
+                chain_plans.append(build_uniform_plan(table, w_rows, tile_bounds,
+                                                      tile_sites))
 
         return _PreparedWeight(weight_matrix, stacked_weights, chain_plans)
-
-    def _apply_chain_plan_reference(self, plan: "_ChainPlan", inputs: np.ndarray,
-                                    output: np.ndarray,
-                                    shared_inputs: bool) -> None:
-        """Untiled (ragged-chunk) chain application: the fast path's oracle.
-
-        Each chain segment is a full-tile-width GEMM against a weight whose
-        complement rows are zeroed (exactly the sequential formulation), so
-        one stacked matmul evaluates the current segment of every chain at
-        once, and the stuck-at bit forcing at each breakpoint level is also
-        applied to all chains together.  Both steps preserve per-chain
-        bit-identity with :meth:`SystolicArray._faulty_matmul`.  Kept as the
-        property-test oracle for the uniform-tile fast path.
-        """
-
-        table = plan.table
-        batch = inputs.shape[1]
-        n_chains = len(table.chains)
-        n_out = table.n_out
-
-        # Chunk the chain axis so the gathered (chains, batch, tile_rows)
-        # stacks stay bounded for wide (e.g. folded convolution) batches.
-        block = max(1, _CHAIN_BLOCK_ELEMENTS // max(1, batch * max(self.rows, n_out)))
-        batch_idx = np.arange(batch)[None, :, None]
-        for start in range(0, n_chains, block):
-            chunk = slice(start, min(start + block, n_chains))
-            size = chunk.stop - chunk.start
-            col_out = np.zeros((size, batch, n_out))
-            for tile in plan.tiles:
-                if shared_inputs:
-                    # A 2D x broadcasts across the weight stack: numpy performs
-                    # the same per-slice GEMM, bit-identical to the gathered form.
-                    x_stack = inputs[0][:, tile.lo:tile.hi]
-                else:
-                    x_stack = inputs[table.map_ids[chunk], :, tile.lo:tile.hi]
-                n_sites = tile.n_sites[chunk]
-                acc = np.zeros((size, batch, n_out))
-                for level, w_stack in enumerate(tile.level_stacks):
-                    active = level < n_sites
-                    if not active.any():
-                        continue
-                    segment = np.matmul(x_stack, w_stack[chunk])
-                    candidate = self._apply_stuck_block(acc + segment,
-                                                        table.bits2d[chunk, level],
-                                                        table.stuck2d[chunk, level])
-                    if active.all():
-                        acc = candidate
-                    else:
-                        acc = np.where(active[:, None, None], candidate, acc)
-                tails = np.matmul(x_stack, tile.tail_stack[chunk])
-                applied = n_sites > 0
-                if applied.all():
-                    col_out += acc + tails
-                elif not applied.any():
-                    col_out += tails
-                else:
-                    col_out += np.where(applied[:, None, None], acc + tails, tails)
-
-            # One fancy-indexed scatter for the whole chunk: every chain's
-            # columns land in its own map's output slice.
-            output[table.map_ids[chunk][:, None, None], batch_idx,
-                   table.out_idx2d[chunk][:, None, :]] = col_out
-
-    def _apply_stuck_block(self, values: np.ndarray, bits: np.ndarray,
-                           stuck: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`FixedPointFormat.apply_stuck_at` with per-chain bits.
-
-        Performs the same elementwise quantise / force-bit / dequantise steps
-        as the scalar path, broadcasting the (per-chain) bit position and
-        polarity over the trailing axes.
-        """
-
-        fmt = self.fmt
-        codes = fmt.to_code(values)
-        word_mask = (1 << fmt.total_bits) - 1
-        raw = codes & word_mask
-        bit_mask = np.left_shift(np.int64(1), bits)[:, None, None]
-        forced = np.where((stuck == 1)[:, None, None], raw | bit_mask, raw & ~bit_mask)
-        sign_mask = 1 << (fmt.total_bits - 1)
-        full = 1 << fmt.total_bits
-        signed = np.where(forced & sign_mask, forced - full, forced)
-        return fmt.from_code(signed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BatchedSystolicArray({self.num_maps} maps, "

@@ -14,14 +14,14 @@ inference engine's :class:`~repro.snn.inference.faulty_gemm
   repeat in every full weight tile), so signatures have the form
   ``(full, ..., full, last)`` and the chains active at any breakpoint
   level form a **prefix** of the permuted chain axis on full tiles -- and
-  a handful of contiguous runs on the (possibly partial) last tile.  The
-  per-call path issues one stacked segment GEMM and one fused force per
-  *(level, run)* and a single whole-chunk tail GEMM per tile, with **no**
-  per-level ``active`` masks, no ``np.where`` selects and no zero-filled
-  accumulators for not-yet-applied chains -- the ragged bookkeeping the
-  chunked reference path pays on every call.  The per-call memory
-  behaviour matches the reference path (one activation gather per chunk
-  and tile, one scatter per chunk); all per-run work happens on views.
+  a handful of contiguous runs on the (possibly partial) last tile.
+  :func:`build_uniform_plan` writes each run's segment stack and each
+  tile's tail stack once, already in that order.  The per-call path issues
+  one stacked segment GEMM and one fused force per *(level, run)* and a
+  single whole-chunk tail GEMM per tile, with **no** per-level ``active``
+  masks, no ``np.where`` selects and no zero-filled accumulators for
+  not-yet-applied chains.  It makes one activation gather per chunk and
+  tile and one scatter per chunk; all per-run work happens on views.
 
 * **Fused stuck-at kernel.**  :class:`StuckAtKernel` performs the
   quantise -> force-bit -> dequantise sequence as one in-place pass over
@@ -36,8 +36,7 @@ Bit-identity rules (why this is safe):
 
 * A stacked ``(G, batch, k) @ (G, k, n)`` matmul evaluates each leading
   slice as an independent 2D GEMM, so permuting chains along the stack
-  axis cannot change any chain's result -- the same property the chunked
-  reference path already relies on (and the equivalence tests pin).
+  axis cannot change any chain's result.
 * Every arithmetic step keeps the exact operand geometry of the
   sequential oracle: per-chain segment GEMMs of shape
   ``(batch, tile_rows) @ (tile_rows, n_out)``, the same quantise / force /
@@ -53,10 +52,9 @@ Bit-identity rules (why this is safe):
 * Chains scatter to disjoint (map, column) output slices, so neither the
   permutation nor the run processing order can affect the result.
 
-Flip :data:`FASTPATH_ENABLED` to route chain application through the untiled reference implementation
-(:meth:`~repro.systolic.array.BatchedSystolicArray
-._apply_chain_plan_reference`); the property tests and the recorded
-benchmark drive both paths and assert ``tobytes()`` equality.
+The reference is the sequential oracle,
+:meth:`~repro.systolic.array.SystolicArray.matmul`: the property and
+edge-case tests compare every map's output to it by ``tobytes()``.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "FASTPATH_ENABLED",
     "LevelBlock",
     "LevelRun",
     "PrefixTile",
@@ -76,12 +73,6 @@ __all__ = [
     "apply_chain_plan",
     "build_uniform_plan",
 ]
-
-#: Route chain application through the uniform-tile fast path.  Tests and
-#: the recorded benchmark flip it to compare against the untiled reference
-#: path.
-FASTPATH_ENABLED = True
-
 
 class StuckAtKernel:
     """Fused vectorised stuck-at forcing for one fixed-point format.
@@ -194,40 +185,63 @@ class UniformChainPlan:
     run_maps: np.ndarray            # (map_runs,) fault-map index per run
 
 
-def build_uniform_plan(table, tiles) -> UniformChainPlan:
-    """Permute a chain table into prefix-level runs (prepare time).
+def _active_runs(sites: List[int], level: int) -> List[Tuple[int, int]]:
+    """Maximal ``(start, end)`` spans of positions whose site count exceeds ``level``."""
 
-    ``table`` / ``tiles`` are the ragged
-    :class:`~repro.systolic.array._ChainTable` /
-    :class:`~repro.systolic.array._ChainTilePlan` structures; the returned
-    plan holds the chains sorted by *descending* per-tile site-count
-    signature, so each level's active chains form contiguous runs (a single
-    prefix on full tiles).  The run stacks hold contiguous segment copies
-    and precomputed bit/polarity masks, so the per-call path does no mask
+    runs: List[Tuple[int, int]] = []
+    run_start = None
+    for position, count in enumerate(sites):
+        if count > level:
+            if run_start is None:
+                run_start = position
+        elif run_start is not None:
+            runs.append((run_start, position))
+            run_start = None
+    if run_start is not None:
+        runs.append((run_start, len(sites)))
+    return runs
+
+
+def build_uniform_plan(table, w_rows: List[np.ndarray],
+                       tile_bounds: List[Tuple[int, int]],
+                       tile_sites: List[np.ndarray]) -> UniformChainPlan:
+    """Lay a chain table out as prefix-level runs (prepare time).
+
+    ``table`` is a :class:`~repro.systolic.array._ChainTable`; ``w_rows[c]``
+    holds the ``(n_out, in_features)`` effective weight rows of its chain
+    ``c``, ``tile_bounds`` the ``(lo, hi)`` input rows of every weight tile
+    and ``tile_sites[t]`` the ``(chains,)`` active-site counts in tile
+    ``t``.  Chains are sorted by *descending* per-tile site-count signature
+    first, so each level's active chains form contiguous runs (a single
+    prefix on full tiles); every run's segment stack and every tile's tail
+    stack is then written once, in permuted order.  A segment holds the
+    chain's weight rows between two breakpoints with the rest of the tile
+    zeroed -- the operand of the sequential oracle's segment GEMM.  The
+    bit/polarity masks are precomputed, so the per-call path does no mask
     derivation.  The sort is deterministic, and chains scatter to disjoint
     output columns, so neither the permutation nor the application order
     can affect results.
     """
 
     n_chains = len(table.map_ids)
+    n_out = table.n_out
     # Plain-int lists: the per-chain bookkeeping below is scalar Python.
-    signatures = np.stack(
-        [np.asarray(tile.n_sites, dtype=np.int64) for tile in tiles],
-        axis=1).tolist()
+    signatures = np.stack([np.asarray(sites, dtype=np.int64) for sites in tile_sites],
+                          axis=1).tolist()
 
     # Descending signature order (stable, so equal signatures keep chain
     # order).  Non-last tiles all carry the chain's full-tile site count, so
     # signatures are (full, ..., full, last) and the lexicographic sort
     # orders by full count first: every full tile's level-k active set
     # becomes the prefix of chains with full > k.
-    perm = np.asarray(sorted(range(n_chains), key=signatures.__getitem__,
-                             reverse=True), dtype=np.int64)
+    order = sorted(range(n_chains), key=signatures.__getitem__, reverse=True)
+    perm = np.asarray(order, dtype=np.int64)
     map_ids = table.map_ids[perm]
+    chain_rows = [w_rows[c] for c in order]
+    fault_rows = table.rows2d[perm].tolist()
 
-    # Run stacks: contiguous segment/tail copies and masks.  Runs are
-    # maximal contiguous spans of chains active at one level.  The masks
-    # are per level over the permuted chain axis, shared by every tile's
-    # runs (slices of a contiguous axis stay contiguous).
+    # The masks are per level over the permuted chain axis, shared by every
+    # tile's runs (slices of a contiguous axis stay contiguous).
     stuck_levels = np.ascontiguousarray((table.stuck2d[perm] == 1).T)
     stuck_lists = stuck_levels.tolist()
     bit_levels = np.ascontiguousarray(
@@ -235,37 +249,40 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
     inv_levels = np.bitwise_not(bit_levels)
     prefix_tiles: List[PrefixTile] = []
     has_levels = False
-    for tile in tiles:
-        sites = np.asarray(tile.n_sites, dtype=np.int64)[perm].tolist()
+    for (lo, hi), tile_counts in zip(tile_bounds, tile_sites):
+        tile_rows = hi - lo
+        sites = np.asarray(tile_counts, dtype=np.int64)[perm].tolist()
+        # Per chain, the first tile row of its next segment.
+        starts = [0] * n_chains
         level_runs: List[List[LevelRun]] = []
         for level in range(max(sites, default=0)):
             has_levels = True
             runs: List[LevelRun] = []
-            run_start = None
-            for position in range(n_chains + 1):
-                active = position < n_chains and sites[position] > level
-                if active and run_start is None:
-                    run_start = position
-                elif not active and run_start is not None:
-                    span = slice(run_start, position)
-                    stuck = stuck_lists[level][span]
-                    all_sa1 = all(stuck)
-                    all_sa0 = not any(stuck)
-                    runs.append(LevelRun(
-                        w_stack=tile.level_stacks[level][perm[span]],
-                        bit_mask=bit_levels[level, span],
-                        inv_mask=inv_levels[level, span],
-                        stuck_one=(None if all_sa1 or all_sa0
-                                   else stuck_levels[level, span, None, None]),
-                        all_sa1=all_sa1,
-                        all_sa0=all_sa0,
-                        start=run_start,
-                        end=position))
-                    run_start = None
+            for run_start, run_end in _active_runs(sites, level):
+                w_stack = np.zeros((run_end - run_start, tile_rows, n_out))
+                for c in range(run_start, run_end):
+                    stop = fault_rows[c][level] + 1
+                    w_stack[c - run_start, starts[c]:stop] = \
+                        chain_rows[c][:, lo + starts[c]:lo + stop].T
+                    starts[c] = stop
+                stuck = stuck_lists[level][run_start:run_end]
+                all_sa1 = all(stuck)
+                all_sa0 = not any(stuck)
+                runs.append(LevelRun(
+                    w_stack=w_stack,
+                    bit_mask=bit_levels[level, run_start:run_end],
+                    inv_mask=inv_levels[level, run_start:run_end],
+                    stuck_one=(None if all_sa1 or all_sa0
+                               else stuck_levels[level, run_start:run_end, None, None]),
+                    all_sa1=all_sa1,
+                    all_sa0=all_sa0,
+                    start=run_start,
+                    end=run_end))
             level_runs.append(runs)
-        prefix_tiles.append(PrefixTile(
-            levels=level_runs,
-            tail_stack=np.ascontiguousarray(tile.tail_stack[perm])))
+        tail_stack = np.zeros((n_chains, tile_rows, n_out))
+        for c in range(n_chains):
+            tail_stack[c, starts[c]:] = chain_rows[c][:, lo + starts[c]:hi].T
+        prefix_tiles.append(PrefixTile(levels=level_runs, tail_stack=tail_stack))
 
     # Whole-axis same-map runs for the broadcast-GEMM strategy.
     if n_chains:
@@ -280,8 +297,8 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
         map_ids=map_ids,
         map_sel=map_ids[:, None, None],
         out_sel=table.out_idx2d[perm][:, None, :],
-        n_out=table.n_out,
-        tile_bounds=[(tile.lo, tile.hi) for tile in tiles],
+        n_out=n_out,
+        tile_bounds=list(tile_bounds),
         has_levels=has_levels,
         prefix_tiles=prefix_tiles,
         run_starts=run_starts,
@@ -320,9 +337,8 @@ def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
     ``inputs`` is ``(batch, in_features)`` when ``shared`` (identical
     activations for every map) or ``(F, batch, in_features)`` otherwise;
     ``output`` is the dense ``(F, batch, out_features)`` product, corrected
-    in place.  Chain chunks are bounded by ``block_elements`` exactly as in
-    the reference path so wide (folded convolution) batches stay within the
-    memory envelope.
+    in place.  Chain chunks are bounded by ``block_elements`` so wide
+    (folded convolution) batches stay within the memory envelope.
 
     Per chain the arithmetic is step-for-step the sequential oracle's: the
     level-0 segment GEMM writes straight into the chunk accumulator, level

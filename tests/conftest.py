@@ -14,6 +14,7 @@ import pytest
 from repro.datasets import DataLoader, load_dataset
 from repro.experiments import ExperimentConfig
 from repro.snn import Adam, Trainer, build_model_for_dataset
+from repro.snn.inference import get_backend
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.snn.inference.plan import AffineSpec
 from repro.systolic import BatchedSystolicArray
@@ -71,6 +72,13 @@ def state_digest(model) -> str:
     return digest.hexdigest()
 
 
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    """``actual`` equals ``expected`` byte for byte, so ``-0.0 != +0.0``."""
+
+    assert (actual.shape, actual.dtype) == (expected.shape, expected.dtype)
+    assert actual.tobytes() == expected.tobytes()
+
+
 def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
                       kind="linear", stride=1, padding=0):
     """Per-map output of one layer on the fused engine's faulty runner.
@@ -81,7 +89,8 @@ def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
 
     subset = BatchedSystolicArray(arrays)
     runner = FaultyAffineRunner(subset, subset.prepare_weight(weight),
-                                AffineSpec(kind, weight, bias, stride, padding))
+                                AffineSpec(kind, weight, bias, stride, padding),
+                                get_backend("numpy"))
     if shared:
         return runner.run_entry(runner.entry(inputs, runner.stacked_weights is None))
     return runner.run(inputs)

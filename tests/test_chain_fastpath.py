@@ -1,14 +1,15 @@
 """Fault-chain fast path: edge cases, bit-identity properties, plan cache.
 
-The uniform-tile chain kernel (:mod:`repro.systolic.chain_kernel`) must be
-``tobytes()``-identical to the untiled chunked reference
-(:meth:`BatchedSystolicArray._apply_chain_plan_reference`) and therefore to
-the sequential :meth:`SystolicArray.matmul` oracle, for every chain
-structure: empty tables, single-site chains, the all-chains-one-level
-degenerate case, ragged multi-level mixes, both gather strategies and the
-chunked path.  The process-wide :class:`PlanCache` campaign runners read
-must change *when* a model is lowered, never the records.
+The prefix-run chain kernel (:mod:`repro.systolic.chain_kernel`) must be
+``tobytes()``-identical to its one reference, the sequential
+:meth:`SystolicArray.matmul` oracle, for every chain structure: empty
+tables, single-site chains, the all-chains-one-level degenerate case,
+ragged multi-level mixes, both gather strategies and the chunked path.
+The process-wide :class:`PlanCache` campaign runners read must change
+*when* a model is lowered, never the records.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,18 +26,9 @@ from repro.systolic import (
 from repro.systolic import array as systolic_array
 from repro.systolic.chain_kernel import StuckAtKernel
 from repro.utils.rng import get_rng
-from tests.conftest import run_faulty_affine
+from tests.conftest import assert_same_bytes, run_faulty_affine
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
-
-
-@pytest.fixture(autouse=True)
-def restore_chain_kernel_switches():
-    fastpath = chain_kernel.FASTPATH_ENABLED
-    threshold = chain_kernel.PER_CHAIN_GEMM_BATCH
-    yield
-    chain_kernel.FASTPATH_ENABLED = fastpath
-    chain_kernel.PER_CHAIN_GEMM_BATCH = threshold
 
 
 def run_linear(arrays, weight, inputs, bias=None):
@@ -46,14 +38,18 @@ def run_linear(arrays, weight, inputs, bias=None):
                              shared=inputs.ndim == 2)
 
 
-def run_both_paths(arrays, weight, inputs, bias=None):
-    """(fast, reference) results of one multi-map linear layer."""
+def assert_matches_oracle(arrays, weight, inputs, bias=None):
+    """Run one multi-map linear layer and pin every map to the oracle.
 
-    chain_kernel.FASTPATH_ENABLED = True
-    fast = run_linear(arrays, weight, inputs, bias)
-    chain_kernel.FASTPATH_ENABLED = False
-    reference = run_linear(arrays, weight, inputs, bias)
-    return fast, reference
+    Each map's output must equal its own :meth:`SystolicArray.matmul`
+    byte for byte.  Returns the multi-map output.
+    """
+
+    result = run_linear(arrays, weight, inputs, bias)
+    for f, array in enumerate(arrays):
+        x = inputs if inputs.ndim == 2 else inputs[f]
+        assert_same_bytes(result[f], array.matmul(weight, x, bias=bias))
+    return result
 
 
 def run_bounds(plan):
@@ -77,9 +73,8 @@ class TestChainEdgeCases:
         prepared = batched.prepare_weight(weight)
         assert prepared.chain_plans == []
         inputs = rng.normal(size=(3, 4, 10))
-        fast, reference = run_both_paths(arrays, weight, inputs)
-        assert fast.tobytes() == reference.tobytes()
-        assert fast.tobytes() == np.matmul(inputs, weight.T).tobytes()
+        result = assert_matches_oracle(arrays, weight, inputs)
+        assert result.tobytes() == np.matmul(inputs, weight.T).tobytes()
 
     def test_faults_outside_output_columns_build_no_chains(self):
         """Faults in columns holding no outputs produce an empty table."""
@@ -87,8 +82,10 @@ class TestChainEdgeCases:
         array = SystolicArray(4, 8)
         array.inject_fault(1, 5, StuckAtFault(3, "sa1"))  # out_features < 6
         batched = BatchedSystolicArray([array])
-        prepared = batched.prepare_weight(np.ones((3, 4)))
+        weight = np.ones((3, 4))
+        prepared = batched.prepare_weight(weight)
         assert prepared.chain_plans == []
+        assert_matches_oracle([array], weight, get_rng(12).normal(size=(1, 2, 4)))
 
     def test_single_site_chains(self):
         """One fault per column: every chain is one level plus a tail."""
@@ -103,10 +100,7 @@ class TestChainEdgeCases:
             arrays.append(array)
         weight = rng.normal(size=(10, 12))
         inputs = rng.normal(size=(4, 3, 12))
-        fast, reference = run_both_paths(arrays, weight, inputs)
-        assert fast.tobytes() == reference.tobytes()
-        for f, array in enumerate(arrays):
-            assert np.array_equal(fast[f], array.matmul(weight, inputs[f]))
+        assert_matches_oracle(arrays, weight, inputs)
 
     def test_all_chains_share_one_level_uniform_degenerate(self):
         """Chains sharing one site count form ONE run per level."""
@@ -120,13 +114,11 @@ class TestChainEdgeCases:
         weight = get_rng(2).normal(size=(4, 4))
         prepared = batched.prepare_weight(weight)
         (plan,) = prepared.chain_plans
-        assert run_bounds(plan.uniform) == [[[(0, 3)]]]
-        (run,) = plan.uniform.prefix_tiles[0].levels[0]
+        assert run_bounds(plan) == [[[(0, 3)]]]
+        (run,) = plan.prefix_tiles[0].levels[0]
         assert run.all_sa1 and run.stuck_one is None
 
-        inputs = get_rng(3).normal(size=(3, 2, 4))
-        fast, reference = run_both_paths(arrays, weight, inputs)
-        assert fast.tobytes() == reference.tobytes()
+        assert_matches_oracle(arrays, weight, get_rng(3).normal(size=(3, 2, 4)))
 
     def test_mixed_site_counts_split_into_uniform_groups(self):
         array = SystolicArray(6, 4)
@@ -134,11 +126,13 @@ class TestChainEdgeCases:
         array.inject_fault(0, 1, StuckAtFault(3, "sa1"))
         array.inject_fault(4, 1, StuckAtFault(5, "sa0"))
         batched = BatchedSystolicArray([array])
-        prepared = batched.prepare_weight(get_rng(4).normal(size=(4, 6)))
+        weight = get_rng(4).normal(size=(4, 6))
+        prepared = batched.prepare_weight(weight)
         (plan,) = prepared.chain_plans
         # Descending sort: the two-site chain first, so level 0 covers both
         # chains and level 1 only the first.
-        assert run_bounds(plan.uniform) == [[[(0, 2)], [(0, 1)]]]
+        assert run_bounds(plan) == [[[(0, 2)], [(0, 1)]]]
+        assert_matches_oracle([array], weight, get_rng(13).normal(size=(1, 3, 6)))
 
     def test_site_row_beyond_tile_rows_is_tail_only(self):
         """A fault row >= in_features contributes no level, only the tail."""
@@ -147,9 +141,7 @@ class TestChainEdgeCases:
         array.inject_fault(4, 0, StuckAtFault(FMT.magnitude_msb, "sa1"))
         weight = get_rng(5).normal(size=(3, 3))      # in_features=3 < row 4
         inputs = get_rng(6).normal(size=(1, 2, 3))
-        fast, reference = run_both_paths([array], weight, inputs)
-        assert fast.tobytes() == reference.tobytes()
-        assert np.array_equal(fast[0], array.matmul(weight, inputs[0]))
+        assert_matches_oracle([array], weight, inputs)
 
     def test_chunked_fast_path_matches_unchunked(self, monkeypatch):
         rng = get_rng(7)
@@ -162,10 +154,9 @@ class TestChainEdgeCases:
             arrays.append(array)
         weight = rng.normal(size=(9, 14))
         inputs = rng.normal(size=(5, 3, 14))
-        chain_kernel.FASTPATH_ENABLED = True
-        unchunked = run_linear(arrays, weight, inputs)
+        unchunked = assert_matches_oracle(arrays, weight, inputs)
         monkeypatch.setattr(systolic_array, "_CHAIN_BLOCK_ELEMENTS", 1)
-        chunked = run_linear(arrays, weight, inputs)
+        chunked = assert_matches_oracle(arrays, weight, inputs)
         assert unchunked.tobytes() == chunked.tobytes()
 
     def test_descending_sort_makes_full_tile_levels_prefixes(self):
@@ -176,23 +167,24 @@ class TestChainEdgeCases:
         array.inject_fault(2, 0, StuckAtFault(4, "sa0"))
         array.inject_fault(1, 1, StuckAtFault(3, "sa1"))
         batched = BatchedSystolicArray([array])
-        prepared = batched.prepare_weight(get_rng(10).normal(size=(4, 9)))
+        weight = get_rng(10).normal(size=(4, 9))
+        prepared = batched.prepare_weight(weight)
         (plan,) = prepared.chain_plans
-        uniform = plan.uniform
         signatures = [
             tuple(sum(run.start <= chain < run.end
                       for runs in tile.levels for run in runs)
-                  for tile in uniform.prefix_tiles)
-            for chain in range(len(uniform.map_ids))]
+                  for tile in plan.prefix_tiles)
+            for chain in range(len(plan.map_ids))]
         assert signatures == sorted(signatures, reverse=True)
         assert signatures[0] != signatures[-1]
         # 9 input features on a 4-row array: tiles 0 and 1 are full, tile 2
         # is partial.  Full tiles must expose exactly one (prefix) run per
         # level, starting at chain 0.
-        for tile in uniform.prefix_tiles[:2]:
+        for tile in plan.prefix_tiles[:2]:
             for runs in tile.levels:
                 assert len(runs) == 1
                 assert runs[0].start == 0
+        assert_matches_oracle([array], weight, get_rng(14).normal(size=(1, 3, 9)))
 
     def test_per_chain_view_strategy_matches_stacked(self, monkeypatch):
         """Forcing the wide-batch strategy on tiny batches changes nothing."""
@@ -207,11 +199,10 @@ class TestChainEdgeCases:
             arrays.append(array)
         weight = rng.normal(size=(12, 11))
         inputs = rng.normal(size=(4, 3, 11))
-        chain_kernel.FASTPATH_ENABLED = True
         monkeypatch.setattr(chain_kernel, "PER_CHAIN_GEMM_BATCH", 10**9)
-        stacked = run_linear(arrays, weight, inputs)
+        stacked = assert_matches_oracle(arrays, weight, inputs)
         monkeypatch.setattr(chain_kernel, "PER_CHAIN_GEMM_BATCH", 1)
-        by_view = run_linear(arrays, weight, inputs)
+        by_view = assert_matches_oracle(arrays, weight, inputs)
         assert stacked.tobytes() == by_view.tobytes()
 
 
@@ -260,7 +251,7 @@ class TestStuckAtKernel:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis property: tiled output == untiled reference oracle
+# Hypothesis property: every map's output == the sequential oracle
 # ----------------------------------------------------------------------
 @st.composite
 def chain_scenarios(draw):
@@ -275,16 +266,18 @@ def chain_scenarios(draw):
     faults = draw(st.lists(st.integers(0, min(8, rows * cols)),
                            min_size=num_maps, max_size=num_maps))
     seed = draw(st.integers(0, 2**31 - 1))
+    by_view = draw(st.booleans())
+    chunked = draw(st.booleans())
     return (rows, cols, out_features, in_features, batch, num_maps, shared,
-            bypass, faults, seed)
+            bypass, faults, seed, by_view, chunked)
 
 
-class TestTiledVsUntiledProperty:
+class TestChainOracleProperty:
     @given(scenario=chain_scenarios())
     @settings(max_examples=40, deadline=None)
-    def test_tiled_output_tobytes_matches_untiled_reference(self, scenario):
+    def test_output_tobytes_matches_sequential_oracle(self, scenario):
         (rows, cols, out_features, in_features, batch, num_maps, shared,
-         bypass, faults, seed) = scenario
+         bypass, faults, seed, by_view, chunked) = scenario
         rng = get_rng(seed)
         arrays = []
         for map_index in range(num_maps):
@@ -300,12 +293,13 @@ class TestTiledVsUntiledProperty:
         weight = rng.normal(size=(out_features, in_features)) * 2
         shape = (batch, in_features) if shared else (num_maps, batch, in_features)
         inputs = rng.normal(size=shape)
-        fast, reference = run_both_paths(arrays, weight, inputs)
-        assert fast.tobytes() == reference.tobytes()
-        # And both equal the sequential oracle per map.
-        for f, array in enumerate(arrays):
-            oracle = array.matmul(weight, inputs if shared else inputs[f])
-            assert np.array_equal(fast[f], oracle)
+        # Forked inputs take either gather strategy; ``chunked`` runs one
+        # chain per chunk.
+        with mock.patch.object(chain_kernel, "PER_CHAIN_GEMM_BATCH",
+                               1 if by_view else 10**9), \
+                mock.patch.object(systolic_array, "_CHAIN_BLOCK_ELEMENTS",
+                                  1 if chunked else systolic_array._CHAIN_BLOCK_ELEMENTS):
+            assert_matches_oracle(arrays, weight, inputs)
 
 
 # ----------------------------------------------------------------------

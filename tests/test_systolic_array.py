@@ -1,4 +1,4 @@
-"""Tests for the systolic array simulator: PEs, mapping, faulty matmul/conv."""
+"""Tests for the systolic array simulator: mapping, faulty matmul/conv."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.faults import FaultMap, StuckAtFault, random_fault_map
 from repro.systolic import (
     DEFAULT_ACCUMULATOR_FORMAT,
     FixedPointFormat,
-    ProcessingElement,
     SystolicArray,
     as_weight_matrix,
     count_mapped_weights,
@@ -19,53 +18,6 @@ from repro.systolic import (
 )
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
-
-
-class TestProcessingElement:
-    def test_accumulates_on_spike(self):
-        pe = ProcessingElement(row=0, col=0)
-        pe.load_weight(0.5)
-        assert pe.process(1, 1.0) == pytest.approx(1.5)
-        assert pe.spike_count == 1
-
-    def test_no_accumulation_without_spike(self):
-        pe = ProcessingElement(row=0, col=0)
-        pe.load_weight(0.5)
-        assert pe.process(0, 1.0) == pytest.approx(1.0)
-        assert pe.spike_count == 0
-
-    def test_negative_weight_subtracts(self):
-        pe = ProcessingElement(row=0, col=0)
-        pe.load_weight(-0.75)
-        assert pe.process(1, 2.0) == pytest.approx(1.25)
-
-    def test_fault_corrupts_output(self):
-        fault = StuckAtFault(bit_position=FMT.magnitude_msb, stuck_type="sa1")
-        pe = ProcessingElement(row=0, col=0, fault=fault)
-        pe.load_weight(0.1)
-        assert pe.process(1, 0.0) > 10.0
-
-    def test_bypass_skips_weight_and_fault(self):
-        fault = StuckAtFault(bit_position=FMT.magnitude_msb, stuck_type="sa1")
-        pe = ProcessingElement(row=0, col=0, fault=fault, bypassed=True)
-        pe.load_weight(0.5)
-        assert pe.process(1, 2.0) == pytest.approx(2.0)
-
-    def test_reset_clears_counter(self):
-        pe = ProcessingElement(row=0, col=0)
-        pe.load_weight(1.0)
-        pe.process(1, 0.0)
-        pe.reset()
-        assert pe.spike_count == 0
-
-    def test_invalid_spike(self):
-        pe = ProcessingElement(row=0, col=0)
-        with pytest.raises(ValueError):
-            pe.process(2, 0.0)
-
-    def test_invalid_coordinates(self):
-        with pytest.raises(ValueError):
-            ProcessingElement(row=-1, col=0)
 
 
 class TestMapping:
@@ -254,14 +206,6 @@ class TestSystolicArrayMatmul:
         assert array.num_pes == 16
         sites = array.fault_sites
         assert sites[0].row == 1 and sites[0].col == 2
-
-    def test_build_pe_grid_marks_faulty_and_bypassed(self):
-        array = SystolicArray(2, 2)
-        array.inject_fault(0, 1, StuckAtFault(2, "sa1"))
-        array.bypass_faulty_pes()
-        grid = array.build_pe_grid()
-        assert grid[0][1].is_faulty and grid[0][1].bypassed
-        assert not grid[1][0].is_faulty
 
 
 class TestSystolicConv:

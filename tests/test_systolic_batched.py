@@ -2,7 +2,8 @@
 
 The fused engine relies on a :class:`FaultyAffineRunner` over a
 ``BatchedSystolicArray`` producing per-map results that are
-**bit-identical** (``np.array_equal``, not ``allclose``) to independent
+**bit-identical** (``tobytes()`` equality, which tells ``-0.0`` from
+``+0.0``; ``np.array_equal`` would not) to independent
 ``SystolicArray.matmul`` / ``conv2d`` calls.  These tests pin that property
 for fault-free maps, sa0/sa1 faults, bypassed PEs, linear and
 convolutional layers, shared (fork-entry) and per-map activations, and a
@@ -19,10 +20,11 @@ from repro.systolic import (
     FixedPointFormat,
     SystolicArray,
 )
+from repro.snn.inference import get_backend
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.snn.inference.plan import AffineSpec
 from repro.utils.rng import get_rng
-from tests.conftest import run_faulty_affine
+from tests.conftest import assert_same_bytes, run_faulty_affine
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -56,7 +58,7 @@ class TestMatmulBatchedEquivalence:
         inputs = rng.normal(size=(4, 5, 20))
         result = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
-            assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
+            assert_same_bytes(result[f], array.matmul(weight, inputs[f]))
 
     @pytest.mark.parametrize("stuck", ["sa0", "sa1"])
     def test_single_polarity_faults_bit_identical(self, stuck):
@@ -72,7 +74,7 @@ class TestMatmulBatchedEquivalence:
         inputs = (rng.random((5, 6, 30)) > 0.5).astype(float)
         result = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
-            assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
+            assert_same_bytes(result[f], array.matmul(weight, inputs[f]))
 
     def test_bypassed_maps_bit_identical(self):
         rng = get_rng(2)
@@ -90,7 +92,7 @@ class TestMatmulBatchedEquivalence:
         bias = rng.normal(size=9)
         result = run_faulty_affine(arrays, weight, inputs, bias=bias)
         for f, array in enumerate(arrays):
-            assert np.array_equal(result[f], array.matmul(weight, inputs[f], bias=bias))
+            assert_same_bytes(result[f], array.matmul(weight, inputs[f], bias=bias))
 
     def test_shared_2d_inputs_bit_identical(self):
         rng = get_rng(3)
@@ -99,7 +101,7 @@ class TestMatmulBatchedEquivalence:
         inputs = rng.normal(size=(4, 23))
         result = run_faulty_affine(arrays, weight, inputs, shared=True)
         for f, array in enumerate(arrays):
-            assert np.array_equal(result[f], array.matmul(weight, inputs))
+            assert_same_bytes(result[f], array.matmul(weight, inputs))
 
     def test_randomized_shapes_and_fault_structures(self):
         rng = get_rng(42)
@@ -116,8 +118,7 @@ class TestMatmulBatchedEquivalence:
             arrays = random_arrays(rng, rows, cols, num_maps)
             batched = run_faulty_affine(arrays, weight, inputs, bias=bias)
             for f, array in enumerate(arrays):
-                assert np.array_equal(batched[f],
-                                      array.matmul(weight, inputs[f], bias=bias))
+                assert_same_bytes(batched[f], array.matmul(weight, inputs[f], bias=bias))
 
     def test_multiple_faults_in_one_column(self):
         rng = get_rng(4)
@@ -129,8 +130,8 @@ class TestMatmulBatchedEquivalence:
         weight = rng.normal(size=(8, 13))
         inputs = rng.normal(size=(2, 3, 13))
         batched = run_faulty_affine([array, clean], weight, inputs)
-        assert np.array_equal(batched[0], array.matmul(weight, inputs[0]))
-        assert np.array_equal(batched[1], clean.matmul(weight, inputs[1]))
+        assert_same_bytes(batched[0], array.matmul(weight, inputs[0]))
+        assert_same_bytes(batched[1], clean.matmul(weight, inputs[1]))
 
     def test_prepared_weight_reuse_is_identical(self):
         rng = get_rng(6)
@@ -138,12 +139,12 @@ class TestMatmulBatchedEquivalence:
         batched = BatchedSystolicArray(arrays)
         weight = rng.normal(size=(7, 12))
         runner = FaultyAffineRunner(batched, batched.prepare_weight(weight),
-                                    AffineSpec("linear", weight, None))
+                                    AffineSpec("linear", weight, None),
+                                    get_backend("numpy"))
         first = rng.normal(size=(4, 3, 12))
         second = rng.normal(size=(4, 3, 12))
         runner.run(first)
-        assert np.array_equal(runner.run(second),
-                              run_faulty_affine(arrays, weight, second))
+        assert_same_bytes(runner.run(second), run_faulty_affine(arrays, weight, second))
 
 
 class TestConv2dBatchedEquivalence:
@@ -157,7 +158,7 @@ class TestConv2dBatchedEquivalence:
                            stride=1, padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x[f], bias=bias, stride=1, padding=1)
-            assert np.array_equal(batched[f], expected)
+            assert_same_bytes(batched[f], expected)
 
     def test_conv_shared_inputs_bit_identical(self):
         rng = get_rng(8)
@@ -167,7 +168,7 @@ class TestConv2dBatchedEquivalence:
         batched = run_faulty_affine(arrays, weight, x, shared=True, kind="conv", padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x, padding=1)
-            assert np.array_equal(batched[f], expected)
+            assert_same_bytes(batched[f], expected)
 
     def test_conv_weight_through_matmul(self):
         rng = get_rng(9)
@@ -176,7 +177,7 @@ class TestConv2dBatchedEquivalence:
         inputs = rng.normal(size=(3, 5, 18))
         batched = run_faulty_affine(arrays, weight, inputs)
         for f, array in enumerate(arrays):
-            assert np.array_equal(batched[f], array.matmul(weight, inputs[f]))
+            assert_same_bytes(batched[f], array.matmul(weight, inputs[f]))
 
 
 class TestBatchedArrayValidation:
