@@ -299,7 +299,7 @@ def test_bench_campaign_chaos_recovery(campaign_setup, tmp_path):
 
     import json
 
-    from repro.faults import CampaignOrchestrator, CampaignPoint, CampaignRunner
+    from repro.faults import CampaignPoint, CampaignRunner
     from repro.testing import clear_plan, install_plan
 
     model, loader = campaign_setup
@@ -325,9 +325,8 @@ def test_bench_campaign_chaos_recovery(campaign_setup, tmp_path):
     })
     try:
         runner = CampaignRunner(model, loader, workers=2, trial_chunk=2)
-        orchestrator = CampaignOrchestrator(runner)
         start = time.perf_counter()
-        result = orchestrator.run(points)
+        result = runner.orchestrate(points)
         chaos_time = time.perf_counter() - start
     finally:
         clear_plan()

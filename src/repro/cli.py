@@ -33,6 +33,14 @@ directory::
     python -m repro campaign counts --shard 1/2 --cache-dir sweep-cache
     python -m repro campaign counts --cache-dir sweep-cache  # merge
 
+Retraining grids (``run fig2|fig6|fig7|fig8|ablation-threshold``) run
+their cells on the same orchestrator and take ``--workers``,
+``--cache-dir``, ``--shard``, ``--unit-timeout`` and ``--resume``::
+
+    python -m repro run fig7 --shard 0/2 --cache-dir retrain-cache
+    python -m repro run fig7 --shard 1/2 --cache-dir retrain-cache
+    python -m repro run fig7 --cache-dir retrain-cache  # merge
+
 Every sweep entry point takes the same campaign flags.  The CLI turns them
 into one options dict (:func:`runner_options`) that reaches
 :class:`~repro.faults.CampaignRunner` unchanged.
@@ -158,7 +166,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="fused-engine evaluation dtype (float32 trades "
                              "bit-identity for speed)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes pulling sweep units from the "
+                        help="worker processes pulling the work units of a "
+                             "sweep or retraining grid from the "
                              "orchestrator's work-stealing queue (1 = serial)")
     parser.add_argument("--lane-threads", type=int, default=None, metavar="N",
                         help="threads sharing the fused engine's fork "
@@ -178,9 +187,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="directory for on-disk result caching (doubles "
                              "as the shard coordination layer)")
     parser.add_argument("--shard", type=_shard_spec, default=None, metavar="i/N",
-                        help="run only shard i of an N-way sweep split "
-                             "(0-based); shards pointed at the same cache "
-                             "directory partition the work units exactly")
+                        help="run only shard i of an N-way split of a sweep "
+                             "or retraining grid (0-based); shards pointed "
+                             "at the same cache directory partition the "
+                             "work units exactly")
     parser.add_argument("--trial-chunk", type=int, default=None, metavar="K",
                         help="split each sweep point into work units of at "
                              "most K trials (default: one unit per point); "
@@ -189,15 +199,17 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "byte-identical to an unchunked run")
     parser.add_argument("--unit-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-unit soft deadline for orchestrated sweeps: "
-                             "a worker whose unit runs longer is killed and "
+                        help="per-unit soft deadline for a sweep or "
+                             "retraining grid: a worker whose unit runs "
+                             "longer is killed and "
                              "the unit retried on another worker (default: "
                              "derived from observed unit timings).  A timing "
                              "knob only -- records are unchanged")
     parser.add_argument("--resume", action="store_true",
                         help=f"cache results under {DEFAULT_CACHE_DIR}/ (when "
                              "no --cache-dir is given) so an interrupted "
-                             "sweep continues where it stopped")
+                             "sweep or retraining grid continues where it "
+                             "stopped")
 
 
 def runner_options(args: argparse.Namespace) -> dict:
@@ -240,15 +252,14 @@ def _options_invalid(options: dict) -> bool:
 def _print_progress(event: dict) -> None:
     kind = event.get("kind")
     if kind == "unit-done":
-        position = (f"{event['completed']}/{event['total']}"
-                    if "completed" in event else f"point {event.get('point_index')}")
+        position = (f" {event['completed']}/{event['total']}"
+                    if "completed" in event else "")
         eta = event.get("eta_seconds")
         eta_text = f", eta {eta:.0f}s" if eta is not None else ""
-        print(f"  unit {position} done: point {event.get('point_index')} "
-              f"chunk {event.get('chunk_index')} in {event.get('seconds', 0.0):.2f}s"
-              f"{eta_text}")
+        print(f"  unit{position} done: {event.get('unit')} in "
+              f"{event.get('seconds', 0.0):.2f}s{eta_text}")
     elif kind == "unit-failed":
-        print(f"  unit for point {event.get('point_index')} failed on attempt "
+        print(f"  unit {event.get('unit')} failed on attempt "
               f"{event.get('attempt')}: {event.get('error')}")
     elif kind == "worker-crash":
         print(f"  worker {event.get('pid')} died (exit {event.get('exitcode')}); "
@@ -298,12 +309,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _report_pending_shard(exc, options: dict) -> int:
-    """Explain a sharded sweep that is waiting on its sibling shards."""
+    """Explain a sharded sweep or retraining grid waiting on its sibling shards."""
 
     cache_dir = options["cache_dir"]
     print(f"shard {options['shard']} finished its work units; "
-          f"{len(exc.pending)} sweep point(s) still need units from other "
-          f"shards.")
+          f"{len(exc.pending)} record(s) of the sweep or retraining grid "
+          f"still need units from other shards.")
     print(f"run the remaining shards against --cache-dir {cache_dir}, then "
           f"re-run this command without --shard (or with --resume) to merge "
           f"the records from the cache.")
@@ -316,7 +327,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = get_experiment(args.experiment)
     options = runner_options(args)
     if "progress" not in spec.options:
-        options.pop("progress", None)  # retraining grids print no unit lines
+        options.pop("progress", None)  # runners without work units take none
     unsupported = ["--" + name.replace("_", "-") for name in options
                    if name not in spec.options]
     if unsupported:

@@ -55,7 +55,8 @@ def ablate_surrogate_gradient(config: Optional[ExperimentConfig] = None,
 def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
                                  dataset: str = "mnist",
                                  fault_rate: float = 0.30,
-                                 retraining_epochs: Optional[int] = None) -> List[dict]:
+                                 retraining_epochs: Optional[int] = None,
+                                 **options) -> List[dict]:
     """FalVolt with per-layer thresholds vs a single shared initial threshold.
 
     The "global" variant still learns one threshold per layer structurally,
@@ -63,14 +64,15 @@ def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
     whether the per-layer freedom (the paper's choice) is what recovers
     accuracy, versus simply lowering all thresholds together.  Both variants
     are FalVolt retraining cells on the same fault map, starting from the
-    trained thresholds and from 0.7.
+    trained thresholds and from 0.7.  ``options`` go to
+    :func:`~repro.experiments.mitigation.retrain_cells`.
     """
 
     config = config or default_config(dataset)
     variants = (("per-layer", None), ("shared-start-0.7", 0.7))
     cells = [RetrainCell(fault_rate, "falvolt", threshold=initial) for _, initial in variants]
     results = retrain_cells(prepare_baseline(config), cells,
-                            retraining_epochs=retraining_epochs)
+                            retraining_epochs=retraining_epochs, **options)
     return [{
         "dataset": config.dataset,
         "granularity": granularity,

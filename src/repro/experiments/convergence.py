@@ -23,18 +23,20 @@ def run_fig8_convergence(config: Optional[ExperimentConfig] = None,
                          fault_rate: float = 0.30,
                          methods: Sequence[str] = ("fapit", "falvolt"),
                          retraining_epochs: Optional[int] = None,
-                         baseline_tolerance: float = 0.02) -> List[dict]:
+                         baseline_tolerance: float = 0.02,
+                         **options) -> List[dict]:
     """Per-epoch accuracy of FaPIT vs FalVolt at a fixed fault rate (Fig. 8).
 
     Returns one record per (method, epoch); each record also carries the
     number of epochs the method needed to reach the baseline (minus
     ``baseline_tolerance``), or ``None`` if it never did within the budget.
+    ``options`` go to :func:`~repro.experiments.mitigation.retrain_cells`.
     """
 
     config = config or default_config(dataset)
     cells = [RetrainCell(fault_rate, method) for method in methods]
     results = retrain_cells(prepare_baseline(config), cells,
-                            retraining_epochs=retraining_epochs)
+                            retraining_epochs=retraining_epochs, **options)
     records: List[dict] = []
     for result in results:
         history = TrainingHistory(**result["history"])

@@ -4,22 +4,25 @@ Every mitigation result -- Figs. 2, 6, 7 and 8 and the threshold ablation --
 is one operation repeated: prune a fresh copy of the baseline for one fault
 map, retrain it with one method, record the result.  A :class:`RetrainCell`
 names that operation, :func:`retrain_cells` is the one place that runs it,
-and the figure drivers project its records.  Cells fan out over the
-orchestrator's crash-tolerant pool (:func:`repro.faults.campaign.map_grid`)
-and are cached on disk keyed by the baseline weights and the cell
-(:func:`repro.faults.campaign.cached_record`), so interrupted grids resume
-and figures share cells: Fig. 6's FalVolt cells are Fig. 7's.
+and the figure drivers project its records.  Each cell is one
+:class:`~repro.faults.WorkUnit` on the
+:class:`~repro.faults.CampaignOrchestrator`, the runtime sweeps use: cells
+are cached on disk keyed by the baseline weights and the cell, fan out
+over ``workers`` processes, split across machines by ``shard`` and are
+retried on failure.  So interrupted grids resume and figures share cells:
+Fig. 6's FalVolt cells are Fig. 7's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
+import inspect
 from typing import List, Optional, Sequence
 
 from ..core import MITIGATIONS, get_mitigation
-from ..faults import cached_record, fault_map_from_rate, map_grid
-from ..faults.campaign import state_token
+from ..faults import (CampaignOrchestrator, PendingShardError, WorkUnit,
+                      check_runner_options, fault_map_from_rate)
+from ..faults.campaign import cache_path, state_token
 from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
 from ..utils.rng import derive_seed
 from .baseline import PreparedBaseline, prepare_baseline
@@ -58,9 +61,9 @@ def _fault_map(config: ExperimentConfig, cell: RetrainCell):
         seed=derive_seed(config.seed, cell.map_tag, int(cell.rate * 1000)))
 
 
-def _run_cell(cell: RetrainCell, *, baseline: PreparedBaseline, epochs: int,
-              baseline_token: str, cache_dir) -> dict:
-    """Retrain a fresh baseline copy for one cell, through the cache.
+def _cell_unit(ordinal: int, cell: RetrainCell, *, baseline: PreparedBaseline,
+               epochs: int, baseline_token: str, cache_dir) -> WorkUnit:
+    """The work unit that retrains a fresh baseline copy for one cell.
 
     The run gets a fresh model and a fresh train loader, so its record
     depends on the cell alone -- not on which cells ran before it.
@@ -92,28 +95,50 @@ def _run_cell(cell: RetrainCell, *, baseline: PreparedBaseline, epochs: int,
         "retraining_epochs": epochs,
         "retrain_lr": config.retrain_lr,
     }
-    return cached_record(cache_dir, payload, compute,
-                         required_keys=("accuracy", "thresholds", "history"))
+    return WorkUnit(ordinal=ordinal, compute=compute,
+                    path=cache_path(cache_dir, payload),
+                    required_keys=("accuracy", "thresholds", "history"),
+                    tags=(("method", cell.method), ("rate", float(cell.rate))))
 
 
 def retrain_cells(baseline: PreparedBaseline, cells: Sequence[RetrainCell], *,
                   retraining_epochs: Optional[int] = None, workers: int = 1,
-                  cache_dir=None) -> List[dict]:
+                  cache_dir=None, shard=None, unit_timeout: Optional[float] = None,
+                  progress=None) -> List[dict]:
     """Run every cell on ``baseline``; one record per cell, in cell order.
 
     A record is :meth:`repro.core.MitigationResult.as_dict` (accuracies,
     final thresholds, per-epoch history, map fault rate) plus the dataset
     and the cell's nominal ``rate``.  ``retraining_epochs`` defaults to the
-    config's schedule; ``workers`` forks one process per cell and
-    ``cache_dir`` caches finished cells keyed by the baseline weights.
+    config's schedule.  The rest are campaign options
+    (:func:`repro.faults.check_runner_options` validates them), with the
+    meaning they have for a sweep: ``workers`` processes pull cells from
+    the orchestrator's queue, ``cache_dir`` caches finished cells keyed by
+    the baseline weights, ``shard`` runs one round-robin share of the cells
+    (a grid other shards have not finished raises
+    :class:`~repro.faults.PendingShardError`), ``unit_timeout`` is the
+    watchdog's per-cell deadline and ``progress`` receives unit events.
     """
 
+    options = check_runner_options(workers=workers, cache_dir=cache_dir, shard=shard,
+                                   unit_timeout=unit_timeout)
     epochs = (baseline.config.retrain_epochs if retraining_epochs is None
               else retraining_epochs)
-    run = functools.partial(_run_cell, baseline=baseline, epochs=epochs,
-                            baseline_token=state_token(baseline.state),
-                            cache_dir=cache_dir)
-    return map_grid(run, list(cells), workers=workers)
+    token = state_token(baseline.state)
+    units = [_cell_unit(ordinal, cell, baseline=baseline, epochs=epochs,
+                        baseline_token=token, cache_dir=cache_dir)
+             for ordinal, cell in enumerate(cells)]
+    result = CampaignOrchestrator(workers=workers, shard=options["shard"],
+                                  unit_timeout=unit_timeout,
+                                  progress=progress).run(units)
+    if not result.complete:
+        raise PendingShardError(result.pending, result.report)
+    return result.records
+
+
+#: The campaign options a retraining grid honours: :func:`retrain_cells`'s
+#: keywords after ``retraining_epochs``, read off its signature.
+RETRAIN_OPTIONS = tuple(inspect.signature(retrain_cells).parameters)[3:]
 
 
 def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,
@@ -121,19 +146,17 @@ def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,
                                    fault_rates: Sequence[float] = PAPER_FAULT_RATES,
                                    methods: Sequence[str] = ("fap", "fapit", "falvolt"),
                                    retraining_epochs: Optional[int] = None,
-                                   workers: int = 1,
-                                   cache_dir=None) -> List[dict]:
+                                   **options) -> List[dict]:
     """Accuracy of each mitigation method at each fault rate (Fig. 7).
 
-    One retraining cell per (rate, method); ``workers`` and ``cache_dir``
-    go to :func:`retrain_cells`.
+    One retraining cell per (rate, method); ``options``
+    (:data:`RETRAIN_OPTIONS`) go to :func:`retrain_cells`.
     """
 
     config = config or default_config(dataset)
     cells = [RetrainCell(rate, method) for rate in fault_rates for method in methods]
     records = retrain_cells(prepare_baseline(config), cells,
-                            retraining_epochs=retraining_epochs,
-                            workers=workers, cache_dir=cache_dir)
+                            retraining_epochs=retraining_epochs, **options)
     columns = ("method", "accuracy", "baseline_accuracy", "accuracy_drop",
                "pruned_fraction", "retraining_epochs")
     return [{"dataset": record["dataset"], "fault_rate": record["rate"],
@@ -144,19 +167,18 @@ def run_fig6_optimized_thresholds(config: Optional[ExperimentConfig] = None,
                                   dataset: str = "mnist",
                                   fault_rates: Sequence[float] = PAPER_FAULT_RATES,
                                   retraining_epochs: Optional[int] = None,
-                                  workers: int = 1,
-                                  cache_dir=None) -> List[dict]:
+                                  **options) -> List[dict]:
     """Per-layer threshold voltages returned by FalVolt (Fig. 6).
 
     One record per (fault rate, layer) with the optimized threshold voltage.
-    The FalVolt cells are Fig. 7's, so a shared ``cache_dir`` serves them.
+    The FalVolt cells are Fig. 7's, so a shared ``cache_dir`` serves them;
+    ``options`` (:data:`RETRAIN_OPTIONS`) go to :func:`retrain_cells`.
     """
 
     config = config or default_config(dataset)
     cells = [RetrainCell(rate, "falvolt") for rate in fault_rates]
     records = retrain_cells(prepare_baseline(config), cells,
-                            retraining_epochs=retraining_epochs,
-                            workers=workers, cache_dir=cache_dir)
+                            retraining_epochs=retraining_epochs, **options)
     return [{
         "dataset": record["dataset"],
         "fault_rate": record["rate"],

@@ -21,11 +21,13 @@ def run_fig2_threshold_grid(config: Optional[ExperimentConfig] = None,
                             dataset: str = "mnist",
                             fault_rates: Sequence[float] = (0.30, 0.60),
                             thresholds: Sequence[float] = PAPER_THRESHOLD_GRID,
-                            retraining_epochs: Optional[int] = None) -> List[dict]:
+                            retraining_epochs: Optional[int] = None,
+                            **options) -> List[dict]:
     """Accuracy after retraining at each fixed threshold voltage (Fig. 2).
 
     Returns one record per (fault rate, threshold) pair.  The paper uses
-    MNIST and DVS128 Gesture with 30 % and 60 % faulty PEs.
+    MNIST and DVS128 Gesture with 30 % and 60 % faulty PEs.  ``options`` go to
+    :func:`~repro.experiments.mitigation.retrain_cells`.
     """
 
     if not thresholds:
@@ -34,7 +36,7 @@ def run_fig2_threshold_grid(config: Optional[ExperimentConfig] = None,
     cells = [RetrainCell(rate, "fapit", threshold=float(threshold), map_tag="fig2")
              for rate in fault_rates for threshold in thresholds]
     records = retrain_cells(prepare_baseline(config), cells,
-                            retraining_epochs=retraining_epochs)
+                            retraining_epochs=retraining_epochs, **options)
     return [{
         "dataset": record["dataset"],
         "threshold": cell.threshold,

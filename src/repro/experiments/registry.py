@@ -18,7 +18,8 @@ from .ablations import (
 )
 from .convergence import run_fig8_convergence
 from .headline import run_headline_claims
-from .mitigation import run_fig6_optimized_thresholds, run_fig7_mitigation_comparison
+from .mitigation import (RETRAIN_OPTIONS, run_fig6_optimized_thresholds,
+                         run_fig7_mitigation_comparison)
 from .motivational import run_fig2_threshold_grid
 from .vulnerability import (
     run_fig5a_bit_locations,
@@ -31,8 +32,10 @@ from .vulnerability import (
 class ExperimentSpec:
     """One reproducible artifact of the paper.
 
-    ``options`` names the campaign options (:data:`repro.faults.RUNNER_OPTIONS`)
-    the runner honours; ``repro run`` rejects a flag for any other.
+    ``options`` names the campaign options the runner honours, one tuple
+    per kind of work: a sweep honours :data:`repro.faults.RUNNER_OPTIONS`,
+    a retraining grid :data:`~repro.experiments.mitigation.RETRAIN_OPTIONS`.
+    ``repro run`` rejects a flag for any other.
     """
 
     experiment_id: str
@@ -43,18 +46,14 @@ class ExperimentSpec:
     options: Tuple[str, ...] = ()
 
 
-#: Options of the retraining grids: cells fan out over ``workers`` and are
-#: cached under ``cache_dir`` (:func:`repro.faults.map_grid`).
-_GRID_OPTIONS = ("workers", "cache_dir")
-
-
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
     spec.experiment_id: spec for spec in [
         ExperimentSpec(
             "fig2", "Figure 2",
             "Motivational study: retraining accuracy at fixed threshold voltages "
             "(0.45/0.5/0.55/0.7) under 30% and 60% faulty PEs.",
-            run_fig2_threshold_grid, "benchmarks/bench_fig2_motivational.py"),
+            run_fig2_threshold_grid, "benchmarks/bench_fig2_motivational.py",
+            RETRAIN_OPTIONS),
         ExperimentSpec(
             "fig5a", "Figure 5a",
             "Accuracy vs stuck-at fault bit location (sa0/sa1) in the PE accumulator.",
@@ -74,16 +73,17 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "fig6", "Figure 6",
             "Per-layer threshold voltages optimized by FalVolt at 10/30/60% fault rates.",
             run_fig6_optimized_thresholds, "benchmarks/bench_fig6_thresholds.py",
-            _GRID_OPTIONS),
+            RETRAIN_OPTIONS),
         ExperimentSpec(
             "fig7", "Figure 7",
             "Accuracy of FaP vs FaPIT vs FalVolt at 10/30/60% fault rates.",
             run_fig7_mitigation_comparison, "benchmarks/bench_fig7_mitigation.py",
-            _GRID_OPTIONS),
+            RETRAIN_OPTIONS),
         ExperimentSpec(
             "fig8", "Figure 8",
             "Accuracy vs retraining epochs for FaPIT and FalVolt at 30% faults.",
-            run_fig8_convergence, "benchmarks/bench_fig8_convergence.py"),
+            run_fig8_convergence, "benchmarks/bench_fig8_convergence.py",
+            RETRAIN_OPTIONS),
         ExperimentSpec(
             "headline", "Abstract / Section I",
             "The paper's three headline claims evaluated end to end.",
@@ -95,7 +95,8 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "ablation-threshold", "(ablation)",
             "FalVolt with per-layer vs shared-start thresholds.",
-            ablate_threshold_granularity, "benchmarks/bench_ablations.py"),
+            ablate_threshold_granularity, "benchmarks/bench_ablations.py",
+            RETRAIN_OPTIONS),
         ExperimentSpec(
             "ablation-reset", "(ablation)",
             "Hard vs soft membrane reset.",

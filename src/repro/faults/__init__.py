@@ -5,8 +5,8 @@ per-time-step schedules), per-chip fault maps, ``evaluate_with_faults``
 (one accuracy per fault map or schedule, on the fused engine or the
 sequential ``FaultInjector`` oracle), the vulnerability sweep drivers
 that regenerate the paper's Fig. 5, the campaign engine, and the
-sharded orchestrator that scales whole sweeps across worker processes and
-machines (see ``docs/ARCHITECTURE.md``).
+sharded orchestrator that scales sweeps and retraining grids across worker
+processes and machines (see ``docs/ARCHITECTURE.md``).
 """
 
 from .fault_model import (
@@ -43,10 +43,8 @@ from .campaign import (
     CampaignPoint,
     CampaignRunner,
     RUNNER_OPTIONS,
-    cached_record,
     check_runner_options,
     load_cached_record,
-    map_grid,
     store_record_safe,
 )
 from .orchestrator import (
@@ -97,8 +95,6 @@ __all__ = [
     "ShardSpec",
     "SweepReport",
     "WorkUnit",
-    "map_grid",
-    "cached_record",
     "load_cached_record",
     "store_record_safe",
     "baseline_accuracy",

@@ -17,14 +17,15 @@ explicit object model:
   optional ``dtype="float32"`` fast mode.  The ``"sequential"`` engine is
   the one-autograd-inference-per-map oracle; both produce bit-identical
   float64 records.
-  Results are cached on disk as JSON keyed by (model hash, data hash, grid
+  Results are cached on disk as JSON keyed by (model key, data hash, grid
   point); a cache hit skips the simulation entirely.
 
 Sweeps scale out through :mod:`repro.faults.orchestrator`: with
 ``workers > 1``, a ``shard`` or a ``trial_chunk`` the runner decomposes the
 grid into (point, trial-chunk) work units scheduled on a crash-tolerant
 work-stealing pool, with the cache keys doubling as the resume and
-multi-machine coordination protocol.
+multi-machine coordination protocol.  Per-map accuracies do not depend on
+the pass, so merged chunk records are byte-identical to a serial run.
 
 The Fig. 5 sweep drivers in :mod:`repro.faults.analysis` and the experiment
 runners in :mod:`repro.experiments` are thin wrappers over this engine: they
@@ -40,9 +41,11 @@ listed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -50,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
-from ..utils.hashing import loader_token, model_token, state_token
+from ..utils.hashing import loader_token, model_key, model_token, state_token
 from ..utils.logging import get_logger
 from ..utils.rng import get_rng
 from ..utils.serialization import load_records, save_records
@@ -67,12 +70,13 @@ __all__ = [
     "ENGINES",
     "FAULT_MODELS",
     "RUNNER_OPTIONS",
-    "cached_record",
+    "SweepChunk",
+    "cache_path",
     "check_runner_options",
     "load_cached_record",
     "loader_token",
-    "map_grid",
     "model_token",
+    "plan_sweep_chunks",
     "state_token",
     "store_record_safe",
 ]
@@ -247,8 +251,50 @@ class CampaignPoint:
         return payload
 
 
+@dataclasses.dataclass(frozen=True)
+class SweepChunk:
+    """One (grid point, trial chunk) piece of a sweep: one work unit.
+
+    ``point`` is a :class:`CampaignPoint` restricted to this chunk's trial
+    seeds; it is a perfectly ordinary point, so its cache key is a plain
+    campaign key and a serial :class:`CampaignRunner` would produce (or
+    consume) the identical record for it.
+    """
+
+    ordinal: int
+    point_index: int
+    chunk_index: int
+    num_chunks: int
+    point: CampaignPoint
+
+
+def plan_sweep_chunks(points: Sequence[CampaignPoint],
+                      trial_chunk: Optional[int] = None) -> List[SweepChunk]:
+    """Decompose ``points`` into chunks of at most ``trial_chunk`` trials.
+
+    ``trial_chunk=None`` keeps one chunk per point (chunk keys then equal
+    the plain per-point campaign cache keys).  The decomposition depends
+    only on the grid and ``trial_chunk`` -- never on worker count or cache
+    state -- so every shard of a split sweep enumerates identical ordinals.
+    """
+
+    chunks: List[SweepChunk] = []
+    for point_index, point in enumerate(points):
+        seeds = point.map_seeds
+        size = len(seeds) if trial_chunk is None else int(trial_chunk)
+        num_chunks = max(1, math.ceil(len(seeds) / size))
+        for chunk_index in range(num_chunks):
+            chunk_seeds = seeds[chunk_index * size:(chunk_index + 1) * size]
+            sub_point = (point if num_chunks == 1 else
+                         dataclasses.replace(point, map_seeds=chunk_seeds))
+            chunks.append(SweepChunk(ordinal=len(chunks), point_index=point_index,
+                                     chunk_index=chunk_index, num_chunks=num_chunks,
+                                     point=sub_point))
+    return chunks
+
+
 # ----------------------------------------------------------------------
-# Caching / pooling helpers (shared with the experiment drivers)
+# Record cache (shared with the retraining cells)
 # ----------------------------------------------------------------------
 # The content-digest helpers (state_token / model_token / loader_token)
 # live in repro.utils.hashing and are re-exported here because campaign
@@ -258,6 +304,14 @@ class CampaignPoint:
 def _digest_payload(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")).hexdigest()
+
+
+def cache_path(cache_dir: Optional[Union[str, Path]], payload: dict) -> Optional[Path]:
+    """The cache file of the record keyed by JSON-stable ``payload`` (or ``None``)."""
+
+    if cache_dir is None:
+        return None
+    return Path(cache_dir) / f"{_digest_payload(payload)}.json"
 
 
 #: Keys every campaign record must carry to be usable as a cache hit.
@@ -379,60 +433,6 @@ def store_record_safe(record, path: Path, *,
     return True
 
 
-def cached_record(cache_dir: Optional[Union[str, Path]], payload: dict,
-                  compute: Callable[[], dict], *,
-                  required_keys: Sequence[str] = (),
-                  on_event: Optional[Callable[[dict], None]] = None) -> dict:
-    """Return the cached record for ``payload``, computing and storing on miss.
-
-    ``payload`` must be a JSON-stable dict uniquely identifying the work
-    (model hash, grid point, seeds, ...).  Records are stored as pretty JSON
-    via :mod:`repro.utils.serialization`, one file per key, so caches can be
-    inspected and diffed by hand.
-
-    The cache self-heals: a damaged entry (unparsable JSON or one missing
-    ``required_keys``) is quarantined to a ``*.quarantined`` sidecar and
-    recomputed instead of raising, and a failed store (e.g. ``ENOSPC``)
-    degrades to returning the computed record uncached.  ``on_event``
-    receives a dict per incident (``cache-corrupt`` / ``store-degraded``).
-    """
-
-    if cache_dir is None:
-        return compute()
-    path = Path(cache_dir) / f"{_digest_payload(payload)}.json"
-    record = load_cached_record(path, required_keys=required_keys,
-                                on_event=on_event)
-    if record is not None:
-        return record
-    record = compute()
-    store_record_safe(record, path, on_event=on_event)
-    return record
-
-
-def map_grid(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Apply ``fn`` to every item, optionally across a worker-process pool.
-
-    Cross-cell parallelism for sweep and retraining grids: each item is
-    independent, so the items fan out over the orchestrator's work-stealing
-    pool (:func:`repro.faults.orchestrator.pool_map`) -- idle workers pull
-    the next item, exceptions and worker deaths retry the item once on
-    another worker, results come back in item order, and a cell that still
-    fails re-raises its original exception (as the serial path does).  ``fn`` (which may
-    close over a trained model and dataset) is inherited by the forked
-    workers through copy-on-write memory; only the lightweight items travel
-    through the task pipe.  Falls back to the serial path when
-    ``workers <= 1``, when there is nothing to parallelise, or on platforms
-    without the ``fork`` start method.
-    """
-
-    items = list(items)
-    if workers and workers > 1 and len(items) > 1:
-        from .orchestrator import pool_map
-
-        return pool_map(fn, items, workers=int(workers))
-    return [fn(item) for item in items]
-
-
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
@@ -479,7 +479,7 @@ def check_runner_options(**options) -> dict:
             problems.append(f"shard: {exc}")
         if values["cache_dir"] is None:
             problems.append(
-                "sharded sweeps need a shared cache_dir: the on-disk unit "
+                "sharded runs need a shared cache_dir: the on-disk unit "
                 "records are the only channel between shards")
     if problems:
         raise ValueError("invalid campaign options: " + "; ".join(problems))
@@ -516,8 +516,10 @@ class CampaignRunner:
         Enable the bypass multiplexer of faulty PEs (mitigated hardware).
     cache_dir:
         Optional directory for on-disk JSON result caching.  Keys include the
-        model hash, the data hash and the full grid point, so stale hits are
-        impossible as long as those inputs define the result.
+        model key (:func:`repro.utils.hashing.model_key`: its state and the
+        scalars outside it, such as a frozen threshold), the data hash and
+        the full grid point, so stale hits are impossible as long as those
+        inputs define the result.
     workers:
         Worker processes for cross-unit parallelism (1 = serial).  With
         ``workers > 1`` the sweep runs on the
@@ -608,6 +610,7 @@ class CampaignRunner:
         self._effective_lane_threads = (
             1 if lane_threads is None and self.workers > 1 else lane_threads)
         self._model_token = model_token(model)
+        self._model_key = model_key(model, self._model_token)
         self._data_token = loader_token(loader)
         self._baseline: Optional[float] = None
 
@@ -615,10 +618,10 @@ class CampaignRunner:
     def warm_plan_cache(self) -> None:
         """Lower the model into the process-wide plan cache now (fused only).
 
-        Called by the orchestrator before forking its worker pool so every
-        worker -- including replacements spawned after a crash -- inherits
-        the already-lowered plan via copy-on-write instead of re-lowering
-        per work unit.
+        Runs before the orchestrator forks its worker pool so every worker
+        -- including replacements spawned after a crash -- inherits the
+        already-lowered plan via copy-on-write instead of re-lowering per
+        work unit.
         """
 
         if self.engine == "fused":
@@ -649,7 +652,7 @@ class CampaignRunner:
     def _cache_payload(self, point: CampaignPoint) -> dict:
         payload = {
             "version": _CACHE_VERSION,
-            "model": self._model_token,
+            "model": self._model_key,
             "data": self._data_token,
             "fmt": [self.fmt.total_bits, self.fmt.frac_bits],
             "bypass": self.bypass,
@@ -664,9 +667,7 @@ class CampaignRunner:
     def _cache_path(self, point: CampaignPoint) -> Optional[Path]:
         """Where ``point``'s record is cached (``None`` without a cache_dir)."""
 
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{_digest_payload(self._cache_payload(point))}.json"
+        return cache_path(self.cache_dir, self._cache_payload(point))
 
     def _load_cached(self, point: CampaignPoint,
                      on_event: Optional[Callable[[dict], None]] = None
@@ -757,12 +758,67 @@ class CampaignRunner:
             flush()
         return [record for record in results if record is not None]
 
-    def evaluate_point(self, point: CampaignPoint) -> dict:
-        """Record for one grid point, going through the (self-healing) cache."""
+    def _work_unit(self, chunk: SweepChunk):
+        """The orchestrator's work unit for one sweep chunk."""
 
-        return cached_record(self.cache_dir, self._cache_payload(point),
-                             lambda: self._evaluate_point(point),
-                             required_keys=_REQUIRED_RECORD_KEYS)
+        from .orchestrator import WorkUnit
+
+        return WorkUnit(ordinal=chunk.ordinal,
+                        compute=functools.partial(self._evaluate_point, chunk.point),
+                        path=self._cache_path(chunk.point),
+                        required_keys=_REQUIRED_RECORD_KEYS,
+                        tags=(("point_index", chunk.point_index),
+                              ("chunk_index", chunk.chunk_index)))
+
+    def orchestrate(self, points: Sequence[CampaignPoint]):
+        """Run ``points`` as (point, trial-chunk) units on the orchestrator.
+
+        A chunked point whose full-point record is cached needs no units (a
+        serial run's cache primes a chunked sweep); chunk records merge as
+        :meth:`_record_for` would, and the merged record is stored.  The
+        result's records align with ``points``; points still waiting on
+        other shards are ``None`` and listed in ``pending``.
+        """
+
+        from .orchestrator import CampaignOrchestrator, OrchestratorResult
+
+        points = list(points)
+        chunks = plan_sweep_chunks(points, self.trial_chunk)
+        by_point: Dict[int, List[SweepChunk]] = {}
+        for chunk in chunks:
+            by_point.setdefault(chunk.point_index, []).append(chunk)
+        events: List[dict] = []
+        records = [self._load_cached(point, on_event=events.append)
+                   if len(by_point[index]) > 1 else None
+                   for index, point in enumerate(points)]
+        units = [self._work_unit(chunk) for chunk in chunks
+                 if records[chunk.point_index] is None]
+        self.warm_plan_cache()
+        result = CampaignOrchestrator(
+            workers=self.workers, shard=self.shard, unit_timeout=self.unit_timeout,
+            progress=self.progress).run(units)
+        report = result.report
+        for event in events:
+            report.record_event(event)
+        report.total_units += len(chunks) - len(units)
+        report.cached_units += len(chunks) - len(units)
+
+        unit_records = {unit.ordinal: record
+                        for unit, record in zip(units, result.records)}
+        for index, point in enumerate(points):
+            parts = [unit_records.get(chunk.ordinal) for chunk in by_point[index]]
+            if records[index] is not None or any(part is None for part in parts):
+                continue
+            if len(parts) == 1:
+                records[index] = parts[0]
+                continue
+            records[index] = self._record_for(
+                point, [accuracy for part in parts for accuracy in part["accuracies"]])
+            path = self._cache_path(point)
+            if path is not None and not path.exists():
+                store_record_safe(records[index], path, on_event=report.record_event)
+        pending = [index for index, record in enumerate(records) if record is None]
+        return OrchestratorResult(records=records, pending=pending, report=report)
 
     def run(self, points: Sequence[CampaignPoint]) -> List[dict]:
         """Records for all ``points``, in input order.
@@ -779,9 +835,9 @@ class CampaignRunner:
 
         points = list(points)
         if self.workers > 1 or self.shard is not None or self.trial_chunk is not None:
-            from .orchestrator import CampaignOrchestrator, PendingShardError
+            from .orchestrator import PendingShardError
 
-            result = CampaignOrchestrator(self).run(points)
+            result = self.orchestrate(points)
             if not result.complete:
                 raise PendingShardError(result.pending, result.report)
             return list(result.records)

@@ -1,34 +1,30 @@
-"""Sharded, resumable campaign sweep orchestrator.
+"""One sharded, resumable runtime for every work unit.
 
-The campaign engine (:mod:`repro.faults.campaign`) makes one sweep *point*
-fast; this module makes whole *sweeps* scale out.  A grid of
-:class:`~repro.faults.campaign.CampaignPoint` objects is decomposed into
-independent **work units** -- one per (grid point, trial chunk) -- which are
-scheduled across a pool of forked worker processes pulling from a shared
-work queue (idle workers steal whatever unit is next, so load balances
-itself), and, when interrupted, resumed for free:
+A :class:`WorkUnit` is one record's worth of work: where the record is
+cached (the digest of the unit's payload), the keys a cached record must
+carry and the function that computes it.  Both kinds of work the
+reproduction repeats are lists of units: a sweep's (grid point, trial
+chunk) pieces (planned by :class:`~repro.faults.campaign.CampaignRunner`)
+and the retraining cells of the mitigation experiments (planned by
+:func:`repro.experiments.retrain_cells`).  :class:`CampaignOrchestrator`
+runs any such list on a pool of forked worker processes pulling from a
+shared work queue (idle workers steal whatever unit is next, so load
+balances itself), and, when interrupted, resumes for free:
 
-* **Cache keys are the coordination protocol.**  Every unit's on-disk key
-  is exactly the PR 1 campaign cache key of its (sub-)point -- (model hash,
-  data hash, grid point, seeds).  A unit whose key is already materialised
-  is skipped, so a killed sweep continues where it stopped, a plain
-  :class:`~repro.faults.campaign.CampaignRunner` cache primes the
-  orchestrator (and vice versa), and concurrent orchestrators sharing a
-  filesystem cooperate instead of duplicating work.  Result files are
-  written atomically (temp file + ``os.replace``), so a reader never sees
-  a torn record.
-* **Shards split one sweep across machines.**  :class:`ShardSpec`
+* **Cache keys are the coordination protocol.**  A unit whose record is
+  already on disk is skipped, so a killed run continues where it stopped
+  and concurrent orchestrators sharing a filesystem cooperate instead of
+  duplicating work (the cache is re-checked just before each compute).
+  Result files are written atomically (temp file + ``os.replace``), so a
+  reader never sees a torn record.
+* **Shards split one grid across machines.**  :class:`ShardSpec`
   (``--shard i/N``) deterministically assigns each unit ordinal to one of
   ``N`` shards (round-robin), so ``N`` machines pointed at the same cache
-  directory partition the grid exactly.  A shard whose neighbours have not
-  finished reports its pending points (:class:`PendingShardError` at the
-  runner level); once every unit is materialised, any invocation -- or a
-  final ``--resume`` pass -- assembles the merged records purely from disk.
-* **The merge step is bit-exact.**  Per-map accuracies are independent of
-  which pass evaluated them (the engines' documented per-map independence),
-  and JSON round-trips IEEE-754 doubles exactly, so concatenating a point's
-  chunk records reconstructs byte-identical output to a single-process
-  :meth:`CampaignRunner.run`.
+  directory partition the grid exactly.  A shard reads its neighbours'
+  records from disk once its own units are done; records still missing
+  are listed as pending (:class:`PendingShardError` at the caller), and
+  once every unit is materialised, any invocation -- or a final
+  ``--resume`` pass -- assembles the records purely from disk.
 * **Failures are contained.**  A unit that raises is retried (on any
   worker) up to :data:`UNIT_ATTEMPTS` times; a worker process that dies is
   detected, its unit re-queued and a replacement forked.  Workers emit
@@ -38,36 +34,36 @@ itself), and, when interrupted, resumed for free:
   escalating to ``SIGKILL``) and replaced exactly like a crashed one, with
   exponential backoff between re-attempts of the same unit.  A unit that
   exhausts its attempts is listed in :attr:`SweepReport.quarantined` and
-  the sweep raises -- after every healthy unit has finished and been
+  the run raises -- after every healthy unit has finished and been
   cached, so a re-run resumes.  :class:`SweepReport` attributes every
   failure to a taxonomy class (``crashed`` / ``hung`` / ``poisoned`` /
-  ``cache-corrupt``).  Damaged cache entries are quarantined and recomputed
-  by the campaign layer (:mod:`repro.faults.campaign`) instead of raising.
-  All of these paths are testable deterministically through the chaos
-  harness (:mod:`repro.testing.chaos`).
+  ``cache-corrupt``).  Damaged cache entries are quarantined and the unit
+  recomputed instead of raising, and a failed store degrades to an
+  uncached record.  All of these paths are testable deterministically
+  through the chaos harness (:mod:`repro.testing.chaos`).
 
-:class:`CampaignOrchestrator` takes only its runner, which declares and
-validates the sweep options (``workers``, ``shard``, ``trial_chunk``,
-``unit_timeout``, ``progress``).  It is not usually constructed by hand:
-``CampaignRunner(..., workers=K, shard=..., trial_chunk=...)`` routes
-:meth:`~repro.faults.campaign.CampaignRunner.run` through it, and the CLI
-exposes the same options (``python -m repro campaign --workers K
---shard i/N --resume``).
+Its options (``workers``, ``shard``, ``unit_timeout``, ``progress``) are
+campaign options, validated by :func:`~repro.faults.check_runner_options`
+before they get here.  It is not usually constructed by hand:
+``CampaignRunner(..., workers=K, shard=..., trial_chunk=...)`` and
+``retrain_cells(..., workers=K, shard=...)`` route through it, and the CLI
+exposes the same options (``python -m repro campaign --workers K --shard
+i/N --resume``, ``python -m repro run fig7 --shard i/N``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 import multiprocessing
 import os
 import threading
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..utils.logging import get_logger
-from .campaign import CampaignPoint, store_record_safe
+from .campaign import load_cached_record, store_record_safe
 
 __all__ = [
     "CampaignOrchestrator",
@@ -76,18 +72,14 @@ __all__ = [
     "ShardSpec",
     "SweepReport",
     "WorkUnit",
-    "pool_map",
     "run_tasks",
 ]
 
 logger = get_logger("faults.orchestrator")
 
-#: Attempts per sweep work unit; exceptions, worker deaths and watchdog
-#: kills all consume one.
+#: Attempts per work unit; exceptions, worker deaths and watchdog kills all
+#: consume one.
 UNIT_ATTEMPTS = 3
-
-#: Attempts per item of :func:`pool_map` (a retraining-grid cell).
-GRID_ATTEMPTS = 2
 
 #: A retry of one task waits ``RETRY_BACKOFF x 2^(attempt-1)`` seconds.
 RETRY_BACKOFF = 0.25
@@ -108,7 +100,7 @@ STALL_TIMEOUT = 30.0
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """One shard of an ``N``-way sweep split (``--shard i/N``, 0-based).
+    """One shard of an ``N``-way grid split (``--shard i/N``, 0-based).
 
     Units are assigned round-robin by ordinal, so the ``N`` shards of the
     same grid partition its units exactly: every unit belongs to one and
@@ -154,44 +146,29 @@ class ShardSpec:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class WorkUnit:
-    """One schedulable unit of a sweep: a (grid point, trial chunk) pair.
+    """One record's worth of work: how to compute it and where it is cached.
 
-    ``point`` is a :class:`CampaignPoint` restricted to this chunk's trial
-    seeds; it is a perfectly ordinary point, so its cache key is the PR 1
-    campaign key and a plain :class:`CampaignRunner` would produce (or
-    consume) the identical record for it.
+    ``ordinal`` is the unit's position in its whole grid: it decides shard
+    ownership and is the chaos ``"unit"`` key, so it depends on the grid
+    alone, never on cache state.  ``path`` is the cache file (the digest of
+    the unit's payload; ``None`` runs uncached), ``required_keys`` the keys
+    a cached record must carry to count as a hit, and ``compute`` returns
+    the record.  ``tags`` name the unit in progress events and errors
+    (e.g. ``(("point_index", 2), ("chunk_index", 0))``).
     """
 
     ordinal: int
-    point_index: int
-    chunk_index: int
-    num_chunks: int
-    point: CampaignPoint
+    compute: Callable[[], dict]
+    path: Optional[Path] = None
+    required_keys: Tuple[str, ...] = ()
+    tags: Tuple[Tuple[str, object], ...] = ()
 
+    def labels(self) -> dict:
+        """The unit's ordinal, tags and one-line name, for events."""
 
-def plan_work_units(points: Sequence[CampaignPoint],
-                    trial_chunk: Optional[int] = None) -> List[WorkUnit]:
-    """Decompose ``points`` into work units of at most ``trial_chunk`` trials.
-
-    ``trial_chunk=None`` keeps one unit per point (unit keys then equal the
-    plain per-point campaign cache keys).  The decomposition depends only on
-    the grid and ``trial_chunk`` -- never on worker count or cache state --
-    so every shard of a split sweep enumerates identical ordinals.
-    """
-
-    units: List[WorkUnit] = []
-    for point_index, point in enumerate(points):
-        seeds = point.map_seeds
-        chunk = len(seeds) if trial_chunk is None else int(trial_chunk)
-        num_chunks = max(1, math.ceil(len(seeds) / chunk))
-        for chunk_index in range(num_chunks):
-            chunk_seeds = seeds[chunk_index * chunk:(chunk_index + 1) * chunk]
-            sub_point = (point if num_chunks == 1 else
-                         dataclasses.replace(point, map_seeds=chunk_seeds))
-            units.append(WorkUnit(ordinal=len(units), point_index=point_index,
-                                  chunk_index=chunk_index, num_chunks=num_chunks,
-                                  point=sub_point))
-    return units
+        name = ", ".join(f"{key} {value}" for key, value in self.tags)
+        return {"ordinal": self.ordinal, **dict(self.tags),
+                "unit": f"{self.ordinal} ({name})" if name else str(self.ordinal)}
 
 
 # ----------------------------------------------------------------------
@@ -201,17 +178,14 @@ def plan_work_units(points: Sequence[CampaignPoint],
 class TaskResult:
     """Outcome of one pooled task: its value or its final error.
 
-    ``exception`` carries the original exception object when it survived
-    the trip back from the worker (so callers can re-raise with the real
-    type); ``error`` is always a human-readable string.  ``failure_kind``
-    classifies the *last* failed attempt: ``"poisoned"`` (the task raised),
-    ``"crashed"`` (its worker died) or ``"hung"`` (its worker was killed by
-    the watchdog).
+    ``error`` is a human-readable string.  ``failure_kind`` classifies the
+    *last* failed attempt: ``"poisoned"`` (the task raised), ``"crashed"``
+    (its worker died) or ``"hung"`` (its worker was killed by the
+    watchdog).
     """
 
     value: object = None
     error: Optional[str] = None
-    exception: Optional[BaseException] = None
     attempts: int = 0
     seconds: float = 0.0
     failure_kind: Optional[str] = None
@@ -326,11 +300,8 @@ def _pool_worker(task_queue, channel: _WorkerChannel) -> None:
             elapsed = time.perf_counter() - start
             stop.set()
             beat.join(timeout=1.0)
-            try:
-                result_queue.put(("failed", os.getpid(), index, exc, elapsed))
-            except Exception:  # unpicklable exception: fall back to text
-                result_queue.put(("failed", os.getpid(), index,
-                                  f"{type(exc).__name__}: {exc}", elapsed))
+            result_queue.put(("failed", os.getpid(), index,
+                              f"{type(exc).__name__}: {exc}", elapsed))
         except BaseException:
             # KeyboardInterrupt / SystemExit: die visibly -- the parent
             # detects the dead worker and re-queues the task.
@@ -629,7 +600,6 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
                 # KeyboardInterrupt / SystemExit propagate: an interrupted
                 # serial sweep stops immediately (finished tasks are already
                 # cached, so a re-run resumes).
-                result.exception = exc
                 result.error = f"{type(exc).__name__}: {exc}"
                 result.failure_kind = "poisoned"
                 result.seconds = time.perf_counter() - start
@@ -638,7 +608,6 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
                       reason="poisoned")
             else:
                 result.error = None
-                result.exception = None
                 result.failure_kind = None
                 result.seconds = time.perf_counter() - start
                 _emit(progress, kind="task-done", index=index,
@@ -671,7 +640,6 @@ def _handle_pool_message(message: tuple, state: _PoolState) -> None:
     if kind == "done":
         _, _, _, value, seconds = message
         result.value, result.error, result.seconds = value, None, seconds
-        result.exception = None
         result.failure_kind = None
         state.pending.discard(index)
         state.observed.append(seconds)
@@ -680,14 +648,7 @@ def _handle_pool_message(message: tuple, state: _PoolState) -> None:
               completed=state.num_tasks - len(state.pending),
               total=state.num_tasks)
     elif kind == "failed":
-        _, _, _, failure, seconds = message
-        if isinstance(failure, BaseException):
-            result.exception = failure
-            result.error = f"{type(failure).__name__}: {failure}"
-        else:
-            result.exception = None
-            result.error = failure
-        result.seconds = seconds
+        _, _, _, result.error, result.seconds = message
         result.failure_kind = "poisoned"
         delay = state.requeue(index)
         _emit(state.progress, kind="task-failed", index=index,
@@ -703,7 +664,6 @@ def _handle_worker_crash(process, state: _PoolState) -> None:
     if index is not None and index in state.pending:
         result = state.results[index]
         result.error = f"worker died (exit {process.exitcode})"
-        result.exception = None
         result.failure_kind = "crashed"
         delay = state.requeue(index)
     elif index is None:
@@ -731,7 +691,6 @@ def _handle_worker_hang(process, state: _PoolState, reason: str) -> None:
     if index is not None and index in state.pending:
         result = state.results[index]
         result.error = f"worker hung: {reason}"
-        result.exception = None
         result.failure_kind = "hung"
         attempt = result.attempts
         delay = state.requeue(index)
@@ -739,59 +698,26 @@ def _handle_worker_hang(process, state: _PoolState, reason: str) -> None:
           attempt=attempt, error=reason, reason="hung", retry_delay=delay)
 
 
-def pool_map(fn: Callable, items: Sequence, *, workers: int = 1) -> list:
-    """Map ``fn`` over ``items`` on the crash-tolerant pool; raise on failure.
-
-    Drop-in pool backend for grid helpers such as
-    :func:`repro.faults.campaign.map_grid`: results come back in item order,
-    and if any task still fails after :data:`GRID_ATTEMPTS` the first failed
-    item's original exception is re-raised (matching the serial path's
-    exception types; worker tracebacks are lost to the process boundary).
-    Failures surface only after the surviving items have finished, so no
-    work is wasted.
-    """
-
-    items = list(items)
-    results = run_tasks(len(items), lambda index: fn(items[index]),
-                        workers=workers, max_attempts=GRID_ATTEMPTS)
-    failures = [(index, result) for index, result in enumerate(results)
-                if not result.ok]
-    if failures:
-        detail = "; ".join(f"item {index}: {result.error}"
-                           for index, result in failures)
-        logger.error("%d grid task(s) failed: %s", len(failures), detail)
-        first_index, first = failures[0]
-        context = (f"grid task {first_index}/{len(items)} failed after "
-                   f"{first.attempts} attempt(s)")
-        if first.exception is not None:
-            # Prefix the task index / attempt count onto the original
-            # exception (same type) so grid-cell failures are attributable
-            # from the traceback alone.
-            exc = first.exception
-            exc.args = (f"{context}: {exc}",)
-            raise exc
-        raise RuntimeError(f"{context}: {first.error} "
-                           f"({len(failures)} grid task(s) failed: {detail})")
-    return [result.value for result in results]
-
-
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class SweepReport:
-    """Structured progress/outcome report of one orchestrated sweep.
+    """Structured progress/outcome report of one orchestrator run.
 
-    ``unit_seconds`` holds per-unit wall-clock of the computed units (keyed
-    by ordinal); ``retries`` counts every extra attempt beyond the first,
-    whether caused by an exception or a dead worker.
+    ``owned_units`` counts this shard's units, ``cached_units`` every unit
+    answered from disk (other shards' records included) and
+    ``computed_units`` the units this run computed.  ``unit_seconds`` holds
+    their wall-clock times (keyed by ordinal); ``retries`` counts every
+    extra attempt beyond the first, whether caused by an exception or a
+    dead worker.
 
     **Failure taxonomy.**  Every recovery action is attributed to a class
     and tallied: ``poisoned`` (a unit raised), ``crashed`` (a worker died
     mid-unit), ``hung`` (the watchdog killed a wedged worker),
     ``cache_corrupt`` (a damaged cache entry was quarantined and the unit
     recomputed) and ``store_degraded`` (a record could not be written --
-    e.g. ``ENOSPC`` -- and the sweep continued uncached).  ``events``
+    e.g. ``ENOSPC`` -- and the run continued uncached).  ``events``
     preserves the individual occurrences (dicts with at least ``kind`` and,
     where known, ``ordinal``); ``quarantined`` lists unit ordinals retired
     after exhausting :data:`UNIT_ATTEMPTS`.
@@ -853,30 +779,29 @@ class SweepReport:
 
 
 class PendingShardError(RuntimeError):
-    """A sharded sweep finished its own units but other shards' are missing.
+    """A sharded run finished its own units but other shards' are missing.
 
-    Raised by :meth:`CampaignRunner.run` when merged records cannot be
-    assembled yet; ``pending`` lists the affected point indices.  Run the
-    remaining shards against the same cache directory, then re-run (any
-    shard, or no shard at all) to merge purely from disk.
+    Raised by :meth:`CampaignRunner.run` and
+    :func:`repro.experiments.retrain_cells` when the records cannot be
+    assembled yet; ``pending`` lists the indices of the missing records
+    (sweep points or retraining cells).  Run the remaining shards against
+    the same cache directory, then re-run (any shard, or no shard at all)
+    to merge purely from disk.
     """
 
     def __init__(self, pending: Sequence[int], report: Optional[SweepReport] = None):
         self.pending = list(pending)
         self.report = report
         super().__init__(
-            f"{len(self.pending)} sweep point(s) still pending other shards: "
+            f"{len(self.pending)} record(s) still pending other shards: "
             f"{self.pending}")
 
 
 @dataclasses.dataclass
 class OrchestratorResult:
-    """Outcome of :meth:`CampaignOrchestrator.run`.
-
-    ``records`` aligns with the input points; entries are ``None`` for
-    points whose units (owned by other shards) are not materialised yet,
-    listed in ``pending``.
-    """
+    """Outcome of a run: ``records`` aligned with the input (units, or a
+    sweep's points), ``None`` where other shards have not stored a record
+    yet; ``pending`` lists those indices."""
 
     records: List[Optional[dict]]
     pending: List[int]
@@ -891,43 +816,43 @@ class OrchestratorResult:
 # Orchestrator
 # ----------------------------------------------------------------------
 class CampaignOrchestrator:
-    """Schedule a campaign grid as sharded, resumable work units.
+    """Run a list of work units: cache, shard, pool, retry and report.
 
-    ``runner`` is the :class:`~repro.faults.campaign.CampaignRunner` that
-    evaluates units and defines the cache keys.  It also carries the
-    sweep's options, already validated: ``workers`` (worker processes
-    pulling from the shared unit queue; 1 executes in-process),
-    ``trial_chunk`` (maximum trials per unit), ``shard`` (this
-    orchestrator's round-robin share of the units), ``unit_timeout`` (the
-    watchdog's per-unit soft deadline) and ``progress`` (a callable
-    receiving structured event dicts -- ``unit-done`` / ``unit-failed`` /
+    ``workers`` is the number of worker processes pulling from the shared
+    unit queue (1 executes in-process), ``shard`` this orchestrator's
+    round-robin share of the unit ordinals, ``unit_timeout`` the watchdog's
+    per-unit soft deadline and ``progress`` a callable receiving
+    structured event dicts -- ``unit-done`` / ``unit-failed`` /
     ``worker-crash`` / ``worker-hung`` / ``cache-corrupt`` /
-    ``store-degraded`` -- with per-unit timing and an ETA estimate, in the
-    parent process only; a raising callback is reported once and
-    disabled).  The runner's model and loader are inherited by forked
-    workers through copy-on-write memory.
+    ``store-degraded``, labelled with the unit's ordinal, tags and name --
+    with per-unit timing and an ETA estimate, in the parent process only;
+    a raising callback is reported once and disabled.  Anything a unit's
+    ``compute`` closes over (a trained model, a loader) is inherited by
+    forked workers through copy-on-write memory.
     """
 
-    def __init__(self, runner) -> None:
-        self.runner = runner
-        self.progress = _safe_progress(runner.progress)
+    def __init__(self, *, workers: int = 1, shard=None,
+                 unit_timeout: Optional[float] = None,
+                 progress: Optional[Callable[[dict], None]] = None) -> None:
+        self.workers = int(workers)
+        self.shard = None if shard is None else ShardSpec.parse(shard)
+        self.unit_timeout = unit_timeout
+        self.progress = _safe_progress(progress)
 
     # ------------------------------------------------------------------
     # Unit evaluation (runs inside workers)
     # ------------------------------------------------------------------
     def _compute_unit(self, unit: WorkUnit) -> Tuple[str, dict, List[dict]]:
-        """Evaluate one unit, cooperating with concurrent orchestrators.
+        """Compute one unit, cooperating with concurrent orchestrators.
 
-        Re-checks the cache immediately before simulating: on a shared
-        filesystem another orchestrator may have materialised the unit
-        since this run planned it, in which case its record is adopted.
-        A damaged cache entry is quarantined and the unit recomputed; a
-        failed store degrades to an uncached result.  Either incident is
-        returned as a picklable event dict (third element) so the parent
-        can attribute it in the :class:`SweepReport` -- this method runs
-        inside workers, where the report does not live.  A unit's cache key
-        is the plain campaign key of its (sub-)point: that identity is the
-        whole resume/coordination protocol.
+        Re-checks the cache immediately before computing: on a shared
+        filesystem another orchestrator may have stored the record since
+        this run planned the unit, in which case it is adopted.  A damaged
+        cache entry is quarantined and the unit recomputed; a failed store
+        degrades to an uncached record.  Either incident is returned as a
+        picklable event dict (third element) so the parent can attribute
+        it in the :class:`SweepReport` -- this method runs inside workers,
+        where the report does not live.
         """
 
         from ..testing.chaos import active_plan
@@ -935,19 +860,17 @@ class CampaignOrchestrator:
         events: List[dict] = []
 
         def note(event: dict) -> None:
-            events.append(dict(event, ordinal=unit.ordinal,
-                               point_index=unit.point_index))
+            events.append(dict(event, **unit.labels()))
 
         plan = active_plan()
         if plan is not None:
             plan.consult("unit", key=unit.ordinal)
-        record = self.runner._load_cached(unit.point, on_event=note)
+        record = _load(unit, note)
         if record is not None:
             return "cached", record, events
-        record = self.runner._evaluate_point(unit.point)
-        path = self.runner._cache_path(unit.point)
-        if path is not None:
-            store_record_safe(record, path, on_event=note)
+        record = unit.compute()
+        if unit.path is not None:
+            store_record_safe(record, unit.path, on_event=note)
         return "computed", record, events
 
     # ------------------------------------------------------------------
@@ -960,101 +883,81 @@ class CampaignOrchestrator:
         if self.progress is not None:
             self.progress(dict(event))
 
-    def run(self, points: Sequence[CampaignPoint]) -> OrchestratorResult:
-        """Evaluate (this shard's share of) ``points`` and merge records.
+    def run(self, units: Sequence[WorkUnit]) -> OrchestratorResult:
+        """Records of ``units`` (this shard's share computed), in unit order.
 
-        Returns records aligned with ``points``; entries owned by other,
-        unfinished shards are ``None`` and listed in ``pending``.  Units
-        that fail after :data:`UNIT_ATTEMPTS` raise a ``RuntimeError`` --
-        after every other unit has finished and been cached, so no work is
-        lost.
+        Owned units are answered from the cache or computed; afterwards
+        the records of other shards' units are read from disk, and those
+        still missing are ``None`` and listed in ``pending``.  Units that
+        fail after :data:`UNIT_ATTEMPTS` raise a ``RuntimeError`` -- after
+        every other unit has finished and been cached, so no work is lost.
         """
 
         start = time.monotonic()
-        points = list(points)
-        shard = self.runner.shard
-        units = plan_work_units(points, self.runner.trial_chunk)
+        units = list(units)
         report = SweepReport(total_units=len(units))
-        records: List[Optional[dict]] = [None] * len(points)
-        note = lambda event: self._note_event(report, event)  # noqa: E731
+        records: List[Optional[dict]] = [None] * len(units)
+        owned = [self.shard is None or self.shard.owns(unit.ordinal)
+                 for unit in units]
+        report.owned_units = sum(owned)
 
-        # Points whose full-grid record is already cached need no units at
-        # all -- this is what makes plain CampaignRunner caches prime the
-        # orchestrator.
-        done_points = set()
-        for index, point in enumerate(points):
-            records[index] = self.runner._load_cached(point, on_event=note)
-            if records[index] is not None:
-                done_points.add(index)
+        def load(index: int) -> None:
+            unit = units[index]
+            records[index] = _load(unit, lambda event: self._note_event(
+                report, dict(event, **unit.labels())))
+            report.cached_units += records[index] is not None
 
-        report.cached_units += sum(
-            1 for unit in units if unit.point_index in done_points)
-        owned = [unit for unit in units
-                 if unit.point_index not in done_points
-                 and (shard is None or shard.owns(unit.ordinal))]
-        report.owned_units = len(owned)
+        for index in range(len(units)):
+            if owned[index]:
+                load(index)
+        to_compute = [index for index in range(len(units))
+                      if owned[index] and records[index] is None]
+        self._execute(units, to_compute, records, report)
+        for index in range(len(units)):
+            if not owned[index]:  # another shard's unit: read its record
+                load(index)
 
-        unit_records: Dict[int, dict] = {}
-        to_compute: List[WorkUnit] = []
-        for unit in owned:
-            cached = self.runner._load_cached(unit.point, on_event=note)
-            if cached is not None:
-                unit_records[unit.ordinal] = cached
-                report.cached_units += 1
-            else:
-                to_compute.append(unit)
-
-        self._execute(to_compute, unit_records, report)
-        self._assemble(points, units, done_points, unit_records, records,
-                       report)
         failures = report.failed_units
         report.quarantined = sorted(ordinal for ordinal, _ in failures)
         report.elapsed_seconds = time.monotonic() - start
-        logger.info("orchestrated sweep: %s", report.summary())
+        logger.info("orchestrated run: %s", report.summary())
         if failures:
-            detail = "; ".join(f"unit {ordinal} (point {units[ordinal].point_index}"
-                               f", chunk {units[ordinal].chunk_index}): {error}"
+            names = {unit.ordinal: unit.labels()["unit"] for unit in units}
+            detail = "; ".join(f"unit {names[ordinal]}: {error}"
                                for ordinal, error in failures)
             raise RuntimeError(
                 f"{len(failures)} work unit(s) failed after "
                 f"{UNIT_ATTEMPTS} attempt(s): {detail}")
-        pending = [index for index in range(len(points))
-                   if records[index] is None]
+        pending = [index for index, record in enumerate(records)
+                   if record is None]
         return OrchestratorResult(records=records, pending=pending, report=report)
 
-    def _execute(self, to_compute: List[WorkUnit],
-                 unit_records: Dict[int, dict], report: SweepReport) -> None:
-        """Run the missing units on the pool; fill ``unit_records``."""
+    def _execute(self, units: Sequence[WorkUnit], indices: List[int],
+                 records: List[Optional[dict]], report: SweepReport) -> None:
+        """Run ``units[indices]`` on the pool; fill ``records[indices]``."""
 
-        if not to_compute:
+        if not indices:
             return
-        # Lower the inference plan into the runner's per-process plan cache
-        # *before* the pool forks: workers (and crash replacements, which
-        # fork from this same parent) inherit the lowered plan through
-        # copy-on-write memory instead of re-lowering once per work unit.
-        self.runner.warm_plan_cache()
+        to_compute = [units[index] for index in indices]
         seconds_seen: List[float] = []
 
         def forward_progress(event: dict) -> None:
             kind = event.get("kind", "")
             index = event.get("index")
             if kind.startswith("task") or index is not None:
-                # Translate pool task indices into sweep ordinals -- both
-                # for unit events and for worker-crash/worker-hung events
-                # that name the task the dead worker was running.
-                unit = to_compute[index] if index is not None else None
+                # Translate pool task indices into unit labels -- both for
+                # unit events and for worker-crash/worker-hung events that
+                # name the task the dead worker was running.
                 event = dict(event, kind=kind.replace("task", "unit"))
-                if unit is not None:
-                    event.update(ordinal=unit.ordinal,
-                                 point_index=unit.point_index,
-                                 chunk_index=unit.chunk_index)
+                if index is not None:
+                    event.update(to_compute[index].labels())
                 event.pop("index", None)
                 if kind == "task-done" and event.get("seconds") is not None:
                     seconds_seen.append(event["seconds"])
                     remaining = len(to_compute) - len(seconds_seen)
                     average = sum(seconds_seen) / len(seconds_seen)
                     event["eta_seconds"] = (remaining * average
-                                            / max(1, min(self.runner.workers,
+                                            / max(1, min(self.workers,
                                                          len(to_compute))))
             if event.get("reason") in ("poisoned", "crashed", "hung"):
                 report.record_event(event)
@@ -1063,10 +966,10 @@ class CampaignOrchestrator:
 
         results = run_tasks(
             len(to_compute), lambda index: self._compute_unit(to_compute[index]),
-            workers=self.runner.workers, progress=forward_progress,
-            task_timeout=self.runner.unit_timeout)
+            workers=self.workers, progress=forward_progress,
+            task_timeout=self.unit_timeout)
 
-        for unit, result in zip(to_compute, results):
+        for unit, index, result in zip(to_compute, indices, results):
             report.retries += max(0, result.attempts - 1)
             if not result.ok:
                 report.failed_units.append((unit.ordinal, result.error))
@@ -1074,57 +977,18 @@ class CampaignOrchestrator:
             status, record, events = result.value
             for event in events:
                 self._note_event(report, event)
-            unit_records[unit.ordinal] = record
+            records[index] = record
             if status == "cached":
                 report.cached_units += 1
             else:
                 report.computed_units += 1
                 report.unit_seconds[unit.ordinal] = result.seconds
 
-    # ------------------------------------------------------------------
-    # Merging
-    # ------------------------------------------------------------------
-    def _assemble(self, points: Sequence[CampaignPoint],
-                  units: Sequence[WorkUnit], done_points: set,
-                  unit_records: Dict[int, dict],
-                  records: List[Optional[dict]], report: SweepReport) -> None:
-        """Merge unit records (own, cached, or other shards') per point.
 
-        A chunked point's record concatenates the per-chunk accuracies in
-        chunk order and recomputes the aggregate statistics exactly as
-        :meth:`CampaignRunner._record_for` does; per-map independence of
-        the engines makes it byte-identical to an unsplit run.
-        """
+def _load(unit: WorkUnit, on_event: Callable[[dict], None]) -> Optional[dict]:
+    """``unit``'s cached record; a damaged entry quarantines to ``None``."""
 
-        units_by_point: Dict[int, List[WorkUnit]] = {}
-        for unit in units:
-            units_by_point.setdefault(unit.point_index, []).append(unit)
-        for index, point in enumerate(points):
-            if index in done_points:
-                continue
-            chunk_records: List[dict] = []
-            for unit in units_by_point[index]:
-                record = unit_records.get(unit.ordinal)
-                if record is None:  # not owned: look for another shard's work
-                    record = self.runner._load_cached(
-                        unit.point,
-                        on_event=lambda event: self._note_event(report, event))
-                if record is None:
-                    chunk_records = []
-                    break
-                chunk_records.append(record)
-            if not chunk_records:
-                continue
-            if len(chunk_records) == 1:
-                records[index] = chunk_records[0]
-            else:
-                records[index] = self.runner._record_for(
-                    point, [accuracy for record in chunk_records
-                            for accuracy in record["accuracies"]])
-                # Materialise the merged full-point record so future plain
-                # runners (and full-point lookups) hit the cache directly.
-                path = self.runner._cache_path(point)
-                if path is not None and not path.exists():
-                    store_record_safe(
-                        records[index], path,
-                        on_event=lambda event: self._note_event(report, event))
+    if unit.path is None:
+        return None
+    return load_cached_record(unit.path, required_keys=unit.required_keys,
+                              on_event=on_event)

@@ -6,13 +6,14 @@ token fetches its :class:`~repro.snn.inference.plan.InferencePlan` from
 the process-wide :func:`default_plan_cache`, so a campaign that evaluates
 many work units per process lowers its trained model once:
 
-* **Keyed by content, not identity.**  The cache key is the model token
-  (:func:`repro.utils.hashing.model_token` -- a digest of every parameter
-  and buffer), the wrapper's ``time_steps`` and the plain attributes the
-  lowering reads (neuron kind, a frozen threshold, the reset mode, layer
-  geometry), so changing any weight or threshold misses.  Callers that
-  already hold the token (e.g. :class:`~repro.faults.campaign.CampaignRunner`)
-  pass it to skip re-hashing.
+* **Keyed by content, not identity.**  The cache key is
+  :func:`repro.utils.hashing.model_key` -- the model token (a digest of
+  every parameter and buffer), the wrapper's ``time_steps`` and the plain
+  attributes the lowering reads (neuron kind, a frozen threshold, the reset
+  mode, layer geometry), so changing any weight or threshold misses.  The
+  on-disk sweep records use the same key.  Callers that already hold the
+  token (e.g. :class:`~repro.faults.campaign.CampaignRunner`) pass it to
+  skip re-hashing.
 * **Per process, fork-friendly.**  Entries are plain Python objects whose
   weight arrays are captured *by reference*, so a cache warmed in the
   orchestrator parent is inherited by every forked worker -- including
@@ -26,19 +27,12 @@ many work units per process lowers its trained model once:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ...utils.hashing import model_token
+from ...utils.hashing import model_key, model_token
 from .plan import InferencePlan, lower_plan
 
 __all__ = ["PlanCache", "default_plan_cache"]
-
-def _lowering_scalars(model) -> tuple:
-    """Per module: its class and the scalars lowering reads outside the state dict."""
-
-    names = ("stride", "padding", "kernel_size", "eps", "v_threshold", "v_reset", "tau")
-    return tuple((type(module).__name__, *(getattr(module, name, None) for name in names))
-                 for module in model.modules())
 
 
 class PlanCache:
@@ -56,7 +50,7 @@ class PlanCache:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = int(max_entries)
-        self._plans: Dict[Tuple[str, int, tuple], InferencePlan] = {}
+        self._plans: Dict[str, InferencePlan] = {}
         self.hits = 0
         self.misses = 0
 
@@ -80,9 +74,7 @@ class PlanCache:
         model token (it must be :meth:`token_for` of the *current* state).
         """
 
-        if token is None:
-            token = model_token(model)
-        key = (token, int(getattr(model, "time_steps", 0) or 0), _lowering_scalars(model))
+        key = model_key(model, token)
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1

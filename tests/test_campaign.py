@@ -2,7 +2,8 @@
 
 Covers: per-map equivalence of the multi-map evaluation with the sequential
 reference, engine-identical sweep records, deterministic point seeding,
-on-disk caching (including cache hits that skip simulation entirely) and the
+on-disk caching (including cache hits that skip simulation entirely, and
+self-healing of damaged entries through the work-unit path) and the
 optional worker pool.
 """
 
@@ -10,17 +11,17 @@ import numpy as np
 import pytest
 
 from repro.faults import (
+    CampaignOrchestrator,
     CampaignPoint,
     CampaignRunner,
+    WorkUnit,
     baseline_accuracy,
-    cached_record,
     evaluate_with_faults,
     fault_maps_for_trials,
-    map_grid,
     sweep_bit_locations,
     sweep_faulty_pe_count,
 )
-from repro.faults.campaign import ENGINES, loader_token, model_token
+from repro.faults.campaign import ENGINES, cache_path, loader_token, model_token
 from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
@@ -138,7 +139,7 @@ class TestCampaignRunner:
         points = self.make_points()
         runner = CampaignRunner(trained_tiny_model, eval_loader)
         merged = runner.run(points)
-        individual = [runner.evaluate_point(point) for point in points]
+        individual = [runner._evaluate_point(point) for point in points]
         assert merged == individual
 
     def test_unknown_engine_rejected(self, trained_tiny_model, eval_loader):
@@ -178,8 +179,31 @@ class TestCampaignRunner:
         point = self.make_points()[0]
         trained = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
         untrained = CampaignRunner(tiny_model, eval_loader, cache_dir=tmp_path)
-        trained.evaluate_point(point)
-        untrained.evaluate_point(point)
+        trained.run([point])
+        untrained.run([point])
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_cache_key_sees_frozen_threshold(self, trained_tiny_model_state,
+                                             eval_loader, tmp_path):
+        """Copies differing only in a frozen threshold never share a record.
+
+        The model token digests parameters and buffers only; a frozen
+        threshold is a plain attribute, so the on-disk key must see it.
+        """
+
+        from tests.conftest import build_tiny_mnist_model
+
+        point = CampaignPoint(rows=8, cols=8, num_faulty=0, map_seeds=(1,))
+        records = {}
+        for threshold in (1.0, 0.3):
+            model, _ = build_tiny_mnist_model()
+            model.load_state_dict(trained_tiny_model_state["state"])
+            for node in model.spiking_layers():
+                node.set_threshold(threshold)
+            cached = CampaignRunner(model, eval_loader, cache_dir=tmp_path).run([point])
+            assert cached == CampaignRunner(model, eval_loader).run([point]), threshold
+            records[threshold] = cached
+        assert records[1.0] != records[0.3]
         assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_worker_pool_matches_serial(self, trained_tiny_model, eval_loader):
@@ -218,13 +242,16 @@ class TestSweepEquivalence:
         assert {record["stuck_type"] for record in fused} == {"sa0", "sa1"}
 
 
+def unit_record(cache_dir, payload, compute, required_keys=()):
+    """Run one work unit keyed by ``payload``; its record and the report."""
+
+    unit = WorkUnit(0, compute, path=cache_path(cache_dir, payload),
+                    required_keys=required_keys)
+    result = CampaignOrchestrator().run([unit])
+    return result.records[0], result.report
+
+
 class TestHelpers:
-    def test_map_grid_serial(self):
-        assert map_grid(lambda x: x * 2, [1, 2, 3], workers=1) == [2, 4, 6]
-
-    def test_map_grid_pool(self):
-        assert map_grid(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-
     def test_cached_record(self, tmp_path):
         calls = []
 
@@ -233,11 +260,11 @@ class TestHelpers:
             return {"value": 42}
 
         payload = {"key": "unit-test"}
-        assert cached_record(tmp_path, payload, compute) == {"value": 42}
-        assert cached_record(tmp_path, payload, compute) == {"value": 42}
+        assert unit_record(tmp_path, payload, compute)[0] == {"value": 42}
+        assert unit_record(tmp_path, payload, compute)[0] == {"value": 42}
         assert len(calls) == 1
         # No cache dir: compute every time.
-        assert cached_record(None, payload, compute) == {"value": 42}
+        assert unit_record(None, payload, compute)[0] == {"value": 42}
         assert len(calls) == 2
 
     def test_tokens_change_with_content(self, tiny_mnist_loaders, trained_tiny_model,
@@ -247,26 +274,16 @@ class TestHelpers:
         assert model_token(trained_tiny_model) != model_token(tiny_model)
 
 
-def _double(x):
-    return x * 2
-
-
 class TestCacheSelfHealing:
-    """`cached_record` heals damaged entries instead of raising."""
-
-    @staticmethod
-    def _entry(cache_dir, payload):
-        from repro.faults.campaign import _digest_payload
-
-        return cache_dir / f"{_digest_payload(payload)}.json"
+    """A work unit's cache heals damaged entries instead of raising."""
 
     def _prime(self, cache_dir, payload, calls):
         def compute():
             calls.append(1)
             return {"value": 42, "trials": 1}
 
-        return cached_record(cache_dir, payload, compute,
-                             required_keys=("value", "trials"))
+        return unit_record(cache_dir, payload, compute,
+                           required_keys=("value", "trials"))
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage", "non-dict",
                                         "missing-key"])
@@ -274,7 +291,7 @@ class TestCacheSelfHealing:
         calls = []
         payload = {"key": f"heal-{damage}"}
         self._prime(tmp_path, payload, calls)
-        entry = self._entry(tmp_path, payload)
+        entry = cache_path(tmp_path, payload)
         if damage == "truncate":
             entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
         elif damage == "garbage":
@@ -284,23 +301,15 @@ class TestCacheSelfHealing:
         else:
             entry.write_text('{"value": 42}')  # parses, but lost "trials"
 
-        events = []
-
-        def compute():
-            calls.append(1)
-            return {"value": 42, "trials": 1}
-
-        record = cached_record(tmp_path, payload, compute,
-                               required_keys=("value", "trials"),
-                               on_event=events.append)
+        record, report = self._prime(tmp_path, payload, calls)
         assert record == {"value": 42, "trials": 1}
         assert len(calls) == 2  # damaged hit recomputed
-        assert [event["kind"] for event in events] == ["cache-corrupt"]
+        assert [event["kind"] for event in report.events] == ["cache-corrupt"]
+        assert (report.cache_corrupt, report.computed_units) == (1, 1)
         sidecar = entry.with_name(entry.name + ".quarantined")
         assert sidecar.exists()  # damaged bytes kept for inspection
         # The healed entry is a clean hit again.
-        assert cached_record(tmp_path, payload, compute,
-                             required_keys=("value", "trials")) == record
+        assert self._prime(tmp_path, payload, calls)[0] == record
         assert len(calls) == 2
 
     def test_load_cached_record_missing_path_is_a_miss(self, tmp_path):

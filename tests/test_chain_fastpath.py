@@ -143,6 +143,35 @@ class TestChainEdgeCases:
         inputs = get_rng(6).normal(size=(1, 2, 3))
         assert_matches_oracle([array], weight, inputs)
 
+    def test_negative_zero_tail_sums_match_oracle(self, monkeypatch):
+        """A tail GEMM that returns -0.0 for zero sums still matches the oracle.
+
+        A BLAS that starts each sum from its first product returns -0.0
+        when every product is -0.0; the oracle's zero-initialised
+        accumulator returns +0.0.  The kernel's ``0 + tails`` step is what
+        collapses the sign, so the chain-only column (its fault row lies
+        beyond the 3 input rows) must still come out ``tobytes()``-equal.
+        """
+
+        class SignedZeroNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out=None):
+                result = np.matmul(a, b, out=out)
+                result[result == 0] = -0.0
+                return result
+
+        monkeypatch.setattr(chain_kernel, "np", SignedZeroNumpy())
+        array = SystolicArray(6, 3)
+        array.inject_fault(4, 0, StuckAtFault(FMT.magnitude_msb, "sa1"))
+        weight = get_rng(15).normal(size=(3, 3))
+        inputs = np.zeros((1, 2, 3))
+        inputs[0, 1] = get_rng(16).normal(size=3)  # one zero row, one not
+        result = assert_matches_oracle([array], weight, inputs)
+        assert not np.signbit(result[0, 0, 0])
+
     def test_chunked_fast_path_matches_unchunked(self, monkeypatch):
         rng = get_rng(7)
         arrays = []

@@ -2,8 +2,8 @@
 
 Covers: plan construction (specs, env installation, seeded sampling),
 per-action firing semantics (slow / raise / corrupt / enospc and the
-cross-process ``once`` markers), cache-store injection through
-``cached_record``, and the tentpole acceptance sweep -- an injected
+cross-process ``once`` markers), cache-store injection into a work
+unit's store, and the tentpole acceptance sweep -- an injected
 permanently-hung worker, an injected crash and a pre-corrupted cache entry,
 after which the records must be byte-identical to a clean serial run and
 the ``SweepReport`` must attribute every failure to its taxonomy class.
@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from repro.faults import CampaignOrchestrator, CampaignRunner, CampaignPoint
+from repro.faults import CampaignOrchestrator, CampaignRunner, CampaignPoint, WorkUnit
+from repro.faults.campaign import cache_path
 from repro.testing import (
     CHAOS_ENV_VAR,
     ChaosError,
@@ -233,46 +234,49 @@ class TestChaosActions:
             json.loads(staged.read_text())
 
 
+def run_unit(cache, payload, compute):
+    """One work unit keyed by ``payload``, through the orchestrator."""
+
+    return CampaignOrchestrator().run([WorkUnit(0, compute,
+                                                path=cache_path(cache, payload))])
+
+
 class TestCacheStoreChaos:
     def test_enospc_store_degrades_to_uncached(self, tmp_path):
-        from repro.faults import cached_record
-
         install_plan({"rules": [{"site": "cache-store", "action": "enospc"}],
                       "state_dir": str(tmp_path / "state")})
-        events = []
         calls = []
         payload = {"key": "enospc"}
         compute = lambda: calls.append(1) or {"value": 7}  # noqa: E731
-        record = cached_record(tmp_path / "cache", payload, compute,
-                               on_event=events.append)
-        assert record == {"value": 7}
-        assert [e["kind"] for e in events] == ["store-degraded"]
+        result = run_unit(tmp_path / "cache", payload, compute)
+        assert result.records == [{"value": 7}]
+        assert [e["kind"] for e in result.report.events] == ["store-degraded"]
+        assert result.report.store_degraded == 1
         assert not list((tmp_path / "cache").glob("*.json"))
-        # The rule is claimed, so the next call stores (and caches) fine.
-        assert cached_record(tmp_path / "cache", payload, compute) == {"value": 7}
+        # The rule is claimed, so the next run stores (and caches) fine.
+        assert run_unit(tmp_path / "cache", payload, compute).records == [{"value": 7}]
         assert len(calls) == 2
-        assert cached_record(tmp_path / "cache", payload, compute) == {"value": 7}
-        assert len(calls) == 2  # third call was a clean cache hit
+        third = run_unit(tmp_path / "cache", payload, compute)
+        assert third.records == [{"value": 7}]
+        assert len(calls) == 2  # third run was a clean cache hit
+        assert third.report.cached_units == 1
 
     def test_corrupt_store_quarantines_on_next_read(self, tmp_path):
-        from repro.faults import cached_record
-
         install_plan({"rules": [{"site": "cache-store", "action": "corrupt",
                                  "mode": "garbage"}],
                       "state_dir": str(tmp_path / "state")})
-        events = []
         calls = []
         payload = {"key": "corrupt"}
         compute = lambda: calls.append(1) or {"value": 9}  # noqa: E731
         cache = tmp_path / "cache"
-        assert cached_record(cache, payload, compute,
-                             on_event=events.append) == {"value": 9}
+        assert run_unit(cache, payload, compute).records == [{"value": 9}]
         # The store landed garbled bytes; the next lookup must quarantine
         # the entry and recompute instead of raising.
-        assert cached_record(cache, payload, compute,
-                             on_event=events.append) == {"value": 9}
+        healed = run_unit(cache, payload, compute)
+        assert healed.records == [{"value": 9}]
         assert len(calls) == 2
-        assert [e["kind"] for e in events] == ["cache-corrupt"]
+        assert [e["kind"] for e in healed.report.events] == ["cache-corrupt"]
+        assert healed.report.cache_corrupt == 1
         assert list(cache.glob("*.quarantined"))
 
 
@@ -300,7 +304,6 @@ class TestChaosSweepIdentity:
         # the inline fallback could not survive an injected crash).
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=cache,
                                 workers=2, unit_timeout=8.0)
-        orchestrator = CampaignOrchestrator(runner)
         for victim_point in (points[1], points[2]):
             victim = runner._cache_path(victim_point)
             victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
@@ -314,7 +317,7 @@ class TestChaosSweepIdentity:
             "hang_seconds": 120.0,
         })
 
-        result = orchestrator.run(points)
+        result = runner.orchestrate(points)
         assert result.complete
         assert canonical(result.records) == canonical(serial_records)
         report = result.report
@@ -339,7 +342,7 @@ class TestChaosSweepIdentity:
                                 state_dir=tmp_path / "chaos-state")
         install_plan(plan)
         runner = CampaignRunner(trained_tiny_model, eval_loader, workers=2)
-        result = CampaignOrchestrator(runner).run(make_points())
+        result = runner.orchestrate(make_points())
         assert canonical(result.records) == canonical(serial_records)
         assert result.report.poisoned == 2
         assert result.report.retries == 2

@@ -163,16 +163,19 @@ class TestCampaignCommand:
 
 class TestRunCampaignFlags:
     def test_flag_a_runner_cannot_honour_exits_2(self, capsys):
-        assert main(["run", "fig7", "--shard", "0/2"]) == 2
+        # Retraining grids have no trial axis to chunk.
+        assert main(["run", "fig7", "--trial-chunk", "2"]) == 2
         err = capsys.readouterr().err
-        assert "--shard" in err and "fig7" in err
+        assert "--trial-chunk" in err and "fig7" in err
 
     def test_every_unhonoured_flag_is_named(self, capsys):
         assert main(["run", "fig2", "--engine", "sequential",
-                     "--lane-threads", "2", "--unit-timeout", "5"]) == 2
+                     "--lane-threads", "2", "--trial-chunk", "5",
+                     "--unit-timeout", "5"]) == 2
         err = capsys.readouterr().err
-        for flag in ("--engine", "--lane-threads", "--unit-timeout"):
+        for flag in ("--engine", "--lane-threads", "--trial-chunk"):
             assert flag in err
+        assert "--unit-timeout" not in err  # fig2 honours it
 
     def test_fig5b_flags_reach_campaign_runner(self, monkeypatch):
         import repro.experiments.vulnerability as vulnerability

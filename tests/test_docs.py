@@ -104,11 +104,18 @@ class TestDocLinksResolve:
         assert not unknown, f"ARCHITECTURE.md names unregistered experiments: {unknown}"
 
     def test_readme_recorded_bench_table_matches_results_file(self):
-        """The README's folded-in bench table stays in sync with results/."""
+        """The README's folded-in bench table and results/ hold the same rows."""
 
         results = REPO_ROOT / "benchmarks" / "results" / "campaign_engine.txt"
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        for line in results.read_text(encoding="utf-8").splitlines():
-            if line.startswith(("sequential", "fused")):
-                assert line.rstrip() in readme, \
-                    f"README bench table is stale; missing row: {line!r}"
+
+        def rows(text):
+            return {line.rstrip() for line in text.splitlines()
+                    if line.startswith(("sequential", "fused")) and "|" in line}
+
+        recorded = rows(results.read_text(encoding="utf-8"))
+        documented = rows(readme)
+        assert not recorded - documented, \
+            f"README bench table is stale; missing rows: {sorted(recorded - documented)}"
+        assert not documented - recorded, \
+            f"README bench table has rows the results file lacks: {sorted(documented - recorded)}"

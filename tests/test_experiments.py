@@ -300,6 +300,89 @@ class TestExperimentDrivers:
             run_fig7_mitigation_comparison(MICRO, methods=("pruning",))
 
 
+def canonical(records) -> bytes:
+    """The bytes ``repro run --out`` would write for ``records``."""
+
+    import json
+
+    return json.dumps(records, sort_keys=True).encode("utf-8")
+
+
+class TestRetrainCellsOnOrchestrator:
+    """Retraining cells run as work units: shards, chaos and workers."""
+
+    CELLS = (("fap", 0.30), ("falvolt", 0.30), ("fapit", 0.60))
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        from repro.experiments import RetrainCell
+
+        return [RetrainCell(rate, method) for method, rate in self.CELLS]
+
+    @pytest.fixture(scope="class")
+    def reference(self, micro_baseline, cells):
+        from repro.experiments import retrain_cells
+
+        return retrain_cells(micro_baseline, cells, retraining_epochs=1)
+
+    @pytest.fixture()
+    def fast_backoff(self, monkeypatch):
+        monkeypatch.setattr("repro.faults.orchestrator.RETRY_BACKOFF", 0.05)
+
+    def test_two_shards_then_merge_equal_unsharded(self, micro_baseline, cells,
+                                                   reference, tmp_path, monkeypatch):
+        from repro.experiments import mitigation, retrain_cells
+        from repro.faults import PendingShardError
+
+        with pytest.raises(PendingShardError) as excinfo:
+            retrain_cells(micro_baseline, cells, retraining_epochs=1,
+                          cache_dir=tmp_path, shard="0/2")
+        assert excinfo.value.pending == [1]  # shard 0 owns cells 0 and 2
+        shard1 = retrain_cells(micro_baseline, cells, retraining_epochs=1,
+                               cache_dir=tmp_path, shard="1/2")
+        assert canonical(shard1) == canonical(reference)
+
+        built = []
+        real = mitigation.get_mitigation
+        monkeypatch.setattr(mitigation, "get_mitigation",
+                            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+        merged = retrain_cells(micro_baseline, cells, retraining_epochs=1,
+                               cache_dir=tmp_path)
+        assert built == []  # the merge reads every cell from disk
+        assert canonical(merged) == canonical(reference)
+
+    def test_crash_and_raise_heal_to_the_same_records(self, micro_baseline, cells,
+                                                       reference, tmp_path, fast_backoff):
+        from repro.experiments.mitigation import _cell_unit
+        from repro.faults import CampaignOrchestrator
+        from repro.faults.campaign import state_token
+        from repro.testing import clear_plan, install_plan
+
+        units = [_cell_unit(ordinal, cell, baseline=micro_baseline, epochs=1,
+                            baseline_token=state_token(micro_baseline.state),
+                            cache_dir=tmp_path)
+                 for ordinal, cell in enumerate(cells)]
+        install_plan({"rules": [{"site": "unit", "action": "crash", "key": 0},
+                                {"site": "unit", "action": "raise", "key": 1}],
+                      "state_dir": str(tmp_path / "chaos-state")})
+        try:
+            result = CampaignOrchestrator(workers=2).run(units)
+        finally:
+            clear_plan()
+        assert canonical(result.records) == canonical(reference)
+        report = result.report
+        assert (report.crashed, report.poisoned, report.computed_units) == (1, 1, 3)
+        assert report.retries == 2 and report.quarantined == []
+
+    def test_fig8_workers_2_equals_workers_1(self, micro_baseline):
+        from repro.experiments import run_fig8_convergence
+
+        serial = run_fig8_convergence(MICRO, fault_rate=0.30, retraining_epochs=1)
+        pooled = run_fig8_convergence(MICRO, fault_rate=0.30, retraining_epochs=1,
+                                      workers=2)
+        assert canonical(pooled) == canonical(serial)
+
+
 class TestReportingEdgeCases:
     """Edge-case coverage for the reporting helpers (empty / mixed records)."""
 

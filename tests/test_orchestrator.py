@@ -19,9 +19,11 @@ from repro.faults import (
     CampaignRunner,
     PendingShardError,
     ShardSpec,
+    WorkUnit,
     sweep_faulty_pe_count,
 )
-from repro.faults.orchestrator import plan_work_units, pool_map, run_tasks
+from repro.faults.campaign import plan_sweep_chunks
+from repro.faults.orchestrator import run_tasks
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 from repro.testing import clear_plan, install_plan
 
@@ -111,7 +113,7 @@ class TestShardSpec:
 class TestPlanUnits:
     def test_default_is_one_unit_per_point(self):
         points = make_points(trials=4)
-        units = plan_work_units(points)
+        units = plan_sweep_chunks(points)
         assert [unit.ordinal for unit in units] == [0, 1, 2]
         assert all(unit.num_chunks == 1 for unit in units)
         # Unsplit units carry the original points, so their cache keys are
@@ -120,7 +122,7 @@ class TestPlanUnits:
 
     def test_trial_chunk_splits_seeds_exactly_once(self):
         points = make_points(trials=5)
-        units = plan_work_units(points, trial_chunk=2)
+        units = plan_sweep_chunks(points, trial_chunk=2)
         assert len(units) == 9  # ceil(5/2) = 3 chunks per point
         assert [unit.ordinal for unit in units] == list(range(9))
         for point_index, point in enumerate(points):
@@ -131,7 +133,7 @@ class TestPlanUnits:
             assert recombined == point.map_seeds
 
     def test_shard_union_covers_grid_exactly_once(self):
-        units = plan_work_units(make_points(trials=4), trial_chunk=1)
+        units = plan_sweep_chunks(make_points(trials=4), trial_chunk=1)
         ordinals = [unit.ordinal for unit in units]
         total = 2
         shard_sets = [
@@ -180,16 +182,6 @@ class TestWorkStealingPool:
         assert not results[0].ok and "always broken" in results[0].error
         assert results[0].attempts == 2
         assert results[1].ok  # surviving tasks still complete
-
-    def test_pool_map_reraises_original_exception_type(self):
-        def fn(item):
-            raise ValueError(f"bad {item}")
-
-        # The serial path would raise ValueError; the pooled path must too.
-        with pytest.raises(ValueError, match="bad"):
-            pool_map(fn, [1, 2], workers=2)
-        with pytest.raises(ValueError, match="bad"):
-            pool_map(fn, [1, 2], workers=1)
 
     def test_inline_fallback_matches_pool(self):
         fn = lambda index: index + 10  # noqa: E731
@@ -256,14 +248,14 @@ class TestOrchestratedRecords:
 
         runner._evaluate_point = kill_after_two
         with pytest.raises(KeyboardInterrupt):
-            CampaignOrchestrator(runner).run(points)
+            runner.orchestrate(points)
         cached_units = len(list(tmp_path.glob("*.json")))
         assert cached_units == 2  # finished units survived the kill
 
         events = []
         resumed = CampaignRunner(trained_tiny_model, eval_loader,
                                  cache_dir=tmp_path, progress=events.append)
-        result = CampaignOrchestrator(resumed).run(points)
+        result = resumed.orchestrate(points)
         assert result.complete
         assert canonical(result.records) == canonical(serial_records)
         # Only the unit lost to the kill was recomputed.
@@ -281,7 +273,7 @@ class TestOrchestratedRecords:
         events = []
         runner = CampaignRunner(trained_tiny_model, eval_loader,
                                 cache_dir=tmp_path, progress=events.append)
-        result = CampaignOrchestrator(runner).run(points)
+        result = runner.orchestrate(points)
         # Point 0 is answered from the cache.
         assert sorted(done_units(events, "point_index")) == [1, 2]
         assert canonical(result.records) == canonical(serial_records)
@@ -291,7 +283,7 @@ class TestOrchestratedRecords:
                                                chaos):
         chaos({"site": "unit", "action": "crash", "key": 0})
         runner = CampaignRunner(trained_tiny_model, eval_loader, workers=2)
-        result = CampaignOrchestrator(runner).run(make_points())
+        result = runner.orchestrate(make_points())
         assert result.complete
         assert result.report.retries >= 1
         assert canonical(result.records) == canonical(serial_records)
@@ -302,7 +294,7 @@ class TestOrchestratedRecords:
         chaos({"site": "unit", "action": "raise", "key": 1, "once": False})
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
         with pytest.raises(RuntimeError, match="chaos-injected unit failure"):
-            CampaignOrchestrator(runner).run(make_points())
+            runner.orchestrate(make_points())
         # The two healthy units finished and were cached before the raise.
         assert len(list(tmp_path.glob("*.json"))) == 2
 
@@ -320,10 +312,9 @@ class TestOrchestratedRecords:
 
     def test_report_summary_counts(self, trained_tiny_model, eval_loader, tmp_path):
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
-        orchestrator = CampaignOrchestrator(runner)
-        first = orchestrator.run(make_points()).report
+        first = runner.orchestrate(make_points()).report
         assert (first.total_units, first.computed_units, first.cached_units) == (3, 3, 0)
-        second = orchestrator.run(make_points()).report
+        second = runner.orchestrate(make_points()).report
         assert second.computed_units == 0
         summary = first.summary()
         assert summary["computed_units"] == 3
@@ -420,20 +411,26 @@ class TestHangTolerance:
         assert all(result.ok for result in results)
         assert len(calls) == 1  # reported once, then disabled
 
-    def test_pool_map_attributes_index_and_attempts(self, fast_backoff):
-        def fn(item):
-            if item == "bad":
-                raise ValueError("broken cell")
-            return item
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_unit_is_named_with_its_attempts(self, workers, tmp_path,
+                                                     fast_backoff):
+        """A unit that always fails raises naming its unit and attempt count.
 
-        with pytest.raises(ValueError) as excinfo:
-            pool_map(fn, ["ok", "bad"], workers=2)
+        The healthy unit still finishes and is cached first.
+        """
+
+        def broken():
+            raise ValueError("broken cell")
+
+        units = [WorkUnit(0, lambda: {"value": 0}, path=tmp_path / "ok.json"),
+                 WorkUnit(1, broken, tags=(("cell", 1), ("method", "falvolt")))]
+        orchestrator = CampaignOrchestrator(workers=workers)
+        with pytest.raises(RuntimeError) as excinfo:
+            orchestrator.run(units)
         message = str(excinfo.value)
-        assert "grid task 1/2 failed after 2 attempt(s)" in message
-        assert "broken cell" in message
-        # Serial fallback carries the same attribution.
-        with pytest.raises(ValueError, match=r"grid task 1/2 failed after"):
-            pool_map(fn, ["ok", "bad"], workers=1)
+        assert ("1 work unit(s) failed after 3 attempt(s): "
+                "unit 1 (cell 1, method falvolt): ValueError: broken cell") in message
+        assert (tmp_path / "ok.json").exists()
 
 
 class TestQuarantine:
@@ -443,11 +440,12 @@ class TestQuarantine:
         runner = CampaignRunner(trained_tiny_model, eval_loader)
         with pytest.raises(RuntimeError,
                            match=r"1 work unit\(s\) failed after 3 attempt\(s\): "
-                                 r"unit 0 \(point 0, chunk 0\)"):
-            CampaignOrchestrator(runner).run(make_points())
+                                 r"unit 0 \(point_index 0, chunk_index 0\)"):
+            runner.orchestrate(make_points())
 
     def test_invalid_policies_rejected(self, trained_tiny_model, eval_loader):
-        # The orchestrator takes only its runner, which owns the options.
+        # The orchestrator takes keyword options only; the runner validates
+        # them before they reach it.
         runner = CampaignRunner(trained_tiny_model, eval_loader)
         with pytest.raises(TypeError):
             CampaignOrchestrator(runner, workers=2)
