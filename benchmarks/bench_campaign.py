@@ -5,10 +5,9 @@ through both campaign engines against one trained micro-model and
 reports:
 
 * per-engine wall-clock cost and the speedup over the sequential oracle,
-* the fused engine's machine-relative ratios for 2 lane threads vs 1 (the
-  bit-safe intra-sweep parallelism knob), the stuck-at sweep vs the same
-  sweep under transient (SEU) schedules, and the compiled cffi kernel
-  backend vs the numpy oracle backend,
+* the fused engine's machine-relative ratios for the stuck-at sweep vs
+  the same sweep under transient (SEU) schedules, and the compiled cffi
+  kernel backend vs the numpy oracle backend,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -54,7 +53,7 @@ def campaign_setup():
     return model, loader
 
 
-def run_sweep(model, loader, engine, cache_dir=None, dtype="float64", repeats=1):
+def run_sweep(model, loader, engine, cache_dir=None, repeats=1):
     """Run the sweep ``repeats`` times; return (records, best wall time).
 
     The best-of-N guards the comparison against scheduler noise on loaded
@@ -71,7 +70,7 @@ def run_sweep(model, loader, engine, cache_dir=None, dtype="float64", repeats=1)
             model, loader,
             rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
             counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
-            dataset="mnist", engine=engine, cache_dir=cache_dir, dtype=dtype)
+            dataset="mnist", engine=engine, cache_dir=cache_dir)
         best = min(best, time.perf_counter() - start)
     return records, best
 
@@ -84,8 +83,7 @@ TRANSIENT_PARAMS = {"process": "bernoulli", "num_steps": 3, "rate": 0.5}
 def run_sweep_interleaved(model, loader, configs, rounds=3):
     """Best-of-``rounds`` sweep cost per config, measured round-robin.
 
-    ``configs`` maps label -> (engine, dtype, lane_threads, fault_model,
-    backend).  Interleaving the configurations
+    ``configs`` maps label -> (engine, fault_model, backend).  Interleaving the configurations
     (instead of timing each one back to back) keeps a load spike on a
     shared CI box from billing one configuration only.
     """
@@ -93,16 +91,14 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
     times = {label: float("inf") for label in configs}
     records = {}
     for _ in range(rounds):
-        for label, (engine, dtype, lane_threads,
-                    fault_model, backend) in configs.items():
+        for label, (engine, fault_model, backend) in configs.items():
             params = TRANSIENT_PARAMS if fault_model == "transient" else None
             start = time.perf_counter()
             records[label] = sweep_faulty_pe_count(
                 model, loader,
                 rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
                 counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
-                dataset="mnist", engine=engine, dtype=dtype,
-                lane_threads=lane_threads,
+                dataset="mnist", engine=engine,
                 fault_model=fault_model, fault_params=params,
                 backend=backend)
             times[label] = min(times[label], time.perf_counter() - start)
@@ -126,24 +122,21 @@ def test_bench_campaign_engines(campaign_setup):
             dataset="mnist", engine="fused", backend="cffi")
 
     configs = {
-        "sequential": ("sequential", "float64", None, "stuck_at", None),
-        "fused": ("fused", "float64", None, "stuck_at", None),
-        "fused-lane2": ("fused", "float64", 2, "stuck_at", None),
-        "fused-f32": ("fused", "float32", None, "stuck_at", None),
-        "sequential-seu": ("sequential", "float64", None, "transient", None),
-        "fused-seu": ("fused", "float64", None, "transient", None),
+        "sequential": ("sequential", "stuck_at", None),
+        "fused": ("fused", "stuck_at", None),
+        "sequential-seu": ("sequential", "transient", None),
+        "fused-seu": ("fused", "transient", None),
     }
     if have_cffi:
-        configs["fused-cffi"] = ("fused", "float64", None, "stuck_at", "cffi")
+        configs["fused-cffi"] = ("fused", "stuck_at", "cffi")
     records, times = run_sweep_interleaved(model, loader, configs, rounds=5)
 
-    lane_speedup = times["fused"] / times["fused-lane2"]
     transient_ratio = times["fused"] / times["fused-seu"]
     backend_speedup = (times["fused"] / times["fused-cffi"]
                        if have_cffi else None)
     rows = []
-    for engine in ("sequential", "fused", "fused-cffi", "fused-lane2",
-                   "fused-f32", "sequential-seu", "fused-seu"):
+    for engine in ("sequential", "fused", "fused-cffi", "sequential-seu",
+                   "fused-seu"):
         if engine not in times:
             continue
         rows.append({
@@ -153,7 +146,6 @@ def test_bench_campaign_engines(campaign_setup):
             "speedup": times["sequential"] / times[engine],
         })
     identical = (records["fused"] == records["sequential"]
-                 and records["fused-lane2"] == records["sequential"]
                  # The compiled backend must reproduce the oracle's records.
                  and ("fused-cffi" not in records
                       or records["fused-cffi"] == records["sequential"])
@@ -166,8 +158,7 @@ def test_bench_campaign_engines(campaign_setup):
     backend_note = (f"cffi backend vs numpy: {backend_speedup:.2f}x"
                     if backend_speedup is not None else
                     "cffi backend vs numpy: n/a (backend unavailable)")
-    summary = (f"2 lane threads vs 1: {lane_speedup:.2f}x; "
-               f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
+    summary = (f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
                + backend_note)
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -176,37 +167,29 @@ def test_bench_campaign_engines(campaign_setup):
     save_records(rows + [{
         "engine": "meta",
         "identical_records": bool(identical),
-        "lane_speedup": lane_speedup,
         "transient_overhead": transient_ratio,
         **({"backend_speedup": backend_speedup}
            if backend_speedup is not None else {}),
         "note": "identical_records pins float64 bit-identity across both "
-                "engines, 1 vs 2 lane threads, the compiled cffi kernel backend, and "
+                "engines, the compiled cffi kernel backend, and "
                 "the transient (SEU) schedule sweep "
-                "(phase-aware fused vs per-schedule sequential); the "
-                "*_speedup entries are cold Fig. 5b sweep cost ratios "
-                "measured within this run (machine-relative): one "
-                "lane thread over two, and the numpy oracle backend over the "
-                "compiled cffi backend (backend_speedup, present only when "
-                "the cffi backend is available); transient_overhead is the "
+                "(phase-aware fused vs per-schedule sequential); "
+                "backend_speedup is the cold Fig. 5b sweep cost of the "
+                "numpy oracle backend over the compiled cffi backend, "
+                "measured within this run (machine-relative; present only "
+                "when the cffi backend is available); transient_overhead is the "
                 "stuck-at fused sweep cost over the transient-schedule "
                 "fused sweep cost (a drop means the transient path got "
                 "relatively slower)",
     }], RESULTS_DIR / "campaign_engine.json")
 
-    # The acceptance property: identical records across both engines and
-    # 1 vs 2 lane threads (same accuracies, same seeds -- float64
-    # bit-identity).
+    # The acceptance property: identical records across both engines
+    # (same accuracies, same seeds -- float64 bit-identity).
     assert identical, "engine records diverged"
     # The fault-free point reports the software baseline.
     assert records["fused"][0]["num_faulty_pes"] == 0
     # Wall-clock: conservative bounds that hold across CI machines; the
     # recorded results document the precise ratios on the reference box.
-    # Lane threads may not win on single-core boxes but must stay within
-    # thread-overhead noise.  The recorded ratios are gated machine-relative
-    # by check_regression.py.
-    assert lane_speedup >= 0.5, \
-        f"2 lane threads cost {1 / lane_speedup:.2f}x over one"
     # The transient path re-prepares per *phase*, not per step; even with
     # every step in its own phase the fused sweep must stay within a small
     # multiple of the stuck-at sweep.  The recorded ratio is gated
@@ -347,41 +330,6 @@ def test_bench_campaign_chaos_recovery(campaign_setup, tmp_path):
     # within a small multiple of the clean pooled sweep even on loaded CI.
     assert chaos_time <= 3.0 * clean_time + 10.0, \
         f"chaos recovery cost {chaos_time:.2f}s vs clean {clean_time:.2f}s"
-
-
-def test_bench_campaign_lane_scaling(campaign_setup):
-    """Lane-thread scaling: byte-identical records at 1/2/4 lane threads.
-
-    The identity assertion is the acceptance property; wall-clock per lane
-    count is reported for multi-core boxes (numpy releases the GIL inside
-    the fork-lane GEMMs) but only sanity-bounded, since a single-core
-    CI runner cannot win from threading.
-    """
-
-    model, loader = campaign_setup
-    lane_counts = (1, 2, 4)
-    times = {threads: float("inf") for threads in lane_counts}
-    records = {}
-    for _ in range(3):
-        for threads in lane_counts:
-            start = time.perf_counter()
-            records[threads] = sweep_faulty_pe_count(
-                model, loader,
-                rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
-                counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
-                dataset="mnist", engine="fused", lane_threads=threads)
-            times[threads] = min(times[threads], time.perf_counter() - start)
-
-    report = ", ".join(f"{threads} thread(s) {times[threads]:.2f}s"
-                       for threads in lane_counts)
-    print(f"\nlane scaling (cold fused sweep): {report}")
-    for threads in lane_counts[1:]:
-        assert records[threads] == records[1], \
-            f"records diverged at lane_threads={threads}"
-        # Identity is the guarantee; overhead must stay bounded even where
-        # a single core means threads cannot pay for themselves.
-        assert times[1] / times[threads] >= 0.5, \
-            f"{threads} lane threads cost {times[threads] / times[1]:.2f}x over one"
 
 
 def test_bench_campaign_scaling_with_trials(campaign_setup):

@@ -13,8 +13,7 @@ Rules (the documented gate policy):
   comparable between the recording box and a CI runner, but ratios
   measured *within one run* are: the ``speedup`` column (cost relative to
   the same run's sequential oracle) for the fused engine, and the
-  ``meta`` ratios ``lane_speedup`` (one lane thread over two),
-  ``transient_overhead`` (the stuck-at sweep over the
+  ``meta`` ratios ``transient_overhead`` (the stuck-at sweep over the
   transient-schedule sweep) and ``backend_speedup`` (the
   numpy oracle backend over the compiled cffi backend) -- each gated only
   when both the fresh and the recorded run report it.  Each fresh ratio must be at
@@ -110,7 +109,6 @@ def main(argv=None) -> int:
 
     recorded_meta = baseline.get("meta", {})
     gated_ratios = (
-        ("lane_speedup", "lane threads"),
         ("transient_overhead", "transient path"),
         ("backend_speedup", "cffi backend"),
     )

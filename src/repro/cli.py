@@ -12,7 +12,6 @@ Fault-injection campaigns run directly on the campaign engine::
 
     python -m repro campaign counts --counts 0,4,8,16 --trials 8
     python -m repro campaign bits --bits 0,4,8,14 --engine sequential
-    python -m repro campaign counts --engine fused --dtype float32
     python -m repro campaign sizes --sizes 8,16,32 --workers 4 --cache-dir .cache
 
 Named scenarios bundle dataset, sweep axis, fault model and mitigation
@@ -44,8 +43,9 @@ their cells on the same orchestrator and take ``--workers``,
 Every sweep entry point takes the same campaign flags.  The CLI turns them
 into one options dict (:func:`runner_options`) that reaches
 :class:`~repro.faults.CampaignRunner` unchanged.
-:func:`~repro.faults.check_runner_options` validates it before any baseline
-is trained: bad values exit 2 with every problem listed.
+:func:`~repro.faults.check_runner_options` (for a retraining grid,
+:func:`~repro.experiments.check_retrain_options`) validates it before any
+baseline is trained: bad values exit 2 with every problem listed.
 ``campaign bits|counts|sizes`` runs an unregistered scenario through
 :func:`~repro.experiments.run_scenario`, the same path as ``--scenario``.
 ``repro run`` rejects (exit 2) any campaign flag that the chosen experiment
@@ -71,7 +71,8 @@ from .experiments import (
 )
 from .experiments.config import PAPER_DATASETS, SCALES
 from .experiments.scenarios import SWEEPS
-from .faults.injection import DTYPES, ENGINES
+from .experiments.mitigation import RETRAIN_OPTIONS
+from .faults.injection import ENGINES
 from .systolic import DEFAULT_ACCUMULATOR_FORMAT
 from .utils import configure_logging, save_records
 
@@ -162,22 +163,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="campaign execution engine (float64 records are "
                              "identical across engines; 'fused' is the "
                              "no-autograd default)")
-    parser.add_argument("--dtype", choices=DTYPES, default="float64",
-                        help="fused-engine evaluation dtype (float32 trades "
-                             "bit-identity for speed)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes pulling the work units of a "
                              "sweep or retraining grid from the "
                              "orchestrator's work-stealing queue (1 = serial)")
-    parser.add_argument("--lane-threads", type=int, default=None, metavar="N",
-                        help="threads sharing the fused engine's fork "
-                             "lanes (one lane per forked map at campaign "
-                             "batch sizes; default: $REPRO_LANE_THREADS or "
-                             "1; inside a "
-                             "--workers pool an unset value stays 1 so the "
-                             "pools compose; 0 auto-sizes from the forked-"
-                             "map count and the CPU count).  Records are "
-                             "byte-identical for every value")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="fused-engine kernel backend (default: "
                              "$REPRO_BACKEND or 'numpy'; 'cffi' compiles the "
@@ -236,13 +225,19 @@ def runner_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _options_invalid(options: dict) -> bool:
-    """Print every problem with the campaign options; whether there was one."""
+def _options_invalid(options: dict, retraining: bool = False) -> bool:
+    """Print every problem with the campaign options; whether there was one.
 
+    A ``retraining`` grid's options are checked without the fused-engine
+    settings, which it never uses.
+    """
+
+    from .experiments import check_retrain_options
     from .faults import check_runner_options
 
+    check = check_retrain_options if retraining else check_runner_options
     try:
-        check_runner_options(**options)
+        check(**options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return True
@@ -334,7 +329,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {spec.experiment_id} cannot honour "
               f"{', '.join(unsupported)}", file=sys.stderr)
         return 2
-    if _options_invalid(options):
+    if _options_invalid(options, retraining=spec.options == RETRAIN_OPTIONS):
         return 2
     overrides = {}
     if args.seed is not None:

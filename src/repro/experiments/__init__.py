@@ -17,6 +17,7 @@ from .vulnerability import (
 from .motivational import run_fig2_threshold_grid
 from .mitigation import (
     RetrainCell,
+    check_retrain_options,
     retrain_cells,
     run_fig6_optimized_thresholds,
     run_fig7_mitigation_comparison,
@@ -62,6 +63,7 @@ __all__ = [
     "run_fig6_optimized_thresholds",
     "run_fig7_mitigation_comparison",
     "RetrainCell",
+    "check_retrain_options",
     "retrain_cells",
     "convergence_speedup",
     "run_fig8_convergence",

@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 
 from ..core import MITIGATIONS, get_mitigation
 from ..faults import (CampaignOrchestrator, PendingShardError, WorkUnit,
-                      check_runner_options, fault_map_from_rate)
-from ..faults.campaign import cache_path, state_token
+                      fault_map_from_rate)
+from ..faults.campaign import cache_path, state_token, unit_option_problems
 from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
 from ..utils.rng import derive_seed
 from .baseline import PreparedBaseline, prepare_baseline
@@ -111,8 +111,8 @@ def retrain_cells(baseline: PreparedBaseline, cells: Sequence[RetrainCell], *,
     final thresholds, per-epoch history, map fault rate) plus the dataset
     and the cell's nominal ``rate``.  ``retraining_epochs`` defaults to the
     config's schedule.  The rest are campaign options
-    (:func:`repro.faults.check_runner_options` validates them), with the
-    meaning they have for a sweep: ``workers`` processes pull cells from
+    (:func:`check_retrain_options` validates them), with the meaning they
+    have for a sweep: ``workers`` processes pull cells from
     the orchestrator's queue, ``cache_dir`` caches finished cells keyed by
     the baseline weights, ``shard`` runs one round-robin share of the cells
     (a grid other shards have not finished raises
@@ -120,8 +120,8 @@ def retrain_cells(baseline: PreparedBaseline, cells: Sequence[RetrainCell], *,
     watchdog's per-cell deadline and ``progress`` receives unit events.
     """
 
-    options = check_runner_options(workers=workers, cache_dir=cache_dir, shard=shard,
-                                   unit_timeout=unit_timeout)
+    options = check_retrain_options(workers=workers, cache_dir=cache_dir,
+                                    shard=shard, unit_timeout=unit_timeout)
     epochs = (baseline.config.retrain_epochs if retraining_epochs is None
               else retraining_epochs)
     token = state_token(baseline.state)
@@ -139,6 +139,28 @@ def retrain_cells(baseline: PreparedBaseline, cells: Sequence[RetrainCell], *,
 #: The campaign options a retraining grid honours: :func:`retrain_cells`'s
 #: keywords after ``retraining_epochs``, read off its signature.
 RETRAIN_OPTIONS = tuple(inspect.signature(retrain_cells).parameters)[3:]
+
+
+def check_retrain_options(**options) -> dict:
+    """Validate a retraining grid's campaign options; return all of them.
+
+    ``options`` are any of :data:`RETRAIN_OPTIONS`; the rest take
+    :func:`retrain_cells`' defaults.  An unknown option and every
+    :func:`~repro.faults.campaign.unit_option_problems` problem are
+    collected into one ``ValueError``; ``shard`` comes back as a
+    ``ShardSpec``.  Cells retrain through autograd, so no fused-engine
+    setting (``REPRO_BACKEND`` included) is consulted.
+    """
+
+    parameters = inspect.signature(retrain_cells).parameters
+    values = {name: options.get(name, parameters[name].default)
+              for name in RETRAIN_OPTIONS}
+    problems = [f"unknown option '{name}'" for name in options
+                if name not in values]
+    problems += unit_option_problems(values)
+    if problems:
+        raise ValueError("invalid campaign options: " + "; ".join(problems))
+    return values
 
 
 def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,

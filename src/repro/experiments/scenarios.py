@@ -307,8 +307,8 @@ def run_scenario(scenario: Union[Scenario, str], *,
     Prepares (or reuses, via ``baseline``) the dataset's trained baseline,
     then runs the sweep driver of the scenario's axis with the scenario's
     grid, fault model, parameters and mitigation.  ``runner_options`` are
-    the campaign options (``engine``, ``dtype``, ``workers``,
-    ``cache_dir``, ``shard``, ...), passed unchanged to
+    the campaign options (``engine``, ``workers``, ``cache_dir``,
+    ``shard``, ...), passed unchanged to
     :class:`~repro.faults.campaign.CampaignRunner`; they are validated
     first, so a bad option raises ``ValueError`` before any training.
     """

@@ -13,10 +13,9 @@ explicit object model:
   default ``"fused"`` engine lowers the model to the no-autograd inference
   plan (:class:`repro.snn.inference.FusedFaultEngine`): all of a point's
   fault maps run in one vectorised pass with fused elementwise kernels and
-  clean-prefix sharing across maps that have not yet diverged, plus an
-  optional ``dtype="float32"`` fast mode.  The ``"sequential"`` engine is
-  the one-autograd-inference-per-map oracle; both produce bit-identical
-  float64 records.
+  clean-prefix sharing across maps that have not yet diverged.  The
+  ``"sequential"`` engine is the one-autograd-inference-per-map oracle;
+  both produce bit-identical float64 records.
   Results are cached on disk as JSON keyed by (model key, data hash, grid
   point); a cache hit skips the simulation entirely.
 
@@ -60,13 +59,11 @@ from ..utils.serialization import load_records, save_records
 from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
                         random_weight_fault_map, schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import (DTYPES, ENGINES, _engine_problems, baseline_accuracy,
-                        evaluate_with_faults)
+from .injection import ENGINES, _engine_problems, baseline_accuracy, evaluate_with_faults
 
 __all__ = [
     "CampaignPoint",
     "CampaignRunner",
-    "DTYPES",
     "ENGINES",
     "FAULT_MODELS",
     "RUNNER_OPTIONS",
@@ -436,39 +433,20 @@ def store_record_safe(record, path: Path, *,
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
-def check_runner_options(**options) -> dict:
-    """Validate campaign options; return all of them, resolved.
+def unit_option_problems(values: dict) -> List[str]:
+    """Every problem with the work-unit options in ``values``.
 
-    ``options`` are any :class:`CampaignRunner` keywords; the rest take the
-    runner's defaults.  Every problem (an unknown option, an engine, dtype,
-    ``lane_threads`` or ``backend`` mismatch, an unavailable backend,
-    ``workers``, ``trial_chunk`` or ``unit_timeout`` out of range, a
-    malformed ``shard``, a shard without a ``cache_dir``) is collected into
-    one ``ValueError``.  The result holds ``shard`` as a ``ShardSpec`` and,
-    on the fused engine, ``backend`` resolved (argument > ``REPRO_BACKEND``
-    > numpy) so forked workers inherit the parent's choice.
+    These are the options a sweep and a retraining grid share: ``workers``,
+    ``unit_timeout``, ``shard`` (parsed into a ``ShardSpec`` in place) with
+    its ``cache_dir``, and ``trial_chunk`` where present.
     """
 
-    from ..snn.inference.backends import BackendUnavailableError, resolve_backend_name
     from .orchestrator import ShardSpec
 
-    try:
-        bound = inspect.signature(CampaignRunner).bind_partial(**options)
-    except TypeError as exc:
-        raise ValueError(f"invalid campaign options: {exc}") from None
-    bound.apply_defaults()
-    values = {name: bound.arguments[name] for name in RUNNER_OPTIONS}
-    engine = values["engine"]
-    problems = _engine_problems(engine, values["dtype"],
-                                values["lane_threads"], values["backend"])
-    if engine == "fused":
-        try:
-            values["backend"] = resolve_backend_name(values["backend"])
-        except (ValueError, BackendUnavailableError) as exc:
-            problems.append(str(exc))
+    problems = []
     if values["workers"] < 1:
         problems.append("workers must be at least 1")
-    if values["trial_chunk"] is not None and values["trial_chunk"] < 1:
+    if values.get("trial_chunk") is not None and values["trial_chunk"] < 1:
         problems.append("trial_chunk must be at least 1")
     if values["unit_timeout"] is not None and values["unit_timeout"] <= 0:
         problems.append("unit_timeout must be positive")
@@ -481,6 +459,43 @@ def check_runner_options(**options) -> dict:
             problems.append(
                 "sharded runs need a shared cache_dir: the on-disk unit "
                 "records are the only channel between shards")
+    return problems
+
+
+def check_runner_options(**options) -> dict:
+    """Validate campaign options; return all of them, resolved.
+
+    ``options`` are any :class:`CampaignRunner` keywords; the rest take the
+    runner's defaults.  Every problem (an unknown option, an engine or
+    ``backend`` mismatch, an unavailable backend, a ``dtype`` other than
+    ``"float64"``, a ``lane_threads`` other than ``None`` or 1, or any of
+    :func:`unit_option_problems`) is collected into one ``ValueError``.
+    The result holds ``shard`` as a ``ShardSpec`` and, on the fused
+    engine, ``backend`` resolved (argument > ``REPRO_BACKEND`` > numpy) so
+    forked workers inherit the parent's choice.
+    """
+
+    from ..snn.inference.backends import BackendUnavailableError, resolve_backend_name
+
+    try:
+        bound = inspect.signature(CampaignRunner).bind_partial(**options)
+    except TypeError as exc:
+        raise ValueError(f"invalid campaign options: {exc}") from None
+    bound.apply_defaults()
+    values = {name: bound.arguments[name] for name in RUNNER_OPTIONS}
+    engine = values["engine"]
+    problems = _engine_problems(engine, values["backend"])
+    if values["dtype"] != "float64":
+        problems.append(f"dtype must be 'float64', got {values['dtype']!r}")
+    if values["lane_threads"] not in (None, 1):
+        problems.append(
+            f"lane_threads must be None or 1, got {values['lane_threads']!r}")
+    if engine == "fused":
+        try:
+            values["backend"] = resolve_backend_name(values["backend"])
+        except (ValueError, BackendUnavailableError) as exc:
+            problems.append(str(exc))
+    problems += unit_option_problems(values)
     if problems:
         raise ValueError("invalid campaign options: " + "; ".join(problems))
     return values
@@ -508,10 +523,6 @@ class CampaignRunner:
         plan and simulates all of a point's fault maps in one pass with
         clean-prefix sharing; ``"sequential"`` runs one autograd inference
         per map.  Both produce bit-identical float64 records.
-    dtype:
-        ``"float64"`` (default) or ``"float32"``; the latter requires the
-        fused engine and trades bit-identity for speed (records then carry
-        a ``dtype`` field in their cache key).
     bypass:
         Enable the bypass multiplexer of faulty PEs (mitigated hardware).
     cache_dir:
@@ -545,25 +556,19 @@ class CampaignRunner:
     progress:
         Optional callable receiving the orchestrator's structured progress
         events (per-unit timing, retries, ETA); parent process only.
-    lane_threads:
-        Fork-lane thread count of the fused engine: the per-step fork work
-        of a pass's fault maps is split into that many thread-parallel
-        lanes (bit-identical for every value, so it never enters cache
-        keys).  ``None`` (default) resolves ``REPRO_LANE_THREADS`` -- but
-        inside an orchestrated pool (``workers > 1``) an unset knob
-        defaults to one lane per worker, so the fork pool and the thread
-        pool compose without oversubscribing the machine.  An explicit
-        value is honoured everywhere; ``0`` auto-sizes lanes per engine
-        from the forked-map count and ``os.cpu_count()``.  Non-default
-        values require the fused engine.
     backend:
         Kernel backend of the fused engine (``None`` resolves
         ``REPRO_BACKEND``, default ``"numpy"``).  Resolved once here in
         the parent process -- orchestrated workers inherit the resolved
         name, never re-consult the environment.  float64 records are
         byte-identical across backends (the numpy path is the oracle), so
-        the backend never enters cache keys -- exactly the
-        ``lane_threads`` rule.  Requires the fused engine.
+        the backend never enters cache keys.  Requires the fused engine.
+    dtype:
+        Kept only for the benchmark harness, which passes it; the one
+        accepted value is ``"float64"``.
+    lane_threads:
+        Kept only for the benchmark harness, which passes it; the one
+        accepted values are ``None`` and 1 (the engine is single-threaded).
 
     The fused engine reads the lowered inference plan from the
     process-wide :func:`repro.snn.inference.default_plan_cache` under the
@@ -576,25 +581,22 @@ class CampaignRunner:
                  bypass: bool = False,
                  cache_dir: Optional[Union[str, Path]] = None,
                  workers: int = 1,
-                 dtype: str = "float64",
                  shard=None,
                  trial_chunk: Optional[int] = None,
                  unit_timeout: Optional[float] = None,
                  progress: Optional[Callable[[dict], None]] = None,
-                 lane_threads: Optional[int] = None,
-                 backend: Optional[str] = None) -> None:
+                 backend: Optional[str] = None,
+                 dtype: str = "float64",
+                 lane_threads: Optional[int] = None) -> None:
         resolved = check_runner_options(
             engine=engine, dtype=dtype, workers=workers, cache_dir=cache_dir,
             shard=shard, trial_chunk=trial_chunk, unit_timeout=unit_timeout,
             lane_threads=lane_threads, backend=backend)
-        if lane_threads is not None:
-            lane_threads = int(lane_threads)
         self.backend = resolved["backend"]
         self.model = model
         self.loader = loader
         self.fmt = fmt
         self.engine = engine
-        self.dtype = dtype
         self.bypass = bool(bypass)
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.workers = int(workers)
@@ -602,13 +604,6 @@ class CampaignRunner:
         self.trial_chunk = None if trial_chunk is None else int(trial_chunk)
         self.unit_timeout = None if unit_timeout is None else float(unit_timeout)
         self.progress = progress
-        self.lane_threads = lane_threads
-        # Fork-pool composition: an *unset* knob must not resolve
-        # REPRO_LANE_THREADS inside a pool whose workers already own the
-        # cores -- forked workers then run one lane each.  Explicit values
-        # pass through (workers x lane_threads is the user's call).
-        self._effective_lane_threads = (
-            1 if lane_threads is None and self.workers > 1 else lane_threads)
         self._model_token = model_token(model)
         self._model_key = model_key(model, self._model_token)
         self._data_token = loader_token(loader)
@@ -633,9 +628,9 @@ class CampaignRunner:
     def baseline_accuracy(self) -> float:
         """Fault-free accuracy of the model (cached).
 
-        The fused engine evaluates through the lowered inference plan (in
-        ``self.dtype``); float64 results are bit-identical to the autograd
-        software forward the sequential engine uses.
+        The fused engine evaluates through the lowered inference plan; its
+        results are bit-identical to the autograd software forward the
+        sequential engine uses.
         """
 
         if self._baseline is None:
@@ -643,14 +638,14 @@ class CampaignRunner:
                 from ..snn.inference import FusedInferenceEngine
 
                 self._baseline = FusedInferenceEngine(
-                    self.model, dtype=self.dtype, plan_token=self._model_token,
+                    self.model, plan_token=self._model_token,
                     backend=self.backend).evaluate(self.loader)
             else:
                 self._baseline = baseline_accuracy(self.model, self.loader)
         return self._baseline
 
     def _cache_payload(self, point: CampaignPoint) -> dict:
-        payload = {
+        return {
             "version": _CACHE_VERSION,
             "model": self._model_key,
             "data": self._data_token,
@@ -658,11 +653,6 @@ class CampaignRunner:
             "bypass": self.bypass,
             "point": point.as_payload(),
         }
-        if self.dtype != "float64":
-            # float64 results are engine-independent and keep their historic
-            # cache keys; only the tolerance-mode dtype changes the result.
-            payload["dtype"] = self.dtype
-        return payload
 
     def _cache_path(self, point: CampaignPoint) -> Optional[Path]:
         """Where ``point``'s record is cached (``None`` without a cache_dir)."""
@@ -701,9 +691,7 @@ class CampaignRunner:
                   ) -> List[float]:
         return evaluate_with_faults(
             self.model, self.loader, faults, bypass=self.bypass,
-            fmt=self.fmt, engine=self.engine, dtype=self.dtype,
-            plan_token=self._model_token,
-            lane_threads=self._effective_lane_threads,
+            fmt=self.fmt, engine=self.engine, plan_token=self._model_token,
             backend=self.backend)
 
     def _evaluate_point(self, point: CampaignPoint) -> dict:

@@ -8,9 +8,9 @@ accuracy per map or schedule.  Two engines execute it:
 
 * ``"fused"`` (default): the model is lowered to a
   :class:`~repro.snn.inference.FusedFaultEngine` -- a flat plan of fused
-  pure-numpy kernels with no autograd graph, clean-prefix sharing across
-  fault maps that have not yet diverged, and an optional float32 mode.
-  Float64 results are bit-identical to the oracle below.
+  pure-numpy kernels with no autograd graph and clean-prefix sharing
+  across fault maps that have not yet diverged.  Its results are
+  bit-identical to the oracle below.
 * ``"sequential"``: the oracle.  :class:`FaultInjector` re-routes the
   affine layers of the autograd model through a
   :class:`~repro.systolic.array.SystolicArray`, one software forward pass
@@ -35,29 +35,16 @@ from .fault_map import FaultMap, FaultSchedule, schedule_phases
 #: sequential autograd oracle.
 ENGINES = ("fused", "sequential")
 
-#: Evaluation dtypes; anything but float64 requires the fused engine.
-DTYPES = ("float64", "float32")
-
 #: Marks a module whose ``forward`` was not shadowed before injection.
 _UNSHADOWED = object()
 
 
-def _engine_problems(engine: str, dtype: str,
-                     lane_threads: Optional[int] = None,
-                     backend=None) -> List[str]:
-    """Every problem with an engine, dtype, lane count and backend choice."""
+def _engine_problems(engine: str, backend=None) -> List[str]:
+    """Every problem with an engine and backend choice."""
 
     problems = []
     if engine not in ENGINES:
         problems.append(f"unknown engine '{engine}'; options: {ENGINES}")
-    if dtype not in DTYPES:
-        problems.append(f"unknown dtype '{dtype}'; options: {DTYPES}")
-    if engine != "fused" and dtype != "float64":
-        problems.append("dtype overrides require the fused engine")
-    if lane_threads is not None and int(lane_threads) < 0:
-        problems.append("lane_threads must be >= 0 (0 = auto-size)")
-    if engine != "fused" and lane_threads is not None and int(lane_threads) != 1:
-        problems.append("lane_threads overrides require the fused engine")
     if engine != "fused" and backend is not None:
         problems.append("backend overrides require the fused engine")
     return problems
@@ -236,9 +223,7 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
                          bypass: bool = False,
                          fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
                          engine: str = "fused",
-                         dtype: str = "float64",
                          plan_token: Optional[str] = None,
-                         lane_threads: Optional[int] = None,
                          backend: Optional[str] = None) -> List[float]:
     """Measure one accuracy of ``model`` per fault map or schedule.
 
@@ -267,36 +252,27 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
     engine:
         ``"fused"`` (default) lowers the model to the no-autograd inference
         plan; ``"sequential"`` runs the :class:`FaultInjector` oracle, one
-        software forward per map.  float64 results are bit-identical
-        across both.
-    dtype:
-        ``"float64"`` (default) or ``"float32"``; the latter requires the
-        fused engine and trades bit-identity for speed.
+        software forward per map.  Results are bit-identical across both.
     plan_token:
         Optional model token: the fused engine then fetches the lowered
         plan from the process-wide plan cache instead of lowering anew.
-    lane_threads:
-        Fork-lane thread count of the fused engine (``None`` resolves
-        ``REPRO_LANE_THREADS``, default 1; 0 auto-sizes).  Results are
-        bit-identical for every value; non-default values require
-        ``engine="fused"``.
     backend:
         Kernel backend of the fused engine (``None`` resolves
-        ``REPRO_BACKEND``, default ``"numpy"``).  float64 results are
+        ``REPRO_BACKEND``, default ``"numpy"``).  Results are
         byte-identical across backends; requires ``engine="fused"``.
 
     Returns
     -------
     list of float
         One accuracy in ``[0, 1]`` per map or schedule, in input order.
-        In float64 each entry is independent of which other maps share
+        Each entry is independent of which other maps share
         the pass -- the per-map independence the campaign merge/chunking
         machinery relies on.
     """
 
     faults = list(faults)
     transient = _is_transient(faults, bypass)
-    problems = _engine_problems(engine, dtype, lane_threads, backend)
+    problems = _engine_problems(engine, backend)
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -308,10 +284,8 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
         else:
             targets = dict(arrays=[build_faulty_array(m, fmt=fmt, bypass=bypass)
                                    for m in faults])
-        with FusedFaultEngine(model, dtype=dtype, plan_token=plan_token,
-                              lane_threads=lane_threads,
-                              backend=backend, **targets) as fused:
-            return fused.evaluate(loader)
+        return FusedFaultEngine(model, plan_token=plan_token, backend=backend,
+                                **targets).evaluate(loader)
 
     accuracies = []
     for item in faults:

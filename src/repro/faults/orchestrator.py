@@ -44,6 +44,7 @@ balances itself), and, when interrupted, resumes for free:
 
 Its options (``workers``, ``shard``, ``unit_timeout``, ``progress``) are
 campaign options, validated by :func:`~repro.faults.check_runner_options`
+(or, for a retraining grid, :func:`~repro.experiments.check_retrain_options`)
 before they get here.  It is not usually constructed by hand:
 ``CampaignRunner(..., workers=K, shard=..., trial_chunk=...)`` and
 ``retrain_cells(..., workers=K, shard=...)`` route through it, and the CLI

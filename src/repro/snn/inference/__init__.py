@@ -6,16 +6,15 @@ specs, which the engines execute with preallocated state buffers, in-place
 membrane updates and a single charge->fire->reset pass per spiking layer
 per time step -- no autograd graph construction.
 
-* :class:`FusedInferenceEngine` -- fault-free evaluation.  ``float64`` is
-  bit-identical to the autograd forward; ``float32`` is a fast mode with a
-  documented tolerance.
+* :class:`FusedInferenceEngine` -- fault-free evaluation, bit-identical
+  to the autograd forward.
 * :class:`FusedFaultEngine` -- multi-fault-map evaluation with clean-prefix
   sharing: each fault map forks off the shared clean lane at the first
   affine layer its faults actually corrupt.
 
 Kernel execution is dispatched through the pluggable backend registry in
 :mod:`repro.snn.inference.backends` (``--backend`` / ``REPRO_BACKEND``);
-the numpy float64 path is the byte-identity oracle every other backend is
+the numpy path is the byte-identity oracle every other backend is
 differentially tested against.
 
 See the README's "Fused inference engine" section for the architecture and
@@ -30,7 +29,7 @@ from .backends import (
     register_backend,
     resolve_backend_name,
 )
-from .engine import FusedFaultEngine, FusedInferenceEngine, resolve_lane_threads
+from .engine import FusedFaultEngine, FusedInferenceEngine
 from .plan_cache import PlanCache, default_plan_cache
 from .plan import (
     AffineSpec,
@@ -64,5 +63,4 @@ __all__ = [
     "lower_plan",
     "register_backend",
     "resolve_backend_name",
-    "resolve_lane_threads",
 ]

@@ -19,11 +19,10 @@ one IR, swappable runtimes discovered from ``ops_*.py`` modules).
   is recorded as "not available" instead of propagating the
   ``ImportError``.
 
-Bit contract: the numpy float64 path is the byte-identity *oracle*.  Every
-backend's float64 results must equal it ``tobytes()``-for-``tobytes()``
-(enforced by the differential suite in ``tests/test_backends.py`` and the
-CI backend job), which is why the backend name never enters float64
-campaign cache keys -- exactly the ``lane_threads`` rule.
+Bit contract: the numpy path is the byte-identity *oracle*.  Every
+backend's results must equal it ``tobytes()``-for-``tobytes()`` (enforced
+by the differential suite in ``tests/test_backends.py`` and the CI backend
+job), which is why the backend name never enters campaign cache keys.
 """
 
 from __future__ import annotations

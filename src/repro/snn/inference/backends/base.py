@@ -12,14 +12,13 @@ The swappable surface is deliberately small:
 * :meth:`im2col` -- the patch-gather feeding every convolution GEMM;
 * :meth:`stuck_at_kernel` / :meth:`apply_chain_plan` -- the fused
   stuck-at quantise->force->dequantise pass and the chain-application
-  driver of :mod:`repro.systolic.chain_kernel`;
-* :meth:`empty` -- scratch/result buffer allocation.
+  driver of :mod:`repro.systolic.chain_kernel`.
 
 The base class implements every hook with the shared numpy/chain-kernel
 code paths, so a backend only overrides what it accelerates.  The bit
-contract of :mod:`repro.snn.inference.backends` applies: in ``float64``
-every override must keep per-element operation order, so results are
-byte-identical to the numpy oracle (the differential identity suite in
+contract of :mod:`repro.snn.inference.backends` applies: every override
+must keep per-element operation order, so results are byte-identical to
+the numpy oracle (the differential identity suite in
 ``tests/test_backends.py`` enforces it).
 """
 
@@ -58,8 +57,8 @@ class Backend:
         return None
 
     # -- kernel construction -------------------------------------------
-    def make_kernel(self, spec: object, dtype: np.dtype,
-                    affine_mode: str = "software", batch_ndim: int = 1):
+    def make_kernel(self, spec: object, affine_mode: str = "software",
+                    batch_ndim: int = 1):
         """Instantiate the runtime kernel for one plan spec.
 
         Same contract as the historical ``kernels.make_kernel``:
@@ -96,11 +95,6 @@ class Backend:
 
         _chain_kernel.apply_chain_plan(plan, inputs, output, shared, kernel,
                                        rows, block_elements)
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        """Allocate an uninitialised result/scratch buffer."""
-
-        return np.empty(shape, dtype=dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

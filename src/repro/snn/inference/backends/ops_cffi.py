@@ -373,9 +373,9 @@ class CffiBackend(NumpyBackend):
     """Compiled backend: C im2col + stuck-at force + neuron update.
 
     GEMMs, batch norm and pooling stay on the numpy kernels; only the
-    bit-safe copy/elementwise hot spots run in C.  ``float32`` mode (and
-    any spec the C path does not cover) delegates to the numpy kernels, so
-    selecting this backend is always safe.
+    bit-safe copy/elementwise hot spots run in C.  Any spec the C path does
+    not cover delegates to the numpy kernels, so selecting this backend is
+    always safe.
     """
 
     name = "cffi"
@@ -388,20 +388,17 @@ class CffiBackend(NumpyBackend):
         _load()
         return _CffiState.error
 
-    def make_kernel(self, spec: object, dtype: np.dtype,
-                    affine_mode: str = "software", batch_ndim: int = 1):
-        if np.dtype(dtype) != np.dtype(np.float64):
-            return super().make_kernel(spec, dtype, affine_mode=affine_mode,
-                                       batch_ndim=batch_ndim)
+    def make_kernel(self, spec: object, affine_mode: str = "software",
+                    batch_ndim: int = 1):
         if isinstance(spec, AffineSpec):
             if affine_mode == "software":
-                return CffiSoftwareAffineKernel(spec, np.dtype(dtype))
+                return CffiSoftwareAffineKernel(spec)
             if affine_mode == "array":
-                return CffiArrayAffineKernel(spec, np.dtype(dtype))
+                return CffiArrayAffineKernel(spec)
             raise ValueError(f"unknown affine mode '{affine_mode}'")
         if isinstance(spec, NeuronSpec):
-            return CffiNeuronKernel(spec, np.dtype(dtype))
-        return super().make_kernel(spec, dtype, affine_mode=affine_mode,
+            return CffiNeuronKernel(spec)
+        return super().make_kernel(spec, affine_mode=affine_mode,
                                    batch_ndim=batch_ndim)
 
     def im2col(self, x: np.ndarray, kernel, stride: int,

@@ -6,15 +6,12 @@ buffers (membrane potentials, scratch arrays) preallocated per shape and
 updated in place.  A whole neuron time step -- charge, fire, reset -- runs
 as a handful of ``out=``-style ufunc calls over the same buffers.
 
-Bit-identity contract (``float64``): every kernel performs *exactly* the
+Bit-identity contract: every kernel performs *exactly* the float64
 elementwise/GEMM operations of its autograd counterpart, in the same order
 and on arrays of the same shape and memory layout.  IEEE-754 arithmetic is
-deterministic given that, so fused float64 outputs match the autograd
-forward bit for bit (the property tests in
-``tests/test_inference_engine.py`` assert it).  In ``float32`` mode the
-same expressions are evaluated in single precision; results agree with the
-float64 path to rounding tolerance, except near the spike threshold where a
-rounding flip changes a spike (see the README's inference-engine section).
+deterministic given that, so fused outputs match the autograd forward bit
+for bit (the property tests in ``tests/test_inference_engine.py`` assert
+it).
 
 This module is also the reference every other backend is differentially
 tested against: the float64 numpy path is the byte-identity *oracle* (see
@@ -66,12 +63,11 @@ class NeuronKernel:
     ``BaseNode.forward`` leaves ``self.v``.
     """
 
-    def __init__(self, spec: NeuronSpec, dtype: np.dtype) -> None:
+    def __init__(self, spec: NeuronSpec) -> None:
         self.inv_tau = spec.inv_tau
         self.threshold = spec.v_threshold
         self.v_reset = spec.v_reset
         self.rest = 0.0 if spec.v_reset is None else float(spec.v_reset)
-        self.dtype = dtype
         self.v: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -79,10 +75,10 @@ class NeuronKernel:
 
     def _init_buffers(self, shape: tuple) -> None:
         fill = 0.0 if self.v_reset is None else float(self.v_reset)
-        self.v = np.full(shape, fill, dtype=self.dtype)
-        self._scratch = np.empty(shape, dtype=self.dtype)
-        self._z = np.empty(shape, dtype=self.dtype)
-        self._spike = np.empty(shape, dtype=self.dtype)
+        self.v = np.full(shape, fill, dtype=np.float64)
+        self._scratch = np.empty(shape)
+        self._z = np.empty(shape)
+        self._spike = np.empty(shape)
         self._mask = np.empty(shape, dtype=bool)
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -127,10 +123,8 @@ class BatchNormKernel:
     axis only changes broadcasting shapes, not per-element arithmetic.
     """
 
-    def __init__(self, spec: BatchNormSpec, dtype: np.dtype,
-                 batch_ndim: int = 1) -> None:
+    def __init__(self, spec: BatchNormSpec, batch_ndim: int = 1) -> None:
         self.spec = spec
-        self.dtype = dtype
         self.batch_ndim = batch_ndim
         self._views = None
         self._out: Optional[np.ndarray] = None
@@ -145,12 +139,12 @@ class BatchNormKernel:
                 f"batch norm expects {self.batch_ndim + 1}D or "
                 f"{self.batch_ndim + 3}D input, got {ndim}D")
         spec = self.spec
-        mean = spec.running_mean.reshape(view).astype(self.dtype)
+        mean = spec.running_mean.reshape(view).astype(np.float64)
         # Same expression as the autograd eval branch: (var + eps) ** -0.5.
-        inv_std = ((spec.running_var.reshape(view).astype(self.dtype)
-                    + self.dtype.type(spec.eps)) ** -0.5)
-        gamma = spec.gamma.reshape(view).astype(self.dtype)
-        beta = spec.beta.reshape(view).astype(self.dtype)
+        inv_std = ((spec.running_var.reshape(view).astype(np.float64)
+                    + np.float64(spec.eps)) ** -0.5)
+        gamma = spec.gamma.reshape(view).astype(np.float64)
+        beta = spec.beta.reshape(view).astype(np.float64)
         return mean, inv_std, gamma, beta
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -158,7 +152,7 @@ class BatchNormKernel:
             self._views = self._build_views(x.ndim)
         mean, inv_std, gamma, beta = self._views
         if self._out is None or self._out.shape != x.shape:
-            self._out = np.empty(x.shape, dtype=self.dtype)
+            self._out = np.empty(x.shape)
         out = self._out
         np.subtract(x, mean, out=out)
         np.multiply(out, inv_std, out=out)
@@ -176,7 +170,7 @@ class PoolKernel:
     autograd path bit for bit.
     """
 
-    def __init__(self, spec: PoolSpec, dtype: np.dtype, batch_ndim: int = 1) -> None:
+    def __init__(self, spec: PoolSpec, batch_ndim: int = 1) -> None:
         self.kind = spec.kind
         self.k = spec.kernel_size
         self.batch_ndim = batch_ndim
@@ -201,7 +195,7 @@ class PoolKernel:
 
 
 class FlattenKernel:
-    def __init__(self, spec: FlattenSpec, dtype: np.dtype, batch_ndim: int = 1) -> None:
+    def __init__(self, spec: FlattenSpec, batch_ndim: int = 1) -> None:
         self.batch_ndim = batch_ndim
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -220,14 +214,10 @@ class SoftwareAffineKernel:
 
     _im2col = staticmethod(im2col)
 
-    def __init__(self, spec: AffineSpec, dtype: np.dtype) -> None:
+    def __init__(self, spec: AffineSpec) -> None:
         self.spec = spec
-        if dtype == np.dtype(np.float64):
-            self.weight = spec.weight
-            self.bias = spec.bias
-        else:
-            self.weight = spec.weight.astype(dtype)
-            self.bias = None if spec.bias is None else spec.bias.astype(dtype)
+        self.weight = spec.weight
+        self.bias = spec.bias
 
     def run(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -258,14 +248,14 @@ class ArrayAffineKernel:
 
     _im2col = staticmethod(im2col)
 
-    def __init__(self, spec: AffineSpec, dtype: np.dtype) -> None:
+    def __init__(self, spec: AffineSpec) -> None:
         from ....systolic.mapping import as_weight_matrix
 
         self.spec = spec
         # .astype always copies, matching SystolicArray.matmul's weight prep
         # (same C-contiguous layout for the GEMM's B operand).
-        self.weight_matrix = as_weight_matrix(spec.weight).astype(dtype)
-        self.bias = None if spec.bias is None else np.asarray(spec.bias, dtype=dtype)
+        self.weight_matrix = as_weight_matrix(spec.weight).astype(np.float64)
+        self.bias = None if spec.bias is None else np.asarray(spec.bias, dtype=np.float64)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -292,8 +282,7 @@ _KERNELS = {
 }
 
 
-def make_kernel(spec: object, dtype: np.dtype, affine_mode: str = "software",
-                batch_ndim: int = 1):
+def make_kernel(spec: object, affine_mode: str = "software", batch_ndim: int = 1):
     """Instantiate the numpy runtime kernel for one plan spec.
 
     ``affine_mode`` selects the GEMM geometry for :class:`AffineSpec` ops:
@@ -305,28 +294,27 @@ def make_kernel(spec: object, dtype: np.dtype, affine_mode: str = "software",
 
     if isinstance(spec, AffineSpec):
         if affine_mode == "software":
-            return SoftwareAffineKernel(spec, dtype)
+            return SoftwareAffineKernel(spec)
         if affine_mode == "array":
-            return ArrayAffineKernel(spec, dtype)
+            return ArrayAffineKernel(spec)
         raise ValueError(f"unknown affine mode '{affine_mode}'")
     if isinstance(spec, NeuronSpec):
-        return NeuronKernel(spec, dtype)
+        return NeuronKernel(spec)
     try:
         factory = _KERNELS[type(spec)]
     except KeyError:
         raise TypeError(f"no runtime kernel for spec {type(spec).__name__}")
-    return factory(spec, dtype, batch_ndim=batch_ndim)
+    return factory(spec, batch_ndim=batch_ndim)
 
 
 class NumpyBackend(Backend):
-    """The default backend: pure-numpy kernels, float64 = the oracle."""
+    """The default backend: pure-numpy kernels, the byte-identity oracle."""
 
     name = "numpy"
 
-    def make_kernel(self, spec: object, dtype: np.dtype,
-                    affine_mode: str = "software", batch_ndim: int = 1):
-        return make_kernel(spec, dtype, affine_mode=affine_mode,
-                           batch_ndim=batch_ndim)
+    def make_kernel(self, spec: object, affine_mode: str = "software",
+                    batch_ndim: int = 1):
+        return make_kernel(spec, affine_mode=affine_mode, batch_ndim=batch_ndim)
 
 
 def _register() -> None:

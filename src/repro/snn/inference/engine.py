@@ -2,11 +2,9 @@
 
 Two engines execute an :class:`~repro.snn.inference.plan.InferencePlan`:
 
-* :class:`FusedInferenceEngine` -- fault-free evaluation.  In ``float64``
-  it is bit-identical to ``model(x)`` in eval mode under ``no_grad`` (same
-  numpy operations, same order, same shapes); ``float32`` trades
-  bit-identity for roughly half the memory traffic on the memory-bound
-  elementwise neuron updates.
+* :class:`FusedInferenceEngine` -- fault-free evaluation, bit-identical
+  to ``model(x)`` in eval mode under ``no_grad`` (same numpy operations,
+  same order, same shapes).
 
 * :class:`FusedFaultEngine` -- evaluation under ``F`` systolic-array fault
   maps in one pass, with **clean-prefix sharing**: faults only corrupt
@@ -44,24 +42,15 @@ im2col and dense product are computed once per (time step, fork op) and
 each entering lane corrects its own copy, and prepared runners are keyed
 by the maps' live-fault signatures (restricted to the columns holding
 the layer's outputs), so live sets that agree there -- across phases or
-maps -- prepare each layer once.
-
-**Lane threads.**  ``lane_threads`` only decides how many threads share
-the lanes: thread ``g`` takes the ``g``-th contiguous group of the fork
-order, group 0 runs on the calling thread, and numpy releases the GIL
-inside its GEMMs, so groups genuinely overlap.  Each lane owns its
-kernels (and therefore its preallocated neuron-state buffers -- nothing
-is written by two threads) and accumulates into its own rate buffer; the
-final reduction writes each lane's rates into its maps' slots, so thread
-scheduling cannot reorder results.  ``lane_threads`` defaults to the
-``REPRO_LANE_THREADS`` environment variable (falling back to 1).
+maps -- prepare each layer once.  Each lane owns its kernels (and
+therefore its preallocated neuron-state buffers) and accumulates into its
+own rate buffer; the final reduction writes each lane's rates into its
+maps' slots.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,40 +59,10 @@ from ...systolic.mapping import faulty_weight_mask
 from .backends import get_backend
 from .backends.ops_numpy import NeuronKernel
 from .faulty_gemm import FaultyAffineRunner, ForkEntry
-from .plan import SUPPORTED_DTYPES, AffineSpec, InferencePlan, lower_plan
+from .plan import AffineSpec, InferencePlan, lower_plan
 from .plan_cache import default_plan_cache
 
-__all__ = ["FusedInferenceEngine", "FusedFaultEngine", "resolve_lane_threads"]
-
-
-def resolve_lane_threads(value: Optional[int] = None) -> int:
-    """Resolve a lane-thread count, defaulting to ``REPRO_LANE_THREADS``.
-
-    ``None`` reads the environment variable (default 1).  ``0`` is the
-    *auto* sentinel: the fault engine sizes its lanes from the fork-order
-    length and ``os.cpu_count()`` at construction (byte-identity holds at
-    any lane count, so auto-sizing is always safe).  A non-integer or
-    negative request raises.
-    """
-
-    if value is None:
-        value = os.environ.get("REPRO_LANE_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"lane_threads must be an integer; got {value!r}") from None
-    if threads < 0:
-        raise ValueError(
-            f"lane_threads must be >= 0 (0 = auto-size); got {threads}")
-    return threads
-
-
-def _check_dtype(dtype) -> np.dtype:
-    resolved = np.dtype(dtype)
-    if resolved.name not in SUPPORTED_DTYPES:
-        raise ValueError(
-            f"unsupported inference dtype '{dtype}'; options: {SUPPORTED_DTYPES}")
-    return resolved
+__all__ = ["FusedInferenceEngine", "FusedFaultEngine"]
 
 
 def _iter_frames(x: np.ndarray, time_steps: int):
@@ -144,9 +103,6 @@ class FusedInferenceEngine:
         with a ``lower_inference`` hook and ``time_steps``).  Weights are
         captured by reference at construction; rebuild the engine after
         loading new parameters.
-    dtype:
-        ``"float64"`` (bit-identical to the autograd forward) or
-        ``"float32"`` (documented-tolerance fast mode).
     plan_token:
         Optional model token (:func:`repro.utils.hashing.model_token`);
         see :func:`_plan_for`.
@@ -158,14 +114,12 @@ class FusedInferenceEngine:
         result semantics (or cache keys) -- only speed.
     """
 
-    def __init__(self, model, dtype: str = "float64",
-                 plan_token: Optional[str] = None, backend=None) -> None:
+    def __init__(self, model, plan_token: Optional[str] = None,
+                 backend=None) -> None:
         self.plan = _plan_for(model, plan_token)
-        self.dtype = _check_dtype(dtype)
         self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
-        self._kernels = [
-            self.backend.make_kernel(op, self.dtype, affine_mode="software")
-            for op in self.plan.ops]
+        self._kernels = [self.backend.make_kernel(op, affine_mode="software")
+                         for op in self.plan.ops]
         self._prefix = self.plan.static_prefix
 
     def _reset_state(self) -> None:
@@ -176,7 +130,7 @@ class FusedInferenceEngine:
     def run(self, inputs) -> np.ndarray:
         """Output firing rates of shape ``(batch, num_classes)``."""
 
-        x0 = np.asarray(inputs, dtype=self.dtype)
+        x0 = np.asarray(inputs, dtype=np.float64)
         static = x0.ndim in (4, 2)
         self._reset_state()
         acc: Optional[np.ndarray] = None
@@ -194,7 +148,7 @@ class FusedInferenceEngine:
             for kernel in self._kernels[self._prefix:]:
                 x = kernel.run(x)
             if acc is None:
-                acc = x.astype(self.dtype, copy=True)
+                acc = x.copy()
             else:
                 np.add(acc, x, out=acc)
             steps += 1
@@ -231,9 +185,8 @@ class _Lane:
     """A block of maps forking at the same op, executed independently.
 
     A lane owns its fork kernels (and therefore its preallocated
-    neuron-state buffers -- nothing written by two threads).  Its affine
-    runners are read-only and may be shared with other lanes whose maps
-    have the same live faults.
+    neuron-state buffers).  Its affine runners are read-only and may be
+    shared with other lanes whose maps have the same live faults.
     """
 
     __slots__ = ("maps", "start", "runners", "kernels")
@@ -246,18 +199,17 @@ class _Lane:
 
 
 class _Layout:
-    """The fork lanes for one block size, their thread groups and fork ops.
+    """The fork lanes for one block size and their fork ops.
 
     ``entries`` maps each fork op's index to the runner that builds its
     shared :class:`ForkEntry` and whether the dense product is needed.
     """
 
-    __slots__ = ("block", "lanes", "groups", "entries")
+    __slots__ = ("block", "lanes", "entries")
 
-    def __init__(self, block, lanes, groups, entries) -> None:
+    def __init__(self, block, lanes, entries) -> None:
         self.block = block
         self.lanes = lanes
-        self.groups = groups
         self.entries = entries
 
 
@@ -272,22 +224,8 @@ class FusedFaultEngine:
         One (possibly faulty, possibly bypassed) :class:`SystolicArray` per
         fault map.  All must share grid dimensions and accumulator format.
         Fault/bypass state is snapshotted when the engine is built.
-    dtype:
-        ``"float64"`` reproduces the autograd fault-injection paths bit for
-        bit; ``"float32"`` keeps the (fixed-point) fault arithmetic in
-        float64 inside the array simulator but runs all elementwise SNN
-        state in single precision.
     plan_token:
         Optional model token; see :func:`_plan_for`.
-    lane_threads:
-        Fork-lane thread count; ``None`` (default) resolves
-        ``REPRO_LANE_THREADS`` (falling back to 1).  The lane layout does
-        not depend on it; with ``n > 1`` the lanes are split into at most
-        ``n`` contiguous groups of the fork order and each time step's
-        groups run on a thread pool.  ``0`` auto-sizes:
-        ``min(forked, os.cpu_count())`` threads.  Results are
-        bit-identical for every thread count (see the module docstring);
-        1 keeps the engine single-threaded.
     schedules:
         One :class:`~repro.faults.fault_map.FaultSchedule` per map for
         *transient* faults, instead of ``arrays`` (exactly one of the two
@@ -303,23 +241,18 @@ class FusedFaultEngine:
         Kernel backend name (or instance); ``None`` resolves
         ``REPRO_BACKEND`` falling back to ``"numpy"``.  Float64 results
         are byte-identical across backends (the numpy path is the oracle),
-        so the backend never enters campaign cache keys -- exactly the
-        ``lane_threads`` rule.
+        so the backend never enters campaign cache keys.
     """
 
     def __init__(self, model, arrays: Optional[Sequence[SystolicArray]] = None,
-                 dtype: str = "float64",
                  plan_token: Optional[str] = None,
-                 lane_threads: Optional[int] = None,
                  schedules=None, fmt=None, backend=None) -> None:
         if (arrays is None) == (schedules is None):
             raise ValueError(
                 "FusedFaultEngine needs exactly one of arrays (permanent "
                 "faults) or schedules (transient faults)")
         self.plan = _plan_for(model, plan_token)
-        self.dtype = _check_dtype(dtype)
         self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
-        self.lane_threads = resolve_lane_threads(lane_threads)
         affine_specs = self.plan.affine_specs
         ops = self.plan.ops
 
@@ -399,60 +332,10 @@ class FusedFaultEngine:
                 self._subsets[(phase_keys[map_index][0],)] = probe
         self._runners: Dict[tuple, FaultyAffineRunner] = {}
         self._layout: Optional[_Layout] = None
-        if self.lane_threads == 0:
-            # The auto sentinel sizes from the work actually available.
-            self.lane_threads = max(1, min(len(self.fork_order),
-                                           os.cpu_count() or 1))
 
-        self._clean = [self.backend.make_kernel(op, self.dtype,
-                                                affine_mode="array")
+        self._clean = [self.backend.make_kernel(op, affine_mode="array")
                        for op in ops]
         self._prefix = self.plan.static_prefix
-        # Lane pool: group 0 always runs on the calling thread, so the pool
-        # needs at most lane_threads - 1 workers.  Created lazily on the
-        # first multi-group run; close() (or garbage collection) reaps it.
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the lane thread pool (idempotent; pool is rebuilt on use)."""
-
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "FusedFaultEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        executor = getattr(self, "_executor", None)
-        if executor is not None:
-            executor.shutdown(wait=False)
-
-    def _map_lanes(self, layout: _Layout,
-                   fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn`` over lane indices, one thread per lane group.
-
-        Results come back indexed by lane, so callers' reductions are
-        deterministic regardless of thread scheduling.
-        """
-
-        groups = layout.groups
-        if len(groups) <= 1:
-            return [fn(index) for index in range(len(layout.lanes))]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.lane_threads - 1,
-                thread_name_prefix="repro-lane")
-        futures = [self._executor.submit(lambda group=group: [fn(i) for i in group])
-                   for group in groups[1:]]
-        results = [fn(index) for index in groups[0]]
-        for future in futures:
-            results.extend(future.result())
-        return results
 
     # ------------------------------------------------------------------
     def _layer_key(self, map_index: int, phase: int, spec: AffineSpec):
@@ -530,10 +413,9 @@ class FusedFaultEngine:
             # Fork-lane activations keep an explicit leading fault-map axis
             # ((maps, batch, ...)), so the conv outputs never need a re-fold
             # copy.  Each lane gets its own kernels, so neuron state is
-            # lane-private -- threads never write a shared buffer.
+            # lane-private.
             kernels = [None if isinstance(op, AffineSpec) or i < start
-                       else self.backend.make_kernel(op, self.dtype,
-                                                     batch_ndim=2)
+                       else self.backend.make_kernel(op, batch_ndim=2)
                        for i, op in enumerate(ops)]
             lanes.append(_Lane(maps, start, runners, kernels))
             begin = end
@@ -550,12 +432,7 @@ class FusedFaultEngine:
             entries[lane.start] = (
                 runner,
                 dense or any(r.stacked_weights is None for r in entering))
-
-        # Lane threads: contiguous groups of the fork order.
-        n_groups = min(self.lane_threads, len(lanes))
-        bounds = np.linspace(0, len(lanes), n_groups + 1).astype(int)
-        groups = [range(bounds[g], bounds[g + 1]) for g in range(n_groups)]
-        return _Layout(block, lanes, groups, entries)
+        return _Layout(block, lanes, entries)
 
     # ------------------------------------------------------------------
     def _phase_for_step(self, step: int) -> int:
@@ -655,19 +532,16 @@ class FusedFaultEngine:
             runner = runners[op.index]
             x_v = (runner.run_entry(stash[i]) if i == lane.start
                    else runner.run(x_v))
-            if x_v.dtype != self.dtype:
-                x_v = x_v.astype(self.dtype)
         return x_v
 
     def run(self, inputs) -> np.ndarray:
         """Per-map firing rates of shape ``(F, batch, num_classes)``.
 
-        ``result[f]`` is bit-identical (float64) to the autograd forward
-        with the model's affine layers routed through ``arrays[f]``,
-        independent of ``lane_threads``.
+        ``result[f]`` is bit-identical to the autograd forward with the
+        model's affine layers routed through ``arrays[f]``.
         """
 
-        x0 = np.asarray(inputs, dtype=self.dtype)
+        x0 = np.asarray(inputs, dtype=np.float64)
         static = x0.ndim in (4, 2)
         batch = x0.shape[0] if static else x0.shape[1]
         n_ops = len(self.plan.ops)
@@ -694,36 +568,27 @@ class FusedFaultEngine:
                     cached_clean = (x_c0, prefix_stash)
             lane_x0 = cached_lane.get(phase) if static else None
             if lane_x0 is None:
-                lane_x0 = self._map_lanes(
-                    layout,
-                    lambda index: self._run_lane(lanes[index], None, 0,
-                                                 self._prefix, prefix_stash,
-                                                 phase))
+                lane_x0 = [self._run_lane(lane, None, 0, self._prefix,
+                                          prefix_stash, phase)
+                           for lane in lanes]
                 if static:
                     cached_lane[phase] = lane_x0
-            # Serial clean pass first (it builds the fork-entry operands),
-            # then every lane's tail, one thread per lane group.  Each lane
-            # accumulates into its own slot, so the reduction order is
-            # fixed by the layout, not by thread scheduling.
+            # Clean pass first (it builds the fork-entry operands), then
+            # every lane's tail, each accumulating into its own slot.
             stash: Dict[int, ForkEntry] = {}
             x_c = self._run_clean(x_c0, self._prefix, n_ops, stash,
                                   layout.entries)
-            step = steps
-            lane_inputs = lane_x0
-
-            def lane_tail(index: int) -> None:
-                x_v = self._run_lane(lanes[index], lane_inputs[index],
-                                     self._prefix, n_ops, stash, phase)
+            for index, lane in enumerate(lanes):
+                x_v = self._run_lane(lane, lane_x0[index], self._prefix,
+                                     n_ops, stash, phase)
                 acc = lane_accs[index]
-                if step == 0 or acc is None:
-                    lane_accs[index] = x_v.astype(self.dtype, copy=True)
+                if acc is None:
+                    lane_accs[index] = x_v.copy()
                 else:
                     np.add(acc, x_v, out=acc)
-
-            self._map_lanes(layout, lane_tail)
             if x_c is not None:
-                if steps == 0 or acc_c is None:
-                    acc_c = x_c.astype(self.dtype, copy=True)
+                if acc_c is None:
+                    acc_c = x_c.copy()
                 else:
                     np.add(acc_c, x_c, out=acc_c)
             steps += 1
@@ -731,8 +596,7 @@ class FusedFaultEngine:
         scale = 1.0 / steps
         reference = acc_c if acc_c is not None else lane_accs[0]
         num_classes = reference.shape[-1]
-        rates = self.backend.empty((self.num_maps, batch, num_classes),
-                                   dtype=self.dtype)
+        rates = np.empty((self.num_maps, batch, num_classes))
         if acc_c is not None:
             np.multiply(acc_c, scale, out=acc_c)
         for lane, acc in zip(lanes, lane_accs):

@@ -131,8 +131,6 @@ class FaultyAffineRunner:
         computing it once and copying it per map is bit-identical.
         """
 
-        if x.dtype != np.float64:
-            x = x.astype(np.float64)
         shape = None
         if self.spec.kind == "conv":
             batch = x.shape[0]
@@ -163,8 +161,6 @@ class FaultyAffineRunner:
         result has the same layout as :meth:`run_entry`'s.
         """
 
-        if x.dtype != np.float64:
-            x = x.astype(np.float64)
         shape = None
         if self.spec.kind == "conv":
             batch = x.shape[1]

@@ -40,9 +40,6 @@ __all__ = [
     "lower_plan",
 ]
 
-#: dtype names accepted by the inference engines.
-SUPPORTED_DTYPES = ("float64", "float32")
-
 
 class LoweringError(TypeError):
     """A module in the tree has no fused-inference lowering."""

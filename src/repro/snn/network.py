@@ -68,19 +68,18 @@ class SpikingClassifier(Module):
     def lower_inference(self, builder) -> None:
         builder.lower(self.layers)
 
-    def compile_inference(self, dtype: str = "float64"):
+    def compile_inference(self):
         """Lower this classifier into a fused no-autograd inference engine.
 
         The returned :class:`~repro.snn.inference.FusedInferenceEngine`
-        evaluates with preallocated buffers and no graph construction;
-        ``dtype="float64"`` is bit-identical to :meth:`forward` in eval
-        mode.  Weights are captured by reference -- recompile after loading
-        a new state dict.
+        evaluates with preallocated buffers and no graph construction, bit
+        for bit like :meth:`forward` in eval mode.  Weights are captured by
+        reference -- recompile after loading a new state dict.
         """
 
         from .inference import FusedInferenceEngine
 
-        return FusedInferenceEngine(self, dtype=dtype)
+        return FusedInferenceEngine(self)
 
     # ------------------------------------------------------------------
     # Forward

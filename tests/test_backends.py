@@ -203,12 +203,10 @@ class TestCffiByteIdentity:
         """Per-map firing rates under a mixed stuck-at population."""
 
         frame, _ = next(iter(test_loader))
-        with FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
-                              backend="numpy") as engine:
-            oracle = engine.run(frame)
-        with FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
-                              backend="cffi") as engine:
-            rates = engine.run(frame)
+        oracle = FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
+                                  backend="numpy").run(frame)
+        rates = FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
+                                 backend="cffi").run(frame)
         assert rates.tobytes() == oracle.tobytes()
 
     def test_fig5b_accuracies_identical(self, trained_tiny_model, test_loader):
@@ -242,19 +240,6 @@ class TestCffiByteIdentity:
                                  backend="cffi").run(points)
         assert records == oracle
 
-    def test_float32_requests_delegate_to_numpy_kernels(self,
-                                                        trained_tiny_model,
-                                                        test_loader):
-        """Non-float64 dtypes run the numpy kernels under the cffi backend."""
-
-        frame, _ = next(iter(test_loader))
-        numpy32 = FusedInferenceEngine(trained_tiny_model, dtype="float32",
-                                       backend="numpy").run(frame)
-        cffi32 = FusedInferenceEngine(trained_tiny_model, dtype="float32",
-                                      backend="cffi").run(frame)
-        assert cffi32.dtype == np.float32
-        assert cffi32.tobytes() == numpy32.tobytes()
-
     def test_im2col_unit_identity(self, rng):
         from repro.autograd.functional import im2col
         from repro.snn.inference.backends.ops_cffi import _cffi_im2col
@@ -278,8 +263,8 @@ class TestCffiByteIdentity:
         from repro.snn.inference.plan import NeuronSpec
 
         spec = NeuronSpec(**spec_kwargs)
-        oracle = ops_numpy.NeuronKernel(spec, np.float64)
-        kernel = ops_cffi.CffiNeuronKernel(spec, np.float64)
+        oracle = ops_numpy.NeuronKernel(spec)
+        kernel = ops_cffi.CffiNeuronKernel(spec)
         rng = np.random.default_rng(5)
         for _ in range(3):   # state (v) evolves across steps
             x = rng.standard_normal((4, 32))

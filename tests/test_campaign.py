@@ -16,6 +16,7 @@ from repro.faults import (
     CampaignRunner,
     WorkUnit,
     baseline_accuracy,
+    check_runner_options,
     evaluate_with_faults,
     fault_maps_for_trials,
     sweep_bit_locations,
@@ -156,6 +157,19 @@ class TestCampaignRunner:
                         "unit_timeout must be positive",
                         "workers must be at least 1", "need a shared cache_dir"):
             assert problem in message
+
+    @pytest.mark.parametrize("option,value", [("dtype", "float32"),
+                                              ("lane_threads", 2),
+                                              ("lane_threads", 0)])
+    def test_harness_keywords_take_one_value(self, option, value):
+        # dtype and lane_threads stay only so the benchmark harness can pass
+        # its pinned float64 / single-thread settings.
+        check_runner_options(dtype="float64", lane_threads=1)
+        with pytest.raises(ValueError) as excinfo:
+            check_runner_options(**{option: value})
+        message = str(excinfo.value)
+        assert message.count(f"{option} must be") == 1
+        assert f"got {value!r}" in message
 
     def test_cache_roundtrip_and_hit(self, trained_tiny_model, eval_loader, tmp_path):
         points = self.make_points()

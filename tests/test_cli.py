@@ -61,7 +61,6 @@ class TestCampaignCommand:
         args = build_parser().parse_args(["campaign", "counts"])
         assert args.sweep == "counts"
         assert args.engine == "fused"
-        assert args.dtype == "float64"
         assert args.workers == 1
         assert args.cache_dir is None
 
@@ -101,10 +100,10 @@ class TestCampaignCommand:
         from repro.cli import DEFAULT_CACHE_DIR, runner_options
 
         options = runner_options(build_parser().parse_args(
-            ["campaign", "counts", "--shard", "1/2", "--lane-threads", "2"]))
+            ["campaign", "counts", "--shard", "1/2", "--backend", "numpy"]))
         assert options["cache_dir"] == DEFAULT_CACHE_DIR
         assert str(options["shard"]) == "1/2"
-        assert options["lane_threads"] == 2
+        assert options["backend"] == "numpy"
         assert callable(options["progress"])
 
     def test_campaign_bad_trials_rejected_before_training(self, monkeypatch, capsys):
@@ -134,6 +133,18 @@ class TestCampaignCommand:
         assert main(["campaign", "counts"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
+
+    def test_exported_bad_backend_rejected_before_training(self, monkeypatch,
+                                                           capsys):
+        import repro.experiments.baseline as baseline_module
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setenv("REPRO_BACKEND", "nosuch")
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
+        assert main(["campaign", "counts"]) == 2
+        assert "unknown backend 'nosuch'" in capsys.readouterr().err
 
     def test_campaign_counts_end_to_end(self, tmp_path, capsys):
         out_file = tmp_path / "campaign.json"
@@ -170,10 +181,10 @@ class TestRunCampaignFlags:
 
     def test_every_unhonoured_flag_is_named(self, capsys):
         assert main(["run", "fig2", "--engine", "sequential",
-                     "--lane-threads", "2", "--trial-chunk", "5",
+                     "--backend", "numpy", "--trial-chunk", "5",
                      "--unit-timeout", "5"]) == 2
         err = capsys.readouterr().err
-        for flag in ("--engine", "--lane-threads", "--trial-chunk"):
+        for flag in ("--engine", "--backend", "--trial-chunk"):
             assert flag in err
         assert "--unit-timeout" not in err  # fig2 honours it
 
@@ -201,10 +212,9 @@ class TestRunCampaignFlags:
                             lambda config: Baseline())
         monkeypatch.setattr(analysis, "CampaignRunner", fake_runner)
         with pytest.raises(Captured):
-            main(["run", "fig5b", "--backend", "numpy", "--lane-threads", "2",
+            main(["run", "fig5b", "--backend", "numpy",
                   "--unit-timeout", "5", "--trial-chunk", "2"])
         assert seen["backend"] == "numpy"
-        assert seen["lane_threads"] == 2
         assert seen["unit_timeout"] == 5.0
         assert seen["trial_chunk"] == 2
 
@@ -219,3 +229,23 @@ class TestRunCampaignFlags:
         err = capsys.readouterr().err
         assert "trial_chunk must be at least 1" in err
         assert "workers must be at least 1" in err
+
+    def test_retraining_grid_ignores_exported_backend(self, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.experiments import EXPERIMENTS
+
+        seen = {}
+
+        def fake_grid(config, **options):
+            seen.update(options)
+            return []
+
+        monkeypatch.setenv("REPRO_BACKEND", "nosuch")
+        monkeypatch.setitem(EXPERIMENTS, "fig7", dataclasses.replace(
+            EXPERIMENTS["fig7"], runner=fake_grid))
+        assert main(["run", "fig7", "--unit-timeout", "5"]) == 0
+        assert seen == {"unit_timeout": 5.0}
+        # Its own options are still checked before any training.
+        assert main(["run", "fig7", "--workers", "0"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err

@@ -93,6 +93,23 @@ class TestDocLinksResolve:
         missing = [p for p in sorted(paths) if not (REPO_ROOT / p).exists()]
         assert not missing, f"ARCHITECTURE.md names missing files: {missing}"
 
+        # The layer table: every backticked module of a row is a module or
+        # package under one of that row's layers.
+        rows = re.findall(r"^\| (`repro[^|]*) \| ([^|]*) \|", text, re.MULTILINE)
+        assert len(rows) >= 8
+        unresolved = []
+        for layers, modules in rows:
+            roots = [REPO_ROOT / "src" / Path(*layer.split("."))
+                     for layer in re.findall(r"`(repro[\w.]*)`", layers)]
+            for name in re.findall(r"`([\w/]+)`", modules):
+                name = name.rstrip("/")
+                if not any((root / f"{name}.py").is_file()
+                           or (root / name / "__init__.py").is_file()
+                           for root in roots):
+                    unresolved.append(f"{layers}: {name}")
+        assert not unresolved, \
+            f"ARCHITECTURE.md layer table names missing modules: {unresolved}"
+
     def test_architecture_experiment_ids_are_registered(self):
         from repro.experiments import EXPERIMENTS
 

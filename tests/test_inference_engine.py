@@ -1,8 +1,7 @@
 """Tests for the fused no-autograd inference engine.
 
-Covers: bit-identity of the fused float64 plan with the autograd forward
-across neuron types x reset modes x threshold modes, the float32 tolerance
-mode, lowering errors, fault-engine equivalence with the sequential
+Covers: bit-identity of the fused plan with the autograd forward across
+neuron types x reset modes x threshold modes, lowering errors, fault-engine equivalence with the sequential
 autograd oracle (including bypass and clean-prefix sharing), and the
 campaign-runner integration.
 """
@@ -174,40 +173,6 @@ class TestCleanEngineBitIdentity:
         reference = _autograd_rates(model, x)
         fused = FusedInferenceEngine(model).run(x)
         assert reference.tobytes() == fused.tobytes()
-
-
-# ----------------------------------------------------------------------
-# float32 tolerance mode
-# ----------------------------------------------------------------------
-class TestFloat32Mode:
-    def test_rates_close_and_predictions_mostly_agree(self, trained_tiny_model,
-                                                      tiny_mnist_loaders):
-        _, test_loader = tiny_mnist_loaders
-        inputs, _ = next(iter(test_loader))
-        rates64 = trained_tiny_model.compile_inference().run(inputs)
-        rates32 = trained_tiny_model.compile_inference(dtype="float32").run(inputs)
-        assert rates32.dtype == np.float32
-        # Away from spike-threshold flips the two dtypes agree to rounding;
-        # a flip changes a rate by 1/T, so compare distributionally.
-        diff = np.abs(rates64 - rates32)
-        assert np.median(diff) < 1e-6
-        assert np.mean(diff) < 0.02
-        agree = np.mean(np.argmax(rates64, axis=1) == np.argmax(rates32, axis=1))
-        assert agree >= 0.9
-
-    def test_float32_fault_accuracies_close(self, trained_tiny_model,
-                                            tiny_mnist_loaders):
-        _, test_loader = tiny_mnist_loaders
-        maps = fault_maps_for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=5)
-        acc64 = evaluate_with_faults(trained_tiny_model, test_loader, maps)
-        acc32 = evaluate_with_faults(trained_tiny_model, test_loader, maps,
-                                     dtype="float32")
-        assert np.allclose(acc64, acc32, atol=0.1)
-
-    def test_unknown_dtype_rejected(self, trained_tiny_model):
-        with pytest.raises(ValueError):
-            trained_tiny_model.compile_inference(dtype="float16")
 
 
 # ----------------------------------------------------------------------
@@ -398,9 +363,6 @@ class TestFaultEngineEquivalence:
             with pytest.raises(ValueError, match="sequential"):
                 evaluate_with_faults(trained_tiny_model, test_loader, [fm],
                                      engine=engine)
-        with pytest.raises(ValueError):
-            evaluate_with_faults(trained_tiny_model, test_loader, [fm],
-                                 engine="sequential", dtype="float32")
 
 
 # ----------------------------------------------------------------------
@@ -430,23 +392,6 @@ class TestCampaignIntegration:
         runner = CampaignRunner(trained_tiny_model, test_loader, engine="fused")
         assert runner.baseline_accuracy() == baseline_accuracy(
             trained_tiny_model, test_loader)
-
-    def test_float32_requires_fused(self, trained_tiny_model, tiny_mnist_loaders):
-        _, test_loader = tiny_mnist_loaders
-        with pytest.raises(ValueError):
-            CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
-                           dtype="float32")
-
-    def test_float32_gets_its_own_cache_key(self, trained_tiny_model,
-                                            tiny_mnist_loaders):
-        _, test_loader = tiny_mnist_loaders
-        point = CampaignPoint.for_trials(16, 16, 4, trials=2, seed=1)
-        runner64 = CampaignRunner(trained_tiny_model, test_loader)
-        runner32 = CampaignRunner(trained_tiny_model, test_loader, dtype="float32")
-        payload64 = runner64._cache_payload(point)
-        payload32 = runner32._cache_payload(point)
-        assert "dtype" not in payload64  # float64 keeps historic cache keys
-        assert payload32["dtype"] == "float32"
 
 
 # ----------------------------------------------------------------------

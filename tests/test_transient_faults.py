@@ -103,26 +103,6 @@ class TestEngineByteIdentity:
         with pytest.raises(ValueError, match="bypass.*transient"):
             runner.run([point])
 
-    def test_lane_threads_do_not_change_bytes(self, trained_tiny_model,
-                                              test_loader):
-        schedules = _schedules("bernoulli", trials=3)
-        serial = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused")
-        threaded = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused",
-            lane_threads=2)
-        assert _accuracy_bytes(serial) == _accuracy_bytes(threaded)
-
-    def test_float32_runs_close_to_float64(self, trained_tiny_model,
-                                           test_loader):
-        schedules = _schedules("burst")
-        exact = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused")
-        relaxed = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused",
-            dtype="float32")
-        assert np.allclose(exact, relaxed, atol=0.1)
-
 
 class TestStepSemantics:
     """Boundary behaviour of the per-step live-fault resolution."""
