@@ -5,9 +5,11 @@ through both campaign engines against one trained micro-model and
 reports:
 
 * per-engine wall-clock cost and the speedup over the sequential oracle,
-* the fused engine's machine-relative ratios for the stuck-at sweep vs
-  the same sweep under transient (SEU) schedules, and the compiled cffi
-  kernel backend vs the numpy oracle backend,
+* the fused engine's machine-relative ratio for the stuck-at sweep vs
+  the same sweep under transient (SEU) schedules,
+* the per-call speedup of the cached-index ``im2col`` gather over the
+  strided-window reference gather it replaced, at the largest conv
+  input perfbench's ``sweep-stuckat`` gathers,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -83,7 +85,7 @@ TRANSIENT_PARAMS = {"process": "bernoulli", "num_steps": 3, "rate": 0.5}
 def run_sweep_interleaved(model, loader, configs, rounds=3):
     """Best-of-``rounds`` sweep cost per config, measured round-robin.
 
-    ``configs`` maps label -> (engine, fault_model, backend).  Interleaving the configurations
+    ``configs`` maps label -> (engine, fault_model).  Interleaving the configurations
     (instead of timing each one back to back) keeps a load spike on a
     shared CI box from billing one configuration only.
     """
@@ -91,7 +93,7 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
     times = {label: float("inf") for label in configs}
     records = {}
     for _ in range(rounds):
-        for label, (engine, fault_model, backend) in configs.items():
+        for label, (engine, fault_model) in configs.items():
             params = TRANSIENT_PARAMS if fault_model == "transient" else None
             start = time.perf_counter()
             records[label] = sweep_faulty_pe_count(
@@ -99,46 +101,59 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
                 rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
                 counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
                 dataset="mnist", engine=engine,
-                fault_model=fault_model, fault_params=params,
-                backend=backend)
+                fault_model=fault_model, fault_params=params)
             times[label] = min(times[label], time.perf_counter() - start)
     return records, times
 
 
-def test_bench_campaign_engines(campaign_setup):
-    from repro.snn.inference import available_backends
+#: Input of the gather timing: 80 spike frames of 8x16x16 with a 3x3
+#: kernel and padding 1, the largest conv input perfbench's
+#: ``sweep-stuckat`` gathers (108 of its 219 calls per sweep).
+GATHER_SHAPE = (80, 8, 16, 16)
 
+
+def measure_gather_speedup(repeats=40):
+    """Median strided-reference gather time over the ``im2col`` time.
+
+    The two gathers alternate call by call, so a load spike bills both.
+    """
+
+    from repro.autograd.functional import im2col
+    from tests.conftest import strided_im2col
+
+    rng = np.random.default_rng(0)
+    x = (rng.random(GATHER_SHAPE) < 0.3).astype(np.float64)
+    assert im2col(x, (3, 3), 1, 1).tobytes() == \
+        strided_im2col(x, (3, 3), 1, 1).tobytes()
+    times = {"reference": [], "im2col": []}
+    for _ in range(repeats):
+        for label, gather in (("reference", strided_im2col),
+                              ("im2col", im2col)):
+            start = time.perf_counter()
+            gather(x, (3, 3), 1, 1)
+            times[label].append(time.perf_counter() - start)
+    return (float(np.median(times["reference"]))
+            / float(np.median(times["im2col"])))
+
+
+def test_bench_campaign_engines(campaign_setup):
     model, loader = campaign_setup
-    have_cffi = "cffi" in available_backends()
     # Warm-up pass so BLAS thread pools / allocators do not bill the first
-    # timed engine; the cffi warm-up additionally absorbs the one-time lazy
-    # build (or cached-.so load) of the compiled extension.
+    # timed engine.
     run_sweep(model, loader, "fused")
-    if have_cffi:
-        sweep_faulty_pe_count(
-            model, loader,
-            rows=CAMPAIGN_CONFIG.array_rows, cols=CAMPAIGN_CONFIG.array_cols,
-            counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
-            dataset="mnist", engine="fused", backend="cffi")
 
     configs = {
-        "sequential": ("sequential", "stuck_at", None),
-        "fused": ("fused", "stuck_at", None),
-        "sequential-seu": ("sequential", "transient", None),
-        "fused-seu": ("fused", "transient", None),
+        "sequential": ("sequential", "stuck_at"),
+        "fused": ("fused", "stuck_at"),
+        "sequential-seu": ("sequential", "transient"),
+        "fused-seu": ("fused", "transient"),
     }
-    if have_cffi:
-        configs["fused-cffi"] = ("fused", "stuck_at", "cffi")
     records, times = run_sweep_interleaved(model, loader, configs, rounds=5)
 
     transient_ratio = times["fused"] / times["fused-seu"]
-    backend_speedup = (times["fused"] / times["fused-cffi"]
-                       if have_cffi else None)
+    gather_speedup = measure_gather_speedup()
     rows = []
-    for engine in ("sequential", "fused", "fused-cffi", "sequential-seu",
-                   "fused-seu"):
-        if engine not in times:
-            continue
+    for engine in configs:
         rows.append({
             "engine": engine, "points": len(COUNTS), "trials": TRIALS,
             "fault_maps": (len(COUNTS) - 1) * TRIALS,
@@ -146,20 +161,14 @@ def test_bench_campaign_engines(campaign_setup):
             "speedup": times["sequential"] / times[engine],
         })
     identical = (records["fused"] == records["sequential"]
-                 # The compiled backend must reproduce the oracle's records.
-                 and ("fused-cffi" not in records
-                      or records["fused-cffi"] == records["sequential"])
                  # The transient (SEU) schedule sweep: the phase-aware fused
                  # engine must match the per-schedule sequential oracle.
                  and records["fused-seu"] == records["sequential-seu"])
     table = format_table(rows, columns=["engine", "points", "trials", "fault_maps",
                                         "seconds", "speedup"],
                          title="Campaign engines: Fig. 5b sweep cost")
-    backend_note = (f"cffi backend vs numpy: {backend_speedup:.2f}x"
-                    if backend_speedup is not None else
-                    "cffi backend vs numpy: n/a (backend unavailable)")
     summary = (f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
-               + backend_note)
+               f"im2col gather vs strided reference: {gather_speedup:.2f}x")
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "campaign_engine.txt").write_text(table + "\n" + summary + "\n",
@@ -168,19 +177,16 @@ def test_bench_campaign_engines(campaign_setup):
         "engine": "meta",
         "identical_records": bool(identical),
         "transient_overhead": transient_ratio,
-        **({"backend_speedup": backend_speedup}
-           if backend_speedup is not None else {}),
+        "gather_speedup": gather_speedup,
         "note": "identical_records pins float64 bit-identity across both "
-                "engines, the compiled cffi kernel backend, and "
-                "the transient (SEU) schedule sweep "
+                "engines and the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); "
-                "backend_speedup is the cold Fig. 5b sweep cost of the "
-                "numpy oracle backend over the compiled cffi backend, "
-                "measured within this run (machine-relative; present only "
-                "when the cffi backend is available); transient_overhead is the "
-                "stuck-at fused sweep cost over the transient-schedule "
-                "fused sweep cost (a drop means the transient path got "
-                "relatively slower)",
+                "transient_overhead is the stuck-at fused sweep cost over "
+                "the transient-schedule fused sweep cost (a drop means the "
+                "transient path got relatively slower); gather_speedup is "
+                "the median per-call time of the strided-window reference "
+                "gather over im2col's at (80, 8, 16, 16), 3x3, padding 1, "
+                "measured within this run (machine-relative)",
     }], RESULTS_DIR / "campaign_engine.json")
 
     # The acceptance property: identical records across both engines
@@ -192,16 +198,12 @@ def test_bench_campaign_engines(campaign_setup):
     # recorded results document the precise ratios on the reference box.
     # The transient path re-prepares per *phase*, not per step; even with
     # every step in its own phase the fused sweep must stay within a small
-    # multiple of the stuck-at sweep.  The recorded ratio is gated
+    # multiple of the stuck-at sweep.  The recorded ratios are gated
     # machine-relative by check_regression.py.
     assert transient_ratio >= 0.15, \
         f"transient sweep cost {1 / transient_ratio:.2f}x over stuck-at"
-    # The compiled backend must never lose to the numpy oracle on the cold
-    # sweep (conservative in-run floor; the recorded ratio -- >= 1.15x on
-    # the reference box -- is gated machine-relative by check_regression.py).
-    if backend_speedup is not None:
-        assert backend_speedup >= 1.0, \
-            f"cffi backend only {backend_speedup:.2f}x over the numpy oracle"
+    assert gather_speedup >= 1.0, \
+        f"im2col only {gather_speedup:.2f}x over the strided reference gather"
 
 
 def test_bench_campaign_cache_hit(campaign_setup, tmp_path):

@@ -8,9 +8,8 @@ approach avoids).
 """
 
 import numpy as np
-import pytest
 
-from repro.faults import StuckAtFault, random_fault_map
+from repro.faults import random_fault_map
 from repro.systolic import (
     DEFAULT_ACCUMULATOR_FORMAT,
     LayerWorkload,

@@ -14,10 +14,10 @@ Rules (the documented gate policy):
   measured *within one run* are: the ``speedup`` column (cost relative to
   the same run's sequential oracle) for the fused engine, and the
   ``meta`` ratios ``transient_overhead`` (the stuck-at sweep over the
-  transient-schedule sweep) and ``backend_speedup`` (the
-  numpy oracle backend over the compiled cffi backend) -- each gated only
-  when both the fresh and the recorded run report it.  Each fresh ratio must be at
-  least ``(1 - tolerance)`` times the recorded one; the default tolerance
+  transient-schedule sweep) and ``gather_speedup`` (the strided-window
+  reference gather over ``im2col``, per call) -- each gated only when
+  both the fresh and the recorded run report it.  Each fresh ratio must
+  be at least ``(1 - tolerance)`` times the recorded one; the default tolerance
   is 30%, sized for noisy shared CI boxes (single-run ratios can swing
   roughly 10-20%; a real fast-path regression costs 2x+).
 
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     recorded_meta = baseline.get("meta", {})
     gated_ratios = (
         ("transient_overhead", "transient path"),
-        ("backend_speedup", "cffi backend"),
+        ("gather_speedup", "im2col gather"),
     )
     for key, label in gated_ratios:
         if meta and key in meta and key in recorded_meta:

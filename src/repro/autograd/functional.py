@@ -12,7 +12,7 @@ enough for the small networks used in the FalVolt experiments.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -84,38 +84,75 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+#: Flat patch indexes keyed by ``(channels, height, width, kh, kw, stride,
+#: padding)``; read-only, cleared when it outgrows a handful of geometries.
+_PATCH_INDEX_CACHE: Dict[Tuple[int, ...], np.ndarray] = {}
+
+
+def _patch_index(channels: int, height: int, width: int, kh: int, kw: int,
+                 stride: int, padding: int) -> np.ndarray:
+    """Flat source index of every im2col output element of one sample.
+
+    Entry ``((i * out_w + j) * channels + c) * kh * kw + di * kw + dj``
+    holds the offset of pixel ``(c, i * stride + di - padding, j * stride
+    + dj - padding)`` in the flattened ``(channels, height, width)`` image,
+    or ``channels * height * width`` -- one zero slot past the image --
+    for taps that fall in the padding.
+    """
+
+    key = (channels, height, width, kh, kw, stride, padding)
+    index = _PATCH_INDEX_CACHE.get(key)
+    if index is None:
+        if len(_PATCH_INDEX_CACHE) > 64:
+            _PATCH_INDEX_CACHE.clear()
+        out_h = _conv_output_size(height, kh, stride, padding)
+        out_w = _conv_output_size(width, kw, stride, padding)
+        # Broadcast to (out_h, out_w, channels, kh, kw).
+        rows = (np.arange(out_h)[:, None, None, None, None] * stride
+                + np.arange(kh)[:, None] - padding)
+        cols = (np.arange(out_w)[:, None, None, None] * stride
+                + np.arange(kw) - padding)
+        chans = np.arange(channels)[:, None, None]
+        inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        index = np.where(inside, (chans * height + rows) * width + cols,
+                         channels * height * width).astype(np.intp).ravel()
+        index.flags.writeable = False
+        _PATCH_INDEX_CACHE[key] = index
+    return index
+
+
 def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) -> np.ndarray:
     """Rearrange image patches into columns.
 
     Input shape ``(batch, channels, height, width)``; output shape
-    ``(batch, out_h, out_w, channels * kh * kw)``.
+    ``(batch, out_h, out_w, channels * kh * kw)``, C-contiguous, in
+    ``x``'s dtype.
+
+    One ``np.take`` over a cached flat patch index (:func:`_patch_index`)
+    gathers every sample's patches; padded taps read a zero slot appended
+    after each sample.  The gather only copies: every output element is
+    an element of ``x`` or ``+0.0``, in the layout a strided-window copy
+    of a zero-padded ``x`` produces, so the GEMM operands built from it --
+    and every float64 result downstream -- are byte-identical to that
+    copy's.
     """
 
     batch, channels, height, width = x.shape
     kh, kw = kernel
     out_h = _conv_output_size(height, kh, stride, padding)
     out_w = _conv_output_size(width, kw, stride, padding)
+    index = _patch_index(channels, height, width, kh, kw, stride, padding)
+    size = channels * height * width
     if padding > 0:
-        # Zero-pad via a direct slice write: identical values to np.pad but
-        # without its per-call Python overhead (this is a per-layer,
-        # per-time-step hot path for the inference engines).
-        padded = np.zeros(
-            (batch, channels, height + 2 * padding, width + 2 * padding),
-            dtype=x.dtype)
-        padded[:, :, padding:padding + height, padding:padding + width] = x
-        x = padded
-    strides = x.strides
-    shape = (batch, channels, out_h, out_w, kh, kw)
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=shape,
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride,
-                 strides[2], strides[3]),
-        writeable=False,
-    )
-    # (batch, out_h, out_w, channels, kh, kw) -> flatten channel/kernel dims
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h, out_w, channels * kh * kw)
-    return np.ascontiguousarray(cols)
+        flat = np.empty((batch, size + 1), dtype=x.dtype)
+        flat[:, size] = 0
+        flat[:, :size] = x.reshape(batch, size)
+    else:
+        flat = x.reshape(batch, size)
+    # Every index is in range, so "wrap" never wraps; it only skips the
+    # bounds error path, which is measurably slower per element.
+    cols = np.take(flat, index, axis=1, mode="wrap")
+    return cols.reshape(batch, out_h, out_w, channels * kh * kw)
 
 
 def col2im(cols: np.ndarray, input_shape: Tuple[int, int, int, int],

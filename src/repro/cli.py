@@ -169,9 +169,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "orchestrator's work-stealing queue (1 = serial)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="fused-engine kernel backend (default: "
-                             "$REPRO_BACKEND or 'numpy'; 'cffi' compiles the "
-                             "fused C kernels on first use).  float64 "
-                             "records are byte-identical across backends")
+                             "$REPRO_BACKEND or 'numpy', the only built-in "
+                             "one).  float64 records are byte-identical "
+                             "across backends")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for on-disk result caching (doubles "
                              "as the shard coordination layer)")

@@ -3,15 +3,16 @@
 The fused engines execute a backend-agnostic
 :class:`~repro.snn.inference.plan.InferencePlan`; *how* each op executes is
 dispatched through this registry (the tinygrad ``Device``/``llops`` shape:
-one IR, swappable runtimes discovered from ``ops_*.py`` modules).
+one IR, swappable runtimes discovered from ``ops_*.py`` modules).  The
+numpy backend is the only built-in one.
 
 * :func:`get_backend` resolves a backend instance: explicit argument >
   ``REPRO_BACKEND`` environment variable > ``"numpy"``.  An unknown name
   raises listing the available backends; a known backend whose runtime
-  prerequisites are missing (e.g. no C compiler for the cffi backend)
-  raises when requested explicitly but *degrades to numpy with a logged
-  notice* when requested via the environment, so an exported
-  ``REPRO_BACKEND`` can never break a box that lacks the toolchain.
+  prerequisites are missing raises when requested explicitly but
+  *degrades to numpy with a logged notice* when requested via the
+  environment, so an exported ``REPRO_BACKEND`` can never break a box
+  that lacks the runtime.
 * :func:`register_backend` adds a backend (third-party code can register
   its own without touching this package).
 * Discovery: every ``ops_*.py`` module in this package is imported on
@@ -20,9 +21,8 @@ one IR, swappable runtimes discovered from ``ops_*.py`` modules).
   ``ImportError``.
 
 Bit contract: the numpy path is the byte-identity *oracle*.  Every
-backend's results must equal it ``tobytes()``-for-``tobytes()`` (enforced
-by the differential suite in ``tests/test_backends.py`` and the CI backend
-job), which is why the backend name never enters campaign cache keys.
+backend's results must equal it ``tobytes()``-for-``tobytes()``, which is
+why the backend name never enters campaign cache keys.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: Dict[str, Backend] = {}
 #: Import failures of ``ops_*`` modules, keyed by the backend name the
-#: module's filename implies (``ops_cffi.py`` -> ``"cffi"``).
+#: module's filename implies (``ops_foo.py`` -> ``"foo"``).
 _IMPORT_ERRORS: Dict[str, str] = {}
 _DISCOVERED = False
 

@@ -18,8 +18,7 @@ The base class implements every hook with the shared numpy/chain-kernel
 code paths, so a backend only overrides what it accelerates.  The bit
 contract of :mod:`repro.snn.inference.backends` applies: every override
 must keep per-element operation order, so results are byte-identical to
-the numpy oracle (the differential identity suite in
-``tests/test_backends.py`` enforces it).
+the numpy oracle.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ deterministic given that, so fused outputs match the autograd forward bit
 for bit (the property tests in ``tests/test_inference_engine.py`` assert
 it).
 
-This module is also the reference every other backend is differentially
-tested against: the float64 numpy path is the byte-identity *oracle* (see
+This module is also the reference any other registered backend must
+match: the float64 numpy path is the byte-identity *oracle* (see
 ``docs/ARCHITECTURE.md``, "Kernel backends").
 
 Affine kernels come in two flavours:
@@ -205,11 +205,9 @@ class FlattenKernel:
 class SoftwareAffineKernel:
     """Conv/FC with the autograd forward's exact GEMM geometry.
 
-    ``_im2col`` is the backend hook for the patch gather: a compiled
-    backend overrides it with an implementation producing byte-identical
-    columns (im2col is a pure copy, so any faithful layout-preserving
-    implementation keeps the GEMM operands -- and therefore the result
-    bits -- unchanged).
+    ``_im2col`` is the patch gather shared by every convolution
+    (:func:`~repro.autograd.functional.im2col`, a pure copy), held as a
+    class attribute so the gather has one named call point per kernel.
     """
 
     _im2col = staticmethod(im2col)

@@ -79,6 +79,35 @@ def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.tobytes() == expected.tobytes()
 
 
+def strided_im2col(x, kernel, stride, padding):
+    """Reference patch gather: a strided-window copy of zero-padded ``x``.
+
+    The gather ``autograd.functional.im2col`` used before its cached flat
+    index; the byte-identity tests compare the production gather, and
+    every record built on it, against this one.
+    """
+
+    batch, channels, height, width = x.shape
+    kh, kw = kernel
+    out_h = (height + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    if padding > 0:
+        padded = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding),
+            dtype=x.dtype)
+        padded[:, :, padding:padding + height, padding:padding + width] = x
+        x = padded
+    strides = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(batch, channels, out_h, out_w, kh, kw),
+        strides=(strides[0], strides[1], strides[2] * stride,
+                 strides[3] * stride, strides[2], strides[3]),
+        writeable=False)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        batch, out_h, out_w, channels * kh * kw)
+    return np.ascontiguousarray(cols)
+
+
 def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
                       kind="linear", stride=1, padding=0):
     """Per-map output of one layer on the fused engine's faulty runner.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import (
     Tensor,
@@ -18,7 +20,9 @@ from repro.autograd import (
     one_hot,
     softmax,
 )
+from repro.autograd import functional
 from repro.autograd.functional import Function, _conv_output_size
+from tests.conftest import strided_im2col
 
 
 def reference_conv2d(x, w, b, stride, padding):
@@ -89,6 +93,92 @@ class TestIm2Col:
         lhs = float((cols * y).sum())
         rhs = float((x * col2im(y, x.shape, (3, 3), 1, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _gather_input(rng, shape, dtype, transposed=False):
+    """Random ``shape`` input with signed zeros and a NaN among its values."""
+
+    if transposed:   # same values, non-contiguous (width and height swapped)
+        base = rng.standard_normal(shape[:2] + shape[:1:-1]).astype(dtype)
+        x = base.transpose(0, 1, 3, 2)
+    else:
+        x = rng.standard_normal(shape).astype(dtype)
+    if x.size:
+        x[0, 0, 0, 0] = -0.0
+        x[-1, -1, -1, -1] = np.nan
+    return x
+
+
+def _assert_gather_matches_reference(x, kernel, stride, padding):
+    cols = im2col(x, kernel, stride, padding)
+    expected = strided_im2col(x, kernel, stride, padding)
+    assert (cols.shape, cols.dtype) == (expected.shape, expected.dtype)
+    assert cols.tobytes() == expected.tobytes()
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    assert not np.shares_memory(cols, x)
+    index = functional._PATCH_INDEX_CACHE[
+        x.shape[1:] + tuple(kernel) + (stride, padding)]
+    assert not index.flags.writeable
+    assert not np.shares_memory(cols, index)
+    return cols
+
+
+class TestIm2ColGather:
+    """The cached-index gather against the strided-window reference copy."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (3, 2), (5, 5)],
+                             ids=lambda k: f"{k[0]}x{k[1]}")
+    def test_matches_strided_reference(self, kernel, stride, padding):
+        rng = np.random.default_rng(sum(kernel) * 100 + stride * 10 + padding)
+        for channels in (1, 8):
+            for batch in (0, 1, 80):
+                for dtype in (np.float32, np.float64):
+                    for transposed in (False, True):
+                        x = _gather_input(rng, (batch, channels, 9, 7), dtype,
+                                          transposed)
+                        _assert_gather_matches_reference(x, kernel, stride,
+                                                         padding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(0, 4), channels=st.integers(1, 4),
+           height=st.integers(1, 12), width=st.integers(1, 12),
+           kh=st.integers(1, 5), kw=st.integers(1, 5),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           transposed=st.booleans(), seed=st.integers(0, 2**16))
+    def test_any_geometry_matches_reference(self, batch, channels, height,
+                                            width, kh, kw, stride, padding,
+                                            transposed, seed):
+        if kh > height + 2 * padding or kw > width + 2 * padding:
+            return   # no output position fits
+        x = _gather_input(np.random.default_rng(seed),
+                          (batch, channels, height, width), np.float64,
+                          transposed)
+        _assert_gather_matches_reference(x, (kh, kw), stride, padding)
+
+    def test_output_is_a_private_copy(self):
+        x = np.random.default_rng(3).standard_normal((2, 3, 6, 6))
+        first = im2col(x, (3, 3), 1, 1)
+        expected = first.copy()
+        first[...] = 7.0   # writing one result touches neither x nor the index
+        assert im2col(x, (3, 3), 1, 1).tobytes() == expected.tobytes()
+
+    def test_index_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(functional, "_PATCH_INDEX_CACHE", {})
+        x = np.ones((1, 1, 4, 4))
+        sizes = []
+        for width in range(4, 204):
+            im2col(np.ones((1, 1, 4, width)), (3, 3), 1, 1)
+            sizes.append(len(functional._PATCH_INDEX_CACHE))
+        assert max(sizes) <= 65
+        assert all(not index.flags.writeable
+                   for index in functional._PATCH_INDEX_CACHE.values())
+        # A geometry seen again is served from the cache, not rebuilt.
+        im2col(x, (3, 3), 1, 1)
+        cached = functional._PATCH_INDEX_CACHE[(1, 4, 4, 3, 3, 1, 1)]
+        im2col(x, (3, 3), 1, 1)
+        assert functional._PATCH_INDEX_CACHE[(1, 4, 4, 3, 3, 1, 1)] is cached
 
 
 class TestConv2d:

@@ -2,15 +2,18 @@
 
 Covers the resolution order (argument > ``REPRO_BACKEND`` > numpy), the
 failure modes (unknown name lists the available backends; a known backend
-whose import or toolchain is missing raises when requested explicitly but
+whose import or runtime is missing raises when requested explicitly but
 degrades to numpy with a logged notice when selected via the environment),
-and the differential contract: every float64 record the cffi backend
-produces -- Fig. 5b stuck-at sweeps and transient/SEU schedules alike --
-must equal the numpy oracle ``tobytes()``-for-``tobytes()``.  The campaign
-cache-key schema is pinned backend-free, and the documented ``REPRO_*``
-environment-variable table is grepped against the source tree.
+and the gather's differential contract: every float64 record built on the
+cached-index ``im2col`` -- fault-free rates, Fig. 5b stuck-at sweeps,
+transient/SEU schedules, campaign records and trained weights -- must
+equal the same record built on the strided-window reference gather
+``tobytes()``-for-``tobytes()``.  The campaign cache-key schema is
+pinned backend-free, and the documented ``REPRO_*`` environment-variable
+table is grepped against the source tree.
 """
 
+import contextlib
 import logging
 import re
 from pathlib import Path
@@ -28,6 +31,7 @@ from repro.faults import (
     random_fault_map,
     schedule_from_process,
 )
+from repro.snn import Adam, Trainer
 from repro.snn.inference import (
     Backend,
     BackendUnavailableError,
@@ -41,11 +45,9 @@ from repro.snn.inference import (
 from repro.snn.inference import backends as registry
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 from repro.utils.rng import derive_seed
+from tests.conftest import build_tiny_mnist_model, state_digest, strided_im2col
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
-CFFI_AVAILABLE = "cffi" in available_backends()
-requires_cffi = pytest.mark.skipif(
-    not CFFI_AVAILABLE, reason="cffi backend not available on this machine")
 
 
 @pytest.fixture()
@@ -185,93 +187,125 @@ class TestFailureModes:
 
 
 # ----------------------------------------------------------------------
-# Differential identity: cffi records == numpy records, byte for byte
+# Differential identity: records on the cached-index gather == records on
+# the strided-window reference gather, byte for byte
 # ----------------------------------------------------------------------
-@requires_cffi
-class TestCffiByteIdentity:
-    def test_fault_free_rates_identical(self, trained_tiny_model, test_loader):
+@pytest.fixture()
+def strided_gather(monkeypatch):
+    """Context manager routing every convolution through ``strided_im2col``.
+
+    Patches each binding of the gather -- the autograd conv and the
+    sequential oracle's array, the fused kernels and ``Backend.im2col`` --
+    and makes ``_patch_index`` raise, so a path that still
+    reaches the production gather fails instead of passing vacuously.
+    """
+
+    from repro.autograd import functional
+    from repro.snn.inference.backends import base, ops_numpy
+    from repro.systolic import array
+
+    def _unreachable(*args):
+        raise AssertionError("production gather reached under the reference")
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(functional, "im2col", strided_im2col)
+            patch.setattr(functional, "_patch_index", _unreachable)
+            patch.setattr(array, "im2col", strided_im2col)
+            patch.setattr(base, "_numpy_im2col", strided_im2col)
+            for kernel in (ops_numpy.SoftwareAffineKernel,
+                           ops_numpy.ArrayAffineKernel):
+                patch.setattr(kernel, "_im2col", staticmethod(strided_im2col))
+            yield
+
+    return patched
+
+
+class TestGatherByteIdentity:
+    def test_fault_free_rates_identical(self, trained_tiny_model, test_loader,
+                                        strided_gather):
         frame, _ = next(iter(test_loader))
-        oracle = FusedInferenceEngine(trained_tiny_model,
-                                      backend="numpy").run(frame)
-        rates = FusedInferenceEngine(trained_tiny_model,
-                                     backend="cffi").run(frame)
+        with strided_gather():
+            oracle = FusedInferenceEngine(trained_tiny_model).run(frame)
+        rates = FusedInferenceEngine(trained_tiny_model).run(frame)
         assert rates.dtype == np.float64
         assert rates.tobytes() == oracle.tobytes()
 
     def test_fig5b_sweep_rates_identical(self, trained_tiny_model,
-                                         test_loader):
+                                         test_loader, strided_gather):
         """Per-map firing rates under a mixed stuck-at population."""
 
         frame, _ = next(iter(test_loader))
-        oracle = FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
-                                  backend="numpy").run(frame)
-        rates = FusedFaultEngine(trained_tiny_model, _fig5b_arrays((0, 1, 2, 4, 8)),
-                                 backend="cffi").run(frame)
+        with strided_gather():
+            oracle = FusedFaultEngine(trained_tiny_model,
+                                      _fig5b_arrays((0, 1, 2, 4, 8))).run(frame)
+        rates = FusedFaultEngine(trained_tiny_model,
+                                 _fig5b_arrays((0, 1, 2, 4, 8))).run(frame)
         assert rates.tobytes() == oracle.tobytes()
 
-    def test_fig5b_accuracies_identical(self, trained_tiny_model, test_loader):
+    def test_fig5b_accuracies_identical(self, trained_tiny_model, test_loader,
+                                        strided_gather):
         maps = [random_fault_map(8, 8, count, seed=31 + count)
                 for count in (0, 2, 5)]
-        oracle = evaluate_with_faults(trained_tiny_model, test_loader, maps,
-                                      backend="numpy")
+        with strided_gather():
+            oracle = evaluate_with_faults(trained_tiny_model, test_loader, maps)
+        accuracies = evaluate_with_faults(trained_tiny_model, test_loader, maps)
+        assert _accuracy_bytes(accuracies) == _accuracy_bytes(oracle)
+
+    def test_sequential_oracle_accuracies_identical(self, trained_tiny_model,
+                                                    test_loader,
+                                                    strided_gather):
+        maps = [random_fault_map(8, 8, count, seed=41 + count)
+                for count in (2, 5)]
+        with strided_gather():
+            oracle = evaluate_with_faults(trained_tiny_model, test_loader, maps,
+                                          engine="sequential")
         accuracies = evaluate_with_faults(trained_tiny_model, test_loader, maps,
-                                          backend="cffi")
+                                          engine="sequential")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(oracle)
 
     @pytest.mark.parametrize("process", ["bernoulli", "burst"])
     def test_transient_schedules_identical(self, trained_tiny_model,
-                                           test_loader, process):
+                                           test_loader, strided_gather,
+                                           process):
         schedules = _transient_schedules(process)
-        oracle = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused",
-            backend="numpy")
+        with strided_gather():
+            oracle = evaluate_with_faults(
+                trained_tiny_model, test_loader, schedules, engine="fused")
         accuracies = evaluate_with_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused",
-            backend="cffi")
+            trained_tiny_model, test_loader, schedules, engine="fused")
         assert _accuracy_bytes(accuracies) == _accuracy_bytes(oracle)
 
-    def test_campaign_records_identical(self, trained_tiny_model, test_loader):
+    def test_campaign_records_identical(self, trained_tiny_model, test_loader,
+                                        strided_gather):
         points = [CampaignPoint.for_trials(8, 8, count, trials=2,
                                            seed=61 + count)
                   for count in (1, 3)]
-        oracle = CampaignRunner(trained_tiny_model, test_loader,
-                                backend="numpy").run(points)
-        records = CampaignRunner(trained_tiny_model, test_loader,
-                                 backend="cffi").run(points)
+        with strided_gather():
+            oracle = CampaignRunner(trained_tiny_model, test_loader).run(points)
+        records = CampaignRunner(trained_tiny_model, test_loader).run(points)
         assert records == oracle
 
-    def test_im2col_unit_identity(self, rng):
-        from repro.autograd.functional import im2col
-        from repro.snn.inference.backends.ops_cffi import _cffi_im2col
+    def test_training_weights_identical(self, tiny_mnist_data, strided_gather):
+        """Autograd training (forward cols and weight gradient) keeps its bytes."""
 
-        for (shape, kernel, stride, padding) in (
-                ((2, 3, 9, 9), (3, 3), 1, 1),
-                ((1, 1, 7, 5), (2, 4), 2, 0),
-                ((3, 2, 8, 8), (5, 5), 3, 2)):
-            x = rng.standard_normal(shape)
-            oracle = im2col(x, kernel, stride, padding)
-            cols = _cffi_im2col(x, kernel, stride, padding)
-            assert cols.shape == oracle.shape
-            assert cols.tobytes() == oracle.tobytes()
+        train, _ = tiny_mnist_data
 
-    @pytest.mark.parametrize("spec_kwargs", [
-        dict(inv_tau=None, v_threshold=1.0, v_reset=None),   # IF, soft reset
-        dict(inv_tau=0.5, v_threshold=0.8, v_reset=0.0),     # LIF, hard reset
-    ], ids=["if-soft", "lif-hard"])
-    def test_neuron_unit_identity(self, spec_kwargs):
-        from repro.snn.inference.backends import ops_cffi, ops_numpy
-        from repro.snn.inference.plan import NeuronSpec
+        def train_digest():
+            model, _ = build_tiny_mnist_model()
+            trainer = Trainer(model, Adam(model.parameters(), lr=2.5e-2),
+                              num_classes=10)
+            loader = DataLoader(train, batch_size=12, shuffle=True, seed=3)
+            for step, (inputs, labels) in enumerate(loader):
+                if step == 3:
+                    break
+                trainer.train_step(inputs, labels)
+            return state_digest(model)
 
-        spec = NeuronSpec(**spec_kwargs)
-        oracle = ops_numpy.NeuronKernel(spec)
-        kernel = ops_cffi.CffiNeuronKernel(spec)
-        rng = np.random.default_rng(5)
-        for _ in range(3):   # state (v) evolves across steps
-            x = rng.standard_normal((4, 32))
-            ref = oracle.run(x)
-            out = kernel.run(x)
-            assert out.tobytes() == ref.tobytes()
-            assert kernel.v.tobytes() == oracle.v.tobytes()
+        with strided_gather():
+            oracle = train_digest()
+        assert train_digest() == oracle
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +348,8 @@ class TestCampaignPlumbing:
 class TestCli:
     def test_backend_flag_parses(self):
         args = build_parser().parse_args(
-            ["campaign", "counts", "--engine", "fused", "--backend", "cffi"])
-        assert args.backend == "cffi"
+            ["campaign", "counts", "--engine", "fused", "--backend", "stub"])
+        assert args.backend == "stub"
 
     def test_backend_defaults_to_none(self):
         args = build_parser().parse_args(["campaign", "counts"])

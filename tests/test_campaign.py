@@ -7,7 +7,6 @@ self-healing of damaged entries through the work-unit path) and the
 optional worker pool.
 """
 
-import numpy as np
 import pytest
 
 from repro.faults import (

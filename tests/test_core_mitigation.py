@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.base import MitigationResult
 from repro.datasets import DataLoader
-from repro.faults import FaultMap, StuckAtFault, random_fault_map
+from repro.faults import FaultMap, random_fault_map
 from repro.snn import TrainingHistory
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 

@@ -7,7 +7,6 @@ from repro.autograd import Tensor
 from repro.datasets import DataLoader
 from repro.faults import (
     FaultInjector,
-    StuckAtFault,
     baseline_accuracy,
     build_faulty_array,
     evaluate_with_faults,

@@ -15,7 +15,7 @@ from repro.faults import (
     random_fault_map,
     single_bit_fault_map,
 )
-from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
+from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, no_grad
-from repro.datasets import DataLoader
 from repro.faults import (
     CampaignPoint,
     CampaignRunner,
@@ -23,7 +22,6 @@ from repro.faults import (
 )
 from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.snn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.snn import Conv2d, Linear, Module, Parameter, Sequential
+from repro.snn import Linear, Module, Parameter, Sequential
 from repro.snn.layers import BatchNorm2d
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.snn import (
-    ModelConfig,
     SpikingClassifier,
     build_model_for_dataset,
     build_plif_snn,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultMap, StuckAtFault, random_fault_map
+from repro.faults import StuckAtFault, random_fault_map
 from repro.systolic import (
     DEFAULT_ACCUMULATOR_FORMAT,
     FixedPointFormat,

@@ -13,7 +13,7 @@ randomized sweep of shapes and fault structures seeded via ``utils.rng``.
 import numpy as np
 import pytest
 
-from repro.faults import FaultMap, StuckAtFault, random_fault_map
+from repro.faults import StuckAtFault, random_fault_map
 from repro.systolic import (
     BatchedSystolicArray,
     DEFAULT_ACCUMULATOR_FORMAT,

@@ -1,6 +1,5 @@
 """Tests for the energy / area model of the systolicSNN accelerator."""
 
-import numpy as np
 import pytest
 
 from repro.systolic import (
