@@ -15,8 +15,9 @@ Rules (the documented gate policy):
   the same run's sequential oracle) for the fused engine, and the
   ``meta`` ratios ``transient_overhead`` (the stuck-at sweep over the
   transient-schedule sweep) and ``gather_speedup`` (the strided-window
-  reference gather over ``im2col``, per call) -- each gated only when
-  both the fresh and the recorded run report it.  Each fresh ratio must
+  reference gather over ``im2col``, per call) -- each gated whenever the
+  recorded run reports it, so a fresh run that stops writing a recorded
+  ratio fails.  Each fresh ratio must
   be at least ``(1 - tolerance)`` times the recorded one; the default tolerance
   is 30%, sized for noisy shared CI boxes (single-run ratios can swing
   roughly 10-20%; a real fast-path regression costs 2x+).
@@ -113,8 +114,12 @@ def main(argv=None) -> int:
         ("gather_speedup", "im2col gather"),
     )
     for key, label in gated_ratios:
-        if meta and key in meta and key in recorded_meta:
-            gate(label, meta[key], recorded_meta[key])
+        if key not in recorded_meta:
+            continue
+        if key not in (meta or {}):
+            failures.append(f"{label}: fresh results miss the recorded '{key}' ratio")
+            continue
+        gate(label, meta[key], recorded_meta[key])
 
     if failures:
         print("perf gate FAILED:", file=sys.stderr)

@@ -167,11 +167,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes pulling the work units of a "
                              "sweep or retraining grid from the "
                              "orchestrator's work-stealing queue (1 = serial)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="fused-engine kernel backend (default: "
-                             "$REPRO_BACKEND or 'numpy', the only built-in "
-                             "one).  float64 records are byte-identical "
-                             "across backends")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for on-disk result caching (doubles "
                              "as the shard coordination layer)")

@@ -149,7 +149,7 @@ def check_retrain_options(**options) -> dict:
     :func:`~repro.faults.campaign.unit_option_problems` problem are
     collected into one ``ValueError``; ``shard`` comes back as a
     ``ShardSpec``.  Cells retrain through autograd, so no fused-engine
-    setting (``REPRO_BACKEND`` included) is consulted.
+    setting is consulted.
     """
 
     parameters = inspect.signature(retrain_cells).parameters

@@ -17,7 +17,7 @@ A driver takes only its grid: the swept values, the fault model and the
 deterministic seed derivation the sweeps have always used, expressed as
 :class:`~repro.faults.campaign.CampaignPoint` objects.  Everything else --
 ``engine``, ``workers``, ``cache_dir``, ``shard``, ``trial_chunk``,
-``unit_timeout``, ``progress``, ``backend`` and ``bypass`` -- is a
+``unit_timeout``, ``progress`` and ``bypass`` -- is a
 campaign option passed
 straight through ``**runner_options`` to
 :class:`~repro.faults.campaign.CampaignRunner`, which defines and

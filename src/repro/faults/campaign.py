@@ -463,19 +463,15 @@ def unit_option_problems(values: dict) -> List[str]:
 
 
 def check_runner_options(**options) -> dict:
-    """Validate campaign options; return all of them, resolved.
+    """Validate campaign options; return all of them.
 
     ``options`` are any :class:`CampaignRunner` keywords; the rest take the
-    runner's defaults.  Every problem (an unknown option, an engine or
-    ``backend`` mismatch, an unavailable backend, a ``dtype`` other than
-    ``"float64"``, a ``lane_threads`` other than ``None`` or 1, or any of
-    :func:`unit_option_problems`) is collected into one ``ValueError``.
-    The result holds ``shard`` as a ``ShardSpec`` and, on the fused
-    engine, ``backend`` resolved (argument > ``REPRO_BACKEND`` > numpy) so
-    forked workers inherit the parent's choice.
+    runner's defaults.  Every problem (an unknown option, an unknown
+    engine, a ``dtype`` other than ``"float64"``, a ``lane_threads`` other
+    than ``None`` or 1, a ``backend`` other than ``None`` or ``"numpy"``,
+    or any of :func:`unit_option_problems`) is collected into one
+    ``ValueError``.  The result holds ``shard`` as a ``ShardSpec``.
     """
-
-    from ..snn.inference.backends import BackendUnavailableError, resolve_backend_name
 
     try:
         bound = inspect.signature(CampaignRunner).bind_partial(**options)
@@ -483,18 +479,15 @@ def check_runner_options(**options) -> dict:
         raise ValueError(f"invalid campaign options: {exc}") from None
     bound.apply_defaults()
     values = {name: bound.arguments[name] for name in RUNNER_OPTIONS}
-    engine = values["engine"]
-    problems = _engine_problems(engine, values["backend"])
+    problems = _engine_problems(values["engine"])
     if values["dtype"] != "float64":
         problems.append(f"dtype must be 'float64', got {values['dtype']!r}")
     if values["lane_threads"] not in (None, 1):
         problems.append(
             f"lane_threads must be None or 1, got {values['lane_threads']!r}")
-    if engine == "fused":
-        try:
-            values["backend"] = resolve_backend_name(values["backend"])
-        except (ValueError, BackendUnavailableError) as exc:
-            problems.append(str(exc))
+    if values["backend"] not in (None, "numpy"):
+        problems.append(
+            f"backend must be None or 'numpy', got {values['backend']!r}")
     problems += unit_option_problems(values)
     if problems:
         raise ValueError("invalid campaign options: " + "; ".join(problems))
@@ -557,12 +550,8 @@ class CampaignRunner:
         Optional callable receiving the orchestrator's structured progress
         events (per-unit timing, retries, ETA); parent process only.
     backend:
-        Kernel backend of the fused engine (``None`` resolves
-        ``REPRO_BACKEND``, default ``"numpy"``).  Resolved once here in
-        the parent process -- orchestrated workers inherit the resolved
-        name, never re-consult the environment.  float64 records are
-        byte-identical across backends (the numpy path is the oracle), so
-        the backend never enters cache keys.  Requires the fused engine.
+        Kept only for the benchmark harness, which passes it; the one
+        accepted values are ``None`` and ``"numpy"``.
     dtype:
         Kept only for the benchmark harness, which passes it; the one
         accepted value is ``"float64"``.
@@ -592,7 +581,6 @@ class CampaignRunner:
             engine=engine, dtype=dtype, workers=workers, cache_dir=cache_dir,
             shard=shard, trial_chunk=trial_chunk, unit_timeout=unit_timeout,
             lane_threads=lane_threads, backend=backend)
-        self.backend = resolved["backend"]
         self.model = model
         self.loader = loader
         self.fmt = fmt
@@ -638,8 +626,7 @@ class CampaignRunner:
                 from ..snn.inference import FusedInferenceEngine
 
                 self._baseline = FusedInferenceEngine(
-                    self.model, plan_token=self._model_token,
-                    backend=self.backend).evaluate(self.loader)
+                    self.model, plan_token=self._model_token).evaluate(self.loader)
             else:
                 self._baseline = baseline_accuracy(self.model, self.loader)
         return self._baseline
@@ -691,8 +678,7 @@ class CampaignRunner:
                   ) -> List[float]:
         return evaluate_with_faults(
             self.model, self.loader, faults, bypass=self.bypass,
-            fmt=self.fmt, engine=self.engine, plan_token=self._model_token,
-            backend=self.backend)
+            fmt=self.fmt, engine=self.engine, plan_token=self._model_token)
 
     def _evaluate_point(self, point: CampaignPoint) -> dict:
         """Simulate one grid point (no cache) and return its record."""

@@ -39,15 +39,12 @@ ENGINES = ("fused", "sequential")
 _UNSHADOWED = object()
 
 
-def _engine_problems(engine: str, backend=None) -> List[str]:
-    """Every problem with an engine and backend choice."""
+def _engine_problems(engine: str) -> List[str]:
+    """Every problem with an engine choice."""
 
-    problems = []
     if engine not in ENGINES:
-        problems.append(f"unknown engine '{engine}'; options: {ENGINES}")
-    if engine != "fused" and backend is not None:
-        problems.append("backend overrides require the fused engine")
-    return problems
+        return [f"unknown engine '{engine}'; options: {ENGINES}"]
+    return []
 
 
 def _is_transient(faults: Sequence[Union[FaultMap, FaultSchedule]],
@@ -223,8 +220,7 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
                          bypass: bool = False,
                          fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
                          engine: str = "fused",
-                         plan_token: Optional[str] = None,
-                         backend: Optional[str] = None) -> List[float]:
+                         plan_token: Optional[str] = None) -> List[float]:
     """Measure one accuracy of ``model`` per fault map or schedule.
 
     On the fused engine all of ``faults`` run in one multi-map pass, which
@@ -256,10 +252,6 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
     plan_token:
         Optional model token: the fused engine then fetches the lowered
         plan from the process-wide plan cache instead of lowering anew.
-    backend:
-        Kernel backend of the fused engine (``None`` resolves
-        ``REPRO_BACKEND``, default ``"numpy"``).  Results are
-        byte-identical across backends; requires ``engine="fused"``.
 
     Returns
     -------
@@ -272,7 +264,7 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
 
     faults = list(faults)
     transient = _is_transient(faults, bypass)
-    problems = _engine_problems(engine, backend)
+    problems = _engine_problems(engine)
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -284,7 +276,7 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
         else:
             targets = dict(arrays=[build_faulty_array(m, fmt=fmt, bypass=bypass)
                                    for m in faults])
-        return FusedFaultEngine(model, plan_token=plan_token, backend=backend,
+        return FusedFaultEngine(model, plan_token=plan_token,
                                 **targets).evaluate(loader)
 
     accuracies = []

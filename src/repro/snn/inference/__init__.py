@@ -12,23 +12,13 @@ per time step -- no autograd graph construction.
   sharing: each fault map forks off the shared clean lane at the first
   affine layer its faults actually corrupt.
 
-Kernel execution is dispatched through the pluggable backend registry in
-:mod:`repro.snn.inference.backends` (``--backend`` / ``REPRO_BACKEND``);
-the numpy path is the byte-identity oracle every other backend is
-differentially tested against.
+The engines execute every op on the numpy kernels of
+:mod:`repro.snn.inference.backends.ops_numpy`.
 
 See the README's "Fused inference engine" section for the architecture and
 the bit-identity guarantees.
 """
 
-from .backends import (
-    Backend,
-    BackendUnavailableError,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from .engine import FusedFaultEngine, FusedInferenceEngine
 from .plan_cache import PlanCache, default_plan_cache
 from .plan import (
@@ -45,8 +35,6 @@ from .plan import (
 
 __all__ = [
     "AffineSpec",
-    "Backend",
-    "BackendUnavailableError",
     "BatchNormSpec",
     "FlattenSpec",
     "FusedFaultEngine",
@@ -57,10 +45,6 @@ __all__ = [
     "PlanBuilder",
     "PlanCache",
     "PoolSpec",
-    "available_backends",
     "default_plan_cache",
-    "get_backend",
     "lower_plan",
-    "register_backend",
-    "resolve_backend_name",
 ]

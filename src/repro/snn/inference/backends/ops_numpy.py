@@ -1,4 +1,4 @@
-"""Default numpy backend: the fused pure-numpy runtime kernels.
+"""The fused engines' numpy kernels.
 
 Each kernel executes one :mod:`repro.snn.inference.plan` spec on plain
 numpy arrays: no ``Tensor`` wrappers, no backward closures, and state
@@ -13,10 +13,6 @@ deterministic given that, so fused outputs match the autograd forward bit
 for bit (the property tests in ``tests/test_inference_engine.py`` assert
 it).
 
-This module is also the reference any other registered backend must
-match: the float64 numpy path is the byte-identity *oracle* (see
-``docs/ARCHITECTURE.md``, "Kernel backends").
-
 Affine kernels come in two flavours:
 
 * ``software`` -- the autograd forward's geometry (4D ``cols @ W.T`` for
@@ -25,6 +21,12 @@ Affine kernels come in two flavours:
   via :func:`~repro.systolic.mapping.as_weight_matrix`), bit-identical to a
   fault-free :meth:`~repro.systolic.array.SystolicArray.matmul` /
   ``conv2d`` and therefore to the clean columns of a faulty pass.
+
+:class:`NumpyBackend` groups the call points the engines use --
+:meth:`~NumpyBackend.make_kernel`, the im2col gather of faulty GEMMs and
+the fault-chain driver -- and :data:`KERNEL_SET` is the one instance the
+engines and :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner`
+share.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ....autograd.functional import im2col
+from ....systolic import chain_kernel
 from ..plan import (
     AffineSpec,
     BatchNormSpec,
@@ -41,7 +44,6 @@ from ..plan import (
     NeuronSpec,
     PoolSpec,
 )
-from .base import Backend
 
 __all__ = [
     "NeuronKernel",
@@ -51,7 +53,7 @@ __all__ = [
     "SoftwareAffineKernel",
     "ArrayAffineKernel",
     "NumpyBackend",
-    "make_kernel",
+    "KERNEL_SET",
 ]
 
 
@@ -280,45 +282,44 @@ _KERNELS = {
 }
 
 
-def make_kernel(spec: object, affine_mode: str = "software", batch_ndim: int = 1):
-    """Instantiate the numpy runtime kernel for one plan spec.
+class NumpyBackend:
+    """The fused engines' kernel set: one call point per kernel family.
 
-    ``affine_mode`` selects the GEMM geometry for :class:`AffineSpec` ops:
-    ``"software"`` (autograd-identical) or ``"array"`` (fault-free systolic
-    array, used for the clean lane of faulty passes).  ``batch_ndim`` is
-    the number of leading batch-like axes of the lane's activations (2 in
-    the fork lane, which carries a fault-map axis).
+    ``im2col`` is the patch gather of faulty GEMMs and ``apply_chain_plan``
+    the fault-chain driver (:func:`repro.systolic.chain_kernel
+    .apply_chain_plan`), each held as a class attribute so it has one named
+    call point.
     """
 
-    if isinstance(spec, AffineSpec):
-        if affine_mode == "software":
-            return SoftwareAffineKernel(spec)
-        if affine_mode == "array":
-            return ArrayAffineKernel(spec)
-        raise ValueError(f"unknown affine mode '{affine_mode}'")
-    if isinstance(spec, NeuronSpec):
-        return NeuronKernel(spec)
-    try:
-        factory = _KERNELS[type(spec)]
-    except KeyError:
-        raise TypeError(f"no runtime kernel for spec {type(spec).__name__}")
-    return factory(spec, batch_ndim=batch_ndim)
-
-
-class NumpyBackend(Backend):
-    """The default backend: pure-numpy kernels, the byte-identity oracle."""
-
-    name = "numpy"
+    im2col = staticmethod(im2col)
+    apply_chain_plan = staticmethod(chain_kernel.apply_chain_plan)
 
     def make_kernel(self, spec: object, affine_mode: str = "software",
                     batch_ndim: int = 1):
-        return make_kernel(spec, affine_mode=affine_mode, batch_ndim=batch_ndim)
+        """Instantiate the runtime kernel for one plan spec.
+
+        ``affine_mode`` selects the GEMM geometry for :class:`AffineSpec`
+        ops: ``"software"`` (autograd-identical) or ``"array"`` (fault-free
+        systolic array, used for the clean lane of faulty passes).
+        ``batch_ndim`` is the number of leading batch-like axes of the
+        lane's activations (2 in the fork lane, which carries a fault-map
+        axis).
+        """
+
+        if isinstance(spec, AffineSpec):
+            if affine_mode == "software":
+                return SoftwareAffineKernel(spec)
+            if affine_mode == "array":
+                return ArrayAffineKernel(spec)
+            raise ValueError(f"unknown affine mode '{affine_mode}'")
+        if isinstance(spec, NeuronSpec):
+            return NeuronKernel(spec)
+        try:
+            factory = _KERNELS[type(spec)]
+        except KeyError:
+            raise TypeError(f"no runtime kernel for spec {type(spec).__name__}")
+        return factory(spec, batch_ndim=batch_ndim)
 
 
-def _register() -> None:
-    from . import register_backend
-
-    register_backend(NumpyBackend())
-
-
-_register()
+#: The kernel set the engines and ``FaultyAffineRunner`` share.
+KERNEL_SET = NumpyBackend()

@@ -56,8 +56,7 @@ import numpy as np
 
 from ...systolic.array import BatchedSystolicArray, SystolicArray
 from ...systolic.mapping import faulty_weight_mask
-from .backends import get_backend
-from .backends.ops_numpy import NeuronKernel
+from .backends.ops_numpy import KERNEL_SET, NeuronKernel
 from .faulty_gemm import FaultyAffineRunner, ForkEntry
 from .plan import AffineSpec, InferencePlan, lower_plan
 from .plan_cache import default_plan_cache
@@ -106,19 +105,11 @@ class FusedInferenceEngine:
     plan_token:
         Optional model token (:func:`repro.utils.hashing.model_token`);
         see :func:`_plan_for`.
-    backend:
-        Kernel backend name (or :class:`~repro.snn.inference.backends
-        .Backend` instance); ``None`` resolves ``REPRO_BACKEND`` falling
-        back to ``"numpy"``.  Every backend's float64 output is
-        byte-identical to the numpy oracle, so the choice never enters
-        result semantics (or cache keys) -- only speed.
     """
 
-    def __init__(self, model, plan_token: Optional[str] = None,
-                 backend=None) -> None:
+    def __init__(self, model, plan_token: Optional[str] = None) -> None:
         self.plan = _plan_for(model, plan_token)
-        self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
-        self._kernels = [self.backend.make_kernel(op, affine_mode="software")
+        self._kernels = [KERNEL_SET.make_kernel(op, affine_mode="software")
                          for op in self.plan.ops]
         self._prefix = self.plan.static_prefix
 
@@ -237,22 +228,16 @@ class FusedFaultEngine:
         Accumulator format for the transient path; defaults to the
         schedules' pinned format (required when the schedules do not pin
         one).  Ignored with ``arrays``.
-    backend:
-        Kernel backend name (or instance); ``None`` resolves
-        ``REPRO_BACKEND`` falling back to ``"numpy"``.  Float64 results
-        are byte-identical across backends (the numpy path is the oracle),
-        so the backend never enters campaign cache keys.
     """
 
     def __init__(self, model, arrays: Optional[Sequence[SystolicArray]] = None,
                  plan_token: Optional[str] = None,
-                 schedules=None, fmt=None, backend=None) -> None:
+                 schedules=None, fmt=None) -> None:
         if (arrays is None) == (schedules is None):
             raise ValueError(
                 "FusedFaultEngine needs exactly one of arrays (permanent "
                 "faults) or schedules (transient faults)")
         self.plan = _plan_for(model, plan_token)
-        self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
         affine_specs = self.plan.affine_specs
         ops = self.plan.ops
 
@@ -333,7 +318,7 @@ class FusedFaultEngine:
         self._runners: Dict[tuple, FaultyAffineRunner] = {}
         self._layout: Optional[_Layout] = None
 
-        self._clean = [self.backend.make_kernel(op, affine_mode="array")
+        self._clean = [KERNEL_SET.make_kernel(op, affine_mode="array")
                        for op in ops]
         self._prefix = self.plan.static_prefix
 
@@ -371,8 +356,7 @@ class FusedFaultEngine:
                                             fmt=self._fmt)
                     for f in maps])
             runner = self._runners[key] = FaultyAffineRunner(
-                subset, subset.prepare_weight(spec.weight), spec,
-                backend=self.backend)
+                subset, subset.prepare_weight(spec.weight), spec)
         return runner
 
     def _layout_for(self, batch: int) -> _Layout:
@@ -415,15 +399,15 @@ class FusedFaultEngine:
             # copy.  Each lane gets its own kernels, so neuron state is
             # lane-private.
             kernels = [None if isinstance(op, AffineSpec) or i < start
-                       else self.backend.make_kernel(op, batch_ndim=2)
+                       else KERNEL_SET.make_kernel(op, batch_ndim=2)
                        for i, op in enumerate(ops)]
             lanes.append(_Lane(maps, start, runners, kernels))
             begin = end
 
         # Fork ops: the clean pass builds each one's shared entry operands
-        # once per step (any entering runner can: they share the weight and
-        # the backend), with the dense product whenever some entering map
-        # multiplies the shared weight rather than its own.
+        # once per step (any entering runner can: they share the weight),
+        # with the dense product whenever some entering map multiplies the
+        # shared weight rather than its own.
         entries: Dict[int, Tuple[FaultyAffineRunner, bool]] = {}
         for lane in lanes:
             ordinal = ops[lane.start].index

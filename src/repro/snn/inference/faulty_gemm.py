@@ -3,9 +3,8 @@
 :class:`FaultyAffineRunner` executes one prepared (conv or linear) layer
 under a subset array's faults.  The dense per-map product is computed with
 the exact GEMM geometry of the sequential :meth:`repro.systolic.array
-.SystolicArray.matmul` oracle, and chain application is delegated to the
-backend's chain driver (by default
-:func:`~repro.systolic.chain_kernel.apply_chain_plan`) over the weight's
+.SystolicArray.matmul` oracle, and chain application runs
+:func:`~repro.systolic.chain_kernel.apply_chain_plan` over the weight's
 prepared :class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks.
 Results are bit-identical to that oracle, which is the one reference the
 equivalence tests compare them against by ``tobytes()``.
@@ -34,6 +33,8 @@ import numpy as np
 
 from ...systolic import array as systolic_array
 from ...systolic.array import BatchedSystolicArray
+from ...systolic.chain_kernel import StuckAtKernel
+from .backends.ops_numpy import KERNEL_SET
 
 __all__ = ["FaultyAffineRunner", "ForkEntry"]
 
@@ -69,14 +70,9 @@ class FaultyAffineRunner:
         ``subset.prepare_weight(spec.weight)`` for this layer.
     spec:
         The layer's :class:`~repro.snn.inference.plan.AffineSpec`.
-    backend:
-        The resolved :class:`~repro.snn.inference.backends.Backend`
-        supplying the stuck-at forcing kernel (over the subset's
-        accumulator format), the im2col gather and the chain driver.
     """
 
-    def __init__(self, subset: BatchedSystolicArray, prepared, spec,
-                 backend) -> None:
+    def __init__(self, subset: BatchedSystolicArray, prepared, spec) -> None:
         self.prepared = prepared
         self.num_maps = subset.num_maps
         self.spec = spec
@@ -86,9 +82,9 @@ class FaultyAffineRunner:
         self.bias = None if spec.bias is None else np.asarray(spec.bias,
                                                               dtype=np.float64)
         self.rows = subset.rows
-        self.kernel = backend.stuck_at_kernel(subset.fmt)
-        self._im2col = backend.im2col
-        self._apply_plan = backend.apply_chain_plan
+        self.kernel = StuckAtKernel(subset.fmt)
+        self._im2col = KERNEL_SET.im2col
+        self._apply_plan = KERNEL_SET.apply_chain_plan
 
     # ------------------------------------------------------------------
     def _apply_chains(self, x: np.ndarray, output: np.ndarray,

@@ -5,7 +5,7 @@ quantisation that replace a faulty column's dense product with its
 corrupted accumulation chain -- is the dominant cold cost of campaign
 sweeps.  This module holds the one fast implementation, which the fused
 inference engine's :class:`~repro.snn.inference.faulty_gemm
-.FaultyAffineRunner` drives (through its kernel backend):
+.FaultyAffineRunner` drives:
 
 * **Prefix-level runs.**  At *prepare time* chains are sorted by their
   per-tile active-site signature (the number of stuck-at breakpoint levels

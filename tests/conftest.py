@@ -14,7 +14,6 @@ import pytest
 from repro.datasets import DataLoader, load_dataset
 from repro.experiments import ExperimentConfig
 from repro.snn import Adam, Trainer, build_model_for_dataset
-from repro.snn.inference import get_backend
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.snn.inference.plan import AffineSpec
 from repro.systolic import BatchedSystolicArray
@@ -118,8 +117,7 @@ def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
 
     subset = BatchedSystolicArray(arrays)
     runner = FaultyAffineRunner(subset, subset.prepare_weight(weight),
-                                AffineSpec(kind, weight, bias, stride, padding),
-                                get_backend("numpy"))
+                                AffineSpec(kind, weight, bias, stride, padding))
     if shared:
         return runner.run_entry(runner.entry(inputs, runner.stacked_weights is None))
     return runner.run(inputs)

@@ -159,11 +159,12 @@ class TestCampaignRunner:
 
     @pytest.mark.parametrize("option,value", [("dtype", "float32"),
                                               ("lane_threads", 2),
-                                              ("lane_threads", 0)])
+                                              ("lane_threads", 0),
+                                              ("backend", "stub")])
     def test_harness_keywords_take_one_value(self, option, value):
-        # dtype and lane_threads stay only so the benchmark harness can pass
-        # its pinned float64 / single-thread settings.
-        check_runner_options(dtype="float64", lane_threads=1)
+        # dtype, lane_threads and backend stay only so the benchmark harness
+        # can pass its pinned float64 / single-thread / numpy settings.
+        check_runner_options(dtype="float64", lane_threads=1, backend="numpy")
         with pytest.raises(ValueError) as excinfo:
             check_runner_options(**{option: value})
         message = str(excinfo.value)

@@ -100,10 +100,10 @@ class TestCampaignCommand:
         from repro.cli import DEFAULT_CACHE_DIR, runner_options
 
         options = runner_options(build_parser().parse_args(
-            ["campaign", "counts", "--shard", "1/2", "--backend", "numpy"]))
+            ["campaign", "counts", "--shard", "1/2", "--trial-chunk", "2"]))
         assert options["cache_dir"] == DEFAULT_CACHE_DIR
         assert str(options["shard"]) == "1/2"
-        assert options["backend"] == "numpy"
+        assert options["trial_chunk"] == 2
         assert callable(options["progress"])
 
     def test_campaign_bad_trials_rejected_before_training(self, monkeypatch, capsys):
@@ -120,7 +120,7 @@ class TestCampaignCommand:
     @pytest.mark.parametrize("flags, problem", [
         (["--trial-chunk", "0"], "trial_chunk must be at least 1"),
         (["--unit-timeout", "0"], "unit_timeout must be positive"),
-        (["--backend", "nosuch"], "unknown backend 'nosuch'"),
+        (["--workers", "0"], "workers must be at least 1"),
     ])
     def test_bad_campaign_flags_rejected_before_training(
             self, monkeypatch, capsys, flags, problem):
@@ -133,18 +133,6 @@ class TestCampaignCommand:
         assert main(["campaign", "counts"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
-
-    def test_exported_bad_backend_rejected_before_training(self, monkeypatch,
-                                                           capsys):
-        import repro.experiments.baseline as baseline_module
-
-        def no_training(config):
-            raise AssertionError("baseline trained before validation")
-
-        monkeypatch.setenv("REPRO_BACKEND", "nosuch")
-        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
-        assert main(["campaign", "counts"]) == 2
-        assert "unknown backend 'nosuch'" in capsys.readouterr().err
 
     def test_campaign_counts_end_to_end(self, tmp_path, capsys):
         out_file = tmp_path / "campaign.json"
@@ -181,10 +169,9 @@ class TestRunCampaignFlags:
 
     def test_every_unhonoured_flag_is_named(self, capsys):
         assert main(["run", "fig2", "--engine", "sequential",
-                     "--backend", "numpy", "--trial-chunk", "5",
-                     "--unit-timeout", "5"]) == 2
+                     "--trial-chunk", "5", "--unit-timeout", "5"]) == 2
         err = capsys.readouterr().err
-        for flag in ("--engine", "--backend", "--trial-chunk"):
+        for flag in ("--engine", "--trial-chunk"):
             assert flag in err
         assert "--unit-timeout" not in err  # fig2 honours it
 
@@ -212,9 +199,9 @@ class TestRunCampaignFlags:
                             lambda config: Baseline())
         monkeypatch.setattr(analysis, "CampaignRunner", fake_runner)
         with pytest.raises(Captured):
-            main(["run", "fig5b", "--backend", "numpy",
+            main(["run", "fig5b", "--engine", "sequential",
                   "--unit-timeout", "5", "--trial-chunk", "2"])
-        assert seen["backend"] == "numpy"
+        assert seen["engine"] == "sequential"
         assert seen["unit_timeout"] == 5.0
         assert seen["trial_chunk"] == 2
 
@@ -230,7 +217,7 @@ class TestRunCampaignFlags:
         assert "trial_chunk must be at least 1" in err
         assert "workers must be at least 1" in err
 
-    def test_retraining_grid_ignores_exported_backend(self, monkeypatch, capsys):
+    def test_retraining_grid_gets_only_its_options(self, monkeypatch, capsys):
         import dataclasses
 
         from repro.experiments import EXPERIMENTS
@@ -241,7 +228,6 @@ class TestRunCampaignFlags:
             seen.update(options)
             return []
 
-        monkeypatch.setenv("REPRO_BACKEND", "nosuch")
         monkeypatch.setitem(EXPERIMENTS, "fig7", dataclasses.replace(
             EXPERIMENTS["fig7"], runner=fake_grid))
         assert main(["run", "fig7", "--unit-timeout", "5"]) == 0

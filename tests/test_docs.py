@@ -1,9 +1,10 @@
 """Doc-consistency checks for README.md, docs/ARCHITECTURE.md and the CLI.
 
 Every ``python -m repro ...`` snippet in the docs must parse against the
-real argument parser, every relative markdown link must resolve, and every
-module/benchmark file the architecture map names must exist.  These tests
-keep the docs from silently rotting as flags and files move.
+real argument parser, every relative markdown link must resolve, every
+module/benchmark file the architecture map names must exist, and the
+``REPRO_*`` environment-variable table must match the source tree.  These
+tests keep the docs from silently rotting as flags and files move.
 """
 
 import re
@@ -136,3 +137,26 @@ class TestDocLinksResolve:
             f"README bench table is stale; missing rows: {sorted(recorded - documented)}"
         assert not documented - recorded, \
             f"README bench table has rows the results file lacks: {sorted(documented - recorded)}"
+
+
+ENV_VAR = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def test_env_var_table_in_sync():
+    """docs/ARCHITECTURE.md documents exactly the REPRO_* vars the code reads."""
+
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for base in ("src", "benchmarks"):
+        for path in sorted((root / base).rglob("*.py")):
+            used.update(ENV_VAR.findall(path.read_text(encoding="utf-8")))
+    doc = (root / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    documented = {
+        ENV_VAR.search(line).group(0)
+        for line in doc.splitlines()
+        if line.startswith("| `REPRO_")
+    }
+    missing = used - documented
+    stale = documented - used
+    assert not missing, f"undocumented REPRO_* vars: {sorted(missing)}"
+    assert not stale, f"documented but unused REPRO_* vars: {sorted(stale)}"

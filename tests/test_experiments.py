@@ -382,18 +382,6 @@ class TestRetrainCellsOnOrchestrator:
                                       workers=2)
         assert canonical(pooled) == canonical(serial)
 
-    def test_grid_ignores_fused_engine_backend(self, micro_baseline, cells,
-                                               reference, monkeypatch):
-        """A retraining grid never runs the fused engine, so an exported
-        REPRO_BACKEND it could not resolve must not stop it."""
-
-        from repro.experiments import check_retrain_options, retrain_cells
-
-        monkeypatch.setenv("REPRO_BACKEND", "nosuch")
-        assert check_retrain_options(workers=1)["shard"] is None
-        records = retrain_cells(micro_baseline, cells[:1], retraining_epochs=1)
-        assert canonical(records) == canonical(reference[:1])
-
     def test_grid_options_listed_in_one_error(self):
         from repro.experiments import check_retrain_options
 

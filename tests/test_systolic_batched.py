@@ -20,7 +20,6 @@ from repro.systolic import (
     FixedPointFormat,
     SystolicArray,
 )
-from repro.snn.inference import get_backend
 from repro.snn.inference.faulty_gemm import FaultyAffineRunner
 from repro.snn.inference.plan import AffineSpec
 from repro.utils.rng import get_rng
@@ -139,8 +138,7 @@ class TestMatmulBatchedEquivalence:
         batched = BatchedSystolicArray(arrays)
         weight = rng.normal(size=(7, 12))
         runner = FaultyAffineRunner(batched, batched.prepare_weight(weight),
-                                    AffineSpec("linear", weight, None),
-                                    get_backend("numpy"))
+                                    AffineSpec("linear", weight, None))
         first = rng.normal(size=(4, 3, 12))
         second = rng.normal(size=(4, 3, 12))
         runner.run(first)
