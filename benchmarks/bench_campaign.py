@@ -10,6 +10,9 @@ reports:
 * the per-call speedup of the cached-index ``im2col`` gather over the
   strided-window reference gather it replaced, at the largest conv
   input perfbench's ``sweep-stuckat`` gathers,
+* the per-call speedup of the fused spike kernels (the 6-pass PLIF step
+  and tap-add average pooling) over the 9-pass divide step and
+  ``reshape -> sum`` pooling they replaced, at the same shape,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -111,6 +114,10 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
 #: ``sweep-stuckat`` gathers (108 of its 219 calls per sweep).
 GATHER_SHAPE = (80, 8, 16, 16)
 
+#: Input of the spike-kernel timing: the same 80 frames of 8x16x16, the
+#: conv1 spike map that perfbench's ``sweep-stuckat`` fires and pools.
+SPIKE_SHAPE = GATHER_SHAPE
+
 
 def measure_gather_speedup(repeats=40):
     """Median strided-reference gather time over the ``im2col`` time.
@@ -136,6 +143,73 @@ def measure_gather_speedup(repeats=40):
             / float(np.median(times["im2col"])))
 
 
+class DivideNeuronStep:
+    """The 9-pass PLIF step the fused neuron kernel replaced (hard reset).
+
+    Fires on ``v / V_th - 1 > 0``, as the autograd ``Fire`` node does, and
+    re-masks the float spikes for the reset: the "before" side of
+    :func:`measure_spike_kernel_speedup`.
+    """
+
+    def __init__(self, spec, shape):
+        self.spec = spec
+        self.v = np.full(shape, spec.v_reset)
+        self.t, self.z, self.spike = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+
+    def run(self, x):
+        spec, v, t, z = self.spec, self.v, self.t, self.z
+        np.subtract(v, spec.v_reset, out=t)
+        np.subtract(x, t, out=t)
+        np.multiply(t, spec.inv_tau, out=t)
+        np.add(v, t, out=v)
+        np.divide(v, spec.v_threshold, out=z)
+        np.subtract(z, 1.0, out=z)
+        np.greater(z, 0.0, out=self.spike, casting="unsafe")
+        np.greater(self.spike, 0.5, out=self.mask)
+        np.copyto(v, spec.v_reset, where=self.mask)
+        return self.spike
+
+
+def measure_spike_kernel_speedup(repeats=40):
+    """Median divide-step + reshape-sum time over the fused kernels' time.
+
+    One call is a PLIF step (the shipped models' ``tau = 1.2``, ``V_th =
+    1``, hard reset to ``0.0``) on a conv-output drive, then a 2x2 average
+    pool of its spikes.  The two sides alternate call by call, so a load
+    spike bills both, and their spikes, pooled maps and membranes must
+    agree byte for byte.
+    """
+
+    from repro.snn.inference.backends.ops_numpy import NeuronKernel, PoolKernel
+    from repro.snn.inference.plan import NeuronSpec, PoolSpec
+    from tests.conftest import reshape_sum_pool
+
+    spec = NeuronSpec(inv_tau=1.0 / 1.2, v_threshold=1.0, v_reset=0.0)
+    rng = np.random.default_rng(0)
+    drive = rng.normal(0.5, 1.0, size=SPIKE_SHAPE)
+    old_neuron, neuron = DivideNeuronStep(spec, SPIKE_SHAPE), NeuronKernel(spec)
+    pool = PoolKernel(PoolSpec("avg", 2))
+
+    def reference():
+        return reshape_sum_pool(old_neuron.run(drive), 2)
+
+    def fused():
+        return pool.run(neuron.run(drive))
+
+    for _ in range(3):
+        assert fused().tobytes() == reference().tobytes()
+        assert neuron.v.tobytes() == old_neuron.v.tobytes()
+    times = {"reference": [], "fused": []}
+    for _ in range(repeats):
+        for label, step in (("reference", reference), ("fused", fused)):
+            start = time.perf_counter()
+            step()
+            times[label].append(time.perf_counter() - start)
+    return (float(np.median(times["reference"]))
+            / float(np.median(times["fused"])))
+
+
 def test_bench_campaign_engines(campaign_setup):
     model, loader = campaign_setup
     # Warm-up pass so BLAS thread pools / allocators do not bill the first
@@ -152,6 +226,7 @@ def test_bench_campaign_engines(campaign_setup):
 
     transient_ratio = times["fused"] / times["fused-seu"]
     gather_speedup = measure_gather_speedup()
+    spike_kernel_speedup = measure_spike_kernel_speedup()
     rows = []
     for engine in configs:
         rows.append({
@@ -168,7 +243,9 @@ def test_bench_campaign_engines(campaign_setup):
                                         "seconds", "speedup"],
                          title="Campaign engines: Fig. 5b sweep cost")
     summary = (f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
-               f"im2col gather vs strided reference: {gather_speedup:.2f}x")
+               f"im2col gather vs strided reference: {gather_speedup:.2f}x; "
+               f"spike kernels vs divide step + reshape-sum pool: "
+               f"{spike_kernel_speedup:.2f}x")
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "campaign_engine.txt").write_text(table + "\n" + summary + "\n",
@@ -178,6 +255,7 @@ def test_bench_campaign_engines(campaign_setup):
         "identical_records": bool(identical),
         "transient_overhead": transient_ratio,
         "gather_speedup": gather_speedup,
+        "spike_kernel_speedup": spike_kernel_speedup,
         "note": "identical_records pins float64 bit-identity across both "
                 "engines and the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); "
@@ -185,8 +263,11 @@ def test_bench_campaign_engines(campaign_setup):
                 "the transient-schedule fused sweep cost (a drop means the "
                 "transient path got relatively slower); gather_speedup is "
                 "the median per-call time of the strided-window reference "
-                "gather over im2col's at (80, 8, 16, 16), 3x3, padding 1, "
-                "measured within this run (machine-relative)",
+                "gather over im2col's at (80, 8, 16, 16), 3x3, padding 1; "
+                "spike_kernel_speedup is the median per-call time of the "
+                "9-pass divide PLIF step plus reshape-sum 2x2 average pool "
+                "over NeuronKernel plus PoolKernel at (80, 8, 16, 16); both "
+                "ratios are measured within this run (machine-relative)",
     }], RESULTS_DIR / "campaign_engine.json")
 
     # The acceptance property: identical records across both engines
@@ -204,6 +285,8 @@ def test_bench_campaign_engines(campaign_setup):
         f"transient sweep cost {1 / transient_ratio:.2f}x over stuck-at"
     assert gather_speedup >= 1.0, \
         f"im2col only {gather_speedup:.2f}x over the strided reference gather"
+    assert spike_kernel_speedup >= 1.0, \
+        f"spike kernels only {spike_kernel_speedup:.2f}x over the divide step"
 
 
 def test_bench_campaign_cache_hit(campaign_setup, tmp_path):

@@ -14,8 +14,10 @@ Rules (the documented gate policy):
   measured *within one run* are: the ``speedup`` column (cost relative to
   the same run's sequential oracle) for the fused engine, and the
   ``meta`` ratios ``transient_overhead`` (the stuck-at sweep over the
-  transient-schedule sweep) and ``gather_speedup`` (the strided-window
-  reference gather over ``im2col``, per call) -- each gated whenever the
+  transient-schedule sweep), ``gather_speedup`` (the strided-window
+  reference gather over ``im2col``, per call) and ``spike_kernel_speedup``
+  (the 9-pass divide neuron step plus ``reshape -> sum`` pooling over the
+  fused neuron and pooling kernels, per call) -- each gated whenever the
   recorded run reports it, so a fresh run that stops writing a recorded
   ratio fails.  Each fresh ratio must
   be at least ``(1 - tolerance)`` times the recorded one; the default tolerance
@@ -112,6 +114,7 @@ def main(argv=None) -> int:
     gated_ratios = (
         ("transient_overhead", "transient path"),
         ("gather_speedup", "im2col gather"),
+        ("spike_kernel_speedup", "spike kernels"),
     )
     for key, label in gated_ratios:
         if key not in recorded_meta:

@@ -227,12 +227,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def check_pool_dims(name: str, height: int, width: int, kernel_size: int) -> None:
+    """Reject a spatial size that ``kernel_size`` windows do not tile."""
+
+    if height % kernel_size or width % kernel_size:
+        raise ValueError(
+            f"{name} requires spatial dims divisible by {kernel_size}, got {height}x{width}"
+        )
+
+
+def window_mean(x: np.ndarray, kernel_size: int) -> np.ndarray:
+    """Mean of each non-overlapping ``k x k`` window over the last two axes.
+
+    The ``k * k`` taps ``x[..., i::k, j::k]`` are summed in row-major
+    ``(i, j)`` order: the first two into a fresh array, the rest added in
+    place.  The sum is then scaled by ``1 / k^2`` in place (``k == 1`` is a
+    copy times ``1.0``).  Any number of leading axes is allowed, so the
+    autograd forward and the fused engine's pooling kernel share this one
+    formula and agree for every input.  The output keeps ``x``'s memory
+    order, as the ``reshape -> sum`` reduction it replaced did, and equals
+    that reduction byte for byte wherever the window sums are exact -- on
+    spikes (0.0/1.0), which is all the shipped models pool.
+    """
+
+    k = kernel_size
+    if k == 1:
+        out = x.copy(order="K")
+    else:
+        taps = [x[..., i::k, j::k] for i in range(k) for j in range(k)]
+        out = taps[0] + taps[1]
+        for tap in taps[2:]:
+            out += tap
+    out *= 1.0 / (k * k)
+    return out
+
+
 class _AvgPool2dFunction(Function):
     """Non-overlapping average pooling as one node.
 
-    Forward and backward are the numpy ops of ``reshape -> sum -> scale``
-    in the same order, so outputs and gradients are bit-identical to that
-    composition.
+    The forward is :func:`window_mean`: the window's taps summed in
+    row-major order, then scaled by ``1 / k^2``.  The backward spreads
+    ``grad / k^2`` over each window, the gradient of that sum.
     """
 
     @staticmethod
@@ -241,7 +276,7 @@ class _AvgPool2dFunction(Function):
         windows = (batch, channels, height // kernel_size, kernel_size,
                    width // kernel_size, kernel_size)
         ctx.update(x_shape=x.shape, windows=windows, scale=1.0 / (kernel_size * kernel_size))
-        return x.reshape(windows).sum(axis=(3, 5)) * ctx["scale"]
+        return window_mean(x, kernel_size)
 
     @staticmethod
     def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
@@ -256,11 +291,7 @@ def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     model builders in :mod:`repro.snn.models` guarantee this).
     """
 
-    height, width = x.shape[2], x.shape[3]
-    if height % kernel_size or width % kernel_size:
-        raise ValueError(
-            f"avg_pool2d requires spatial dims divisible by {kernel_size}, got {height}x{width}"
-        )
+    check_pool_dims("avg_pool2d", x.shape[2], x.shape[3], kernel_size)
     return _AvgPool2dFunction.apply(x, kernel_size=kernel_size)
 
 
@@ -293,11 +324,7 @@ class _MaxPool2dFunction(Function):
 def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     """Non-overlapping max pooling with square windows."""
 
-    height, width = x.shape[2], x.shape[3]
-    if height % kernel_size or width % kernel_size:
-        raise ValueError(
-            f"max_pool2d requires spatial dims divisible by {kernel_size}, got {height}x{width}"
-        )
+    check_pool_dims("max_pool2d", x.shape[2], x.shape[3], kernel_size)
     return _MaxPool2dFunction.apply(x, kernel_size=kernel_size)
 
 

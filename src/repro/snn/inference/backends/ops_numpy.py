@@ -6,12 +6,30 @@ buffers (membrane potentials, scratch arrays) preallocated per shape and
 updated in place.  A whole neuron time step -- charge, fire, reset -- runs
 as a handful of ``out=``-style ufunc calls over the same buffers.
 
-Bit-identity contract: every kernel performs *exactly* the float64
-elementwise/GEMM operations of its autograd counterpart, in the same order
-and on arrays of the same shape and memory layout.  IEEE-754 arithmetic is
-deterministic given that, so fused outputs match the autograd forward bit
-for bit (the property tests in ``tests/test_inference_engine.py`` assert
-it).
+Bit-identity contract: every kernel computes each output element with the
+same float64 ops as its autograd counterpart, in the same order and on
+arrays of the same shape and memory layout, or with an exact identity of
+those ops.  IEEE-754 arithmetic is deterministic given that, so fused
+outputs match the autograd forward bit for bit (the property tests in
+``tests/test_inference_engine.py`` assert it).  The identities used are:
+
+* **Spike without a divide.**  For a positive, finite ``V_th``,
+  ``fl(v / V_th) - 1 > 0`` holds exactly when ``v > V_th``: ``q - 1 > 0``
+  and ``q > 1`` agree for every double ``q`` (infinities and NaN
+  included), and correctly rounded division is monotonic with
+  ``fl(nextafter(V_th, inf) / V_th) > 1``.  :class:`NeuronKernel` fires on
+  ``v > V_th``.
+* **Charge from a ``+0.0`` rest.**  ``v - (+0.0) == v`` bitwise (``-0.0``
+  and NaN included), so with a rest potential of exactly ``+0.0`` the
+  drive ``x - (v - rest)`` is ``x - v``.  A ``-0.0`` rest keeps both ops:
+  ``-0.0 - (-0.0)`` is ``+0.0``.
+* **Masked soft reset.**  ``v - spike * V_th`` is ``v - (+0.0) == v``
+  where the neuron stayed silent and ``v - V_th`` where it fired, so the
+  reset subtracts ``V_th`` under the spike mask only.
+
+Average pooling shares its formula with the autograd forward rather than
+relying on an identity: both call
+:func:`~repro.autograd.functional.window_mean`.
 
 Affine kernels come in two flavours:
 
@@ -31,11 +49,12 @@ share.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from ....autograd.functional import im2col
+from ....autograd.functional import check_pool_dims, im2col, window_mean
 from ....systolic import chain_kernel
 from ..plan import (
     AffineSpec,
@@ -62,14 +81,23 @@ class NeuronKernel:
 
     The membrane potential lives in ``self.v`` and is updated in place:
     after :meth:`run` it holds the post-reset potential, exactly like
-    ``BaseNode.forward`` leaves ``self.v``.
+    ``BaseNode.forward`` leaves ``self.v``.  A LIF/PLIF step with a
+    ``+0.0`` rest is six ufunc passes (seven for any other rest, four for
+    IF) where the autograd step makes nine; the module docstring lists the
+    identities that keep it bit-identical.  They need a positive, finite
+    threshold, so any other is rejected here.
     """
 
     def __init__(self, spec: NeuronSpec) -> None:
+        if not (0.0 < spec.v_threshold < math.inf):
+            raise ValueError(
+                f"fused neuron needs a positive, finite v_threshold, got {spec.v_threshold}")
         self.inv_tau = spec.inv_tau
         self.threshold = spec.v_threshold
         self.v_reset = spec.v_reset
         self.rest = 0.0 if spec.v_reset is None else float(spec.v_reset)
+        # ``v - (+0.0) == v`` bitwise; a ``-0.0`` rest keeps the subtract.
+        self._rest_is_plus_zero = self.rest == 0.0 and math.copysign(1.0, self.rest) > 0
         self.v: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -79,7 +107,6 @@ class NeuronKernel:
         fill = 0.0 if self.v_reset is None else float(self.v_reset)
         self.v = np.full(shape, fill, dtype=np.float64)
         self._scratch = np.empty(shape)
-        self._z = np.empty(shape)
         self._spike = np.empty(shape)
         self._mask = np.empty(shape, dtype=bool)
 
@@ -93,26 +120,26 @@ class NeuronKernel:
             np.add(v, x, out=v)
         else:
             t = self._scratch
-            np.subtract(v, self.rest, out=t)
-            np.subtract(x, t, out=t)
+            if self._rest_is_plus_zero:
+                np.subtract(x, v, out=t)
+            else:
+                np.subtract(v, self.rest, out=t)
+                np.subtract(x, t, out=t)
             np.multiply(t, self.inv_tau, out=t)
             np.add(v, t, out=v)
-        # Fire: spike = Heaviside(H / V_th - 1).  Writing the comparison
-        # straight into the float buffer yields exactly the 0.0/1.0 values
-        # of the autograd path's bool->float64 astype.
-        z = self._z
-        np.divide(v, self.threshold, out=z)
-        np.subtract(z, 1.0, out=z)
+        # Fire: Heaviside(H / V_th - 1) is exactly H > V_th.  Copying the
+        # bool mask into the float buffer yields the 0.0/1.0 values of the
+        # autograd path's bool->float64 astype.
+        mask = self._mask
+        np.greater(v, self.threshold, out=mask)
         spike = self._spike
-        np.greater(z, 0.0, out=spike, casting="unsafe")
+        np.copyto(spike, mask)
         # Reset: soft subtracts V_th from firing neurons, hard pins them to
         # v_reset; ``v`` holds the next membrane potential afterwards.
         if self.v_reset is None:
-            np.multiply(spike, self.threshold, out=z)
-            np.subtract(v, z, out=v)
+            np.subtract(v, self.threshold, out=v, where=mask)
         else:
-            np.greater(spike, 0.5, out=self._mask)
-            np.copyto(v, self.v_reset, where=self._mask)
+            np.copyto(v, self.v_reset, where=mask)
         return spike
 
 
@@ -169,7 +196,8 @@ class PoolKernel:
     Window reductions touch the same elements in the same order regardless
     of how many leading batch-like axes (``batch_ndim``) precede the
     ``(C, H, W)`` block, so per-element results match the single-batch-axis
-    autograd path bit for bit.
+    autograd path bit for bit.  Average pooling is the autograd forward's
+    own :func:`~repro.autograd.functional.window_mean`.
     """
 
     def __init__(self, spec: PoolSpec, batch_ndim: int = 1) -> None:
@@ -181,15 +209,12 @@ class PoolKernel:
         lead = x.shape[:self.batch_ndim]
         channels, height, width = x.shape[self.batch_ndim:]
         k = self.k
-        out_h, out_w = height // k, width // k
-        windows_shape = lead + (channels, out_h, k, out_w, k)
-        base = self.batch_ndim
+        check_pool_dims(f"{self.kind}_pool2d", height, width, k)
         if self.kind == "avg":
-            # Matches Tensor.mean: a sum reduction scaled by 1/count (NOT
-            # np.mean, whose division is a different rounding).
-            reshaped = x.reshape(windows_shape)
-            return reshaped.sum(axis=(base + 2, base + 4)) * (1.0 / (k * k))
-        reshaped = x.reshape(windows_shape)
+            return window_mean(x, k)
+        out_h, out_w = height // k, width // k
+        base = self.batch_ndim
+        reshaped = x.reshape(lead + (channels, out_h, k, out_w, k))
         perm = tuple(range(base)) + (base, base + 1, base + 3, base + 2, base + 4)
         windows = reshaped.transpose(perm).reshape(
             lead + (channels, out_h, out_w, k * k))

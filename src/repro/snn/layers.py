@@ -109,6 +109,8 @@ class AvgPool2d(Module):
 
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
+        if kernel_size <= 0:
+            raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
@@ -123,6 +125,8 @@ class MaxPool2d(Module):
 
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
+        if kernel_size <= 0:
+            raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:

@@ -107,6 +107,21 @@ def strided_im2col(x, kernel, stride, padding):
     return np.ascontiguousarray(cols)
 
 
+def reshape_sum_pool(x, kernel_size, batch_ndim=1):
+    """Reference average pooling: one ``reshape -> sum -> scale`` reduction.
+
+    The window mean ``autograd.functional.window_mean`` replaced with
+    row-major tap adds; on spike inputs (0.0/1.0) every window sum is exact
+    in any order, so the two agree byte for byte there.
+    """
+
+    k = kernel_size
+    lead = x.shape[:batch_ndim + 1]
+    height, width = x.shape[batch_ndim + 1:]
+    windows = x.reshape(lead + (height // k, k, width // k, k))
+    return windows.sum(axis=(batch_ndim + 2, batch_ndim + 4)) * (1.0 / (k * k))
+
+
 def run_faulty_affine(arrays, weight, inputs, bias=None, shared=False,
                       kind="linear", stride=1, padding=0):
     """Per-map output of one layer on the fused engine's faulty runner.

@@ -17,7 +17,8 @@ RECORDED = [
     {"engine": "sequential", "speedup": 1.0},
     {"engine": "fused", "speedup": 7.5},
     {"engine": "meta", "identical_records": True,
-     "transient_overhead": 1.1, "gather_speedup": 3.0},
+     "transient_overhead": 1.1, "gather_speedup": 3.0,
+     "spike_kernel_speedup": 2.0},
 ]
 
 
@@ -46,7 +47,8 @@ def test_equal_runs_pass(gate, tmp_path):
     assert _run(gate, tmp_path, RECORDED) == 0
 
 
-@pytest.mark.parametrize("key", ["gather_speedup", "transient_overhead"])
+@pytest.mark.parametrize("key", ["gather_speedup", "transient_overhead",
+                                 "spike_kernel_speedup"])
 def test_missing_recorded_ratio_fails(gate, tmp_path, capsys, key):
     fresh = copy.deepcopy(RECORDED)
     del _meta(fresh)[key]
@@ -59,6 +61,13 @@ def test_ratio_below_floor_fails(gate, tmp_path, capsys):
     _meta(fresh)["gather_speedup"] = 3.0 * 0.6   # under the 30% tolerance
     assert _run(gate, tmp_path, fresh) == 1
     assert "im2col gather" in capsys.readouterr().err
+
+
+def test_spike_kernel_ratio_below_floor_fails(gate, tmp_path, capsys):
+    fresh = copy.deepcopy(RECORDED)
+    _meta(fresh)["spike_kernel_speedup"] = 2.0 * 0.6
+    assert _run(gate, tmp_path, fresh) == 1
+    assert "spike kernels" in capsys.readouterr().err
 
 
 def test_identity_mismatch_fails(gate, tmp_path, capsys):

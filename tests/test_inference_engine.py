@@ -2,15 +2,20 @@
 
 Covers: bit-identity of the fused plan with the autograd forward across
 neuron types x reset modes x threshold modes, lowering errors, fault-engine equivalence with the sequential
-autograd oracle (including bypass and clean-prefix sharing), and the
-campaign-runner integration.
+autograd oracle (including bypass and clean-prefix sharing), the
+campaign-runner integration, and the exact identities the spike kernels
+use (spike as ``v > V_th``, average pooling by row-major tap adds).
 """
+
+import math
+
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, no_grad
+from repro.autograd import functional as F
 from repro.faults import (
     CampaignPoint,
     CampaignRunner,
@@ -22,6 +27,8 @@ from repro.faults import (
 )
 from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.snn import (
+    MIN_THRESHOLD,
+    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -40,8 +47,10 @@ from repro.snn import (
     build_model_for_dataset,
     lower_plan,
 )
-from repro.snn.inference.plan import NeuronSpec
+from repro.snn.inference.backends.ops_numpy import NeuronKernel, PoolKernel
+from repro.snn.inference.plan import NeuronSpec, PoolSpec
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+from tests.conftest import reshape_sum_pool
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -439,3 +448,167 @@ class TestNeuronCaches:
             assert node.tau == pytest.approx(init_tau, rel=1e-12)
             w = float(node.w.data)
             assert node.tau == 1.0 + np.exp(-w)
+
+
+# ----------------------------------------------------------------------
+# Spike kernels: the exact identities behind the fused neuron and pooling
+# ----------------------------------------------------------------------
+#: Thresholds the spike identity is walked around: the learnable floor,
+#: sigmoid(1) (a threshold with a full mantissa), 1.0, 3.0 and 1e3.
+THRESHOLDS = [MIN_THRESHOLD, 0.7310585786300049, 1.0, 3.0, 1e3]
+
+#: Signed zeros, infinities, NaN and subnormals.
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                  5e-324, -5e-324, 1e-310, -1e-310]
+
+
+def _divide_form(v, threshold):
+    """The autograd spike condition, ``v / V_th - 1 > 0``."""
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.asarray(v, dtype=np.float64) / threshold - 1.0) > 0.0
+
+
+def _ulp_walk(center: float, steps: int) -> np.ndarray:
+    """``center`` and the ``steps`` doubles on either side of it."""
+
+    up, down = [center], []
+    high = low = center
+    for _ in range(steps):
+        high = np.nextafter(high, math.inf)
+        low = np.nextafter(low, -math.inf)
+        up.append(high)
+        down.append(low)
+    return np.array(down[::-1] + up)
+
+
+class TestSpikeIdentity:
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_walk_around_threshold(self, threshold):
+        v = np.concatenate([_ulp_walk(threshold, 1000), SPECIAL_VALUES])
+        assert (v > threshold).tobytes() == _divide_form(v, threshold).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+           v=st.floats(),
+           ulps=st.integers(min_value=-3, max_value=3))
+    def test_property(self, threshold, v, ulps):
+        near = _ulp_walk(threshold, 3)[ulps + 3]
+        for value in (v, near):
+            assert bool(value > threshold) == bool(_divide_form(value, threshold))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.inf, math.nan])
+    def test_kernel_rejects_threshold_outside_identity(self, threshold):
+        with pytest.raises(ValueError, match="positive, finite v_threshold"):
+            NeuronKernel(NeuronSpec(inv_tau=None, v_threshold=threshold, v_reset=None))
+
+
+def _lowered_neuron(node) -> NeuronSpec:
+    plan = lower_plan(SpikingClassifier(Sequential(node), time_steps=1))
+    return next(op for op in plan.ops if isinstance(op, NeuronSpec))
+
+
+class TestNeuronKernel:
+    """``NeuronKernel`` against the autograd node, step by step."""
+
+    @pytest.mark.parametrize("kind", ["if", "lif", "plif"])
+    @pytest.mark.parametrize("v_reset", [None, 0.0, -0.0, -0.25],
+                             ids=["soft", "hard+0", "hard-0", "hard-0.25"])
+    @pytest.mark.parametrize("learned", [None, 0.7310585786300049, 0.01],
+                             ids=["fixed", "falvolt", "falvolt-floor"])
+    def test_matches_autograd_node(self, kind, v_reset, learned):
+        node = _make_neuron(kind, v_reset, learnable=False)
+        if learned is not None:
+            # A FalVolt threshold: learnable, trained to ``learned`` (0.01
+            # sits under the floor, so the node clamps it to MIN_THRESHOLD).
+            node.make_threshold_learnable(learned)
+        spec = _lowered_neuron(node)
+        threshold = node.v_threshold
+        assert spec.v_threshold == threshold
+        kernel = NeuronKernel(spec)
+
+        # Lanes 0-15 charge to exactly V_th (no spike): from v = V_th, an IF
+        # drive of +0.0 and a leaky drive of fl(V_th - rest) add +0.0.  The
+        # rest walk the doubles around the drive that charges v = rest to V_th.
+        rest = 0.0 if v_reset is None else v_reset
+        gain = 1.0 if spec.inv_tau is None else spec.inv_tau
+        landing = 0.0 if spec.inv_tau is None else threshold - rest
+        v_start = np.concatenate([np.full(16, threshold), np.full(129, rest)])
+        gen = np.random.default_rng(7)
+        # Step 0 charges the fill value with +0.0 and -0.0: a rest of -0.0
+        # must not take the +0.0 rest's one-subtract charge.
+        drives = [np.where(np.arange(145) % 2, -0.0, 0.0).reshape(1, -1),
+                  np.concatenate([np.full(16, landing),
+                                  _ulp_walk((threshold - rest) / gain, 64)]).reshape(1, -1)]
+        drives += [gen.normal(loc=0.5 * threshold, scale=threshold, size=(1, 145))
+                   for _ in range(4)]
+
+        node.reset_state()
+        with no_grad():
+            for step, x in enumerate(drives):
+                if step == 1:
+                    kernel.v[...] = v_start
+                    node.v = Tensor(v_start.reshape(1, -1))
+                spikes = node(Tensor(x)).data
+                out = kernel.run(x)
+                assert out.tobytes() == spikes.tobytes(), f"spikes differ at step {step}"
+                assert kernel.v.tobytes() == node.v.data.tobytes(), f"v differs at step {step}"
+                if step == 1:
+                    assert not spikes[0, :16].any(), "a lane at V_th fired"
+                    assert (node.v.data[0, :16] == threshold).all()
+                    assert spikes.any() and not spikes.all()
+
+
+def _pool_input(layout: str, shape, gen, spikes=True):
+    """Spikes or floats of ``shape`` in C order or a conv output's layout."""
+
+    if layout == "c":
+        values = gen.random(shape) if not spikes else (gen.random(shape) < 0.3)
+        return values.astype(np.float64)
+    channels_last = shape[:-3] + shape[-2:] + shape[-3:-2]
+    values = gen.random(channels_last) if not spikes else (gen.random(channels_last) < 0.3)
+    return np.moveaxis(values.astype(np.float64), -1, -3)
+
+
+class TestPoolKernel:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("batch_ndim", [1, 2])
+    @pytest.mark.parametrize("layout", ["c", "transposed"])
+    def test_taps_match_reshape_sum_on_spikes(self, k, batch_ndim, layout):
+        shape = (3,) * (batch_ndim - 1) + (5, 4, 8, 8)
+        x = _pool_input(layout, shape, np.random.default_rng(k))
+        if layout == "transposed":
+            assert not x.flags.c_contiguous
+        out = PoolKernel(PoolSpec("avg", k), batch_ndim=batch_ndim).run(x)
+        reference = reshape_sum_pool(x, k, batch_ndim)
+        assert out.tobytes() == reference.tobytes()
+        assert out.strides == reference.strides
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("layout", ["c", "transposed"])
+    def test_fused_matches_autograd_on_floats(self, k, layout):
+        gen = np.random.default_rng(10 + k)
+        x = _pool_input(layout, (6, 4, 8, 8), gen, spikes=False)
+        expected = F.avg_pool2d(Tensor(x), k).data
+        assert PoolKernel(PoolSpec("avg", k)).run(x).tobytes() == expected.tobytes()
+        # A fork lane (leading fault-map axis) pools each map like batch 1.
+        lanes = np.stack([x, -x])
+        fused = PoolKernel(PoolSpec("avg", k), batch_ndim=2).run(lanes)
+        for lane, out in zip(lanes, fused):
+            assert out.tobytes() == F.avg_pool2d(Tensor(lane), k).data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["avg", "max"])
+    def test_indivisible_spatial_size_rejected(self, kind):
+        x = np.zeros((1, 1, 5, 5))
+        message = f"{kind}_pool2d requires spatial dims divisible by 2, got 5x5"
+        with pytest.raises(ValueError, match=message):
+            PoolKernel(PoolSpec(kind, 2)).run(x)
+        pool = F.avg_pool2d if kind == "avg" else F.max_pool2d
+        with pytest.raises(ValueError, match=message):
+            pool(Tensor(x), 2)
+
+    @pytest.mark.parametrize("layer", [AvgPool2d, MaxPool2d])
+    @pytest.mark.parametrize("kernel_size", [0, -1])
+    def test_layer_rejects_kernel_size_below_one(self, layer, kernel_size):
+        with pytest.raises(ValueError, match="kernel_size must be positive"):
+            layer(kernel_size)
