@@ -13,12 +13,19 @@ reports:
 * the per-call speedup of the fused spike kernels (the 6-pass PLIF step
   and tap-add average pooling) over the 9-pass divide step and
   ``reshape -> sum`` pooling they replaced, at the same shape,
+* how the fused engine's memory scales with the maps of one pass: the
+  ``tracemalloc`` peak of a 32-map evaluation over that of a 128-map one
+  (1.0 when memory is flat in the number of maps),
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
 * the on-disk cache: a warm re-run answers from JSON without simulating,
 * the sharded orchestrator: a 2-worker chunked sweep produces byte-identical
   records and a resumed sweep answers from the unit cache.
+
+Every gated ratio is the median of :data:`ROUNDS` rounds, each of which
+alternates the configurations it compares, and the JSON keeps each
+ratio's spread (min and max over the rounds) beside it.
 
 The sweep is evaluated in the streaming regime (small evaluation batches),
 which is where re-running a full inference per fault map pays the most
@@ -28,6 +35,7 @@ and clean-prefix sharing across fault maps that have not yet diverged.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +43,8 @@ import pytest
 from conftest import RESULTS_DIR
 from repro.datasets import DataLoader
 from repro.experiments import ExperimentConfig, format_table, prepare_baseline
-from repro.faults import sweep_faulty_pe_count
+from repro.faults import build_faulty_array, random_fault_map, sweep_faulty_pe_count
+from repro.snn.inference import FusedFaultEngine
 from repro.utils import save_records
 
 #: Micro configuration: trains in seconds, large enough to be above chance.
@@ -49,6 +58,9 @@ CAMPAIGN_CONFIG = ExperimentConfig(
 COUNTS = (0, 2, 4, 8, 16)
 TRIALS = 8
 EVAL_BATCH = 2  # streaming regime: many small batches per fault map
+
+#: Rounds behind every gated ratio (the recorded value is their median).
+ROUNDS = 5
 
 @pytest.fixture(scope="module")
 def campaign_setup():
@@ -85,15 +97,16 @@ def run_sweep(model, loader, engine, cache_dir=None, repeats=1):
 TRANSIENT_PARAMS = {"process": "bernoulli", "num_steps": 3, "rate": 0.5}
 
 
-def run_sweep_interleaved(model, loader, configs, rounds=3):
-    """Best-of-``rounds`` sweep cost per config, measured round-robin.
+def run_sweep_interleaved(model, loader, configs, rounds=ROUNDS):
+    """Per-round sweep cost of every config, measured round-robin.
 
-    ``configs`` maps label -> (engine, fault_model).  Interleaving the configurations
-    (instead of timing each one back to back) keeps a load spike on a
-    shared CI box from billing one configuration only.
+    ``configs`` maps label -> (engine, fault_model); the result maps label
+    -> one time per round.  Interleaving the configurations (instead of
+    timing each one back to back) keeps a load spike on a shared CI box
+    from billing one configuration only.
     """
 
-    times = {label: float("inf") for label in configs}
+    times = {label: [] for label in configs}
     records = {}
     for _ in range(rounds):
         for label, (engine, fault_model) in configs.items():
@@ -105,8 +118,20 @@ def run_sweep_interleaved(model, loader, configs, rounds=3):
                 counts=COUNTS, trials=TRIALS, seed=CAMPAIGN_CONFIG.seed,
                 dataset="mnist", engine=engine,
                 fault_model=fault_model, fault_params=params)
-            times[label] = min(times[label], time.perf_counter() - start)
+            times[label].append(time.perf_counter() - start)
     return records, times
+
+
+def median_spread(values):
+    """The median of per-round ``values`` and their ``[min, max]`` spread."""
+
+    return float(np.median(values)), [float(min(values)), float(max(values))]
+
+
+def round_ratios(numerators, denominators):
+    """Per-round ratios of two equally long lists of round measurements."""
+
+    return [n / d for n, d in zip(numerators, denominators)]
 
 
 #: Input of the gather timing: 80 spike frames of 8x16x16 with a 3x3
@@ -120,7 +145,7 @@ SPIKE_SHAPE = GATHER_SHAPE
 
 
 def measure_gather_speedup(repeats=40):
-    """Median strided-reference gather time over the ``im2col`` time.
+    """One round: median strided-reference gather time over ``im2col``'s.
 
     The two gathers alternate call by call, so a load spike bills both.
     """
@@ -172,7 +197,7 @@ class DivideNeuronStep:
 
 
 def measure_spike_kernel_speedup(repeats=40):
-    """Median divide-step + reshape-sum time over the fused kernels' time.
+    """One round: median divide-step + reshape-sum time over the fused kernels'.
 
     One call is a PLIF step (the shipped models' ``tau = 1.2``, ``V_th =
     1``, hard reset to ``0.0``) on a conv-output drive, then a 2x2 average
@@ -210,6 +235,43 @@ def measure_spike_kernel_speedup(repeats=40):
             / float(np.median(times["fused"])))
 
 
+#: Fault maps of the small and the large pass of the memory-scaling ratio.
+MEMORY_MAPS = (32, 128)
+
+#: Samples of the memory-scaling passes (one batch of the test set).
+MEMORY_BATCH = 10
+
+
+def measure_map_memory_scaling(model, dataset, rounds=ROUNDS):
+    """Per-round traced peak of a 32-map pass over a 128-map pass.
+
+    A pass is one :meth:`FusedFaultEngine.run` of a fresh engine (built
+    untraced) over the first ``MEMORY_BATCH`` test samples; ``tracemalloc``
+    sees numpy's buffers.  Every map carries 8 random stuck-at faults, and
+    the 32-map pass uses the first 32 maps of the 128.  The two passes
+    alternate within each round.
+    """
+
+    arrays = [build_faulty_array(random_fault_map(
+        CAMPAIGN_CONFIG.array_rows, CAMPAIGN_CONFIG.array_cols, 8,
+        bit_position=None, stuck_type="sa1", seed=CAMPAIGN_CONFIG.seed + index))
+        for index in range(max(MEMORY_MAPS))]
+    inputs, _ = next(iter(DataLoader(dataset, batch_size=MEMORY_BATCH)))
+    ratios = []
+    for _ in range(rounds):
+        peaks = {}
+        for num_maps in MEMORY_MAPS:
+            engine = FusedFaultEngine(model, arrays[:num_maps])
+            tracemalloc.start()
+            try:
+                engine.run(inputs)
+                peaks[num_maps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        ratios.append(peaks[MEMORY_MAPS[0]] / peaks[MEMORY_MAPS[1]])
+    return ratios
+
+
 def test_bench_campaign_engines(campaign_setup):
     model, loader = campaign_setup
     # Warm-up pass so BLAS thread pools / allocators do not bill the first
@@ -222,19 +284,27 @@ def test_bench_campaign_engines(campaign_setup):
         "sequential-seu": ("sequential", "transient"),
         "fused-seu": ("fused", "transient"),
     }
-    records, times = run_sweep_interleaved(model, loader, configs, rounds=5)
+    records, times = run_sweep_interleaved(model, loader, configs)
 
-    transient_ratio = times["fused"] / times["fused-seu"]
-    gather_speedup = measure_gather_speedup()
-    spike_kernel_speedup = measure_spike_kernel_speedup()
+    spread = {}
     rows = []
     for engine in configs:
+        speedup, spread[f"{engine}_speedup"] = median_spread(
+            round_ratios(times["sequential"], times[engine]))
         rows.append({
             "engine": engine, "points": len(COUNTS), "trials": TRIALS,
             "fault_maps": (len(COUNTS) - 1) * TRIALS,
-            "seconds": times[engine],
-            "speedup": times["sequential"] / times[engine],
+            "seconds": float(np.median(times[engine])),
+            "speedup": speedup,
         })
+    transient_ratio, spread["transient_overhead"] = median_spread(
+        round_ratios(times["fused"], times["fused-seu"]))
+    gather_speedup, spread["gather_speedup"] = median_spread(
+        [measure_gather_speedup() for _ in range(ROUNDS)])
+    spike_kernel_speedup, spread["spike_kernel_speedup"] = median_spread(
+        [measure_spike_kernel_speedup() for _ in range(ROUNDS)])
+    map_memory_scaling, spread["map_memory_scaling"] = median_spread(
+        measure_map_memory_scaling(model, loader.dataset))
     identical = (records["fused"] == records["sequential"]
                  # The transient (SEU) schedule sweep: the phase-aware fused
                  # engine must match the per-schedule sequential oracle.
@@ -245,7 +315,9 @@ def test_bench_campaign_engines(campaign_setup):
     summary = (f"stuck-at fused vs transient fused: {transient_ratio:.2f}x; "
                f"im2col gather vs strided reference: {gather_speedup:.2f}x; "
                f"spike kernels vs divide step + reshape-sum pool: "
-               f"{spike_kernel_speedup:.2f}x")
+               f"{spike_kernel_speedup:.2f}x; traced peak of a 32-map pass "
+               f"over a 128-map pass: {map_memory_scaling:.2f} "
+               f"(medians of {ROUNDS} rounds)")
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "campaign_engine.txt").write_text(table + "\n" + summary + "\n",
@@ -256,6 +328,9 @@ def test_bench_campaign_engines(campaign_setup):
         "transient_overhead": transient_ratio,
         "gather_speedup": gather_speedup,
         "spike_kernel_speedup": spike_kernel_speedup,
+        "map_memory_scaling": map_memory_scaling,
+        "rounds": ROUNDS,
+        "spread": spread,
         "note": "identical_records pins float64 bit-identity across both "
                 "engines and the transient (SEU) schedule sweep "
                 "(phase-aware fused vs per-schedule sequential); "
@@ -266,8 +341,13 @@ def test_bench_campaign_engines(campaign_setup):
                 "gather over im2col's at (80, 8, 16, 16), 3x3, padding 1; "
                 "spike_kernel_speedup is the median per-call time of the "
                 "9-pass divide PLIF step plus reshape-sum 2x2 average pool "
-                "over NeuronKernel plus PoolKernel at (80, 8, 16, 16); both "
-                "ratios are measured within this run (machine-relative)",
+                "over NeuronKernel plus PoolKernel at (80, 8, 16, 16); "
+                "map_memory_scaling is the tracemalloc peak of a 32-map "
+                "FusedFaultEngine evaluation over a 128-map one (1.0 when "
+                "memory is flat in the maps of a pass); every ratio is "
+                "measured within this run (machine-relative) as the median "
+                "of `rounds` alternating rounds, and `spread` holds each "
+                "ratio's [min, max] over those rounds",
     }], RESULTS_DIR / "campaign_engine.json")
 
     # The acceptance property: identical records across both engines
@@ -287,6 +367,10 @@ def test_bench_campaign_engines(campaign_setup):
         f"im2col only {gather_speedup:.2f}x over the strided reference gather"
     assert spike_kernel_speedup >= 1.0, \
         f"spike kernels only {spike_kernel_speedup:.2f}x over the divide step"
+    # Fork lanes run one after another on shared kernels, so a 128-map
+    # pass needs about the memory of a 32-map one.
+    assert map_memory_scaling >= 0.6, \
+        f"a 128-map pass peaks at {1 / map_memory_scaling:.2f}x a 32-map pass"
 
 
 def test_bench_campaign_cache_hit(campaign_setup, tmp_path):

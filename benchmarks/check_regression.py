@@ -15,14 +15,18 @@ Rules (the documented gate policy):
   the same run's sequential oracle) for the fused engine, and the
   ``meta`` ratios ``transient_overhead`` (the stuck-at sweep over the
   transient-schedule sweep), ``gather_speedup`` (the strided-window
-  reference gather over ``im2col``, per call) and ``spike_kernel_speedup``
+  reference gather over ``im2col``, per call), ``spike_kernel_speedup``
   (the 9-pass divide neuron step plus ``reshape -> sum`` pooling over the
-  fused neuron and pooling kernels, per call) -- each gated whenever the
-  recorded run reports it, so a fresh run that stops writing a recorded
-  ratio fails.  Each fresh ratio must
-  be at least ``(1 - tolerance)`` times the recorded one; the default tolerance
-  is 30%, sized for noisy shared CI boxes (single-run ratios can swing
-  roughly 10-20%; a real fast-path regression costs 2x+).
+  fused neuron and pooling kernels, per call) and ``map_memory_scaling``
+  (the traced memory peak of a 32-map fused pass over a 128-map one) --
+  each gated whenever the recorded run reports it, so a fresh run that
+  stops writing a recorded ratio fails.  Every ratio is the median of
+  several alternating rounds (their spread is recorded beside it).  Each
+  fresh ratio must be at least ``(1 - tolerance)`` times the recorded one;
+  the default tolerance is 30%, sized for noisy shared CI boxes (one
+  round's ratio can swing 20% or more; a real fast-path regression costs
+  2x+, and memory that grows with the maps of a pass reads about 0.3
+  against a flat recording).
 
 Exit status: 0 when the gate passes, 1 on any violation (so the CI step
 fails), 2 on malformed input.
@@ -115,6 +119,7 @@ def main(argv=None) -> int:
         ("transient_overhead", "transient path"),
         ("gather_speedup", "im2col gather"),
         ("spike_kernel_speedup", "spike kernels"),
+        ("map_memory_scaling", "map memory scaling"),
     )
     for key, label in gated_ratios:
         if key not in recorded_meta:

@@ -94,8 +94,11 @@ _TRANSIENT_PARAM_KEYS = ("process", "num_steps", "rate", "burst_length",
 #: Cache layout version; bump when record contents change incompatibly.
 _CACHE_VERSION = 1
 
-#: Upper bound on how many fault maps one merged fused pass carries (memory
-#: bound of the serial path; points are never split).
+#: Upper bound on how many fault maps one merged fused pass carries (points
+#: are never split).  Fork lanes run one after another on one kernel set,
+#: so a pass's activation memory does not grow with its maps.  What still
+#: grows is each map's fault array and prepared runners, and the points of
+#: a pass get their records only when the whole pass ends.
 MAX_MAPS_PER_PASS = 128
 
 

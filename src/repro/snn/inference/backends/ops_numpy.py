@@ -56,6 +56,7 @@ import numpy as np
 
 from ....autograd.functional import check_pool_dims, im2col, window_mean
 from ....systolic import chain_kernel
+from ...neurons import check_threshold
 from ..plan import (
     AffineSpec,
     BatchNormSpec,
@@ -89,11 +90,8 @@ class NeuronKernel:
     """
 
     def __init__(self, spec: NeuronSpec) -> None:
-        if not (0.0 < spec.v_threshold < math.inf):
-            raise ValueError(
-                f"fused neuron needs a positive, finite v_threshold, got {spec.v_threshold}")
         self.inv_tau = spec.inv_tau
-        self.threshold = spec.v_threshold
+        self.threshold = check_threshold(spec.v_threshold, "fused neuron")
         self.v_reset = spec.v_reset
         self.rest = 0.0 if spec.v_reset is None else float(spec.v_reset)
         # ``v - (+0.0) == v`` bitwise; a ``-0.0`` rest keeps the subtract.
@@ -101,11 +99,13 @@ class NeuronKernel:
         self.v: Optional[np.ndarray] = None
 
     def reset(self) -> None:
-        self.v = None
+        """Return the membrane to rest, keeping the buffers for reuse."""
+
+        if self.v is not None:
+            self.v.fill(self.rest)
 
     def _init_buffers(self, shape: tuple) -> None:
-        fill = 0.0 if self.v_reset is None else float(self.v_reset)
-        self.v = np.full(shape, fill, dtype=np.float64)
+        self.v = np.full(shape, self.rest, dtype=np.float64)
         self._scratch = np.empty(shape)
         self._spike = np.empty(shape)
         self._mask = np.empty(shape, dtype=bool)

@@ -24,28 +24,42 @@ before the first spiking layer) per batch: for static inputs those
 activations are identical at every time step, so e.g. the spike-encoder
 convolution runs once instead of ``T`` times.
 
+**Lane-major order.**  The fault engine runs lane by lane, not step by
+step.  The clean lane first runs all ``T`` time steps and keeps, per
+step, a *stash* of the shared :class:`ForkEntry` operands of every fork
+op: the fork-entry im2col and dense product are computed once per (time
+step, fork op), and each entering lane corrects its own copy.  Static
+inputs build the prefix entries once and every step's stash shares them.
+Then each fork lane runs all ``T`` steps before the next lane starts.
+Lanes are independent and each still sees its steps (and live-fault
+phases) in order, so the order changes no bits.  All lanes share one
+kernel per op (:attr:`_Layout.kernels`); a lane restarts their neuron
+state when it starts.  The working set is therefore ``T`` stashes plus
+one lane's activations and state, whatever the number of maps.
+
+**Stash ownership.**  A stash outlives the time step that built it, so
+its arrays are its own: a convolution's entry holds a fresh im2col
+gather, and a linear layer's entry copies its input, which may be a
+flatten view of a clean neuron kernel's reused spike buffer.  Likewise a
+lane's cached static-prefix output is a copy: the prefix's last kernel
+(a shared batch norm) reuses its output buffer when the prefix runs again
+for another phase.
+
 **Fork lanes sized for the batch.**  A fork lane stacks consecutive maps
 of the fork order that fork at the same op, as many as fit
 :data:`LANE_SAMPLES` samples of the evaluation batch.  At the batch sizes
 campaigns evaluate that is one map per lane, so a lane's im2col patches,
-GEMM output and chain scratch cover one map's batch -- the working set no
-longer grows with the number of maps a sweep point evaluates -- while
+GEMM output, chain scratch and neuron state cover one map's batch, while
 tiny streaming batches keep enough maps per call to amortise numpy's
 per-call overhead.  Any split is bit-safe where internal re-batching is
 not: a stacked ``(F, batch, k) @ (k, n)`` matmul evaluates each leading
 slice as an independent 2D GEMM, every non-affine kernel is elementwise
 over the leading axes, and fault chains scatter to disjoint (map, column)
 slices -- so splitting the fault-map axis into lanes can never change any
-map's bits, whereas folding maps into the BLAS row dimension would.  The
-work the lanes would otherwise repeat is shared instead: the fork-entry
-im2col and dense product are computed once per (time step, fork op) and
-each entering lane corrects its own copy, and prepared runners are keyed
-by the maps' live-fault signatures (restricted to the columns holding
-the layer's outputs), so live sets that agree there -- across phases or
-maps -- prepare each layer once.  Each lane owns its kernels (and
-therefore its preallocated neuron-state buffers) and accumulates into its
-own rate buffer; the final reduction writes each lane's rates into its
-maps' slots.
+map's bits, whereas folding maps into the BLAS row dimension would.
+Prepared runners are keyed by the maps' live-fault signatures
+(restricted to the columns holding the layer's outputs), so live sets
+that agree there -- across phases or maps -- prepare each layer once.
 """
 
 from __future__ import annotations
@@ -167,41 +181,43 @@ class FusedInferenceEngine:
 #: maps of the fork order as fit ``LANE_SAMPLES`` samples of the evaluation
 #: batch (at least one, all forking at the same op).  At the batch sizes
 #: campaigns evaluate that is one map per lane, so a lane's im2col patches,
-#: GEMM output and chain scratch cover one map's batch; tiny streaming
-#: batches stack maps instead, so per-call overhead stays amortised.
+#: GEMM output, chain scratch and neuron state cover one map's batch; tiny
+#: streaming batches stack maps instead, so per-call overhead stays
+#: amortised.
 LANE_SAMPLES = 64
 
 
 class _Lane:
     """A block of maps forking at the same op, executed independently.
 
-    A lane owns its fork kernels (and therefore its preallocated
-    neuron-state buffers).  Its affine runners are read-only and may be
-    shared with other lanes whose maps have the same live faults.
+    Its affine runners are read-only and may be shared with other lanes
+    whose maps have the same live faults.
     """
 
-    __slots__ = ("maps", "start", "runners", "kernels")
+    __slots__ = ("maps", "start", "runners")
 
-    def __init__(self, maps, start, runners, kernels) -> None:
+    def __init__(self, maps, start, runners) -> None:
         self.maps = maps          # global map indices, fork order
         self.start = start        # op index of the maps' fork op
         self.runners = runners    # [phase][affine ordinal]: runner or None
-        self.kernels = kernels    # per op index: fork kernel or None
 
 
 class _Layout:
-    """The fork lanes for one block size and their fork ops.
+    """The fork lanes for one block size, their fork ops and kernels.
 
     ``entries`` maps each fork op's index to the runner that builds its
     shared :class:`ForkEntry` and whether the dense product is needed.
+    ``kernels`` holds one non-affine kernel per op from the first fork op
+    on (``None`` elsewhere); every lane runs on them in turn.
     """
 
-    __slots__ = ("block", "lanes", "entries")
+    __slots__ = ("block", "lanes", "entries", "kernels")
 
-    def __init__(self, block, lanes, entries) -> None:
+    def __init__(self, block, lanes, entries, kernels) -> None:
         self.block = block
         self.lanes = lanes
         self.entries = entries
+        self.kernels = kernels
 
 
 class FusedFaultEngine:
@@ -299,6 +315,8 @@ class FusedFaultEngine:
         self.fork_order: List[int] = sorted(
             (f for f in range(self.num_maps) if self._divergence[f] is not None),
             key=lambda f: (self._divergence[f], f))
+        self._clean_maps = [f for f in range(self.num_maps)
+                            if self._divergence[f] is None]
 
         # Clean-lane bookkeeping: which affine ordinals still need the clean
         # output afterwards.
@@ -393,15 +411,7 @@ class FusedFaultEngine:
                         else self._runner(maps, phase, spec)
                         for spec in self.plan.affine_specs]
                        for phase in range(num_phases)]
-            start = self._op_of_affine[fork]
-            # Fork-lane activations keep an explicit leading fault-map axis
-            # ((maps, batch, ...)), so the conv outputs never need a re-fold
-            # copy.  Each lane gets its own kernels, so neuron state is
-            # lane-private.
-            kernels = [None if isinstance(op, AffineSpec) or i < start
-                       else KERNEL_SET.make_kernel(op, batch_ndim=2)
-                       for i, op in enumerate(ops)]
-            lanes.append(_Lane(maps, start, runners, kernels))
+            lanes.append(_Lane(maps, self._op_of_affine[fork], runners))
             begin = end
 
         # Fork ops: the clean pass builds each one's shared entry operands
@@ -416,7 +426,14 @@ class FusedFaultEngine:
             entries[lane.start] = (
                 runner,
                 dense or any(r.stacked_weights is None for r in entering))
-        return _Layout(block, lanes, entries)
+        # Fork-lane activations keep an explicit leading fault-map axis
+        # ((maps, batch, ...)), so the conv outputs never need a re-fold
+        # copy.  The lanes run one after another, so they share kernels.
+        first = min((lane.start for lane in lanes), default=len(ops))
+        kernels = [None if isinstance(op, AffineSpec) or i < first
+                   else KERNEL_SET.make_kernel(op, batch_ndim=2)
+                   for i, op in enumerate(ops)]
+        return _Layout(block, lanes, entries, kernels)
 
     # ------------------------------------------------------------------
     def _phase_for_step(self, step: int) -> int:
@@ -463,15 +480,6 @@ class FusedFaultEngine:
                         return spec.index
         return None
 
-    def _reset_state(self, layout: _Layout) -> None:
-        for kernel in self._clean:
-            if isinstance(kernel, NeuronKernel):
-                kernel.reset()
-        for lane in layout.lanes:
-            for kernel in lane.kernels:
-                if isinstance(kernel, NeuronKernel):
-                    kernel.reset()
-
     # ------------------------------------------------------------------
     def _run_clean(self, x_c: Optional[np.ndarray], start: int, stop: int,
                    stash: Dict[int, ForkEntry], entries: Dict[int, Tuple]
@@ -497,8 +505,8 @@ class FusedFaultEngine:
                 x_c = self._clean[i].run(x_c)
         return x_c
 
-    def _run_lane(self, lane: _Lane, x_v: Optional[np.ndarray], start: int,
-                  stop: int, stash: Dict[int, ForkEntry], phase: int
+    def _run_lane(self, lane: _Lane, kernels: Sequence, x_v: Optional[np.ndarray],
+                  start: int, stop: int, stash: Dict[int, ForkEntry], phase: int
                   ) -> Optional[np.ndarray]:
         """Advance one lane's fork activations over ops ``[start, stop)``.
 
@@ -511,12 +519,75 @@ class FusedFaultEngine:
         for i in range(max(start, lane.start), stop):
             op = ops[i]
             if not isinstance(op, AffineSpec):
-                x_v = lane.kernels[i].run(x_v)
+                x_v = kernels[i].run(x_v)
                 continue
             runner = runners[op.index]
             x_v = (runner.run_entry(stash[i]) if i == lane.start
                    else runner.run(x_v))
         return x_v
+
+    def _clean_pass(self, frames: Sequence[np.ndarray], static: bool,
+                    entries: Dict[int, Tuple]
+                    ) -> Tuple[Optional[np.ndarray], List[Dict[int, ForkEntry]]]:
+        """Run the clean lane over every time step.
+
+        Returns the summed clean outputs (``None`` when no map stays clean)
+        and one stash per step holding the shared :class:`ForkEntry` of
+        every fork op.  The prefix is stateless, so for static inputs it
+        runs once and every step's stash shares its entries.
+        """
+
+        for kernel in self._clean:
+            if isinstance(kernel, NeuronKernel):
+                kernel.reset()
+        acc: Optional[np.ndarray] = None
+        stashes: List[Dict[int, ForkEntry]] = []
+        prefix: Optional[Tuple] = None
+        for frame in frames:
+            if prefix is None or not static:
+                prefix_stash: Dict[int, ForkEntry] = {}
+                prefix = (self._run_clean(frame, 0, self._prefix, prefix_stash,
+                                          entries), prefix_stash)
+            x_c, stash = prefix[0], dict(prefix[1])
+            x_c = self._run_clean(x_c, self._prefix, len(self.plan.ops), stash,
+                                  entries)
+            stashes.append(stash)
+            if x_c is not None:
+                if acc is None:
+                    acc = x_c.copy()
+                else:
+                    np.add(acc, x_c, out=acc)
+        return acc, stashes
+
+    def _lane_pass(self, lane: _Lane, kernels: Sequence,
+                   stashes: Sequence[Dict[int, ForkEntry]],
+                   phases: Sequence[int], static: bool) -> np.ndarray:
+        """Run one lane over every time step; return its summed outputs.
+
+        The shared kernels' neuron state restarts at rest.  For static
+        inputs the lane's prefix output is cached per live-fault phase, as
+        a copy (see the module docstring).
+        """
+
+        for kernel in kernels:
+            if isinstance(kernel, NeuronKernel):
+                kernel.reset()
+        acc: Optional[np.ndarray] = None
+        cached: Dict[int, np.ndarray] = {}
+        for stash, phase in zip(stashes, phases):
+            x_v = cached.get(phase)
+            if x_v is None:
+                x_v = self._run_lane(lane, kernels, None, 0, self._prefix,
+                                     stash, phase)
+                if static and x_v is not None:
+                    x_v = cached[phase] = x_v.copy(order="K")
+            x_v = self._run_lane(lane, kernels, x_v, self._prefix,
+                                 len(self.plan.ops), stash, phase)
+            if acc is None:
+                acc = x_v.copy()
+            else:
+                np.add(acc, x_v, out=acc)
+        return acc
 
     def run(self, inputs) -> np.ndarray:
         """Per-map firing rates of shape ``(F, batch, num_classes)``.
@@ -527,70 +598,22 @@ class FusedFaultEngine:
 
         x0 = np.asarray(inputs, dtype=np.float64)
         static = x0.ndim in (4, 2)
-        batch = x0.shape[0] if static else x0.shape[1]
-        n_ops = len(self.plan.ops)
-        layout = self._layout_for(batch)
-        lanes = layout.lanes
-        self._reset_state(layout)
-        acc_c: Optional[np.ndarray] = None
-        lane_accs: List[Optional[np.ndarray]] = [None] * len(lanes)
-        cached_clean: Optional[Tuple] = None
-        cached_lane: Dict[int, List] = {}
-        steps = 0
-        for frame in _iter_frames(x0, self.plan.time_steps):
-            phase = self._phase_for_step(steps)
-            if static and cached_clean is not None:
-                x_c0, prefix_stash = cached_clean
-            else:
-                # The prefix is stateless, so for static inputs it runs
-                # once (the clean prefix is phase-independent; lane prefix
-                # outputs are cached per live-fault phase below).
-                prefix_stash: Dict[int, ForkEntry] = {}
-                x_c0 = self._run_clean(frame, 0, self._prefix, prefix_stash,
-                                       layout.entries)
-                if static:
-                    cached_clean = (x_c0, prefix_stash)
-            lane_x0 = cached_lane.get(phase) if static else None
-            if lane_x0 is None:
-                lane_x0 = [self._run_lane(lane, None, 0, self._prefix,
-                                          prefix_stash, phase)
-                           for lane in lanes]
-                if static:
-                    cached_lane[phase] = lane_x0
-            # Clean pass first (it builds the fork-entry operands), then
-            # every lane's tail, each accumulating into its own slot.
-            stash: Dict[int, ForkEntry] = {}
-            x_c = self._run_clean(x_c0, self._prefix, n_ops, stash,
-                                  layout.entries)
-            for index, lane in enumerate(lanes):
-                x_v = self._run_lane(lane, lane_x0[index], self._prefix,
-                                     n_ops, stash, phase)
-                acc = lane_accs[index]
-                if acc is None:
-                    lane_accs[index] = x_v.copy()
-                else:
-                    np.add(acc, x_v, out=acc)
-            if x_c is not None:
-                if acc_c is None:
-                    acc_c = x_c.copy()
-                else:
-                    np.add(acc_c, x_c, out=acc_c)
-            steps += 1
-
-        scale = 1.0 / steps
-        reference = acc_c if acc_c is not None else lane_accs[0]
-        num_classes = reference.shape[-1]
-        rates = np.empty((self.num_maps, batch, num_classes))
+        frames = list(_iter_frames(x0, self.plan.time_steps))
+        phases = [self._phase_for_step(step) for step in range(len(frames))]
+        layout = self._layout_for(frames[0].shape[0])
+        acc_c, stashes = self._clean_pass(frames, static, layout.entries)
+        scale = 1.0 / len(frames)
+        rates: Optional[np.ndarray] = None
         if acc_c is not None:
             np.multiply(acc_c, scale, out=acc_c)
-        for lane, acc in zip(lanes, lane_accs):
+            rates = np.empty((self.num_maps,) + acc_c.shape)
+            rates[self._clean_maps] = acc_c
+        for lane in layout.lanes:
+            acc = self._lane_pass(lane, layout.kernels, stashes, phases, static)
             np.multiply(acc, scale, out=acc)
-            for position, map_index in enumerate(lane.maps):
-                rates[map_index] = acc[position]
-        forked = set(self.fork_order)
-        for map_index in range(self.num_maps):
-            if map_index not in forked:
-                rates[map_index] = acc_c
+            if rates is None:
+                rates = np.empty((self.num_maps,) + acc.shape[1:])
+            rates[lane.maps] = acc
         return rates
 
     def evaluate(self, loader) -> List[float]:

@@ -47,7 +47,8 @@ class ForkEntry:
     clean product ``inputs @ W.T`` -- ``None`` when every entering map
     multiplies its own effective (bypass- or weight-fault-masked) weights.
     ``shape`` is the convolution's ``(batch, out_h, out_w)``, else ``None``.
-    All three are read-only: runners copy ``dense`` before correcting it.
+    All three are read-only (runners copy ``dense`` before correcting it)
+    and owned by the entry, which outlives the time step that built it.
     """
 
     __slots__ = ("inputs", "dense", "shape")
@@ -127,11 +128,15 @@ class FaultyAffineRunner:
         computing it once and copying it per map is bit-identical.
         """
 
-        shape = None
         if self.spec.kind == "conv":
             batch = x.shape[0]
             out_hw, x = self._im2col_flat(x)
             shape = (batch,) + out_hw
+        else:
+            # The entry outlives this time step, and ``x`` may view a clean
+            # kernel's reused buffer (a flatten of neuron spikes).
+            x = x.copy(order="K")
+            shape = None
         return ForkEntry(x, x @ self.weight_t if dense else None, shape)
 
     def run_entry(self, entry: ForkEntry) -> np.ndarray:

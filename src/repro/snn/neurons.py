@@ -36,6 +36,20 @@ from .surrogate import SurrogateGradient, Triangle
 MIN_THRESHOLD = 0.05
 
 
+def check_threshold(value: float, owner: str = "neuron") -> float:
+    """``value`` as a float, if it is a positive, finite threshold voltage.
+
+    The fused inference kernel fires on ``v > V_th``, which equals the
+    spike condition ``v / V_th - 1 > 0`` only for such thresholds, so every
+    entry point that sets one rejects any other with this one message.
+    """
+
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{owner} needs a positive, finite v_threshold, got {value}")
+    return value
+
+
 class PLIFCharge(Function):
     """Leaky charge step ``h = v + (x - (v - rest)) * rtau`` as one node.
 
@@ -120,8 +134,7 @@ class BaseNode(Module):
         layer_label: Optional[str] = None,
     ) -> None:
         super().__init__()
-        if v_threshold <= 0:
-            raise ValueError("v_threshold must be positive")
+        v_threshold = check_threshold(v_threshold)
         self.surrogate = surrogate if surrogate is not None else Triangle()
         self.v_reset = v_reset
         self.learnable_threshold = bool(learnable_threshold)
@@ -161,22 +174,23 @@ class BaseNode(Module):
     def set_threshold(self, value: float) -> None:
         """Set the threshold voltage (works for both fixed and learnable modes)."""
 
-        if value <= 0:
-            raise ValueError("threshold voltage must be positive")
+        value = check_threshold(value)
         if self.learnable_threshold:
-            self.v_threshold_param.data[...] = float(value)
+            self.v_threshold_param.data[...] = value
         else:
-            self._fixed_threshold = float(value)
+            self._fixed_threshold = value
             self._threshold_cache = None
 
     def make_threshold_learnable(self, initial: Optional[float] = None) -> None:
         """Convert a fixed threshold into a learnable parameter (used by FalVolt)."""
 
+        if initial is not None:
+            initial = check_threshold(initial)
         if self.learnable_threshold:
             if initial is not None:
-                self.v_threshold_param.data[...] = float(initial)
+                self.v_threshold_param.data[...] = initial
             return
-        value = float(initial) if initial is not None else self._fixed_threshold
+        value = initial if initial is not None else self._fixed_threshold
         self.learnable_threshold = True
         self.v_threshold_param = Parameter(np.array(value))
 

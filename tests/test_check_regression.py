@@ -18,7 +18,7 @@ RECORDED = [
     {"engine": "fused", "speedup": 7.5},
     {"engine": "meta", "identical_records": True,
      "transient_overhead": 1.1, "gather_speedup": 3.0,
-     "spike_kernel_speedup": 2.0},
+     "spike_kernel_speedup": 2.0, "map_memory_scaling": 0.85},
 ]
 
 
@@ -48,7 +48,7 @@ def test_equal_runs_pass(gate, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["gather_speedup", "transient_overhead",
-                                 "spike_kernel_speedup"])
+                                 "spike_kernel_speedup", "map_memory_scaling"])
 def test_missing_recorded_ratio_fails(gate, tmp_path, capsys, key):
     fresh = copy.deepcopy(RECORDED)
     del _meta(fresh)[key]
@@ -68,6 +68,16 @@ def test_spike_kernel_ratio_below_floor_fails(gate, tmp_path, capsys):
     _meta(fresh)["spike_kernel_speedup"] = 2.0 * 0.6
     assert _run(gate, tmp_path, fresh) == 1
     assert "spike kernels" in capsys.readouterr().err
+
+
+def test_memory_scaling_below_floor_fails(gate, tmp_path, capsys):
+    """A pass whose memory grows with its maps (0.3: four times the maps
+    cost about three times the memory) fails against a flat recording."""
+
+    fresh = copy.deepcopy(RECORDED)
+    _meta(fresh)["map_memory_scaling"] = 0.3
+    assert _run(gate, tmp_path, fresh) == 1
+    assert "map memory scaling" in capsys.readouterr().err
 
 
 def test_identity_mismatch_fails(gate, tmp_path, capsys):

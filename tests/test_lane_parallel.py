@@ -1,11 +1,15 @@
-"""Fork lanes of the fused engine: layout and bit-identity.
+"""Fork lanes of the fused engine: layout, lane-major order and bit-identity.
 
 The fused engine cuts the fork order into lanes sized for the evaluation
 batch -- one map per lane at campaign batch sizes, several same-fork maps
 at tiny ones.  Per-slice results of the stacked GEMMs are independent, so
 every lane partition must produce ``tobytes()``-identical firing rates,
-equal to the sequential oracle's.
+equal to the sequential oracle's.  The lanes run one after another over
+all time steps on shared kernels, so the fork-entry stashes the clean lane
+keeps must own their arrays and memory must not grow with the map count.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,17 @@ from repro.faults import (
     build_faulty_array,
     random_fault_map,
     schedule_from_process,
+)
+from repro.faults.fault_map import FaultSchedule
+from repro.faults.fault_model import TransientFault
+from repro.snn import (
+    BatchNorm2d,
+    Conv2d,
+    Flatten,
+    IFNode,
+    Linear,
+    Sequential,
+    SpikingClassifier,
 )
 from repro.snn.inference import FusedFaultEngine
 from repro.snn.inference.engine import LANE_SAMPLES
@@ -213,3 +228,87 @@ class TestLaneLayout:
         if block:
             engine._layout = engine._build_layout(block)
         assert engine.run(frame).tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Lane-major order: stashes own their arrays, memory is flat in maps
+# ----------------------------------------------------------------------
+def _flatten_spikes_model(time_steps):
+    """Conv -> BN -> IF -> flatten -> FC: the FC input views neuron spikes.
+
+    As in the DVS-Gesture network's head, the first linear layer reads a
+    flatten of a spiking layer's output, i.e. of the buffer the clean
+    lane's neuron kernel rewrites at every time step.
+    """
+
+    rng = np.random.default_rng(3)
+    return SpikingClassifier(Sequential(
+        Conv2d(2, 4, 3, padding=1, rng=rng), BatchNorm2d(4), IFNode(v_threshold=0.5),
+        Flatten(), Linear(4 * 6 * 6, 16, rng=rng, init_gain=3.0), IFNode(v_threshold=0.5),
+        Linear(16, 4, rng=rng, init_gain=3.0), IFNode(v_threshold=0.5),
+    ), time_steps=time_steps)
+
+
+class TestLaneMajor:
+    def test_linear_fork_entry_survives_later_steps(self, rng):
+        """A linear fork entry is kept for every step, not a view of the last.
+
+        One map forks at the linear layer whose input is flatten(spikes),
+        two at conv 0, in one pass over a 5D event input.
+        """
+
+        steps = 4
+        model = _flatten_spikes_model(steps)
+        model.eval()
+        x = (rng.random((steps, 6, 2, 6, 6)) > 0.5).astype(np.float64)
+        # Columns 12-15 hold hidden units only.  A low-order stuck bit keeps
+        # their outputs a function of the entry's inputs.
+        linear_fork = random_fault_map(16, 16, 0, seed=0)
+        for column in range(12, 16):
+            linear_fork.add(3, column, StuckAtFault(2, "sa1"))
+        maps = [linear_fork, _map_forking_at(2, (1,)), _map_forking_at(1, (4, 9))]
+        arrays = [build_faulty_array(fault_map) for fault_map in maps]
+        engine = FusedFaultEngine(model, arrays)
+        assert engine._divergence == [1, 0, 0]
+        # The linear layer's clean input differs between steps.
+        with no_grad():
+            hidden = [model.layers[3](model.layers[2](model.layers[1](
+                model.layers[0](Tensor(x[t]))))).data for t in range(steps)]
+        assert any(h.tobytes() != hidden[0].tobytes() for h in hidden[1:])
+        assert engine.run(x).tobytes() == _sequential_rates(model, x, arrays).tobytes()
+
+    def test_static_prefix_cache_across_recurring_phases(self, trained_tiny_model,
+                                                         test_loader):
+        """Phases 0, 1, 0 on a static input reuse phase 0's lane prefix."""
+
+        frame, _ = next(iter(test_loader))
+        frame = frame[:10]
+        schedules = []
+        for seed in range(3):
+            schedule = FaultSchedule(16, 16, 3, fmt=FMT)
+            for column in range(6):
+                schedule.add((seed + column) % 9, column, TransientFault(
+                    FMT.magnitude_msb, "sa1", frozenset({1})))
+            schedules.append(schedule)
+        engine = FusedFaultEngine(trained_tiny_model, schedules=schedules)
+        assert engine._step_phase == [0, 1, 0]
+        assert engine.fork_order == [0, 1, 2]
+        assert engine.run(frame).tobytes() == _sequential_rates(
+            trained_tiny_model, frame, schedules).tobytes()
+
+    def test_fork_lane_memory_flat_in_maps(self, tiny_model, test_loader):
+        """The traced peak of an evaluation barely grows from 4 to 16 maps."""
+
+        peaks = {}
+        for num_maps in (4, 16):
+            arrays = [build_faulty_array(_map_forking_at(2, (row,)))
+                      for row in range(num_maps)]
+            engine = FusedFaultEngine(tiny_model, arrays)
+            assert len(engine.fork_order) == num_maps
+            tracemalloc.start()
+            try:
+                engine.evaluate(test_loader)
+                peaks[num_maps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= 1.25 * peaks[4], peaks

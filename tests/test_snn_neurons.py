@@ -1,5 +1,7 @@
 """Tests for the IF / LIF / PLIF neuron models and threshold handling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,50 @@ class TestThresholdHandling:
         high_count = sum(float(high(x).data.sum()) for _ in range(4))
         low_count = sum(float(low(x).data.sum()) for _ in range(4))
         assert low_count > high_count
+
+
+#: Thresholds the fused neuron kernel cannot run (see ``check_threshold``).
+NON_FINITE = [math.nan, math.inf, -math.inf]
+REJECTED = NON_FINITE + [0.0, -0.5]
+MESSAGE = "needs a positive, finite v_threshold"
+
+
+class TestThresholdValidation:
+    """Every entry point that sets ``V_th`` rejects what the fused kernel would."""
+
+    @pytest.mark.parametrize("value", REJECTED)
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_init_rejects(self, value, learnable):
+        with pytest.raises(ValueError, match=MESSAGE):
+            PLIFNode(v_threshold=value, learnable_threshold=learnable)
+
+    @pytest.mark.parametrize("value", REJECTED)
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_set_threshold_rejects_and_keeps_value(self, value, learnable):
+        node = PLIFNode(v_threshold=0.7, learnable_threshold=learnable)
+        with pytest.raises(ValueError, match=MESSAGE):
+            node.set_threshold(value)
+        assert node.v_threshold == 0.7
+
+    @pytest.mark.parametrize("value", REJECTED)
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_make_learnable_rejects_initial(self, value, learnable):
+        node = PLIFNode(v_threshold=0.7, learnable_threshold=learnable)
+        with pytest.raises(ValueError, match=MESSAGE):
+            node.make_threshold_learnable(initial=value)
+        assert node.learnable_threshold == learnable
+        assert node.v_threshold == 0.7
+
+    def test_message_matches_fused_kernel(self):
+        from repro.snn.inference.backends.ops_numpy import NeuronKernel
+        from repro.snn.inference.plan import NeuronSpec
+
+        with pytest.raises(ValueError) as node_error:
+            IFNode().set_threshold(math.inf)
+        with pytest.raises(ValueError) as kernel_error:
+            NeuronKernel(NeuronSpec(inv_tau=None, v_threshold=math.inf, v_reset=None))
+        assert str(node_error.value) == "neuron " + MESSAGE + ", got inf"
+        assert str(kernel_error.value) == "fused neuron " + MESSAGE + ", got inf"
 
 
 class TestSpikingNodesHelper:
