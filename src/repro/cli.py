@@ -185,10 +185,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="per-unit soft deadline for a sweep or "
                              "retraining grid: a worker whose unit runs "
-                             "longer is killed and "
-                             "the unit retried on another worker (default: "
-                             "derived from observed unit timings).  A timing "
-                             "knob only -- records are unchanged")
+                             "longer is killed and the unit retried on "
+                             "another worker (default: no deadline).  "
+                             "Workers are otherwise killed only when their "
+                             "heartbeats stall or they die, so only this "
+                             "flag catches a unit stuck in a busy loop.  A "
+                             "timing knob only -- records are unchanged")
     parser.add_argument("--resume", action="store_true",
                         help=f"cache results under {DEFAULT_CACHE_DIR}/ (when "
                              "no --cache-dir is given) so an interrupted "

@@ -451,8 +451,9 @@ def unit_option_problems(values: dict) -> List[str]:
         problems.append("workers must be at least 1")
     if values.get("trial_chunk") is not None and values["trial_chunk"] < 1:
         problems.append("trial_chunk must be at least 1")
-    if values["unit_timeout"] is not None and values["unit_timeout"] <= 0:
-        problems.append("unit_timeout must be positive")
+    timeout = values["unit_timeout"]
+    if timeout is not None and not 0 < timeout < math.inf:
+        problems.append("unit_timeout must be positive and finite")
     if values["shard"] is not None:
         try:
             values["shard"] = ShardSpec.parse(values["shard"])
@@ -546,8 +547,9 @@ class CampaignRunner:
         Optional positive per-unit soft deadline in seconds for
         orchestrated sweeps (CLI: ``--unit-timeout``): a worker whose unit
         exceeds it is killed by the watchdog and the unit retried
-        elsewhere.  ``None`` (default)
-        derives the deadline from observed unit timings.  Timings only --
+        elsewhere.  ``None`` (default) sets no deadline: a worker is then
+        killed only when its heartbeats stall or it dies, and a busy loop,
+        which keeps heartbeating, runs until interrupted.  Timings only --
         it cannot change records.
     progress:
         Optional callable receiving the orchestrator's structured progress

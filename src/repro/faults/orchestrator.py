@@ -29,18 +29,21 @@ balances itself), and, when interrupted, resumes for free:
   worker) up to :data:`UNIT_ATTEMPTS` times; a worker process that dies is
   detected, its unit re-queued and a replacement forked.  Workers emit
   heartbeats on the results channel while a unit runs, and a watchdog
-  enforces a per-unit soft deadline (``unit_timeout``, or derived from
-  observed unit timings): a *wedged* worker is killed (``SIGTERM``
-  escalating to ``SIGKILL``) and replaced exactly like a crashed one, with
-  exponential backoff between re-attempts of the same unit.  A unit that
-  exhausts its attempts is listed in :attr:`SweepReport.quarantined` and
-  the run raises -- after every healthy unit has finished and been
-  cached, so a re-run resumes.  :class:`SweepReport` attributes every
-  failure to a taxonomy class (``crashed`` / ``hung`` / ``poisoned`` /
-  ``cache-corrupt``).  Damaged cache entries are quarantined and the unit
-  recomputed instead of raising, and a failed store degrades to an
-  uncached record.  All of these paths are testable deterministically
-  through the chaos harness (:mod:`repro.testing.chaos`).
+  kills a worker (``SIGTERM`` escalating to ``SIGKILL``) in only two more
+  cases: its unit runs past an explicit ``unit_timeout``, or its
+  heartbeats stall for :data:`STALL_TIMEOUT`.  A busy loop in Python keeps
+  heartbeating, so only ``unit_timeout`` catches one; without it a unit
+  may run as long as it needs.  A killed worker is replaced exactly like a
+  crashed one, with exponential backoff between re-attempts of the same
+  unit.  A unit that exhausts its attempts is listed in
+  :attr:`SweepReport.quarantined` and the run raises -- after every
+  healthy unit has finished and been cached, so a re-run resumes.
+  :class:`SweepReport` attributes every failure to a taxonomy class
+  (``crashed`` / ``hung`` / ``poisoned`` / ``cache-corrupt``).  Damaged
+  cache entries are quarantined and the unit recomputed instead of
+  raising, and a failed store degrades to an uncached record.  All of
+  these paths are testable deterministically through the chaos harness
+  (:mod:`repro.testing.chaos`).
 
 Its options (``workers``, ``shard``, ``unit_timeout``, ``progress``) are
 campaign options, validated by :func:`~repro.faults.check_runner_options`
@@ -84,11 +87,6 @@ UNIT_ATTEMPTS = 3
 
 #: A retry of one task waits ``RETRY_BACKOFF x 2^(attempt-1)`` seconds.
 RETRY_BACKOFF = 0.25
-
-#: Without an explicit task timeout, the soft deadline is ``TIMEOUT_FACTOR``
-#: times the longest completed task, and at least ``MIN_TIMEOUT`` seconds.
-TIMEOUT_FACTOR = 10.0
-MIN_TIMEOUT = 5.0
 
 #: A busy worker sends a heartbeat every ``HEARTBEAT_INTERVAL`` seconds; one
 #: whose heartbeats stall for ``STALL_TIMEOUT`` seconds counts as hung.
@@ -343,7 +341,6 @@ class _PoolState:
     task_started: Dict[int, float] = dataclasses.field(default_factory=dict)
     last_beat: Dict[int, float] = dataclasses.field(default_factory=dict)
     deferred: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
-    observed: List[float] = dataclasses.field(default_factory=list)
 
     def forget_worker(self, pid: int) -> Optional[int]:
         self.task_started.pop(pid, None)
@@ -389,16 +386,16 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
     recorded per task, never raised -- callers decide the policy.
 
     **Hang tolerance.**  While a task runs its worker emits heartbeats on
-    the results channel every :data:`HEARTBEAT_INTERVAL` seconds.  A
-    watchdog kills (SIGTERM escalating to SIGKILL) and replaces a worker
-    whose task exceeds the per-task soft deadline -- ``task_timeout`` when
-    given, otherwise ``max(MIN_TIMEOUT, TIMEOUT_FACTOR x`` the longest
-    completed task ``)`` once at least one task has finished -- or whose
+    the results channel every :data:`HEARTBEAT_INTERVAL` seconds.  A worker
+    is killed (SIGTERM escalating to SIGKILL) and replaced in only three
+    cases: its task runs past ``task_timeout`` (``None``: no deadline), its
     heartbeats stall for :data:`STALL_TIMEOUT` seconds (a process wedged
-    beyond even its heartbeat thread).  The killed task is re-queued like a
-    crashed one.  Every retry (exception, crash or hang) waits
-    ``RETRY_BACKOFF x 2^(attempt-1)`` seconds before re-entering the
-    queue, so a unit that keeps wedging cannot monopolise the pool.
+    beyond even its heartbeat thread), or it dies.  A busy loop in Python
+    keeps heartbeating, so only ``task_timeout`` catches one.  The killed
+    task is re-queued like a crashed one.  Every retry (exception, crash
+    or hang) waits ``RETRY_BACKOFF x 2^(attempt-1)`` seconds before
+    re-entering the queue, so a unit that keeps wedging cannot monopolise
+    the pool.
     Timings, not arithmetic: none of these constants can change task
     results.
 
@@ -482,7 +479,6 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
             if now - last_check < 0.1:
                 continue
             last_check = now
-            deadline = _effective_deadline(task_timeout, state.observed)
             for slot, process in enumerate(processes):
                 if process is None:
                     continue
@@ -494,13 +490,13 @@ def run_tasks(num_tasks: int, fn: Callable[[int], object], *,
                     _handle_worker_crash(process, state)
                     retire(slot)
                     continue
-                reason = _hang_reason(state, process.pid, now, deadline)
+                reason = _hang_reason(state, process.pid, now, task_timeout)
                 if reason is not None:
                     # Drain and re-check: a completion racing the deadline
                     # wins -- never kill a worker over delivered work.
                     _drain_reader(channels[slot].reader, state)
                     reason = _hang_reason(state, process.pid, time.monotonic(),
-                                          deadline)
+                                          task_timeout)
                 if reason is not None:
                     _handle_worker_hang(process, state, reason)
                     retire(slot)
@@ -539,24 +535,6 @@ def _drain_reader(reader, state: _PoolState) -> None:
         except (EOFError, OSError):
             return
         _handle_pool_message(message, state)
-
-
-def _effective_deadline(task_timeout: Optional[float],
-                        observed: Sequence[float]) -> Optional[float]:
-    """The per-task soft deadline currently in force.
-
-    An explicit ``task_timeout`` always wins.  Otherwise the deadline is
-    derived from observed behaviour -- :data:`TIMEOUT_FACTOR` times the
-    longest completed task, floored at :data:`MIN_TIMEOUT` -- and is
-    ``None`` (no enforcement) until the first task completes, since there
-    is nothing to derive it from yet.
-    """
-
-    if task_timeout is not None:
-        return float(task_timeout)
-    if not observed:
-        return None
-    return max(MIN_TIMEOUT, TIMEOUT_FACTOR * max(observed))
 
 
 def _hang_reason(state: _PoolState, pid: int, now: float,
@@ -643,7 +621,6 @@ def _handle_pool_message(message: tuple, state: _PoolState) -> None:
         result.value, result.error, result.seconds = value, None, seconds
         result.failure_kind = None
         state.pending.discard(index)
-        state.observed.append(seconds)
         _emit(state.progress, kind="task-done", index=index,
               attempt=result.attempts, seconds=seconds,
               completed=state.num_tasks - len(state.pending),
@@ -822,7 +799,8 @@ class CampaignOrchestrator:
     ``workers`` is the number of worker processes pulling from the shared
     unit queue (1 executes in-process), ``shard`` this orchestrator's
     round-robin share of the unit ordinals, ``unit_timeout`` the watchdog's
-    per-unit soft deadline and ``progress`` a callable receiving
+    per-unit soft deadline (``None``: none; see :func:`run_tasks` for the
+    three kill rules) and ``progress`` a callable receiving
     structured event dicts -- ``unit-done`` / ``unit-failed`` /
     ``worker-crash`` / ``worker-hung`` / ``cache-corrupt`` /
     ``store-degraded``, labelled with the unit's ordinal, tags and name --

@@ -90,8 +90,10 @@ class TestCampaignCommand:
         options = runner_options(args)
         assert options["unit_timeout"] == 15.0
         assert options["workers"] == 2
-        # Default: no deadline override (derived from observed timings), and
-        # flags left at their defaults stay out of the options.
+        # Default: no deadline (workers are then killed only when their
+        # heartbeats stall or they die, so a busy loop is caught by this
+        # flag alone), and flags left at their defaults stay out of the
+        # options.
         args = build_parser().parse_args(["campaign", "counts"])
         assert args.unit_timeout is None
         assert runner_options(args) == {}
@@ -121,6 +123,8 @@ class TestCampaignCommand:
         (["--trial-chunk", "0"], "trial_chunk must be at least 1"),
         (["--unit-timeout", "0"], "unit_timeout must be positive"),
         (["--workers", "0"], "workers must be at least 1"),
+        (["--unit-timeout", "nan"], "unit_timeout must be positive"),
+        (["--unit-timeout", "inf"], "unit_timeout must be positive"),
     ])
     def test_bad_campaign_flags_rejected_before_training(
             self, monkeypatch, capsys, flags, problem):

@@ -371,6 +371,44 @@ class TestHangTolerance:
         assert results[1].attempts == 2
         assert results[1].ok and results[1].failure_kind is None
 
+    def test_slow_tasks_after_fast_ones_are_not_killed(self):
+        """Without ``task_timeout`` a task may run as long as it needs.
+
+        Fast tasks finishing first must not set a deadline for the slow
+        ones: a retraining grid finishes its FaP cells in a fraction of a
+        second and then runs FaPIT and FalVolt cells for seconds each.
+        """
+
+        import time
+
+        def fn(index):
+            time.sleep(0.05 if index < 2 else 6.0)
+            return index
+
+        events = []
+        results = run_tasks(4, fn, workers=2, progress=events.append)
+        assert [result.value for result in results] == [0, 1, 2, 3]
+        assert all(result.ok and result.attempts == 1 for result in results)
+        assert not [event for event in events
+                    if event["kind"] == "worker-hung"]
+
+    def test_stalled_heartbeats_kill_the_worker(self, monkeypatch, fast_backoff):
+        """A worker stopped beyond its heartbeat thread is killed as hung."""
+
+        import signal
+
+        monkeypatch.setattr("repro.faults.orchestrator.STALL_TIMEOUT", 1.0)
+
+        def fn(index):
+            if index == 1:
+                os.kill(os.getpid(), signal.SIGSTOP)
+            return index
+
+        results = run_tasks(3, fn, workers=2, max_attempts=1)
+        assert results[0].ok and results[2].ok
+        assert results[1].failure_kind == "hung"
+        assert "heartbeats stalled" in results[1].error
+
     def test_uninterruptible_hang_is_killed_by_escalation(self):
         import signal
         import time
