@@ -9,7 +9,7 @@ from ..datasets.base import DataLoader
 from ..faults.fault_map import FaultMap
 from ..snn.network import SpikingClassifier
 from ..snn.optim import Adam
-from ..snn.training import Trainer, TrainingHistory
+from ..snn.training import Trainer, TrainingHistory, evaluate
 from .pruning import (
     PruningMaskCallback,
     find_pruned_weight_indices,
@@ -113,30 +113,29 @@ class FaultMitigation:
     # ------------------------------------------------------------------
     def run(self, model: SpikingClassifier, fault_map: FaultMap,
             train_loader: DataLoader, test_loader: DataLoader,
-            num_classes: int, baseline_accuracy: Optional[float] = None,
-            verbose: bool = False) -> MitigationResult:
-        """Execute the mitigation on ``model`` (modified in place) and return the result."""
+            num_classes: int, baseline_accuracy: Optional[float] = None) -> MitigationResult:
+        """Execute the mitigation on ``model`` (modified in place) and return the result.
 
-        trainer_probe = Trainer(model, optimizer=_NullOptimizer(model),
-                                num_classes=num_classes)
+        The reported accuracy is the last retraining epoch's test accuracy:
+        the pruning callback re-zeroes the pruned weights after that epoch's
+        last optimizer step, before its test pass.  Without retraining (FaP)
+        the pruned model is evaluated once.
+        """
+
         if baseline_accuracy is None:
-            baseline_accuracy = trainer_probe.evaluate(test_loader)
+            baseline_accuracy = evaluate(model, test_loader)
 
         masks = find_pruned_weight_indices(model, fault_map)
         set_pruned_weights_to_zero(model, masks)
         self.prepare_model(model)
 
-        history = TrainingHistory()
-        if self.retraining_epochs > 0:
-            optimizer = Adam(model.parameters(), lr=self.learning_rate)
-            trainer = Trainer(model, optimizer, num_classes=num_classes)
-            history = trainer.fit(train_loader, epochs=self.retraining_epochs,
-                                  test_loader=test_loader,
-                                  callbacks=[PruningMaskCallback(masks)],
-                                  verbose=verbose)
-        # Ensure the pruned weights are zero for the final evaluation.
-        set_pruned_weights_to_zero(model, masks)
-        final_accuracy = trainer_probe.evaluate(test_loader)
+        trainer = Trainer(model, Adam(model.parameters(), lr=self.learning_rate),
+                          num_classes=num_classes)
+        history = trainer.fit(train_loader, epochs=self.retraining_epochs,
+                              test_loader=test_loader,
+                              callbacks=[PruningMaskCallback(masks)])
+        final_accuracy = (history.test_accuracy[-1] if history.test_accuracy
+                          else trainer.evaluate(test_loader))
 
         return MitigationResult(
             method=self.method_name,
@@ -148,18 +147,3 @@ class FaultMitigation:
             retraining_epochs=self.retraining_epochs,
             fault_rate=fault_map.fault_rate,
         )
-
-
-class _NullOptimizer:
-    """Placeholder optimizer used when only evaluation is needed."""
-
-    def __init__(self, model: SpikingClassifier) -> None:
-        self.parameters = model.parameters()
-        self.lr = 0.0
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - never used for updates
-        pass

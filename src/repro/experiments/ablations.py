@@ -42,12 +42,12 @@ def ablate_surrogate_gradient(config: Optional[ExperimentConfig] = None,
             time_steps=config.time_steps, seed=config.seed)
         trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
                           num_classes=config.num_classes)
-        history = trainer.fit(train_loader, epochs=epochs, test_loader=test_loader)
+        trainer.fit(train_loader, epochs=epochs)
         records.append({
             "dataset": config.dataset,
             "surrogate": name,
             "epochs": epochs,
-            "accuracy": history.test_accuracy[-1] if history.test_accuracy else 0.0,
+            "accuracy": trainer.evaluate(test_loader),
         })
     return records
 
@@ -87,7 +87,6 @@ def ablate_reset_mode(config: Optional[ExperimentConfig] = None,
                       epochs: Optional[int] = None) -> List[dict]:
     """Hard reset (to 0) vs soft reset (subtract threshold) baseline accuracy."""
 
-
     config = config or default_config(dataset)
     epochs = epochs if epochs is not None else config.baseline_epochs
     train_loader, test_loader = build_loaders(config)
@@ -100,12 +99,12 @@ def ablate_reset_mode(config: Optional[ExperimentConfig] = None,
             node.v_reset = v_reset
         trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
                           num_classes=config.num_classes)
-        history = trainer.fit(train_loader, epochs=epochs, test_loader=test_loader)
+        trainer.fit(train_loader, epochs=epochs)
         records.append({
             "dataset": config.dataset,
             "reset_mode": mode,
             "epochs": epochs,
-            "accuracy": history.test_accuracy[-1] if history.test_accuracy else 0.0,
+            "accuracy": trainer.evaluate(test_loader),
         })
     return records
 

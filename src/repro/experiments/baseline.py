@@ -14,7 +14,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..datasets import DataLoader, load_dataset
+from ..datasets import ArrayDataset, DataLoader, load_dataset
 from ..snn import Adam, SpikingClassifier, Trainer, build_model_for_dataset
 from ..utils.logging import get_logger
 from ..utils.rng import derive_seed
@@ -35,9 +35,12 @@ class PreparedBaseline:
     config: ExperimentConfig
     state: Dict[str, np.ndarray]
     baseline_accuracy: float
-    train_loader: DataLoader
+    train_data: ArrayDataset
     test_loader: DataLoader
-    num_classes: int
+
+    @property
+    def num_classes(self) -> int:
+        return self.config.num_classes
 
     def model_factory(self) -> SpikingClassifier:
         model, _ = build_model_for_dataset(
@@ -48,14 +51,14 @@ class PreparedBaseline:
         return model
 
     def fresh_train_loader(self) -> DataLoader:
-        """A new train loader over the same data, seeded like the original.
+        """A new train loader over the train data, seeded like the baseline's.
 
-        ``train_loader`` advances its shuffle RNG on every epoch it serves,
-        so a retraining run handed the shared loader would depend on every
-        run before it; each run takes a fresh loader instead.
+        A loader advances its shuffle RNG on every epoch it serves, so a
+        retraining run handed a shared loader would depend on every run
+        before it; each run takes a fresh loader instead.
         """
 
-        return _train_loader(self.config, self.train_loader.dataset)
+        return _train_loader(self.config, self.train_data)
 
 
 _CACHE: Dict[ExperimentConfig, PreparedBaseline] = {}
@@ -83,22 +86,20 @@ def _train_loader(config: ExperimentConfig, train) -> DataLoader:
                       seed=derive_seed(config.seed, "loader"))
 
 
-def prepare_baseline(config: ExperimentConfig, use_cache: bool = True,
-                     verbose: bool = False) -> PreparedBaseline:
+def prepare_baseline(config: ExperimentConfig, use_cache: bool = True) -> PreparedBaseline:
     """Train (or fetch from cache) the baseline model for ``config``."""
 
     if use_cache and config in _CACHE:
         return _CACHE[config]
 
     train_loader, test_loader = build_loaders(config)
-    model, model_config = build_model_for_dataset(
+    model, _ = build_model_for_dataset(
         config.dataset, channels=config.channels, hidden_units=config.hidden_units,
         time_steps=config.time_steps, seed=config.seed)
     trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
                       num_classes=config.num_classes)
-    history = trainer.fit(train_loader, epochs=config.baseline_epochs,
-                          test_loader=test_loader, verbose=verbose)
-    baseline_accuracy = history.test_accuracy[-1] if history.test_accuracy else 0.0
+    trainer.fit(train_loader, epochs=config.baseline_epochs)
+    baseline_accuracy = trainer.evaluate(test_loader)
     logger.info("baseline %s accuracy %.3f after %d epochs",
                 config.dataset, baseline_accuracy, config.baseline_epochs)
 
@@ -106,9 +107,8 @@ def prepare_baseline(config: ExperimentConfig, use_cache: bool = True,
         config=config,
         state=model.state_dict(),
         baseline_accuracy=baseline_accuracy,
-        train_loader=train_loader,
+        train_data=train_loader.dataset,
         test_loader=test_loader,
-        num_classes=config.num_classes,
     )
     if use_cache:
         _CACHE[config] = prepared

@@ -22,8 +22,9 @@ from typing import List, Optional, Sequence
 from ..core import MITIGATIONS, get_mitigation
 from ..faults import (CampaignOrchestrator, PendingShardError, WorkUnit,
                       fault_map_from_rate)
-from ..faults.campaign import cache_path, state_token, unit_option_problems
+from ..faults.campaign import cache_path, unit_option_problems
 from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
+from ..utils.hashing import state_token
 from ..utils.rng import derive_seed
 from .baseline import PreparedBaseline, prepare_baseline
 from .config import ExperimentConfig, PAPER_FAULT_RATES, default_config

@@ -35,7 +35,6 @@ from .fault_map import (
 )
 from .injection import (
     FaultInjector,
-    baseline_accuracy,
     build_faulty_array,
     evaluate_with_faults,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "WorkUnit",
     "load_cached_record",
     "store_record_safe",
-    "baseline_accuracy",
     "sweep_array_sizes",
     "sweep_bit_locations",
     "sweep_faulty_pe_count",

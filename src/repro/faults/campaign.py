@@ -51,15 +51,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..snn.training import evaluate
 from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
-from ..utils.hashing import loader_token, model_key, model_token, state_token
+from ..utils.hashing import loader_token, model_key, model_token
 from ..utils.logging import get_logger
 from ..utils.rng import get_rng
 from ..utils.serialization import load_records, save_records
 from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
                         random_weight_fault_map, schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import ENGINES, _engine_problems, baseline_accuracy, evaluate_with_faults
+from .injection import ENGINES, _engine_problems, evaluate_with_faults
 
 __all__ = [
     "CampaignPoint",
@@ -71,10 +72,7 @@ __all__ = [
     "cache_path",
     "check_runner_options",
     "load_cached_record",
-    "loader_token",
-    "model_token",
     "plan_sweep_chunks",
-    "state_token",
     "store_record_safe",
 ]
 
@@ -296,9 +294,6 @@ def plan_sweep_chunks(points: Sequence[CampaignPoint],
 # ----------------------------------------------------------------------
 # Record cache (shared with the retraining cells)
 # ----------------------------------------------------------------------
-# The content-digest helpers (state_token / model_token / loader_token)
-# live in repro.utils.hashing and are re-exported here because campaign
-# cache keys are their primary consumer.
 
 
 def _digest_payload(payload: dict) -> str:
@@ -633,7 +628,7 @@ class CampaignRunner:
                 self._baseline = FusedInferenceEngine(
                     self.model, plan_token=self._model_token).evaluate(self.loader)
             else:
-                self._baseline = baseline_accuracy(self.model, self.loader)
+                self._baseline = evaluate(self.model, self.loader)
         return self._baseline
 
     def _cache_payload(self, point: CampaignPoint) -> dict:

@@ -22,11 +22,10 @@ from __future__ import annotations
 import contextlib
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..snn.layers import Conv2d, Linear
 from ..snn.network import SpikingClassifier
+from ..snn.training import evaluate
 from ..systolic.array import SystolicArray
 from ..systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .fault_map import FaultMap, FaultSchedule, schedule_phases
@@ -193,28 +192,6 @@ def build_faulty_array(fault_map: FaultMap,
     return array
 
 
-def baseline_accuracy(model: SpikingClassifier, loader) -> float:
-    """Accuracy of the model's software forward path over ``loader``.
-
-    Fault-free unless called inside a :class:`FaultInjector`.  The model's
-    train/eval mode is restored on return.
-    """
-
-    was_training = model.training
-    model.eval()
-    correct = 0
-    total = 0
-    try:
-        with no_grad():
-            for inputs, labels in loader:
-                rates = model(Tensor(inputs))
-                correct += int(np.sum(np.argmax(rates.data, axis=1) == labels))
-                total += labels.shape[0]
-    finally:
-        model.train(was_training)
-    return correct / total if total else 0.0
-
-
 def evaluate_with_faults(model: SpikingClassifier, loader,
                          faults: Sequence[Union[FaultMap, FaultSchedule]], *,
                          bypass: bool = False,
@@ -284,5 +261,5 @@ def evaluate_with_faults(model: SpikingClassifier, loader,
         target = item if transient else build_faulty_array(item, fmt=fmt,
                                                            bypass=bypass)
         with FaultInjector(model, target, fmt=fmt):
-            accuracies.append(baseline_accuracy(model, loader))
+            accuracies.append(evaluate(model, loader))
     return accuracies

@@ -22,7 +22,7 @@ from .network import SpikingClassifier
 from .encoding import ConstantCurrentEncoder, LatencyEncoder, PoissonEncoder, rate_from_spikes
 from .loss import accuracy, cross_entropy_loss, get_loss, rate_mse_loss
 from .optim import Adam, Optimizer, SGD
-from .training import Trainer, TrainingHistory
+from .training import Trainer, TrainingHistory, evaluate
 from .monitor import LayerActivity, SpikeMonitor, activity_drop, measure_firing_rates
 from .models import (
     DATASET_CONFIGS,
@@ -77,6 +77,7 @@ __all__ = [
     "SGD",
     "Trainer",
     "TrainingHistory",
+    "evaluate",
     "LayerActivity",
     "SpikeMonitor",
     "activity_drop",

@@ -4,7 +4,9 @@ The :class:`Trainer` is deliberately small: it iterates a
 :class:`~repro.datasets.base.DataLoader`, performs surrogate-gradient BPTT
 updates, tracks per-epoch train/test accuracy and supports *callbacks* -- the
 hook FalVolt and FaPIT use to re-zero pruned weights at the end of every
-retraining epoch (Algorithm 1, line 13).
+retraining epoch (Algorithm 1, line 13).  :func:`evaluate` is the one
+autograd accuracy loop: the trainer's test-set passes, the baselines and
+the sequential fault-injection oracle all measure through it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,34 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..utils.logging import get_logger
 from .loss import accuracy, rate_mse_loss
 from .network import SpikingClassifier
 from .optim import Optimizer
 
-logger = get_logger("training")
+
+def evaluate(model: SpikingClassifier, loader) -> float:
+    """Classification accuracy of ``model``'s autograd forward over ``loader``.
+
+    Runs in inference mode without gradients; the model's train/eval mode is
+    restored on return.  Inside a :class:`~repro.faults.FaultInjector` this
+    is the faulty accuracy of the sequential oracle.
+    """
+
+    was_training = model.training
+    model.eval()
+    correct = 0
+    total = 0
+    try:
+        with no_grad():
+            for inputs, labels in loader:
+                rates = model(Tensor(inputs))
+                predictions = np.argmax(rates.data, axis=1)
+                correct += int(np.sum(predictions == labels))
+                total += labels.shape[0]
+    finally:
+        model.train(was_training)
+    return correct / total if total else 0.0
+
 
 #: Callback signature: ``callback(model, epoch, logs_dict)`` invoked after
 #: every epoch (after the optimizer steps of that epoch).
@@ -88,33 +112,21 @@ class Trainer:
         return float(loss.item()), accuracy(rates, labels)
 
     def evaluate(self, loader) -> float:
-        """Classification accuracy over a data loader (inference mode).
+        """Classification accuracy over a data loader (see :func:`evaluate`)."""
 
-        The model's train/eval mode is restored on return.
-        """
-
-        was_training = self.model.training
-        self.model.eval()
-        correct = 0
-        total = 0
-        try:
-            with no_grad():
-                for inputs, labels in loader:
-                    rates = self.model(Tensor(inputs))
-                    predictions = np.argmax(rates.data, axis=1)
-                    correct += int(np.sum(predictions == labels))
-                    total += labels.shape[0]
-        finally:
-            self.model.train(was_training)
-        return correct / total if total else 0.0
+        return evaluate(self.model, loader)
 
     # ------------------------------------------------------------------
     # Full loop
     # ------------------------------------------------------------------
     def fit(self, train_loader, epochs: int, test_loader=None,
-            callbacks: Optional[Sequence[EpochCallback]] = None,
-            verbose: bool = False) -> TrainingHistory:
-        """Train for ``epochs`` epochs and return the :class:`TrainingHistory`."""
+            callbacks: Optional[Sequence[EpochCallback]] = None) -> TrainingHistory:
+        """Train for ``epochs`` epochs and return the :class:`TrainingHistory`.
+
+        With a ``test_loader`` every epoch ends with a test-set pass (after
+        the callbacks), recorded in ``history.test_accuracy``; pass one only
+        when the per-epoch curve is kept.
+        """
 
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -134,15 +146,8 @@ class Trainer:
             }
             for callback in callbacks:
                 callback(self.model, epoch, logs)
-            if test_loader is not None:
-                logs["test_accuracy"] = self.evaluate(test_loader)
             history.train_loss.append(logs["train_loss"])
             history.train_accuracy.append(logs["train_accuracy"])
-            if "test_accuracy" in logs:
-                history.test_accuracy.append(logs["test_accuracy"])
-            if verbose:
-                logger.info(
-                    "epoch %d: loss=%.4f train_acc=%.3f test_acc=%s", epoch,
-                    logs["train_loss"], logs["train_accuracy"],
-                    f"{logs.get('test_accuracy', float('nan')):.3f}")
+            if test_loader is not None:
+                history.test_accuracy.append(self.evaluate(test_loader))
         return history

@@ -14,16 +14,17 @@ from repro.faults import (
     CampaignPoint,
     CampaignRunner,
     WorkUnit,
-    baseline_accuracy,
     check_runner_options,
     evaluate_with_faults,
     fault_maps_for_trials,
     sweep_bit_locations,
     sweep_faulty_pe_count,
 )
-from repro.faults.campaign import ENGINES, cache_path, loader_token, model_token
+from repro.faults.campaign import ENGINES, cache_path
 from repro.faults.injection import FaultInjector, build_faulty_array
+from repro.snn import evaluate
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+from repro.utils.hashing import loader_token, model_token
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -73,12 +74,12 @@ class TestBatchedEvaluation:
         (fault_map,) = fault_maps_for_trials(16, 16, 40, 1,
                                              bit_position=FMT.magnitude_msb,
                                              stuck_type="sa1", seed=3)
-        clean = baseline_accuracy(trained_tiny_model, eval_loader)
+        clean = evaluate(trained_tiny_model, eval_loader)
         # An injector that routes nothing through the array leaves the
         # software forward -- and its accuracy -- untouched.
         with FaultInjector(trained_tiny_model, build_faulty_array(fault_map),
                            layer_filter=lambda layer: False):
-            assert baseline_accuracy(trained_tiny_model, eval_loader) == clean
+            assert evaluate(trained_tiny_model, eval_loader) == clean
 
 
 class TestCampaignPoint:

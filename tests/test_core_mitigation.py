@@ -18,7 +18,7 @@ from repro.core import (
 from repro.core.base import MitigationResult
 from repro.datasets import DataLoader
 from repro.faults import FaultMap, random_fault_map
-from repro.snn import TrainingHistory
+from repro.snn import Trainer, TrainingHistory
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 from tests.conftest import MICRO, build_tiny_mnist_model
@@ -149,6 +149,10 @@ class TestMitigationRuns:
         # Thresholds stay pinned at the fixed value.
         assert all(v == pytest.approx(1.0) for v in result.thresholds.values())
         assert all(not node.learnable_threshold for node in model.spiking_layers())
+        # Pruned weights still zero after retraining.
+        masks = find_pruned_weight_indices(model, fault_map_30)
+        for name, layer in affine_layers(model):
+            assert np.all(layer.weight.data[masks[name]] == 0.0)
 
     def test_falvolt_learns_thresholds_and_recovers(self, trained_tiny_model_state, loaders,
                                                     fault_map_30):
@@ -165,6 +169,30 @@ class TestMitigationRuns:
         masks = find_pruned_weight_indices(model, fault_map_30)
         for name, layer in affine_layers(model):
             assert np.all(layer.weight.data[masks[name]] == 0.0)
+
+    @pytest.mark.parametrize("mitigation, passes", [
+        (FaultAwarePruning(), 1),
+        (FaultAwarePruningWithRetraining(retraining_epochs=2, learning_rate=1.5e-2), 2),
+        (FalVolt(retraining_epochs=2, learning_rate=1.5e-2), 2),
+    ], ids=["fap", "fapit", "falvolt"])
+    def test_one_test_pass_per_epoch_or_one_without_retraining(
+            self, mitigation, passes, trained_tiny_model_state, loaders, fault_map_30,
+            monkeypatch):
+        """A retrained run reports its last epoch's test pass; FaP evaluates once."""
+
+        calls = []
+        original = Trainer.evaluate
+
+        def counting(trainer, loader):
+            calls.append(loader)
+            return original(trainer, loader)
+
+        monkeypatch.setattr(Trainer, "evaluate", counting)
+        result, _ = self.run_method(mitigation, trained_tiny_model_state, loaders,
+                                    fault_map_30)
+        assert len(calls) == passes
+        if result.retraining_epochs:
+            assert result.accuracy == result.history.test_accuracy[-1]
 
     def test_falvolt_initial_threshold_override(self, trained_tiny_model_state, loaders,
                                                 fault_map_30):

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (configs, baseline cache, reporting, registry)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,32 @@ class TestBaselinePreparation:
         assert rebuilt is not micro_baseline
         # Re-populate the module-scoped cache entry for later tests.
         prepare_baseline(MICRO)
+
+
+    def test_baseline_evaluates_once_after_training(self, monkeypatch):
+        from repro.snn import Trainer
+
+        calls = []
+        original = Trainer.evaluate
+
+        def counting(trainer, loader):
+            calls.append(loader)
+            return original(trainer, loader)
+
+        monkeypatch.setattr(Trainer, "evaluate", counting)
+        prepared = prepare_baseline(dataclasses.replace(MICRO, baseline_epochs=2),
+                                    use_cache=False)
+        assert len(calls) == 1
+        assert calls[0] is prepared.test_loader
+
+    def test_untrained_baseline_reports_measured_accuracy(self):
+        from repro.snn import evaluate
+
+        prepared = prepare_baseline(dataclasses.replace(MICRO, baseline_epochs=0),
+                                    use_cache=False)
+        untrained = prepared.model_factory()
+        assert prepared.baseline_accuracy == evaluate(untrained, prepared.test_loader)
+        assert prepared.baseline_accuracy > 0.0
 
 
 class TestExperimentDrivers:
@@ -355,7 +383,7 @@ class TestRetrainCellsOnOrchestrator:
                                                        reference, tmp_path, fast_backoff):
         from repro.experiments.mitigation import _cell_unit
         from repro.faults import CampaignOrchestrator
-        from repro.faults.campaign import state_token
+        from repro.utils.hashing import state_token
         from repro.testing import clear_plan, install_plan
 
         units = [_cell_unit(ordinal, cell, baseline=micro_baseline, epochs=1,

@@ -7,7 +7,6 @@ from repro.autograd import Tensor
 from repro.datasets import DataLoader
 from repro.faults import (
     FaultInjector,
-    baseline_accuracy,
     build_faulty_array,
     evaluate_with_faults,
     random_fault_map,
@@ -17,6 +16,7 @@ from repro.faults import (
     sweep_faulty_pe_count,
 )
 from repro.faults.injection import ENGINES
+from repro.snn import evaluate
 from repro.snn.layers import Conv2d, Linear
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
 
@@ -114,7 +114,7 @@ class TestEvaluateWithFaults:
         assert acc == pytest.approx(trained_tiny_model_state["test_accuracy"], abs=0.05)
 
     def test_msb_faults_degrade_accuracy(self, trained_tiny_model, test_loader):
-        clean = baseline_accuracy(trained_tiny_model, test_loader)
+        clean = evaluate(trained_tiny_model, test_loader)
         fm = random_fault_map(16, 16, 24, bit_position=FMT.magnitude_msb,
                               stuck_type="sa1", seed=3)
         (faulty,) = evaluate_with_faults(trained_tiny_model, test_loader, [fm])

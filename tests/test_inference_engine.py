@@ -45,6 +45,7 @@ from repro.snn import (
     Sequential,
     SpikingClassifier,
     build_model_for_dataset,
+    evaluate,
     lower_plan,
 )
 from repro.snn.inference.backends.ops_numpy import NeuronKernel, PoolKernel
@@ -393,11 +394,9 @@ class TestCampaignIntegration:
 
     def test_fused_baseline_accuracy_matches_software(self, trained_tiny_model,
                                                       tiny_mnist_loaders):
-        from repro.faults import baseline_accuracy
-
         _, test_loader = tiny_mnist_loaders
         runner = CampaignRunner(trained_tiny_model, test_loader, engine="fused")
-        assert runner.baseline_accuracy() == baseline_accuracy(
+        assert runner.baseline_accuracy() == evaluate(
             trained_tiny_model, test_loader)
 
 

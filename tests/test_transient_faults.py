@@ -22,7 +22,6 @@ from repro.faults import (
     SCHEDULE_PROCESSES,
     StuckAtFault,
     WeightSRAMFault,
-    baseline_accuracy,
     bernoulli_schedule,
     burst_schedule,
     clustered_schedule,
@@ -33,6 +32,7 @@ from repro.faults import (
     transient_fault,
 )
 from repro.faults.injection import ENGINES
+from repro.snn import evaluate
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
 from repro.systolic.array import apply_weight_faults
 from repro.utils.rng import derive_seed
@@ -109,7 +109,7 @@ class TestStepSemantics:
 
     def test_empty_schedule_is_bitwise_clean(self, trained_tiny_model,
                                              test_loader):
-        clean = baseline_accuracy(trained_tiny_model, test_loader)
+        clean = evaluate(trained_tiny_model, test_loader)
         empty = FaultSchedule(ROWS, COLS, STEPS, fmt=FMT)
         for engine in ENGINES:
             accuracies = evaluate_with_faults(
@@ -121,7 +121,7 @@ class TestStepSemantics:
     def test_boundary_step_faults(self, trained_tiny_model, test_loader,
                                   active_steps):
         schedule = _single_site_schedule(active_steps)
-        clean = baseline_accuracy(trained_tiny_model, test_loader)
+        clean = evaluate(trained_tiny_model, test_loader)
         reference = evaluate_with_faults(
             trained_tiny_model, test_loader, [schedule], engine="sequential")
         # The fault must actually fire on its single live step...
