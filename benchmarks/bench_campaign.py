@@ -16,6 +16,9 @@ reports:
 * how the fused engine's memory scales with the maps of one pass: the
   ``tracemalloc`` peak of a 32-map evaluation over that of a 128-map one
   (1.0 when memory is flat in the number of maps),
+* how much memory backward adds to one training step: the traced size
+  of the forward graph over the traced peak during ``backward`` (1.0 when
+  backward frees the graph as fast as it allocates gradients),
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -41,9 +44,11 @@ import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR
+from repro.autograd import Tensor
 from repro.datasets import DataLoader
 from repro.experiments import ExperimentConfig, format_table, prepare_baseline
 from repro.faults import build_faulty_array, random_fault_map, sweep_faulty_pe_count
+from repro.snn import Adam, Trainer
 from repro.snn.inference import FusedFaultEngine
 from repro.utils import save_records
 
@@ -272,6 +277,46 @@ def measure_map_memory_scaling(model, dataset, rounds=ROUNDS):
     return ratios
 
 
+def measure_train_graph_release(rounds=ROUNDS):
+    """Per-round traced forward-graph size over the backward peak of a step.
+
+    One round is one :meth:`Trainer.train_step` of the campaign baseline
+    on its first training batch, traced from the step's start, so the
+    traced size when ``backward`` starts is the forward graph and the peak
+    during ``backward`` is the graph plus what ``backward`` keeps alive.
+    An untraced step first fills the optimizer state and index caches.
+    """
+
+    baseline = prepare_baseline(CAMPAIGN_CONFIG)
+    model = baseline.model_factory()
+    trainer = Trainer(model, Adam(model.parameters(), lr=CAMPAIGN_CONFIG.baseline_lr),
+                      num_classes=CAMPAIGN_CONFIG.num_classes)
+    inputs, labels = next(iter(baseline.fresh_train_loader()))
+    trainer.train_step(inputs, labels)
+    backward = Tensor.backward
+    sizes = {}
+
+    def traced_backward(self, grad=None):
+        sizes["graph"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(self, grad)
+        sizes["peak"] = tracemalloc.get_traced_memory()[1]
+
+    ratios = []
+    Tensor.backward = traced_backward
+    try:
+        for _ in range(rounds):
+            tracemalloc.start()
+            try:
+                trainer.train_step(inputs, labels)
+            finally:
+                tracemalloc.stop()
+            ratios.append(sizes["graph"] / sizes["peak"])
+    finally:
+        Tensor.backward = backward
+    return ratios
+
+
 def test_bench_campaign_engines(campaign_setup):
     model, loader = campaign_setup
     # Warm-up pass so BLAS thread pools / allocators do not bill the first
@@ -305,6 +350,8 @@ def test_bench_campaign_engines(campaign_setup):
         [measure_spike_kernel_speedup() for _ in range(ROUNDS)])
     map_memory_scaling, spread["map_memory_scaling"] = median_spread(
         measure_map_memory_scaling(model, loader.dataset))
+    train_graph_release, spread["train_graph_release"] = median_spread(
+        measure_train_graph_release())
     identical = (records["fused"] == records["sequential"]
                  # The transient (SEU) schedule sweep: the phase-aware fused
                  # engine must match the per-schedule sequential oracle.
@@ -316,7 +363,9 @@ def test_bench_campaign_engines(campaign_setup):
                f"im2col gather vs strided reference: {gather_speedup:.2f}x; "
                f"spike kernels vs divide step + reshape-sum pool: "
                f"{spike_kernel_speedup:.2f}x; traced peak of a 32-map pass "
-               f"over a 128-map pass: {map_memory_scaling:.2f} "
+               f"over a 128-map pass: {map_memory_scaling:.2f}; traced "
+               f"forward graph over backward peak of a training step: "
+               f"{train_graph_release:.2f} "
                f"(medians of {ROUNDS} rounds)")
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -329,6 +378,7 @@ def test_bench_campaign_engines(campaign_setup):
         "gather_speedup": gather_speedup,
         "spike_kernel_speedup": spike_kernel_speedup,
         "map_memory_scaling": map_memory_scaling,
+        "train_graph_release": train_graph_release,
         "rounds": ROUNDS,
         "spread": spread,
         "note": "identical_records pins float64 bit-identity across both "
@@ -344,7 +394,11 @@ def test_bench_campaign_engines(campaign_setup):
                 "over NeuronKernel plus PoolKernel at (80, 8, 16, 16); "
                 "map_memory_scaling is the tracemalloc peak of a 32-map "
                 "FusedFaultEngine evaluation over a 128-map one (1.0 when "
-                "memory is flat in the maps of a pass); every ratio is "
+                "memory is flat in the maps of a pass); "
+                "train_graph_release is the tracemalloc size of one training "
+                "step's forward graph over the peak during its backward "
+                "(1.0 when backward adds nothing on top of the graph); "
+                "every ratio is "
                 "measured within this run (machine-relative) as the median "
                 "of `rounds` alternating rounds, and `spread` holds each "
                 "ratio's [min, max] over those rounds",
@@ -371,6 +425,10 @@ def test_bench_campaign_engines(campaign_setup):
     # pass needs about the memory of a 32-map one.
     assert map_memory_scaling >= 0.6, \
         f"a 128-map pass peaks at {1 / map_memory_scaling:.2f}x a 32-map pass"
+    # Backward frees each node's saved context once its backward has run,
+    # so a step peaks near the size of its forward graph.
+    assert train_graph_release >= 0.9, \
+        f"backward peaks at {1 / train_graph_release:.2f}x the forward graph"
 
 
 def test_bench_campaign_cache_hit(campaign_setup, tmp_path):

@@ -17,8 +17,10 @@ Rules (the documented gate policy):
   transient-schedule sweep), ``gather_speedup`` (the strided-window
   reference gather over ``im2col``, per call), ``spike_kernel_speedup``
   (the 9-pass divide neuron step plus ``reshape -> sum`` pooling over the
-  fused neuron and pooling kernels, per call) and ``map_memory_scaling``
-  (the traced memory peak of a 32-map fused pass over a 128-map one) --
+  fused neuron and pooling kernels, per call), ``map_memory_scaling``
+  (the traced memory peak of a 32-map fused pass over a 128-map one) and
+  ``train_graph_release`` (the traced forward graph of a training step
+  over the peak during its backward) --
   each gated whenever the recorded run reports it, so a fresh run that
   stops writing a recorded ratio fails.  Every ratio is the median of
   several alternating rounds (their spread is recorded beside it).  Each
@@ -120,6 +122,7 @@ def main(argv=None) -> int:
         ("gather_speedup", "im2col gather"),
         ("spike_kernel_speedup", "spike kernels"),
         ("map_memory_scaling", "map memory scaling"),
+        ("train_graph_release", "training graph release"),
     )
     for key, label in gated_ratios:
         if key not in recorded_meta:

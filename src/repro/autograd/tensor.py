@@ -15,6 +15,9 @@ Design notes
   receives the sum of its downstream gradients, as expected.
 * Broadcasting is handled by :func:`_unbroadcast`, which sums gradient axes
   that were expanded during the forward pass.
+* A graph is backpropagated once: :meth:`Tensor.backward` frees each node's
+  saved context as soon as its backward has run, and a second ``backward()``
+  through the same graph raises.  Tensors the caller holds keep ``.grad``.
 * Custom gradients (e.g. the Heaviside spike function with a surrogate
   derivative) are built with :class:`Function` in
   :mod:`repro.autograd.functional`.
@@ -101,7 +104,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: tuple = ()
+        # ``None`` once backward() has released the node (see backward).
+        self._parents: Optional[tuple] = ()
         self.name = name
 
     # ------------------------------------------------------------------
@@ -175,7 +179,11 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor.
 
-        ``grad`` defaults to ones (appropriate for scalar losses).
+        ``grad`` defaults to ones (appropriate for scalar losses).  The graph
+        is freed as the pass goes: afterwards every interior node has
+        ``_backward`` and ``_parents`` set to ``None``, tensors the caller
+        still holds keep ``.data`` and ``.grad``, and a second
+        ``backward()`` through any released node raises ``RuntimeError``.
         """
 
         if not self.requires_grad:
@@ -198,17 +206,33 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    "backward() through a graph that was already backpropagated: "
+                    "its saved tensors are freed; rebuild it with a new forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Walk the order in reverse and release each interior node as soon
+        # as its backward has run: its closure (a ``Function``'s ``ctx`` and
+        # input list), its parent links and the list's own reference.  A
+        # processed node is then freed with its data and ``.grad`` unless
+        # the caller still holds it, so the step's peak memory stays near
+        # the forward graph's size.  Leaves have no closure and stay as
+        # they are.
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            node = order.pop()
+            backward = node._backward
+            if backward is None:
                 continue
-            node._backward(node.grad)
+            node._backward = node._parents = None
+            if node.grad is not None:
+                backward(node.grad)
 
     # ------------------------------------------------------------------
     # Arithmetic operators

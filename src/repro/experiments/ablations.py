@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..faults import fault_map_from_rate, evaluate_with_faults
-from ..snn import Adam, Trainer, build_model_for_dataset, get_surrogate
+from ..snn import get_surrogate
 from ..systolic import FixedPointFormat
 from ..utils.rng import derive_seed
-from .baseline import build_loaders, prepare_baseline
+from .baseline import build_loaders, build_model, prepare_baseline, train_model
 from .config import ExperimentConfig, default_config
 from .mitigation import RetrainCell, retrain_cells
 
@@ -29,27 +29,22 @@ def ablate_surrogate_gradient(config: Optional[ExperimentConfig] = None,
                               dataset: str = "mnist",
                               surrogates: Sequence[str] = ("triangle", "atan", "sigmoid"),
                               epochs: Optional[int] = None) -> List[dict]:
-    """Baseline-training accuracy for each surrogate gradient family."""
+    """Baseline-training accuracy for each surrogate gradient family.
+
+    Each variant trains from the same initial weights on a fresh train
+    loader, so the variants differ only in their surrogate.
+    """
 
     config = config or default_config(dataset)
     epochs = epochs if epochs is not None else config.baseline_epochs
     train_loader, test_loader = build_loaders(config)
-    records: List[dict] = []
-    for name in surrogates:
-        model, _ = build_model_for_dataset(
-            config.dataset, surrogate=get_surrogate(name),
-            channels=config.channels, hidden_units=config.hidden_units,
-            time_steps=config.time_steps, seed=config.seed)
-        trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
-                          num_classes=config.num_classes)
-        trainer.fit(train_loader, epochs=epochs)
-        records.append({
-            "dataset": config.dataset,
-            "surrogate": name,
-            "epochs": epochs,
-            "accuracy": trainer.evaluate(test_loader),
-        })
-    return records
+    return [{
+        "dataset": config.dataset,
+        "surrogate": name,
+        "epochs": epochs,
+        "accuracy": train_model(config, build_model(config, get_surrogate(name)),
+                                train_loader.dataset, test_loader, epochs),
+    } for name in surrogates]
 
 
 def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
@@ -85,26 +80,26 @@ def ablate_threshold_granularity(config: Optional[ExperimentConfig] = None,
 def ablate_reset_mode(config: Optional[ExperimentConfig] = None,
                       dataset: str = "mnist",
                       epochs: Optional[int] = None) -> List[dict]:
-    """Hard reset (to 0) vs soft reset (subtract threshold) baseline accuracy."""
+    """Hard reset (to 0) vs soft reset (subtract threshold) baseline accuracy.
+
+    Each variant trains from the same initial weights on a fresh train
+    loader, so the variants differ only in their reset.
+    """
 
     config = config or default_config(dataset)
     epochs = epochs if epochs is not None else config.baseline_epochs
     train_loader, test_loader = build_loaders(config)
     records: List[dict] = []
     for mode, v_reset in (("hard", 0.0), ("soft", None)):
-        model, _ = build_model_for_dataset(
-            config.dataset, channels=config.channels, hidden_units=config.hidden_units,
-            time_steps=config.time_steps, seed=config.seed)
+        model = build_model(config)
         for node in model.spiking_layers():
             node.v_reset = v_reset
-        trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
-                          num_classes=config.num_classes)
-        trainer.fit(train_loader, epochs=epochs)
         records.append({
             "dataset": config.dataset,
             "reset_mode": mode,
             "epochs": epochs,
-            "accuracy": trainer.evaluate(test_loader),
+            "accuracy": train_model(config, model, train_loader.dataset, test_loader,
+                                    epochs),
         })
     return records
 

@@ -10,12 +10,12 @@ one pytest session) does not repeat the training.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..datasets import ArrayDataset, DataLoader, load_dataset
-from ..snn import Adam, SpikingClassifier, Trainer, build_model_for_dataset
+from ..snn import Adam, SpikingClassifier, SurrogateGradient, Trainer, build_model_for_dataset
 from ..utils.logging import get_logger
 from ..utils.rng import derive_seed
 from .config import ExperimentConfig
@@ -43,10 +43,7 @@ class PreparedBaseline:
         return self.config.num_classes
 
     def model_factory(self) -> SpikingClassifier:
-        model, _ = build_model_for_dataset(
-            self.config.dataset, channels=self.config.channels,
-            hidden_units=self.config.hidden_units, time_steps=self.config.time_steps,
-            seed=self.config.seed)
+        model = build_model(self.config)
         model.load_state_dict(self.state)
         return model
 
@@ -86,6 +83,32 @@ def _train_loader(config: ExperimentConfig, train) -> DataLoader:
                       seed=derive_seed(config.seed, "loader"))
 
 
+def build_model(config: ExperimentConfig,
+                surrogate: Optional[SurrogateGradient] = None) -> SpikingClassifier:
+    """The untrained dataset model ``config`` describes (seeded by ``config.seed``)."""
+
+    model, _ = build_model_for_dataset(
+        config.dataset, surrogate=surrogate, channels=config.channels,
+        hidden_units=config.hidden_units, time_steps=config.time_steps,
+        seed=config.seed)
+    return model
+
+
+def train_model(config: ExperimentConfig, model: SpikingClassifier,
+                train: ArrayDataset, test_loader: DataLoader, epochs: int) -> float:
+    """Train ``model`` with the baseline recipe; returns its test accuracy.
+
+    The recipe is Adam at ``config.baseline_lr`` for ``epochs`` epochs over
+    a fresh train loader on ``train`` (the baseline's shuffle order, whatever
+    ran before), then one test-set pass.
+    """
+
+    trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
+                      num_classes=config.num_classes)
+    trainer.fit(_train_loader(config, train), epochs=epochs)
+    return trainer.evaluate(test_loader)
+
+
 def prepare_baseline(config: ExperimentConfig, use_cache: bool = True) -> PreparedBaseline:
     """Train (or fetch from cache) the baseline model for ``config``."""
 
@@ -93,13 +116,9 @@ def prepare_baseline(config: ExperimentConfig, use_cache: bool = True) -> Prepar
         return _CACHE[config]
 
     train_loader, test_loader = build_loaders(config)
-    model, _ = build_model_for_dataset(
-        config.dataset, channels=config.channels, hidden_units=config.hidden_units,
-        time_steps=config.time_steps, seed=config.seed)
-    trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
-                      num_classes=config.num_classes)
-    trainer.fit(train_loader, epochs=config.baseline_epochs)
-    baseline_accuracy = trainer.evaluate(test_loader)
+    model = build_model(config)
+    baseline_accuracy = train_model(config, model, train_loader.dataset, test_loader,
+                                    config.baseline_epochs)
     logger.info("baseline %s accuracy %.3f after %d epochs",
                 config.dataset, baseline_accuracy, config.baseline_epochs)
 

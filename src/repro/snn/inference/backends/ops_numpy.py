@@ -278,8 +278,10 @@ class ArrayAffineKernel:
 
         self.spec = spec
         # .astype always copies, matching SystolicArray.matmul's weight prep
-        # (same C-contiguous layout for the GEMM's B operand).
+        # (same C-contiguous layout for the GEMM's B operand).  Read-only:
+        # the fused fault engine's runners of this layer share it.
         self.weight_matrix = as_weight_matrix(spec.weight).astype(np.float64)
+        self.weight_matrix.flags.writeable = False
         self.bias = None if spec.bias is None else np.asarray(spec.bias, dtype=np.float64)
 
     def run(self, x: np.ndarray) -> np.ndarray:

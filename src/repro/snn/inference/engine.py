@@ -373,8 +373,11 @@ class FusedFaultEngine:
                     else build_faulty_array(self._phase_maps[phase][f],
                                             fmt=self._fmt)
                     for f in maps])
+            # Every runner of a layer reads the float64 matrix of the
+            # layer's clean kernel, so a pass keeps one copy per layer.
+            clean = self._clean[self._op_of_affine[spec.index]]
             runner = self._runners[key] = FaultyAffineRunner(
-                subset, subset.prepare_weight(spec.weight), spec)
+                subset, subset.prepare_weight(clean.weight_matrix), spec)
         return runner
 
     def _layout_for(self, batch: int) -> _Layout:

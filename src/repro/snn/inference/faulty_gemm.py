@@ -68,7 +68,7 @@ class FaultyAffineRunner:
     subset:
         The :class:`BatchedSystolicArray` holding the forked maps' faults.
     prepared:
-        ``subset.prepare_weight(spec.weight)`` for this layer.
+        ``subset.prepare_weight`` of this layer's weight.
     spec:
         The layer's :class:`~repro.snn.inference.plan.AffineSpec`.
     """

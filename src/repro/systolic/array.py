@@ -520,9 +520,13 @@ class BatchedSystolicArray:
         so an evaluation that calls the same layer repeatedly (time steps x
         batches) can build them once.  Returns the handle a
         :class:`~repro.snn.inference.faulty_gemm.FaultyAffineRunner` runs.
+
+        ``weight`` is only read.  A float64 one is kept by reference, not
+        copied: the fused engine passes the float64 matrix its clean kernel
+        already holds, so every runner of a layer shares that one matrix.
         """
 
-        weight_matrix = as_weight_matrix(weight).astype(np.float64)
+        weight_matrix = np.asarray(as_weight_matrix(weight), dtype=np.float64)
         out_features, in_features = weight_matrix.shape
 
         if self._any_bypass or self._any_weight_faults:

@@ -302,3 +302,100 @@ class TestGraphUtilities:
         y = x * 3.0
         y.backward(np.full((2, 2), 2.0))
         assert np.allclose(x.grad, 6.0)
+
+
+class TestGraphRelease:
+    """backward() frees the graph as it goes; a graph is backpropagated once."""
+
+    @staticmethod
+    def graph_nodes(root):
+        """Every tensor reachable from ``root`` through ``_parents``."""
+
+        nodes, stack, seen = [], [root], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        return nodes
+
+    @staticmethod
+    def small_graph():
+        from repro.autograd.functional import batch_norm, conv2d
+
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 1, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        h = batch_norm(conv2d(x, w, padding=1), gamma, beta,
+                       np.zeros(3), np.ones(3), training=True)
+        loss = (h.exp() * h).sum()
+        return (x, w, gamma, beta), h, loss
+
+    def test_backward_releases_every_interior_node(self):
+        leaves, h, loss = self.small_graph()
+        nodes = self.graph_nodes(loss)
+        interior = [node for node in nodes if node._backward is not None]
+        assert len(interior) >= 4
+        loss.backward()
+        for node in interior:
+            assert node._backward is None and node._parents is None
+        for leaf in leaves:
+            assert leaf._parents == () and leaf.grad is not None
+        # A held interior tensor keeps its data and its grad.
+        assert np.allclose(h.grad, np.exp(h.data) * (1.0 + h.data))
+
+    def test_second_backward_through_a_released_graph_raises(self):
+        (x, *_), h, loss = self.small_graph()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        # A new graph on a released node is refused too, before any grad moves.
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (h * 2.0).sum().backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_train_step_backward_peak_stays_near_the_forward_graph(self, monkeypatch):
+        """On a small-MNIST step, backward peaks at <= 1.1x the forward graph.
+
+        Tracing starts with the step, so the traced size when backward
+        starts is the forward graph and the peak during backward is what
+        backward adds on top of it (1.42x before the graph was freed as
+        backward goes).
+        """
+
+        import tracemalloc
+
+        from repro.experiments import default_config
+        from repro.experiments.baseline import build_loaders
+        from repro.snn import Adam, Trainer, build_model_for_dataset
+
+        config = default_config("mnist")
+        train_loader, _ = build_loaders(config)
+        model, _ = build_model_for_dataset(
+            config.dataset, channels=config.channels, hidden_units=config.hidden_units,
+            time_steps=config.time_steps, seed=config.seed)
+        trainer = Trainer(model, Adam(model.parameters(), lr=config.baseline_lr),
+                          num_classes=config.num_classes)
+        inputs, labels = next(iter(train_loader))
+        trainer.train_step(inputs, labels)  # optimizer state and index caches
+
+        sizes = {}
+        backward = Tensor.backward
+
+        def traced_backward(self, grad=None):
+            sizes["graph"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(self, grad)
+            sizes["peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(Tensor, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            trainer.train_step(inputs, labels)
+        finally:
+            tracemalloc.stop()
+        assert sizes["peak"] <= 1.1 * sizes["graph"], sizes

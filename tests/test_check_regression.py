@@ -18,7 +18,8 @@ RECORDED = [
     {"engine": "fused", "speedup": 7.5},
     {"engine": "meta", "identical_records": True,
      "transient_overhead": 1.1, "gather_speedup": 3.0,
-     "spike_kernel_speedup": 2.0, "map_memory_scaling": 0.85},
+     "spike_kernel_speedup": 2.0, "map_memory_scaling": 0.85,
+     "train_graph_release": 0.96},
 ]
 
 
@@ -48,7 +49,8 @@ def test_equal_runs_pass(gate, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["gather_speedup", "transient_overhead",
-                                 "spike_kernel_speedup", "map_memory_scaling"])
+                                 "spike_kernel_speedup", "map_memory_scaling",
+                                 "train_graph_release"])
 def test_missing_recorded_ratio_fails(gate, tmp_path, capsys, key):
     fresh = copy.deepcopy(RECORDED)
     del _meta(fresh)[key]

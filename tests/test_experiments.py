@@ -171,6 +171,29 @@ class TestBaselinePreparation:
         assert prepared.baseline_accuracy == evaluate(untrained, prepared.test_loader)
         assert prepared.baseline_accuracy > 0.0
 
+    @pytest.mark.parametrize("ablation", ["surrogate", "reset"])
+    def test_ablation_variants_train_on_the_same_shuffle(self, ablation, monkeypatch):
+        """Every variant's first batch is the same, whatever its position."""
+
+        from repro.experiments.ablations import ablate_reset_mode, ablate_surrogate_gradient
+        from repro.snn import Trainer
+
+        first_labels = []
+        fit = Trainer.fit
+
+        def recording_fit(trainer, train_loader, epochs, *args, **kwargs):
+            first_labels.append(next(iter(train_loader))[1].tolist())
+            return fit(trainer, train_loader, epochs, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        if ablation == "surrogate":
+            records = ablate_surrogate_gradient(MICRO, surrogates=("triangle", "atan"),
+                                                epochs=0)
+        else:
+            records = ablate_reset_mode(MICRO, epochs=0)
+        assert len(first_labels) == len(records) == 2
+        assert first_labels[1] == first_labels[0]
+
 
 class TestExperimentDrivers:
     def test_fig5b_records_shape(self, micro_baseline):

@@ -312,3 +312,14 @@ class TestLaneMajor:
             finally:
                 tracemalloc.stop()
         assert peaks[16] <= 1.25 * peaks[4], peaks
+
+    def test_runners_of_a_layer_share_one_weight_matrix(self, trained_tiny_model):
+        """A pass keeps one float64 weight matrix per layer, not one per runner."""
+
+        engine = FusedFaultEngine(trained_tiny_model, _arrays(8))
+        runners = _runners(engine._layout_for(LANE_SAMPLES))
+        by_layer = {}
+        for runner in runners:
+            by_layer.setdefault(runner.spec.index, set()).add(id(runner.weight_matrix))
+        assert len(runners) > len(by_layer)
+        assert all(len(matrices) == 1 for matrices in by_layer.values()), by_layer

@@ -8,6 +8,7 @@ failure containment (retries, exhausted attempts).  Failures are injected
 through the chaos harness and units observed through progress events.
 """
 
+import ctypes
 import json
 import os
 
@@ -188,6 +189,19 @@ class TestWorkStealingPool:
         inline = [result.value for result in run_tasks(4, fn, workers=1)]
         pooled = [result.value for result in run_tasks(4, fn, workers=2)]
         assert inline == pooled == [10, 11, 12, 13]
+
+    def test_forked_workers_run_one_blas_thread(self):
+        """Workers share the cores, so each runs one OpenBLAS thread."""
+
+        from repro.faults.orchestrator import _openblas_function
+
+        get_threads = _openblas_function("get_num_threads")
+        if get_threads is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        results = run_tasks(2, lambda index: get_threads(), workers=2)
+        assert [result.value for result in results] == [1, 1]
 
 
 class TestOrchestratedRecords:
