@@ -24,11 +24,14 @@ Rules (the documented gate policy):
   each gated whenever the recorded run reports it, so a fresh run that
   stops writing a recorded ratio fails.  Every ratio is the median of
   several alternating rounds (their spread is recorded beside it).  Each
-  fresh ratio must be at least ``(1 - tolerance)`` times the recorded one;
-  the default tolerance is 30%, sized for noisy shared CI boxes (one
-  round's ratio can swing 20% or more; a real fast-path regression costs
-  2x+, and memory that grows with the maps of a pass reads about 0.3
-  against a flat recording).
+  fresh ratio must be at least ``(1 - tolerance)`` times the recorded one.
+  The timing ratios use ``--tolerance`` (default 30%), sized for noisy
+  shared CI boxes: one round's ratio can swing 20% or more, and a real
+  fast-path regression costs 2x+.  The two memory ratios are
+  deterministic tracemalloc peaks (recorded spreads under 0.2%), so they
+  use a fixed 10% (``MEMORY_TOLERANCE``): a training graph that is no
+  longer released as backward runs (about 0.70 against 0.94) or memory
+  that grows with the maps of a pass (about 0.3 against 0.87) fails.
 
 Exit status: 0 when the gate passes, 1 on any violation (so the CI step
 fails), 2 on malformed input.
@@ -44,8 +47,12 @@ from pathlib import Path
 #: Engines whose same-run speedup (vs sequential) is gated.
 GATED_ENGINES = ("fused",)
 
-#: Default allowed relative shortfall of a fresh ratio vs the recorded one.
+#: Default allowed relative shortfall of a fresh timing ratio vs the recorded one.
 DEFAULT_TOLERANCE = 0.30
+
+#: Fixed allowed shortfall of the deterministic memory ratios.
+MEMORY_TOLERANCE = 0.10
+MEMORY_RATIOS = ("map_memory_scaling", "train_graph_release")
 
 
 def load_rows(path: Path) -> dict:
@@ -71,8 +78,9 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=DEFAULT_TOLERANCE,
-        help="allowed relative shortfall of fresh vs recorded ratios "
-        "(default %(default)s; identity has no tolerance)",
+        help="allowed relative shortfall of fresh vs recorded timing ratios "
+        "(default %(default)s; memory ratios use a fixed "
+        f"{MEMORY_TOLERANCE}; identity has no tolerance)",
     )
     args = parser.parse_args(argv)
 
@@ -94,8 +102,8 @@ def main(argv=None) -> int:
             "(identical_records is false) -- this always fails, no tolerance"
         )
 
-    def gate(label, fresh_value, recorded_value):
-        floor = recorded_value * (1.0 - args.tolerance)
+    def gate(label, fresh_value, recorded_value, tolerance):
+        floor = recorded_value * (1.0 - tolerance)
         status = "ok" if fresh_value >= floor else "REGRESSION"
         print(
             f"perf gate: {label}: fresh {fresh_value:.2f}x vs recorded "
@@ -104,7 +112,7 @@ def main(argv=None) -> int:
         if fresh_value < floor:
             failures.append(
                 f"{label}: {fresh_value:.2f}x below floor {floor:.2f}x "
-                f"(recorded {recorded_value:.2f}x, tolerance {args.tolerance:.0%})"
+                f"(recorded {recorded_value:.2f}x, tolerance {tolerance:.0%})"
             )
 
     for engine in GATED_ENGINES:
@@ -114,7 +122,8 @@ def main(argv=None) -> int:
         if engine not in baseline:
             print(f"perf gate: no recorded baseline for '{engine}', skipping")
             continue
-        gate(f"{engine} speedup", fresh[engine]["speedup"], baseline[engine]["speedup"])
+        gate(f"{engine} speedup", fresh[engine]["speedup"], baseline[engine]["speedup"],
+             args.tolerance)
 
     recorded_meta = baseline.get("meta", {})
     gated_ratios = (
@@ -130,7 +139,8 @@ def main(argv=None) -> int:
         if key not in (meta or {}):
             failures.append(f"{label}: fresh results miss the recorded '{key}' ratio")
             continue
-        gate(label, meta[key], recorded_meta[key])
+        tolerance = MEMORY_TOLERANCE if key in MEMORY_RATIOS else args.tolerance
+        gate(label, meta[key], recorded_meta[key], tolerance)
 
     if failures:
         print("perf gate FAILED:", file=sys.stderr)

@@ -4,12 +4,13 @@ Public surface:
 
 * :class:`Tensor` -- numpy-backed tensor with gradient tracking.
 * :func:`no_grad` -- context manager disabling graph construction.
-* :mod:`repro.autograd.functional` -- NN primitives (linear, conv2d, pooling,
-  batch-norm, dropout, softmax) and the :class:`Function` custom-gradient hook.
+* :mod:`repro.autograd.functional` -- NN primitives (linear, conv2d, average
+  pooling, batch-norm, dropout, one-hot) and the :class:`Function`
+  custom-gradient hook.
 * :mod:`repro.autograd.gradcheck` -- finite-difference gradient validation.
 """
 
-from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack, where
+from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
 from .functional import (
     Function,
     avg_pool2d,
@@ -19,16 +20,12 @@ from .functional import (
     im2col,
     col2im,
     linear,
-    log_softmax,
-    max_pool2d,
     one_hot,
-    softmax,
 )
 from .gradcheck import check_gradients, numerical_gradient
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "concatenate",
     "is_grad_enabled",
     "no_grad",
@@ -42,10 +39,7 @@ __all__ = [
     "im2col",
     "col2im",
     "linear",
-    "log_softmax",
-    "max_pool2d",
     "one_hot",
-    "softmax",
     "check_gradients",
     "numerical_gradient",
 ]

@@ -295,39 +295,6 @@ def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     return _AvgPool2dFunction.apply(x, kernel_size=kernel_size)
 
 
-class _MaxPool2dFunction(Function):
-    @staticmethod
-    def forward(ctx: dict, x: np.ndarray, *, kernel_size: int) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        out_h, out_w = height // kernel_size, width // kernel_size
-        reshaped = x.reshape(batch, channels, out_h, kernel_size, out_w, kernel_size)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
-            batch, channels, out_h, out_w, kernel_size * kernel_size)
-        argmax = windows.argmax(axis=-1)
-        ctx.update(x_shape=x.shape, kernel_size=kernel_size, argmax=argmax)
-        return windows.max(axis=-1)
-
-    @staticmethod
-    def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
-        batch, channels, height, width = ctx["x_shape"]
-        k = ctx["kernel_size"]
-        out_h, out_w = height // k, width // k
-        argmax = ctx["argmax"]
-        grad_windows = np.zeros((batch, channels, out_h, out_w, k * k))
-        idx = np.indices(argmax.shape)
-        grad_windows[idx[0], idx[1], idx[2], idx[3], argmax] = grad
-        grad_x = grad_windows.reshape(batch, channels, out_h, out_w, k, k)
-        grad_x = grad_x.transpose(0, 1, 2, 4, 3, 5).reshape(batch, channels, height, width)
-        return (grad_x,)
-
-
-def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
-    """Non-overlapping max pooling with square windows."""
-
-    check_pool_dims("max_pool2d", x.shape[2], x.shape[3], kernel_size)
-    return _MaxPool2dFunction.apply(x, kernel_size=kernel_size)
-
-
 # ----------------------------------------------------------------------
 # Normalisation and regularisation
 # ----------------------------------------------------------------------
@@ -426,19 +393,8 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
 
 # ----------------------------------------------------------------------
-# Output heads / losses helpers
+# Loss helpers
 # ----------------------------------------------------------------------
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Return a ``(batch, num_classes)`` one-hot float array."""
 

@@ -142,11 +142,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)
 
@@ -484,35 +479,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(np.float64)
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sign)
-
-        return Tensor._make(data, (self,), backward)
-
     def clip(self, low: float, high: float) -> "Tensor":
         mask = ((self.data >= low) & (self.data <= high)).astype(np.float64)
         data = np.clip(self.data, low, high)
@@ -535,27 +501,6 @@ class Tensor:
                 other_t._accumulate(grad * (1.0 - mask_self))
 
         return Tensor._make(data, (self, other_t), backward)
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def full(shape, value: float, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(shape, rng: Optional[np.random.Generator] = None, scale: float = 1.0,
-              requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -606,11 +551,3 @@ def where(condition: ArrayLike, a: Tensor, b: Tensor) -> Tensor:
             b_t._accumulate(grad * (~cond))
 
     return Tensor._make(data, (a_t, b_t), backward)
-
-
-def as_tensor(value: ArrayLike) -> Tensor:
-    """Return ``value`` as a :class:`Tensor` (no copy when already a tensor)."""
-
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)

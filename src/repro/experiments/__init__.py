@@ -8,7 +8,7 @@ from .config import (
     default_config,
 )
 from .baseline import PreparedBaseline, build_loaders, clear_baseline_cache, prepare_baseline
-from .reporting import format_series, format_table, summarize
+from .reporting import format_series, format_table
 from .vulnerability import (
     run_fig5a_bit_locations,
     run_fig5b_faulty_pe_count,
@@ -55,7 +55,6 @@ __all__ = [
     "prepare_baseline",
     "format_series",
     "format_table",
-    "summarize",
     "run_fig5a_bit_locations",
     "run_fig5b_faulty_pe_count",
     "run_fig5c_array_sizes",

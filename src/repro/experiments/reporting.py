@@ -59,9 +59,3 @@ def format_series(records: Sequence[dict], x: str, y: str,
             f"{format_value(r.get(x))}->{format_value(r.get(y))}" for r in group)
         lines.append(f"{label}{points}")
     return "\n".join(lines)
-
-
-def summarize(records: Sequence[dict], keys: Sequence[str]) -> List[dict]:
-    """Project records onto ``keys`` (dropping everything else)."""
-
-    return [{key: record.get(key) for key in keys} for record in records]

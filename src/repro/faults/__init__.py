@@ -14,9 +14,6 @@ from .fault_model import (
     StuckAtType,
     TransientFault,
     WeightSRAMFault,
-    lsb_fault,
-    msb_fault,
-    transient_fault,
 )
 from .fault_map import (
     FaultMap,
@@ -26,12 +23,10 @@ from .fault_map import (
     burst_schedule,
     clustered_schedule,
     fault_map_from_rate,
-    fault_maps_for_trials,
     random_fault_map,
     random_weight_fault_map,
     schedule_from_process,
     schedule_phases,
-    single_bit_fault_map,
 )
 from .injection import (
     FaultInjector,
@@ -65,9 +60,6 @@ __all__ = [
     "StuckAtType",
     "TransientFault",
     "WeightSRAMFault",
-    "lsb_fault",
-    "msb_fault",
-    "transient_fault",
     "FaultMap",
     "FaultSchedule",
     "SCHEDULE_PROCESSES",
@@ -75,12 +67,10 @@ __all__ = [
     "burst_schedule",
     "clustered_schedule",
     "fault_map_from_rate",
-    "fault_maps_for_trials",
     "random_fault_map",
     "random_weight_fault_map",
     "schedule_from_process",
     "schedule_phases",
-    "single_bit_fault_map",
     "FaultInjector",
     "build_faulty_array",
     "evaluate_with_faults",

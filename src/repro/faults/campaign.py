@@ -176,8 +176,9 @@ class CampaignPoint:
                    fault_params=()) -> "CampaignPoint":
         """Expand one base seed into per-trial map seeds.
 
-        The expansion matches :func:`repro.faults.fault_map.fault_maps_for_trials`
-        exactly, so campaign records line up with the historical sweep output.
+        ``get_rng(seed)`` draws one 63-bit seed per trial;
+        :meth:`build_fault_maps` and :meth:`build_schedules` build trial
+        ``i`` under ``map_seeds[i]``.
         """
 
         if trials <= 0:

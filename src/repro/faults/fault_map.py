@@ -124,6 +124,32 @@ def _sample_coordinates(rows: int, cols: int, count: int, rng) -> List[Coordinat
     return [(int(index // cols), int(index % cols)) for index in flat]
 
 
+def _sample_sites(rows: int, cols: int, num_faulty: int,
+                  bit_position: Optional[int], stuck_type,
+                  fmt: FixedPointFormat, high_order_bits: int, rng
+                  ) -> List[Tuple[Coordinate, int, StuckAtType]]:
+    """The (coordinate, bit, polarity) sampling of every generator.
+
+    Coordinates are drawn first, then one bit per site from the clamped
+    high-order window (see :func:`random_fault_map`).
+    """
+
+    if num_faulty < 0:
+        raise ValueError("num_faulty must be non-negative")
+    if high_order_bits < 1:
+        raise ValueError("high_order_bits must be at least 1")
+    stuck = StuckAtType.from_value(stuck_type)
+    low = max(0, fmt.magnitude_msb - high_order_bits + 1)
+    sites = []
+    for coord in _sample_coordinates(rows, cols, num_faulty, rng):
+        if bit_position is None:
+            bit = int(rng.integers(low, fmt.magnitude_msb + 1))
+        else:
+            bit = bit_position
+        sites.append((coord, bit, stuck))
+    return sites
+
+
 def random_fault_map(rows: int, cols: int, num_faulty: int,
                      bit_position: Optional[int] = None,
                      stuck_type: Union[StuckAtType, int, str] = 1,
@@ -147,19 +173,10 @@ def random_fault_map(rows: int, cols: int, num_faulty: int,
     same seed places the same (coordinate, bit) sites for every class.
     """
 
-    if num_faulty < 0:
-        raise ValueError("num_faulty must be non-negative")
-    if high_order_bits < 1:
-        raise ValueError("high_order_bits must be at least 1")
-    rng = get_rng(seed)
-    stuck = StuckAtType.from_value(stuck_type)
-    low = max(0, fmt.magnitude_msb - high_order_bits + 1)
+    sites = _sample_sites(rows, cols, num_faulty, bit_position, stuck_type, fmt,
+                          high_order_bits, get_rng(seed))
     fault_map = FaultMap(rows, cols, fmt=fmt)
-    for row, col in _sample_coordinates(rows, cols, num_faulty, rng):
-        if bit_position is None:
-            bit = int(rng.integers(low, fmt.magnitude_msb + 1))
-        else:
-            bit = bit_position
+    for (row, col), bit, stuck in sites:
         fault_map.add(row, col, fault_cls(bit_position=bit, stuck_type=stuck))
     return fault_map
 
@@ -196,15 +213,6 @@ def fault_map_from_rate(rows: int, cols: int, fault_rate: float,
     num_faulty = int(round(fault_rate * rows * cols))
     return random_fault_map(rows, cols, num_faulty, bit_position=bit_position,
                             stuck_type=stuck_type, fmt=fmt, seed=seed)
-
-
-def single_bit_fault_map(rows: int, cols: int, num_faulty: int, bit_position: int,
-                         stuck_type: Union[StuckAtType, int, str],
-                         seed=None) -> FaultMap:
-    """Fault map where every faulty PE has the same bit/polarity (Fig. 5a sweeps)."""
-
-    return random_fault_map(rows, cols, num_faulty, bit_position=bit_position,
-                            stuck_type=stuck_type, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -339,32 +347,6 @@ def schedule_phases(schedules: Sequence[FaultSchedule]
             phase_maps.append([schedule.live_map(step) for schedule in schedules])
         step_phase.append(phase)
     return step_phase, phase_maps
-
-
-def _sample_sites(rows: int, cols: int, num_faulty: int,
-                  bit_position: Optional[int], stuck_type,
-                  fmt: FixedPointFormat, high_order_bits: int, rng
-                  ) -> List[Tuple[Coordinate, int, StuckAtType]]:
-    """Shared (coordinate, bit, polarity) sampling of the schedule generators.
-
-    Mirrors :func:`random_fault_map`'s draw sequence (coordinates first,
-    then one bit per site from the clamped high-order window).
-    """
-
-    if num_faulty < 0:
-        raise ValueError("num_faulty must be non-negative")
-    if high_order_bits < 1:
-        raise ValueError("high_order_bits must be at least 1")
-    stuck = StuckAtType.from_value(stuck_type)
-    low = max(0, fmt.magnitude_msb - high_order_bits + 1)
-    sites = []
-    for coord in _sample_coordinates(rows, cols, num_faulty, rng):
-        if bit_position is None:
-            bit = int(rng.integers(low, fmt.magnitude_msb + 1))
-        else:
-            bit = bit_position
-        sites.append((coord, bit, stuck))
-    return sites
 
 
 def bernoulli_schedule(rows: int, cols: int, num_faulty: int, num_steps: int,
@@ -533,21 +515,3 @@ def schedule_from_process(process: str, rows: int, cols: int, num_faulty: int,
                                   fmt=fmt, high_order_bits=high_order_bits, seed=seed)
     raise ValueError(
         f"unknown schedule process '{process}'; options: {SCHEDULE_PROCESSES}")
-
-
-def fault_maps_for_trials(rows: int, cols: int, num_faulty: int, trials: int,
-                          bit_position: Optional[int] = None,
-                          stuck_type: Union[StuckAtType, int, str] = 1,
-                          fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
-                          seed=None) -> List[FaultMap]:
-    """Distinct fault maps for repeated trials (8 iterations per point in Fig. 5b)."""
-
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    base = get_rng(seed)
-    seeds = base.integers(0, 2**63 - 1, size=trials)
-    return [
-        random_fault_map(rows, cols, num_faulty, bit_position=bit_position,
-                         stuck_type=stuck_type, fmt=fmt, seed=int(s))
-        for s in seeds
-    ]

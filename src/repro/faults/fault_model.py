@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import FrozenSet, Iterable, Union
+from typing import FrozenSet, Union
 
 import numpy as np
 
@@ -186,33 +186,3 @@ class TransientFault:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
-
-
-def transient_fault(bit_position: int,
-                    stuck_type: Union[StuckAtType, int, str],
-                    active_steps: Iterable[int]) -> TransientFault:
-    """Convenience constructor accepting any iterable of active steps."""
-
-    return TransientFault(bit_position=bit_position,
-                          stuck_type=StuckAtType.from_value(stuck_type),
-                          active_steps=frozenset(int(s) for s in active_steps))
-
-
-def msb_fault(fmt: FixedPointFormat, stuck_type: Union[StuckAtType, int, str] = 1
-              ) -> StuckAtFault:
-    """Worst-case fault used throughout the paper's Fig. 5b/5c: stuck-at in the MSB.
-
-    "MSB" follows the paper's usage: the most significant *data* bit of the
-    accumulator output (the paper sweeps bits 0-16 of a 32-bit accumulator,
-    below the sign bit).  A stuck-at-1 here is the most perturbing fault.
-    """
-
-    return StuckAtFault(bit_position=fmt.magnitude_msb,
-                        stuck_type=StuckAtType.from_value(stuck_type))
-
-
-def lsb_fault(fmt: FixedPointFormat, stuck_type: Union[StuckAtType, int, str] = 1
-              ) -> StuckAtFault:
-    """Benign-end fault: stuck-at in the least significant bit."""
-
-    return StuckAtFault(bit_position=0, stuck_type=StuckAtType.from_value(stuck_type))

@@ -15,13 +15,11 @@ from .layers import (
     Dropout,
     Flatten,
     Linear,
-    MaxPool2d,
     Sequential,
 )
 from .network import SpikingClassifier
-from .encoding import ConstantCurrentEncoder, LatencyEncoder, PoissonEncoder, rate_from_spikes
-from .loss import accuracy, cross_entropy_loss, get_loss, rate_mse_loss
-from .optim import Adam, Optimizer, SGD
+from .loss import accuracy, rate_mse_loss
+from .optim import Adam, Optimizer
 from .training import Trainer, TrainingHistory, evaluate
 from .monitor import LayerActivity, SpikeMonitor, activity_drop, measure_firing_rates
 from .models import (
@@ -61,20 +59,12 @@ __all__ = [
     "Dropout",
     "Flatten",
     "Linear",
-    "MaxPool2d",
     "Sequential",
     "SpikingClassifier",
-    "ConstantCurrentEncoder",
-    "LatencyEncoder",
-    "PoissonEncoder",
-    "rate_from_spikes",
     "accuracy",
-    "cross_entropy_loss",
-    "get_loss",
     "rate_mse_loss",
     "Adam",
     "Optimizer",
-    "SGD",
     "Trainer",
     "TrainingHistory",
     "evaluate",

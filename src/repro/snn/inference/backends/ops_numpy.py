@@ -191,34 +191,23 @@ class BatchNormKernel:
 
 
 class PoolKernel:
-    """Non-overlapping average/max pooling with square windows.
+    """Non-overlapping average pooling with square windows.
 
     Window reductions touch the same elements in the same order regardless
     of how many leading batch-like axes (``batch_ndim``) precede the
     ``(C, H, W)`` block, so per-element results match the single-batch-axis
-    autograd path bit for bit.  Average pooling is the autograd forward's
-    own :func:`~repro.autograd.functional.window_mean`.
+    autograd path bit for bit: the kernel is the autograd forward's own
+    :func:`~repro.autograd.functional.window_mean`.
     """
 
     def __init__(self, spec: PoolSpec, batch_ndim: int = 1) -> None:
-        self.kind = spec.kind
         self.k = spec.kernel_size
         self.batch_ndim = batch_ndim
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        lead = x.shape[:self.batch_ndim]
-        channels, height, width = x.shape[self.batch_ndim:]
-        k = self.k
-        check_pool_dims(f"{self.kind}_pool2d", height, width, k)
-        if self.kind == "avg":
-            return window_mean(x, k)
-        out_h, out_w = height // k, width // k
-        base = self.batch_ndim
-        reshaped = x.reshape(lead + (channels, out_h, k, out_w, k))
-        perm = tuple(range(base)) + (base, base + 1, base + 3, base + 2, base + 4)
-        windows = reshaped.transpose(perm).reshape(
-            lead + (channels, out_h, out_w, k * k))
-        return windows.max(axis=-1)
+        height, width = x.shape[-2:]
+        check_pool_dims("avg_pool2d", height, width, self.k)
+        return window_mean(x, self.k)
 
 
 class FlattenKernel:

@@ -70,27 +70,13 @@ import numpy as np
 
 from ...systolic.array import BatchedSystolicArray, SystolicArray
 from ...systolic.mapping import faulty_weight_mask
+from ..network import iter_frames
 from .backends.ops_numpy import KERNEL_SET, NeuronKernel
 from .faulty_gemm import FaultyAffineRunner, ForkEntry
 from .plan import AffineSpec, InferencePlan, lower_plan
 from .plan_cache import default_plan_cache
 
 __all__ = ["FusedInferenceEngine", "FusedFaultEngine"]
-
-
-def _iter_frames(x: np.ndarray, time_steps: int):
-    """Frame iteration with the semantics of ``SpikingClassifier._iter_frames``."""
-
-    if x.ndim in (5, 3):
-        for t in range(x.shape[0]):
-            yield x[t]
-    elif x.ndim in (4, 2):
-        for _ in range(time_steps):
-            yield x
-    else:
-        raise ValueError(
-            "expected a 2D/4D static input or a 3D/5D time-major input, "
-            f"got shape {x.shape}")
 
 
 def _plan_for(model, plan_token: Optional[str]) -> InferencePlan:
@@ -141,7 +127,7 @@ class FusedInferenceEngine:
         acc: Optional[np.ndarray] = None
         prefix_out: Optional[np.ndarray] = None
         steps = 0
-        for frame in _iter_frames(x0, self.plan.time_steps):
+        for frame in iter_frames(x0, self.plan.time_steps):
             if static and prefix_out is not None:
                 x = prefix_out
             else:
@@ -601,7 +587,7 @@ class FusedFaultEngine:
 
         x0 = np.asarray(inputs, dtype=np.float64)
         static = x0.ndim in (4, 2)
-        frames = list(_iter_frames(x0, self.plan.time_steps))
+        frames = list(iter_frames(x0, self.plan.time_steps))
         phases = [self._phase_for_step(step) for step in range(len(frames))]
         layout = self._layout_for(frames[0].shape[0])
         acc_c, stashes = self._clean_pass(frames, static, layout.entries)

@@ -86,7 +86,7 @@ class BatchNormSpec:
 
 @dataclasses.dataclass(frozen=True)
 class PoolSpec:
-    kind: str                       # "avg" | "max"
+    kind: str                       # "avg"
     kernel_size: int
 
 
@@ -185,10 +185,8 @@ class PlanBuilder:
                        eps: float) -> None:
         self._append(BatchNormSpec(gamma, beta, running_mean, running_var, float(eps)))
 
-    def add_pool(self, kind: str, kernel_size: int) -> None:
-        if kind not in ("avg", "max"):
-            raise ValueError(f"unknown pool kind '{kind}'")
-        self._append(PoolSpec(kind, int(kernel_size)))
+    def add_pool(self, kernel_size: int) -> None:
+        self._append(PoolSpec("avg", int(kernel_size)))
 
     def add_flatten(self) -> None:
         self._append(FlattenSpec())

@@ -117,23 +117,7 @@ class AvgPool2d(Module):
         return F.avg_pool2d(x, self.kernel_size)
 
     def lower_inference(self, builder) -> None:
-        builder.add_pool("avg", self.kernel_size)
-
-
-class MaxPool2d(Module):
-    """Non-overlapping max pooling."""
-
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size)
-
-    def lower_inference(self, builder) -> None:
-        builder.add_pool("max", self.kernel_size)
+        builder.add_pool(self.kernel_size)
 
 
 class Dropout(Module):

@@ -1,16 +1,15 @@
-"""Loss functions and accuracy metrics for rate-coded SNN outputs.
+"""The rate-MSE loss and the accuracy metric for rate-coded SNN outputs.
 
 The paper's loss is "the cross entropy loss function defined by the mean
 square error" -- the standard SpikingJelly practice of regressing output
-firing rates onto the one-hot label vector with MSE.  A conventional
-cross-entropy on firing rates is also provided for the ablation study.
+firing rates onto the one-hot label vector with MSE.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, log_softmax, one_hot
+from ..autograd import Tensor, one_hot
 
 
 def rate_mse_loss(rates: Tensor, labels: np.ndarray, num_classes: int) -> Tensor:
@@ -19,15 +18,6 @@ def rate_mse_loss(rates: Tensor, labels: np.ndarray, num_classes: int) -> Tensor
     target = Tensor(one_hot(labels, num_classes))
     diff = rates - target
     return (diff * diff).mean()
-
-
-def cross_entropy_loss(rates: Tensor, labels: np.ndarray, num_classes: int) -> Tensor:
-    """Cross entropy of softmax(firing rates) against integer labels."""
-
-    labels = np.asarray(labels, dtype=np.int64)
-    log_probs = log_softmax(rates, axis=1)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return -picked.mean()
 
 
 def accuracy(rates, labels: np.ndarray) -> float:
@@ -41,18 +31,3 @@ def accuracy(rates, labels: np.ndarray) -> float:
         return 0.0
     predictions = np.argmax(data, axis=1)
     return float(np.mean(predictions == labels))
-
-
-LOSSES = {
-    "rate_mse": rate_mse_loss,
-    "cross_entropy": cross_entropy_loss,
-}
-
-
-def get_loss(name: str):
-    """Look up a loss function by name (``rate_mse`` or ``cross_entropy``)."""
-
-    key = name.lower()
-    if key not in LOSSES:
-        raise KeyError(f"unknown loss '{name}'; options: {sorted(LOSSES)}")
-    return LOSSES[key]

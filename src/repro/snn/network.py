@@ -24,6 +24,27 @@ from .module import Module
 from .neurons import BaseNode, spiking_nodes
 
 
+def iter_frames(x, time_steps: int):
+    """The per-step inputs of ``x`` (a :class:`Tensor` or a numpy array).
+
+    5D ``(T, batch, C, H, W)`` event frames and 3D ``(T, batch, features)``
+    temporal vectors yield one slice per step; 4D ``(batch, C, H, W)``
+    static images and 2D ``(batch, features)`` static vectors (useful for
+    toy FC-only nets) yield ``x`` itself ``time_steps`` times.
+    """
+
+    if x.ndim in (5, 3):
+        for t in range(x.shape[0]):
+            yield x[t]
+    elif x.ndim in (4, 2):
+        for _ in range(time_steps):
+            yield x
+    else:
+        raise ValueError(
+            "expected a 2D/4D static input or a 3D/5D time-major input, "
+            f"got shape {x.shape}")
+
+
 class SpikingClassifier(Module):
     """Run a layer stack over time and return class firing rates.
 
@@ -68,44 +89,16 @@ class SpikingClassifier(Module):
     def lower_inference(self, builder) -> None:
         builder.lower(self.layers)
 
-    def compile_inference(self):
-        """Lower this classifier into a fused no-autograd inference engine.
-
-        The returned :class:`~repro.snn.inference.FusedInferenceEngine`
-        evaluates with preallocated buffers and no graph construction, bit
-        for bit like :meth:`forward` in eval mode.  Weights are captured by
-        reference -- recompile after loading a new state dict.
-        """
-
-        from .inference import FusedInferenceEngine
-
-        return FusedInferenceEngine(self)
-
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def _iter_frames(self, x: Tensor):
-        # 5D = (T, batch, C, H, W) event frames; 4D = (batch, C, H, W) static
-        # images repeated each step; 3D = (T, batch, features) temporal vectors;
-        # 2D = (batch, features) static vectors (useful for toy FC-only nets).
-        if x.ndim in (5, 3):
-            for t in range(x.shape[0]):
-                yield x[t]
-        elif x.ndim in (4, 2):
-            for _ in range(self.time_steps):
-                yield x
-        else:
-            raise ValueError(
-                "expected a 2D/4D static input or a 3D/5D time-major input, "
-                f"got shape {x.shape}")
-
     def forward(self, x: Tensor) -> Tensor:
         """Return output firing rates of shape ``(batch, num_classes)``."""
 
         self.reset_state()
         accumulated: Optional[Tensor] = None
         steps = 0
-        for frame in self._iter_frames(x):
+        for frame in iter_frames(x, self.time_steps):
             out = self.layers(frame)
             accumulated = out if accumulated is None else accumulated + out
             steps += 1

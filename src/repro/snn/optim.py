@@ -28,34 +28,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 0.1,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
 

@@ -63,9 +63,6 @@ class TrainingHistory:
     def epochs(self) -> int:
         return len(self.train_loss)
 
-    def best_test_accuracy(self) -> float:
-        return max(self.test_accuracy) if self.test_accuracy else 0.0
-
     def epochs_to_reach(self, target_accuracy: float) -> Optional[int]:
         """First epoch (1-based) whose test accuracy reaches ``target_accuracy``.
 
@@ -87,15 +84,17 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Mini-batch surrogate-gradient trainer for :class:`SpikingClassifier`."""
+    """Mini-batch surrogate-gradient trainer for :class:`SpikingClassifier`.
+
+    Every step minimises :func:`~repro.snn.loss.rate_mse_loss`, the paper's
+    loss.
+    """
 
     def __init__(self, model: SpikingClassifier, optimizer: Optimizer,
-                 num_classes: int,
-                 loss_fn: Callable = rate_mse_loss) -> None:
+                 num_classes: int) -> None:
         self.model = model
         self.optimizer = optimizer
         self.num_classes = num_classes
-        self.loss_fn = loss_fn
 
     # ------------------------------------------------------------------
     # Single steps
@@ -106,7 +105,7 @@ class Trainer:
         self.model.train()
         self.optimizer.zero_grad()
         rates = self.model(Tensor(inputs))
-        loss = self.loss_fn(rates, labels, self.num_classes)
+        loss = rate_mse_loss(rates, labels, self.num_classes)
         loss.backward()
         self.optimizer.step()
         return float(loss.item()), accuracy(rates, labels)

@@ -8,7 +8,6 @@ mapping and a first-order latency model.
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .mapping import (
     as_weight_matrix,
-    count_mapped_weights,
     faulty_mask_for_layer_weight,
     faulty_weight_mask,
     pe_coordinates,
@@ -24,13 +23,11 @@ from .scheduler import (
     schedule_layer,
     schedule_network,
 )
-from .energy import BYPASS_AREA_OVERHEAD, EnergyModel, compare_snn_vs_ann
 
 __all__ = [
     "DEFAULT_ACCUMULATOR_FORMAT",
     "FixedPointFormat",
     "as_weight_matrix",
-    "count_mapped_weights",
     "faulty_mask_for_layer_weight",
     "faulty_weight_mask",
     "pe_coordinates",
@@ -45,7 +42,4 @@ __all__ = [
     "reexecution_overhead",
     "schedule_layer",
     "schedule_network",
-    "BYPASS_AREA_OVERHEAD",
-    "EnergyModel",
-    "compare_snn_vs_ann",
 ]

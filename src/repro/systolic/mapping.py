@@ -85,21 +85,6 @@ def faulty_mask_for_layer_weight(weight: np.ndarray,
     return mask.reshape(np.asarray(weight).shape)
 
 
-def count_mapped_weights(weight_shape: Tuple[int, int], rows: int, cols: int,
-                         pe: Tuple[int, int]) -> int:
-    """Number of weight elements of a layer mapped onto a single PE.
-
-    Useful for reasoning about reuse: a 4x4 array holding a 64x64 weight
-    matrix maps 256 weights per PE, whereas a 256x256 array maps at most one.
-    """
-
-    out_features, in_features = weight_shape
-    row, col = pe
-    rows_hit = len(range(row, in_features, rows)) if row < in_features else 0
-    cols_hit = len(range(col, out_features, cols)) if col < out_features else 0
-    return rows_hit * cols_hit
-
-
 def tile_counts(weight_shape: Tuple[int, int], rows: int, cols: int) -> Tuple[int, int]:
     """Number of (input, output) tiles needed to map a weight matrix on the array."""
 

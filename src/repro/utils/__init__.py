@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management, logging, serialization."""
 
-from .rng import DEFAULT_SEED, derive_seed, get_rng, spawn_rngs
+from .rng import DEFAULT_SEED, derive_seed, get_rng
 from .hashing import loader_token, model_token, state_token
 from .logging import Timer, configure_logging, get_logger
 from .serialization import load_records, load_state_dict, save_records, save_state_dict
@@ -9,7 +9,6 @@ __all__ = [
     "DEFAULT_SEED",
     "derive_seed",
     "get_rng",
-    "spawn_rngs",
     "loader_token",
     "model_token",
     "state_token",

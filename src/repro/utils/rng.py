@@ -33,20 +33,6 @@ def get_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent generators from one seed.
-
-    Used by repeated-trial experiments (e.g. the 8 fault-map iterations in the
-    paper's Fig. 5b) so that each trial is independent yet reproducible.
-    """
-
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    base = get_rng(seed)
-    seeds = base.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 def _stable_tag_value(tag: Union[int, str]) -> int:
     """Map a tag to a 63-bit integer that is stable across processes.
 

@@ -1,4 +1,4 @@
-"""Tests for the NN primitives (conv, pooling, batch-norm, dropout, softmax)."""
+"""Tests for the NN primitives (conv, pooling, batch-norm, dropout, one-hot)."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,7 @@ from repro.autograd import (
     dropout,
     im2col,
     linear,
-    log_softmax,
-    max_pool2d,
     one_hot,
-    softmax,
 )
 from repro.autograd import functional
 from repro.autograd.functional import Function, _conv_output_size
@@ -226,22 +223,6 @@ class TestPooling:
         with pytest.raises(ValueError):
             avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
 
-    def test_max_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = max_pool2d(x, 2)
-        assert np.allclose(out.data[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_max_pool_gradient_to_max_only(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        assert x.grad.sum() == pytest.approx(4.0)
-        assert x.grad[0, 0, 1, 1] == pytest.approx(1.0)
-        assert x.grad[0, 0, 0, 0] == pytest.approx(0.0)
-
-    def test_max_pool_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            max_pool2d(Tensor(np.zeros((1, 1, 6, 5))), 4)
-
 
 class TestBatchNorm:
     def test_training_normalises(self):
@@ -310,19 +291,6 @@ class TestDropoutSoftmax:
     def test_dropout_invalid_p(self):
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(3)), 1.5, training=True, rng=np.random.default_rng(0))
-
-    def test_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(6, 10)))
-        probs = softmax(x, axis=1)
-        assert np.allclose(probs.data.sum(axis=1), 1.0)
-
-    def test_log_softmax_consistency(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 7)))
-        assert np.allclose(log_softmax(x).data, np.log(softmax(x).data))
-
-    def test_softmax_gradcheck(self):
-        x = Tensor(np.random.default_rng(2).normal(size=(3, 5)), requires_grad=True)
-        check_gradients(lambda t: softmax(t, axis=1) * Tensor(np.arange(5.0)), [x])
 
     def test_one_hot(self):
         enc = one_hot(np.array([0, 2, 1]), 3)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
-from repro.autograd import Tensor, check_gradients, softmax
+from repro.autograd import Tensor, check_gradients
 
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
@@ -82,12 +82,3 @@ class TestGradientProperties:
         ((x + b) * 2.0).sum().backward()
         assert b.grad.shape == (features,)
         assert np.allclose(b.grad, np.full(features, 2.0 * batch))
-
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=8))
-    @settings(max_examples=20, deadline=None)
-    def test_softmax_rows_normalised(self, rows, cols):
-        rng = np.random.default_rng(rows * 13 + cols)
-        x = Tensor(rng.normal(size=(rows, cols)) * 3.0)
-        probs = softmax(x, axis=1).data
-        assert np.all(probs >= 0)
-        assert np.allclose(probs.sum(axis=1), 1.0)

@@ -7,6 +7,7 @@ self-healing of damaged entries through the work-unit path) and the
 optional worker pool.
 """
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -16,7 +17,7 @@ from repro.faults import (
     WorkUnit,
     check_runner_options,
     evaluate_with_faults,
-    fault_maps_for_trials,
+    random_fault_map,
     sweep_bit_locations,
     sweep_faulty_pe_count,
 )
@@ -36,8 +37,8 @@ def eval_loader(tiny_mnist_loaders):
 
 class TestBatchedEvaluation:
     def test_matches_sequential_per_map(self, trained_tiny_model, eval_loader):
-        maps = fault_maps_for_trials(16, 16, 4, 5, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=7)
+        maps = CampaignPoint.for_trials(16, 16, 4, 5, bit_position=FMT.magnitude_msb,
+                                        stuck_type="sa1", seed=7).build_fault_maps()
         sequential = [evaluate_with_faults(trained_tiny_model, eval_loader,
                                            [m], engine="sequential")[0]
                       for m in maps]
@@ -47,8 +48,8 @@ class TestBatchedEvaluation:
             assert batched == sequential
 
     def test_bypass_matches_sequential(self, trained_tiny_model, eval_loader):
-        maps = fault_maps_for_trials(16, 16, 6, 3, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=9)
+        maps = CampaignPoint.for_trials(16, 16, 6, 3, bit_position=FMT.magnitude_msb,
+                                        stuck_type="sa1", seed=9).build_fault_maps()
         sequential = [evaluate_with_faults(trained_tiny_model, eval_loader,
                                            [m], bypass=True)[0] for m in maps]
         batched = evaluate_with_faults(trained_tiny_model, eval_loader, maps,
@@ -62,7 +63,7 @@ class TestBatchedEvaluation:
                                      engine=engine)
 
     def test_injector_restores_forwards(self, trained_tiny_model):
-        (fault_map,) = fault_maps_for_trials(8, 8, 2, 1, seed=3)
+        fault_map = random_fault_map(8, 8, 2, seed=3)
         layers_before = [m.forward for m in trained_tiny_model.modules()]
         with FaultInjector(trained_tiny_model, build_faulty_array(fault_map)):
             pass
@@ -71,9 +72,8 @@ class TestBatchedEvaluation:
 
     def test_no_target_layers_returns_software_accuracy(self, trained_tiny_model,
                                                         eval_loader):
-        (fault_map,) = fault_maps_for_trials(16, 16, 40, 1,
-                                             bit_position=FMT.magnitude_msb,
-                                             stuck_type="sa1", seed=3)
+        fault_map = random_fault_map(16, 16, 40, bit_position=FMT.magnitude_msb,
+                                     stuck_type="sa1", seed=3)
         clean = evaluate(trained_tiny_model, eval_loader)
         # An injector that routes nothing through the array leaves the
         # software forward -- and its accuracy -- untouched.
@@ -83,15 +83,17 @@ class TestBatchedEvaluation:
 
 
 class TestCampaignPoint:
-    def test_for_trials_matches_fault_maps_for_trials(self):
+    def test_for_trials_builds_random_fault_map_per_seed(self):
         point = CampaignPoint.for_trials(16, 16, 4, 3, bit_position=10,
                                          stuck_type="sa0", seed=11)
-        expected = fault_maps_for_trials(16, 16, 4, 3, bit_position=10,
-                                         stuck_type="sa0", seed=11)
+        seeds = np.random.default_rng(11).integers(0, 2**63 - 1, size=3)
+        assert point.map_seeds == tuple(int(s) for s in seeds)
         built = point.build_fault_maps(FMT)
         assert len(built) == 3
-        for map_a, map_b in zip(built, expected):
-            assert map_a.faults == map_b.faults
+        for fault_map, seed in zip(built, point.map_seeds):
+            expected = random_fault_map(16, 16, 4, bit_position=10,
+                                        stuck_type="sa0", seed=seed)
+            assert fault_map.faults == expected.faults
 
     def test_stuck_type_canonicalised(self):
         point = CampaignPoint(4, 4, 1, (1,), stuck_type=1)

@@ -82,6 +82,21 @@ def test_memory_scaling_below_floor_fails(gate, tmp_path, capsys):
     assert "map memory scaling" in capsys.readouterr().err
 
 
+def test_unreleased_training_graph_fails(gate, tmp_path, capsys):
+    """A backward that keeps the whole graph alive (0.70) fails against a
+    recorded 0.94 although it clears the 30% timing tolerance; the
+    memory ratios are gated at a fixed 10%."""
+
+    recorded = copy.deepcopy(RECORDED)
+    _meta(recorded)["train_graph_release"] = 0.94
+    fresh = copy.deepcopy(recorded)
+    _meta(fresh)["train_graph_release"] = 0.70
+    assert _run(gate, tmp_path, fresh, recorded) == 1
+    assert "training graph release" in capsys.readouterr().err
+    _meta(fresh)["train_graph_release"] = 0.94 * 0.91   # inside 10%
+    assert _run(gate, tmp_path, fresh, recorded) == 0
+
+
 def test_identity_mismatch_fails(gate, tmp_path, capsys):
     fresh = copy.deepcopy(RECORDED)
     _meta(fresh)["identical_records"] = False

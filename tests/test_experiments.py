@@ -17,7 +17,6 @@ from repro.experiments import (
     get_experiment,
     list_experiments,
     prepare_baseline,
-    summarize,
 )
 from repro.experiments.baseline import build_loaders
 from tests.conftest import MICRO
@@ -92,10 +91,6 @@ class TestReporting:
     def test_format_series_ungrouped(self):
         series = format_series(self.RECORDS, x="fault_rate", y="accuracy")
         assert "0.300->0.985" in series
-
-    def test_summarize_projects_keys(self):
-        rows = summarize(self.RECORDS, ["method"])
-        assert rows == [{"method": "FaP"}, {"method": "FalVolt"}]
 
 
 class TestRegistry:
@@ -497,14 +492,6 @@ class TestReportingEdgeCases:
         assert format_value(7) == "7"
         assert format_value("x") == "x"
         assert format_value(None) == "None"
-
-    def test_summarize_empty_and_missing(self):
-        from repro.experiments.reporting import summarize
-
-        assert summarize([], ["a"]) == []
-        rows = summarize(self.MIXED, ["name", "absent"])
-        assert rows[0] == {"name": "alpha", "absent": None}
-        assert rows[1] == {"name": "beta", "absent": None}
 
 
 class TestRegistryEdgeCases:

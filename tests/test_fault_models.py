@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
+    CampaignPoint,
     FaultMap,
     StuckAtFault,
     StuckAtType,
     fault_map_from_rate,
-    fault_maps_for_trials,
-    lsb_fault,
-    msb_fault,
     random_fault_map,
-    single_bit_fault_map,
 )
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
@@ -89,10 +86,6 @@ class TestStuckAtFault:
         sa1_err = np.abs(StuckAtFault(bit, "sa1").apply(values, FMT) - values).mean()
         sa0_err = np.abs(StuckAtFault(bit, "sa0").apply(values, FMT) - values).mean()
         assert sa1_err == pytest.approx(sa0_err, rel=0.3)
-
-    def test_msb_lsb_helpers(self):
-        assert msb_fault(FMT).bit_position == FMT.magnitude_msb
-        assert lsb_fault(FMT, "sa0").bit_position == 0
 
 
 class TestFaultMap:
@@ -201,7 +194,7 @@ class TestGenerators:
         assert fm.fmt is FMT
 
     def test_fixed_bit_position(self):
-        fm = single_bit_fault_map(8, 8, 5, bit_position=3, stuck_type="sa0", seed=0)
+        fm = random_fault_map(8, 8, 5, bit_position=3, stuck_type="sa0", seed=0)
         assert all(f.bit_position == 3 and f.stuck_type is StuckAtType.STUCK_AT_0
                    for f in fm.faults.values())
 
@@ -225,15 +218,15 @@ class TestGenerators:
             fault_map_from_rate(10, 10, 1.5, seed=0)
 
     def test_trials_are_distinct_and_deterministic(self):
-        maps_a = fault_maps_for_trials(16, 16, 8, trials=4, seed=5)
-        maps_b = fault_maps_for_trials(16, 16, 8, trials=4, seed=5)
+        maps_a = CampaignPoint.for_trials(16, 16, 8, trials=4, seed=5).build_fault_maps()
+        maps_b = CampaignPoint.for_trials(16, 16, 8, trials=4, seed=5).build_fault_maps()
         assert len(maps_a) == 4
         assert [m.coordinates() for m in maps_a] == [m.coordinates() for m in maps_b]
         assert maps_a[0].coordinates() != maps_a[1].coordinates()
 
     def test_trials_positive(self):
         with pytest.raises(ValueError):
-            fault_maps_for_trials(4, 4, 2, trials=0)
+            CampaignPoint.for_trials(4, 4, 2, trials=0)
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=16))
     @settings(max_examples=30, deadline=None)

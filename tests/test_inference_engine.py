@@ -20,7 +20,6 @@ from repro.faults import (
     CampaignPoint,
     CampaignRunner,
     evaluate_with_faults,
-    fault_maps_for_trials,
     random_fault_map,
     random_weight_fault_map,
     schedule_from_process,
@@ -39,7 +38,6 @@ from repro.snn import (
     LIFNode,
     Linear,
     LoweringError,
-    MaxPool2d,
     Module,
     PLIFNode,
     Sequential,
@@ -107,15 +105,15 @@ class TestCleanEngineBitIdentity:
                                            time_steps=3, seed=5)
         x = rng.random((4, 1, 16, 16))
         reference = _autograd_rates(model, x)
-        fused = model.compile_inference().run(x)
+        fused = FusedInferenceEngine(model).run(x)
         assert reference.tobytes() == fused.tobytes()
 
-    def test_max_pool_and_dropout_eval(self, rng):
+    def test_pool_and_dropout_eval(self, rng):
         layers = Sequential(
             Conv2d(1, 3, kernel_size=3, padding=1, rng=rng),
             BatchNorm2d(3),
             PLIFNode(init_tau=1.3),
-            MaxPool2d(2),
+            AvgPool2d(2),
             Flatten(),
             Dropout(0.5, rng=rng),
             Linear(3 * 4 * 4, 5, rng=rng),
@@ -133,7 +131,7 @@ class TestCleanEngineBitIdentity:
         # 5D event input (T, batch, C, H, W) overrides the model's T.
         x = (rng.random((6, 2, 2, 16, 16)) > 0.7).astype(np.float64)
         reference = _autograd_rates(model, x)
-        fused = model.compile_inference().run(x)
+        fused = FusedInferenceEngine(model).run(x)
         assert reference.tobytes() == fused.tobytes()
 
     def test_batch_norm_running_stats_respected(self, rng):
@@ -155,7 +153,7 @@ class TestCleanEngineBitIdentity:
     def test_predict_and_evaluate_match_model(self, trained_tiny_model,
                                               tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
-        engine = trained_tiny_model.compile_inference()
+        engine = FusedInferenceEngine(trained_tiny_model)
         inputs, labels = next(iter(test_loader))
         assert np.array_equal(engine.predict(inputs),
                               trained_tiny_model.predict(inputs))
@@ -236,8 +234,8 @@ def _fault_kind(kind: str):
         return [random_weight_fault_map(16, 16, 6, bit_position=FMT.magnitude_msb,
                                         stuck_type="sa1", fmt=FMT, seed=7 + trial)
                 for trial in range(3)], False
-    maps = fault_maps_for_trials(16, 16, 5, 5, bit_position=FMT.magnitude_msb,
-                                 stuck_type="sa1", seed=7)
+    maps = CampaignPoint.for_trials(16, 16, 5, 5, bit_position=FMT.magnitude_msb,
+                                    stuck_type="sa1", seed=7).build_fault_maps()
     return maps, kind == "bypassed"
 
 
@@ -269,8 +267,8 @@ class TestFaultEngineEquivalence:
     def test_rates_bit_identical_to_sequential_injector(self, trained_tiny_model,
                                                         tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
-        maps = fault_maps_for_trials(16, 16, 2, 6, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=11)
+        maps = CampaignPoint.for_trials(16, 16, 2, 6, bit_position=FMT.magnitude_msb,
+                                        stuck_type="sa1", seed=11).build_fault_maps()
         arrays = [build_faulty_array(m) for m in maps]
         inputs, _ = next(iter(test_loader))
         reference = _sequential_rates(trained_tiny_model, maps, inputs)
@@ -314,8 +312,8 @@ class TestFaultEngineEquivalence:
         assert accuracies == sequential
 
     def test_event_input_faulty_equivalence(self, trained_tiny_model, rng):
-        maps = fault_maps_for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=6)
+        maps = CampaignPoint.for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
+                                        stuck_type="sa1", seed=6).build_fault_maps()
         x = (rng.random((4, 3, 1, 16, 16)) > 0.6).astype(np.float64)
         reference = _sequential_rates(trained_tiny_model, maps, x)
         engine = FusedFaultEngine(trained_tiny_model,
@@ -596,18 +594,15 @@ class TestPoolKernel:
         for lane, out in zip(lanes, fused):
             assert out.tobytes() == F.avg_pool2d(Tensor(lane), k).data.tobytes()
 
-    @pytest.mark.parametrize("kind", ["avg", "max"])
-    def test_indivisible_spatial_size_rejected(self, kind):
+    def test_indivisible_spatial_size_rejected(self):
         x = np.zeros((1, 1, 5, 5))
-        message = f"{kind}_pool2d requires spatial dims divisible by 2, got 5x5"
+        message = "avg_pool2d requires spatial dims divisible by 2, got 5x5"
         with pytest.raises(ValueError, match=message):
-            PoolKernel(PoolSpec(kind, 2)).run(x)
-        pool = F.avg_pool2d if kind == "avg" else F.max_pool2d
+            PoolKernel(PoolSpec("avg", 2)).run(x)
         with pytest.raises(ValueError, match=message):
-            pool(Tensor(x), 2)
+            F.avg_pool2d(Tensor(x), 2)
 
-    @pytest.mark.parametrize("layer", [AvgPool2d, MaxPool2d])
     @pytest.mark.parametrize("kernel_size", [0, -1])
-    def test_layer_rejects_kernel_size_below_one(self, layer, kernel_size):
+    def test_layer_rejects_kernel_size_below_one(self, kernel_size):
         with pytest.raises(ValueError, match="kernel_size must be positive"):
-            layer(kernel_size)
+            AvgPool2d(kernel_size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.snn import AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d
+from repro.snn import AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Linear
 
 
 class TestLinearLayer:
@@ -81,9 +81,6 @@ class TestBatchNormLayer:
 class TestPoolingDropoutFlatten:
     def test_avg_pool_shape(self):
         assert AvgPool2d(2)(Tensor(np.zeros((1, 3, 8, 8)))).shape == (1, 3, 4, 4)
-
-    def test_max_pool_shape(self):
-        assert MaxPool2d(2)(Tensor(np.zeros((1, 3, 8, 8)))).shape == (1, 3, 4, 4)
 
     def test_dropout_train_vs_eval(self):
         layer = Dropout(0.5, rng=np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Tests for losses, optimizers, encoders and the Trainer loop."""
+"""Tests for the loss, the optimizer and the Trainer loop."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,9 @@ from repro.autograd import Tensor
 from repro.datasets import DataLoader
 from repro.snn import (
     Adam,
-    ConstantCurrentEncoder,
-    LatencyEncoder,
-    PoissonEncoder,
-    SGD,
     Trainer,
     TrainingHistory,
     accuracy,
-    cross_entropy_loss,
-    get_loss,
-    rate_from_spikes,
     rate_mse_loss,
 )
 from repro.snn.layers import Linear
@@ -34,12 +27,6 @@ class TestLosses:
         loss = rate_mse_loss(rates, np.array([1, 2]), 4)
         assert loss.item() > 0
 
-    def test_cross_entropy_prefers_correct_class(self):
-        good = Tensor(np.array([[5.0, 0.0], [0.0, 5.0]]))
-        bad = Tensor(np.array([[0.0, 5.0], [5.0, 0.0]]))
-        labels = np.array([0, 1])
-        assert cross_entropy_loss(good, labels, 2).item() < cross_entropy_loss(bad, labels, 2).item()
-
     def test_accuracy_metric(self):
         rates = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         assert accuracy(rates, np.array([0, 1, 1])) == pytest.approx(2 / 3)
@@ -50,12 +37,6 @@ class TestLosses:
 
     def test_accuracy_empty(self):
         assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
-
-    def test_loss_registry(self):
-        assert get_loss("rate_mse") is rate_mse_loss
-        assert get_loss("cross_entropy") is cross_entropy_loss
-        with pytest.raises(KeyError):
-            get_loss("hinge")
 
 
 class QuadraticProblem(Module):
@@ -72,14 +53,9 @@ class QuadraticProblem(Module):
 
 
 class TestOptimizers:
-    @pytest.mark.parametrize("optimizer_factory", [
-        lambda params: SGD(params, lr=0.1),
-        lambda params: SGD(params, lr=0.05, momentum=0.9),
-        lambda params: Adam(params, lr=0.2),
-    ])
-    def test_converges_on_quadratic(self, optimizer_factory):
+    def test_converges_on_quadratic(self):
         problem = QuadraticProblem()
-        optimizer = optimizer_factory(problem.parameters())
+        optimizer = Adam(problem.parameters(), lr=0.2)
         for _ in range(200):
             optimizer.zero_grad()
             loss = problem()
@@ -89,7 +65,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_weights(self):
         layer = Linear(4, 4, rng=np.random.default_rng(0), bias=False)
-        optimizer = SGD(layer.parameters(), lr=0.1, weight_decay=0.5)
+        optimizer = Adam(layer.parameters(), lr=0.01, weight_decay=0.5)
         norm_before = np.linalg.norm(layer.weight.data)
         for _ in range(10):
             optimizer.zero_grad()
@@ -106,51 +82,12 @@ class TestOptimizers:
 
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_invalid_learning_rate(self):
         problem = QuadraticProblem()
         with pytest.raises(ValueError):
             Adam(problem.parameters(), lr=0.0)
-
-    def test_invalid_momentum(self):
-        problem = QuadraticProblem()
-        with pytest.raises(ValueError):
-            SGD(problem.parameters(), lr=0.1, momentum=1.5)
-
-
-class TestEncoders:
-    def test_constant_current_repeats(self):
-        encoder = ConstantCurrentEncoder(time_steps=3)
-        images = np.random.default_rng(0).random((4, 1, 8, 8))
-        out = encoder(images)
-        assert out.shape == (3, 4, 1, 8, 8)
-        assert np.allclose(out[0], out[2])
-
-    def test_poisson_rate_matches_intensity(self):
-        encoder = PoissonEncoder(time_steps=400, rng=np.random.default_rng(0))
-        images = np.full((1, 1, 4, 4), 0.3)
-        spikes = encoder(images)
-        assert set(np.unique(spikes)) <= {0.0, 1.0}
-        assert spikes.mean() == pytest.approx(0.3, abs=0.05)
-
-    def test_latency_brighter_spikes_earlier(self):
-        encoder = LatencyEncoder(time_steps=8)
-        images = np.array([[[[1.0, 0.2]]]])
-        spikes = encoder(images)
-        bright_time = np.argmax(spikes[:, 0, 0, 0, 0])
-        dim_time = np.argmax(spikes[:, 0, 0, 0, 1])
-        assert bright_time < dim_time
-        assert spikes.sum(axis=0).max() == 1.0
-
-    def test_latency_requires_multiple_steps(self):
-        with pytest.raises(ValueError):
-            LatencyEncoder(time_steps=1)
-
-    def test_rate_from_spikes(self):
-        spikes = np.zeros((4, 2, 3))
-        spikes[0] = 1.0
-        assert np.allclose(rate_from_spikes(spikes), 0.25)
 
 
 class TestTrainer:
@@ -237,11 +174,6 @@ class TestTrainingHistory:
         history = TrainingHistory(test_accuracy=[0.3, 0.6, 0.9, 0.95])
         assert history.epochs_to_reach(0.9) == 3
         assert history.epochs_to_reach(0.99) is None
-
-    def test_best_accuracy(self):
-        history = TrainingHistory(test_accuracy=[0.3, 0.8, 0.7])
-        assert history.best_test_accuracy() == pytest.approx(0.8)
-        assert TrainingHistory().best_test_accuracy() == 0.0
 
     def test_as_dict(self):
         history = TrainingHistory(train_loss=[0.5], train_accuracy=[0.6], test_accuracy=[0.7])

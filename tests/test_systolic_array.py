@@ -10,7 +10,6 @@ from repro.systolic import (
     FixedPointFormat,
     SystolicArray,
     as_weight_matrix,
-    count_mapped_weights,
     faulty_weight_mask,
     faulty_mask_for_layer_weight,
     pe_coordinates,
@@ -59,13 +58,6 @@ class TestMapping:
         w = np.zeros((6, 2, 3, 3))
         mask = faulty_mask_for_layer_weight(w, [(0, 0)], rows=8, cols=8)
         assert mask.shape == w.shape
-
-    def test_count_mapped_weights_reuse(self):
-        # A 4x4 array holding a 16x16 matrix maps 16 weights per PE.
-        assert count_mapped_weights((16, 16), 4, 4, (0, 0)) == 16
-        # A 32x32 array holding the same matrix maps at most one weight per PE.
-        assert count_mapped_weights((16, 16), 32, 32, (0, 0)) == 1
-        assert count_mapped_weights((16, 16), 32, 32, (20, 0)) == 0
 
     def test_tile_counts(self):
         assert tile_counts((10, 33), rows=16, cols=8) == (3, 2)

@@ -21,6 +21,7 @@ from repro.faults import (
     FaultSchedule,
     SCHEDULE_PROCESSES,
     StuckAtFault,
+    TransientFault,
     WeightSRAMFault,
     bernoulli_schedule,
     burst_schedule,
@@ -29,7 +30,6 @@ from repro.faults import (
     random_weight_fault_map,
     schedule_from_process,
     schedule_phases,
-    transient_fault,
 )
 from repro.faults.injection import ENGINES
 from repro.snn import evaluate
@@ -65,7 +65,7 @@ def _single_site_schedule(active_steps, num_sites: int = 12) -> FaultSchedule:
     """MSB sa1 faults on a deterministic diagonal, live on ``active_steps``."""
 
     schedule = FaultSchedule(ROWS, COLS, STEPS, fmt=FMT)
-    fault = transient_fault(FMT.magnitude_msb, "sa1", active_steps)
+    fault = TransientFault(FMT.magnitude_msb, "sa1", active_steps)
     for k in range(num_sites):
         schedule.add(k % ROWS, (3 * k) % COLS, fault)
     return schedule
@@ -145,7 +145,7 @@ class TestStepSemantics:
     def test_model_overrunning_schedule_raises(self, trained_tiny_model,
                                                test_loader):
         short = FaultSchedule(ROWS, COLS, STEPS - 1, fmt=FMT)
-        short.add(0, 0, transient_fault(FMT.magnitude_msb, "sa1", (0,)))
+        short.add(0, 0, TransientFault(FMT.magnitude_msb, "sa1", (0,)))
         for engine in ENGINES:
             with pytest.raises(ValueError, match="step"):
                 evaluate_with_faults(
@@ -272,20 +272,20 @@ class TestScheduleProperties:
 
     def test_bit_validation_reuses_stuck_at_rules(self):
         with pytest.raises(ValueError):
-            transient_fault(StuckAtFault.MAX_BIT_POSITION + 1, "sa1", (0,))
+            TransientFault(StuckAtFault.MAX_BIT_POSITION + 1, "sa1", (0,))
         with pytest.raises(ValueError):
-            transient_fault(-1, "sa1", (0,))
+            TransientFault(-1, "sa1", (0,))
         schedule = FaultSchedule(4, 4, 2, fmt=FMT)
         with pytest.raises(ValueError, match="accumulator format"):
-            schedule.add(0, 0, transient_fault(FMT.total_bits, "sa1", (0,)))
+            schedule.add(0, 0, TransientFault(FMT.total_bits, "sa1", (0,)))
         with pytest.raises(ValueError, match="active step"):
-            schedule.add(0, 0, transient_fault(0, "sa1", (2,)))
+            schedule.add(0, 0, TransientFault(0, "sa1", (2,)))
         with pytest.raises(ValueError, match="outside"):
-            schedule.add(4, 0, transient_fault(0, "sa1", (0,)))
+            schedule.add(4, 0, TransientFault(0, "sa1", (0,)))
 
     def test_phase_decomposition_shares_identical_steps(self):
         schedule = FaultSchedule(4, 4, 4, fmt=FMT)
-        schedule.add(1, 1, transient_fault(3, "sa1", (0, 2)))
+        schedule.add(1, 1, TransientFault(3, "sa1", (0, 2)))
         step_phase, phase_maps = schedule_phases([schedule])
         assert step_phase == [0, 1, 0, 1]
         assert len(phase_maps) == 2

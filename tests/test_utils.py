@@ -16,7 +16,6 @@ from repro.utils import (
     load_state_dict,
     save_records,
     save_state_dict,
-    spawn_rngs,
 )
 
 
@@ -32,16 +31,6 @@ class TestRng:
         a = get_rng(None).integers(0, 1000)
         b = get_rng(DEFAULT_SEED).integers(0, 1000)
         assert a == b
-
-    def test_spawn_rngs_independent_and_deterministic(self):
-        first = [r.integers(0, 1000) for r in spawn_rngs(7, 3)]
-        second = [r.integers(0, 1000) for r in spawn_rngs(7, 3)]
-        assert first == second
-        assert len(set(first)) > 1
-
-    def test_spawn_rngs_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
     def test_derive_seed_depends_on_tags(self):
         assert derive_seed(1, "a") != derive_seed(1, "b")
