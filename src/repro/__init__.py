@@ -6,7 +6,7 @@ Subpackages
 ``repro.autograd``
     Reverse-mode autodiff engine on numpy.
 ``repro.snn``
-    PLIF/LIF spiking neural network framework (surrogate-gradient BPTT).
+    PLIF spiking neural network framework (surrogate-gradient BPTT).
 ``repro.systolic``
     Functional simulator of the weight-stationary systolic-array accelerator.
 ``repro.faults``

@@ -10,7 +10,7 @@ Public surface:
 * :mod:`repro.autograd.gradcheck` -- finite-difference gradient validation.
 """
 
-from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
+from .tensor import Tensor, is_grad_enabled, no_grad, where
 from .functional import (
     Function,
     avg_pool2d,
@@ -26,10 +26,8 @@ from .gradcheck import check_gradients, numerical_gradient
 
 __all__ = [
     "Tensor",
-    "concatenate",
     "is_grad_enabled",
     "no_grad",
-    "stack",
     "where",
     "Function",
     "avg_pool2d",

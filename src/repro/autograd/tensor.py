@@ -301,7 +301,7 @@ class Tensor:
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log")
+            raise TypeError("tensor exponents are not supported")
         data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
@@ -429,63 +429,15 @@ class Tensor:
             result = result + eps
         return result
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        mask_source = self.data.max(axis=axis, keepdims=True)
-        mask = (self.data == mask_source).astype(np.float64)
-        # Distribute gradient equally among ties.
-        mask = mask / mask.sum(axis=axis, keepdims=True)
-        input_shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(input_shape) for a in axes)
-                g = np.expand_dims(g, axis=tuple(sorted(axes)))
-            self._accumulate(np.broadcast_to(g, input_shape) * mask)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        mask = ((self.data >= low) & (self.data <= high)).astype(np.float64)
-        data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
 
         return Tensor._make(data, (self,), backward)
 
@@ -501,39 +453,6 @@ class Tensor:
                 other_t._accumulate(grad * (1.0 - mask_self))
 
         return Tensor._make(data, (self, other_t), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiably."""
-
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(data, tensors, backward)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis, differentiably."""
-
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(data, tensors, backward)
 
 
 def where(condition: ArrayLike, a: Tensor, b: Tensor) -> Tensor:

@@ -29,8 +29,7 @@ class FaultAwarePruningWithRetraining(FaultMitigation):
         self.fixed_threshold = fixed_threshold
 
     def prepare_model(self, model: SpikingClassifier) -> None:
-        """Pin every spiking layer's threshold to the fixed (non-learnable) value."""
+        """Pin every spiking layer's threshold to the fixed value."""
 
         for node in model.spiking_layers():
-            node.freeze_threshold()
             node.set_threshold(self.fixed_threshold)

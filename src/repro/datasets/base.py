@@ -51,10 +51,6 @@ class ArrayDataset:
 
         return self.inputs.ndim == 5
 
-    @property
-    def sample_shape(self) -> tuple:
-        return self.inputs.shape[1:]
-
     def subset(self, indices) -> "ArrayDataset":
         """Return a new dataset restricted to ``indices``."""
 

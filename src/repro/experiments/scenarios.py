@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
@@ -88,6 +89,30 @@ def _config_field_names() -> Tuple[str, ...]:
     return tuple(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
+def _is_integer(value) -> bool:
+    """True for an integer (numpy's included), false for a bool or a float."""
+
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _pairs(value, field: str, problems: List[str]) -> Tuple[Tuple[str, object], ...]:
+    """``value`` (an object or a list of key/value pairs) as sorted pairs.
+
+    A value of any other shape, or a key given twice, adds to ``problems``
+    and yields no pairs.
+    """
+
+    items = list(value.items()) if isinstance(value, dict) else value
+    if isinstance(items, (list, tuple)) and all(
+            isinstance(item, (list, tuple)) and len(item) == 2 for item in items):
+        pairs = {str(key): item for key, item in items}
+        if len(pairs) == len(items):
+            return tuple(sorted(pairs.items()))
+    problems.append(f"'{field}' must be an object or a list of [key, value] "
+                    f"pairs with distinct keys")
+    return ()
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """One named (dataset x sweep x fault model x mitigation) campaign.
@@ -126,7 +151,7 @@ class Scenario:
         if self.dataset not in PAPER_DATASETS:
             problems.append(
                 f"unknown dataset '{self.dataset}'; options: {PAPER_DATASETS}")
-        if self.scale not in SCALES:
+        if not isinstance(self.scale, str) or self.scale not in SCALES:
             problems.append(
                 f"unknown scale '{self.scale}'; options: {tuple(sorted(SCALES))}")
         if self.sweep not in SWEEPS:
@@ -137,18 +162,25 @@ class Scenario:
                 problems.append(
                     f"'{swept}' is what a '{self.sweep}' sweep varies; "
                     f"give its values in 'values'")
-        try:
-            values = (() if isinstance(self.values, (str, bytes))
-                      else tuple(int(v) for v in self.values))
-        except (TypeError, ValueError):
-            values = ()
-        if not values:
+        values = self.values
+        if (isinstance(values, (list, tuple)) and values
+                and all(_is_integer(v) for v in values)):
+            values = tuple(int(v) for v in values)
+        else:
             problems.append("'values' must be a non-empty list of integers")
+            values = ()
         object.__setattr__(self, "values", values)
-        if int(self.trials) <= 0:
+        if not _is_integer(self.trials):
+            problems.append("'trials' must be an integer")
+        elif self.trials <= 0:
             problems.append("'trials' must be positive")
-        if self.num_faulty is not None and int(self.num_faulty) <= 0:
+        for name in ("num_faulty", "bit_position", "seed"):
+            if getattr(self, name) is not None and not _is_integer(getattr(self, name)):
+                problems.append(f"'{name}' must be an integer when given")
+        if _is_integer(self.num_faulty) and self.num_faulty <= 0:
             problems.append("'num_faulty' must be positive when given")
+        if not isinstance(self.description, str):
+            problems.append("'description' must be a string")
         try:
             object.__setattr__(
                 self, "stuck_type",
@@ -167,17 +199,12 @@ class Scenario:
             problems.append(
                 "bypass mitigation is not defined for transient fault "
                 "schedules")
-        params = self.fault_params
-        items = params.items() if isinstance(params, dict) else tuple(params)
-        normalized = tuple(sorted((str(k), v) for k, v in items))
+        normalized = _pairs(self.fault_params, "fault_params", problems)
         if normalized and self.fault_model != "transient":
             problems.append(
                 "'fault_params' are only meaningful for transient scenarios")
         object.__setattr__(self, "fault_params", normalized)
-        overrides = self.config_overrides
-        items = (overrides.items() if isinstance(overrides, dict)
-                 else tuple(overrides))
-        normalized = tuple(sorted((str(k), v) for k, v in items))
+        normalized = _pairs(self.config_overrides, "config_overrides", problems)
         known = _config_field_names()
         unknown = [k for k, _ in normalized if k not in known]
         if unknown:

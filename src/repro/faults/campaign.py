@@ -521,7 +521,7 @@ class CampaignRunner:
     cache_dir:
         Optional directory for on-disk JSON result caching.  Keys include the
         model key (:func:`repro.utils.hashing.model_key`: its state and the
-        scalars outside it, such as a frozen threshold), the data hash and
+        scalars outside it, such as a fixed threshold), the data hash and
         the full grid point, so stale hits are impossible as long as those
         inputs define the result.
     workers:

@@ -1,4 +1,4 @@
-"""Spiking neural network framework (PLIF/LIF neurons, surrogate-gradient BPTT).
+"""Spiking neural network framework (PLIF neurons, surrogate-gradient BPTT).
 
 This package is the software substrate the FalVolt paper trains on (PyTorch +
 SpikingJelly in the original); here it is built from scratch on the
@@ -7,7 +7,7 @@ SpikingJelly in the original); here it is built from scratch on the
 
 from .module import Module, Parameter
 from .surrogate import ATan, SigmoidSurrogate, SurrogateGradient, Triangle, get_surrogate
-from .neurons import BaseNode, IFNode, LIFNode, PLIFNode, MIN_THRESHOLD, spiking_nodes
+from .neurons import PLIFNode, MIN_THRESHOLD, spiking_nodes
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -19,7 +19,7 @@ from .layers import (
 )
 from .network import SpikingClassifier
 from .loss import accuracy, rate_mse_loss
-from .optim import Adam, Optimizer
+from .optim import Adam
 from .training import Trainer, TrainingHistory, evaluate
 from .monitor import LayerActivity, SpikeMonitor, activity_drop, measure_firing_rates
 from .models import (
@@ -47,9 +47,6 @@ __all__ = [
     "SurrogateGradient",
     "Triangle",
     "get_surrogate",
-    "BaseNode",
-    "IFNode",
-    "LIFNode",
     "PLIFNode",
     "MIN_THRESHOLD",
     "spiking_nodes",
@@ -64,7 +61,6 @@ __all__ = [
     "accuracy",
     "rate_mse_loss",
     "Adam",
-    "Optimizer",
     "Trainer",
     "TrainingHistory",
     "evaluate",

@@ -82,11 +82,11 @@ class NeuronKernel:
 
     The membrane potential lives in ``self.v`` and is updated in place:
     after :meth:`run` it holds the post-reset potential, exactly like
-    ``BaseNode.forward`` leaves ``self.v``.  A LIF/PLIF step with a
-    ``+0.0`` rest is six ufunc passes (seven for any other rest, four for
-    IF) where the autograd step makes nine; the module docstring lists the
-    identities that keep it bit-identical.  They need a positive, finite
-    threshold, so any other is rejected here.
+    ``PLIFNode.forward`` leaves ``self.v``.  A step with a ``+0.0`` rest is
+    six ufunc passes (seven for any other rest) where the autograd step
+    makes nine; the module docstring lists the identities that keep it
+    bit-identical.  They need a positive, finite threshold, so any other is
+    rejected here.
     """
 
     def __init__(self, spec: NeuronSpec) -> None:
@@ -114,19 +114,16 @@ class NeuronKernel:
         if self.v is None or self.v.shape != x.shape:
             self._init_buffers(x.shape)
         v = self.v
-        # Charge: H_t = v + x (IF) or v + (x - (v - rest)) * inv_tau
-        # (LIF/PLIF); ``v`` holds H_t afterwards.
-        if self.inv_tau is None:
-            np.add(v, x, out=v)
+        # Charge: H_t = v + (x - (v - rest)) * inv_tau; ``v`` holds H_t
+        # afterwards.
+        t = self._scratch
+        if self._rest_is_plus_zero:
+            np.subtract(x, v, out=t)
         else:
-            t = self._scratch
-            if self._rest_is_plus_zero:
-                np.subtract(x, v, out=t)
-            else:
-                np.subtract(v, self.rest, out=t)
-                np.subtract(x, t, out=t)
-            np.multiply(t, self.inv_tau, out=t)
-            np.add(v, t, out=v)
+            np.subtract(v, self.rest, out=t)
+            np.subtract(x, t, out=t)
+        np.multiply(t, self.inv_tau, out=t)
+        np.add(v, t, out=v)
         # Fire: Heaviside(H / V_th - 1) is exactly H > V_th.  Copying the
         # bool mask into the float buffer yields the 0.0/1.0 values of the
         # autograd path's bool->float64 astype.

@@ -97,15 +97,15 @@ class FlattenSpec:
 
 @dataclasses.dataclass(frozen=True)
 class NeuronSpec:
-    """One spiking neuron layer's update constants.
+    """One PLIF layer's update constants.
 
-    ``inv_tau`` is ``None`` for IF dynamics (``H = v + x``) and the scalar
-    reciprocal time constant for LIF/PLIF (``H = v + (x - (v - rest)) *
-    inv_tau``).  ``v_reset`` is ``None`` for soft reset (subtract the
-    threshold), a float for hard reset to that value.
+    ``inv_tau`` is the scalar reciprocal time constant of the charge step
+    ``H = v + (x - (v - rest)) * inv_tau``.  ``v_reset`` is ``None`` for
+    soft reset (subtract the threshold), a float for hard reset to that
+    value.
     """
 
-    inv_tau: Optional[float]
+    inv_tau: float
     v_threshold: float
     v_reset: Optional[float]
 
@@ -194,10 +194,10 @@ class PlanBuilder:
     def add_identity(self) -> None:
         """Lower to nothing (eval-mode dropout and friends)."""
 
-    def add_neuron(self, inv_tau: Optional[float], v_threshold: float,
+    def add_neuron(self, inv_tau: float, v_threshold: float,
                    v_reset: Optional[float]) -> None:
         self._append(NeuronSpec(
-            inv_tau=None if inv_tau is None else float(inv_tau),
+            inv_tau=float(inv_tau),
             v_threshold=float(v_threshold),
             v_reset=None if v_reset is None else float(v_reset)))
 

@@ -9,7 +9,7 @@ many work units per process lowers its trained model once:
 * **Keyed by content, not identity.**  The cache key is
   :func:`repro.utils.hashing.model_key` -- the model token (a digest of
   every parameter and buffer), the wrapper's ``time_steps`` and the plain
-  attributes the lowering reads (neuron kind, a frozen threshold, the reset
+  attributes the lowering reads (neuron kind, a fixed threshold, the reset
   mode, layer geometry), so changing any weight or threshold misses.  The
   on-disk sweep records use the same key.  Callers that already hold the
   token (e.g. :class:`~repro.faults.campaign.CampaignRunner`) pass it to

@@ -48,7 +48,6 @@ class ModelConfig:
     # from the first step; tau remains learnable, so training is free to move
     # it afterwards.
     init_tau: float = 1.2
-    learnable_threshold: bool = False
     seed: int = 0
 
 
@@ -57,7 +56,6 @@ def _plif(config: ModelConfig, surrogate: SurrogateGradient, label: Optional[str
         init_tau=config.init_tau,
         v_threshold=config.init_threshold,
         surrogate=surrogate,
-        learnable_threshold=config.learnable_threshold,
         layer_label=label,
     )
 

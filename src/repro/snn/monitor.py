@@ -19,7 +19,7 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from .network import SpikingClassifier
-from .neurons import BaseNode
+from .neurons import PLIFNode
 
 
 @dataclasses.dataclass
@@ -54,10 +54,10 @@ class SpikeMonitor(contextlib.AbstractContextManager):
         self.model = model
         self.labelled_only = labelled_only
         self._records: Dict[int, LayerActivity] = {}
-        self._nodes: List[BaseNode] = []
+        self._nodes: List[PLIFNode] = []
 
     # ------------------------------------------------------------------
-    def _target_nodes(self) -> List[BaseNode]:
+    def _target_nodes(self) -> List[PLIFNode]:
         nodes = self.model.spiking_layers()
         if self.labelled_only:
             nodes = [n for n in nodes if n.layer_label]

@@ -21,7 +21,7 @@ import numpy as np
 from ..autograd import Tensor
 from .layers import Sequential
 from .module import Module
-from .neurons import BaseNode, spiking_nodes
+from .neurons import PLIFNode, spiking_nodes
 
 
 def iter_frames(x, time_steps: int):
@@ -68,12 +68,12 @@ class SpikingClassifier(Module):
     # ------------------------------------------------------------------
     # Introspection helpers used by the mitigation code
     # ------------------------------------------------------------------
-    def spiking_layers(self) -> List[BaseNode]:
+    def spiking_layers(self) -> List[PLIFNode]:
         """All spiking neuron layers, in forward order."""
 
         return spiking_nodes(self.layers)
 
-    def labelled_spiking_layers(self) -> List[BaseNode]:
+    def labelled_spiking_layers(self) -> List[PLIFNode]:
         """Spiking layers with a ``layer_label`` (the hidden layers of Fig. 6)."""
 
         return [node for node in self.spiking_layers() if node.layer_label]

@@ -1,8 +1,9 @@
-"""Spiking neuron models: IF, LIF and PLIF (parametric LIF).
+"""The spiking neuron: PLIF (parametric leaky integrate-and-fire).
 
-All neurons follow the formulation of the paper (Section IV):
+The neuron follows the formulation of the paper (Section IV):
 
-* The membrane potential ``v`` integrates the input charge.
+* The membrane potential ``v`` integrates the input charge through a leak
+  with a learnable time constant.
 * A spike ``o = Heaviside(z)`` is emitted when ``z = v / V_th - 1 > 0``
   (Eq. 1), i.e. when ``v`` exceeds the threshold voltage ``V_th``.
 * The discontinuous derivative ``do/dz`` is replaced by a surrogate
@@ -53,11 +54,11 @@ def check_threshold(value: float, owner: str = "neuron") -> float:
 class PLIFCharge(Function):
     """Leaky charge step ``h = v + (x - (v - rest)) * rtau`` as one node.
 
-    ``rtau`` is ``sigmoid(w)`` for PLIF and the constant ``1 / tau`` for
-    LIF.  The forward and backward run the numpy ops of the ``Tensor``
-    composition in the same order, and the inputs are ordered
-    ``(x, v, rtau)`` so the backward sweep reaches them in the order the
-    composition's graph did: parameter gradients are bit-identical.
+    ``rtau`` is PLIF's ``sigmoid(w)``.  The forward and backward run the
+    numpy ops of the ``Tensor`` composition in the same order, and the
+    inputs are ordered ``(x, v, rtau)`` so the backward sweep reaches them
+    in the order the composition's graph did: parameter gradients are
+    bit-identical.
     """
 
     @staticmethod
@@ -104,22 +105,29 @@ class Fire(Function):
         return grad_z / threshold, grad_threshold
 
 
-class BaseNode(Module):
-    """Common machinery for stateful spiking neuron layers.
+class PLIFNode(Module):
+    """Parametric LIF neuron (Fang et al., ICCV 2021), the one spiking layer.
+
+    The charge step is ``H_t = v_{t-1} + (x_t - (v_{t-1} - v_rest)) / tau``
+    with the reciprocal time constant parameterised as ``1/tau =
+    sigmoid(w)`` and ``w`` learnable, which keeps ``tau > 1`` for any ``w``
+    and makes the network far less sensitive to initialisation -- the
+    property the paper relies on for fast fault-aware retraining.
 
     Parameters
     ----------
+    init_tau:
+        Initial membrane time constant (must exceed 1).
     v_threshold:
-        Initial threshold voltage ``V_th``.
+        Initial threshold voltage ``V_th``.  It stays fixed until
+        :meth:`make_threshold_learnable` turns it into a learnable scalar
+        parameter (the FalVolt mechanism).
     v_reset:
         Reset potential.  ``None`` selects a *soft* reset (subtract
         ``V_th``), a float selects a *hard* reset to that value.
     surrogate:
         Surrogate gradient used in the backward pass (default: triangular,
         matching Eq. 2 of the paper).
-    learnable_threshold:
-        When true, ``V_th`` becomes a learnable scalar parameter for this
-        layer (the FalVolt mechanism).
     layer_label:
         Human-readable label (e.g. ``"Conv1"``) used when reporting
         per-layer optimized thresholds (Fig. 6).
@@ -127,29 +135,40 @@ class BaseNode(Module):
 
     def __init__(
         self,
+        init_tau: float = 2.0,
         v_threshold: float = 1.0,
         v_reset: Optional[float] = 0.0,
         surrogate: Optional[SurrogateGradient] = None,
-        learnable_threshold: bool = False,
         layer_label: Optional[str] = None,
     ) -> None:
         super().__init__()
         v_threshold = check_threshold(v_threshold)
+        if init_tau <= 1.0:
+            raise ValueError("init_tau must be > 1")
         self.surrogate = surrogate if surrogate is not None else Triangle()
         self.v_reset = v_reset
-        self.learnable_threshold = bool(learnable_threshold)
+        self.learnable_threshold = False
         self.layer_label = layer_label
-        if self.learnable_threshold:
-            self.v_threshold_param = Parameter(np.array(float(v_threshold)))
-        else:
-            self.v_threshold_param = None
-            self._fixed_threshold = float(v_threshold)
+        self.v_threshold_param = None
+        self._fixed_threshold = float(v_threshold)
         self.v: Optional[Tensor] = None
         # Cached constants reused across time steps: the fixed-threshold
-        # scalar tensor (invalidated by set/freeze) and the hard-reset fill
-        # tensor as a (value, tensor) pair keyed by state shape.
+        # scalar tensor (invalidated by set_threshold) and the hard-reset
+        # fill tensor as a (value, tensor) pair keyed by state shape.
         self._threshold_cache: Optional[Tensor] = None
         self._reset_cache = None
+        # sigmoid(w) = 1 / init_tau  =>  w = -log(init_tau - 1)
+        init_w = -math.log(init_tau - 1.0)
+        self.w = Parameter(np.array(init_w))
+
+    @property
+    def tau(self) -> float:
+        """Current membrane time constant implied by the learnable parameter.
+
+        ``tau = 1 / sigmoid(w)`` simplifies to ``1 + exp(-w)``.
+        """
+
+        return float(1.0 + np.exp(-self.w.data))
 
     # ------------------------------------------------------------------
     # Threshold handling
@@ -194,18 +213,6 @@ class BaseNode(Module):
         self.learnable_threshold = True
         self.v_threshold_param = Parameter(np.array(value))
 
-    def freeze_threshold(self) -> None:
-        """Convert a learnable threshold back into a fixed value."""
-
-        if not self.learnable_threshold:
-            return
-        value = self.v_threshold
-        self.learnable_threshold = False
-        self._parameters.pop("v_threshold_param", None)
-        object.__setattr__(self, "v_threshold_param", None)
-        self._fixed_threshold = value
-        self._threshold_cache = None
-
     # ------------------------------------------------------------------
     # State handling
     # ------------------------------------------------------------------
@@ -220,12 +227,13 @@ class BaseNode(Module):
             self.v = Tensor(np.full(x.shape, fill))
 
     # ------------------------------------------------------------------
-    # Neuron dynamics (template methods)
+    # Neuron dynamics
     # ------------------------------------------------------------------
     def _charge(self, x: Tensor) -> Tensor:
         """Integrate input ``x`` into the membrane potential and return it."""
 
-        raise NotImplementedError
+        rest = 0.0 if self.v_reset is None else float(self.v_reset)
+        return PLIFCharge.apply(x, self.v, self.w.sigmoid(), rest=rest)
 
     def _fire(self, h: Tensor) -> Tensor:
         return Fire.apply(h, self.threshold_tensor(), surrogate=self.surrogate)
@@ -257,84 +265,14 @@ class BaseNode(Module):
     # ------------------------------------------------------------------
     # Fused inference lowering
     # ------------------------------------------------------------------
-    def _inference_inv_tau(self) -> Optional[float]:
-        """Scalar reciprocal time constant of the charge step (None = IF)."""
-
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define its fused charge dynamics")
-
     def lower_inference(self, builder) -> None:
-        builder.add_neuron(self._inference_inv_tau(), self.v_threshold, self.v_reset)
-
-
-class IFNode(BaseNode):
-    """Integrate-and-fire neuron (no leak): ``H_t = v_{t-1} + x_t``."""
-
-    def _charge(self, x: Tensor) -> Tensor:
-        return self.v + x
-
-    def _inference_inv_tau(self) -> Optional[float]:
-        return None
-
-
-class LIFNode(BaseNode):
-    """Leaky integrate-and-fire neuron with a fixed membrane time constant.
-
-    The discrete-time update follows the standard LIF form used by the PLIF
-    paper: ``H_t = v_{t-1} + (x_t - (v_{t-1} - v_rest)) / tau``.
-    """
-
-    def __init__(self, tau: float = 2.0, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if tau < 1.0:
-            raise ValueError("tau must be >= 1 for a stable LIF update")
-        self.tau = float(tau)
-
-    def _charge(self, x: Tensor) -> Tensor:
-        rest = 0.0 if self.v_reset is None else float(self.v_reset)
-        return PLIFCharge.apply(x, self.v, 1.0 / self.tau, rest=rest)
-
-    def _inference_inv_tau(self) -> Optional[float]:
-        return 1.0 / self.tau
-
-
-class PLIFNode(BaseNode):
-    """Parametric LIF neuron (Fang et al., ICCV 2021) with a learnable time constant.
-
-    The reciprocal time constant is parameterised as ``1/tau = sigmoid(w)``
-    with ``w`` learnable, which keeps ``tau > 1`` for any ``w`` and makes the
-    network far less sensitive to initialisation -- the property the paper
-    relies on for fast fault-aware retraining.
-    """
-
-    def __init__(self, init_tau: float = 2.0, **kwargs) -> None:
-        super().__init__(**kwargs)
-        if init_tau <= 1.0:
-            raise ValueError("init_tau must be > 1")
-        # sigmoid(w) = 1 / init_tau  =>  w = -log(init_tau - 1)
-        init_w = -math.log(init_tau - 1.0)
-        self.w = Parameter(np.array(init_w))
-
-    @property
-    def tau(self) -> float:
-        """Current membrane time constant implied by the learnable parameter.
-
-        ``tau = 1 / sigmoid(w)`` simplifies to ``1 + exp(-w)``.
-        """
-
-        return float(1.0 + np.exp(-self.w.data))
-
-    def _charge(self, x: Tensor) -> Tensor:
-        rest = 0.0 if self.v_reset is None else float(self.v_reset)
-        return PLIFCharge.apply(x, self.v, self.w.sigmoid(), rest=rest)
-
-    def _inference_inv_tau(self) -> Optional[float]:
         # Identical expression to Tensor.sigmoid so the fused charge step
         # multiplies by the exact same scalar as the autograd forward.
-        return float(1.0 / (1.0 + np.exp(-self.w.data)))
+        inv_tau = float(1.0 / (1.0 + np.exp(-self.w.data)))
+        builder.add_neuron(inv_tau, self.v_threshold, self.v_reset)
 
 
-def spiking_nodes(module: Module) -> list[BaseNode]:
+def spiking_nodes(module: Module) -> list[PLIFNode]:
     """Return all spiking neuron layers inside ``module`` in traversal order."""
 
-    return [m for m in module.modules() if isinstance(m, BaseNode)]
+    return [m for m in module.modules() if isinstance(m, PLIFNode)]

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers for the SNN framework."""
+"""The Adam optimizer the SNN trainer steps."""
 
 from __future__ import annotations
 
@@ -9,42 +9,27 @@ import numpy as np
 from ..autograd import Tensor
 
 
-class Optimizer:
-    """Base optimizer: owns a parameter list and applies gradient updates."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) with the default betas and eps."""
 
-    def __init__(self, parameters: Iterable[Tensor], lr: float) -> None:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-3) -> None:
         self.parameters: List[Tensor] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         self._step_count += 1
@@ -54,8 +39,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

@@ -19,7 +19,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from .loss import accuracy, rate_mse_loss
 from .network import SpikingClassifier
-from .optim import Optimizer
+from .optim import Adam
 
 
 def evaluate(model: SpikingClassifier, loader) -> float:
@@ -90,7 +90,7 @@ class Trainer:
     loss.
     """
 
-    def __init__(self, model: SpikingClassifier, optimizer: Optimizer,
+    def __init__(self, model: SpikingClassifier, optimizer: Adam,
                  num_classes: int) -> None:
         self.model = model
         self.optimizer = optimizer

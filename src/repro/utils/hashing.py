@@ -7,7 +7,7 @@ inference-plan cache of :mod:`repro.snn.inference.plan_cache`.  They hash
 content (names, shapes, dtypes and raw bytes), never object identity, so
 two models with identical parameters produce identical tokens in any
 process -- and a single mutated weight changes the token.  :func:`model_key`
-also sees the plain attributes outside the state dict (a frozen threshold,
+also sees the plain attributes outside the state dict (a fixed threshold,
 the reset value), so it is the key of anything computed from a model.
 """
 
@@ -41,7 +41,7 @@ def model_token(model) -> str:
 
 
 #: Plain module attributes that change a model's outputs without being in
-#: its state dict (layer geometry, a frozen threshold, the reset value).
+#: its state dict (layer geometry, a fixed threshold, the reset value).
 _SCALAR_ATTRIBUTES = ("stride", "padding", "kernel_size", "eps", "v_threshold", "v_reset", "tau")
 
 
@@ -50,7 +50,7 @@ def model_key(model, token: Optional[str] = None) -> str:
 
     That is its :func:`model_token` (pass ``token`` when already known),
     its ``time_steps`` and, per module, the class and the
-    :data:`_SCALAR_ATTRIBUTES`.  Two models that differ only in a frozen
+    :data:`_SCALAR_ATTRIBUTES`.  Two models that differ only in a fixed
     threshold share a token but not a key.
     """
 

@@ -275,7 +275,7 @@ class TestBatchNorm:
         check_gradients(fn, [x, gamma, beta], atol=1e-3)
 
 
-class TestDropoutSoftmax:
+class TestDropoutOneHot:
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((5, 5)))
         out = dropout(x, 0.5, training=False, rng=np.random.default_rng(0))

@@ -17,7 +17,7 @@ from repro.autograd import functional as F
 from repro.snn import layers
 from repro.snn.layers import AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, Sequential
 from repro.snn.network import SpikingClassifier
-from repro.snn.neurons import Fire, LIFNode, PLIFCharge, PLIFNode
+from repro.snn.neurons import Fire, PLIFCharge, PLIFNode
 from repro.snn.optim import Adam
 from repro.snn.surrogate import ATan, SigmoidSurrogate, Triangle
 from repro.snn.training import Trainer
@@ -87,11 +87,6 @@ def _oracle_plif_charge(self, x):
     return oracle_charge(x, self.v, self.w.sigmoid(), rest)
 
 
-def _oracle_lif_charge(self, x):
-    rest = 0.0 if self.v_reset is None else float(self.v_reset)
-    return oracle_charge(x, self.v, 1.0 / self.tau, rest)
-
-
 def _oracle_node_fire(self, h):
     return oracle_fire(h, self.threshold_tensor(), self.surrogate)
 
@@ -104,9 +99,7 @@ def oracle_layers(monkeypatch):
         monkeypatch.setattr(layers.F, "batch_norm", oracle_batch_norm)
         monkeypatch.setattr(layers.F, "avg_pool2d", oracle_avg_pool2d)
         monkeypatch.setattr(PLIFNode, "_charge", _oracle_plif_charge)
-        monkeypatch.setattr(LIFNode, "_charge", _oracle_lif_charge)
         monkeypatch.setattr(PLIFNode, "_fire", _oracle_node_fire)
-        monkeypatch.setattr(LIFNode, "_fire", _oracle_node_fire)
 
     return install
 
@@ -339,18 +332,14 @@ class TestFire:
 # ----------------------------------------------------------------------
 # Whole neurons and whole networks
 # ----------------------------------------------------------------------
-NODE_CASES = [
-    pytest.param(PLIFNode, {"init_tau": 1.3}, id="plif"),
-    pytest.param(LIFNode, {"tau": 1.5}, id="lif"),
-]
-
-
-def _node_network(node_cls, node_kwargs, reset, learnable, surrogate):
+def _node_network(reset, learnable, surrogate):
     rng = np.random.default_rng(9)
 
     def node():
-        return node_cls(v_reset=reset, learnable_threshold=learnable, surrogate=surrogate,
-                        v_threshold=0.8, **node_kwargs)
+        plif = PLIFNode(init_tau=1.3, v_reset=reset, surrogate=surrogate, v_threshold=0.8)
+        if learnable:
+            plif.make_threshold_learnable()
+        return plif
 
     stack = Sequential(
         Conv2d(2, 8, 3, padding=1, rng=rng), BatchNorm2d(8), node(), AvgPool2d(2),
@@ -368,15 +357,13 @@ def _train(model, steps=2):
 
 
 class TestNetworkTraining:
-    @pytest.mark.parametrize("node_cls,node_kwargs", NODE_CASES)
     @pytest.mark.parametrize("reset", [0.0, None], ids=["hard", "soft"])
     @pytest.mark.parametrize("learnable", [True, False], ids=["learnable", "fixed"])
-    def test_weights_match_oracle(self, oracle_layers, node_cls, node_kwargs, reset,
-                                  learnable):
+    def test_weights_match_oracle(self, oracle_layers, reset, learnable):
         surrogate = ATan() if learnable else Triangle()
-        fused = _train(_node_network(node_cls, node_kwargs, reset, learnable, surrogate))
+        fused = _train(_node_network(reset, learnable, surrogate))
         oracle_layers()
-        oracle = _train(_node_network(node_cls, node_kwargs, reset, learnable, surrogate))
+        oracle = _train(_node_network(reset, learnable, surrogate))
         assert fused == oracle
 
     def test_neuron_state_matches_oracle_over_steps(self, oracle_layers):
@@ -384,8 +371,9 @@ class TestNetworkTraining:
         frames = [rng.normal(0.6, 0.8, size=CONV_SHAPE) for _ in range(4)]
 
         def run():
-            node = PLIFNode(init_tau=1.3, v_reset=None, learnable_threshold=True,
-                            surrogate=SigmoidSurrogate(), v_threshold=0.7)
+            node = PLIFNode(init_tau=1.3, v_reset=None, surrogate=SigmoidSurrogate(),
+                            v_threshold=0.7)
+            node.make_threshold_learnable()
             xs = [Tensor(frame, requires_grad=True) for frame in frames]
             spikes = [node(x) for x in xs]
             total = spikes[0]

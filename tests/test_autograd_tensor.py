@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, concatenate, no_grad, stack, where
+from repro.autograd import Tensor, check_gradients, no_grad, where
 from repro.autograd import is_grad_enabled
 
 
@@ -144,16 +144,6 @@ class TestReductionsAndShape:
         x = Tensor(data)
         assert np.allclose(x.var(axis=1).data, data.var(axis=1))
 
-    def test_max_gradient_to_argmax(self):
-        x = Tensor(np.array([[1.0, 5.0, 2.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
-        assert np.allclose(x.grad, [[0.0, 1.0, 0.0]])
-
-    def test_max_gradient_splits_ties(self):
-        x = Tensor(np.array([[3.0, 3.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
-        assert np.allclose(x.grad, [[0.5, 0.5]])
-
     def test_reshape_backward(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
         x.reshape(2, 3).sum().backward()
@@ -188,19 +178,9 @@ class TestReductionsAndShape:
 
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("fn", ["exp", "sigmoid"])
-    def test_gradcheck_elementwise(self, fn):
+    def test_sigmoid_gradcheck(self):
         x = Tensor(np.random.default_rng(3).normal(size=(4, 3)) + 0.1, requires_grad=True)
-        check_gradients(lambda t: getattr(t, fn)(), [x])
-
-    def test_log_gradcheck_positive(self):
-        x = Tensor(np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-        check_gradients(lambda t: t.log(), [x])
-
-    def test_clip_gradient_zero_outside(self):
-        x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(x.grad, [0.0, 1.0, 0.0])
+        check_gradients(lambda t: t.sigmoid(), [x])
 
     def test_maximum_with_constant(self):
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
@@ -214,22 +194,6 @@ class TestNonlinearities:
 
 
 class TestGraphUtilities:
-    def test_stack_backward(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3) * 2, requires_grad=True)
-        stack([a, b], axis=0).sum().backward()
-        assert np.allclose(a.grad, 1.0)
-        assert np.allclose(b.grad, 1.0)
-
-    def test_concatenate_backward(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = concatenate([a, b], axis=0)
-        assert out.shape == (5, 2)
-        (out * 2.0).sum().backward()
-        assert np.allclose(a.grad, 2.0)
-        assert np.allclose(b.grad, 2.0)
-
     def test_where_routes_gradient(self):
         cond = np.array([True, False, True])
         a = Tensor(np.ones(3), requires_grad=True)
@@ -308,7 +272,7 @@ class TestGraphRelease:
         beta = Tensor(np.zeros(3), requires_grad=True)
         h = batch_norm(conv2d(x, w, padding=1), gamma, beta,
                        np.zeros(3), np.ones(3), training=True)
-        loss = (h.exp() * h).sum()
+        loss = (h.sigmoid() * h).sum()
         return (x, w, gamma, beta), h, loss
 
     def test_backward_releases_every_interior_node(self):
@@ -322,7 +286,8 @@ class TestGraphRelease:
         for leaf in leaves:
             assert leaf._parents == () and leaf.grad is not None
         # A held interior tensor keeps its data and its grad.
-        assert np.allclose(h.grad, np.exp(h.data) * (1.0 + h.data))
+        s = 1.0 / (1.0 + np.exp(-h.data))
+        assert np.allclose(h.grad, s * (1.0 - s) * h.data + s)
 
     def test_second_backward_through_a_released_graph_raises(self):
         (x, *_), h, loss = self.small_graph()

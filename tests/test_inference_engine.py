@@ -34,8 +34,6 @@ from repro.snn import (
     Flatten,
     FusedFaultEngine,
     FusedInferenceEngine,
-    IFNode,
-    LIFNode,
     Linear,
     LoweringError,
     Module,
@@ -71,28 +69,25 @@ def _sequential_rates(model, maps, x) -> np.ndarray:
     return np.stack(rates)
 
 
-def _make_neuron(kind: str, v_reset, learnable: bool):
-    kwargs = dict(v_reset=v_reset, learnable_threshold=learnable, v_threshold=0.8)
-    if kind == "if":
-        return IFNode(**kwargs)
-    if kind == "lif":
-        return LIFNode(tau=1.7, **kwargs)
-    return PLIFNode(init_tau=1.4, **kwargs)
+def _make_neuron(v_reset, learnable: bool):
+    node = PLIFNode(init_tau=1.4, v_reset=v_reset, v_threshold=0.8)
+    if learnable:
+        node.make_threshold_learnable()
+    return node
 
 
 # ----------------------------------------------------------------------
 # Clean engine: float64 bit-identity with the autograd forward
 # ----------------------------------------------------------------------
 class TestCleanEngineBitIdentity:
-    @pytest.mark.parametrize("kind", ["if", "lif", "plif"])
     @pytest.mark.parametrize("v_reset", [0.0, None], ids=["hard", "soft"])
     @pytest.mark.parametrize("learnable", [False, True], ids=["fixed", "learnable"])
-    def test_neuron_grid(self, kind, v_reset, learnable, rng):
+    def test_neuron_grid(self, v_reset, learnable, rng):
         layers = Sequential(
             Linear(12, 10, rng=rng),
-            _make_neuron(kind, v_reset, learnable),
+            _make_neuron(v_reset, learnable),
             Linear(10, 4, rng=rng),
-            _make_neuron(kind, v_reset, learnable),
+            _make_neuron(v_reset, learnable),
         )
         model = SpikingClassifier(layers, time_steps=5)
         x = rng.random((7, 12))
@@ -165,15 +160,14 @@ class TestCleanEngineBitIdentity:
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(),
-           kind=st.sampled_from(["if", "lif", "plif"]),
            v_reset=st.sampled_from([0.0, -0.2, None]),
            steps=st.integers(min_value=1, max_value=6))
-    def test_neuron_dynamics_property(self, data, kind, v_reset, steps):
+    def test_neuron_dynamics_property(self, data, v_reset, steps):
         """Fused neuron updates are bit-identical over arbitrary drive."""
 
         seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
         gen = np.random.default_rng(seed)
-        layers = Sequential(_make_neuron(kind, v_reset, learnable=False))
+        layers = Sequential(_make_neuron(v_reset, learnable=False))
         model = SpikingClassifier(layers, time_steps=steps)
         x = gen.normal(scale=1.5, size=(steps, 3, 8))  # time-major drive
         reference = _autograd_rates(model, x)
@@ -215,7 +209,7 @@ class TestLowering:
 
     def test_plif_cell_constants(self):
         node = PLIFNode(init_tau=1.6, v_threshold=0.9)
-        assert node._inference_inv_tau() == pytest.approx(1.0 / 1.6)
+        assert _lowered_neuron(node).inv_tau == pytest.approx(1.0 / 1.6)
         assert node.tau == pytest.approx(1.6)
 
 
@@ -403,7 +397,7 @@ class TestCampaignIntegration:
 # ----------------------------------------------------------------------
 class TestNeuronCaches:
     def test_hard_reset_constant_reused_across_steps(self, rng):
-        node = LIFNode(tau=1.5, v_reset=0.3)
+        node = PLIFNode(init_tau=1.5, v_reset=0.3)
         x = Tensor(rng.random((4, 6)) * 2.0)
         node(x)
         first = node._reset_cache
@@ -417,7 +411,7 @@ class TestNeuronCaches:
         assert float(node._reset_cache[1].data[0, 0]) == 0.3
 
     def test_hard_reset_cache_tracks_v_reset_mutation(self):
-        node = IFNode(v_threshold=0.5, v_reset=0.0)
+        node = PLIFNode(init_tau=1.2, v_threshold=0.5, v_reset=0.0)
         drive = Tensor(np.full((2, 3), 1.0))
         node(drive)
         assert np.all(node.v.data == 0.0)  # fired, pinned to v_reset=0.0
@@ -428,7 +422,7 @@ class TestNeuronCaches:
         assert np.all(node.v.data == 0.25)
 
     def test_fixed_threshold_cache_invalidated_on_set(self, rng):
-        node = IFNode(v_threshold=1.0)
+        node = PLIFNode(init_tau=1.2, v_threshold=1.0)
         x = Tensor(rng.random((2, 3)))
         node(x)
         cached = node._threshold_cache
@@ -437,7 +431,7 @@ class TestNeuronCaches:
         node.reset_state()
         spikes = node(Tensor(np.full((2, 3), 0.75)))
         assert float(node.threshold_tensor().data) == 0.5
-        assert np.all(spikes.data == 1.0)  # 0.75 > 0.5 threshold
+        assert np.all(spikes.data == 1.0)  # 0.75 / 1.2 > 0.5 threshold
 
     def test_plif_tau_simplification(self):
         for init_tau in (1.1, 1.5, 2.0, 4.0):
@@ -497,7 +491,7 @@ class TestSpikeIdentity:
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.inf, math.nan])
     def test_kernel_rejects_threshold_outside_identity(self, threshold):
         with pytest.raises(ValueError, match="positive, finite v_threshold"):
-            NeuronKernel(NeuronSpec(inv_tau=None, v_threshold=threshold, v_reset=None))
+            NeuronKernel(NeuronSpec(inv_tau=0.5, v_threshold=threshold, v_reset=None))
 
 
 def _lowered_neuron(node) -> NeuronSpec:
@@ -508,13 +502,12 @@ def _lowered_neuron(node) -> NeuronSpec:
 class TestNeuronKernel:
     """``NeuronKernel`` against the autograd node, step by step."""
 
-    @pytest.mark.parametrize("kind", ["if", "lif", "plif"])
     @pytest.mark.parametrize("v_reset", [None, 0.0, -0.0, -0.25],
                              ids=["soft", "hard+0", "hard-0", "hard-0.25"])
     @pytest.mark.parametrize("learned", [None, 0.7310585786300049, 0.01],
                              ids=["fixed", "falvolt", "falvolt-floor"])
-    def test_matches_autograd_node(self, kind, v_reset, learned):
-        node = _make_neuron(kind, v_reset, learnable=False)
+    def test_matches_autograd_node(self, v_reset, learned):
+        node = _make_neuron(v_reset, learnable=False)
         if learned is not None:
             # A FalVolt threshold: learnable, trained to ``learned`` (0.01
             # sits under the floor, so the node clamps it to MIN_THRESHOLD).
@@ -524,12 +517,12 @@ class TestNeuronKernel:
         assert spec.v_threshold == threshold
         kernel = NeuronKernel(spec)
 
-        # Lanes 0-15 charge to exactly V_th (no spike): from v = V_th, an IF
-        # drive of +0.0 and a leaky drive of fl(V_th - rest) add +0.0.  The
-        # rest walk the doubles around the drive that charges v = rest to V_th.
+        # Lanes 0-15 charge to exactly V_th (no spike): from v = V_th, a
+        # drive of fl(V_th - rest) adds +0.0.  The rest walk the doubles
+        # around the drive that charges v = rest to V_th.
         rest = 0.0 if v_reset is None else v_reset
-        gain = 1.0 if spec.inv_tau is None else spec.inv_tau
-        landing = 0.0 if spec.inv_tau is None else threshold - rest
+        gain = spec.inv_tau
+        landing = threshold - rest
         v_start = np.concatenate([np.full(16, threshold), np.full(129, rest)])
         gen = np.random.default_rng(7)
         # Step 0 charges the fill value with +0.0 and -0.0: a rest of -0.0

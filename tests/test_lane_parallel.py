@@ -30,8 +30,8 @@ from repro.snn import (
     BatchNorm2d,
     Conv2d,
     Flatten,
-    IFNode,
     Linear,
+    PLIFNode,
     Sequential,
     SpikingClassifier,
 )
@@ -234,7 +234,7 @@ class TestLaneLayout:
 # Lane-major order: stashes own their arrays, memory is flat in maps
 # ----------------------------------------------------------------------
 def _flatten_spikes_model(time_steps):
-    """Conv -> BN -> IF -> flatten -> FC: the FC input views neuron spikes.
+    """Conv -> BN -> PLIF -> flatten -> FC: the FC input views neuron spikes.
 
     As in the DVS-Gesture network's head, the first linear layer reads a
     flatten of a spiking layer's output, i.e. of the buffer the clean
@@ -243,9 +243,9 @@ def _flatten_spikes_model(time_steps):
 
     rng = np.random.default_rng(3)
     return SpikingClassifier(Sequential(
-        Conv2d(2, 4, 3, padding=1, rng=rng), BatchNorm2d(4), IFNode(v_threshold=0.5),
-        Flatten(), Linear(4 * 6 * 6, 16, rng=rng, init_gain=3.0), IFNode(v_threshold=0.5),
-        Linear(16, 4, rng=rng, init_gain=3.0), IFNode(v_threshold=0.5),
+        Conv2d(2, 4, 3, padding=1, rng=rng), BatchNorm2d(4), PLIFNode(v_threshold=0.5),
+        Flatten(), Linear(4 * 6 * 6, 16, rng=rng, init_gain=3.0), PLIFNode(v_threshold=0.5),
+        Linear(16, 4, rng=rng, init_gain=3.0), PLIFNode(v_threshold=0.5),
     ), time_steps=time_steps)
 
 

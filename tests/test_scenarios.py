@@ -1,8 +1,10 @@
 """Tests for the declarative scenario registry and its CLI integration."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_parser, main
 from repro.experiments import (
@@ -21,6 +23,15 @@ def make_scenario(**overrides):
                    values=[2, 4], trials=2)
     payload.update(overrides)
     return Scenario.from_dict(payload)
+
+
+#: Any JSON value, with some that a scenario field accepts.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["mnist", "counts", "sa0", "transient", "bypass", "full"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6)
 
 
 class TestScenarioValidation:
@@ -68,6 +79,36 @@ class TestScenarioValidation:
     def test_field_validation(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             make_scenario(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", None),
+        ("trials", "abc"),
+        ("num_faulty", [1]),
+        ("fault_params", 5),
+        ("config_overrides", 7),
+        ("seed", "x"),
+    ])
+    def test_bad_field_type_collected(self, field, value):
+        with pytest.raises(ValueError, match=f"^invalid scenario 'test-scenario': .*'{field}'"):
+            make_scenario(**{field: value})
+
+    def test_bad_field_types_all_reported_at_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_scenario(trials="abc", seed="x", fault_params=5)
+        message = str(excinfo.value)
+        assert "'trials'" in message and "'seed'" in message and "'fault_params'" in message
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from([field.name for field in dataclasses.fields(Scenario)]),
+           value=JSON_VALUES)
+    def test_any_json_value_in_any_field(self, field, value):
+        payload = dict(name="test-scenario", dataset="mnist", sweep="bits",
+                       values=[2, 4], trials=2)
+        payload[field] = value
+        try:
+            Scenario.from_dict(payload)
+        except ValueError as exc:
+            assert str(exc).startswith("invalid scenario ")
 
     def test_bypass_of_transient_rejected(self):
         with pytest.raises(ValueError, match="bypass.*transient"):

@@ -103,11 +103,6 @@ class TestModelBuilders:
         with pytest.raises(KeyError):
             build_model_for_dataset("cifar")
 
-    def test_learnable_threshold_option(self):
-        config = mnist_config(learnable_threshold=True, channels=4, hidden_units=16)
-        model = build_plif_snn(config)
-        assert all(node.learnable_threshold for node in model.spiking_layers())
-
     def test_config_presets(self):
         assert mnist_config().conv_blocks == 2
         assert nmnist_config().input_channels == 2

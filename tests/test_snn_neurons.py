@@ -1,4 +1,4 @@
-"""Tests for the IF / LIF / PLIF neuron models and threshold handling."""
+"""Tests for the PLIF neuron model and threshold handling."""
 
 import math
 
@@ -6,62 +6,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.snn import IFNode, LIFNode, PLIFNode, MIN_THRESHOLD, spiking_nodes
+from repro.snn import PLIFNode, MIN_THRESHOLD, spiking_nodes
 from repro.snn.layers import Sequential, Linear
-
-
-class TestIFNode:
-    def test_integrates_until_threshold(self):
-        node = IFNode(v_threshold=1.0)
-        x = Tensor(np.array([[0.4]]))
-        spikes = [node(x).data[0, 0] for _ in range(4)]
-        # Membrane: 0.4, 0.8, 1.2 -> spike on the third step.
-        assert spikes[:3] == [0.0, 0.0, 1.0]
-
-    def test_hard_reset_returns_to_v_reset(self):
-        node = IFNode(v_threshold=1.0, v_reset=0.0)
-        x = Tensor(np.array([[1.5]]))
-        node(x)
-        assert node.v.data[0, 0] == pytest.approx(0.0)
-
-    def test_soft_reset_subtracts_threshold(self):
-        node = IFNode(v_threshold=1.0, v_reset=None)
-        x = Tensor(np.array([[1.5]]))
-        node(x)
-        assert node.v.data[0, 0] == pytest.approx(0.5)
-
-    def test_reset_state_clears_membrane(self):
-        node = IFNode()
-        node(Tensor(np.ones((2, 3))))
-        assert node.v is not None
-        node.reset_state()
-        assert node.v is None
-
-    def test_state_reinitialised_on_shape_change(self):
-        node = IFNode()
-        node(Tensor(np.ones((2, 3))))
-        node(Tensor(np.ones((4, 3))))
-        assert node.v.shape == (4, 3)
-
-
-class TestLIFNode:
-    def test_leak_pulls_towards_input(self):
-        node = LIFNode(tau=2.0, v_threshold=10.0)
-        x = Tensor(np.array([[1.0]]))
-        node(x)
-        v1 = node.v.data[0, 0]
-        node(x)
-        v2 = node.v.data[0, 0]
-        assert v1 == pytest.approx(0.5)
-        assert v2 == pytest.approx(0.75)
-
-    def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            LIFNode(tau=0.5)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            LIFNode(v_threshold=0.0)
 
 
 class TestPLIFNode:
@@ -84,6 +30,30 @@ class TestPLIFNode:
         node = PLIFNode(init_tau=2.0, v_threshold=100.0)
         node(Tensor(np.array([[1.0]])))
         assert node.v.data[0, 0] == pytest.approx(0.5, rel=1e-6)
+
+    def test_hard_reset_returns_to_v_reset(self):
+        node = PLIFNode(init_tau=2.0, v_threshold=0.5, v_reset=0.0)
+        node(Tensor(np.array([[1.5]])))
+        assert node.v.data[0, 0] == pytest.approx(0.0)
+
+    def test_soft_reset_subtracts_threshold(self):
+        node = PLIFNode(init_tau=2.0, v_threshold=0.5, v_reset=None)
+        # Charged to 1.5 / 2 = 0.75, fired, then 0.75 - 0.5.
+        node(Tensor(np.array([[1.5]])))
+        assert node.v.data[0, 0] == pytest.approx(0.25)
+
+    def test_reset_state_clears_membrane(self):
+        node = PLIFNode()
+        node(Tensor(np.ones((2, 3))))
+        assert node.v is not None
+        node.reset_state()
+        assert node.v is None
+
+    def test_state_reinitialised_on_shape_change(self):
+        node = PLIFNode()
+        node(Tensor(np.ones((2, 3))))
+        node(Tensor(np.ones((4, 3))))
+        assert node.v.shape == (4, 3)
 
 
 class TestThresholdHandling:
@@ -116,27 +86,15 @@ class TestThresholdHandling:
         assert node.v_threshold == pytest.approx(0.6)
 
     def test_make_learnable_idempotent(self):
-        node = PLIFNode(learnable_threshold=True)
+        node = PLIFNode()
+        node.make_threshold_learnable()
         node.make_threshold_learnable(initial=0.8)
         assert node.v_threshold == pytest.approx(0.8)
         assert len([p for p in node.parameters()]) == 2  # w and threshold
 
-    def test_freeze_threshold_keeps_value(self):
-        node = PLIFNode(v_threshold=1.0, learnable_threshold=True)
-        node.v_threshold_param.data[...] = 0.55
-        node.freeze_threshold()
-        assert not node.learnable_threshold
-        assert node.v_threshold == pytest.approx(0.55)
-        assert "v_threshold_param" not in dict(node.named_parameters())
-
-    def test_freeze_then_set(self):
-        node = PLIFNode(learnable_threshold=True)
-        node.freeze_threshold()
-        node.set_threshold(0.9)
-        assert node.v_threshold == pytest.approx(0.9)
-
     def test_threshold_gradient_flows(self):
-        node = PLIFNode(v_threshold=1.0, learnable_threshold=True)
+        node = PLIFNode(v_threshold=1.0)
+        node.make_threshold_learnable()
         x = Tensor(np.full((2, 5), 0.8))
         out = node(x)
         out.sum().backward()
@@ -146,7 +104,8 @@ class TestThresholdHandling:
         assert node.v_threshold_param.grad <= 0.0
 
     def test_threshold_floor_applied(self):
-        node = PLIFNode(v_threshold=1.0, learnable_threshold=True)
+        node = PLIFNode(v_threshold=1.0)
+        node.make_threshold_learnable()
         node.v_threshold_param.data[...] = -3.0
         assert node.v_threshold == pytest.approx(MIN_THRESHOLD)
 
@@ -165,19 +124,27 @@ REJECTED = NON_FINITE + [0.0, -0.5]
 MESSAGE = "needs a positive, finite v_threshold"
 
 
+def _node(learnable: bool) -> PLIFNode:
+    """A node with ``V_th = 0.7``, fixed or made learnable as FalVolt does."""
+
+    node = PLIFNode(v_threshold=0.7)
+    if learnable:
+        node.make_threshold_learnable()
+    return node
+
+
 class TestThresholdValidation:
     """Every entry point that sets ``V_th`` rejects what the fused kernel would."""
 
     @pytest.mark.parametrize("value", REJECTED)
-    @pytest.mark.parametrize("learnable", [False, True])
-    def test_init_rejects(self, value, learnable):
+    def test_init_rejects(self, value):
         with pytest.raises(ValueError, match=MESSAGE):
-            PLIFNode(v_threshold=value, learnable_threshold=learnable)
+            PLIFNode(v_threshold=value)
 
     @pytest.mark.parametrize("value", REJECTED)
     @pytest.mark.parametrize("learnable", [False, True])
     def test_set_threshold_rejects_and_keeps_value(self, value, learnable):
-        node = PLIFNode(v_threshold=0.7, learnable_threshold=learnable)
+        node = _node(learnable)
         with pytest.raises(ValueError, match=MESSAGE):
             node.set_threshold(value)
         assert node.v_threshold == 0.7
@@ -185,7 +152,7 @@ class TestThresholdValidation:
     @pytest.mark.parametrize("value", REJECTED)
     @pytest.mark.parametrize("learnable", [False, True])
     def test_make_learnable_rejects_initial(self, value, learnable):
-        node = PLIFNode(v_threshold=0.7, learnable_threshold=learnable)
+        node = _node(learnable)
         with pytest.raises(ValueError, match=MESSAGE):
             node.make_threshold_learnable(initial=value)
         assert node.learnable_threshold == learnable
@@ -196,9 +163,9 @@ class TestThresholdValidation:
         from repro.snn.inference.plan import NeuronSpec
 
         with pytest.raises(ValueError) as node_error:
-            IFNode().set_threshold(math.inf)
+            PLIFNode().set_threshold(math.inf)
         with pytest.raises(ValueError) as kernel_error:
-            NeuronKernel(NeuronSpec(inv_tau=None, v_threshold=math.inf, v_reset=None))
+            NeuronKernel(NeuronSpec(inv_tau=0.5, v_threshold=math.inf, v_reset=None))
         assert str(node_error.value) == "neuron " + MESSAGE + ", got inf"
         assert str(kernel_error.value) == "fused neuron " + MESSAGE + ", got inf"
 
@@ -206,7 +173,7 @@ class TestThresholdValidation:
 class TestSpikingNodesHelper:
     def test_finds_nodes_in_container(self):
         seq = Sequential(Linear(4, 4, rng=np.random.default_rng(0)), PLIFNode(),
-                         Linear(4, 2, rng=np.random.default_rng(1)), LIFNode())
+                         Linear(4, 2, rng=np.random.default_rng(1)), PLIFNode())
         nodes = spiking_nodes(seq)
         assert len(nodes) == 2
         assert isinstance(nodes[0], PLIFNode)

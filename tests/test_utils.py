@@ -1,4 +1,4 @@
-"""Tests for the utility modules (rng, logging, serialization)."""
+"""Tests for the utility modules (rng, logging, serialization, hashing)."""
 
 import logging
 
@@ -17,6 +17,8 @@ from repro.utils import (
     save_records,
     save_state_dict,
 )
+from repro.snn import build_model_for_dataset
+from repro.utils.hashing import model_key
 
 
 class TestRng:
@@ -93,3 +95,25 @@ class TestSerialization:
         path = tmp_path / "records.json"
         save_records({"pair": (1, 2)}, path)
         assert load_records(path)["pair"] == [1, 2]
+
+
+class TestModelKey:
+    """The cache-key text of the shipped models stays what cached records hold.
+
+    ``model_key`` hashes each module's class name and its
+    ``_SCALAR_ATTRIBUTES``, so renaming a module class, reordering the
+    modules or editing that tuple changes every cache key.  A PLIF ``w`` of
+    ``0.0`` makes ``tau`` exactly 2.0, so no libm-dependent float enters the
+    key, and a fixed token stands in for the weight digest.
+    """
+
+    @pytest.mark.parametrize("dataset,key", [
+        ("mnist", "ebde4023ad04ee2d536f3b375e7905f4b91970ca74b2172132429afe948ab867"),
+        ("dvs_gesture", "0a77ee247f009df108697d5cd26b85d3f43cbc174c929cc07d3c895bdf9d6ce3"),
+    ])
+    def test_shipped_model_key(self, dataset, key):
+        model, _ = build_model_for_dataset(dataset)
+        for node in model.spiking_layers():
+            node.w.data[...] = 0.0
+            assert node.tau == 2.0
+        assert model_key(model, token="0" * 64) == key
