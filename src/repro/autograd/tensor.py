@@ -134,11 +134,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (not a copy)."""
-
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
 

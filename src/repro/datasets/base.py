@@ -68,11 +68,6 @@ class ArrayDataset:
         cut = int(round(train_fraction * len(self)))
         return self.subset(order[:cut]), self.subset(order[cut:])
 
-    def class_counts(self) -> np.ndarray:
-        """Number of samples per class (length ``num_classes``)."""
-
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 class DataLoader:
     """Mini-batch iterator over an :class:`ArrayDataset`.

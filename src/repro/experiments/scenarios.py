@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
                                sweep_faulty_pe_count)
-from ..faults.campaign import FAULT_MODELS, check_runner_options
+from ..faults.campaign import (FAULT_MODELS, _is_integer, _pairs,
+                               check_runner_options, transient_param_problems)
 from ..faults.fault_model import StuckAtType
 from ..utils.rng import derive_seed
 from .config import PAPER_DATASETS, SCALES, ExperimentConfig, default_config
@@ -89,28 +91,32 @@ def _config_field_names() -> Tuple[str, ...]:
     return tuple(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
-def _is_integer(value) -> bool:
-    """True for an integer (numpy's included), false for a bool or a float."""
+def _check_override(name: str, value, problems: List[str]):
+    """``value`` as the :class:`ExperimentConfig` field ``name`` holds it.
 
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _pairs(value, field: str, problems: List[str]) -> Tuple[Tuple[str, object], ...]:
-    """``value`` (an object or a list of key/value pairs) as sorted pairs.
-
-    A value of any other shape, or a key given twice, adds to ``problems``
-    and yields no pairs.
+    What is wrong with it, judged by the type of the field's default, is
+    added to ``problems``.  A pairs field turns into sorted pairs, so the
+    config stays hashable (the baseline cache is keyed by it).
     """
 
-    items = list(value.items()) if isinstance(value, dict) else value
-    if isinstance(items, (list, tuple)) and all(
-            isinstance(item, (list, tuple)) and len(item) == 2 for item in items):
-        pairs = {str(key): item for key, item in items}
-        if len(pairs) == len(items):
-            return tuple(sorted(pairs.items()))
-    problems.append(f"'{field}' must be an object or a list of [key, value] "
-                    f"pairs with distinct keys")
-    return ()
+    default = getattr(ExperimentConfig, name)
+    if isinstance(default, str):
+        if not (isinstance(value, str) and value in PAPER_DATASETS):
+            problems.append(f"'{name}' override must be one of {PAPER_DATASETS}")
+    elif isinstance(default, int):
+        low = 0 if name == "seed" or name.endswith("_epochs") else 1
+        if not (_is_integer(value) and value >= low):
+            kind = "non-negative" if low == 0 else "positive"
+            problems.append(
+                f"'{name}' override must be a {kind} integer, got {value!r}")
+    elif isinstance(default, float):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and 0 < value < math.inf):
+            problems.append(
+                f"'{name}' override must be a positive finite number, got {value!r}")
+    else:
+        return _pairs(value, name, problems)
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,7 +206,10 @@ class Scenario:
                 "bypass mitigation is not defined for transient fault "
                 "schedules")
         normalized = _pairs(self.fault_params, "fault_params", problems)
-        if normalized and self.fault_model != "transient":
+        if self.fault_model == "transient":
+            problems.extend(transient_param_problems(dict(normalized),
+                                                     need_steps=False))
+        elif normalized:
             problems.append(
                 "'fault_params' are only meaningful for transient scenarios")
         object.__setattr__(self, "fault_params", normalized)
@@ -211,6 +220,9 @@ class Scenario:
             problems.append(
                 f"unknown config_overrides key(s) {unknown}; "
                 f"options: {known}")
+        normalized = tuple((key, _check_override(key, value, problems)
+                            if key in known else value)
+                           for key, value in normalized)
         object.__setattr__(self, "config_overrides", normalized)
         if problems:
             raise ValueError(

@@ -45,6 +45,7 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -57,8 +58,9 @@ from ..utils.hashing import loader_token, model_key, model_token
 from ..utils.logging import get_logger
 from ..utils.rng import get_rng
 from ..utils.serialization import load_records, save_records
-from .fault_map import (FaultMap, FaultSchedule, random_fault_map,
-                        random_weight_fault_map, schedule_from_process)
+from .fault_map import (SCHEDULE_PROCESSES, FaultMap, FaultSchedule,
+                        random_fault_map, random_weight_fault_map,
+                        schedule_from_process)
 from .fault_model import StuckAtType
 from .injection import ENGINES, _engine_problems, evaluate_with_faults
 
@@ -74,6 +76,7 @@ __all__ = [
     "load_cached_record",
     "plan_sweep_chunks",
     "store_record_safe",
+    "transient_param_problems",
 ]
 
 logger = get_logger("faults.campaign")
@@ -88,6 +91,64 @@ FAULT_MODELS = ("stuck_at", "sram", "transient")
 #: :func:`repro.faults.fault_map.schedule_from_process`).
 _TRANSIENT_PARAM_KEYS = ("process", "num_steps", "rate", "burst_length",
                          "cluster_size", "high_order_bits")
+
+
+def _is_integer(value) -> bool:
+    """True for an integer (numpy's included), false for a bool or a float."""
+
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _pairs(value, field: str, problems: List[str]) -> Tuple[Tuple[str, object], ...]:
+    """``value`` (an object or a list of key/value pairs) as sorted pairs.
+
+    A value of any other shape, or a key given twice, adds to ``problems``
+    and yields no pairs.
+    """
+
+    items = list(value.items()) if isinstance(value, dict) else value
+    if isinstance(items, (list, tuple)) and all(
+            isinstance(item, (list, tuple)) and len(item) == 2 for item in items):
+        pairs = {str(key): item for key, item in items}
+        if len(pairs) == len(items):
+            return tuple(sorted(pairs.items()))
+    problems.append(f"'{field}' must be an object or a list of [key, value] "
+                    f"pairs with distinct keys")
+    return ()
+
+
+def transient_param_problems(params: Dict[str, object], *,
+                             need_steps: bool) -> List[str]:
+    """What :func:`~repro.faults.fault_map.schedule_from_process` would
+    reject in a transient ``fault_params`` mapping, one message per problem.
+
+    ``need_steps`` requires ``num_steps``; a scenario leaves it out and
+    resolves it from the dataset config's ``time_steps``.
+    """
+
+    problems: List[str] = []
+    unknown = [key for key in params if key not in _TRANSIENT_PARAM_KEYS]
+    if unknown:
+        problems.append(f"unknown transient fault_params key(s) {unknown}; "
+                        f"options: {_TRANSIENT_PARAM_KEYS}")
+    process = params.get("process", "bernoulli")
+    if not (isinstance(process, str) and process in SCHEDULE_PROCESSES):
+        problems.append(f"unknown schedule process {process!r}; "
+                        f"options: {SCHEDULE_PROCESSES}")
+    rate = params.get("rate", 0.5)
+    if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+            and 0.0 <= rate <= 1.0):
+        problems.append(f"transient 'rate' must be a number in [0, 1], got {rate!r}")
+    if need_steps and "num_steps" not in params:
+        problems.append("transient points need a positive 'num_steps' in "
+                        "fault_params (the schedule must cover the model's "
+                        "time steps)")
+    for key in ("num_steps", "burst_length", "cluster_size", "high_order_bits"):
+        if key in params and not (_is_integer(params[key]) and params[key] >= 1):
+            problems.append(f"transient '{key}' must be a positive integer, "
+                            f"got {params[key]!r}")
+    return problems
+
 
 #: Cache layout version; bump when record contents change incompatibly.
 _CACHE_VERSION = 1
@@ -124,44 +185,47 @@ class CampaignPoint:
     fault_params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("array dimensions must be positive")
-        if self.num_faulty < 0:
-            raise ValueError("num_faulty must be non-negative")
-        if self.num_faulty > self.rows * self.cols:
-            raise ValueError(
-                f"cannot place {self.num_faulty} faults in a "
-                f"{self.rows}x{self.cols} array")
-        if not self.map_seeds:
-            raise ValueError("map_seeds must contain at least one trial seed")
-        object.__setattr__(self, "map_seeds", tuple(int(s) for s in self.map_seeds))
-        object.__setattr__(self, "stuck_type",
-                           StuckAtType.from_value(self.stuck_type).short_name)
+        problems: List[str] = []
+        for name in ("rows", "cols"):
+            if not (_is_integer(getattr(self, name)) and getattr(self, name) > 0):
+                problems.append(f"'{name}' must be a positive integer")
+        if not (_is_integer(self.num_faulty) and self.num_faulty >= 0):
+            problems.append("'num_faulty' must be a non-negative integer")
+        elif not problems and self.num_faulty > self.rows * self.cols:
+            problems.append(f"cannot place {self.num_faulty} faults in a "
+                            f"{self.rows}x{self.cols} array")
+        seeds = self.map_seeds
+        if (isinstance(seeds, (list, tuple)) and seeds
+                and all(_is_integer(s) and s >= 0 for s in seeds)):
+            object.__setattr__(self, "map_seeds", tuple(int(s) for s in seeds))
+        else:
+            problems.append("'map_seeds' must be a non-empty list of "
+                            "non-negative integer trial seeds")
+        if self.bit_position is not None and not (
+                _is_integer(self.bit_position) and self.bit_position >= 0):
+            problems.append("'bit_position' must be a non-negative integer when given")
+        try:
+            object.__setattr__(self, "stuck_type",
+                               StuckAtType.from_value(self.stuck_type).short_name)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"'stuck_type': {exc}")
+        for name in ("label", "dataset"):
+            if not isinstance(getattr(self, name), str):
+                problems.append(f"'{name}' must be a string")
         if self.fault_model not in FAULT_MODELS:
-            raise ValueError(
-                f"unknown fault model '{self.fault_model}'; "
-                f"options: {FAULT_MODELS}")
-        params = self.fault_params
-        items = params.items() if isinstance(params, dict) else tuple(params)
-        normalized = tuple(sorted((str(key), value) for key, value in items))
+            problems.append(f"unknown 'fault_model' {self.fault_model!r}; "
+                            f"options: {FAULT_MODELS}")
+        normalized = _pairs(self.fault_params, "fault_params", problems)
         if self.fault_model == "transient":
-            unknown = [key for key, _ in normalized
-                       if key not in _TRANSIENT_PARAM_KEYS]
-            if unknown:
-                raise ValueError(
-                    f"unknown transient fault_params key(s) {unknown}; "
-                    f"options: {_TRANSIENT_PARAM_KEYS}")
-            values = dict(normalized)
-            if int(values.get("num_steps", 0)) <= 0:
-                raise ValueError(
-                    "transient points need a positive 'num_steps' in "
-                    "fault_params (the schedule must cover the model's "
-                    "time steps)")
+            problems.extend(transient_param_problems(dict(normalized),
+                                                     need_steps=True))
         elif normalized:
-            raise ValueError(
+            problems.append(
                 f"fault_params are only meaningful for transient points, "
-                f"not fault_model='{self.fault_model}'")
+                f"not fault_model={self.fault_model!r}")
         object.__setattr__(self, "fault_params", normalized)
+        if problems:
+            raise ValueError("invalid campaign point: " + "; ".join(problems))
 
     @property
     def trials(self) -> int:

@@ -57,7 +57,6 @@ i/N --resume``, ``python -m repro run fig7 --shard i/N``).
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import heapq
 import multiprocessing
@@ -67,6 +66,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..utils.blas import one_blas_thread, set_blas_threads
 from ..utils.logging import get_logger
 from .campaign import load_cached_record, store_record_safe
 
@@ -279,54 +279,13 @@ def _heartbeat_loop(result_queue, index: int, stop: threading.Event) -> None:
             return
 
 
-def _openblas_function(name: str):
-    """OpenBLAS's ``name`` function (e.g. ``"set_num_threads"``), or ``None``.
-
-    Looks through the OpenBLAS libraries this process has mapped (numpy's
-    bundled one included) for the 64-bit-interface and plain symbol names.
-    Returns ``None`` when no OpenBLAS with the symbol is loaded.
-    """
-
-    try:
-        with open("/proc/self/maps") as maps:
-            libraries = sorted({line.split()[-1] for line in maps
-                                if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in libraries:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
-                       f"openblas_{name}"):
-            function = getattr(library, symbol, None)
-            if function is not None:
-                return function
-    return None
-
-
-def _single_blas_thread() -> None:
-    """Give this (forked) process one OpenBLAS thread, if OpenBLAS is loaded.
-
-    Workers run side by side, one per core, so a worker that kept the
-    parent's default BLAS pool would oversubscribe the cores: on two vCPUs
-    two workers of two BLAS threads each ran a retraining grid 1.6-1.7x
-    slower than one serial process.  Records stay byte-identical to a
-    serial run's.
-    """
-
-    set_threads = _openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
-
-
 def _pool_worker(task_queue, channel: _WorkerChannel) -> None:
-    """Worker loop: steal task indices until the ``None`` sentinel arrives."""
+    """Worker loop: steal task indices until the ``None`` sentinel arrives.
 
-    _single_blas_thread()
+    Workers run side by side, one per core, so each runs one BLAS thread.
+    """
+
+    set_blas_threads(1)
     result_queue = channel
     while True:
         index = task_queue.get()
@@ -609,7 +568,9 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
 
     Timeouts cannot be enforced in-process (there is no worker to kill), but
     retries keep the pool's exponential backoff so failure behaviour stays
-    comparable across both paths.
+    comparable across both paths.  Each unit runs on one OpenBLAS thread,
+    as in a pool worker, so its bits do not depend on the worker count;
+    the caller's thread count is restored afterwards.
     """
 
     for index in range(len(results)):
@@ -620,7 +581,8 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
             result.attempts += 1
             start = time.perf_counter()
             try:
-                result.value = fn(index)
+                with one_blas_thread():
+                    result.value = fn(index)
             except Exception as exc:  # noqa: BLE001 - collected per task
                 # KeyboardInterrupt / SystemExit propagate: an interrupted
                 # serial sweep stops immediately (finished tasks are already

@@ -21,7 +21,6 @@ from .network import SpikingClassifier
 from .loss import accuracy, rate_mse_loss
 from .optim import Adam
 from .training import Trainer, TrainingHistory, evaluate
-from .monitor import LayerActivity, SpikeMonitor, activity_drop, measure_firing_rates
 from .models import (
     DATASET_CONFIGS,
     ModelConfig,
@@ -36,7 +35,9 @@ from .inference import (
     FusedInferenceEngine,
     InferencePlan,
     LoweringError,
+    activity_drop,
     lower_plan,
+    measure_firing_rates,
 )
 
 __all__ = [
@@ -64,8 +65,6 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "evaluate",
-    "LayerActivity",
-    "SpikeMonitor",
     "activity_drop",
     "measure_firing_rates",
     "DATASET_CONFIGS",

@@ -7,7 +7,8 @@ membrane updates and a single charge->fire->reset pass per spiking layer
 per time step -- no autograd graph construction.
 
 * :class:`FusedInferenceEngine` -- fault-free evaluation, bit-identical
-  to the autograd forward.
+  to the autograd forward, with per-layer spike counts
+  (:func:`measure_firing_rates`).
 * :class:`FusedFaultEngine` -- multi-fault-map evaluation with clean-prefix
   sharing: each fault map forks off the shared clean lane at the first
   affine layer its faults actually corrupt.
@@ -19,7 +20,7 @@ See the README's "Fused inference engine" section for the architecture and
 the bit-identity guarantees.
 """
 
-from .engine import FusedFaultEngine, FusedInferenceEngine
+from .engine import FusedFaultEngine, FusedInferenceEngine, activity_drop, measure_firing_rates
 from .plan_cache import PlanCache, default_plan_cache
 from .plan import (
     AffineSpec,
@@ -45,6 +46,8 @@ __all__ = [
     "PlanBuilder",
     "PlanCache",
     "PoolSpec",
+    "activity_drop",
     "default_plan_cache",
     "lower_plan",
+    "measure_firing_rates",
 ]

@@ -4,7 +4,10 @@ Two engines execute an :class:`~repro.snn.inference.plan.InferencePlan`:
 
 * :class:`FusedInferenceEngine` -- fault-free evaluation, bit-identical
   to ``model(x)`` in eval mode under ``no_grad`` (same numpy operations,
-  same order, same shapes).
+  same order, same shapes).  It also counts each spiking layer's spikes,
+  from which :func:`measure_firing_rates` reads the per-layer firing
+  rates FalVolt acts on: pruning the weights mapped to faulty PEs lowers
+  every layer's drive and its rate, and a lowered threshold restores it.
 
 * :class:`FusedFaultEngine` -- evaluation under ``F`` systolic-array fault
   maps in one pass, with **clean-prefix sharing**: faults only corrupt
@@ -76,7 +79,8 @@ from .faulty_gemm import FaultyAffineRunner, ForkEntry
 from .plan import AffineSpec, InferencePlan, lower_plan
 from .plan_cache import default_plan_cache
 
-__all__ = ["FusedInferenceEngine", "FusedFaultEngine"]
+__all__ = ["FusedInferenceEngine", "FusedFaultEngine", "activity_drop",
+           "measure_firing_rates"]
 
 
 def _plan_for(model, plan_token: Optional[str]) -> InferencePlan:
@@ -112,18 +116,29 @@ class FusedInferenceEngine:
         self._kernels = [KERNEL_SET.make_kernel(op, affine_mode="software")
                          for op in self.plan.ops]
         self._prefix = self.plan.static_prefix
-
-    def _reset_state(self) -> None:
-        for kernel in self._kernels:
-            if isinstance(kernel, NeuronKernel):
-                kernel.reset()
+        self._neurons = [kernel for kernel in self._kernels
+                         if isinstance(kernel, NeuronKernel)]
+        # The prefix is stateless, so every neuron op runs after it; each
+        # carries its ordinal among the neuron ops (``None`` for the others).
+        self._body = [(kernel, self._neurons.index(kernel)
+                       if isinstance(kernel, NeuronKernel) else None)
+                      for kernel in self._kernels[self._prefix:]]
+        #: Spikes each neuron op emitted, and the neuron-steps it ran, summed
+        #: over every :meth:`run` (neuron ops in plan order).
+        self.spike_counts = np.zeros(len(self._neurons), dtype=np.int64)
+        self.neuron_steps = np.zeros(len(self._neurons), dtype=np.int64)
 
     def run(self, inputs) -> np.ndarray:
-        """Output firing rates of shape ``(batch, num_classes)``."""
+        """Output firing rates of shape ``(batch, num_classes)``.
+
+        Adds each neuron op's spikes to :attr:`spike_counts` and its
+        neuron-steps to :attr:`neuron_steps`.
+        """
 
         x0 = np.asarray(inputs, dtype=np.float64)
         static = x0.ndim in (4, 2)
-        self._reset_state()
+        for kernel in self._neurons:
+            kernel.reset()
         acc: Optional[np.ndarray] = None
         prefix_out: Optional[np.ndarray] = None
         steps = 0
@@ -136,8 +151,11 @@ class FusedInferenceEngine:
                     x = kernel.run(x)
                 if static:
                     prefix_out = x
-            for kernel in self._kernels[self._prefix:]:
+            for kernel, neuron in self._body:
                 x = kernel.run(x)
+                if neuron is not None:
+                    self.spike_counts[neuron] += np.count_nonzero(x)
+                    self.neuron_steps[neuron] += x.size
             if acc is None:
                 acc = x.copy()
             else:
@@ -145,11 +163,6 @@ class FusedInferenceEngine:
             steps += 1
         np.multiply(acc, 1.0 / steps, out=acc)
         return acc
-
-    def predict(self, inputs) -> np.ndarray:
-        """Predicted class indices for a batch."""
-
-        return np.argmax(self.run(inputs), axis=1)
 
     def evaluate(self, loader) -> float:
         """Classification accuracy over all batches of ``loader``."""
@@ -161,6 +174,47 @@ class FusedInferenceEngine:
             correct += int(np.sum(predictions == labels))
             total += labels.shape[0]
         return correct / total if total else 0.0
+
+
+def measure_firing_rates(model, inputs, labelled_only: bool = True) -> Dict[str, float]:
+    """Per-layer firing rates of ``model`` over ``inputs``, in [0, 1].
+
+    One fused pass counts each spiking layer's spikes per neuron per time
+    step.  Fused spikes are bit-identical to the eval-mode autograd
+    forward's, and sums of 0/1 spikes are exact, so these are that
+    forward's rates exactly, whatever mode ``model`` is in.  Layers are
+    keyed by ``layer_label``, or ``spiking-<i>`` for the ``i``-th spiking
+    layer when unlabelled; ``labelled_only`` keeps the labelled ones.
+    """
+
+    engine = FusedInferenceEngine(model)
+    engine.run(inputs)
+    rates: Dict[str, float] = {}
+    layers = zip(model.spiking_layers(), engine.spike_counts, engine.neuron_steps,
+                 strict=True)
+    for index, (node, spikes, steps) in enumerate(layers):
+        if node.layer_label or not labelled_only:
+            label = node.layer_label or f"spiking-{index}"
+            rates[label] = float(spikes / steps) if steps else 0.0
+    return rates
+
+
+def activity_drop(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
+    """Relative drop in firing rate per layer between two measurements.
+
+    Values in [0, 1]; 0 means unchanged, 1 means the layer went completely
+    silent.  Layers missing from either measurement are skipped.
+    """
+
+    drops: Dict[str, float] = {}
+    for label, rate_before in before.items():
+        if label not in after:
+            continue
+        if rate_before <= 0:
+            drops[label] = 0.0
+        else:
+            drops[label] = max(0.0, 1.0 - after[label] / rate_before)
+    return drops
 
 
 #: Samples a fork lane is sized for.  A lane stacks as many consecutive

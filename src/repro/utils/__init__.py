@@ -2,7 +2,7 @@
 
 from .rng import DEFAULT_SEED, derive_seed, get_rng
 from .hashing import loader_token, model_token, state_token
-from .logging import Timer, configure_logging, get_logger
+from .logging import configure_logging, get_logger
 from .serialization import load_records, load_state_dict, save_records, save_state_dict
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "loader_token",
     "model_token",
     "state_token",
-    "Timer",
     "configure_logging",
     "get_logger",
     "load_records",

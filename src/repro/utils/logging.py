@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
 from typing import Optional
 
 _LOGGER_NAME = "repro"
@@ -29,29 +28,3 @@ def configure_logging(level: int = logging.INFO, stream=sys.stderr) -> logging.L
     logger.setLevel(level)
     return logger
 
-
-class Timer:
-    """Context manager measuring wall-clock time of a block.
-
-    Example
-    -------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self, label: str = "", logger: Optional[logging.Logger] = None) -> None:
-        self.label = label
-        self.logger = logger
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        if self.logger is not None:
-            self.logger.info("%s took %.3fs", self.label or "block", self.elapsed)

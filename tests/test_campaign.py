@@ -7,8 +7,11 @@ self-healing of damaged entries through the work-unit path) and the
 optional worker pool.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
     CampaignOrchestrator,
@@ -28,6 +31,15 @@ from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 from repro.utils.hashing import loader_token, model_token
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
+
+#: Any JSON value, with some that a campaign point field accepts.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["sa0", "sram", "transient", "burst", "rate", "num_steps"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["rate", "num_steps"]),
+                      children, max_size=3),
+    max_leaves=6)
 
 
 @pytest.fixture()
@@ -108,6 +120,47 @@ class TestCampaignPoint:
             CampaignPoint(4, 4, 1, ())
         with pytest.raises(ValueError):
             CampaignPoint.for_trials(4, 4, 1, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", "a"),
+        ("cols", 2.0),
+        ("num_faulty", None),
+        ("map_seeds", 5),
+        ("map_seeds", ("x",)),
+        ("map_seeds", (-1,)),
+        ("bit_position", "high"),
+        ("stuck_type", [1]),
+        ("label", 3),
+        ("fault_model", "cosmic"),
+        ("fault_params", 5),
+    ])
+    def test_bad_field_rejected_as_invalid_point(self, field, value):
+        fields = dict(rows=4, cols=4, num_faulty=1, map_seeds=(1,))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^invalid campaign point: .*{field}"):
+            CampaignPoint(**fields)
+
+    def test_point_problems_all_reported_at_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignPoint(rows="a", cols=4, num_faulty=None, map_seeds=("x",),
+                          fault_model="transient", fault_params={"rate": "high"})
+        message = str(excinfo.value)
+        for field in ("'rows'", "'num_faulty'", "'map_seeds'", "'rate'", "'num_steps'"):
+            assert field in message
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from([field.name for field in dataclasses.fields(CampaignPoint)]),
+           value=JSON_VALUES, transient=st.booleans())
+    def test_any_json_value_in_any_field(self, field, value, transient):
+        fields = dict(rows=4, cols=4, num_faulty=1, map_seeds=[1, 2])
+        if transient:
+            fields.update(fault_model="transient",
+                          fault_params={"process": "burst", "num_steps": 4})
+        fields[field] = value
+        try:
+            CampaignPoint(**fields)
+        except ValueError as exc:
+            assert str(exc).startswith("invalid campaign point: ")
 
     def test_payload_round_trip(self):
         point = CampaignPoint(8, 8, 2, (5, 6), bit_position=3, stuck_type="sa0",

@@ -150,7 +150,7 @@ class TestCleanEngineBitIdentity:
         _, test_loader = tiny_mnist_loaders
         engine = FusedInferenceEngine(trained_tiny_model)
         inputs, labels = next(iter(test_loader))
-        assert np.array_equal(engine.predict(inputs),
+        assert np.array_equal(np.argmax(engine.run(inputs), axis=1),
                               trained_tiny_model.predict(inputs))
         correct = total = 0
         for inputs, labels in test_loader:

@@ -8,7 +8,6 @@ failure containment (retries, exhausted attempts).  Failures are injected
 through the chaos harness and units observed through progress events.
 """
 
-import ctypes
 import json
 import os
 
@@ -27,6 +26,7 @@ from repro.faults.campaign import plan_sweep_chunks
 from repro.faults.orchestrator import run_tasks
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 from repro.testing import clear_plan, install_plan
+from repro.utils.blas import blas_threads, set_blas_threads
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -193,15 +193,25 @@ class TestWorkStealingPool:
     def test_forked_workers_run_one_blas_thread(self):
         """Workers share the cores, so each runs one OpenBLAS thread."""
 
-        from repro.faults.orchestrator import _openblas_function
-
-        get_threads = _openblas_function("get_num_threads")
-        if get_threads is None:
+        if blas_threads() is None:
             pytest.skip("no OpenBLAS thread-count getter in this process")
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        results = run_tasks(2, lambda index: get_threads(), workers=2)
+        results = run_tasks(2, lambda index: blas_threads(), workers=2)
         assert [result.value for result in results] == [1, 1]
+
+    def test_inline_units_run_one_blas_thread_and_restore_the_count(self):
+        """In-process units compute on one OpenBLAS thread, as forked ones do."""
+
+        previous = blas_threads()
+        if previous is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        set_blas_threads(2)
+        try:
+            caller = blas_threads()
+            results = run_tasks(2, lambda index: blas_threads(), workers=1)
+            assert [result.value for result in results] == [1, 1]
+            assert blas_threads() == caller
+        finally:
+            set_blas_threads(previous)
 
 
 class TestOrchestratedRecords:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import build_parser, main
 from repro.experiments import (
     SCENARIOS,
+    ExperimentConfig,
     Scenario,
     get_scenario,
     list_scenarios,
@@ -121,6 +122,77 @@ class TestScenarioValidation:
     def test_unknown_config_override_rejected(self):
         with pytest.raises(ValueError, match="config_overrides"):
             make_scenario(config_overrides={"bogus_field": 1})
+
+    @pytest.mark.parametrize("key,value", [
+        ("baseline_epochs", "x"),
+        ("baseline_epochs", -1),
+        ("time_steps", [1]),
+        ("time_steps", 0),
+        ("time_steps", 2.0),
+        ("num_train", True),
+        ("baseline_lr", "fast"),
+        ("retrain_lr", 0.0),
+        ("retrain_lr", float("nan")),
+        ("seed", -3),
+        ("dataset", "cifar"),
+        ("dataset_kwargs", 5),
+    ])
+    def test_bad_config_override_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^invalid scenario 'test-scenario': .*'{key}'"):
+            make_scenario(config_overrides={key: value})
+
+    def test_bad_config_override_values_all_reported_at_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_scenario(config_overrides={"baseline_epochs": "x", "time_steps": [1]})
+        message = str(excinfo.value)
+        assert "'baseline_epochs'" in message and "'time_steps'" in message
+
+    def test_good_config_overrides_reach_the_config(self):
+        scenario = make_scenario(config_overrides={
+            "baseline_epochs": 0, "baseline_lr": 0.05, "seed": 0,
+            "dataset_kwargs": {"noise_std": 0.1, "max_shift": 1}})
+        config = scenario.build_config()
+        assert (config.baseline_epochs, config.baseline_lr, config.seed) == (0, 0.05, 0)
+        assert config.dataset_kwargs == (("max_shift", 1), ("noise_std", 0.1))
+        hash(config)  # the baseline cache is keyed by the config
+        assert Scenario.from_dict(json.loads(scenario.to_json())) == scenario
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from([field.name for field in dataclasses.fields(ExperimentConfig)]),
+           value=JSON_VALUES)
+    def test_any_json_override_value_builds_or_is_rejected(self, key, value):
+        try:
+            scenario = make_scenario(config_overrides={key: value})
+        except ValueError as exc:
+            assert str(exc).startswith("invalid scenario ")
+        else:
+            scenario.build_config()
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(["process", "num_steps", "rate", "burst_length",
+                                "cluster_size", "high_order_bits"]),
+           value=JSON_VALUES)
+    def test_any_json_transient_param_is_checked(self, key, value):
+        try:
+            make_scenario(fault_model="transient", fault_params={key: value})
+        except ValueError as exc:
+            assert str(exc).startswith("invalid scenario ")
+
+    @pytest.mark.parametrize("params,match", [
+        ({"rate": "high"}, "'rate'"),
+        ({"rate": 1.5}, "'rate'"),
+        ({"rate": True}, "'rate'"),
+        ({"process": "poisson"}, "process"),
+        ({"process": 3}, "process"),
+        ({"burst_length": 0}, "'burst_length'"),
+        ({"cluster_size": "4"}, "'cluster_size'"),
+        ({"high_order_bits": 0.5}, "'high_order_bits'"),
+        ({"num_steps": 0}, "'num_steps'"),
+        ({"typo": 1}, "typo"),
+    ])
+    def test_bad_transient_param_rejected(self, params, match):
+        with pytest.raises(ValueError, match=f"^invalid scenario 'test-scenario': .*{match}"):
+            make_scenario(fault_model="transient", fault_params=params)
 
 
 class TestRegistry:

@@ -1,12 +1,13 @@
-"""Tests for spike-activity monitoring (and the membrane-drive story behind FalVolt)."""
+"""Tests for per-layer firing rates (and the membrane-drive story behind FalVolt)."""
 
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, no_grad
 from repro.core import FaultAwarePruning
 from repro.datasets import DataLoader
 from repro.faults import fault_map_from_rate
-from repro.snn import SpikeMonitor, activity_drop, measure_firing_rates
+from repro.snn import FusedInferenceEngine, activity_drop, measure_firing_rates
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 from tests.conftest import build_tiny_mnist_model
@@ -18,30 +19,67 @@ def sample_batch(tiny_mnist_data):
     return test.inputs[:16]
 
 
+def autograd_spike_sums(model, inputs, monkeypatch):
+    """Each spiking layer's (spikes, neuron-steps) from the eval-mode autograd forward."""
+
+    sums = []
+    for node in model.spiking_layers():
+        counts = [0.0, 0]
+        sums.append(counts)
+
+        def forward(x, node=node, original=node.forward, counts=counts):
+            spikes = original(x)
+            counts[0] += float(spikes.data.sum())
+            counts[1] += spikes.data.size
+            return spikes
+
+        monkeypatch.setattr(node, "forward", forward)
+    model.eval()
+    with no_grad():
+        model(Tensor(np.asarray(inputs, dtype=np.float64)))
+    monkeypatch.undo()
+    return sums
+
+
 class TestSpikeMonitor:
     def test_records_all_spiking_layers(self, trained_tiny_model, sample_batch):
-        with SpikeMonitor(trained_tiny_model) as monitor:
-            trained_tiny_model.predict(sample_batch)
-        activities = monitor.activities()
+        rates = measure_firing_rates(trained_tiny_model, sample_batch, labelled_only=False)
         # Encoder PLIF + Conv1 + Conv2 + FC1 + FC2.
-        assert len(activities) == 5
-        assert all(a.time_steps > 0 for a in activities)
-        assert monitor.total_spike_count() > 0
+        assert list(rates) == ["spiking-0", "Conv1", "Conv2", "FC1", "FC2"]
+        assert sum(rates.values()) > 0
 
     def test_labelled_only(self, trained_tiny_model, sample_batch):
-        with SpikeMonitor(trained_tiny_model, labelled_only=True) as monitor:
-            trained_tiny_model.predict(sample_batch)
-        assert set(monitor.firing_rates()) == {"Conv1", "Conv2", "FC1", "FC2"}
+        rates = measure_firing_rates(trained_tiny_model, sample_batch, labelled_only=True)
+        assert set(rates) == {"Conv1", "Conv2", "FC1", "FC2"}
 
     def test_rates_bounded(self, trained_tiny_model, sample_batch):
         rates = measure_firing_rates(trained_tiny_model, sample_batch)
         assert all(0.0 <= r <= 1.0 for r in rates.values())
 
-    def test_monitor_restores_forwards(self, trained_tiny_model, sample_batch):
-        nodes = trained_tiny_model.spiking_layers()
-        with SpikeMonitor(trained_tiny_model):
-            assert all("forward" in node.__dict__ for node in nodes)
-        assert all("forward" not in node.__dict__ for node in nodes)
+    @pytest.mark.parametrize("labelled_only", [True, False])
+    def test_rates_equal_the_autograd_forward_exactly(self, trained_tiny_model, sample_batch,
+                                                      labelled_only, monkeypatch):
+        sums = autograd_spike_sums(trained_tiny_model, sample_batch, monkeypatch)
+        expected = {}
+        for index, (node, (spikes, steps)) in enumerate(
+                zip(trained_tiny_model.spiking_layers(), sums)):
+            if node.layer_label or not labelled_only:
+                expected[node.layer_label or f"spiking-{index}"] = spikes / steps
+        trained_tiny_model.train()
+        assert measure_firing_rates(trained_tiny_model, sample_batch,
+                                    labelled_only=labelled_only) == expected
+
+    def test_engine_counts_add_up_over_runs(self, trained_tiny_model, sample_batch):
+        engine = FusedInferenceEngine(trained_tiny_model)
+        engine.run(sample_batch)
+        once = engine.spike_counts.copy(), engine.neuron_steps.copy()
+        engine.run(sample_batch)
+        assert np.array_equal(engine.spike_counts, 2 * once[0])
+        assert np.array_equal(engine.neuron_steps, 2 * once[1])
+        # Each run covers every neuron of every layer at each of T steps.
+        nodes = len(trained_tiny_model.spiking_layers())
+        assert once[1].shape == (nodes,)
+        assert np.all(once[1] % (len(sample_batch) * trained_tiny_model.time_steps) == 0)
 
     def test_training_mode_restored(self, trained_tiny_model, sample_batch):
         trained_tiny_model.train()

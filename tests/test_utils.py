@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils import (
     DEFAULT_SEED,
-    Timer,
     configure_logging,
     derive_seed,
     get_logger,
@@ -59,11 +58,6 @@ class TestLogging:
         handlers = len(logger.handlers)
         configure_logging(level=logging.INFO)
         assert len(logger.handlers) == handlers
-
-    def test_timer_measures(self):
-        with Timer("block") as timer:
-            sum(range(10000))
-        assert timer.elapsed >= 0.0
 
 
 class TestSerialization:
