@@ -21,11 +21,12 @@ into one registry entry (:mod:`repro.experiments.scenarios`)::
     python -m repro campaign --scenario nmnist-transient-bernoulli
     python -m repro campaign --scenario dvs-gesture-transient-burst --engine sequential
 
-Sweeps scale out through the campaign orchestrator: ``--workers K`` pulls
-work units from a crash-tolerant work-stealing queue, ``--resume``
-persists unit results so an interrupted sweep continues where it stopped,
-and ``--shard i/N`` splits one sweep across N machines sharing a cache
-directory::
+Every sweep runs as work units on the campaign orchestrator, with its
+retries and cache-key resume.  By default one process computes them in
+multi-map passes; ``--workers K`` pulls them from a crash-tolerant
+work-stealing queue, ``--resume`` persists unit results so an interrupted
+sweep continues where it stopped, and ``--shard i/N`` splits one sweep
+across N machines sharing a cache directory::
 
     python -m repro campaign counts --trials 8 --workers 4 --resume
     python -m repro campaign counts --shard 0/2 --cache-dir sweep-cache
@@ -331,7 +332,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    config = default_config(args.dataset, scale=args.scale, **overrides)
+    try:
+        config = default_config(args.dataset, scale=args.scale, **overrides)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"running {spec.experiment_id} ({spec.paper_artifact}) on {args.dataset} "
           f"[{args.scale} scale]")
     try:
@@ -375,6 +380,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print("error: give exactly one of a sweep axis (bits/counts/sizes) "
               "or --scenario NAME", file=sys.stderr)
         return 2
+    config_overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
         if args.scenario is not None:
             scenario = get_scenario(args.scenario)
@@ -383,6 +389,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 name=f"{args.dataset}-{args.sweep}", dataset=args.dataset,
                 sweep=args.sweep, values=getattr(args, args.sweep),
                 scale=args.scale, trials=args.trials, stuck_type=args.stuck)
+        scenario.build_config(**config_overrides)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -393,7 +400,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     settings = "".join(f", {name}={value}" for name, value in options.items()
                        if name != "progress")
     print(f"campaign {scenario.describe()} [{scenario.scale} scale{settings}]")
-    config_overrides = {"seed": args.seed} if args.seed is not None else None
     try:
         records = run_scenario(scenario, config_overrides=config_overrides,
                                **options)

@@ -24,7 +24,11 @@ reuse behaviour that drives fault sensitivity).  See EXPERIMENTS.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+import math
+import numbers
+from typing import Dict, List, Tuple
+
+from ..faults.campaign import _is_integer, _pairs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,9 +114,55 @@ PAPER_THRESHOLD_GRID = (0.45, 0.5, 0.55, 0.7)
 PAPER_DATASETS = ("mnist", "nmnist", "dvs_gesture")
 
 
-def default_config(dataset: str, scale: str = "small", **overrides) -> ExperimentConfig:
-    """Return the preset config for ``dataset`` at ``scale``, with overrides applied."""
+def check_overrides(overrides: Dict[str, object], problems: List[str]
+                    ) -> Dict[str, object]:
+    """``overrides`` as the :class:`ExperimentConfig` fields hold them.
 
+    An unknown field, and a value that does not suit the type of its
+    field's default, add to ``problems``.  A pairs field turns into sorted
+    pairs, so the config stays hashable (the baseline cache is keyed by it).
+    """
+
+    known = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
+    unknown = [name for name in overrides if name not in known]
+    if unknown:
+        problems.append(f"unknown config_overrides key(s) {unknown}; "
+                        f"options: {known}")
+    checked = dict(overrides)
+    for name, value in overrides.items():
+        if name not in known:
+            continue
+        default = getattr(ExperimentConfig, name)
+        if isinstance(default, str):
+            if not (isinstance(value, str) and value in PAPER_DATASETS):
+                problems.append(f"'{name}' override must be one of {PAPER_DATASETS}")
+        elif isinstance(default, int):
+            low = 0 if name == "seed" or name.endswith("_epochs") else 1
+            if not (_is_integer(value) and value >= low):
+                kind = "non-negative" if low == 0 else "positive"
+                problems.append(
+                    f"'{name}' override must be a {kind} integer, got {value!r}")
+        elif isinstance(default, float):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0 < value < math.inf):
+                problems.append(f"'{name}' override must be a positive finite "
+                                f"number, got {value!r}")
+        else:
+            checked[name] = _pairs(value, name, problems)
+    return checked
+
+
+def default_config(dataset: str, scale: str = "small", **overrides) -> ExperimentConfig:
+    """Return the preset config for ``dataset`` at ``scale``, with overrides applied.
+
+    Every problem with the overrides (:func:`check_overrides`) is collected
+    into one ``ValueError``.
+    """
+
+    problems: List[str] = []
+    overrides = check_overrides(overrides, problems)
+    if problems:
+        raise ValueError("invalid config overrides: " + "; ".join(problems))
     if scale not in SCALES:
         raise KeyError(f"unknown scale '{scale}'; options: {sorted(SCALES)}")
     presets = SCALES[scale]

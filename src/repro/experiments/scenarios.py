@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
@@ -38,8 +36,10 @@ from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
 from ..faults.campaign import (FAULT_MODELS, _is_integer, _pairs,
                                check_runner_options, transient_param_problems)
 from ..faults.fault_model import StuckAtType
+from ..faults.injection import BYPASS_OF_TRANSIENT
 from ..utils.rng import derive_seed
-from .config import PAPER_DATASETS, SCALES, ExperimentConfig, default_config
+from .config import (PAPER_DATASETS, SCALES, ExperimentConfig, check_overrides,
+                     default_config)
 
 __all__ = [
     "MITIGATIONS",
@@ -85,38 +85,6 @@ SWEEPS = tuple(_SWEEP_AXES)
 
 #: Mitigation modes a scenario can request.
 MITIGATIONS = ("none", "bypass")
-
-
-def _config_field_names() -> Tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(ExperimentConfig))
-
-
-def _check_override(name: str, value, problems: List[str]):
-    """``value`` as the :class:`ExperimentConfig` field ``name`` holds it.
-
-    What is wrong with it, judged by the type of the field's default, is
-    added to ``problems``.  A pairs field turns into sorted pairs, so the
-    config stays hashable (the baseline cache is keyed by it).
-    """
-
-    default = getattr(ExperimentConfig, name)
-    if isinstance(default, str):
-        if not (isinstance(value, str) and value in PAPER_DATASETS):
-            problems.append(f"'{name}' override must be one of {PAPER_DATASETS}")
-    elif isinstance(default, int):
-        low = 0 if name == "seed" or name.endswith("_epochs") else 1
-        if not (_is_integer(value) and value >= low):
-            kind = "non-negative" if low == 0 else "positive"
-            problems.append(
-                f"'{name}' override must be a {kind} integer, got {value!r}")
-    elif isinstance(default, float):
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and 0 < value < math.inf):
-            problems.append(
-                f"'{name}' override must be a positive finite number, got {value!r}")
-    else:
-        return _pairs(value, name, problems)
-    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,9 +170,7 @@ class Scenario:
                 f"unknown mitigation '{self.mitigation}'; "
                 f"options: {MITIGATIONS}")
         if self.fault_model == "transient" and self.mitigation == "bypass":
-            problems.append(
-                "bypass mitigation is not defined for transient fault "
-                "schedules")
+            problems.append(BYPASS_OF_TRANSIENT)
         normalized = _pairs(self.fault_params, "fault_params", problems)
         if self.fault_model == "transient":
             problems.extend(transient_param_problems(dict(normalized),
@@ -214,16 +180,8 @@ class Scenario:
                 "'fault_params' are only meaningful for transient scenarios")
         object.__setattr__(self, "fault_params", normalized)
         normalized = _pairs(self.config_overrides, "config_overrides", problems)
-        known = _config_field_names()
-        unknown = [k for k, _ in normalized if k not in known]
-        if unknown:
-            problems.append(
-                f"unknown config_overrides key(s) {unknown}; "
-                f"options: {known}")
-        normalized = tuple((key, _check_override(key, value, problems)
-                            if key in known else value)
-                           for key, value in normalized)
-        object.__setattr__(self, "config_overrides", normalized)
+        object.__setattr__(self, "config_overrides", tuple(
+            check_overrides(dict(normalized), problems).items()))
         if problems:
             raise ValueError(
                 f"invalid scenario '{self.name}': " + "; ".join(problems))

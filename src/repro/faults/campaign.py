@@ -19,12 +19,13 @@ explicit object model:
   Results are cached on disk as JSON keyed by (model key, data hash, grid
   point); a cache hit skips the simulation entirely.
 
-Sweeps scale out through :mod:`repro.faults.orchestrator`: with
-``workers > 1``, a ``shard`` or a ``trial_chunk`` the runner decomposes the
-grid into (point, trial-chunk) work units scheduled on a crash-tolerant
-work-stealing pool, with the cache keys doubling as the resume and
-multi-machine coordination protocol.  Per-map accuracies do not depend on
-the pass, so merged chunk records are byte-identical to a serial run.
+Every sweep runs on :mod:`repro.faults.orchestrator`: the runner
+decomposes the grid into (point, trial-chunk) work units, run in-process
+with one worker or on a crash-tolerant work-stealing pool with more, with
+the cache keys doubling as the resume and multi-machine coordination
+protocol.  With one worker the units of a geometry share multi-map passes.
+Per-map accuracies do not depend on the pass, so records are
+byte-identical at every worker count, shard split and trial chunk.
 
 The Fig. 5 sweep drivers in :mod:`repro.faults.analysis` and the experiment
 runners in :mod:`repro.experiments` are thin wrappers over this engine: they
@@ -62,7 +63,8 @@ from .fault_map import (SCHEDULE_PROCESSES, FaultMap, FaultSchedule,
                         random_fault_map, random_weight_fault_map,
                         schedule_from_process)
 from .fault_model import StuckAtType
-from .injection import ENGINES, _engine_problems, evaluate_with_faults
+from .injection import (BYPASS_OF_TRANSIENT, ENGINES, _engine_problems,
+                        evaluate_with_faults)
 
 __all__ = [
     "CampaignPoint",
@@ -153,11 +155,11 @@ def transient_param_problems(params: Dict[str, object], *,
 #: Cache layout version; bump when record contents change incompatibly.
 _CACHE_VERSION = 1
 
-#: Upper bound on how many fault maps one merged fused pass carries (points
-#: are never split).  Fork lanes run one after another on one kernel set,
-#: so a pass's activation memory does not grow with its maps.  What still
-#: grows is each map's fault array and prepared runners, and the points of
-#: a pass get their records only when the whole pass ends.
+#: Upper bound on how many fault maps one multi-map pass of a serial sweep
+#: carries (work units are never split).  Fork lanes run one after another
+#: on one kernel set, so a pass's activation memory does not grow with its
+#: maps.  What still grows is each map's fault array and prepared runners,
+#: and the units of a pass get their records only when the whole pass ends.
 MAX_MAPS_PER_PASS = 128
 
 
@@ -320,7 +322,7 @@ class SweepChunk:
 
     ``point`` is a :class:`CampaignPoint` restricted to this chunk's trial
     seeds; it is a perfectly ordinary point, so its cache key is a plain
-    campaign key and a serial :class:`CampaignRunner` would produce (or
+    campaign key and an unchunked :class:`CampaignRunner` would produce (or
     consume) the identical record for it.
     """
 
@@ -397,14 +399,14 @@ def _quarantine_cache_entry(path: Path) -> Optional[Path]:
     return sidecar
 
 
-def load_cached_record(path: Path, *,
+def load_cached_record(path: Optional[Path], *,
                        required_keys: Sequence[str] = (),
                        on_event: Optional[Callable[[dict], None]] = None
                        ) -> Optional[dict]:
     """Validated cache read: a damaged entry quarantines to a miss.
 
-    Returns the parsed record, or ``None`` when ``path`` does not exist or
-    holds a damaged entry -- unparsable JSON (truncated or garbage bytes),
+    Returns the parsed record, or ``None`` when ``path`` is ``None``, does
+    not exist or holds a damaged entry -- unparsable JSON (truncated or garbage bytes),
     a non-dict payload, or a dict missing any of ``required_keys``.  Damaged
     entries are moved to a ``*.quarantined`` sidecar (so the key recomputes
     cleanly and the bytes survive for inspection), a warning is logged, and
@@ -412,9 +414,9 @@ def load_cached_record(path: Path, *,
     dict describing the incident.
     """
 
-    path = Path(path)
-    if not path.exists():
+    if path is None or not Path(path).exists():
         return None
+    path = Path(path)
     try:
         record = load_records(path)
     except (json.JSONDecodeError, UnicodeDecodeError, ValueError, OSError) as exc:
@@ -589,23 +591,24 @@ class CampaignRunner:
         the full grid point, so stale hits are impossible as long as those
         inputs define the result.
     workers:
-        Worker processes for cross-unit parallelism (1 = serial).  With
-        ``workers > 1`` the sweep runs on the
-        :class:`~repro.faults.orchestrator.CampaignOrchestrator` pool:
-        a work-stealing queue of (point, trial-chunk) units with crash
-        retry and cache-key resume.
+        Worker processes of the
+        :class:`~repro.faults.orchestrator.CampaignOrchestrator` that runs
+        every sweep's (point, trial-chunk) units.  1 (default) computes
+        them in-process, in multi-map passes; more pull one unit at a time
+        from a work-stealing queue.  Either way units get crash retry and
+        cache-key resume.
     shard:
         Optional ``"i/N"`` string or
         :class:`~repro.faults.orchestrator.ShardSpec`: run only this
         shard's round-robin share of the work units (requires
         ``cache_dir`` -- the shared filesystem coordinates the shards).
     trial_chunk:
-        Maximum trials per orchestrated work unit, at least 1 (``None``
+        Maximum trials per work unit, at least 1 (``None``
         keeps one unit per point, whose cache keys equal the plain
         per-point keys).
     unit_timeout:
-        Optional positive per-unit soft deadline in seconds for
-        orchestrated sweeps (CLI: ``--unit-timeout``): a worker whose unit
+        Optional positive per-unit soft deadline in seconds for pooled
+        sweeps (CLI: ``--unit-timeout``): a worker whose unit
         exceeds it is killed by the watchdog and the unit retried
         elsewhere.  ``None`` (default) sets no deadline: a worker is then
         killed only when its heartbeats stall or it dies, and a busy loop,
@@ -626,7 +629,7 @@ class CampaignRunner:
 
     The fused engine reads the lowered inference plan from the
     process-wide :func:`repro.snn.inference.default_plan_cache` under the
-    model token (see :meth:`warm_plan_cache` for orchestrated sweeps).
+    model token (see :meth:`warm_plan_cache` for pooled sweeps).
     """
 
     def __init__(self, model, loader, *,
@@ -711,17 +714,6 @@ class CampaignRunner:
 
         return cache_path(self.cache_dir, self._cache_payload(point))
 
-    def _load_cached(self, point: CampaignPoint,
-                     on_event: Optional[Callable[[dict], None]] = None
-                     ) -> Optional[dict]:
-        """``point``'s cached record; a damaged entry quarantines to ``None``."""
-
-        path = self._cache_path(point)
-        if path is None:
-            return None
-        return load_cached_record(path, required_keys=_REQUIRED_RECORD_KEYS,
-                                  on_event=on_event)
-
     def _record_for(self, point: CampaignPoint, accuracies: Sequence[float]) -> dict:
         record = point.as_payload()
         record.update({
@@ -745,94 +737,106 @@ class CampaignRunner:
             self.model, self.loader, faults, bypass=self.bypass,
             fmt=self.fmt, engine=self.engine, plan_token=self._model_token)
 
-    def _evaluate_point(self, point: CampaignPoint) -> dict:
-        """Simulate one grid point (no cache) and return its record."""
+    def _plan_passes(self, chunks: Sequence[SweepChunk]
+                     ) -> Dict[int, List[SweepChunk]]:
+        """The multi-map pass of each chunk, keyed by chunk ordinal.
 
-        return self._record_for(point, self._evaluate(self._faults_of(point)))
-
-    def _evaluate_points_merged(self, points: Sequence[CampaignPoint]) -> List[dict]:
-        """Fused evaluation of several points in as few passes as possible.
-
-        Points sharing an array geometry are merged: all their fault maps run
-        in one multi-map pass (up to :data:`MAX_MAPS_PER_PASS` at a time), so
-        an entire sweep costs a handful of inferences.  Each map's
-        result is independent of its fold neighbours, so the per-point
-        records equal the point-at-a-time ones.
+        With one worker, this shard's chunks that share an array geometry
+        and fault semantics are cut, in grid order, into passes of at most
+        :data:`MAX_MAPS_PER_PASS` maps (a chunk is never split), so a whole
+        sweep costs a handful of inferences.  Transient schedules need a
+        common ``num_steps``, so the fault model and its params join the
+        geometry in the group key.  With more workers, or for another
+        shard's chunk, a chunk is its own pass.  Each map's result is
+        independent of its pass neighbours, so grouping cannot change a
+        record.
         """
 
-        results: List[Optional[dict]] = [None] * len(points)
-        groups: Dict[Tuple, List[int]] = {}
-        for index, point in enumerate(points):
-            # Only points with identical fault semantics may share a pass:
-            # transient schedules need a common num_steps (and phase
-            # structure costs grow with mixed schedules), so the model and
-            # its params join the geometry in the group key.
+        passes = {chunk.ordinal: [chunk] for chunk in chunks}
+        if self.workers > 1:
+            return passes
+        groups: Dict[Tuple, List[SweepChunk]] = {}
+        for chunk in chunks:
+            if self.shard is not None and not self.shard.owns(chunk.ordinal):
+                continue
+            point = chunk.point
             key = (point.rows, point.cols, point.fault_model, point.fault_params)
-            groups.setdefault(key, []).append(index)
+            members = groups.get(key)
+            if members is None or (sum(member.point.trials for member in members)
+                                   + point.trials > MAX_MAPS_PER_PASS):
+                members = groups[key] = []
+            members.append(chunk)
+            passes[chunk.ordinal] = members
+        return passes
 
-        for indices in groups.values():
-            chunk: List[Tuple[int, list]] = []
-            chunk_maps = 0
+    def _chunk_record(self, chunk: SweepChunk, members: Sequence[SweepChunk],
+                      done: Dict[int, dict]) -> dict:
+        """``chunk``'s record, computed with the rest of its pass.
 
-            def flush():
-                nonlocal chunk, chunk_maps
-                if not chunk:
-                    return
-                accuracies = self._evaluate(
-                    [item for _, items in chunk for item in items])
-                offset = 0
-                for index, items in chunk:
-                    results[index] = self._record_for(
-                        points[index], accuracies[offset:offset + len(items)])
-                    offset += len(items)
-                chunk = []
-                chunk_maps = 0
+        The first member of a pass to be computed evaluates, in one
+        :meth:`_evaluate` call, itself and every member that has neither a
+        record in ``done`` nor a cache file; their records wait in
+        ``done`` (local to one :meth:`orchestrate` call) for their own
+        units.
+        """
 
-            for index in indices:
-                items = self._faults_of(points[index])
-                if chunk_maps and chunk_maps + len(items) > MAX_MAPS_PER_PASS:
-                    flush()
-                chunk.append((index, items))
-                chunk_maps += len(items)
-            flush()
-        return [record for record in results if record is not None]
-
-    def _work_unit(self, chunk: SweepChunk):
-        """The orchestrator's work unit for one sweep chunk."""
-
-        from .orchestrator import WorkUnit
-
-        return WorkUnit(ordinal=chunk.ordinal,
-                        compute=functools.partial(self._evaluate_point, chunk.point),
-                        path=self._cache_path(chunk.point),
-                        required_keys=_REQUIRED_RECORD_KEYS,
-                        tags=(("point_index", chunk.point_index),
-                              ("chunk_index", chunk.chunk_index)))
+        if chunk.ordinal not in done:
+            paths = [self._cache_path(member.point) for member in members]
+            todo = [member for member, path in zip(members, paths)
+                    if member is chunk or (member.ordinal not in done
+                                           and not (path and path.exists()))]
+            faults = [self._faults_of(member.point) for member in todo]
+            accuracies = iter(self._evaluate([item for items in faults
+                                              for item in items]))
+            for member, items in zip(todo, faults):
+                done[member.ordinal] = self._record_for(
+                    member.point, [next(accuracies) for _ in items])
+        return done.pop(chunk.ordinal)
 
     def orchestrate(self, points: Sequence[CampaignPoint]):
         """Run ``points`` as (point, trial-chunk) units on the orchestrator.
 
-        A chunked point whose full-point record is cached needs no units (a
-        serial run's cache primes a chunked sweep); chunk records merge as
+        Every sweep takes this path, whatever its worker count, shard or
+        trial chunk: units get the orchestrator's cache checks, retries,
+        chaos hooks, one-BLAS-thread compute and :class:`SweepReport`.
+        With one worker, units of one multi-map pass (:meth:`_plan_passes`)
+        are computed together by the first of them.  Bypass of a transient
+        point is rejected here, before any unit runs.  A chunked point
+        whose full-point record is cached needs no units (a per-point
+        cache primes a chunked sweep); chunk records merge as
         :meth:`_record_for` would, and the merged record is stored.  The
         result's records align with ``points``; points still waiting on
         other shards are ``None`` and listed in ``pending``.
         """
 
-        from .orchestrator import CampaignOrchestrator, OrchestratorResult
+        from .orchestrator import CampaignOrchestrator, OrchestratorResult, WorkUnit
 
         points = list(points)
+        if self.bypass and any(point.fault_model == "transient" for point in points):
+            raise ValueError(BYPASS_OF_TRANSIENT)
         chunks = plan_sweep_chunks(points, self.trial_chunk)
         by_point: Dict[int, List[SweepChunk]] = {}
         for chunk in chunks:
             by_point.setdefault(chunk.point_index, []).append(chunk)
         events: List[dict] = []
-        records = [self._load_cached(point, on_event=events.append)
+        records = [load_cached_record(self._cache_path(point),
+                                      required_keys=_REQUIRED_RECORD_KEYS,
+                                      on_event=events.append)
                    if len(by_point[index]) > 1 else None
                    for index, point in enumerate(points)]
-        units = [self._work_unit(chunk) for chunk in chunks
-                 if records[chunk.point_index] is None]
-        self.warm_plan_cache()
+        todo = [chunk for chunk in chunks if records[chunk.point_index] is None]
+        passes = self._plan_passes(todo)
+        done: Dict[int, dict] = {}
+        units = [WorkUnit(ordinal=chunk.ordinal,
+                          compute=functools.partial(self._chunk_record, chunk,
+                                                    passes[chunk.ordinal], done),
+                          path=self._cache_path(chunk.point),
+                          required_keys=_REQUIRED_RECORD_KEYS,
+                          tags=(("point_index", chunk.point_index),
+                                ("chunk_index", chunk.chunk_index)))
+                 for chunk in todo]
+        if self.workers > 1:
+            self.warm_plan_cache()
         result = CampaignOrchestrator(
             workers=self.workers, shard=self.shard, unit_timeout=self.unit_timeout,
             progress=self.progress).run(units)
@@ -860,40 +864,18 @@ class CampaignRunner:
         return OrchestratorResult(records=records, pending=pending, report=report)
 
     def run(self, points: Sequence[CampaignPoint]) -> List[dict]:
-        """Records for all ``points``, in input order.
+        """Records for all ``points``, in input order (:meth:`orchestrate`).
 
-        Cached points are answered from disk and the remainder is computed.
-        With ``workers > 1``, a ``shard`` or a ``trial_chunk``, the sweep is
-        delegated to the :class:`~repro.faults.orchestrator
-        .CampaignOrchestrator` (work-stealing unit queue, crash retry,
-        cache-key resume); a sharded run whose sibling shards have not
-        finished raises :class:`~repro.faults.orchestrator.PendingShardError`.
-        The serial path merges points sharing an array geometry into
-        multi-map passes; both paths produce byte-identical records.
+        A sharded run whose sibling shards have not finished raises
+        :class:`~repro.faults.orchestrator.PendingShardError`.
         """
 
-        points = list(points)
-        if self.workers > 1 or self.shard is not None or self.trial_chunk is not None:
-            from .orchestrator import PendingShardError
+        from .orchestrator import PendingShardError
 
-            result = self.orchestrate(points)
-            if not result.complete:
-                raise PendingShardError(result.pending, result.report)
-            return list(result.records)
-        records = [self._load_cached(point) for point in points]
-        missing = [index for index, record in enumerate(records) if record is None]
-        if missing:
-            missing_points = [points[i] for i in missing]
-            if self.engine == "fused":
-                computed = self._evaluate_points_merged(missing_points)
-            else:
-                computed = [self._evaluate_point(point) for point in missing_points]
-            for index, record in zip(missing, computed):
-                records[index] = record
-                path = self._cache_path(points[index])
-                if path is not None:
-                    store_record_safe(record, path)
-        return records
+        result = self.orchestrate(points)
+        if not result.complete:
+            raise PendingShardError(result.pending, result.report)
+        return list(result.records)
 
 
 #: The campaign options: :class:`CampaignRunner`'s keywords after the model

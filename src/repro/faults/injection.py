@@ -34,6 +34,11 @@ from .fault_map import FaultMap, FaultSchedule, schedule_phases
 #: sequential autograd oracle.
 ENGINES = ("fused", "sequential")
 
+#: Why bypass cannot mitigate a transient schedule.
+BYPASS_OF_TRANSIENT = (
+    "bypass mitigation is not defined for transient fault schedules "
+    "(bypassing a PE for the whole inference would mask its clean steps too)")
+
 #: Marks a module whose ``forward`` was not shadowed before injection.
 _UNSHADOWED = object()
 
@@ -57,10 +62,7 @@ def _is_transient(faults: Sequence[Union[FaultMap, FaultSchedule]],
     if not all(isinstance(item, kind) for item in faults):
         raise ValueError("faults must be all FaultMaps or all FaultSchedules")
     if transient and bypass:
-        raise ValueError(
-            "bypass mitigation is not defined for transient fault "
-            "schedules (bypassing a PE for the whole inference would "
-            "mask its clean steps too)")
+        raise ValueError(BYPASS_OF_TRANSIENT)
     return transient
 
 

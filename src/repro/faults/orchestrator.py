@@ -48,11 +48,11 @@ balances itself), and, when interrupted, resumes for free:
 Its options (``workers``, ``shard``, ``unit_timeout``, ``progress``) are
 campaign options, validated by :func:`~repro.faults.check_runner_options`
 (or, for a retraining grid, :func:`~repro.experiments.check_retrain_options`)
-before they get here.  It is not usually constructed by hand:
-``CampaignRunner(..., workers=K, shard=..., trial_chunk=...)`` and
-``retrain_cells(..., workers=K, shard=...)`` route through it, and the CLI
-exposes the same options (``python -m repro campaign --workers K --shard
-i/N --resume``, ``python -m repro run fig7 --shard i/N``).
+before they get here.  It is not usually constructed by hand: every
+``CampaignRunner.run`` and every ``retrain_cells`` call runs on it, at any
+worker count, and the CLI exposes the same options (``python -m repro
+campaign --workers K --shard i/N --resume``, ``python -m repro run fig7
+--shard i/N``).
 """
 
 from __future__ import annotations
@@ -852,7 +852,8 @@ class CampaignOrchestrator:
         plan = active_plan()
         if plan is not None:
             plan.consult("unit", key=unit.ordinal)
-        record = _load(unit, note)
+        record = load_cached_record(unit.path, required_keys=unit.required_keys,
+                                    on_event=note)
         if record is not None:
             return "cached", record, events
         record = unit.compute()
@@ -890,8 +891,10 @@ class CampaignOrchestrator:
 
         def load(index: int) -> None:
             unit = units[index]
-            records[index] = _load(unit, lambda event: self._note_event(
-                report, dict(event, **unit.labels())))
+            records[index] = load_cached_record(
+                unit.path, required_keys=unit.required_keys,
+                on_event=lambda event: self._note_event(
+                    report, dict(event, **unit.labels())))
             report.cached_units += records[index] is not None
 
         for index in range(len(units)):
@@ -970,12 +973,3 @@ class CampaignOrchestrator:
             else:
                 report.computed_units += 1
                 report.unit_seconds[unit.ordinal] = result.seconds
-
-
-def _load(unit: WorkUnit, on_event: Callable[[dict], None]) -> Optional[dict]:
-    """``unit``'s cached record; a damaged entry quarantines to ``None``."""
-
-    if unit.path is None:
-        return None
-    return load_cached_record(unit.path, required_keys=unit.required_keys,
-                              on_event=on_event)

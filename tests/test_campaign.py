@@ -195,7 +195,7 @@ class TestCampaignRunner:
         points = self.make_points()
         runner = CampaignRunner(trained_tiny_model, eval_loader)
         merged = runner.run(points)
-        individual = [runner._evaluate_point(point) for point in points]
+        individual = [runner.run([point])[0] for point in points]
         assert merged == individual
 
     def test_unknown_engine_rejected(self, trained_tiny_model, eval_loader):
@@ -240,8 +240,7 @@ class TestCampaignRunner:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cache miss: simulation was invoked")
 
-        fresh._evaluate_point = boom
-        fresh._evaluate_points_merged = boom
+        fresh._evaluate = boom
         assert fresh.run(points) == first
 
     def test_cache_key_depends_on_model(self, trained_tiny_model, tiny_model,

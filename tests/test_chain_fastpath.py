@@ -463,17 +463,19 @@ class TestPlanCache:
 
     def test_orchestrated_units_reuse_warmed_plan(self, trained_tiny_model,
                                                   tiny_mnist_loaders, tmp_path,
-                                                  process_cache):
-        """Chunked units hit the plan warmed before the pool starts."""
+                                                  process_cache, monkeypatch):
+        """The passes of a chunked sweep share one lowered plan."""
 
         from repro.faults import CampaignPoint, CampaignRunner
 
+        # Two-map passes: each trial-chunk unit is a pass of its own.
+        monkeypatch.setattr("repro.faults.campaign.MAX_MAPS_PER_PASS", 2)
         _, test_loader = tiny_mnist_loaders
         points = [CampaignPoint.for_trials(8, 8, 2, trials=4, seed=77)]
         records = CampaignRunner(trained_tiny_model, test_loader,
                                  trial_chunk=2,
                                  cache_dir=tmp_path).run(points)
-        assert process_cache.misses == 1  # warmed once, never re-lowered
-        assert process_cache.hits >= 2    # one hit per trial-chunk unit
+        # Lowered once by the first pass, never re-lowered by the second.
+        assert (process_cache.misses, process_cache.hits) == (1, 1)
         plain = CampaignRunner(trained_tiny_model, test_loader).run(points)
         assert records == plain

@@ -239,3 +239,21 @@ class TestRunCampaignFlags:
         # Its own options are still checked before any training.
         assert main(["run", "fig7", "--workers", "0"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize("argv", [["campaign", "counts", "--seed", "-1"],
+                                      ["run", "fig5b", "--seed", "-1"]])
+    def test_bad_seed_exits_2_before_training(self, monkeypatch, capsys, argv):
+        import repro.experiments.baseline as baseline_module
+        import repro.experiments.vulnerability as vulnerability
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
+        monkeypatch.setattr(vulnerability, "prepare_baseline", no_training)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'seed' override" in err
+

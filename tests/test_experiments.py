@@ -52,6 +52,21 @@ class TestConfig:
         config = default_config("mnist", num_train=50, seed=99)
         assert config.num_train == 50 and config.seed == 99
 
+    def test_every_bad_override_named_in_one_error(self):
+        with pytest.raises(ValueError) as excinfo:
+            default_config("mnist", baseline_epochs="x", seed=-1, bogus=1)
+        message = str(excinfo.value)
+        for problem in ("'baseline_epochs' override", "'seed' override",
+                        "unknown config_overrides key(s) ['bogus']"):
+            assert problem in message
+
+    def test_scenario_build_config_checks_call_overrides(self):
+        from repro.experiments.scenarios import Scenario
+
+        scenario = Scenario(name="t", dataset="mnist", sweep="counts", values=(2,))
+        with pytest.raises(ValueError, match="'baseline_epochs'.*'seed'"):
+            scenario.build_config(baseline_epochs="x", seed=-1)
+
     def test_with_overrides_returns_copy(self):
         config = default_config("mnist")
         other = config.with_overrides(batch_size=5)

@@ -233,8 +233,7 @@ class TestOrchestratedRecords:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cache miss: simulation was invoked")
 
-        fresh._evaluate_point = boom
-        fresh._evaluate_points_merged = boom
+        fresh._evaluate = boom
         assert canonical(fresh.run(make_points())) == canonical(serial_records)
 
     def test_two_shard_split_then_merge_byte_identical(
@@ -260,17 +259,16 @@ class TestOrchestratedRecords:
     def test_killed_sweep_resumes_without_recompute(
             self, trained_tiny_model, eval_loader, serial_records, tmp_path):
         points = make_points()
-        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
-        evaluate = runner._evaluate_point
-        evaluated = []
+        finished = []
 
-        def kill_after_two(point):
-            if len(evaluated) >= 2:
-                raise KeyboardInterrupt  # simulate ^C mid-sweep
-            evaluated.append(point)
-            return evaluate(point)
+        def kill_after_two(event):
+            if event["kind"] == "unit-done":
+                finished.append(event["ordinal"])
+                if len(finished) == 2:
+                    raise KeyboardInterrupt  # simulate ^C mid-sweep
 
-        runner._evaluate_point = kill_after_two
+        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path,
+                                progress=kill_after_two)
         with pytest.raises(KeyboardInterrupt):
             runner.orchestrate(points)
         cached_units = len(list(tmp_path.glob("*.json")))
@@ -343,6 +341,90 @@ class TestOrchestratedRecords:
         summary = first.summary()
         assert summary["computed_units"] == 3
         assert summary["mean_unit_seconds"] > 0
+
+
+class TestSerialPasses:
+    """One worker: units sharing a geometry compute in multi-map passes."""
+
+    @staticmethod
+    def count_passes(runner):
+        """Record the number of maps of every ``_evaluate`` call of ``runner``."""
+
+        evaluate = runner._evaluate
+        passes = []
+
+        def counted(faults):
+            passes.append(len(faults))
+            return evaluate(faults)
+
+        runner._evaluate = counted
+        return passes
+
+    def test_serial_sweep_consults_the_unit_hook(self, trained_tiny_model,
+                                                 eval_loader, serial_records,
+                                                 chaos, fast_backoff):
+        plan = chaos({"site": "unit", "action": "raise", "key": 0})
+        events = []
+        runner = CampaignRunner(trained_tiny_model, eval_loader,
+                                progress=events.append)
+        assert canonical(runner.run(make_points())) == canonical(serial_records)
+        assert plan.fired() == ["fired-0-unit-raise"]
+        assert [(event["ordinal"], event["attempt"]) for event in events
+                if event["kind"] == "unit-failed"] == [(0, 1)]
+        plan.reset()
+        result = runner.orchestrate(make_points())
+        assert result.report.retries == 1
+        assert canonical(result.records) == canonical(serial_records)
+
+    @pytest.mark.parametrize("trial_chunk", [None, 1])
+    def test_one_evaluation_per_pass(self, trained_tiny_model, eval_loader,
+                                     serial_records, trial_chunk):
+        runner = CampaignRunner(trained_tiny_model, eval_loader,
+                                trial_chunk=trial_chunk)
+        passes = self.count_passes(runner)
+        assert canonical(runner.run(make_points())) == canonical(serial_records)
+        assert passes == [6]  # 3 points x 2 trials, one geometry
+
+    def test_passes_hold_at_most_max_maps(self, trained_tiny_model, eval_loader,
+                                          serial_records, monkeypatch):
+        monkeypatch.setattr("repro.faults.campaign.MAX_MAPS_PER_PASS", 4)
+        runner = CampaignRunner(trained_tiny_model, eval_loader, trial_chunk=1)
+        passes = self.count_passes(runner)
+        assert canonical(runner.run(make_points())) == canonical(serial_records)
+        assert passes == [4, 2]
+
+    def test_more_workers_keep_one_unit_per_pass(self, trained_tiny_model,
+                                                 eval_loader):
+        # Grouping follows the worker count: with two workers every unit is
+        # its own pass, so no unit computes another's record.
+        runner = CampaignRunner(trained_tiny_model, eval_loader, workers=2)
+        chunks = plan_sweep_chunks(make_points())
+        passes = runner._plan_passes(chunks)
+        assert all(passes[chunk.ordinal] == [chunk] for chunk in chunks)
+
+    def test_shard_pass_holds_only_owned_chunks(self, trained_tiny_model,
+                                                eval_loader, tmp_path):
+        events = []
+        runner = CampaignRunner(trained_tiny_model, eval_loader, trial_chunk=1,
+                                shard="0/2", cache_dir=tmp_path,
+                                progress=events.append)
+        passes = self.count_passes(runner)
+        result = runner.orchestrate(make_points())
+        assert passes == [3]  # ordinals 0, 2 and 4 of six one-trial chunks
+        assert done_units(events) == [0, 2, 4]
+        assert not result.complete
+
+    def test_resumed_serial_run_evaluates_only_missing_maps(
+            self, trained_tiny_model, eval_loader, serial_records, tmp_path):
+        points = make_points()
+        CampaignRunner(trained_tiny_model, eval_loader,
+                       cache_dir=tmp_path).run(points[::2])
+        runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)
+        passes = self.count_passes(runner)
+        result = runner.orchestrate(points)
+        assert passes == [2]  # point 1's two maps
+        assert (result.report.cached_units, result.report.computed_units) == (2, 1)
+        assert canonical(result.records) == canonical(serial_records)
 
 
 class TestSweepIntegration:

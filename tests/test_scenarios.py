@@ -234,8 +234,7 @@ def forbid_evaluation(monkeypatch):
     def computed(*args, **kwargs):
         raise AssertionError("record computed instead of read from cache")
 
-    for name in ("baseline_accuracy", "_evaluate_point",
-                 "_evaluate_points_merged", "_evaluate"):
+    for name in ("baseline_accuracy", "_evaluate"):
         monkeypatch.setattr(CampaignRunner, name, computed)
 
 

@@ -103,6 +103,21 @@ class TestEngineByteIdentity:
         with pytest.raises(ValueError, match="bypass.*transient"):
             runner.run([point])
 
+    @pytest.mark.parametrize("options", [{}, {"trial_chunk": 1}, {"workers": 2}],
+                             ids=["serial", "trial_chunk", "workers"])
+    def test_bypass_of_transient_point_rejected_before_any_unit(
+            self, trained_tiny_model, test_loader, options):
+        # Rejected while the sweep is planned: not retried as a failing unit.
+        point = CampaignPoint.for_trials(
+            ROWS, COLS, 4, trials=2, seed=5, fault_model="transient",
+            fault_params={"process": "bernoulli", "num_steps": STEPS})
+        events = []
+        runner = CampaignRunner(trained_tiny_model, test_loader, bypass=True,
+                                progress=events.append, **options)
+        with pytest.raises(ValueError, match="bypass.*transient"):
+            runner.run([point])
+        assert events == []
+
 
 class TestStepSemantics:
     """Boundary behaviour of the per-step live-fault resolution."""
