@@ -19,6 +19,9 @@ reports:
 * how much memory backward adds to one training step: the traced size
   of the forward graph over the traced peak during ``backward`` (1.0 when
   backward frees the graph as fast as it allocates gradients),
+* the per-call speedup of the row-blocked chain kernel on one recorded
+  wide convolution chain call (perfbench ``sweep-stuckat``'s conv2 lane
+  shape) over the same call run on the whole batch at once,
 * that all engines produce **identical** records (same accuracies, same
   seeds -- the float64 bit-identity guarantee), including the transient
   sweep (phase-aware fused engine vs the per-schedule sequential oracle),
@@ -46,7 +49,8 @@ import pytest
 from conftest import RESULTS_DIR
 from repro.autograd import Tensor
 from repro.datasets import DataLoader
-from repro.experiments import ExperimentConfig, format_table, prepare_baseline
+from repro.experiments import (ExperimentConfig, default_config, format_table,
+                               prepare_baseline)
 from repro.faults import build_faulty_array, random_fault_map, sweep_faulty_pe_count
 from repro.snn import Adam, Trainer
 from repro.snn.inference import FusedFaultEngine
@@ -317,6 +321,85 @@ def measure_train_graph_release(rounds=ROUNDS):
     return ratios
 
 
+#: Set-up of the recorded chain call: perfbench ``sweep-stuckat``'s model
+#: (the small MNIST preset with one baseline epoch) and its 80 test
+#: samples, under 8 maps of 16 random stuck-at faults.
+ROW_BLOCK_CONFIG = default_config("mnist", baseline_epochs=1)
+ROW_BLOCK_MAPS = 8
+ROW_BLOCK_FAULTS = 16
+
+
+def record_wide_chain_call():
+    """The widest row-blocked chain call of one fused pass, operands copied.
+
+    Row blocks apply to per-map-view calls (forked inputs of at least
+    ``PER_CHAIN_GEMM_BATCH`` rows) of plans with one output per chain; of
+    those the call with the largest input is kept: a conv2 lane's
+    ``(maps, 20480, 72)`` im2col matrix.  Returns the call's arguments.
+    """
+
+    from repro.snn.inference.backends.ops_numpy import NumpyBackend
+    from repro.systolic import chain_kernel
+
+    config = ROW_BLOCK_CONFIG
+    baseline = prepare_baseline(config)
+    arrays = [build_faulty_array(random_fault_map(
+        config.array_rows, config.array_cols, ROW_BLOCK_FAULTS,
+        bit_position=None, stuck_type="sa1", seed=config.seed + index))
+        for index in range(ROW_BLOCK_MAPS)]
+    inputs, _ = next(iter(baseline.test_loader))
+    original = NumpyBackend.__dict__["apply_chain_plan"]
+    widest = []
+
+    def record(plan, x, output, shared, *rest):
+        if (not shared and plan.n_out == 1
+                and x.shape[-2] >= chain_kernel.PER_CHAIN_GEMM_BATCH
+                and (not widest or x.size > widest[1].size)):
+            widest[:] = [plan, x.copy(), output.copy(), shared, *rest]
+        return original.__func__(plan, x, output, shared, *rest)
+
+    NumpyBackend.apply_chain_plan = staticmethod(record)
+    try:
+        # The runners bind the kernel when the engine is built.
+        FusedFaultEngine(baseline.model_factory(), arrays).run(inputs)
+    finally:
+        NumpyBackend.apply_chain_plan = original
+    return widest
+
+
+def measure_chain_row_block_speedup(call, repeats=10):
+    """One round: median whole-batch time of ``call`` over its row-blocked time.
+
+    The whole-batch side patches ``CHAIN_ROW_BLOCK`` past the batch.  The
+    two sides alternate call by call on fresh copies of the recorded
+    output, and must agree byte for byte.  Both run on one OpenBLAS
+    thread, as every sweep work unit does.
+    """
+
+    from repro.systolic import chain_kernel
+    from repro.utils.blas import one_blas_thread
+
+    plan, x, output, *rest = call
+    row_block = chain_kernel.CHAIN_ROW_BLOCK
+    times = {"whole": [], "blocked": []}
+    results = {}
+    with one_blas_thread():
+        try:
+            for _ in range(repeats):
+                for label, rows in (("whole", x.shape[-2] + 1),
+                                    ("blocked", row_block)):
+                    chain_kernel.CHAIN_ROW_BLOCK = rows
+                    results[label] = output.copy()
+                    start = time.perf_counter()
+                    chain_kernel.apply_chain_plan(plan, x, results[label], *rest)
+                    times[label].append(time.perf_counter() - start)
+        finally:
+            chain_kernel.CHAIN_ROW_BLOCK = row_block
+    assert results["whole"].tobytes() == results["blocked"].tobytes()
+    return (float(np.median(times["whole"]))
+            / float(np.median(times["blocked"])))
+
+
 def test_bench_campaign_engines(campaign_setup):
     model, loader = campaign_setup
     # Warm-up pass so BLAS thread pools / allocators do not bill the first
@@ -352,6 +435,9 @@ def test_bench_campaign_engines(campaign_setup):
         measure_map_memory_scaling(model, loader.dataset))
     train_graph_release, spread["train_graph_release"] = median_spread(
         measure_train_graph_release())
+    chain_call = record_wide_chain_call()
+    chain_row_block_speedup, spread["chain_row_block_speedup"] = median_spread(
+        [measure_chain_row_block_speedup(chain_call) for _ in range(ROUNDS)])
     identical = (records["fused"] == records["sequential"]
                  # The transient (SEU) schedule sweep: the phase-aware fused
                  # engine must match the per-schedule sequential oracle.
@@ -365,7 +451,8 @@ def test_bench_campaign_engines(campaign_setup):
                f"{spike_kernel_speedup:.2f}x; traced peak of a 32-map pass "
                f"over a 128-map pass: {map_memory_scaling:.2f}; traced "
                f"forward graph over backward peak of a training step: "
-               f"{train_graph_release:.2f} "
+               f"{train_graph_release:.2f}; whole-batch chain call over "
+               f"row blocks: {chain_row_block_speedup:.2f}x "
                f"(medians of {ROUNDS} rounds)")
     print("\n" + table + "\n" + summary)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -379,6 +466,7 @@ def test_bench_campaign_engines(campaign_setup):
         "spike_kernel_speedup": spike_kernel_speedup,
         "map_memory_scaling": map_memory_scaling,
         "train_graph_release": train_graph_release,
+        "chain_row_block_speedup": chain_row_block_speedup,
         "rounds": ROUNDS,
         "spread": spread,
         "note": "identical_records pins float64 bit-identity across both "
@@ -398,6 +486,10 @@ def test_bench_campaign_engines(campaign_setup):
                 "train_graph_release is the tracemalloc size of one training "
                 "step's forward graph over the peak during its backward "
                 "(1.0 when backward adds nothing on top of the graph); "
+                "chain_row_block_speedup is the median per-call time of one "
+                "recorded conv2 chain call of a sweep-stuckat-shaped pass "
+                "with CHAIN_ROW_BLOCK past the batch over the same call in "
+                "row blocks; "
                 "every ratio is "
                 "measured within this run (machine-relative) as the median "
                 "of `rounds` alternating rounds, and `spread` holds each "
@@ -429,6 +521,10 @@ def test_bench_campaign_engines(campaign_setup):
     # so a step peaks near the size of its forward graph.
     assert train_graph_release >= 0.9, \
         f"backward peaks at {1 / train_graph_release:.2f}x the forward graph"
+    # Row blocks keep a chain call's operands in cache; they must not cost
+    # time on a wide call.
+    assert chain_row_block_speedup >= 0.9, \
+        f"row-blocked chain call {1 / chain_row_block_speedup:.2f}x slower"
 
 
 def test_bench_campaign_cache_hit(campaign_setup, tmp_path):

@@ -18,9 +18,11 @@ Rules (the documented gate policy):
   reference gather over ``im2col``, per call), ``spike_kernel_speedup``
   (the 9-pass divide neuron step plus ``reshape -> sum`` pooling over the
   fused neuron and pooling kernels, per call), ``map_memory_scaling``
-  (the traced memory peak of a 32-map fused pass over a 128-map one) and
+  (the traced memory peak of a 32-map fused pass over a 128-map one),
   ``train_graph_release`` (the traced forward graph of a training step
-  over the peak during its backward) --
+  over the peak during its backward) and ``chain_row_block_speedup`` (one
+  recorded wide conv chain call run on the whole batch over the same call
+  in row blocks, per call) --
   each gated whenever the recorded run reports it, so a fresh run that
   stops writing a recorded ratio fails.  Every ratio is the median of
   several alternating rounds (their spread is recorded beside it).  Each
@@ -132,6 +134,7 @@ def main(argv=None) -> int:
         ("spike_kernel_speedup", "spike kernels"),
         ("map_memory_scaling", "map memory scaling"),
         ("train_graph_release", "training graph release"),
+        ("chain_row_block_speedup", "chain row blocks"),
     )
     for key, label in gated_ratios:
         if key not in recorded_meta:

@@ -205,8 +205,9 @@ def runner_options(args: argparse.Namespace) -> dict:
     The one place the CLI builds them.  A flag left at its default is left
     out, so CampaignRunner's own default applies and a runner that cannot
     honour an option only meets it when it was asked for.  ``--resume`` and
-    ``--shard`` imply a cache directory; orchestrated runs get progress
-    lines.
+    ``--shard`` imply a cache directory.  Every run gets progress lines:
+    pooled and sharded runs one per unit, serial runs only for failures,
+    retries and cache incidents.
     """
 
     from .faults import RUNNER_OPTIONS
@@ -218,8 +219,9 @@ def runner_options(args: argparse.Namespace) -> dict:
                if name in defaults and getattr(args, name) != defaults[name]}
     if args.resume or args.shard is not None:
         options.setdefault("cache_dir", DEFAULT_CACHE_DIR)
-    if args.workers > 1 or args.shard is not None:
-        options["progress"] = _print_progress
+    options["progress"] = (_print_progress
+                           if args.workers > 1 or args.shard is not None
+                           else _print_incidents)
     return options
 
 
@@ -252,8 +254,10 @@ def _print_progress(event: dict) -> None:
         print(f"  unit{position} done: {event.get('unit')} in "
               f"{event.get('seconds', 0.0):.2f}s{eta_text}")
     elif kind == "unit-failed":
+        delay = event.get("retry_delay")
+        retry = f"; retrying in {delay:.2f}s" if delay is not None else ""
         print(f"  unit {event.get('unit')} failed on attempt "
-              f"{event.get('attempt')}: {event.get('error')}")
+              f"{event.get('attempt')}: {event.get('error')}{retry}")
     elif kind == "worker-crash":
         print(f"  worker {event.get('pid')} died (exit {event.get('exitcode')}); "
               f"rescheduling its unit if attempts remain")
@@ -267,6 +271,13 @@ def _print_progress(event: dict) -> None:
     elif kind == "store-degraded":
         print(f"  could not store cache record ({event.get('detail')}); "
               f"continuing uncached")
+
+
+def _print_incidents(event: dict) -> None:
+    """A serial run's progress: every event but a first-attempt unit-done."""
+
+    if event.get("kind") != "unit-done" or event.get("attempt", 1) > 1:
+        _print_progress(event)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

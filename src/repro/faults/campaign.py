@@ -48,6 +48,7 @@ import json
 import math
 import numbers
 import os
+import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -770,14 +771,16 @@ class CampaignRunner:
         return passes
 
     def _chunk_record(self, chunk: SweepChunk, members: Sequence[SweepChunk],
-                      done: Dict[int, dict]) -> dict:
+                      done: Dict[int, dict], shares: Dict[int, float]) -> dict:
         """``chunk``'s record, computed with the rest of its pass.
 
         The first member of a pass to be computed evaluates, in one
         :meth:`_evaluate` call, itself and every member that has neither a
         record in ``done`` nor a cache file; their records wait in
         ``done`` (local to one :meth:`orchestrate` call) for their own
-        units.
+        units.  ``shares`` gets the seconds each evaluated member adds to
+        its measured time, so that every member books the pass's share of
+        its maps and the computing unit gives back the rest.
         """
 
         if chunk.ordinal not in done:
@@ -786,11 +789,15 @@ class CampaignRunner:
                     if member is chunk or (member.ordinal not in done
                                            and not (path and path.exists()))]
             faults = [self._faults_of(member.point) for member in todo]
-            accuracies = iter(self._evaluate([item for items in faults
-                                              for item in items]))
+            maps = [item for items in faults for item in items]
+            start = time.perf_counter()
+            accuracies = iter(self._evaluate(maps))
+            elapsed = time.perf_counter() - start
             for member, items in zip(todo, faults):
                 done[member.ordinal] = self._record_for(
                     member.point, [next(accuracies) for _ in items])
+                shares[member.ordinal] = elapsed * len(items) / len(maps)
+            shares[chunk.ordinal] -= elapsed
         return done.pop(chunk.ordinal)
 
     def orchestrate(self, points: Sequence[CampaignPoint]):
@@ -827,13 +834,20 @@ class CampaignRunner:
         todo = [chunk for chunk in chunks if records[chunk.point_index] is None]
         passes = self._plan_passes(todo)
         done: Dict[int, dict] = {}
+        shares: Dict[int, float] = {}
+
+        def book(ordinal: int, seconds: float) -> float:
+            return seconds + shares.pop(ordinal, 0.0)
+
         units = [WorkUnit(ordinal=chunk.ordinal,
                           compute=functools.partial(self._chunk_record, chunk,
-                                                    passes[chunk.ordinal], done),
+                                                    passes[chunk.ordinal], done,
+                                                    shares),
                           path=self._cache_path(chunk.point),
                           required_keys=_REQUIRED_RECORD_KEYS,
                           tags=(("point_index", chunk.point_index),
-                                ("chunk_index", chunk.chunk_index)))
+                                ("chunk_index", chunk.chunk_index)),
+                          book_seconds=functools.partial(book, chunk.ordinal))
                  for chunk in todo]
         if self.workers > 1:
             self.warm_plan_cache()

@@ -89,6 +89,12 @@ UNIT_ATTEMPTS = 3
 #: A retry of one task waits ``RETRY_BACKOFF x 2^(attempt-1)`` seconds.
 RETRY_BACKOFF = 0.25
 
+
+def _retry_delay(attempts: int) -> float:
+    """Seconds to wait before retrying a task that failed ``attempts`` times."""
+
+    return RETRY_BACKOFF * (2 ** max(0, attempts - 1))
+
 #: A busy worker sends a heartbeat every ``HEARTBEAT_INTERVAL`` seconds; one
 #: whose heartbeats stall for ``STALL_TIMEOUT`` seconds counts as hung.
 HEARTBEAT_INTERVAL = 0.2
@@ -155,6 +161,11 @@ class WorkUnit:
     a cached record must carry to count as a hit, and ``compute`` returns
     the record.  ``tags`` name the unit in progress events and errors
     (e.g. ``(("point_index", 2), ("chunk_index", 0))``).
+    ``book_seconds`` maps the unit's measured wall time to the seconds
+    booked for it in ``unit-done`` events, the ETA and
+    :attr:`SweepReport.unit_seconds`; it is called in the parent process
+    once the unit is done (``None``: the measured time).  Units that share
+    one computation use it to book each its share.
     """
 
     ordinal: int
@@ -162,6 +173,7 @@ class WorkUnit:
     path: Optional[Path] = None
     required_keys: Tuple[str, ...] = ()
     tags: Tuple[Tuple[str, object], ...] = ()
+    book_seconds: Optional[Callable[[float], float]] = None
 
     def labels(self) -> dict:
         """The unit's ordinal, tags and one-line name, for events."""
@@ -364,7 +376,7 @@ class _PoolState:
         if result.attempts >= self.max_attempts:
             self.pending.discard(index)
             return None
-        delay = RETRY_BACKOFF * (2 ** max(0, result.attempts - 1))
+        delay = _retry_delay(result.attempts)
         heapq.heappush(self.deferred, (time.monotonic() + delay, index))
         return delay
 
@@ -577,7 +589,7 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
         result = results[index]
         while result.attempts < max_attempts:
             if result.attempts:
-                time.sleep(RETRY_BACKOFF * (2 ** (result.attempts - 1)))
+                time.sleep(_retry_delay(result.attempts))
             result.attempts += 1
             start = time.perf_counter()
             try:
@@ -590,9 +602,11 @@ def _run_tasks_inline(results: List[TaskResult], fn: Callable[[int], object], *,
                 result.error = f"{type(exc).__name__}: {exc}"
                 result.failure_kind = "poisoned"
                 result.seconds = time.perf_counter() - start
+                delay = (_retry_delay(result.attempts)
+                         if result.attempts < max_attempts else None)
                 _emit(progress, kind="task-failed", index=index,
                       attempt=result.attempts, error=result.error,
-                      reason="poisoned")
+                      reason="poisoned", retry_delay=delay)
             else:
                 result.error = None
                 result.failure_kind = None
@@ -930,6 +944,7 @@ class CampaignOrchestrator:
             return
         to_compute = [units[index] for index in indices]
         seconds_seen: List[float] = []
+        booked: Dict[int, float] = {}
 
         def forward_progress(event: dict) -> None:
             kind = event.get("kind", "")
@@ -943,6 +958,10 @@ class CampaignOrchestrator:
                     event.update(to_compute[index].labels())
                 event.pop("index", None)
                 if kind == "task-done" and event.get("seconds") is not None:
+                    unit = to_compute[index]
+                    if unit.book_seconds is not None:
+                        event["seconds"] = unit.book_seconds(event["seconds"])
+                    booked[unit.ordinal] = event["seconds"]
                     seconds_seen.append(event["seconds"])
                     remaining = len(to_compute) - len(seconds_seen)
                     average = sum(seconds_seen) / len(seconds_seen)
@@ -972,4 +991,5 @@ class CampaignOrchestrator:
                 report.cached_units += 1
             else:
                 report.computed_units += 1
-                report.unit_seconds[unit.ordinal] = result.seconds
+                report.unit_seconds[unit.ordinal] = booked.get(unit.ordinal,
+                                                               result.seconds)

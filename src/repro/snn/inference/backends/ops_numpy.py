@@ -275,7 +275,7 @@ class ArrayAffineKernel:
         if spec.kind == "linear":
             out = x @ self.weight_matrix.T
             if self.bias is not None:
-                out = out + self.bias
+                np.add(out, self.bias, out=out)
             return out
         kh, kw = spec.weight.shape[2], spec.weight.shape[3]
         cols = self._im2col(x, (kh, kw), spec.stride, spec.padding)
@@ -283,7 +283,7 @@ class ArrayAffineKernel:
         flat = cols.reshape(batch * out_h * out_w, k)
         out = flat @ self.weight_matrix.T
         if self.bias is not None:
-            out = out + self.bias
+            np.add(out, self.bias, out=out)
         out_channels = self.weight_matrix.shape[0]
         return out.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
 

@@ -9,12 +9,15 @@ prepared :class:`~repro.systolic.chain_kernel.UniformChainPlan` blocks.
 Results are bit-identical to that oracle, which is the one reference the
 equivalence tests compare them against by ``tobytes()``.
 
-Fault campaigns run in a streaming regime: tiny batches, many time
-steps, hundreds of chain applications per evaluation.  Everything
-input-independent -- chain ordering, per-level bit/polarity masks, scatter
-index arrays, fixed-point constants -- is precomputed at
-``prepare_weight`` time, so the per-call work is exactly the segment GEMMs
-and fused stuck-at passes.
+Campaign evaluations are wide, not streaming: the shipped test loaders
+hand the engine 80-sample (MNIST, N-MNIST) and 88-sample (DVS-Gesture)
+batches, so a convolution's folded im2col operand has thousands to tens
+of thousands of rows, and hundreds of chain applications run per
+evaluation.  Only ``benchmarks/bench_campaign.py``'s 2-sample
+``EVAL_BATCH`` streams.  Everything input-independent -- chain ordering,
+per-level bit/polarity masks, scatter index arrays, fixed-point constants
+-- is precomputed at ``prepare_weight`` time, so the per-call work is
+exactly the segment GEMMs and fused stuck-at passes.
 
 A layer runs in one of two modes.  At a map's *fork op* the input is the
 clean lane's activations, identical for every map forking there, so the
@@ -111,7 +114,8 @@ class FaultyAffineRunner:
 
         self._apply_chains(x, output, shared)
         if self.bias is not None:
-            output = output + self.bias
+            # ``output`` is a fresh product the runner owns.
+            np.add(output, self.bias, out=output)
         if shape is None:
             return output
         batch, out_h, out_w = shape

@@ -316,6 +316,13 @@ def build_uniform_plan(table, w_rows: List[np.ndarray],
 #: oracle executes), so the choice cannot affect results.
 PER_CHAIN_GEMM_BATCH = 64
 
+#: Rows per block of the per-map-view strategy's one-output plans (see
+#: :func:`apply_chain_plan`).  A multiple of 64: GEMV row results were
+#: checked independent of splits at such rows, not at arbitrary ones.
+#: 2048 rows of a ``(batch, 72)`` im2col matrix are 1.2 MB and fit a 2 MB
+#: L2; 1024 rows measured slower, 4096 within 3%.
+CHAIN_ROW_BLOCK = 2048
+
 #: Cache of ``arange(batch)[None, :, None]`` scatter indices per batch size.
 _BATCH_IDX_CACHE: Dict[int, np.ndarray] = {}
 
@@ -327,6 +334,20 @@ def _batch_idx(batch: int) -> np.ndarray:
             _BATCH_IDX_CACHE.clear()
         cached = _BATCH_IDX_CACHE[batch] = np.arange(batch)[None, :, None]
     return cached
+
+
+def _row_blocks(batch: int, row_block: int) -> List[Tuple[int, int]]:
+    """``[r0, r1)`` spans of ``row_block`` rows covering ``range(batch)``.
+
+    A trailing one-row remainder joins the block before it: a one-row
+    product runs as a BLAS dot, which sums in another order than the GEMV
+    every other row takes.
+    """
+
+    bounds = list(range(0, batch, row_block)) + [batch]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
@@ -347,6 +368,15 @@ def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
     *stacking* of independent per-chain GEMMs into one product per
     (level, run) differs -- per-slice results of a stacked matmul are
     independent 2D products, so it cannot change bits.
+
+    On the per-map-view strategy a plan with one output per chain runs each
+    chunk over blocks of :data:`CHAIN_ROW_BLOCK` rows, on row views of the
+    chunk's buffers, so one block's GEMVs, forcing and adds stay in cache
+    instead of streaming the whole (folded convolution) batch once per
+    product.  GEMV rows keep their bits when a product is split at
+    multiples of 64 rows (:func:`_row_blocks`), so the blocks cannot change
+    results; ``n_out >= 2`` (GEMM) plans and the gather strategies run the
+    whole batch, as the sequential oracle does.
     """
 
     batch = inputs.shape[-2]
@@ -363,84 +393,95 @@ def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
         ]
         run_starts, run_ends, run_maps = (plan.run_starts, plan.run_ends,
                                           plan.run_maps)
+    row_blocks = _row_blocks(
+        batch, CHAIN_ROW_BLOCK if by_view and n_out == 1 else max(1, batch))
     block = max(1, block_elements // max(1, batch * max(rows, n_out)))
     for start in range(0, n_chains, block):
         stop = min(start + block, n_chains)
-        size = stop - start
-        col_out = np.empty((size, batch, n_out))
-        acc = np.empty((size, batch, n_out)) if plan.has_levels else None
-        raw = (np.empty((size, batch, n_out), dtype=np.int64)
-               if plan.has_levels else None)
-        for tile_index, (lo, hi) in enumerate(plan.tile_bounds):
-            tile = plan.prefix_tiles[tile_index]
-            if shared:
-                x_chunk = inputs[:, lo:hi]
-            elif by_view:
-                x_chunk = None     # per-map-run views below, no gather
-            else:
-                # One gather per (chunk, tile); runs below take views.
-                x_chunk = inputs[map_ids[start:stop], :, lo:hi]
-
-            def product(w_stack, lo_c, hi_c, out=None):
-                # ``w_stack`` is already sliced to the chunk-active span
-                # [lo_c, hi_c) of the permuted chain axis.
+        shape = (stop - start, batch, n_out)
+        col_buf = np.empty(shape)
+        # The tail products' buffer, also the scratch of level >= 1 segment
+        # products (a tile's tails are computed after its levels).
+        tails_buf = np.empty(shape)
+        acc_buf = np.empty(shape) if plan.has_levels else None
+        raw_buf = np.empty(shape, dtype=np.int64) if plan.has_levels else None
+        for r0, r1 in row_blocks:
+            block_rows = slice(r0, r1)
+            col_out = col_buf[:, block_rows]
+            tails = tails_buf[:, block_rows]
+            if plan.has_levels:
+                acc = acc_buf[:, block_rows]
+                raw = raw_buf[:, block_rows]
+            for tile_index, (lo, hi) in enumerate(plan.tile_bounds):
+                tile = plan.prefix_tiles[tile_index]
                 if shared:
-                    return np.matmul(x_chunk, w_stack, out=out)
-                if not by_view:
-                    return np.matmul(x_chunk[lo_c - start:hi_c - start],
-                                     w_stack, out=out)
-                # One broadcast GEMM per same-map chain run (the whole-axis
-                # runs, intersected with this span): per-slice 2D GEMMs on
-                # activation views, exactly the sequential oracle's operands.
-                result = (np.empty((hi_c - lo_c, batch, n_out))
-                          if out is None else out)
-                views = tile_views[tile_index]
-                r = int(np.searchsorted(run_starts, lo_c, side="right")) - 1
-                while r < run_starts.shape[0] and run_starts[r] < hi_c:
-                    s = max(int(run_starts[r]), lo_c)
-                    e = min(int(run_ends[r]), hi_c)
-                    if s < e:
-                        np.matmul(views[int(run_maps[r])],
-                                  w_stack[s - lo_c:e - lo_c],
-                                  out=result[s - lo_c:e - lo_c])
-                    r += 1
-                return result
+                    x_chunk = inputs[block_rows, lo:hi]
+                elif by_view:
+                    x_chunk = None     # per-map-run views below, no gather
+                else:
+                    # One gather per (chunk, tile); runs below take views.
+                    x_chunk = inputs[map_ids[start:stop], block_rows, lo:hi]
 
-            for level_index, runs in enumerate(tile.levels):
-                for run in runs:
-                    lo_c = max(run.start, start)
-                    hi_c = min(run.end, stop)
-                    if lo_c >= hi_c:
-                        continue
-                    local = slice(lo_c - start, hi_c - start)
-                    member = slice(lo_c - run.start, hi_c - run.start)
-                    if level_index == 0:
-                        product(run.w_stack[member], lo_c, hi_c,
-                                out=acc[local])
-                    else:
-                        segment = product(run.w_stack[member], lo_c, hi_c)
-                        # In-place accumulate; 0 + segment is skipped at the
-                        # first level because quantisation maps the zero
-                        # signs to the same codes.
-                        np.add(acc[local], segment, out=acc[local])
-                    kernel.force(acc[local], run, member, raw[local])
-            tails = product(tile.tail_stack[start:stop], start, stop)
-            if tile.levels:
-                # Chains with any level in this tile are exactly the level-0
-                # runs; the rest contribute their tail alone.
-                for run in tile.levels[0]:
-                    lo_c = max(run.start, start)
-                    hi_c = min(run.end, stop)
-                    if lo_c >= hi_c:
-                        continue
-                    local = slice(lo_c - start, hi_c - start)
-                    np.add(acc[local], tails[local], out=tails[local])
-            if tile_index == 0:
-                # 0 + tails: collapse any -0.0 the (unquantised) tail GEMM
-                # produced, exactly as the oracle's zero-initialised
-                # accumulator does.
-                np.add(tails, 0.0, out=col_out)
-            else:
-                np.add(col_out, tails, out=col_out)
+                def product(w_stack, lo_c, hi_c, out):
+                    # ``w_stack`` is already sliced to the chunk-active span
+                    # [lo_c, hi_c) of the permuted chain axis.
+                    if shared:
+                        return np.matmul(x_chunk, w_stack, out=out)
+                    if not by_view:
+                        return np.matmul(x_chunk[lo_c - start:hi_c - start],
+                                         w_stack, out=out)
+                    # One broadcast GEMM per same-map chain run (the
+                    # whole-axis runs, intersected with this span): per-slice
+                    # 2D GEMMs on activation views, exactly the sequential
+                    # oracle's operands.
+                    views = tile_views[tile_index]
+                    r = int(np.searchsorted(run_starts, lo_c, side="right")) - 1
+                    while r < run_starts.shape[0] and run_starts[r] < hi_c:
+                        s = max(int(run_starts[r]), lo_c)
+                        e = min(int(run_ends[r]), hi_c)
+                        if s < e:
+                            np.matmul(views[int(run_maps[r])][block_rows],
+                                      w_stack[s - lo_c:e - lo_c],
+                                      out=out[s - lo_c:e - lo_c])
+                        r += 1
+                    return out
+
+                for level_index, runs in enumerate(tile.levels):
+                    for run in runs:
+                        lo_c = max(run.start, start)
+                        hi_c = min(run.end, stop)
+                        if lo_c >= hi_c:
+                            continue
+                        local = slice(lo_c - start, hi_c - start)
+                        member = slice(lo_c - run.start, hi_c - run.start)
+                        if level_index == 0:
+                            product(run.w_stack[member], lo_c, hi_c,
+                                    out=acc[local])
+                        else:
+                            segment = product(run.w_stack[member], lo_c, hi_c,
+                                              out=tails[local])
+                            # In-place accumulate; 0 + segment is skipped at
+                            # the first level because quantisation maps the
+                            # zero signs to the same codes.
+                            np.add(acc[local], segment, out=acc[local])
+                        kernel.force(acc[local], run, member, raw[local])
+                product(tile.tail_stack[start:stop], start, stop, out=tails)
+                if tile.levels:
+                    # Chains with any level in this tile are exactly the
+                    # level-0 runs; the rest contribute their tail alone.
+                    for run in tile.levels[0]:
+                        lo_c = max(run.start, start)
+                        hi_c = min(run.end, stop)
+                        if lo_c >= hi_c:
+                            continue
+                        local = slice(lo_c - start, hi_c - start)
+                        np.add(acc[local], tails[local], out=tails[local])
+                if tile_index == 0:
+                    # 0 + tails: collapse any -0.0 the (unquantised) tail
+                    # GEMM produced, exactly as the oracle's zero-initialised
+                    # accumulator does.
+                    np.add(tails, 0.0, out=col_out)
+                else:
+                    np.add(col_out, tails, out=col_out)
         output[plan.map_sel[start:stop], batch_idx,
-               plan.out_sel[start:stop]] = col_out
+               plan.out_sel[start:stop]] = col_buf

@@ -236,6 +236,81 @@ class TestChainEdgeCases:
 
 
 # ----------------------------------------------------------------------
+# Row blocks of the per-map-view strategy
+# ----------------------------------------------------------------------
+class TestChainRowBlocks:
+    """One-output plans run over row blocks; wider plans never do.
+
+    ``CHAIN_ROW_BLOCK`` is shrunk to 64 and the batch is ``3 x 64 + 37``
+    rows, so a blocked plan runs three full blocks and a partial one.
+    """
+
+    ROWS, COLS = 8, 6
+    BATCH = 3 * 64 + 37
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(chain_kernel, "CHAIN_ROW_BLOCK", 64)
+
+    def product_heights(self, monkeypatch, out_features, chunked):
+        """Rows of every chain product, and the multi-map output.
+
+        Every map's output must match its oracle byte for byte.
+        """
+
+        rng = get_rng(21 + out_features)
+        arrays = []
+        for seed in range(3):
+            fault_map = random_fault_map(self.ROWS, self.COLS, 6,
+                                         bit_position=None,
+                                         stuck_type=seed % 2, seed=40 + seed)
+            array = SystolicArray(self.ROWS, self.COLS)
+            array.load_fault_map(fault_map)
+            arrays.append(array)
+        weight = rng.normal(size=(out_features, 20))
+        inputs = rng.normal(size=(3, self.BATCH, 20))
+        expected = [array.matmul(weight, inputs[f]) for f, array in enumerate(arrays)]
+
+        heights = []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out=None):
+                heights.append(a.shape[-2])
+                return np.matmul(a, b, out=out)
+
+        if chunked:
+            monkeypatch.setattr(systolic_array, "_CHAIN_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(chain_kernel, "np", SpyNumpy())
+        result = run_linear(arrays, weight, inputs)
+        for f, want in enumerate(expected):
+            assert_same_bytes(result[f], want)
+        return heights
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_one_output_plan_runs_in_row_blocks(self, monkeypatch, chunked):
+        heights = self.product_heights(monkeypatch, self.COLS, chunked)
+        assert heights and set(heights) == {64, 37}
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_two_output_plan_runs_the_whole_batch(self, monkeypatch, chunked):
+        heights = self.product_heights(monkeypatch, 2 * self.COLS, chunked)
+        assert heights and set(heights) == {self.BATCH}
+
+    def test_one_row_remainder_joins_the_last_block(self):
+        """A one-row product is a dot, not a GEMV, so no block has one row."""
+
+        assert chain_kernel._row_blocks(3 * 64 + 1, 64) == [
+            (0, 64), (64, 128), (128, 193)]
+        assert chain_kernel._row_blocks(3 * 64 + 37, 64)[-1] == (192, 229)
+        assert chain_kernel._row_blocks(64, 64) == [(0, 64)]
+        assert chain_kernel._row_blocks(0, 64) == []
+
+
+# ----------------------------------------------------------------------
 # Fused stuck-at kernel
 # ----------------------------------------------------------------------
 class TestStuckAtKernel:

@@ -19,7 +19,7 @@ RECORDED = [
     {"engine": "meta", "identical_records": True,
      "transient_overhead": 1.1, "gather_speedup": 3.0,
      "spike_kernel_speedup": 2.0, "map_memory_scaling": 0.85,
-     "train_graph_release": 0.96},
+     "train_graph_release": 0.96, "chain_row_block_speedup": 1.3},
 ]
 
 
@@ -50,7 +50,8 @@ def test_equal_runs_pass(gate, tmp_path):
 
 @pytest.mark.parametrize("key", ["gather_speedup", "transient_overhead",
                                  "spike_kernel_speedup", "map_memory_scaling",
-                                 "train_graph_release"])
+                                 "train_graph_release",
+                                 "chain_row_block_speedup"])
 def test_missing_recorded_ratio_fails(gate, tmp_path, capsys, key):
     fresh = copy.deepcopy(RECORDED)
     del _meta(fresh)[key]
@@ -70,6 +71,16 @@ def test_spike_kernel_ratio_below_floor_fails(gate, tmp_path, capsys):
     _meta(fresh)["spike_kernel_speedup"] = 2.0 * 0.6
     assert _run(gate, tmp_path, fresh) == 1
     assert "spike kernels" in capsys.readouterr().err
+
+
+def test_chain_row_block_ratio_below_floor_fails(gate, tmp_path, capsys):
+    """A row-blocked call slower than the whole-batch one (0.85 against a
+    recorded 1.3, floor 0.91) fails."""
+
+    fresh = copy.deepcopy(RECORDED)
+    _meta(fresh)["chain_row_block_speedup"] = 0.85
+    assert _run(gate, tmp_path, fresh) == 1
+    assert "chain row blocks" in capsys.readouterr().err
 
 
 def test_memory_scaling_below_floor_fails(gate, tmp_path, capsys):

@@ -93,10 +93,12 @@ class TestCampaignCommand:
         # Default: no deadline (workers are then killed only when their
         # heartbeats stall or they die, so a busy loop is caught by this
         # flag alone), and flags left at their defaults stay out of the
-        # options.
+        # options; a serial run prints only its incidents.
+        from repro.cli import _print_incidents
+
         args = build_parser().parse_args(["campaign", "counts"])
         assert args.unit_timeout is None
-        assert runner_options(args) == {}
+        assert runner_options(args) == {"progress": _print_incidents}
 
     def test_runner_options_imply_cache_dir_and_progress(self):
         from repro.cli import DEFAULT_CACHE_DIR, runner_options
@@ -150,6 +152,30 @@ class TestCampaignCommand:
         payload = json.loads(out_file.read_text())
         assert [record["num_faulty_pes"] for record in payload] == [0, 4]
         assert (tmp_path / "cache").is_dir()
+
+    def test_serial_campaign_prints_unit_failures(self, monkeypatch, capsys,
+                                                  tmp_path):
+        """A serial sweep names a failed unit and its retry, not every unit."""
+
+        from repro.testing import clear_plan
+        from repro.testing.chaos import CHAOS_ENV_VAR
+
+        monkeypatch.setattr("repro.faults.orchestrator.RETRY_BACKOFF", 0.05)
+        monkeypatch.setenv(CHAOS_ENV_VAR, json.dumps({
+            "rules": [{"site": "unit", "action": "raise", "key": 0}],
+            "state_dir": str(tmp_path / "chaos-state")}))
+        clear_plan()
+        try:
+            assert main(["campaign", "counts", "--dataset", "mnist", "--seed",
+                         "13", "--counts", "2,4", "--trials", "2"]) == 0
+        finally:
+            clear_plan()
+        out = capsys.readouterr().out
+        assert ("unit 0 (point_index 0, chunk_index 0) failed on attempt 1: "
+                "ChaosError: chaos-injected unit failure; retrying in 0.05s") in out
+        # The retried unit reports its recovery; the others stay quiet.
+        done = [line for line in out.splitlines() if " done: " in line]
+        assert len(done) == 1 and "unit done: 0 (point_index 0" in done[0]
 
     def test_campaign_engines_agree(self, tmp_path):
         out_a = tmp_path / "fused.json"
@@ -234,8 +260,10 @@ class TestRunCampaignFlags:
 
         monkeypatch.setitem(EXPERIMENTS, "fig7", dataclasses.replace(
             EXPERIMENTS["fig7"], runner=fake_grid))
+        from repro.cli import _print_incidents
+
         assert main(["run", "fig7", "--unit-timeout", "5"]) == 0
-        assert seen == {"unit_timeout": 5.0}
+        assert seen == {"unit_timeout": 5.0, "progress": _print_incidents}
         # Its own options are still checked before any training.
         assert main(["run", "fig7", "--workers", "0"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err

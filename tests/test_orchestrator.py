@@ -385,6 +385,42 @@ class TestSerialPasses:
         assert canonical(runner.run(make_points())) == canonical(serial_records)
         assert passes == [6]  # 3 points x 2 trials, one geometry
 
+    def test_units_book_their_share_of_the_pass(self, trained_tiny_model,
+                                                eval_loader):
+        """Each unit of a pass books the pass time of its maps.
+
+        Points of 1, 2 and 3 trials run as one 6-map pass computed by the
+        first unit; the others would read about 0 s without the shares.
+        """
+
+        import time
+
+        events = []
+        runner = CampaignRunner(trained_tiny_model, eval_loader,
+                                progress=events.append)
+        evaluate = runner._evaluate
+        pass_seconds = []
+
+        def slow(faults):
+            start = time.perf_counter()
+            time.sleep(0.6)
+            accuracies = evaluate(faults)
+            pass_seconds.append(time.perf_counter() - start)
+            return accuracies
+
+        runner._evaluate = slow
+        points = [make_points(trials=trials, counts=(count,))[0]
+                  for trials, count in ((1, 2), (2, 4), (3, 6))]
+        report = runner.orchestrate(points).report
+        (seconds,) = pass_seconds
+        booked = [report.unit_seconds[ordinal] for ordinal in range(3)]
+        for trials, unit_seconds in zip((1, 2, 3), booked):
+            share = seconds * trials / 6
+            assert share <= unit_seconds <= share + 0.15, booked
+        assert done_units(events, "seconds") == booked
+        assert report.summary()["mean_unit_seconds"] == pytest.approx(
+            sum(booked) / 3)
+
     def test_passes_hold_at_most_max_maps(self, trained_tiny_model, eval_loader,
                                           serial_records, monkeypatch):
         monkeypatch.setattr("repro.faults.campaign.MAX_MAPS_PER_PASS", 4)
