@@ -7,28 +7,22 @@ data bits of the reproduction's accumulator format for all three datasets.
 """
 
 from conftest import bench_config, emit, run_once
-from repro.experiments import run_fig5a_bit_locations
-from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+from repro.experiments import get_scenario, run_scenario
 import pytest
 
 #: Full figure reproduction: trains baselines for every dataset.
 pytestmark = pytest.mark.slow
 
-BIT_POSITIONS = tuple(range(0, DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb + 1, 2))
-
 
 def test_fig5a_bit_locations(benchmark, dataset_name, dataset_baseline):
     config = bench_config(dataset_name)
-    records = run_once(
-        benchmark, run_fig5a_bit_locations, config,
-        bit_positions=BIT_POSITIONS, stuck_types=("sa0", "sa1"),
-        num_faulty=8, trials=2)
+    records = run_once(benchmark, run_scenario, "fig5a", config)
     emit(records, name=f"fig5a_{dataset_name}",
          title=f"Fig. 5a ({dataset_name}): accuracy vs fault bit location",
          table_columns=["dataset", "stuck_type", "bit_position", "accuracy"],
          series=("bit_position", "accuracy", "stuck_type"))
 
     by_key = {(r["stuck_type"], r["bit_position"]): r["accuracy"] for r in records}
-    top_bit = max(BIT_POSITIONS)
+    top_bit = max(get_scenario("fig5a").values)
     # Shape check: high-order sa1 faults hurt far more than LSB faults.
     assert by_key[("sa1", top_bit)] <= by_key[("sa1", 0)]

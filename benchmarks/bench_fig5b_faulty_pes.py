@@ -7,19 +7,16 @@ function of the number of faulty PEs, averaged over several fault maps.
 """
 
 from conftest import bench_config, emit, run_once
-from repro.experiments import run_fig5b_faulty_pe_count
+from repro.experiments import run_scenario
 import pytest
 
 #: Full figure reproduction: trains baselines for every dataset.
 pytestmark = pytest.mark.slow
 
-COUNTS = (0, 2, 4, 8, 16, 32, 48, 64)
-
 
 def test_fig5b_faulty_pe_count(benchmark, dataset_name, dataset_baseline):
     config = bench_config(dataset_name)
-    records = run_once(benchmark, run_fig5b_faulty_pe_count, config,
-                       counts=COUNTS, trials=4)
+    records = run_once(benchmark, run_scenario, "fig5b", config)
     emit(records, name=f"fig5b_{dataset_name}",
          title=f"Fig. 5b ({dataset_name}): accuracy vs number of faulty PEs",
          table_columns=["dataset", "num_faulty_pes", "fault_rate", "accuracy",

@@ -7,19 +7,16 @@ sweeps 4x4 .. 64x64 (its networks are correspondingly smaller).
 """
 
 from conftest import bench_config, emit, run_once
-from repro.experiments import run_fig5c_array_sizes
+from repro.experiments import run_scenario
 import pytest
 
 #: Full figure reproduction: trains baselines for every dataset.
 pytestmark = pytest.mark.slow
 
-SIZES = (4, 8, 16, 32, 64)
-
 
 def test_fig5c_array_sizes(benchmark, dataset_name, dataset_baseline):
     config = bench_config(dataset_name)
-    records = run_once(benchmark, run_fig5c_array_sizes, config,
-                       sizes=SIZES, num_faulty=4, trials=3)
+    records = run_once(benchmark, run_scenario, "fig5c", config)
     emit(records, name=f"fig5c_{dataset_name}",
          title=f"Fig. 5c ({dataset_name}): accuracy vs systolic array size (4 faulty PEs)",
          table_columns=["dataset", "array_size", "total_pes", "accuracy", "accuracy_std"],

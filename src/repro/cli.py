@@ -48,9 +48,11 @@ into one options dict (:func:`runner_options`) that reaches
 :func:`~repro.experiments.check_retrain_options`) validates it before any
 baseline is trained: bad values exit 2 with every problem listed.
 ``campaign bits|counts|sizes`` runs an unregistered scenario through
-:func:`~repro.experiments.run_scenario`, the same path as ``--scenario``.
+:func:`~repro.experiments.run_scenario`, the same path as ``--scenario``
+and ``run fig5a|fig5b|fig5c`` (the built-in scenarios of those names).
 ``repro run`` rejects (exit 2) any campaign flag that the chosen experiment
-cannot honour.
+cannot honour, and ``campaign --scenario`` any grid flag (``--dataset``,
+``--counts``, ``--trials``, ...), since the scenario fixes its grid.
 
 The CLI is a thin layer over :mod:`repro.experiments` and
 :mod:`repro.faults`; anything it can do is also available programmatically.
@@ -70,11 +72,10 @@ from .experiments import (
     get_experiment,
     list_experiments,
 )
-from .experiments.config import PAPER_DATASETS, SCALES
-from .experiments.scenarios import SWEEPS
+from .experiments.config import PAPER_DATASETS, SCALES, check_overrides
+from .experiments.scenarios import SWEEPS, get_scenario
 from .experiments.mitigation import RETRAIN_OPTIONS
 from .faults.injection import ENGINES
-from .systolic import DEFAULT_ACCUMULATOR_FORMAT
 from .utils import configure_logging, save_records
 
 
@@ -117,27 +118,42 @@ def build_parser() -> argparse.ArgumentParser:
                                       "mitigation); see --list-scenarios")
     campaign_parser.add_argument("--list-scenarios", action="store_true",
                                  help="list registered scenarios and exit")
-    campaign_parser.add_argument("--dataset", choices=PAPER_DATASETS, default="mnist")
-    campaign_parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     campaign_parser.add_argument("--seed", type=int, default=None)
-    top = DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
-    campaign_parser.add_argument("--bits", type=_int_list,
-                                 default=sorted(set(range(0, top + 1, 2)) | {top}),
-                                 help="comma-separated bit positions (bits sweep; "
-                                      "default: the even bits up to the MSB, "
-                                      "and the MSB)")
-    campaign_parser.add_argument("--counts", type=_int_list, default=[0, 2, 4, 8, 16],
-                                 help="comma-separated faulty-PE counts (counts sweep)")
-    campaign_parser.add_argument("--sizes", type=_int_list, default=[4, 8, 16, 32],
-                                 help="comma-separated array sizes (sizes sweep)")
-    campaign_parser.add_argument("--trials", type=int, default=4,
-                                 help="fault maps per grid point")
-    campaign_parser.add_argument("--stuck", choices=("sa0", "sa1"), default="sa1")
+    _add_grid_arguments(campaign_parser)
     campaign_parser.add_argument("--out", default=None,
                                  help="optional JSON path for the raw records")
     _add_engine_arguments(campaign_parser)
     campaign_parser.set_defaults(handler=_cmd_campaign)
     return parser
+
+
+def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of a hand-launched sweep, which a ``--scenario`` fixes."""
+
+    parser.add_argument("--dataset", choices=PAPER_DATASETS, default="mnist")
+    parser.add_argument("--scale", choices=sorted(SCALES), default="small")
+    parser.add_argument("--bits", type=_int_list,
+                        default=list(get_scenario("fig5a").values),
+                        help="comma-separated bit positions (bits sweep; "
+                             "default: fig5a's, the even bits up to the "
+                             "MSB and the MSB)")
+    parser.add_argument("--counts", type=_int_list, default=[0, 2, 4, 8, 16],
+                        help="comma-separated faulty-PE counts (counts sweep)")
+    parser.add_argument("--sizes", type=_int_list, default=[4, 8, 16, 32],
+                        help="comma-separated array sizes (sizes sweep)")
+    parser.add_argument("--trials", type=int, default=4,
+                        help="fault maps per grid point")
+    parser.add_argument("--stuck", choices=("sa0", "sa1"), default="sa1")
+
+
+def _flags_off_default(args: argparse.Namespace, add_arguments) -> List[str]:
+    """``add_arguments``' flags whose value in ``args`` is not the default."""
+
+    parser = argparse.ArgumentParser()
+    add_arguments(parser)
+    defaults = vars(parser.parse_args([]))
+    return [name for name, default in defaults.items()
+            if getattr(args, name) != default]
 
 
 def _int_list(text: str) -> List[int]:
@@ -212,11 +228,9 @@ def runner_options(args: argparse.Namespace) -> dict:
 
     from .faults import RUNNER_OPTIONS
 
-    parser = argparse.ArgumentParser()
-    _add_engine_arguments(parser)
-    defaults = vars(parser.parse_args([]))
-    options = {name: getattr(args, name) for name in RUNNER_OPTIONS
-               if name in defaults and getattr(args, name) != defaults[name]}
+    options = {name: getattr(args, name)
+               for name in _flags_off_default(args, _add_engine_arguments)
+               if name in RUNNER_OPTIONS}
     if args.resume or args.shard is not None:
         options.setdefault("cache_dir", DEFAULT_CACHE_DIR)
     options["progress"] = (_print_progress
@@ -225,8 +239,8 @@ def runner_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _options_invalid(options: dict, retraining: bool = False) -> bool:
-    """Print every problem with the campaign options; whether there was one.
+def _option_problems(options: dict, retraining: bool = False) -> List[str]:
+    """The problem with the campaign options, as a list of at most one.
 
     A ``retraining`` grid's options are checked without the fused-engine
     settings, which it never uses.
@@ -239,9 +253,16 @@ def _options_invalid(options: dict, retraining: bool = False) -> bool:
     try:
         check(**options)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+        return [str(exc)]
+    return []
+
+
+def _report_problems(problems: List[str]) -> bool:
+    """Print every problem found on the command line; whether there was one."""
+
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return bool(problems)
 
 
 def _print_progress(event: dict) -> None:
@@ -332,21 +353,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = runner_options(args)
     if "progress" not in spec.options:
         options.pop("progress", None)  # runners without work units take none
-    unsupported = ["--" + name.replace("_", "-") for name in options
-                   if name not in spec.options]
-    if unsupported:
-        print(f"error: {spec.experiment_id} cannot honour "
-              f"{', '.join(unsupported)}", file=sys.stderr)
-        return 2
-    if _options_invalid(options, retraining=spec.options == RETRAIN_OPTIONS):
-        return 2
+    unsupported = [name for name in options if name not in spec.options]
+    problems = [f"{spec.experiment_id} cannot honour "
+                f"{', '.join(_flag_names(unsupported))}"] if unsupported else []
+    for name in unsupported:
+        del options[name]
+    problems += _option_problems(options,
+                                 retraining=spec.options == RETRAIN_OPTIONS)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
         config = default_config(args.dataset, scale=args.scale, **overrides)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        problems.append(str(exc))
+    if _report_problems(problems):
         return 2
     print(f"running {spec.experiment_id} ({spec.paper_artifact}) on {args.dataset} "
           f"[{args.scale} scale]")
@@ -370,8 +391,12 @@ _CAMPAIGN_COLUMNS = {
 }
 
 
+def _flag_names(names: Sequence[str]) -> List[str]:
+    return ["--" + name.replace("_", "-") for name in names]
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .experiments.scenarios import Scenario, get_scenario, list_scenarios, run_scenario
+    from .experiments.scenarios import Scenario, list_scenarios, run_scenario
     from .faults import PendingShardError
 
     if args.list_scenarios:
@@ -391,6 +416,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print("error: give exactly one of a sweep axis (bits/counts/sizes) "
               "or --scenario NAME", file=sys.stderr)
         return 2
+    problems = []
+    fixed = (_flags_off_default(args, _add_grid_arguments)
+             if args.scenario is not None else [])
+    if fixed:
+        problems.append(f"scenario '{args.scenario}' fixes its grid and "
+                        f"dataset; cannot honour {', '.join(_flag_names(fixed))}")
     config_overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
         if args.scenario is not None:
@@ -400,20 +431,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 name=f"{args.dataset}-{args.sweep}", dataset=args.dataset,
                 sweep=args.sweep, values=getattr(args, args.sweep),
                 scale=args.scale, trials=args.trials, stuck_type=args.stuck)
-        scenario.build_config(**config_overrides)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        problems.append(str(exc))
+        check_overrides(config_overrides, problems)  # what build_config checks
+    else:
+        try:
+            config = scenario.build_config(**config_overrides)
+        except ValueError as exc:
+            problems.append(str(exc))
     options = runner_options(args)
-    if _options_invalid(options):
+    problems += _option_problems(options)
+    if _report_problems(problems):
         return 2
     settings = "".join(f", {name}={value}" for name, value in options.items()
                        if name != "progress")
     print(f"campaign {scenario.describe()} [{scenario.scale} scale{settings}]")
     try:
-        records = run_scenario(scenario, config_overrides=config_overrides,
-                               **options)
+        records = run_scenario(scenario, config, **options)
     except PendingShardError as exc:
         return _report_pending_shard(exc, options)
     print(format_table(records, columns=_CAMPAIGN_COLUMNS[scenario.sweep],

@@ -9,11 +9,6 @@ from .config import (
 )
 from .baseline import PreparedBaseline, build_loaders, clear_baseline_cache, prepare_baseline
 from .reporting import format_series, format_table
-from .vulnerability import (
-    run_fig5a_bit_locations,
-    run_fig5b_faulty_pe_count,
-    run_fig5c_array_sizes,
-)
 from .motivational import run_fig2_threshold_grid
 from .mitigation import (
     RetrainCell,
@@ -55,9 +50,6 @@ __all__ = [
     "prepare_baseline",
     "format_series",
     "format_table",
-    "run_fig5a_bit_locations",
-    "run_fig5b_faulty_pe_count",
-    "run_fig5c_array_sizes",
     "run_fig2_threshold_grid",
     "run_fig6_optimized_thresholds",
     "run_fig7_mitigation_comparison",

@@ -15,12 +15,13 @@ scaled-down setup and reports both the measured numbers and a boolean
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional
 
 from .config import ExperimentConfig, default_config
 from .convergence import convergence_speedup, run_fig8_convergence
 from .mitigation import run_fig7_mitigation_comparison
-from .vulnerability import run_fig5b_faulty_pe_count
+from .scenarios import get_scenario, run_scenario
 
 
 def run_headline_claims(config: Optional[ExperimentConfig] = None,
@@ -34,7 +35,9 @@ def run_headline_claims(config: Optional[ExperimentConfig] = None,
     records: List[dict] = []
 
     # Claim 1: a handful of faulty PEs destroys accuracy.
-    vuln = run_fig5b_faulty_pe_count(config, counts=(0, few_faults), trials=3)
+    vuln = run_scenario(dataclasses.replace(get_scenario("fig5b"),
+                                            values=(0, few_faults), trials=3),
+                        config)
     clean = next(r for r in vuln if r["num_faulty_pes"] == 0)["accuracy"]
     faulty = next(r for r in vuln if r["num_faulty_pes"] == few_faults)["accuracy"]
     records.append({

@@ -7,6 +7,7 @@ Gives examples, benchmarks and documentation one authoritative list of
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Tuple
 
 from ..faults import RUNNER_OPTIONS
@@ -21,18 +22,17 @@ from .headline import run_headline_claims
 from .mitigation import (RETRAIN_OPTIONS, run_fig6_optimized_thresholds,
                          run_fig7_mitigation_comparison)
 from .motivational import run_fig2_threshold_grid
-from .vulnerability import (
-    run_fig5a_bit_locations,
-    run_fig5b_faulty_pe_count,
-    run_fig5c_array_sizes,
-)
+from .scenarios import run_scenario
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One reproducible artifact of the paper.
 
-    ``options`` names the campaign options the runner honours, one tuple
+    ``runner(config, **options)`` returns the records; a Fig. 5 runner is
+    :func:`~repro.experiments.scenarios.run_scenario` on the built-in
+    scenario of the same id.  ``options`` names the campaign options the
+    runner honours, one tuple
     per kind of work: a sweep honours :data:`repro.faults.RUNNER_OPTIONS`,
     a retraining grid :data:`~repro.experiments.mitigation.RETRAIN_OPTIONS`.
     ``repro run`` rejects a flag for any other.
@@ -57,17 +57,20 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "fig5a", "Figure 5a",
             "Accuracy vs stuck-at fault bit location (sa0/sa1) in the PE accumulator.",
-            run_fig5a_bit_locations, "benchmarks/bench_fig5a_bit_location.py",
+            functools.partial(run_scenario, "fig5a"),
+            "benchmarks/bench_fig5a_bit_location.py",
             RUNNER_OPTIONS),
         ExperimentSpec(
             "fig5b", "Figure 5b",
             "Accuracy vs number of faulty PEs under worst-case high-order-bit faults.",
-            run_fig5b_faulty_pe_count, "benchmarks/bench_fig5b_faulty_pes.py",
+            functools.partial(run_scenario, "fig5b"),
+            "benchmarks/bench_fig5b_faulty_pes.py",
             RUNNER_OPTIONS),
         ExperimentSpec(
             "fig5c", "Figure 5c",
             "Accuracy vs systolic array size at a fixed number of faulty PEs.",
-            run_fig5c_array_sizes, "benchmarks/bench_fig5c_array_size.py",
+            functools.partial(run_scenario, "fig5c"),
+            "benchmarks/bench_fig5c_array_size.py",
             RUNNER_OPTIONS),
         ExperimentSpec(
             "fig6", "Figure 6",

@@ -16,10 +16,12 @@ construction, not at evaluation time.
 
 A scenario owns the sweep axes: :func:`run_scenario` is the one place that
 maps an axis to its :mod:`repro.faults.analysis` sweep driver (the
-``_SWEEP_AXES`` table).  The hand-launched ``repro campaign
+``_SWEEP_AXES`` table).  The paper's Fig. 5 grids are the built-in
+scenarios ``fig5a``, ``fig5b`` and ``fig5c``, which ``repro run
+fig5a|fig5b|fig5c`` runs; the hand-launched ``repro campaign
 bits|counts|sizes`` sweeps are unregistered scenarios run through it, so
-they and the named scenarios build the same grids with the same seed
-derivations and share cache keys.  Campaign options (``engine``,
+every entry point builds the same grids with the same seed derivations
+and shares cache keys.  Campaign options (``engine``,
 ``workers``, ``cache_dir``, ...) are not part of a scenario; they pass
 through ``**runner_options`` to the
 :class:`~repro.faults.campaign.CampaignRunner`, which validates them.
@@ -37,6 +39,7 @@ from ..faults.campaign import (FAULT_MODELS, _is_integer, _pairs,
                                check_runner_options, transient_param_problems)
 from ..faults.fault_model import StuckAtType
 from ..faults.injection import BYPASS_OF_TRANSIENT
+from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
 from ..utils.rng import derive_seed
 from .config import (PAPER_DATASETS, SCALES, ExperimentConfig, check_overrides,
                      default_config)
@@ -55,20 +58,26 @@ __all__ = [
 
 
 class _SweepAxis(NamedTuple):
-    tag: str                # seed-derivation tag, as in the Fig. 5 runners
+    tag: str                # seed-derivation tag: the axis's Fig. 5 panel
     driver: Callable        # repro.faults.analysis sweep driver
     swept: Optional[str]    # Scenario field the axis sweeps through values
     grid: Callable          # (scenario, config) -> the driver's grid keywords
 
 
-#: Sweep axis -> its driver.  The tags match ``repro run fig5a|b|c``, so a
-#: scenario shares cache keys with a Fig. 5 run of the same grid.
+#: ``stuck_type`` of a bits sweep over both polarities: every sa0 record,
+#: then every sa1 record (Fig. 5a).
+BOTH_POLARITIES = "both"
+
+#: Sweep axis -> its driver.  Every scenario of an axis derives its map
+#: seeds from the axis's tag, so any two runs of one grid share cache keys.
 _SWEEP_AXES: Dict[str, _SweepAxis] = {
     "bits": _SweepAxis("fig5a", sweep_bit_locations, "bit_position",
                        lambda scenario, config: dict(
                            rows=config.array_rows, cols=config.array_cols,
                            bit_positions=scenario.values,
-                           stuck_types=(scenario.stuck_type,))),
+                           stuck_types=(("sa0", "sa1")
+                                        if scenario.stuck_type == BOTH_POLARITIES
+                                        else (scenario.stuck_type,)))),
     "counts": _SweepAxis("fig5b", sweep_faulty_pe_count, "num_faulty",
                          lambda scenario, config: dict(
                              rows=config.array_rows, cols=config.array_cols,
@@ -97,7 +106,8 @@ class Scenario:
     ``bit_position`` apply to the axes that do not sweep them.  ``fault_params``
     configures the transient schedule process; for transient scenarios a
     missing ``num_steps`` resolves to the dataset config's ``time_steps``
-    when the grid is built.  ``config_overrides`` are forwarded to
+    when the grid is built.  A ``bits`` sweep's ``stuck_type`` may be
+    ``"both"`` (:data:`BOTH_POLARITIES`).  ``config_overrides`` are forwarded to
     :func:`repro.experiments.default_config` (e.g. smaller
     ``baseline_epochs`` for smoke runs).
     """
@@ -155,12 +165,14 @@ class Scenario:
             problems.append("'num_faulty' must be positive when given")
         if not isinstance(self.description, str):
             problems.append("'description' must be a string")
-        try:
-            object.__setattr__(
-                self, "stuck_type",
-                StuckAtType.from_value(self.stuck_type).short_name)
-        except ValueError as exc:
-            problems.append(str(exc))
+        if self.stuck_type != BOTH_POLARITIES or self.sweep != "bits":
+            try:
+                object.__setattr__(
+                    self, "stuck_type",
+                    StuckAtType.from_value(self.stuck_type).short_name)
+            except ValueError as exc:
+                problems.append(f"{exc} (a 'bits' sweep also takes "
+                                f"'{BOTH_POLARITIES}')")
         if self.fault_model not in FAULT_MODELS:
             problems.append(
                 f"unknown fault model '{self.fault_model}'; "
@@ -296,14 +308,16 @@ def scenario_from_json(text: str) -> Scenario:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def run_scenario(scenario: Union[Scenario, str], *,
-                 config_overrides: Optional[dict] = None,
+def run_scenario(scenario: Union[Scenario, str],
+                 config: Optional[ExperimentConfig] = None, *,
                  baseline=None, **runner_options) -> List[dict]:
     """Evaluate a scenario end-to-end and return its sweep records.
 
-    Prepares (or reuses, via ``baseline``) the dataset's trained baseline,
-    then runs the sweep driver of the scenario's axis with the scenario's
-    grid, fault model, parameters and mitigation.  ``runner_options`` are
+    ``config`` (default: ``scenario.build_config()``) decides the dataset,
+    the array, the seed and the trained baseline; the scenario decides the
+    grid.  Prepares (or reuses, via ``baseline``) the config's trained
+    baseline, then runs the sweep driver of the scenario's axis with the
+    scenario's grid, fault model, parameters and mitigation.  ``runner_options`` are
     the campaign options (``engine``, ``workers``, ``cache_dir``,
     ``shard``, ...), passed unchanged to
     :class:`~repro.faults.campaign.CampaignRunner`; they are validated
@@ -315,7 +329,8 @@ def run_scenario(scenario: Union[Scenario, str], *,
     check_runner_options(**runner_options)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    config = scenario.build_config(**(config_overrides or {}))
+    if config is None:
+        config = scenario.build_config()
     if baseline is None:
         baseline = prepare_baseline(config)
     axis = _SWEEP_AXES[scenario.sweep]
@@ -335,11 +350,30 @@ def run_scenario(scenario: Union[Scenario, str], *,
 # ----------------------------------------------------------------------
 # Built-in scenarios
 # ----------------------------------------------------------------------
-# The paper's permanent stuck-at model on its headline grid, plus the two
-# extension fault models, and the NMNIST / DVS-Gesture pipelines as
-# first-class transient campaign workloads.  All built-ins use the small
-# (CI) scale; pass config_overrides / a different scale via a custom
-# scenario for larger runs.
+# The paper's Fig. 5 grids (``repro run fig5a|fig5b|fig5c`` runs them on
+# the config its --dataset, --scale and --seed give), the permanent
+# stuck-at model on a smaller grid, the two extension fault models, and the
+# NMNIST / DVS-Gesture pipelines as first-class transient campaign
+# workloads.  All built-ins use the small (CI) scale; pass config_overrides /
+# a different scale via a custom scenario for larger runs.
+_TOP_BIT = DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
+register_scenario(Scenario(
+    name="fig5a",
+    description="Paper's Fig. 5a: stuck-at-0 and stuck-at-1 faults at the "
+                "even accumulator bits and the magnitude MSB, 8 faulty PEs.",
+    dataset="mnist", sweep="bits",
+    values=tuple(sorted(set(range(0, _TOP_BIT + 1, 2)) | {_TOP_BIT})),
+    trials=2, num_faulty=8, stuck_type=BOTH_POLARITIES))
+register_scenario(Scenario(
+    name="fig5b",
+    description="Paper's Fig. 5b: MSB stuck-at-1 faults vs faulty-PE count.",
+    dataset="mnist", sweep="counts", values=(0, 2, 4, 8, 16, 32, 48, 64),
+    trials=4))
+register_scenario(Scenario(
+    name="fig5c",
+    description="Paper's Fig. 5c: 4 faulty PEs vs systolic array size.",
+    dataset="mnist", sweep="sizes", values=(4, 8, 16, 32, 64), trials=3,
+    num_faulty=4))
 register_scenario(Scenario(
     name="mnist-stuck-at-counts",
     description="Paper's Fig. 5b grid point family: permanent datapath "

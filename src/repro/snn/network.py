@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..autograd import Tensor
 from .layers import Sequential
 from .module import Module
@@ -103,19 +101,3 @@ class SpikingClassifier(Module):
             accumulated = out if accumulated is None else accumulated + out
             steps += 1
         return accumulated * (1.0 / steps)
-
-    def predict(self, x) -> np.ndarray:
-        """Return predicted class indices for a batch (no gradient tracking)."""
-
-        from ..autograd import no_grad
-
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                rates = self.forward(x)
-        finally:
-            self.train(was_training)
-        return np.argmax(rates.data, axis=1)

@@ -7,6 +7,12 @@ hook FalVolt and FaPIT use to re-zero pruned weights at the end of every
 retraining epoch (Algorithm 1, line 13).  :func:`evaluate` is the one
 autograd accuracy loop: the trainer's test-set passes, the baselines and
 the sequential fault-injection oracle all measure through it.
+
+Trained weights depend on the OpenBLAS thread count on some kernels
+(Haswell, Katmai), so :meth:`Trainer.fit` and :meth:`Trainer.evaluate` run
+on one BLAS thread and restore the caller's count: a model trained in the
+main process, by a library caller or in an orchestrator work unit gets the
+same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..utils.blas import one_blas_thread
 from .loss import accuracy, rate_mse_loss
 from .network import SpikingClassifier
 from .optim import Adam
@@ -110,6 +117,7 @@ class Trainer:
         self.optimizer.step()
         return float(loss.item()), accuracy(rates, labels)
 
+    @one_blas_thread()
     def evaluate(self, loader) -> float:
         """Classification accuracy over a data loader (see :func:`evaluate`)."""
 
@@ -118,6 +126,7 @@ class Trainer:
     # ------------------------------------------------------------------
     # Full loop
     # ------------------------------------------------------------------
+    @one_blas_thread()
     def fit(self, train_loader, epochs: int, test_loader=None,
             callbacks: Optional[Sequence[EpochCallback]] = None) -> TrainingHistory:
         """Train for ``epochs`` epochs and return the :class:`TrainingHistory`.

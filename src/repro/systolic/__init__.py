@@ -1,8 +1,8 @@
 """Systolic-array SNN accelerator (systolicSNN) simulator.
 
 Functional, bit-accurate-at-the-accumulator model of the weight-stationary
-PE grid the paper evaluates, plus fixed-point arithmetic, weight-to-PE
-mapping and a first-order latency model.
+PE grid the paper evaluates, plus fixed-point arithmetic and weight-to-PE
+mapping.
 """
 
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
@@ -16,13 +16,6 @@ from .mapping import (
 from .array import BatchedSystolicArray, FaultSite, SystolicArray
 from . import chain_kernel
 from .chain_kernel import StuckAtKernel
-from .scheduler import (
-    LayerSchedule,
-    LayerWorkload,
-    reexecution_overhead,
-    schedule_layer,
-    schedule_network,
-)
 
 __all__ = [
     "DEFAULT_ACCUMULATOR_FORMAT",
@@ -37,9 +30,4 @@ __all__ = [
     "StuckAtKernel",
     "SystolicArray",
     "chain_kernel",
-    "LayerSchedule",
-    "LayerWorkload",
-    "reexecution_overhead",
-    "schedule_layer",
-    "schedule_network",
 ]

@@ -1,9 +1,10 @@
 """OpenBLAS thread count, read and set through OpenBLAS's C API.
 
 Training bits depend on the OpenBLAS thread count on some kernels (Haswell
-and Katmai, not SkylakeX), so every work unit runs on one thread: a forked
-orchestrator worker pins itself once, and the in-process fallback pins
-each unit and restores the caller's count (:func:`one_blas_thread`).
+and Katmai, not SkylakeX), so all training runs on one thread: a forked
+orchestrator worker pins itself once, and ``Trainer.fit`` /
+``Trainer.evaluate`` and the in-process fallback's units pin it and
+restore the caller's count (:func:`one_blas_thread`).
 Without a loaded OpenBLAS every function here is a no-op.
 """
 
@@ -65,9 +66,13 @@ def one_blas_thread() -> Iterator[None]:
     """Run the block on one OpenBLAS thread, then restore the caller's count."""
 
     previous = blas_threads()
+    if previous in (None, 1):
+        # Setting the count, even to the one it has, costs OpenBLAS memory
+        # (10 MB of a DVS sweep's peak RSS when every training call did it).
+        yield
+        return
     set_blas_threads(1)
     try:
         yield
     finally:
-        if previous is not None:
-            set_blas_threads(previous)
+        set_blas_threads(previous)

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, no_grad
 from repro.datasets import DataLoader, load_dataset
 from repro.experiments import ExperimentConfig
 from repro.snn import Adam, Trainer, build_model_for_dataset
@@ -59,6 +60,14 @@ def build_tiny_mnist_model(seed: int = 5):
     model, config = build_model_for_dataset(
         "mnist", channels=6, hidden_units=32, time_steps=3, seed=seed)
     return model, config
+
+
+def predicted_classes(model, inputs) -> np.ndarray:
+    """Arg-max classes of ``model``'s eval-mode autograd forward on ``inputs``."""
+
+    model.eval()
+    with no_grad():
+        return np.argmax(model(Tensor(inputs)).data, axis=1)
 
 
 def state_digest(model) -> str:

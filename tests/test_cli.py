@@ -1,8 +1,11 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_parser, main
 
@@ -42,7 +45,7 @@ class TestCommands:
     def test_run_command_small_experiment(self, tmp_path, capsys):
         # fig5c with the tiny seed-overridden config is the cheapest registered
         # experiment that still trains a baseline; restrict it further by seed
-        # only (sizes are fixed by the driver defaults).  To keep the test fast
+        # only (its sizes are fixed by the fig5c scenario).  To keep the test fast
         # we run the ablation-accumulator experiment instead, which reuses the
         # cached baseline from other tests when available.
         out_file = tmp_path / "records.json"
@@ -206,7 +209,7 @@ class TestRunCampaignFlags:
         assert "--unit-timeout" not in err  # fig2 honours it
 
     def test_fig5b_flags_reach_campaign_runner(self, monkeypatch):
-        import repro.experiments.vulnerability as vulnerability
+        import repro.experiments.baseline as baseline_module
         import repro.faults.analysis as analysis
 
         class Baseline:
@@ -225,7 +228,7 @@ class TestRunCampaignFlags:
             seen.update(options)
             raise Captured
 
-        monkeypatch.setattr(vulnerability, "prepare_baseline",
+        monkeypatch.setattr(baseline_module, "prepare_baseline",
                             lambda config: Baseline())
         monkeypatch.setattr(analysis, "CampaignRunner", fake_runner)
         with pytest.raises(Captured):
@@ -236,12 +239,12 @@ class TestRunCampaignFlags:
         assert seen["trial_chunk"] == 2
 
     def test_bad_flags_exit_2_before_training(self, monkeypatch, capsys):
-        import repro.experiments.vulnerability as vulnerability
+        import repro.experiments.baseline as baseline_module
 
         def no_training(config):
             raise AssertionError("baseline trained before validation")
 
-        monkeypatch.setattr(vulnerability, "prepare_baseline", no_training)
+        monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
         assert main(["run", "fig5b", "--trial-chunk", "0", "--workers", "0"]) == 2
         err = capsys.readouterr().err
         assert "trial_chunk must be at least 1" in err
@@ -274,14 +277,135 @@ class TestConfigOverrides:
                                       ["run", "fig5b", "--seed", "-1"]])
     def test_bad_seed_exits_2_before_training(self, monkeypatch, capsys, argv):
         import repro.experiments.baseline as baseline_module
-        import repro.experiments.vulnerability as vulnerability
 
         def no_training(config):
             raise AssertionError("baseline trained before validation")
 
         monkeypatch.setattr(baseline_module, "prepare_baseline", no_training)
-        monkeypatch.setattr(vulnerability, "prepare_baseline", no_training)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'seed' override" in err
 
+    @pytest.mark.parametrize("name", ["fig5a", "fig5b", "fig5c"])
+    def test_run_fig5_applies_dataset_scale_and_seed(self, monkeypatch, name):
+        import repro.experiments.baseline as baseline_module
+        from repro.experiments import default_config
+
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise Captured
+
+        monkeypatch.setattr(baseline_module, "prepare_baseline", capture)
+        with pytest.raises(Captured):
+            main(["run", name, "--dataset", "nmnist", "--scale", "full",
+                  "--seed", "13"])
+        assert seen == [default_config("nmnist", scale="full", seed=13)]
+
+
+def run_cli(argv):
+    """Exit status and standard error of ``main(argv)``; argparse errors exit too."""
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, err.getvalue()
+
+
+#: Flag -> off-default values, for the grid a ``--scenario`` fixes.
+GRID_FLAGS = {"--dataset": ["nmnist", "dvs_gesture"], "--scale": ["full"],
+              "--bits": ["0,2"], "--counts": ["0,4"], "--sizes": ["8"],
+              "--trials": ["2", "9"], "--stuck": ["sa0"]}
+#: Flag -> (bad values, the problem the collected error names).
+BAD_VALUES = {"--workers": (["0", "-3"], "workers must be at least 1"),
+              "--trial-chunk": (["0", "-1"], "trial_chunk must be at least 1"),
+              "--unit-timeout": (["0", "-2.5", "nan", "inf"],
+                                 "unit_timeout must be positive"),
+              "--seed": (["-1", "-7"], "'seed' override")}
+#: Flags a retraining grid cannot honour.
+SWEEP_ONLY_FLAGS = {"--engine": ["sequential"], "--trial-chunk": ["2", "0"]}
+#: Flags a retraining grid honours; a Fig. 5 sweep honours them too.
+RETRAIN_FLAGS = {"--shard": ["0/2", "1/3"]}
+#: Tokens argparse itself rejects.
+UNPARSABLE = [["--workers", "x"], ["--trials", "1.5"], ["--shard", "2/2"],
+              ["--engine", "batched"], ["--unit-timeout", "soon"]]
+
+
+@st.composite
+def flag_pairs(draw, table, min_size):
+    """Distinct flags of ``table`` with a value each: (flags, argv pairs)."""
+
+    flags = draw(st.lists(st.sampled_from(sorted(table)), min_size=min_size,
+                          unique=True))
+    pairs = []
+    for flag in flags:
+        values = table[flag][0] if isinstance(table[flag], tuple) else table[flag]
+        pairs.append([flag, draw(st.sampled_from(values))])
+    return flags, pairs
+
+
+@st.composite
+def malformed_argv(draw):
+    """A ``run`` or ``campaign`` command line with problems, and what they are."""
+
+    kind = draw(st.sampled_from(["scenario", "run-fig5", "run-retrain", "campaign"]))
+    bad_table = dict(BAD_VALUES)
+    if kind == "scenario":
+        head = ["campaign", "--scenario", draw(st.sampled_from(["fig5a", "fig5b", "fig5c"]))]
+        grid, grid_pairs = draw(flag_pairs(GRID_FLAGS, 1))
+        expected = list(grid)
+    elif kind == "run-fig5":
+        head = ["run", draw(st.sampled_from(["fig5a", "fig5b", "fig5c"]))]
+        _, grid_pairs = draw(flag_pairs(RETRAIN_FLAGS, 0))
+        expected = []
+    elif kind == "run-retrain":
+        head = ["run", draw(st.sampled_from(["fig2", "fig6", "fig7", "fig8",
+                                             "ablation-threshold"]))]
+        unsupported, grid_pairs = draw(flag_pairs(SWEEP_ONLY_FLAGS, 1))
+        expected = list(unsupported)
+        del bad_table["--trial-chunk"]
+    else:
+        head = ["campaign", draw(st.sampled_from(["bits", "counts", "sizes"]))]
+        grid_pairs, expected = [], []
+        if draw(st.booleans()):
+            grid_pairs = [["--trials", draw(st.sampled_from(["0", "-2"]))]]
+            expected.append("'trials' must be positive")
+    bad, bad_pairs = draw(flag_pairs(bad_table, 0 if expected else 1))
+    expected += [BAD_VALUES[flag][1] for flag in bad]
+    pairs = draw(st.permutations(grid_pairs + bad_pairs))
+    return head + [token for pair in pairs for token in pair], expected
+
+
+class TestArgvFuzz:
+    """Malformed ``run`` / ``campaign`` flag combinations exit 2, naming every
+    problem, before any baseline is trained and without a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=malformed_argv(), unparsable=st.none() | st.sampled_from(UNPARSABLE))
+    def test_malformed_argv_exits_2_with_every_problem(self, case, unparsable):
+        import repro.experiments.baseline as baseline_module
+
+        def no_training(config):
+            raise AssertionError("baseline trained before validation")
+
+        argv, expected = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baseline_module, "prepare_baseline", no_training)
+            status, err = run_cli(argv + (unparsable or []))
+        assert status == 2, (argv, err)
+        assert "Traceback" not in err
+        if unparsable is not None:
+            assert "usage:" in err and "error:" in err
+            return
+        assert err.startswith("error: ")
+        for problem in expected:
+            assert problem in err, (argv, problem, err)
+        if argv[0] == "run" and argv[1].startswith("fig5"):
+            assert "cannot honour" not in err  # a sweep honours every flag

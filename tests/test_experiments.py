@@ -205,30 +205,53 @@ class TestBaselinePreparation:
         assert first_labels[1] == first_labels[0]
 
 
+def run_fig5(name, **grid):
+    """Records of the built-in scenario ``name`` with ``grid`` on MICRO."""
+
+    from repro.experiments import get_scenario, run_scenario
+
+    return run_scenario(dataclasses.replace(get_scenario(name), **grid), MICRO)
+
+
 class TestExperimentDrivers:
     def test_fig5b_records_shape(self, micro_baseline):
-        from repro.experiments import run_fig5b_faulty_pe_count
-
-        records = run_fig5b_faulty_pe_count(MICRO, counts=(0, 16), trials=2)
+        records = run_fig5("fig5b", values=(0, 16), trials=2)
         assert len(records) == 2
         assert records[0]["num_faulty_pes"] == 0
         assert records[0]["accuracy"] >= records[1]["accuracy"] - 0.05
         assert all(r["dataset"] == "mnist" for r in records)
 
     def test_fig5a_records_shape(self, micro_baseline):
-        from repro.experiments import run_fig5a_bit_locations
-
-        records = run_fig5a_bit_locations(MICRO, bit_positions=(0, 14),
-                                          stuck_types=("sa1",), num_faulty=4, trials=1)
+        records = run_fig5("fig5a", values=(0, 14), stuck_type="sa1",
+                           num_faulty=4, trials=1)
         assert len(records) == 2
         bits = {r["bit_position"] for r in records}
         assert bits == {0, 14}
 
     def test_fig5c_records_shape(self, micro_baseline):
-        from repro.experiments import run_fig5c_array_sizes
-
-        records = run_fig5c_array_sizes(MICRO, sizes=(4, 16), num_faulty=2, trials=1)
+        records = run_fig5("fig5c", values=(4, 16), num_faulty=2, trials=1)
         assert [r["array_size"] for r in records] == [4, 16]
+
+    def test_headline_claim1_runs_the_fig5b_scenario(self, monkeypatch):
+        import repro.experiments.headline as headline
+        from repro.experiments import get_scenario
+
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(scenario, config):
+            seen.append((scenario, config))
+            raise Captured
+
+        monkeypatch.setattr(headline, "run_scenario", capture)
+        with pytest.raises(Captured):
+            headline.run_headline_claims(MICRO, few_faults=6)
+        [(scenario, config)] = seen
+        assert scenario == dataclasses.replace(get_scenario("fig5b"),
+                                               values=(0, 6), trials=3)
+        assert config is MICRO
 
     def test_fig7_methods_and_ordering(self, micro_baseline):
         from repro.experiments import run_fig7_mitigation_comparison

@@ -19,6 +19,7 @@ from repro.faults.injection import ENGINES
 from repro.snn import evaluate
 from repro.snn.layers import Conv2d, Linear
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
+from tests.conftest import predicted_classes
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -39,10 +40,10 @@ class TestFaultInjector:
 
     def test_fault_free_array_preserves_predictions(self, trained_tiny_model, test_loader):
         inputs, _ = next(iter(test_loader))
-        clean = trained_tiny_model.predict(inputs)
+        clean = predicted_classes(trained_tiny_model, inputs)
         array = SystolicArray(16, 16)
         with FaultInjector(trained_tiny_model, array):
-            faulty = trained_tiny_model.predict(inputs)
+            faulty = predicted_classes(trained_tiny_model, inputs)
         assert np.array_equal(clean, faulty)
 
     def test_layer_filter_restricts_rerouting(self, trained_tiny_model):

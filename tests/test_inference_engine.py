@@ -47,7 +47,7 @@ from repro.snn import (
 from repro.snn.inference.backends.ops_numpy import NeuronKernel, PoolKernel
 from repro.snn.inference.plan import NeuronSpec, PoolSpec
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
-from tests.conftest import reshape_sum_pool
+from tests.conftest import predicted_classes, reshape_sum_pool
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -151,10 +151,11 @@ class TestCleanEngineBitIdentity:
         engine = FusedInferenceEngine(trained_tiny_model)
         inputs, labels = next(iter(test_loader))
         assert np.array_equal(np.argmax(engine.run(inputs), axis=1),
-                              trained_tiny_model.predict(inputs))
+                              predicted_classes(trained_tiny_model, inputs))
         correct = total = 0
         for inputs, labels in test_loader:
-            correct += int(np.sum(trained_tiny_model.predict(inputs) == labels))
+            correct += int(np.sum(predicted_classes(trained_tiny_model, inputs)
+                                  == labels))
             total += labels.shape[0]
         assert engine.evaluate(test_loader) == correct / total
 

@@ -213,6 +213,25 @@ class TestWorkStealingPool:
         finally:
             set_blas_threads(previous)
 
+    def test_one_thread_caller_keeps_its_count_unset(self, monkeypatch):
+        """Setting the count costs OpenBLAS memory, so a caller already on
+        one thread gets no set, neither to pin nor to restore."""
+
+        import repro.utils.blas as blas
+
+        previous = blas_threads()
+        if previous is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        set_blas_threads(1)
+        try:
+            calls = []
+            monkeypatch.setattr(blas, "set_blas_threads", calls.append)
+            with blas.one_blas_thread():
+                assert blas_threads() == 1
+            assert calls == []
+        finally:
+            set_blas_threads(previous)
+
 
 class TestOrchestratedRecords:
     def test_workers2_byte_identical_to_single_process(self, trained_tiny_model,

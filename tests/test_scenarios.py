@@ -17,6 +17,7 @@ from repro.experiments import (
     run_scenario,
     scenario_from_json,
 )
+from tests.conftest import MICRO
 
 
 def make_scenario(**overrides):
@@ -248,7 +249,7 @@ class TestCampaignGrid:
                      "--trials", "2", "--cache-dir", str(cache),
                      "--out", str(out)]) == 0
         forbid_evaluation(monkeypatch)
-        records = run_scenario(make_scenario(), config_overrides={"seed": 13},
+        records = run_scenario(make_scenario(), make_scenario().build_config(seed=13),
                                cache_dir=cache)
         assert records == json.loads(out.read_text())
 
@@ -297,6 +298,132 @@ class TestCampaignGrid:
             make_scenario(sweep=sweep, **{field: 3})
 
 
+@pytest.fixture()
+def micro_cli(monkeypatch):
+    """Every config the CLI builds is MICRO (with the flags' overrides)."""
+
+    def micro_config(dataset, scale="small", **overrides):
+        return MICRO.with_overrides(**overrides)
+
+    monkeypatch.setattr("repro.cli.default_config", micro_config)
+    monkeypatch.setattr("repro.experiments.scenarios.default_config", micro_config)
+
+
+def shrink_builtin(monkeypatch, name, **grid):
+    """Give the registered scenario ``name`` a smaller ``grid``."""
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(SCENARIOS[name], **grid))
+
+
+class TestFig5Scenarios:
+    """``repro run fig5a|fig5b|fig5c`` runs the built-in scenario of its name."""
+
+    def test_builtins_hold_the_fig5_grids(self):
+        from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
+
+        fig5a, fig5b, fig5c = (get_scenario(name) for name in ("fig5a", "fig5b", "fig5c"))
+        assert fig5a.values[-1] == DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
+        assert (fig5a.stuck_type, fig5a.num_faulty, fig5a.trials) == ("both", 8, 2)
+        assert (fig5b.values, fig5b.trials) == ((0, 2, 4, 8, 16, 32, 48, 64), 4)
+        assert (fig5c.values, fig5c.num_faulty, fig5c.trials) == ((4, 8, 16, 32, 64), 4, 3)
+
+    def test_both_polarities_only_on_a_bits_sweep(self):
+        assert make_scenario(sweep="bits", values=[0], stuck_type="both").stuck_type == "both"
+        with pytest.raises(ValueError, match="unknown stuck-at type 'both'"):
+            make_scenario(stuck_type="both")
+
+    def test_run_fig5b_shares_cache_and_records_with_campaign_counts(
+            self, micro_cli, monkeypatch, tmp_path):
+        from repro.faults import CampaignRunner
+
+        shrink_builtin(monkeypatch, "fig5b", values=(0, 2, 4), trials=2)
+        cache = tmp_path / "cache"
+        assert main(["run", "fig5b", "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        stored = sorted(cache.iterdir())
+
+        def computed(*args, **kwargs):
+            raise AssertionError("unit computed instead of read from cache")
+
+        monkeypatch.setattr(CampaignRunner, "_evaluate", computed)
+        assert main(["campaign", "counts", "--counts", "0,2,4", "--trials", "2",
+                     "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "campaign.json")]) == 0
+        assert sorted(cache.iterdir()) == stored and len(stored) == 2
+        assert ((tmp_path / "run.json").read_bytes()
+                == (tmp_path / "campaign.json").read_bytes())
+
+    def test_run_fig5a_lists_sa0_then_sa1_with_fig5a_map_seeds(
+            self, micro_cli, monkeypatch, tmp_path):
+        from repro.faults import CampaignRunner
+        from repro.utils.rng import derive_seed
+
+        shrink_builtin(monkeypatch, "fig5a", values=(0, 14), trials=2)
+        points = []
+        run = CampaignRunner.run
+
+        def recording_run(runner, grid):
+            points.extend(grid)
+            return run(runner, grid)
+
+        monkeypatch.setattr(CampaignRunner, "run", recording_run)
+        out = tmp_path / "fig5a.json"
+        assert main(["run", "fig5a", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())
+        order = [("sa0", 0), ("sa0", 14), ("sa1", 0), ("sa1", 14)]
+        assert [(r["stuck_type"], r["bit_position"]) for r in records] == order
+        assert [(p.stuck_type, p.bit_position) for p in points] == order
+        grid_seed = derive_seed(MICRO.seed, "fig5a")
+        assert [p.map_seeds for p in points] == [
+            tuple(derive_seed(grid_seed, "bit_sweep", int(stuck[-1]), bit, trial)
+                  for trial in range(2))
+            for stuck, bit in order]
+        assert all(p.num_faulty == 8 for p in points)
+
+    def test_run_fig5a_shares_its_sa1_units_with_campaign_bits(
+            self, micro_cli, monkeypatch, tmp_path):
+        from repro.faults import CampaignRunner
+
+        shrink_builtin(monkeypatch, "fig5a", values=(0, 14), trials=2)
+        cache = tmp_path / "cache"
+        run_out = tmp_path / "run.json"
+        assert main(["run", "fig5a", "--cache-dir", str(cache),
+                     "--out", str(run_out)]) == 0
+        stored = sorted(cache.iterdir())
+
+        def computed(*args, **kwargs):
+            raise AssertionError("unit computed instead of read from cache")
+
+        monkeypatch.setattr(CampaignRunner, "_evaluate", computed)
+        campaign_out = tmp_path / "campaign.json"
+        assert main(["campaign", "bits", "--bits", "0,14", "--trials", "2",
+                     "--stuck", "sa1", "--cache-dir", str(cache),
+                     "--out", str(campaign_out)]) == 0
+        assert sorted(cache.iterdir()) == stored and len(stored) == 4
+        assert json.loads(campaign_out.read_text()) == json.loads(run_out.read_text())[2:]
+
+    def test_run_fig5c_shares_cache_and_records_with_campaign_sizes(
+            self, micro_cli, monkeypatch, tmp_path):
+        from repro.faults import CampaignRunner
+
+        shrink_builtin(monkeypatch, "fig5c", values=(4, 8), trials=1)
+        cache = tmp_path / "cache"
+        assert main(["run", "fig5c", "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        stored = sorted(cache.iterdir())
+
+        def computed(*args, **kwargs):
+            raise AssertionError("unit computed instead of read from cache")
+
+        monkeypatch.setattr(CampaignRunner, "_evaluate", computed)
+        assert main(["campaign", "sizes", "--sizes", "4,8", "--trials", "1",
+                     "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "campaign.json")]) == 0
+        assert sorted(cache.iterdir()) == stored and len(stored) == 2
+        assert ((tmp_path / "run.json").read_bytes()
+                == (tmp_path / "campaign.json").read_bytes())
+
+
 class TestCli:
     def test_scenario_flag_parses(self):
         args = build_parser().parse_args(
@@ -339,10 +466,11 @@ class TestCli:
 
 class TestRunScenario:
     def test_run_scenario_accepts_name_and_overrides(self):
-        # Shrink the built-in scenario via config_overrides so the test can
-        # reuse the cached baseline trained by the CLI test (same config).
+        # Run the built-in scenario on an explicit seed-13 config so the test
+        # can reuse the cached baseline trained by the CLI test (same config).
         records = run_scenario("mnist-transient-bernoulli",
-                               config_overrides={"seed": 13})
+                               get_scenario("mnist-transient-bernoulli")
+                               .build_config(seed=13))
         assert [record["num_faulty_pes"] for record in records] == [0, 2, 4, 8]
 
     def test_run_scenario_engines_agree(self, tmp_path):

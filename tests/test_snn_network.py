@@ -74,13 +74,6 @@ class TestSpikingClassifier:
         assert set(summary) == {"Conv1", "Conv2", "FC1", "FC2"}
         assert all(v == pytest.approx(1.0) for v in summary.values())
 
-    def test_predict_returns_classes(self, tiny_model):
-        x = np.random.default_rng(0).random((6, 1, 16, 16))
-        preds = tiny_model.predict(x)
-        assert preds.shape == (6,)
-        assert preds.dtype.kind == "i"
-        assert tiny_model.training  # mode restored
-
 
 class TestModelBuilders:
     def test_mnist_architecture_labels(self):

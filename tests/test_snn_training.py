@@ -106,6 +106,34 @@ class TestTrainer:
                     callbacks=[lambda m, epoch, logs: calls.append(epoch)])
         assert calls == [0, 1]
 
+    def test_fit_and_evaluate_run_one_blas_thread_and_restore_the_count(
+            self, monkeypatch, tiny_mnist_loaders, tiny_model):
+        """Training bits depend on the OpenBLAS thread count on some kernels,
+        so a library caller's training gets the one thread a work unit runs."""
+
+        import repro.snn.training as training
+        from repro.utils.blas import blas_threads, set_blas_threads
+
+        previous = blas_threads()
+        if previous is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        seen = []
+        evaluate = training.evaluate
+        monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: (
+            seen.append(blas_threads()) or evaluate(*args, **kwargs)))
+        train_loader, test_loader = tiny_mnist_loaders
+        trainer = Trainer(tiny_model, Adam(tiny_model.parameters(), lr=1e-2), num_classes=10)
+        set_blas_threads(2)
+        try:
+            caller = blas_threads()
+            trainer.fit(train_loader, epochs=1, test_loader=test_loader,
+                        callbacks=[lambda m, epoch, logs: seen.append(blas_threads())])
+            trainer.evaluate(test_loader)
+            assert blas_threads() == caller
+        finally:
+            set_blas_threads(previous)
+        assert seen == [1, 1, 1]
+
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_evaluate_restores_callers_mode(self, tiny_mnist_loaders, tiny_model, training):
         _, test_loader = tiny_mnist_loaders
