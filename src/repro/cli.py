@@ -422,7 +422,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if fixed:
         problems.append(f"scenario '{args.scenario}' fixes its grid and "
                         f"dataset; cannot honour {', '.join(_flag_names(fixed))}")
-    config_overrides = {"seed": args.seed} if args.seed is not None else {}
+    overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
         if args.scenario is not None:
             scenario = get_scenario(args.scenario)
@@ -433,10 +433,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 scale=args.scale, trials=args.trials, stuck_type=args.stuck)
     except ValueError as exc:
         problems.append(str(exc))
-        check_overrides(config_overrides, problems)  # what build_config checks
+        check_overrides(overrides, problems)  # what build_config checks
     else:
         try:
-            config = scenario.build_config(**config_overrides)
+            config = scenario.build_config(**overrides)
+            scenario.check_grid(config)
         except ValueError as exc:
             problems.append(str(exc))
     options = runner_options(args)

@@ -33,9 +33,7 @@ from .scenarios import (
     Scenario,
     get_scenario,
     list_scenarios,
-    register_scenario,
     run_scenario,
-    scenario_from_json,
 )
 
 __all__ = [
@@ -73,7 +71,5 @@ __all__ = [
     "Scenario",
     "get_scenario",
     "list_scenarios",
-    "register_scenario",
     "run_scenario",
-    "scenario_from_json",
 ]

@@ -1,18 +1,15 @@
-"""Declarative scenario registry for fault-injection campaigns.
+"""Named scenarios: the fault-injection campaigns ``repro`` launches by name.
 
-A :class:`Scenario` names one complete campaign configuration -- dataset x
-sweep axis x fault model x mitigation -- as *data* (a frozen dataclass that
-round-trips through a plain dict / JSON), so campaign workloads can be
-shared, versioned and launched by name instead of by code::
+A :class:`Scenario` names one complete campaign grid -- dataset x sweep
+axis x fault model x mitigation -- as a frozen dataclass::
 
     python -m repro campaign --scenario nmnist-transient-bernoulli
 
-The registry ships the paper's datasets as first-class campaign workloads
-(including the NMNIST and DVS-Gesture pipelines under transient fault
-schedules) and validates configurations eagerly with explicit errors:
-unknown keys, missing required fields and inconsistent combinations
-(e.g. bypass mitigation of transient schedules) are rejected at
-construction, not at evaluation time.
+The built-ins (:data:`SCENARIOS`) include the NMNIST and DVS-Gesture
+pipelines under transient fault schedules.  A scenario is validated
+eagerly with every problem collected: unknown datasets, sweeps or fault
+models, grid values no sweep can run and inconsistent combinations (e.g.
+bypass mitigation of transient schedules) are rejected at construction.
 
 A scenario owns the sweep axes: :func:`run_scenario` is the one place that
 maps an axis to its :mod:`repro.faults.analysis` sweep driver (the
@@ -30,7 +27,7 @@ through ``**runner_options`` to the
 from __future__ import annotations
 
 import dataclasses
-import json
+import inspect
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..faults.analysis import (sweep_array_sizes, sweep_bit_locations,
@@ -41,8 +38,7 @@ from ..faults.fault_model import StuckAtType
 from ..faults.injection import BYPASS_OF_TRANSIENT
 from ..systolic import DEFAULT_ACCUMULATOR_FORMAT
 from ..utils.rng import derive_seed
-from .config import (PAPER_DATASETS, SCALES, ExperimentConfig, check_overrides,
-                     default_config)
+from .config import PAPER_DATASETS, SCALES, ExperimentConfig, default_config
 
 __all__ = [
     "MITIGATIONS",
@@ -51,9 +47,7 @@ __all__ = [
     "Scenario",
     "get_scenario",
     "list_scenarios",
-    "register_scenario",
     "run_scenario",
-    "scenario_from_json",
 ]
 
 
@@ -95,6 +89,9 @@ SWEEPS = tuple(_SWEEP_AXES)
 #: Mitigation modes a scenario can request.
 MITIGATIONS = ("none", "bypass")
 
+#: Faulty PEs a sizes sweep places on each array when ``num_faulty`` is unset.
+_SIZES_NUM_FAULTY = inspect.signature(sweep_array_sizes).parameters["num_faulty"].default
+
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
@@ -107,9 +104,9 @@ class Scenario:
     configures the transient schedule process; for transient scenarios a
     missing ``num_steps`` resolves to the dataset config's ``time_steps``
     when the grid is built.  A ``bits`` sweep's ``stuck_type`` may be
-    ``"both"`` (:data:`BOTH_POLARITIES`).  ``config_overrides`` are forwarded to
-    :func:`repro.experiments.default_config` (e.g. smaller
-    ``baseline_epochs`` for smoke runs).
+    ``"both"`` (:data:`BOTH_POLARITIES`).  The dataset config (array,
+    seed, epochs, ...) comes from :meth:`build_config`, or is handed to
+    :func:`run_scenario`.
     """
 
     name: str
@@ -125,8 +122,6 @@ class Scenario:
     fault_model: str = "stuck_at"
     fault_params: Tuple[Tuple[str, object], ...] = ()
     mitigation: str = "none"
-    seed: Optional[int] = None
-    config_overrides: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         problems: List[str] = []
@@ -158,11 +153,23 @@ class Scenario:
             problems.append("'trials' must be an integer")
         elif self.trials <= 0:
             problems.append("'trials' must be positive")
-        for name in ("num_faulty", "bit_position", "seed"):
+        for name in ("num_faulty", "bit_position"):
             if getattr(self, name) is not None and not _is_integer(getattr(self, name)):
                 problems.append(f"'{name}' must be an integer when given")
         if _is_integer(self.num_faulty) and self.num_faulty <= 0:
             problems.append("'num_faulty' must be positive when given")
+        fmt = DEFAULT_ACCUMULATOR_FORMAT
+        bits = values if self.sweep == "bits" else (self.bit_position,)
+        problems.extend(f"bit {bit} outside the {fmt.total_bits}-bit accumulator format"
+                        for bit in bits if _is_integer(bit) and not 0 <= bit < fmt.total_bits)
+        if self.sweep == "counts":
+            problems.extend(f"faulty-PE count {count} must be non-negative"
+                            for count in values if count < 0)
+        elif self.sweep == "sizes":
+            faulty = (self.num_faulty if _is_integer(self.num_faulty)
+                      else _SIZES_NUM_FAULTY)
+            problems.extend(f"array size {size} cannot hold {faulty} faulty PEs"
+                            for size in values if size <= 0 or size * size < faulty)
         if not isinstance(self.description, str):
             problems.append("'description' must be a string")
         if self.stuck_type != BOTH_POLARITIES or self.sweep != "bits":
@@ -191,62 +198,24 @@ class Scenario:
             problems.append(
                 "'fault_params' are only meaningful for transient scenarios")
         object.__setattr__(self, "fault_params", normalized)
-        normalized = _pairs(self.config_overrides, "config_overrides", problems)
-        object.__setattr__(self, "config_overrides", tuple(
-            check_overrides(dict(normalized), problems).items()))
         if problems:
             raise ValueError(
                 f"invalid scenario '{self.name}': " + "; ".join(problems))
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scenario":
-        """Build a scenario from a plain dict, rejecting malformed input.
-
-        All structural problems -- a non-dict payload, unknown keys,
-        missing required fields -- are collected into one ``ValueError``
-        so a hand-edited JSON scenario fails with the full list at once.
-        """
-
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"scenario payload must be a JSON object, "
-                f"got {type(payload).__name__}")
-        known = tuple(field.name for field in dataclasses.fields(cls))
-        required = ("name", "dataset", "sweep", "values")
-        problems: List[str] = []
-        unknown = sorted(key for key in payload if key not in known)
-        if unknown:
-            problems.append(f"unknown key(s) {unknown}; options: {known}")
-        missing = [key for key in required if key not in payload]
-        if missing:
-            problems.append(f"missing required field(s) {missing}")
-        if problems:
-            name = payload.get("name", "<unnamed>")
-            raise ValueError(f"invalid scenario '{name}': " + "; ".join(problems))
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        """JSON-stable representation; ``from_dict`` round-trips it."""
-
-        payload = dataclasses.asdict(self)
-        payload["values"] = list(self.values)
-        payload["fault_params"] = dict(self.fault_params)
-        payload["config_overrides"] = dict(self.config_overrides)
-        return payload
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    # ------------------------------------------------------------------
     def build_config(self, **overrides) -> ExperimentConfig:
-        """Experiment config of this scenario (scenario overrides first)."""
+        """Experiment config of this scenario's dataset and scale."""
 
-        merged = dict(self.config_overrides)
-        if self.seed is not None:
-            merged["seed"] = int(self.seed)
-        merged.update(overrides)
-        return default_config(self.dataset, scale=self.scale, **merged)
+        return default_config(self.dataset, scale=self.scale, **overrides)
+
+    def check_grid(self, config: ExperimentConfig) -> None:
+        """Raise ``ValueError`` if a swept count does not fit ``config``'s array."""
+
+        rows, cols = config.array_rows, config.array_cols
+        too_many = [count for count in self.values if count > rows * cols]
+        if self.sweep == "counts" and too_many:
+            raise ValueError(
+                f"invalid scenario '{self.name}': faulty-PE count(s) "
+                f"{too_many} do not fit the {rows}x{cols} array")
 
     def resolved_fault_params(self, config: ExperimentConfig) -> dict:
         """fault_params with scenario-level defaults resolved against ``config``."""
@@ -266,18 +235,6 @@ class Scenario:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-SCENARIOS: Dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario, *, replace: bool = False) -> Scenario:
-    """Add ``scenario`` to the registry (``replace=False`` forbids clobbering)."""
-
-    if not replace and scenario.name in SCENARIOS:
-        raise ValueError(f"scenario '{scenario.name}' is already registered")
-    SCENARIOS[scenario.name] = scenario
-    return scenario
-
-
 def get_scenario(name: str) -> Scenario:
     """Look up a registered scenario; unknown names list what is available."""
 
@@ -295,16 +252,6 @@ def list_scenarios() -> List[Scenario]:
     return [SCENARIOS[name] for name in sorted(SCENARIOS)]
 
 
-def scenario_from_json(text: str) -> Scenario:
-    """Parse a JSON object into a (validated, unregistered) scenario."""
-
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scenario JSON does not parse: {exc}") from None
-    return Scenario.from_dict(payload)
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -320,8 +267,9 @@ def run_scenario(scenario: Union[Scenario, str],
     scenario's grid, fault model, parameters and mitigation.  ``runner_options`` are
     the campaign options (``engine``, ``workers``, ``cache_dir``,
     ``shard``, ...), passed unchanged to
-    :class:`~repro.faults.campaign.CampaignRunner`; they are validated
-    first, so a bad option raises ``ValueError`` before any training.
+    :class:`~repro.faults.campaign.CampaignRunner`.  The options, and the
+    grid against the config's array, are validated first, so a bad option
+    or grid value raises ``ValueError`` before any training.
     """
 
     from .baseline import prepare_baseline
@@ -331,6 +279,7 @@ def run_scenario(scenario: Union[Scenario, str],
         scenario = get_scenario(scenario)
     if config is None:
         config = scenario.build_config()
+    scenario.check_grid(config)
     if baseline is None:
         baseline = prepare_baseline(config)
     axis = _SWEEP_AXES[scenario.sweep]
@@ -354,61 +303,63 @@ def run_scenario(scenario: Union[Scenario, str],
 # the config its --dataset, --scale and --seed give), the permanent
 # stuck-at model on a smaller grid, the two extension fault models, and the
 # NMNIST / DVS-Gesture pipelines as first-class transient campaign
-# workloads.  All built-ins use the small (CI) scale; pass config_overrides /
-# a different scale via a custom scenario for larger runs.
+# workloads.  All built-ins use the small (CI) scale; ``run_scenario(name,
+# config)`` runs one on another config.
 _TOP_BIT = DEFAULT_ACCUMULATOR_FORMAT.magnitude_msb
-register_scenario(Scenario(
-    name="fig5a",
-    description="Paper's Fig. 5a: stuck-at-0 and stuck-at-1 faults at the "
-                "even accumulator bits and the magnitude MSB, 8 faulty PEs.",
-    dataset="mnist", sweep="bits",
-    values=tuple(sorted(set(range(0, _TOP_BIT + 1, 2)) | {_TOP_BIT})),
-    trials=2, num_faulty=8, stuck_type=BOTH_POLARITIES))
-register_scenario(Scenario(
-    name="fig5b",
-    description="Paper's Fig. 5b: MSB stuck-at-1 faults vs faulty-PE count.",
-    dataset="mnist", sweep="counts", values=(0, 2, 4, 8, 16, 32, 48, 64),
-    trials=4))
-register_scenario(Scenario(
-    name="fig5c",
-    description="Paper's Fig. 5c: 4 faulty PEs vs systolic array size.",
-    dataset="mnist", sweep="sizes", values=(4, 8, 16, 32, 64), trials=3,
-    num_faulty=4))
-register_scenario(Scenario(
-    name="mnist-stuck-at-counts",
-    description="Paper's Fig. 5b grid point family: permanent datapath "
-                "stuck-at faults vs faulty-PE count on MNIST.",
-    dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4))
-register_scenario(Scenario(
-    name="mnist-stuck-at-bypass",
-    description="Mitigated hardware: permanent stuck-at faults with the "
-                "bypass multiplexer enabled.",
-    dataset="mnist", sweep="counts", values=(0, 4, 8, 16), trials=4,
-    mitigation="bypass"))
-register_scenario(Scenario(
-    name="mnist-sram-counts",
-    description="Weight-SRAM stuck-at faults (corrupted quantised weight "
-                "tiles) vs faulty-PE count on MNIST.",
-    dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4,
-    fault_model="sram"))
-register_scenario(Scenario(
-    name="mnist-transient-bernoulli",
-    description="Transient (SEU) faults, Bernoulli-per-step rate process, "
-                "vs faulty-PE count on MNIST.",
-    dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4,
-    fault_model="transient",
-    fault_params=(("process", "bernoulli"), ("rate", 0.5))))
-register_scenario(Scenario(
-    name="nmnist-transient-bernoulli",
-    description="NMNIST pipeline under transient (SEU) faults with a "
-                "Bernoulli-per-step rate process.",
-    dataset="nmnist", sweep="counts", values=(0, 2, 4, 8), trials=2,
-    fault_model="transient",
-    fault_params=(("process", "bernoulli"), ("rate", 0.5))))
-register_scenario(Scenario(
-    name="dvs-gesture-transient-burst",
-    description="DVS-Gesture pipeline under transient (SEU) burst faults "
-                "(contiguous live window per site).",
-    dataset="dvs_gesture", sweep="counts", values=(0, 2, 4), trials=2,
-    fault_model="transient",
-    fault_params=(("process", "burst"), ("burst_length", 2))))
+SCENARIOS: Dict[str, Scenario] = {scenario.name: scenario for scenario in (
+    Scenario(
+        name="fig5a",
+        description="Paper's Fig. 5a: stuck-at-0 and stuck-at-1 faults at the "
+                    "even accumulator bits and the magnitude MSB, 8 faulty PEs.",
+        dataset="mnist", sweep="bits",
+        values=tuple(sorted(set(range(0, _TOP_BIT + 1, 2)) | {_TOP_BIT})),
+        trials=2, num_faulty=8, stuck_type=BOTH_POLARITIES),
+    Scenario(
+        name="fig5b",
+        description="Paper's Fig. 5b: MSB stuck-at-1 faults vs faulty-PE count.",
+        dataset="mnist", sweep="counts", values=(0, 2, 4, 8, 16, 32, 48, 64),
+        trials=4),
+    Scenario(
+        name="fig5c",
+        description="Paper's Fig. 5c: 4 faulty PEs vs systolic array size.",
+        dataset="mnist", sweep="sizes", values=(4, 8, 16, 32, 64), trials=3,
+        num_faulty=4),
+    Scenario(
+        name="mnist-stuck-at-counts",
+        description="Paper's Fig. 5b grid point family: permanent datapath "
+                    "stuck-at faults vs faulty-PE count on MNIST.",
+        dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4),
+    Scenario(
+        name="mnist-stuck-at-bypass",
+        description="Mitigated hardware: permanent stuck-at faults with the "
+                    "bypass multiplexer enabled.",
+        dataset="mnist", sweep="counts", values=(0, 4, 8, 16), trials=4,
+        mitigation="bypass"),
+    Scenario(
+        name="mnist-sram-counts",
+        description="Weight-SRAM stuck-at faults (corrupted quantised weight "
+                    "tiles) vs faulty-PE count on MNIST.",
+        dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4,
+        fault_model="sram"),
+    Scenario(
+        name="mnist-transient-bernoulli",
+        description="Transient (SEU) faults, Bernoulli-per-step rate process, "
+                    "vs faulty-PE count on MNIST.",
+        dataset="mnist", sweep="counts", values=(0, 2, 4, 8), trials=4,
+        fault_model="transient",
+        fault_params=(("process", "bernoulli"), ("rate", 0.5))),
+    Scenario(
+        name="nmnist-transient-bernoulli",
+        description="NMNIST pipeline under transient (SEU) faults with a "
+                    "Bernoulli-per-step rate process.",
+        dataset="nmnist", sweep="counts", values=(0, 2, 4, 8), trials=2,
+        fault_model="transient",
+        fault_params=(("process", "bernoulli"), ("rate", 0.5))),
+    Scenario(
+        name="dvs-gesture-transient-burst",
+        description="DVS-Gesture pipeline under transient (SEU) burst faults "
+                    "(contiguous live window per site).",
+        dataset="dvs_gesture", sweep="counts", values=(0, 2, 4), trials=2,
+        fault_model="transient",
+        fault_params=(("process", "burst"), ("burst_length", 2))),
+)}

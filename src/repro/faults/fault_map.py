@@ -103,16 +103,6 @@ class FaultMap:
         return (f"FaultMap({self.rows}x{self.cols}, {len(self.faults)} faulty PEs, "
                 f"rate={100.0 * self.fault_rate:.3f}%)")
 
-    def merge(self, other: "FaultMap") -> "FaultMap":
-        """Union of two fault maps over the same array (later map wins on collisions)."""
-
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("cannot merge fault maps of different array sizes")
-        merged = dict(self.faults)
-        merged.update(other.faults)
-        return FaultMap(self.rows, self.cols, merged,
-                        fmt=self.fmt if self.fmt is not None else other.fmt)
-
 
 # ----------------------------------------------------------------------
 # Generators

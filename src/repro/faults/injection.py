@@ -93,19 +93,16 @@ class FaultInjector(contextlib.AbstractContextManager):
     fmt:
         Accumulator format of the arrays built for a schedule (ignored for
         a prepared array).
-    layer_filter:
-        Optional predicate selecting which affine layers to re-route; by
-        default every :class:`Conv2d` and :class:`Linear` layer is mapped to
-        the array, matching the paper's accelerator which executes all
-        convolutional and fully connected layers on the same PE grid.
+
+    Every :class:`Conv2d` and :class:`Linear` layer is mapped to the array,
+    matching the paper's accelerator, which executes all convolutional and
+    fully connected layers on the same PE grid.
     """
 
     def __init__(self, model: SpikingClassifier,
                  faults: Union[SystolicArray, FaultSchedule], *,
-                 fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
-                 layer_filter=None) -> None:
+                 fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT) -> None:
         self.model = model
-        self.layer_filter = layer_filter or (lambda layer: True)
         if isinstance(faults, FaultSchedule):
             step_phase, phase_maps = schedule_phases([faults])
             self._step_phase: Optional[List[int]] = step_phase
@@ -116,10 +113,6 @@ class FaultInjector(contextlib.AbstractContextManager):
             self._arrays = [faults]
         self._counters: dict = {}
         self._saved: list = []
-
-    def _target_layers(self) -> List[object]:
-        layers = [m for m in self.model.modules() if isinstance(m, (Conv2d, Linear))]
-        return [layer for layer in layers if self.layer_filter(layer)]
 
     def _array_for_step(self, step: int) -> SystolicArray:
         if self._step_phase is None:
@@ -155,8 +148,9 @@ class FaultInjector(contextlib.AbstractContextManager):
         object.__setattr__(module, "forward", forward)
 
     def __enter__(self) -> "FaultInjector":
-        for layer in self._target_layers():
-            self._shadow(layer, self._make_faulty_forward(layer))
+        for layer in self.model.modules():
+            if isinstance(layer, (Conv2d, Linear)):
+                self._shadow(layer, self._make_faulty_forward(layer))
         counters = self._counters
         original_forward = self.model.forward
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ...utils.hashing import model_key, model_token
+from ...utils.hashing import model_key
 from .plan import InferencePlan, lower_plan
 
 __all__ = ["PlanCache", "default_plan_cache"]
@@ -62,16 +62,12 @@ class PlanCache:
 
         self._plans.clear()
 
-    def token_for(self, model) -> str:
-        """The cache token of ``model`` (content digest of its state)."""
-
-        return model_token(model)
-
     def get_plan(self, model, token: Optional[str] = None) -> InferencePlan:
         """The lowered plan of ``model``, lowering at most once per content.
 
         ``token`` skips the state hashing when the caller already knows the
-        model token (it must be :meth:`token_for` of the *current* state).
+        model token (it must be the :func:`~repro.utils.hashing.model_token` of
+        the *current* state).
         """
 
         key = model_key(model, token)

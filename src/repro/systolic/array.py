@@ -109,18 +109,6 @@ class SystolicArray:
     # ------------------------------------------------------------------
     # Fault / bypass management
     # ------------------------------------------------------------------
-    @property
-    def num_pes(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def fault_sites(self) -> List[FaultSite]:
-        return list(self._fault_sites)
-
-    @property
-    def faulty_coordinates(self) -> List[Tuple[int, int]]:
-        return [(site.row, site.col) for site in self._fault_sites]
-
     def clear_faults(self) -> None:
         self._fault_sites = []
         self._bypassed = set()

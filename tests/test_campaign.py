@@ -26,7 +26,6 @@ from repro.faults import (
 )
 from repro.faults.campaign import ENGINES, cache_path
 from repro.faults.injection import FaultInjector, build_faulty_array
-from repro.snn import evaluate
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 from repro.utils.hashing import loader_token, model_token
 
@@ -81,17 +80,6 @@ class TestBatchedEvaluation:
             pass
         layers_after = [m.forward for m in trained_tiny_model.modules()]
         assert layers_before == layers_after
-
-    def test_no_target_layers_returns_software_accuracy(self, trained_tiny_model,
-                                                        eval_loader):
-        fault_map = random_fault_map(16, 16, 40, bit_position=FMT.magnitude_msb,
-                                     stuck_type="sa1", seed=3)
-        clean = evaluate(trained_tiny_model, eval_loader)
-        # An injector that routes nothing through the array leaves the
-        # software forward -- and its accuracy -- untouched.
-        with FaultInjector(trained_tiny_model, build_faulty_array(fault_map),
-                           layer_filter=lambda layer: False):
-            assert evaluate(trained_tiny_model, eval_loader) == clean
 
 
 class TestCampaignPoint:

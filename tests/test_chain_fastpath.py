@@ -25,6 +25,7 @@ from repro.systolic import (
 )
 from repro.systolic import array as systolic_array
 from repro.systolic.chain_kernel import StuckAtKernel
+from repro.utils.hashing import model_token
 from repro.utils.rng import get_rng
 from tests.conftest import assert_same_bytes, run_faulty_affine
 
@@ -419,7 +420,7 @@ class TestPlanCache:
 
     def test_token_shortcut_matches_hashing(self, trained_tiny_model):
         cache = PlanCache()
-        token = cache.token_for(trained_tiny_model)
+        token = model_token(trained_tiny_model)
         plan = cache.get_plan(trained_tiny_model, token=token)
         assert cache.get_plan(trained_tiny_model) is plan
 
@@ -490,7 +491,7 @@ class TestPlanCache:
         assert (len(process_cache), process_cache.misses) == (1, 1)
         # An engine given the model token reads the same cache; one without
         # a token lowers directly.
-        token = process_cache.token_for(trained_tiny_model)
+        token = model_token(trained_tiny_model)
         FusedInferenceEngine(trained_tiny_model, plan_token=token)
         assert (process_cache.misses, process_cache.hits) == (1, 1)
         FusedInferenceEngine(trained_tiny_model)

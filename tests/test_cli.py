@@ -329,6 +329,10 @@ BAD_VALUES = {"--workers": (["0", "-3"], "workers must be at least 1"),
               "--unit-timeout": (["0", "-2.5", "nan", "inf"],
                                  "unit_timeout must be positive"),
               "--seed": (["-1", "-7"], "'seed' override")}
+#: Sweep axis -> (out-of-range values, the problem the collected error names).
+BAD_GRID_VALUES = {"bits": (["20", "-1"], "outside the 16-bit accumulator format"),
+                   "counts": (["-1"], "faulty-PE count -1 must be non-negative"),
+                   "sizes": (["0", "1"], "cannot hold 4 faulty PEs")}
 #: Flags a retraining grid cannot honour.
 SWEEP_ONLY_FLAGS = {"--engine": ["sequential"], "--trial-chunk": ["2", "0"]}
 #: Flags a retraining grid honours; a Fig. 5 sweep honours them too.
@@ -372,11 +376,16 @@ def malformed_argv(draw):
         expected = list(unsupported)
         del bad_table["--trial-chunk"]
     else:
-        head = ["campaign", draw(st.sampled_from(["bits", "counts", "sizes"]))]
+        sweep = draw(st.sampled_from(sorted(BAD_GRID_VALUES)))
+        head = ["campaign", sweep]
         grid_pairs, expected = [], []
         if draw(st.booleans()):
             grid_pairs = [["--trials", draw(st.sampled_from(["0", "-2"]))]]
             expected.append("'trials' must be positive")
+        if draw(st.booleans()):
+            values, problem = BAD_GRID_VALUES[sweep]
+            grid_pairs.append([f"--{sweep}", draw(st.sampled_from(values))])
+            expected.append(problem)
     bad, bad_pairs = draw(flag_pairs(bad_table, 0 if expected else 1))
     expected += [BAD_VALUES[flag][1] for flag in bad]
     pairs = draw(st.permutations(grid_pairs + bad_pairs))

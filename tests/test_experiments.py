@@ -57,7 +57,7 @@ class TestConfig:
             default_config("mnist", baseline_epochs="x", seed=-1, bogus=1)
         message = str(excinfo.value)
         for problem in ("'baseline_epochs' override", "'seed' override",
-                        "unknown config_overrides key(s) ['bogus']"):
+                        "unknown config override(s) ['bogus']"):
             assert problem in message
 
     def test_scenario_build_config_checks_call_overrides(self):

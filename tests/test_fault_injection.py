@@ -46,12 +46,6 @@ class TestFaultInjector:
             faulty = predicted_classes(trained_tiny_model, inputs)
         assert np.array_equal(clean, faulty)
 
-    def test_layer_filter_restricts_rerouting(self, trained_tiny_model):
-        array = SystolicArray(8, 8)
-        injector = FaultInjector(trained_tiny_model, array,
-                                 layer_filter=lambda layer: isinstance(layer, Linear))
-        assert all(isinstance(layer, Linear) for layer in injector._target_layers())
-
     @pytest.mark.parametrize("outer", ["array", "schedule"])
     def test_nested_injectors_keep_outer_faults(self, trained_tiny_model,
                                                 test_loader, outer):

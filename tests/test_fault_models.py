@@ -106,12 +106,6 @@ class TestFaultMap:
         with pytest.raises(ValueError):
             FaultMap(0, 4)
 
-    def test_merge(self):
-        a = FaultMap(4, 4, {(0, 0): StuckAtFault(1)})
-        b = FaultMap(4, 4, {(1, 1): StuckAtFault(2)})
-        merged = a.merge(b)
-        assert len(merged) == 2
-
     def test_bit_position_beyond_simulation_word_rejected(self):
         """The int64 chain kernel can never force bit 64+: fail at construction."""
 
@@ -130,16 +124,6 @@ class TestFaultMap:
         # Without a pinned format the construction-time check is off.
         unpinned = FaultMap(4, 4, {(0, 0): StuckAtFault(FMT.total_bits)})
         assert len(unpinned) == 1
-
-    def test_merge_propagates_format(self):
-        pinned = FaultMap(4, 4, {(0, 0): StuckAtFault(1)}, fmt=FMT)
-        plain = FaultMap(4, 4, {(1, 1): StuckAtFault(2)})
-        assert pinned.merge(plain).fmt is FMT
-        assert plain.merge(pinned).fmt is FMT
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ValueError):
-            FaultMap(4, 4).merge(FaultMap(8, 8))
 
     def test_describe_mentions_rate(self):
         fm = random_fault_map(8, 8, 16, seed=0)

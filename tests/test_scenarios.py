@@ -11,20 +11,19 @@ from repro.experiments import (
     SCENARIOS,
     ExperimentConfig,
     Scenario,
+    default_config,
     get_scenario,
     list_scenarios,
-    register_scenario,
     run_scenario,
-    scenario_from_json,
 )
 from tests.conftest import MICRO
 
 
 def make_scenario(**overrides):
-    payload = dict(name="test-scenario", dataset="mnist", sweep="counts",
-                   values=[2, 4], trials=2)
-    payload.update(overrides)
-    return Scenario.from_dict(payload)
+    fields = dict(name="test-scenario", dataset="mnist", sweep="counts",
+                  values=[2, 4], trials=2)
+    fields.update(overrides)
+    return Scenario(**fields)
 
 
 #: Any JSON value, with some that a scenario field accepts.
@@ -36,38 +35,15 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+#: The two builders of a config from overrides; ``--seed`` takes the second.
+#: Their first argument is the dataset, so ``dataset`` is no override.
+CONFIG_BUILDERS = {
+    "default_config": lambda **overrides: default_config("mnist", **overrides),
+    "build_config": lambda **overrides: make_scenario().build_config(**overrides),
+}
+
+
 class TestScenarioValidation:
-    def test_round_trip_through_json(self):
-        scenario = get_scenario("nmnist-transient-bernoulli")
-        restored = scenario_from_json(scenario.to_json())
-        assert restored == scenario
-
-    def test_round_trip_preserves_fault_params(self):
-        scenario = make_scenario(fault_model="transient",
-                                 fault_params={"process": "burst",
-                                               "burst_length": 2})
-        restored = Scenario.from_dict(json.loads(scenario.to_json()))
-        assert restored.fault_params == scenario.fault_params
-        assert dict(restored.fault_params)["process"] == "burst"
-
-    def test_unknown_key_rejected_with_options(self):
-        with pytest.raises(ValueError, match="unknown key.*typo_key.*options"):
-            make_scenario(typo_key=1)
-
-    def test_missing_fields_all_reported_at_once(self):
-        with pytest.raises(ValueError, match="missing required field"):
-            Scenario.from_dict({"name": "x"})
-        with pytest.raises(ValueError) as excinfo:
-            Scenario.from_dict({"name": "x"})
-        message = str(excinfo.value)
-        assert "dataset" in message and "sweep" in message and "values" in message
-
-    def test_non_dict_payload_rejected(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            Scenario.from_dict(["not", "a", "dict"])
-        with pytest.raises(ValueError, match="parse"):
-            scenario_from_json("{not json")
-
     @pytest.mark.parametrize("field,value,match", [
         ("dataset", "cifar", "unknown dataset"),
         ("sweep", "volts", "unknown sweep"),
@@ -87,8 +63,7 @@ class TestScenarioValidation:
         ("trials", "abc"),
         ("num_faulty", [1]),
         ("fault_params", 5),
-        ("config_overrides", 7),
-        ("seed", "x"),
+        ("bit_position", "x"),
     ])
     def test_bad_field_type_collected(self, field, value):
         with pytest.raises(ValueError, match=f"^invalid scenario 'test-scenario': .*'{field}'"):
@@ -96,19 +71,20 @@ class TestScenarioValidation:
 
     def test_bad_field_types_all_reported_at_once(self):
         with pytest.raises(ValueError) as excinfo:
-            make_scenario(trials="abc", seed="x", fault_params=5)
+            make_scenario(trials="abc", bit_position="x", fault_params=5)
         message = str(excinfo.value)
-        assert "'trials'" in message and "'seed'" in message and "'fault_params'" in message
+        assert ("'trials'" in message and "'bit_position'" in message
+                and "'fault_params'" in message)
 
     @settings(max_examples=300, deadline=None)
     @given(field=st.sampled_from([field.name for field in dataclasses.fields(Scenario)]),
            value=JSON_VALUES)
     def test_any_json_value_in_any_field(self, field, value):
-        payload = dict(name="test-scenario", dataset="mnist", sweep="bits",
-                       values=[2, 4], trials=2)
-        payload[field] = value
+        fields = dict(name="test-scenario", dataset="mnist", sweep="bits",
+                      values=[2, 4], trials=2)
+        fields[field] = value
         try:
-            Scenario.from_dict(payload)
+            Scenario(**fields)
         except ValueError as exc:
             assert str(exc).startswith("invalid scenario ")
 
@@ -120,9 +96,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="fault_params"):
             make_scenario(fault_params={"rate": 0.5})
 
-    def test_unknown_config_override_rejected(self):
-        with pytest.raises(ValueError, match="config_overrides"):
-            make_scenario(config_overrides={"bogus_field": 1})
+    @pytest.mark.parametrize("builder", sorted(CONFIG_BUILDERS))
+    def test_unknown_config_override_rejected(self, builder):
+        with pytest.raises(ValueError, match=r"unknown config override\(s\) \['bogus_field'\]"):
+            CONFIG_BUILDERS[builder](bogus_field=1)
 
     @pytest.mark.parametrize("key,value", [
         ("baseline_epochs", "x"),
@@ -135,39 +112,38 @@ class TestScenarioValidation:
         ("retrain_lr", 0.0),
         ("retrain_lr", float("nan")),
         ("seed", -3),
-        ("dataset", "cifar"),
         ("dataset_kwargs", 5),
     ])
-    def test_bad_config_override_value_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"^invalid scenario 'test-scenario': .*'{key}'"):
-            make_scenario(config_overrides={key: value})
+    @pytest.mark.parametrize("builder", sorted(CONFIG_BUILDERS))
+    def test_bad_config_override_value_rejected(self, builder, key, value):
+        with pytest.raises(ValueError, match=f"^invalid config overrides: .*'{key}'"):
+            CONFIG_BUILDERS[builder](**{key: value})
 
-    def test_bad_config_override_values_all_reported_at_once(self):
+    @pytest.mark.parametrize("builder", sorted(CONFIG_BUILDERS))
+    def test_bad_config_override_values_all_reported_at_once(self, builder):
         with pytest.raises(ValueError) as excinfo:
-            make_scenario(config_overrides={"baseline_epochs": "x", "time_steps": [1]})
+            CONFIG_BUILDERS[builder](baseline_epochs="x", time_steps=[1])
         message = str(excinfo.value)
         assert "'baseline_epochs'" in message and "'time_steps'" in message
 
     def test_good_config_overrides_reach_the_config(self):
-        scenario = make_scenario(config_overrides={
-            "baseline_epochs": 0, "baseline_lr": 0.05, "seed": 0,
-            "dataset_kwargs": {"noise_std": 0.1, "max_shift": 1}})
-        config = scenario.build_config()
+        config = make_scenario().build_config(
+            baseline_epochs=0, baseline_lr=0.05, seed=0,
+            dataset_kwargs={"noise_std": 0.1, "max_shift": 1})
         assert (config.baseline_epochs, config.baseline_lr, config.seed) == (0, 0.05, 0)
         assert config.dataset_kwargs == (("max_shift", 1), ("noise_std", 0.1))
         hash(config)  # the baseline cache is keyed by the config
-        assert Scenario.from_dict(json.loads(scenario.to_json())) == scenario
 
     @settings(max_examples=200, deadline=None)
-    @given(key=st.sampled_from([field.name for field in dataclasses.fields(ExperimentConfig)]),
+    @given(builder=st.sampled_from(sorted(CONFIG_BUILDERS)),
+           key=st.sampled_from([field.name for field in dataclasses.fields(ExperimentConfig)
+                                if field.name != "dataset"]),
            value=JSON_VALUES)
-    def test_any_json_override_value_builds_or_is_rejected(self, key, value):
+    def test_any_json_override_value_builds_or_is_rejected(self, builder, key, value):
         try:
-            scenario = make_scenario(config_overrides={key: value})
+            CONFIG_BUILDERS[builder](**{key: value})
         except ValueError as exc:
-            assert str(exc).startswith("invalid scenario ")
-        else:
-            scenario.build_config()
+            assert str(exc).startswith("invalid config overrides: ")
 
     @settings(max_examples=200, deadline=None)
     @given(key=st.sampled_from(["process", "num_steps", "rate", "burst_length",
@@ -210,15 +186,71 @@ class TestRegistry:
         for scenario in list_scenarios():
             assert scenario.name in message
 
-    def test_register_refuses_to_clobber(self):
-        scenario = make_scenario(name="clobber-check")
-        register_scenario(scenario)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_scenario(scenario)
-            register_scenario(scenario, replace=True)
-        finally:
-            SCENARIOS.pop("clobber-check", None)
+    def test_every_key_is_its_scenarios_name(self):
+        assert SCENARIOS and all(name == scenario.name
+                                 for name, scenario in SCENARIOS.items())
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    """Fail the test if a baseline is trained."""
+
+    import repro.experiments.baseline as baseline_module
+
+    def forbidden(config):
+        raise AssertionError("baseline trained before validation")
+
+    monkeypatch.setattr(baseline_module, "prepare_baseline", forbidden)
+
+
+#: Out-of-range grid flags -> the problem the collected report names.  Bits
+#: are checked against the 16-bit accumulator, counts against small MNIST's
+#: 32x32 array and sizes against the 4 faulty PEs of a sizes sweep.
+BAD_GRIDS = {
+    "bits 20": (["bits", "--bits", "0,20"], "bit 20 outside the 16-bit accumulator format"),
+    "bits -1": (["bits", "--bits", "-1"], "bit -1 outside the 16-bit accumulator format"),
+    "counts -1": (["counts", "--counts", "-1"], "faulty-PE count -1 must be non-negative"),
+    "counts 2000": (["counts", "--counts", "2,2000"],
+                    "faulty-PE count(s) [2000] do not fit the 32x32 array"),
+    "sizes 0": (["sizes", "--sizes", "0,8"], "array size 0 cannot hold 4 faulty PEs"),
+    "sizes 1": (["sizes", "--sizes", "1"], "array size 1 cannot hold 4 faulty PEs"),
+}
+
+
+def grid_scenario(argv):
+    """The scenario ``campaign`` builds from ``BAD_GRIDS`` flags ``argv``."""
+
+    sweep, _, values = argv
+    return make_scenario(sweep=sweep, values=[int(v) for v in values.split(",")])
+
+
+class TestBadGridValues:
+    """Out-of-range grid values are rejected before any baseline is trained."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+    def test_cli_exits_2_naming_the_value(self, no_training, capsys, case):
+        argv, problem = BAD_GRIDS[case]
+        assert main(["campaign", *argv]) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+    def test_run_scenario_raises_before_training(self, no_training, case):
+        argv, problem = BAD_GRIDS[case]
+        with pytest.raises(ValueError) as excinfo:
+            run_scenario(grid_scenario(argv))
+        assert problem in str(excinfo.value)
+
+    def test_counts_checked_against_the_given_config(self, no_training):
+        scenario = make_scenario(values=[0, 256, 257])
+        with pytest.raises(ValueError, match=r"\[257\] do not fit the 16x16 array"):
+            run_scenario(scenario, MICRO)
+
+    def test_array_check_joins_the_option_report(self, no_training, capsys):
+        assert main(["campaign", "counts", "--counts", "2000,3000",
+                     "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "[2000, 3000] do not fit" in err and "workers must be at least 1" in err
 
 
 def seed13_baseline():
@@ -274,7 +306,8 @@ class TestCampaignGrid:
         cache = tmp_path / "cache"
         run_scenario(make_scenario(), baseline=baseline, cache_dir=cache)
         first = set(cache.glob("*.json"))
-        run_scenario(make_scenario(seed=99), baseline=baseline, cache_dir=cache)
+        run_scenario(make_scenario(), make_scenario().build_config(seed=99),
+                     baseline=baseline, cache_dir=cache)
         assert len(first) == 2
         assert len(set(cache.glob("*.json")) - first) == 2
 
@@ -478,9 +511,10 @@ class TestRunScenario:
                                  fault_model="transient",
                                  fault_params={"process": "bernoulli",
                                                "rate": 0.5},
-                                 values=[2], seed=13)
-        fused = run_scenario(scenario, engine="fused")
-        sequential = run_scenario(scenario, engine="sequential")
+                                 values=[2])
+        config = scenario.build_config(seed=13)
+        fused = run_scenario(scenario, config, engine="fused")
+        sequential = run_scenario(scenario, config, engine="sequential")
         assert fused == sequential
 
     def test_run_scenario_validates_options_before_training(self, monkeypatch):

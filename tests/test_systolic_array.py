@@ -194,10 +194,9 @@ class TestSystolicArrayMatmul:
     def test_fault_sites_and_repr(self):
         array = SystolicArray(4, 4)
         array.inject_fault(1, 2, StuckAtFault(3, "sa0"))
-        assert array.faulty_coordinates == [(1, 2)]
-        assert array.num_pes == 16
-        sites = array.fault_sites
-        assert sites[0].row == 1 and sites[0].col == 2
+        assert repr(array).startswith("SystolicArray(4x4, faults=1, ")
+        array.bypass_faulty_pes()
+        assert array.bypassed_coordinates == {(1, 2)}
 
 
 class TestSystolicConv:
